@@ -6,10 +6,13 @@ configuration contain a real surface?  The pipeline it runs:
   1. enumerate the admissible polarizing squares a^2;
   2. for each (a^2, n), list kernel candidates kappa in the polarized
      discriminant with order a^2/n and q(kappa) = -n^2/a^2 mod 2Z;
-  3. test whether a lattice with the glued discriminant exists at all
-     (p-adic genus conditions);
+  3. build K-perp/K once and test whether a lattice with that glued
+     discriminant exists at all (p-adic genus conditions);
   4. search the discriminant isometries for an involution phi with
      phi(kappa) = -kappa that induces the identity on K-perp/K.
+
+check_candidate runs stages 3 and 4 for one candidate and names the first
+stage that excludes it.
 
 The first candidate passing all stages is a witness; it is then
 re-verified by the brute-force oracle before being reported.
@@ -19,7 +22,6 @@ Run:  python3 demos/02_detect_walkthrough.py
 from realstrata.detector import (detect, enumerate_a_squares,
                                  kernel_candidates, check_candidate)
 from realstrata.lattices import RootSpec, polarized_disc, disc_involutions
-from realstrata.nikulin import genus_tilde_nonempty
 
 
 def main() -> None:
@@ -47,14 +49,10 @@ def main() -> None:
             cand = cands[0]
             print(f"  a^2 = {a2}, n = {n}: {len(cands)} kernel candidate(s);"
                   f" first kappa = {list(cand.kappa)}")
-            ok, why = genus_tilde_nonempty(pf, cand)
-            print(f"    glued genus nonempty? {ok}"
-                  + (f"  (excluded: {why})" if not ok else ""))
-            if ok:
-                outcome, phi = check_candidate(pf, cand, phis)
-                print(f"    involution search: {outcome}")
-                if phi is not None:
-                    print(f"    phi matrix rows: {[list(r) for r in phi.matrix]}")
+            outcome, phi = check_candidate(pf, cand, phis)
+            print(f"    stages 3-4: {outcome}")
+            if phi is not None:
+                print(f"    phi matrix rows: {[list(r) for r in phi.matrix]}")
     print()
 
     report = detect(4, "D4+A2")

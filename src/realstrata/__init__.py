@@ -27,8 +27,7 @@ from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        disc_of_gram, disc_root, maximizing_has_skew,
                        polarized_disc)
 from .nikulin import (SquareClass, ambient_with_a_block, det_p,
-                      embedding_clauses, embeds_into_big_L,
-                      genus_tilde_nonempty, theta_vector)
+                      embedding_clauses, embeds_into_big_L, theta_vector)
 
 __version__ = "1.0.0"
 
@@ -40,8 +39,7 @@ __all__ = [
     "check_candidate", "classify_gluing_case", "cyclic_form", "det_p",
     "detect", "direct_sum_all", "disc_involutions", "disc_of_gram",
     "disc_root", "embedding_clauses", "embeds_into_big_L",
-    "enumerate_a_squares", "genus_tilde_nonempty",
-    "homogeneous_decomposition", "is_isotropic", "kernel_candidates",
+    "enumerate_a_squares", "homogeneous_decomposition", "is_isotropic", "kernel_candidates",
     "maximizing_has_skew", "model_name", "parse_model", "polarized_disc",
     "split_off_cyclic", "subquotient", "theta_vector", "trivial_form",
     "u_block", "v_block", "__version__",

@@ -17,7 +17,8 @@ it a path (--json out.json) to write the document to a file instead.
 
 Reports are cached under --cache-dir (or $REALSTRATA_CACHE, default
 .realstrata-cache): a cache hit returns the stored report byte for byte,
-including its original timestamp.
+including its original timestamp.  An unreadable entry counts as a miss
+and is overwritten.
 """
 
 from __future__ import annotations
@@ -80,29 +81,36 @@ def _cache_dir(arg: Optional[str]) -> Path:
     return Path(".realstrata-cache")
 
 
-def _cache_key(h2: int, spec: RootSpec, tgram) -> str:
+def _cache_key(h2: int, spec: RootSpec, tgram, oracle: bool) -> str:
     payload = json.dumps({
         "model": model_name(h2),
         "spec": spec.canonical_text(),
         "tgram": [list(r) for r in tgram] if tgram else None,
+        "oracle": oracle,
         "version": __version__,
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cached_detect(h2: int, spec_text: str, tgram, threads: int,
-                   oracle: bool, cache_dir: Path) -> Tuple[str, dict]:
+def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
+                   cache_dir: Path) -> Tuple[str, dict]:
     """Returns (report_json_text, report_dict), via the cache."""
     spec = RootSpec.parse(spec_text)
-    key = _cache_key(h2, spec, tgram)
+    key = _cache_key(h2, spec, tgram, oracle)
     path = cache_dir / f"{key}.json"
     if path.is_file():
-        text = path.read_text()
-        return text, json.loads(text)
-    report = detect(h2, spec, tgram=tgram, threads=threads, oracle=oracle)
+        try:
+            text = path.read_text()
+            return text, json.loads(text)
+        except ValueError:
+            pass  # a truncated or corrupt entry: recompute and overwrite
+    report = detect(h2, spec, tgram=tgram, oracle=oracle)
     text = report.to_json()
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    # Write beside the entry, then rename: readers never see a partial file.
+    tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
     return text, report.to_json_dict()
 
 
@@ -147,8 +155,8 @@ def cmd_disc(args) -> int:
 
 def cmd_detect(args) -> int:
     h2 = parse_model(args.model)
-    text, rep = _cached_detect(h2, args.spec, args.tgram, args.threads,
-                               args.oracle, _cache_dir(args.cache_dir))
+    text, rep = _cached_detect(h2, args.spec, args.tgram, args.oracle,
+                               _cache_dir(args.cache_dir))
     if args.json:
         _emit_json(text, args.json)
     else:
@@ -171,9 +179,8 @@ def cmd_batch(args) -> int:
         if not line:
             continue
         try:
-            _text, rep = _cached_detect(h2, line, None, args.threads,
-                                        args.oracle, cache)
-        except (ValueError, AssertionError) as exc:
+            _text, rep = _cached_detect(h2, line, None, args.oracle, cache)
+        except (ValueError, AssertionError, RuntimeError) as exc:
             print(f"{line}: error: {exc}", file=sys.stderr)
             bad_lines += 1
             continue
@@ -267,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="a,b,d",
                    help="Gram matrix [[a,b],[b,d]] of the rank-2 "
                         "transcendental lattice (rank_S = 19 strata only)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="speculative parallel candidate checks; the result "
-                        "is bitwise identical for any value")
     p.add_argument("--oracle", action="store_true",
                    help="re-check every decision by brute force where "
                         "group sizes permit")
@@ -281,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="detect every stratum listed in a file")
     p.add_argument("file", help="one spec per line; # starts a comment")
     p.add_argument("--model", default="quartic")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_batch)
@@ -311,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

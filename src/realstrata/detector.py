@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -29,7 +28,7 @@ from .fqf import Element, FiniteQuadraticForm, canon_mod2
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        disc_involutions, maximizing_has_skew, polarized_disc)
-from .nikulin import ambient_with_a_block, genus_tilde_nonempty, theta_vector
+from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
 
 SCOPE_NOTE = (
     "A witness certifies only that the polarized lattice extends to some "
@@ -42,7 +41,7 @@ REASONS = ("no_kappa", "genus_empty", "no_involution_cond2",
 
 VERDICTS = ("witness_found", "none_exists", "inconclusive", "needs_T_gram")
 
-BASES = ("corlem1", "corlem2", "rankT2", "rankT3")
+BASES = ("corlem1", "corlem2", "rankT2")
 
 
 @dataclass(frozen=True)
@@ -100,33 +99,52 @@ def _big_phi_apply(phi: DiscAutomorphism, big: FiniteQuadraticForm,
 def check_candidate(pf: PolarizedForm, cand: KernelCandidate,
                     phis: Optional[List[DiscAutomorphism]] = None
                     ) -> Tuple[str, Optional[DiscAutomorphism]]:
-    """Involution conditions for one candidate (genus not included).
+    """Decide one candidate: the glued genus, then the involution conditions.
 
-    Returns ("witness", phi) for the first symmetry-induced involution with
-    phi(kappa) = -kappa inducing the identity on K-perp/K, else
-    ("no_involution_cond2"|"no_involution_cond3", None).
+    K = <kappa (+) n alpha>, K-perp and K-perp/K are built once.  Returns
+    ("genus_empty", None) when K-perp/K does not embed into the (3, 19)
+    lattice with signature (2, rank_S); ("witness", phi) for the first
+    symmetry-induced involution with phi(kappa) = -kappa inducing the
+    identity on K-perp/K; else ("no_involution_cond2"|"no_involution_cond3",
+    None).
     """
+    form = pf.form
+    big = ambient_with_a_block(form, cand.a2)
+    sq = subquotient(big, big.subgroup([theta_vector(form, cand.kappa,
+                                                     cand.n)]))
+    if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
+        return "genus_empty", None
     if phis is None:
         phis = disc_involutions(pf)
-    form = pf.form
     neg = form.neg(cand.kappa)
     cond2 = [phi for phi in phis if phi.apply(cand.kappa) == neg]
     if not cond2:
         return "no_involution_cond2", None
-    big = ambient_with_a_block(form, cand.a2)
-    theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
-    kernel = big.subgroup([theta])
-    kperp = big.orthogonal_complement(kernel)
     for phi in cond2:
-        good = True
-        for g in kperp.gens:
-            delta = big.sub(_big_phi_apply(phi, big, g), g)
-            if not kernel.contains(delta):
-                good = False
-                break
-        if good:
+        if all(sq.kernel.contains(big.sub(_big_phi_apply(phi, big, g), g))
+               for g in sq.kperp.gens):
             return "witness", phi
     return "no_involution_cond3", None
+
+
+def _search(pf: PolarizedForm, phis: List[DiscAutomorphism],
+            trace: List[dict]
+            ) -> Optional[Tuple[KernelCandidate, DiscAutomorphism]]:
+    """Walk the gluing data in engine order, appending one trace row per
+    excluded candidate (or empty (a2, n) pair); return the first witness."""
+    for a2 in enumerate_a_squares(pf):
+        for n in (2, 1):
+            cands = kernel_candidates(pf, a2, n)
+            if not cands:
+                trace.append({"a2": a2, "n": n, "kappa": None,
+                              "reason": "no_kappa"})
+            for cand in cands:
+                status, phi = check_candidate(pf, cand, phis)
+                if status == "witness":
+                    return cand, phi
+                trace.append({"a2": a2, "n": n, "kappa": list(cand.kappa),
+                              "reason": status})
+    return None
 
 
 @dataclass
@@ -175,16 +193,6 @@ class DetectionReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _evaluate(pf: PolarizedForm, cand: KernelCandidate,
-              phis: List[DiscAutomorphism]) -> Tuple[KernelCandidate, str,
-                                                     Optional[DiscAutomorphism]]:
-    ok, _reason = genus_tilde_nonempty(pf, cand)
-    if not ok:
-        return cand, "genus_empty", None
-    status, phi = check_candidate(pf, cand, phis)
-    return cand, status, phi
-
-
 def model_name(h2: int) -> str:
     if h2 == 4:
         return "quartic"
@@ -207,7 +215,7 @@ def parse_model(text: str) -> int:
     raise ValueError(f"unknown model {text!r}")
 
 
-def detect(h2: int, spec: RootSpec | str, tgram=None, threads: int = 1,
+def detect(h2: int, spec: RootSpec | str, tgram=None,
            oracle: bool = False) -> DetectionReport:
     """Run the full decision pipeline for one stratum.
 
@@ -215,17 +223,15 @@ def detect(h2: int, spec: RootSpec | str, tgram=None, threads: int = 1,
     spec: the ADE configuration;
     tgram: optional 2x2 Gram matrix of the transcendental-side lattice,
            required for conclusiveness at rank_S = 19;
-    threads: speculative parallel candidate evaluation (output is identical
-             for any value);
     oracle: re-check decisions by brute force where group sizes permit.
     """
     t0 = time.monotonic()
     if isinstance(spec, str):
         spec = RootSpec.parse(spec)
+    if spec.rank > 19:
+        raise ValueError("root rank exceeds 19; no such stratum")
     pf = polarized_disc(spec, h2)
     rank_s = pf.rank_S
-    if rank_s > 19:
-        raise ValueError("root rank exceeds 19; no such stratum")
 
     trace: List[dict] = []
     witness: Optional[dict] = None
@@ -242,36 +248,7 @@ def detect(h2: int, spec: RootSpec | str, tgram=None, threads: int = 1,
             verdict = "witness_found" if has else "none_exists"
             basis = "rankT2"
     else:
-        phis = disc_involutions(pf)
-        found: Optional[Tuple[KernelCandidate, DiscAutomorphism]] = None
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            for a2 in enumerate_a_squares(pf):
-                if found:
-                    break
-                for n in (2, 1):
-                    if found:
-                        break
-                    cands = kernel_candidates(pf, a2, n)
-                    if not cands:
-                        trace.append({"a2": a2, "n": n, "kappa": None,
-                                      "reason": "no_kappa"})
-                        continue
-                    if pool is not None:
-                        results = pool.map(
-                            lambda c: _evaluate(pf, c, phis), cands)
-                    else:
-                        results = (_evaluate(pf, c, phis) for c in cands)
-                    for cand, status, phi in results:
-                        if status == "witness":
-                            found = (cand, phi)
-                            break
-                        trace.append({"a2": cand.a2, "n": cand.n,
-                                      "kappa": list(cand.kappa),
-                                      "reason": status})
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+        found = _search(pf, disc_involutions(pf), trace)
         if found:
             cand, phi = found
             witness = {"a2": cand.a2, "n": cand.n,

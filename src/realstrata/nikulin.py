@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import _intmat
-from .fqf import Element, FiniteQuadraticForm, canon_mod1, cyclic_form, factorint
+from .fqf import Element, FiniteQuadraticForm, cyclic_form
 
 
 def legendre(a: int, p: int) -> int:
@@ -168,7 +168,7 @@ def embeds_into_big_L(sigma_plus: int, sigma_minus: int,
     return True, None
 
 
-# ------------------------------------------------ kernel-level genus wrapper
+# ------------------------------------------------------- gluing ambient
 
 
 def ambient_with_a_block(form: FiniteQuadraticForm, a2: int
@@ -182,48 +182,3 @@ def theta_vector(form: FiniteQuadraticForm, kappa: Sequence[int],
                  n: int) -> Element:
     """The gluing vector kappa (+) n*alpha inside form (+) [1/a2]."""
     return tuple(kappa) + (n,)
-
-
-def genus_tilde_nonempty(pf, cand) -> Tuple[bool, Optional[str]]:
-    """Does the overlattice genus determined by the kernel candidate contain
-    a lattice?  Computes K-perp/K for K = <kappa (+) n alpha> inside
-    disc (+) [1/a2] and applies the embedding criterion with signature
-    (2, rank_S).
-
-    pf must provide .form and .rank_S; cand must provide .a2, .n, .kappa.
-    """
-    from .isotropy import subquotient  # local import to keep layering simple
-
-    big = ambient_with_a_block(pf.form, cand.a2)
-    theta = theta_vector(pf.form, cand.kappa, cand.n)
-    kernel = big.subgroup([theta])
-    quot = subquotient(big, kernel).form
-    return embeds_into_big_L(2, pf.rank_S, quot)
-
-
-def coron_niku_shortcut(pf, cand, p: int) -> Optional[bool]:
-    """Advisory per-prime shortcut for the embedding clauses on K-perp/K.
-
-    Returns True when the p-clause is guaranteed to hold without computing
-    the subquotient: for odd p dividing a2, and for p = 2 when n = 1 and the
-    2-adic parity of the complement of kappa matches the ambient parity.
-    Returns None when no shortcut applies (never False).
-    """
-    if p != 2:
-        if cand.a2 % p == 0:
-            return True
-        return None
-    if cand.n != 1:
-        return None
-    form = pf.form
-    kappa = form.reduce(cand.kappa)
-    if not any(kappa):
-        return None
-    comp = form.orthogonal_complement(form.subgroup([kappa]))
-    try:
-        comp_form, _ = form.subgroup_as_form(comp)
-    except ValueError:
-        return None
-    if comp_form.is_even_2part() == form.is_even_2part():
-        return True
-    return None

@@ -6,14 +6,16 @@ Every detect invocation points --cache-dir (or the environment fallback)
 at a temporary directory so the repository is never polluted.
 """
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import realstrata
-from realstrata.cli import main
+from realstrata.cli import build_parser, main
 from realstrata.lattices import RootSpec, polarized_disc
 
 SCHEMA = json.loads(
@@ -167,21 +169,6 @@ def test_detect_rank19_with_tgram(capsys, tmp_path):
     assert "verdict: witness_found  (basis: rankT2)" in out
 
 
-def test_detect_threads_flag_changes_nothing(capsys, tmp_path):
-    volatile = ("wall_time_ms", "generated_at")
-    docs = []
-    for threads, sub in (("1", "a"), ("4", "b")):
-        code, out, _ = run(capsys, "detect", "--spec", "D4+A2", "--json",
-                           "--threads", threads,
-                           "--cache-dir", str(tmp_path / sub))
-        assert code == 0
-        doc = json.loads(out)
-        for key in volatile:
-            doc.pop(key)
-        docs.append(doc)
-    assert docs[0] == docs[1]
-
-
 # -------------------------------------------------------------- caching
 
 
@@ -232,6 +219,57 @@ def test_cache_key_depends_on_tgram(capsys, tmp_path):
     run(capsys, "detect", "--spec", "2*E8+A2+A1",
         "--cache-dir", str(tmp_path))
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cache_key_depends_on_oracle(capsys, tmp_path):
+    _, out1, _ = run(capsys, "detect", "--spec", "A1", "--json",
+                     "--cache-dir", str(tmp_path))
+    _, out2, _ = run(capsys, "detect", "--spec", "A1", "--json", "--oracle",
+                     "--cache-dir", str(tmp_path))
+    assert json.loads(out1)["oracle_checked"] is False
+    assert json.loads(out2)["oracle_checked"] is True
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
+    code1, out1, _ = run(capsys, "detect", "--spec", "A2", "--json",
+                         "--cache-dir", str(tmp_path))
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(entry.read_text()[:40])
+    code2, out2, err2 = run(capsys, "detect", "--spec", "A2", "--json",
+                            "--cache-dir", str(tmp_path))
+    assert (code1, code2, err2) == (0, 0, "")
+    assert json.loads(out2)["verdict"] == json.loads(out1)["verdict"]
+    # the entry was rewritten whole, and no temporary file is left behind
+    assert entry.read_text() + "\n" == out2
+    assert list(tmp_path.iterdir()) == [entry]
+
+
+# ---------------------------------------------------- errors from the engine
+
+
+def test_involution_cap_is_one_line_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 10)
+    code, out, err = run(capsys, "detect", "--spec", "4*A1",
+                         "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: involution enumeration exceeds")
+    assert err.count("\n") == 1
+
+
+def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 10)
+    listing = tmp_path / "strata.txt"
+    listing.write_text("4*A1\nA1\n")
+    code, out, err = run(capsys, "batch", str(listing),
+                         "--cache-dir", str(tmp_path / "cache"))
+    assert code == 1
+    assert out.splitlines() == ["A1: witness_found",
+                                "batch: 1 strata  witness_found=1  "
+                                "unparseable=1"]
+    assert err.startswith("4*A1: error: involution enumeration exceeds")
 
 
 # ---------------------------------------------------------------- batch
@@ -350,3 +388,26 @@ def test_autos_tgram_rejects_odd_lattice(capsys):
     code, _, err = run(capsys, "autos", "--tgram", "1,0,2")
     assert code == 2
     assert err.startswith("error:")
+
+
+# ------------------------------------------------------------- README drift
+
+
+def test_readme_cli_reference_options_are_known_to_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI reference", 1)[1].split("```")[1]
+    options = {}
+    for line in block.splitlines():
+        words = line.split()
+        if not words:
+            continue
+        if words[0] == "realstrata":
+            command = words[1]
+        options.setdefault(command, set()).update(
+            re.findall(r"--[a-z][a-z0-9-]*", line))
+    assert set(options) == {"disc", "detect", "batch", "embed", "autos"}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, used in options.items():
+        known = subparsers.choices[command]._option_string_actions
+        assert used <= set(known), (command, sorted(used - set(known)))

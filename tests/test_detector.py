@@ -151,12 +151,15 @@ def test_detect_rank19_with_t_gram():
     assert rep.witness is None      # decision by reflection, not gluing data
 
 
-def test_detect_threads_deterministic():
-    base = detect(4, "D4+A2", threads=1)
-    multi = detect(4, "D4+A2", threads=4)
-    for attr in ("verdict", "conclusiveness_basis", "witness", "trace",
-                 "disc_display", "rank_S", "rank_T", "model", "spec_text"):
-        assert getattr(base, attr) == getattr(multi, attr)
+def test_detect_rejects_rank_over_19_before_building_disc(monkeypatch):
+    import realstrata.detector as detector
+
+    def fail(*_args):
+        raise AssertionError("polarized_disc must not run")
+
+    monkeypatch.setattr(detector, "polarized_disc", fail)
+    with pytest.raises(ValueError, match="exceeds 19"):
+        detect(4, "300*A1")
 
 
 def test_check_candidate_statuses():
@@ -173,7 +176,11 @@ def test_vocabularies():
                             "no_involution_cond3"}
     assert set(VERDICTS) == {"witness_found", "none_exists", "inconclusive",
                              "needs_T_gram"}
-    assert set(BASES) == {"corlem1", "corlem2", "rankT2", "rankT3"}
+    assert set(BASES) == {"corlem1", "corlem2", "rankT2"}
+    schema = json.loads((Path(realstrata.__file__).parent
+                         / "report_schema.json").read_text())
+    props = schema["properties"]
+    assert props["conclusiveness_basis"]["enum"] == [*BASES, None]
 
 
 def test_report_json_matches_schema_keys():

@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from realstrata.detector import KernelCandidate, kernel_candidates
+from realstrata.detector import (KernelCandidate, check_candidate,
+                                 kernel_candidates)
 from realstrata.fqf import (cyclic_form, direct_sum_all, trivial_form,
                             u_block, v_block)
 from realstrata.isotropy import subquotient
 from realstrata.lattices import RootSpec, polarized_disc
-from realstrata.nikulin import (SquareClass, ambient_with_a_block,
-                                coron_niku_shortcut, det_p,
+from realstrata.nikulin import (SquareClass, ambient_with_a_block, det_p,
                                 embedding_clauses, embeds_into_big_L,
-                                genus_tilde_nonempty, legendre, theta_vector,
-                                unit_square_class)
+                                legendre, theta_vector, unit_square_class)
 
 # ----------------------------------------------------------- square classes
 
@@ -164,18 +163,28 @@ def test_ambient_and_theta_shapes():
     assert big.eval_q(theta) == pf.form.eval_q((1, 1)) + Fraction(1, 8)
 
 
+def _glued_form(pf, cand):
+    """K-perp/K for the candidate's kernel inside disc (+) [1/a2]."""
+    big = ambient_with_a_block(pf.form, cand.a2)
+    theta = theta_vector(pf.form, cand.kappa, cand.n)
+    return subquotient(big, big.subgroup([theta])).form
+
+
 def test_genus_tilde_trivial_kernel_cases():
     # a2=2, n=2: theta = 0, so K-perp/K is disc (+) [1/2] itself.
     # Rank-18 strata put its length over the threshold 22 - 20 = 2.
     for spec in ("D7+A6+A3+A2", "A7+A6+A3+A2"):
         pf = polarized_disc(RootSpec.parse(spec), 4)
         cand = KernelCandidate(2, 2, (0,) * pf.form.rank)
-        ok, reason = genus_tilde_nonempty(pf, cand)
-        assert (ok, reason) == (False, "clause1")
+        assert embeds_into_big_L(2, pf.rank_S, _glued_form(pf, cand)) == \
+            (False, "clause1")
+        assert check_candidate(pf, cand) == ("genus_empty", None)
     # the one-node stratum is far below every bound
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     cand = KernelCandidate(2, 2, (0, 0))
-    assert genus_tilde_nonempty(pf, cand) == (True, None)
+    assert embeds_into_big_L(2, pf.rank_S, _glued_form(pf, cand)) == \
+        (True, None)
+    assert check_candidate(pf, cand)[0] != "genus_empty"
 
 
 def test_genus_tilde_rejects_all_a4_n2_candidates_on_golden():
@@ -183,38 +192,4 @@ def test_genus_tilde_rejects_all_a4_n2_candidates_on_golden():
     cands = kernel_candidates(pf, 4, 2)
     assert cands
     for cand in cands:
-        ok, _ = genus_tilde_nonempty(pf, cand)
-        assert ok is False
-
-
-# ----------------------------------------------------------------- shortcut
-
-
-def test_shortcut_odd_prime_dividing_a2():
-    pf = polarized_disc(RootSpec.parse("A1"), 4)
-    cand = KernelCandidate(14, 1, (0, 0))
-    assert coron_niku_shortcut(pf, cand, 7) is True
-    assert coron_niku_shortcut(pf, cand, 3) is None
-
-
-def test_shortcut_silent_outside_hypotheses():
-    pf = polarized_disc(RootSpec.parse("A1"), 4)
-    assert coron_niku_shortcut(pf, KernelCandidate(4, 2, (0, 0)), 2) is None
-    assert coron_niku_shortcut(pf, KernelCandidate(2, 1, (0, 0)), 2) is None
-
-
-def test_shortcut_never_contradicts_full_clause():
-    # wherever the shortcut speaks at p = 2, the full 2-adic clause holds
-    for spec in ("A1", "A2", "A3", "A1+A2"):
-        pf = polarized_disc(RootSpec.parse(spec), 4)
-        for a2 in (2, 4, 8):
-            for n in (1, 2):
-                for cand in kernel_candidates(pf, a2, n):
-                    hint = coron_niku_shortcut(pf, cand, 2)
-                    assert hint in (True, None)
-                    if hint is True:
-                        big = ambient_with_a_block(pf.form, cand.a2)
-                        theta = theta_vector(pf.form, cand.kappa, cand.n)
-                        quot = subquotient(big, big.subgroup([theta])).form
-                        clauses = embedding_clauses(2, pf.rank_S, quot)
-                        assert clauses["clause3"] is True
+        assert check_candidate(pf, cand) == ("genus_empty", None)
