@@ -1,4 +1,4 @@
-"""The brute-force oracle: slow, independent, and in full agreement.
+"""The brute-force oracle: independent, exhaustive, and in full agreement.
 
 The fast engine reasons structurally (normal forms, p-adic invariants,
 bucketed candidate lookups).  The oracle module recomputes the same answers

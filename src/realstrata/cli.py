@@ -38,7 +38,7 @@ from .lattices import (RootSpec, binary_autos, disc_involutions,
 from .nikulin import embedding_clauses
 
 EXIT_WITNESS = 0
-EXIT_BATCH_BAD_LINES = 1
+EXIT_BATCH_ERRORS = 1
 EXIT_USAGE = 2
 EXIT_NONE = 3
 EXIT_INCONCLUSIVE = 4
@@ -173,7 +173,7 @@ def cmd_batch(args) -> int:
     h2 = parse_model(args.model)
     cache = _cache_dir(args.cache_dir)
     counts: dict = {}
-    bad_lines = 0
+    errors = 0
     for raw in Path(args.file).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -182,7 +182,7 @@ def cmd_batch(args) -> int:
             _text, rep = _cached_detect(h2, line, None, args.oracle, cache)
         except (ValueError, AssertionError, RuntimeError) as exc:
             print(f"{line}: error: {exc}", file=sys.stderr)
-            bad_lines += 1
+            errors += 1
             continue
         verdict = rep["verdict"]
         counts[verdict] = counts.get(verdict, 0) + 1
@@ -190,8 +190,8 @@ def cmd_batch(args) -> int:
     total = sum(counts.values())
     summary = "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"batch: {total} strata  {summary}" +
-          (f"  unparseable={bad_lines}" if bad_lines else ""))
-    return EXIT_BATCH_BAD_LINES if bad_lines else 0
+          (f"  errors={errors}" if errors else ""))
+    return EXIT_BATCH_ERRORS if errors else 0
 
 
 def cmd_embed(args) -> int:

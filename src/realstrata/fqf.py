@@ -510,16 +510,14 @@ def _smith_generators(ambient: FiniteQuadraticForm,
         raise ValueError("quotient is not finite")
     kept = [i for i in range(r) if dd[i] > 1]
     reps = [ambient.reduce([c[i][j] for i in range(r)]) for j in kept]
-    frac_c = [[Fraction(c[i][j]) for j in range(r)] for i in range(r)]
 
     def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
-        y = _intmat.fraction_solve(frac_c, [Fraction(int(t)) for t in x])
-        out = []
-        for pos, i in enumerate(kept):
-            if y[i].denominator != 1:
-                raise ValueError("vector is not in the outer lattice")
-            out.append(int(y[i]) % dd[i])
-        return tuple(out)
+        # c = b u^-1, so c^-1 x = u b^-1 x.
+        z = _intmat.hnf_solve(b, [int(t) for t in x])
+        if z is None:
+            raise ValueError("vector is not in the outer lattice")
+        y = _intmat.matvec(u, z)
+        return tuple(y[i] % dd[i] for i in kept)
 
     return QuotientPresentation([dd[i] for i in kept], reps, to_coords)
 

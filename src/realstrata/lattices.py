@@ -267,32 +267,16 @@ class DiscAutomorphism:
             for i in range(r):
                 if (form.orders[j] * m[i][j]) % form.orders[i]:
                     raise ValueError("matrix does not define a homomorphism")
-        cols = [self.apply(_unit(r, j)) for j in range(r)]
+        cols = [tuple(m[i][j] for i in range(r)) for j in range(r)]
         for j in range(r):
             if form.eval_q(cols[j]) != form.q[j]:
                 raise ValueError("map does not preserve q")
             for i in range(j + 1, r):
                 if form.eval_b(cols[i], cols[j]) != form.b[i][j]:
                     raise ValueError("map does not preserve b")
-        if not self._is_bijective():
+        # An endomorphism of a finite group is bijective iff it is onto.
+        if form.subgroup(cols).order != form.order:
             raise ValueError("matrix is not invertible on the group")
-
-    def _is_bijective(self) -> bool:
-        form = self.form
-        r = form.rank
-        if r == 0:
-            return True
-        rows = [[self.matrix[i][j] for j in range(r)]
-                + [form.orders[i] if k == i else 0 for k in range(r)]
-                for i in range(r)]
-        kernel = _intmat.kernel_basis(rows)
-        cols = [[vec[j] for j in range(r)] for vec in kernel]
-        for j in range(r):
-            col = [0] * r
-            col[j] = form.orders[j]
-            cols.append(col)
-        h = _intmat.hnf_columns([[c[i] for c in cols] for i in range(r)])
-        return _intmat.det_lower_triangular(h) == form.order
 
     def apply(self, x: Sequence[int]) -> Element:
         form = self.form

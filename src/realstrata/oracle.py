@@ -6,6 +6,8 @@ paths: subquotients are rebuilt coset by coset, automorphism groups by
 generator-image backtracking, and signatures via exact root-of-unity
 sums.  All functions refuse (with OracleSizeError) groups larger than a
 fixed cutoff rather than sampling, so a passing check is a complete one.
+A failed check raises OracleMismatch explicitly, so the checks also run
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fqf import Element, FiniteQuadraticForm, canon_mod2
-from .isotropy import subquotient
+from .fqf import Element, FiniteQuadraticForm
+from .isotropy import Subquotient, subquotient
 from .lattices import DiscAutomorphism, PolarizedForm
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
 
@@ -26,6 +28,15 @@ ORACLE_CUTOFF = 4096
 
 class OracleSizeError(RuntimeError):
     """The group is too large for exhaustive checking."""
+
+
+class OracleMismatch(AssertionError):
+    """A brute-force re-derivation disagrees with the engine."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise OracleMismatch(what)
 
 
 class ElementTable:
@@ -38,23 +49,12 @@ class ElementTable:
                 f"group order {form.order} exceeds oracle cutoff {cutoff}")
         self.form = form
         self.elements: List[Element] = sorted(form.iter_elements())
-        self.index: Dict[Element, int] = {
-            x: i for i, x in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-
-def brute_isotropic_elements(form: FiniteQuadraticForm, order: int,
-                             cutoff: int = ORACLE_CUTOFF) -> List[Element]:
-    """Elements of exactly the given order with q = 0, by full scan."""
-    table = ElementTable(form, cutoff)
-    zero = Fraction(0)
-    return [x for x in table
-            if form.order_of(x) == order and form.eval_q(x) == zero]
 
 
 def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
@@ -159,6 +159,7 @@ class BruteQuotient:
     reps: List[Element]                      # lex-min member per coset
     coset_q: Dict[Element, Fraction]         # canonical q per coset rep
     killed_by: Dict[int, int]                # d -> #cosets with d*[x] = [0]
+    assigned: Dict[Element, Element]         # element of K-perp -> its rep
 
     def length_p(self, p: int) -> int:
         count = self.killed_by.get(p, 1)
@@ -172,40 +173,34 @@ class BruteQuotient:
 def brute_subquotient(form: FiniteQuadraticForm,
                       kernel_gens: Sequence[Element],
                       cutoff: int = ORACLE_CUTOFF) -> BruteQuotient:
-    """Construct K-perp/K by explicit coset enumeration, asserting that q
-    is constant on every coset (the well-definedness of the induced form)."""
+    """Construct K-perp/K by explicit coset enumeration, checking that K is
+    isotropic and that q is constant on every coset (the well-definedness
+    of the induced form).  b vanishes on K once q does, by polarization."""
     table = ElementTable(form, cutoff)
     kset = set(form.subgroup(list(kernel_gens)).iter_elements())
-    for k in kset:
-        assert form.eval_q(k) == 0, "kernel is not isotropic"
-    for k in kset:
-        for k2 in kset:
-            assert form.eval_b(k, k2) == 0, "kernel is not isotropic"
-    kperp = [x for x in table
-             if all(form.eval_b(x, k) == 0 for k in kernel_gens)]
+    _require(all(form.eval_q(k) == 0 for k in kset),
+             "kernel is not isotropic")
     assigned: Dict[Element, Element] = {}
-    reps: List[Element] = []
-    for x in kperp:
-        if x in assigned:
-            continue
-        coset = sorted(form.add(x, k) for k in kset)
-        rep = coset[0]
-        reps.append(rep)
-        for y in coset:
-            assigned[y] = rep
-    reps.sort()
     coset_q: Dict[Element, Fraction] = {}
-    for rep in reps:
-        qs = {form.eval_q(form.add(rep, k)) for k in kset}
-        assert len(qs) == 1, "q is not constant on a coset"
-        coset_q[rep] = qs.pop()
-    order = len(reps)
+    for x in table:
+        if x in assigned or any(form.eval_b(x, k) for k in kernel_gens):
+            continue
+        # The table is sorted, so the first unassigned member of K-perp is
+        # the lex-min member of its coset.
+        q = form.eval_q(x)
+        for k in kset:
+            y = form.add(x, k)
+            _require(form.eval_q(y) == q, "q is not constant on a coset")
+            assigned[y] = x
+        coset_q[x] = q
+    reps = list(coset_q)
+    zero = form.zero()
     exp = 1
     orders = {}
     for rep in reps:
         d = 1
         y = rep
-        while assigned[y] != assigned[form.zero()]:
+        while assigned[y] != zero:
             y = form.add(y, rep)
             d += 1
         orders[rep] = d
@@ -214,8 +209,8 @@ def brute_subquotient(form: FiniteQuadraticForm,
     for d in range(1, exp + 1):
         if exp % d == 0:
             killed[d] = sum(1 for rep in reps if d % orders[rep] == 0)
-    return BruteQuotient(order=order, reps=reps, coset_q=coset_q,
-                         killed_by=killed)
+    return BruteQuotient(order=len(reps), reps=reps, coset_q=coset_q,
+                         killed_by=killed, assigned=assigned)
 
 
 def expected_killed_by(orders: Sequence[int]) -> Dict[int, int]:
@@ -233,25 +228,48 @@ def expected_killed_by(orders: Sequence[int]) -> Dict[int, int]:
     return out
 
 
+def _checked_subquotient(form: FiniteQuadraticForm,
+                         kernel_gens: Sequence[Element], cutoff: int
+                         ) -> Tuple[Subquotient, BruteQuotient]:
+    """The engine's K-perp/K and the brute one, after checking that the
+    engine's coordinate map f, read on coset reps, is a q-preserving
+    isomorphism: f is injective between groups of the same order, keeps q,
+    and f(x + g_j) = f(x) + e_j for every coset x and every generator e_j
+    with rep g_j.  The e_j span the engine's group, so the g_j span the
+    brute one and f is additive.  b then agrees by polarization,
+    2 b(x, y) = q(x + y) - q(x) - q(y) mod 2."""
+    brute = brute_subquotient(form, kernel_gens, cutoff)
+    sq = subquotient(form, form.subgroup(list(kernel_gens)))
+    qform = sq.form
+    _require(qform.order == brute.order, "quotient orders differ")
+    _require(expected_killed_by(qform.orders) == brute.killed_by,
+             "quotient invariant factors differ")
+    coords = {rep: sq.to_coords(rep) for rep in brute.reps}
+    _require(len(set(coords.values())) == brute.order,
+             "to_coords is not injective on cosets")
+    for rep in brute.reps:
+        _require(qform.eval_q(coords[rep]) == brute.coset_q[rep],
+                 "q differs on a coset")
+    for j, gen in enumerate(sq.reps):
+        unit = qform.reduce([int(i == j) for i in range(qform.rank)])
+        g = brute.assigned.get(gen)
+        _require(g is not None and coords[g] == unit,
+                 "a generator rep does not map to its generator")
+        for rep in brute.reps:
+            _require(coords[brute.assigned[form.add(rep, g)]]
+                     == qform.add(coords[rep], unit),
+                     "to_coords is not additive")
+    return sq, brute
+
+
 def verify_subquotient_presentation(form: FiniteQuadraticForm,
                                     kernel_gens: Sequence[Element],
                                     cutoff: int = ORACLE_CUTOFF) -> bool:
     """Cross-check the engine's K-perp/K presentation against the brute
     coset construction: same group invariants, and the engine's coordinate
-    map carries each brute coset to a point with the same q and compatible b.
-    """
-    kernel = form.subgroup(list(kernel_gens))
-    sq = subquotient(form, kernel)
-    brute = brute_subquotient(form, kernel_gens, cutoff)
-    qform = sq.form
-    assert qform.order == brute.order
-    assert expected_killed_by(qform.orders) == brute.killed_by
-    coords = {rep: sq.to_coords(rep) for rep in brute.reps}
-    for rep in brute.reps:
-        assert qform.eval_q(coords[rep]) == brute.coset_q[rep]
-    for i, x in enumerate(brute.reps):
-        for y in brute.reps[i:]:
-            assert qform.eval_b(coords[x], coords[y]) == form.eval_b(x, y)
+    map is a q-preserving isomorphism on the brute cosets (so b agrees too).
+    Raises OracleMismatch on any disagreement."""
+    _checked_subquotient(form, kernel_gens, cutoff)
     return True
 
 
@@ -402,34 +420,31 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
                        cutoff: int = ORACLE_CUTOFF):
     """Re-verify a reported witness by brute force.  Returns True, or the
     string "skipped_cutoff" when the glued group is too large to enumerate.
+    Raises OracleMismatch when a check fails.
     """
     form = pf.form
     big = ambient_with_a_block(form, cand.a2)
     if big.order > cutoff:
         return "skipped_cutoff"
     checked = DiscAutomorphism(form, phi.matrix)      # full re-validation
-    assert checked.is_involution()
-    assert checked.apply(cand.kappa) == form.neg(cand.kappa)
+    _require(checked.is_involution(), "witness phi is not an involution")
+    _require(checked.apply(cand.kappa) == form.neg(cand.kappa),
+             "witness phi does not negate kappa")
     theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
-    assert big.eval_q(theta) == 0
-    assert big.order_of(theta) == cand.a2 // cand.n
+    _require(big.eval_q(theta) == 0, "glue vector is not isotropic")
+    _require(big.order_of(theta) == cand.a2 // cand.n,
+             "glue vector has the wrong order")
 
-    kset = set(big.subgroup([theta]).iter_elements())
+    sq, brute = _checked_subquotient(big, [theta], cutoff)
+    _require(len(brute.assigned) * (cand.a2 // cand.n) == big.order,
+             "K-perp has the wrong size")
     r = form.rank
-    kperp = [x for x in ElementTable(big, cutoff)
-             if big.eval_b(x, theta) == 0]
-    assert len(kperp) * (cand.a2 // cand.n) == big.order
-    for x in kperp:
-        head = checked.apply(x[:r])
-        img = big.reduce(list(head) + [-x[r]])
-        if big.sub(img, x) not in kset:
-            raise AssertionError("witness involution fails on K-perp")
-
-    verify_subquotient_presentation(big, [theta], cutoff)
-    kernel = big.subgroup([theta])
-    sq = subquotient(big, kernel)
+    for x, rep in brute.assigned.items():
+        img = big.reduce(list(checked.apply(x[:r])) + [-x[r]])
+        _require(brute.assigned.get(img) == rep,
+                 "witness involution fails on K-perp")
     ok, _ = embeds_into_big_L(2, pf.rank_S, sq.form)
-    assert ok, "witness glue does not embed"
+    _require(ok, "witness glue does not embed")
     return True
 
 
@@ -439,8 +454,8 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
     """Re-derive every trace row by brute force where sizes permit.
 
     Returns True when every row was re-checked, "partial" when some rows
-    were skipped because the glued group exceeds the cutoff.  Raises on
-    any disagreement.
+    were skipped because the glued group exceeds the cutoff.  Raises
+    OracleMismatch on any disagreement.
     """
     from .detector import KernelCandidate, check_candidate, kernel_candidates
 
@@ -457,18 +472,19 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
         if big_order > cutoff:
             partial = True
             continue
-        brute = brute_kernel_candidates(pf, a2, n, cutoff)
+        where = f"a2={a2} n={n}"
+        brute = brute_kernel_candidates(pf, a2, n, cutoff)   # sorted
         engine = [c.kappa for c in kernel_candidates(pf, a2, n)]
-        assert engine == sorted(engine), (a2, n)
-        assert brute == engine, (a2, n)
+        _require(brute == engine, f"candidate lists differ at {where}")
+        big = ambient_with_a_block(form, a2)
         for row in rows:
             if row["kappa"] is None:
-                assert brute == [], (a2, n)
+                _require(brute == [], f"row without kappa at {where}")
                 continue
             kappa = tuple(row["kappa"])
-            big = ambient_with_a_block(form, a2)
             theta = big.reduce(theta_vector(form, kappa, n))
             verify_subquotient_presentation(big, [theta], cutoff)
             status, _phi = check_candidate(pf, KernelCandidate(a2, n, kappa))
-            assert status == row["reason"], row
+            _require(status == row["reason"],
+                     f"status {status!r} differs from trace row {row}")
     return "partial" if partial else True

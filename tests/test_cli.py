@@ -268,7 +268,7 @@ def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path,
     assert code == 1
     assert out.splitlines() == ["A1: witness_found",
                                 "batch: 1 strata  witness_found=1  "
-                                "unparseable=1"]
+                                "errors=1"]
     assert err.startswith("4*A1: error: involution enumeration exceeds")
 
 
@@ -291,7 +291,7 @@ def test_batch_mixed_file(capsys, tmp_path):
     assert "A1: witness_found" in lines
     assert "A2: witness_found" in lines
     assert "A1+A2: witness_found" in lines
-    assert lines[-1] == "batch: 3 strata  witness_found=3  unparseable=1"
+    assert lines[-1] == "batch: 3 strata  witness_found=3  errors=1"
     assert err.startswith("Q9: error:")
 
 

@@ -1,18 +1,25 @@
 """Brute-force cross-checks: exhaustive automorphism groups, coset-built
 subquotients, exact Gauss-sum signatures, and witness revalidation."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+from realstrata import oracle
 from realstrata.detector import KernelCandidate, detect, kernel_candidates
 from realstrata.fqf import (cyclic_form, direct_sum_all, trivial_form,
                             u_block, v_block)
 from realstrata.lattices import (DiscAutomorphism, RootSpec, disc_involutions,
                                  disc_root, polarized_disc)
 from realstrata.nikulin import ambient_with_a_block, theta_vector
-from realstrata.oracle import (ORACLE_CUTOFF, ElementTable, OracleSizeError,
-                               brute_aut_group, brute_involutions,
-                               brute_kernel_candidates, brute_subquotient,
-                               expected_killed_by, gauss_sum_signature,
-                               revalidate_witness,
+from realstrata.oracle import (ORACLE_CUTOFF, ElementTable, OracleMismatch,
+                               OracleSizeError, brute_aut_group,
+                               brute_involutions, brute_kernel_candidates,
+                               brute_subquotient, expected_killed_by,
+                               gauss_sum_signature, revalidate_witness,
                                verify_subquotient_presentation)
 
 # ------------------------------------------------------------- Gauss sums
@@ -159,6 +166,28 @@ def test_verify_subquotient_presentation_on_candidates():
             assert verify_subquotient_presentation(big, [theta]) is True
 
 
+def test_presentation_rejects_swapped_cosets(monkeypatch):
+    # U(4) with trivial kernel: the cosets (2,1) and (1,2) both have q = 1,
+    # so a to_coords that swaps them is injective and keeps q; only the
+    # additivity check can tell it from the engine's map.
+    form = u_block(2)
+    x, y = (2, 1), (1, 2)
+    assert form.eval_q(x) == form.eval_q(y)
+    engine = oracle.subquotient
+
+    def swapped(f, kernel):
+        sq = engine(f, kernel)
+        plain = sq.to_coords
+        swap = {x: plain(y), y: plain(x)}
+        sq.to_coords = lambda v: swap[v] if v in swap else plain(v)
+        return sq
+
+    assert verify_subquotient_presentation(form, []) is True
+    monkeypatch.setattr(oracle, "subquotient", swapped)
+    with pytest.raises(OracleMismatch, match="not additive"):
+        verify_subquotient_presentation(form, [])
+
+
 def test_brute_kernel_candidates_matches_engine_small():
     for spec, h2 in (("A1", 4), ("A3", 4), ("A1+A2", 4)):
         pf = polarized_disc(RootSpec.parse(spec), h2)
@@ -193,6 +222,41 @@ def test_revalidate_witness_rejects_wrong_phi():
     phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
     with pytest.raises(AssertionError):
         revalidate_witness(pf, cand, phi)
+
+
+def test_revalidate_witness_checks_run_under_optimize():
+    # python -O strips assert statements; the oracle must still reject a
+    # witness whose glue does not embed.
+    script = textwrap.dedent("""
+        from realstrata import oracle
+        from realstrata.detector import KernelCandidate
+        from realstrata.lattices import (DiscAutomorphism, RootSpec,
+                                         polarized_disc)
+        oracle.embeds_into_big_L = lambda *args: (False, "clause1")
+        pf = polarized_disc(RootSpec.parse("A1"), 4)
+        phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+        print("debug:", __debug__)
+        try:
+            oracle.revalidate_witness(pf, KernelCandidate(2, 2, (0, 0)), phi)
+        except oracle.OracleMismatch as exc:
+            print("mismatch:", exc)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug: False", "mismatch: witness glue does not embed"]
+
+
+def test_detect_mid_size_positive_revalidates():
+    # glued group of order 1920, below ORACLE_CUTOFF: revalidated in full
+    rep = detect(4, "2*A1+A3+A2+A4")
+    assert rep.verdict == "witness_found"
+    assert rep.witness_revalidated is True
 
 
 def test_detect_reports_pass_revalidation():
