@@ -21,10 +21,9 @@ import json
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fqf import Element, FiniteQuadraticForm, canon_mod2
+from .fqf import Element, FiniteQuadraticForm
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        disc_involutions, maximizing_has_skew, polarized_disc)
@@ -60,14 +59,15 @@ def enumerate_a_squares(pf: PolarizedForm) -> List[int]:
     return divs
 
 
-def _candidate_buckets(pf: PolarizedForm) -> Dict[Tuple[int, Fraction],
+def _candidate_buckets(pf: PolarizedForm) -> Dict[Tuple[int, int],
                                                   List[Element]]:
+    """Every element of the polarized discriminant, keyed by (order, q*N)."""
     buckets = pf._cache.get("buckets")
     if buckets is None:
         buckets = {}
         form = pf.form
         for x in form.iter_elements():
-            key = (form.order_of(x), form.eval_q(x))
+            key = (form.order_of(x), form.eval_qn(x))
             buckets.setdefault(key, []).append(x)
         for key in buckets:
             buckets[key].sort()
@@ -82,9 +82,13 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
     if a2 % n:
         return []
     order = a2 // n
-    target = canon_mod2(Fraction(-n * n, a2))
+    # q*N of every element is an integer, so a target -n^2 N / a2 that is
+    # not one has no candidates.
+    target, rem = divmod(-n * n * pf.form.N, a2)
+    if rem:
+        return []
     buckets = _candidate_buckets(pf)
-    elems = buckets.get((order, target), [])
+    elems = buckets.get((order, target % (2 * pf.form.N)), [])
     return [KernelCandidate(a2, n, x) for x in elems]
 
 
@@ -109,7 +113,10 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate,
     None).
     """
     form = pf.form
-    big = ambient_with_a_block(form, cand.a2)
+    big = pf._cache.get(("ambient", cand.a2))
+    if big is None:
+        big = pf._cache[("ambient", cand.a2)] = ambient_with_a_block(
+            form, cand.a2)
     sq = subquotient(big, big.subgroup([theta_vector(form, cand.kappa,
                                                      cand.n)]))
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:

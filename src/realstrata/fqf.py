@@ -8,17 +8,25 @@ b : F x F -> Q/Z satisfying
     q(x + y) - q(x) - q(y) = 2 b(x, y)   (mod 2Z),
     b(x, x) = q(x)                        (mod 1).
 
-All values are `fractions.Fraction`; floating point never appears.  Elements
-of F are tuples of canonical residues (0 <= x_i < o_i).
+A form is stored as integers at the scale N = exponent of F:
+Qn[i] = q(e_i)*N mod 2N and Bn[i][j] = b(e_i, e_j)*N mod N.  Both are exact,
+since o_i q(e_i) and o_i b(e_i, e_j) are integers and o_i divides N.  Every
+evaluation on the engine's paths is integer arithmetic (`eval_qn`,
+`eval_bn`); `fractions.Fraction` appears only at the boundary: the public
+`eval_q`/`eval_b` wrappers, the `q`/`b` tuples used for display and JSON,
+and the rational input of the constructor.  Floating point never appears.
+Elements of F are tuples of canonical residues (0 <= x_i < o_i).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -80,32 +88,53 @@ class FiniteQuadraticForm:
         Either a full symmetric matrix of b(e_i, e_j) in Q/Z (the diagonal
         must agree with q mod 1) or a dict {(i, j): value} for i < j with
         omitted pairs meaning 0.
+    scale:
+        None when the values are rationals (anything ``Fraction`` accepts);
+        an integer S when they are integers v standing for v/S.  Forms built
+        from another form pass its integer values with ``scale`` = its N.
+
+    The form keeps N = exponent, ``Qn`` (q(e_i)*N mod 2N) and ``Bn``
+    (b(e_i, e_j)*N mod N, with Bn[i][i] = Qn[i] mod N).
     """
 
     def __init__(self, orders: Sequence[int],
-                 q_values: Sequence[Fraction],
-                 b_matrix=None):
+                 q_values: Sequence, b_matrix=None,
+                 scale: Optional[int] = None):
         orders = [int(o) for o in orders]
         if any(o < 2 for o in orders):
             raise ValueError("generator orders must be >= 2")
         r = len(orders)
         if len(q_values) != r:
             raise ValueError("q_values length mismatch")
-        q = [canon_mod2(Fraction(v)) for v in q_values]
-        b = [[Fraction(0)] * r for _ in range(r)]
+        n = math.lcm(*orders) if orders else 1
+        two_n = 2 * n
+
+        # value * N as an int, or as a Fraction when it is not integral
+        # (which the validity checks below reject).
+        if scale is None:
+            def at_n(v):
+                t = Fraction(v) * n
+                return t.numerator if t.denominator == 1 else t
+        else:
+            def at_n(v):
+                t, rem = divmod(v * n, scale)
+                return Fraction(v * n, scale) if rem else t
+
+        q = [at_n(v) % two_n for v in q_values]
+        b = [[0] * r for _ in range(r)]
         if b_matrix is None:
             b_matrix = {}
         if isinstance(b_matrix, dict):
             for (i, j), v in b_matrix.items():
                 if i == j:
                     raise ValueError("pass q for diagonal entries, not b")
-                b[i][j] = b[j][i] = canon_mod1(Fraction(v))
+                b[i][j] = b[j][i] = at_n(v) % n
         else:
             for i in range(r):
                 for j in range(r):
-                    v = canon_mod1(Fraction(b_matrix[i][j]))
+                    v = at_n(b_matrix[i][j]) % n
                     if i == j:
-                        if v != canon_mod1(q[i]):
+                        if v != q[i] % n:
                             raise ValueError(
                                 "diagonal of b must equal q mod 1")
                     else:
@@ -114,24 +143,41 @@ class FiniteQuadraticForm:
                 for j in range(r):
                     if b[i][j] != b[j][i]:
                         raise ValueError("b must be symmetric")
-        for i in range(r):
-            b[i][i] = canon_mod1(q[i])
         # Validity: q_i must define a quadratic value on a generator of
         # order o_i (o*q integral and o^2*q even), and o_i b_ij integral.
         for i, o in enumerate(orders):
-            if (o * q[i]).denominator != 1:
+            if isinstance(q[i], Fraction) or (o * q[i]) % n:
                 raise ValueError(f"q[{i}] is not defined on Z/{o}")
-            if (o * o * q[i]) % 2 != 0:
+            if (o * o * q[i]) % two_n:
                 raise ValueError(f"q[{i}] violates o^2 q = 0 mod 2 on Z/{o}")
             for j in range(r):
-                if i != j and (o * b[i][j]).denominator != 1:
+                if i != j and (isinstance(b[i][j], Fraction)
+                               or (o * b[i][j]) % n):
                     raise ValueError(f"b[{i}][{j}] is not defined on Z/{o}")
+        for i in range(r):
+            b[i][i] = q[i] % n
         self.orders: Tuple[int, ...] = tuple(orders)
-        self.q: Tuple[Fraction, ...] = tuple(q)
-        self.b: Tuple[Tuple[Fraction, ...], ...] = tuple(tuple(row) for row in b)
+        self.N: int = n
+        self.Qn: Tuple[int, ...] = tuple(q)
+        self.Bn: Tuple[Tuple[int, ...], ...] = tuple(tuple(row) for row in b)
+        # Bn with Qn on the diagonal: q(x)*N = x^T G x mod 2N, and
+        # b(x, y)*N = x^T G y mod N.
+        self._gram = tuple(row[:i] + (q[i],) + row[i + 1:]
+                           for i, row in enumerate(self.Bn))
         self._check_nondegenerate()
 
     # ---------------------------------------------------------------- basics
+
+    @cached_property
+    def q(self) -> Tuple[Fraction, ...]:
+        """q(e_i) in [0, 2), as Fractions (display and JSON boundary)."""
+        return tuple(Fraction(v, self.N) for v in self.Qn)
+
+    @cached_property
+    def b(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """b(e_i, e_j) in [0, 1), as Fractions (display and JSON boundary)."""
+        return tuple(tuple(Fraction(v, self.N) for v in row)
+                     for row in self.Bn)
 
     @property
     def rank(self) -> int:
@@ -145,7 +191,7 @@ class FiniteQuadraticForm:
         return n
 
     def exponent(self) -> int:
-        return math.lcm(*self.orders) if self.orders else 1
+        return self.N
 
     def zero(self) -> Element:
         return (0,) * self.rank
@@ -171,28 +217,46 @@ class FiniteQuadraticForm:
             n = math.lcm(n, o // math.gcd(a, o))
         return n
 
+    def eval_qn(self, x: Sequence[int]) -> int:
+        """q(x) * N mod 2N, an integer in [0, 2N)."""
+        total = 0
+        for xi, row in zip(x, self._gram):
+            if xi:
+                total += xi * sum(map(mul, x, row))
+        return total % (2 * self.N)
+
+    def eval_bn(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """b(x, y) * N mod N, an integer in [0, N)."""
+        total = 0
+        for xi, row in zip(x, self.Bn):
+            if xi:
+                total += xi * sum(map(mul, y, row))
+        return total % self.N
+
+    def _pairing_row(self, y: Sequence[int]) -> List[int]:
+        """b(e_i, y) * N mod N for every generator e_i: the row that pairs
+        with the coordinates of x to give b(x, y) * N mod N."""
+        n = self.N
+        return [sum(map(mul, row, y)) % n for row in self.Bn]
+
     def eval_q(self, x: Sequence[int]) -> Fraction:
         """q(x) in Q/2Z, canonical in [0, 2)."""
-        total = Fraction(0)
-        r = self.rank
-        for i in range(r):
-            if x[i]:
-                total += x[i] * x[i] * self.q[i]
-                for j in range(i + 1, r):
-                    if x[j]:
-                        total += 2 * x[i] * x[j] * self.b[i][j]
-        return canon_mod2(total)
+        return Fraction(self.eval_qn(x), self.N)
 
     def eval_b(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
         """b(x, y) in Q/Z, canonical in [0, 1)."""
-        total = Fraction(0)
-        r = self.rank
-        for i in range(r):
-            if x[i]:
-                for j in range(r):
-                    if y[j]:
-                        total += x[i] * y[j] * self.b[i][j]
-        return canon_mod1(total)
+        return Fraction(self.eval_bn(x, y), self.N)
+
+    def restricted_form(self, orders: Sequence[int],
+                        gens: Sequence[Sequence[int]]
+                        ) -> "FiniteQuadraticForm":
+        """The form read on independent elements gens of the given orders
+        (generators of a subgroup, or coset reps of a subquotient)."""
+        q = [self.eval_qn(g) for g in gens]
+        rows = [self._pairing_row(g) for g in gens]
+        b = {(s, t): sum(map(mul, gens[s], rows[t]))
+             for s in range(len(gens)) for t in range(s + 1, len(gens))}
+        return FiniteQuadraticForm(orders, q, b, scale=self.N)
 
     def iter_elements(self) -> Iterator[Element]:
         """All group elements in lexicographic coordinate order."""
@@ -225,24 +289,25 @@ class FiniteQuadraticForm:
             for bit, i in zip(bits, half_gens):
                 if bit:
                     vec[i] = self.orders[i] // 2
-            if self.eval_q(vec).denominator != 1:
+            if self.eval_qn(vec) % self.N:
                 return False
         return True
 
     # ------------------------------------------------------- d sums / parts
 
     def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        orders = self.orders + other.orders
-        q = list(self.q) + list(other.q)
-        b: Dict[Tuple[int, int], Fraction] = {}
+        n = math.lcm(self.N, other.N)
+        s, t = n // self.N, n // other.N
+        q = [v * s for v in self.Qn] + [v * t for v in other.Qn]
+        b: Dict[Tuple[int, int], int] = {}
         r = self.rank
         for i in range(r):
             for j in range(i + 1, r):
-                b[(i, j)] = self.b[i][j]
+                b[(i, j)] = self.Bn[i][j] * s
         for i in range(other.rank):
             for j in range(i + 1, other.rank):
-                b[(r + i, r + j)] = other.b[i][j]
-        return FiniteQuadraticForm(orders, q, b)
+                b[(r + i, r + j)] = other.Bn[i][j] * t
+        return FiniteQuadraticForm(self.orders + other.orders, q, b, scale=n)
 
     def p_part(self, p: int) -> Tuple["FiniteQuadraticForm", List[Element]]:
         """The p-primary part, with the embedding of its generators.
@@ -261,10 +326,7 @@ class FiniteQuadraticForm:
             vec = [0] * self.rank
             vec[i] = m
             gens.append(tuple(vec))
-        q = [self.eval_q(g) for g in gens]
-        b = {(s, t): self.eval_b(gens[s], gens[t])
-             for s in range(len(gens)) for t in range(s + 1, len(gens))}
-        return FiniteQuadraticForm(orders, q, b), gens
+        return self.restricted_form(orders, gens), gens
 
     def primary_component(self, x: Sequence[int], p: int) -> Element:
         """The p-primary component of x inside self."""
@@ -288,16 +350,9 @@ class FiniteQuadraticForm:
         hgens = sub.gens
         if not hgens or r == 0:
             return self.subgroup([g for g in _identity_gens(self)])
-        d = self.exponent()
+        d = self.N
         # Row t: constraint sum_i x_i * (d * b(e_i, h_t)) = 0 mod d.
-        rows = []
-        for h in hgens:
-            row = []
-            for i in range(r):
-                ei = [0] * r
-                ei[i] = 1
-                row.append(int(d * self.eval_b(ei, h)))
-            rows.append(row)
+        rows = [self._pairing_row(h) for h in hgens]
         k = len(rows)
         # Kernel of [B | d*I] gives solutions (x, y) of Bx + dy = 0.
         a = [rows[t] + [d if s == t else 0 for s in range(k)] for t in range(k)]
@@ -328,12 +383,7 @@ class FiniteQuadraticForm:
         Raises ValueError when the restriction is degenerate.
         """
         pres = self.smith_presentation(sub)
-        gens = pres.reps
-        q = [self.eval_q(g) for g in gens]
-        b = {(s, t): self.eval_b(gens[s], gens[t])
-             for s in range(len(gens)) for t in range(s + 1, len(gens))}
-        form = FiniteQuadraticForm(pres.orders, q, b)
-        return form, list(gens)
+        return self.restricted_form(pres.orders, pres.reps), list(pres.reps)
 
     # ----------------------------------------------------------- (de)coding
 
@@ -341,8 +391,7 @@ class FiniteQuadraticForm:
         return {
             "orders": list(self.orders),
             "q": [str(v) for v in self.q],
-            "b": [[str(canon_mod1(self.b[i][j]) if i != j else canon_mod1(self.q[i]))
-                   for j in range(self.rank)] for i in range(self.rank)],
+            "b": [[str(v) for v in row] for row in self.b],
         }
 
     @classmethod
@@ -358,7 +407,7 @@ class FiniteQuadraticForm:
             return "[0]"
         parts = []
         for i in range(self.rank):
-            off = any(self.b[i][j] for j in range(self.rank) if j != i)
+            off = any(self.Bn[i][j] for j in range(self.rank) if j != i)
             rep = display_rep(self.q[i])
             parts.append(f"[{rep}]" + ("*" if off else ""))
         return " (+) ".join(parts)
@@ -369,11 +418,11 @@ class FiniteQuadraticForm:
     def __eq__(self, other) -> bool:
         return (isinstance(other, FiniteQuadraticForm)
                 and self.orders == other.orders
-                and self.q == other.q
-                and self.b == other.b)
+                and self.Qn == other.Qn
+                and self.Bn == other.Bn)
 
     def __hash__(self):
-        return hash((self.orders, self.q, self.b))
+        return hash((self.orders, self.Qn, self.Bn))
 
     # ------------------------------------------------------------- internals
 
@@ -600,15 +649,17 @@ def homogeneous_decomposition(form: FiniteQuadraticForm, p: int = 2
         e = f.exponent()
         lvl = _val(e, p)
         top = sorted(x for x in f.iter_elements() if f.order_of(x) == e)
+        # b(x, x) = q(x) mod 1, resp. b(x, y), has order e iff its value
+        # at scale N = e is a unit mod e.
         cyclic = next((x for x in top
-                       if canon_mod1(f.eval_q(x)).denominator == e), None)
+                       if math.gcd(f.eval_qn(x), e) == 1), None)
         if cyclic is not None:
             picked = [cyclic]
         else:
             picked = None
             for x in top:
                 y = next((y for y in top
-                          if f.eval_b(x, y).denominator == e), None)
+                          if math.gcd(f.eval_bn(x, y), e) == 1), None)
                 if y is not None:
                     picked = [x, y]
                     break

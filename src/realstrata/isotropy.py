@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, HomogeneousBlock, Subgroup,
-                  canon_mod1, canon_mod2, homogeneous_decomposition,
-                  _smith_generators)
+                  homogeneous_decomposition, _smith_generators)
 
 
 def is_isotropic(form: FiniteQuadraticForm, sub: Subgroup) -> bool:
@@ -25,10 +23,10 @@ def is_isotropic(form: FiniteQuadraticForm, sub: Subgroup) -> bool:
     zero on its generators and b vanishes pairwise between them)."""
     gens = sub.gens
     for i, g in enumerate(gens):
-        if form.eval_q(g) != 0:
+        if form.eval_qn(g):
             return False
         for h in gens[i + 1:]:
-            if form.eval_b(g, h) != 0:
+            if form.eval_bn(g, h):
                 return False
     return True
 
@@ -77,16 +75,14 @@ def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
     got = 1
     for d in pres.orders:
         got *= d
-    assert got == expected, "subquotient size mismatch"
+    if got != expected:
+        raise AssertionError("subquotient size mismatch")
     kelems = kernel.elements()
     reps: List[Element] = []
     for rep in pres.reps:
         best = min(form.add(rep, k) for k in kelems)
         reps.append(best)
-    q = [form.eval_q(x) for x in reps]
-    b = {(i, j): form.eval_b(reps[i], reps[j])
-         for i in range(len(reps)) for j in range(i + 1, len(reps))}
-    quot = FiniteQuadraticForm(pres.orders, q, b)
+    quot = form.restricted_form(pres.orders, reps)
     return Subquotient(quot, reps, kperp, kernel, pres.to_coords)
 
 
@@ -173,20 +169,21 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
             if lvl in included:
                 u = form.add(u, form.smul(c >> r_s, g))
         assert form.order_of(u) == 1 << n
-        lam = form.eval_q(u) * (1 << n)
-        assert lam.denominator == 1
-        mu = int(lam) % (1 << (n + 1))
+        # q(u) * 2^n from q(u) * N, N = 2^L with L >= n.
+        lam, rem = divmod(form.eval_qn(u), form.N >> n)
+        assert rem == 0
+        mu = lam % (1 << (n + 1))
         if mu % 2 == 1:
             blocks.append(SplitBlock("cyclic", m_s, r_s, n, u, mu))
         else:
-            target = Fraction(1, 1 << n)
+            target = form.N >> n        # b(u, v) = 1/2^n at scale N
             v_el = None
             for v_cand in sorted(form.subgroup(layer_gens[n]).iter_elements()):
-                if form.eval_b(u, v_cand) == target:
+                if form.eval_bn(u, v_cand) == target:
                     v_el = v_cand
                     break
             assert v_el is not None, "no pairing partner in homogeneous layer"
-            nu = int(form.eval_q(v_el) * (1 << n)) % (1 << (n + 1))
+            nu = (form.eval_qn(v_el) // (form.N >> n)) % (1 << (n + 1))
             blocks.append(SplitBlock("pair", m_s, r_s, n, u, mu, v_el, nu))
         for t, c in enumerate(coeffs):
             if c and family[t][0] in included:
@@ -207,7 +204,7 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
         for blk_b in blocks[i + 1:]:
             for g in blk_a.gens:
                 for h in blk_b.gens:
-                    assert form.eval_b(g, h) == 0, \
+                    assert form.eval_bn(g, h) == 0, \
                         "split blocks must be pairwise orthogonal"
     comp = form.orthogonal_complement(form.subgroup(all_gens))
     base_form, base_gens = form.subgroup_as_form(comp)
@@ -274,9 +271,9 @@ def classify_gluing_case(form: FiniteQuadraticForm, kappa: Sequence[int],
             "gluing vector's 2-part has order 2^%d, not 2^%d"
             % (m_derived, m))
     m = m_derived
-    qval = canon_mod2(form2.eval_q(kappa2))
-    denom = 1 << (m - 1)
-    if qval.denominator != denom or (qval * denom) % 2 != 1:
+    # q(kappa_2) = xi / 2^(m-1) with xi odd, read at the scale N of form2.
+    xi, rem = divmod(form2.eval_qn(kappa2) << (m - 1), form2.N)
+    if rem or xi % 2 != 1:
         raise ValueError(
             "gluing vector violates the odd-square admissibility shape")
     split = split_off_cyclic(form2, kappa2)

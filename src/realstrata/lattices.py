@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -177,22 +178,18 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
     if fam == "D" and n % 2 == 0:
         # (Z/2)^2; canonical generators are the two spinor classes, whose
         # q-value is -n/4 mod 2; the vector class has q = -1 mod 2.
-        target = canon_mod2(Fraction(-n, 4))
+        # The group has exponent N = 2, so the target is -n/2 mod 4.
+        target = (-n * base.N // 4) % (2 * base.N)
         spinors = [x for x in sorted(base.iter_elements())
-                   if any(x) and base.eval_q(x) == target]
+                   if any(x) and base.eval_qn(x) == target]
         if len(spinors) == 3:  # D4: all three agree; take the first two
             spinors = spinors[:2]
         assert len(spinors) == 2
-        q = [base.eval_q(s) for s in spinors]
-        b = {(0, 1): base.eval_b(spinors[0], spinors[1])}
-        return FiniteQuadraticForm([2, 2], q, b)
+        return base.restricted_form([2, 2], spinors)
     orders, gens = _crt_split_generators(base)
     if not orders:
         return trivial_form()
-    q = [base.eval_q(g) for g in gens]
-    b = {(i, j): base.eval_b(gens[i], gens[j])
-         for i in range(len(gens)) for j in range(i + 1, len(gens))}
-    return FiniteQuadraticForm(orders, q, b)
+    return base.restricted_form(orders, gens)
 
 
 # ---------------------------------------------------------- polarized discs
@@ -269,10 +266,10 @@ class DiscAutomorphism:
                     raise ValueError("matrix does not define a homomorphism")
         cols = [tuple(m[i][j] for i in range(r)) for j in range(r)]
         for j in range(r):
-            if form.eval_q(cols[j]) != form.q[j]:
+            if form.eval_qn(cols[j]) != form.Qn[j]:
                 raise ValueError("map does not preserve q")
             for i in range(j + 1, r):
-                if form.eval_b(cols[i], cols[j]) != form.b[i][j]:
+                if form.eval_bn(cols[i], cols[j]) != form.Bn[i][j]:
                     raise ValueError("map does not preserve b")
         # An endomorphism of a finite group is bijective iff it is onto.
         if form.subgroup(cols).order != form.order:
@@ -285,11 +282,14 @@ class DiscAutomorphism:
                      % form.orders[i] for i in range(r))
 
     def is_involution(self) -> bool:
-        r = self.form.rank
-        for j in range(r):
-            img = self.apply(self.apply(_unit(r, j)))
-            if img != _unit(r, j):
-                return False
+        """M*M = I on the group: column j of M*M, reduced mod the orders, is
+        the image of e_j under the map applied twice."""
+        m = self.matrix
+        cols = list(zip(*m))
+        for i, (row, o) in enumerate(zip(m, self.form.orders)):
+            for j, col in enumerate(cols):
+                if sum(map(mul, row, col)) % o != (i == j):
+                    return False
         return True
 
     def __eq__(self, other) -> bool:
@@ -469,7 +469,9 @@ def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     out = []
     for m in matrices:
         auto = DiscAutomorphism(form, m)
-        assert auto.is_involution()
+        if not auto.is_involution():
+            raise AssertionError(
+                "a symmetry-induced map is not an involution")
         out.append(auto)
     pf._cache["involutions"] = out
     return out
@@ -593,7 +595,10 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
         return []
     dst_elems = sorted(dst.iter_elements())
     results: List[List[Element]] = []
-    gens = list(range(src.rank))
+    # q(y) = -q_src(e_i) mod 2 with both sides at their own scale:
+    # qn(y)/dN + Qn_src/sN = 0 mod 2, i.e. qn(y)*sN + Qn_src*dN = 0 mod
+    # 2*sN*dN (and the same mod sN*dN for b).
+    s_n, d_n = src.N, dst.N
 
     def extend(images: List[Element]) -> None:
         i = len(images)
@@ -602,16 +607,16 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
             if sub.order == dst.order:
                 results.append(list(images))
             return
-        want_q = canon_mod2(-src.q[i])
         oi = src.orders[i]
         for y in dst_elems:
             if dst.smul(oi, y) != dst.zero():
                 continue
-            if dst.eval_q(y) != want_q:
+            if (dst.eval_qn(y) * s_n + src.Qn[i] * d_n) % (2 * s_n * d_n):
                 continue
             good = True
             for t in range(i):
-                if dst.eval_b(y, images[t]) != (-src.b[i][t]) % 1:
+                if (dst.eval_bn(y, images[t]) * s_n
+                        + src.Bn[i][t] * d_n) % (s_n * d_n):
                     good = False
                     break
             if good:

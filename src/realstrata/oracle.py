@@ -4,8 +4,10 @@ Everything here recomputes results by exhaustive element enumeration or
 symbolic identities, sharing as little code as possible with the fast
 paths: subquotients are rebuilt coset by coset, automorphism groups by
 generator-image backtracking, and signatures via exact root-of-unity
-sums.  All functions refuse (with OracleSizeError) groups larger than a
-fixed cutoff rather than sampling, so a passing check is a complete one.
+sums.  q and b are evaluated here as Fraction sums over form.q and form.b,
+not by the engine's integer evaluators.  All functions refuse (with
+OracleSizeError) groups larger than a fixed cutoff rather than sampling,
+so a passing check is a complete one.
 A failed check raises OracleMismatch explicitly, so the checks also run
 under ``python -O``.
 """
@@ -37,6 +39,32 @@ class OracleMismatch(AssertionError):
 def _require(ok: bool, what: str) -> None:
     if not ok:
         raise OracleMismatch(what)
+
+
+def _q(form: FiniteQuadraticForm, x: Sequence[int]) -> Fraction:
+    """q(x) in [0, 2)."""
+    qs, bs = form.q, form.b
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            total += xi * xi * qs[i]
+            for j in range(i + 1, len(x)):
+                if x[j]:
+                    total += 2 * xi * x[j] * bs[i][j]
+    return total % 2
+
+
+def _b(form: FiniteQuadraticForm, x: Sequence[int],
+       y: Sequence[int]) -> Fraction:
+    """b(x, y) in [0, 1)."""
+    bs = form.b
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    total += xi * yj * bs[i][j]
+    return total % 1
 
 
 class ElementTable:
@@ -84,7 +112,7 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
             if not any(mult[:r]) or mult[r] == 0:
                 graph = False        # K would meet a glued summand
                 break
-            if big.eval_q(mult) != zero or big.eval_b(mult, theta) != 0:
+            if _q(big, mult) != zero or _b(big, mult, theta) != 0:
                 graph = False        # K would not be isotropic
                 break
             mult = big.add(mult, theta)
@@ -104,8 +132,8 @@ def brute_aut_group(form: FiniteQuadraticForm,
     gens = [form.zero()[:i] + (1,) + form.zero()[i + 1:] for i in range(r)]
     buckets: Dict[Tuple[int, Fraction], List[Element]] = {}
     for x in table:
-        buckets.setdefault((form.order_of(x), form.eval_q(x)), []).append(x)
-    gen_keys = [(form.orders[j], form.eval_q(gens[j])) for j in range(r)]
+        buckets.setdefault((form.order_of(x), _q(form, x)), []).append(x)
+    gen_keys = [(form.orders[j], _q(form, gens[j])) for j in range(r)]
     results: List[Tuple[Tuple[int, ...], ...]] = []
     images: List[Element] = []
 
@@ -128,8 +156,7 @@ def brute_aut_group(form: FiniteQuadraticForm,
         for cand in buckets.get(gen_keys[j], ()):
             ok = True
             for i in range(j):
-                if form.eval_b(images[i], cand) != form.eval_b(gens[i],
-                                                               gens[j]):
+                if _b(form, images[i], cand) != _b(form, gens[i], gens[j]):
                     ok = False
                     break
             if ok:
@@ -178,19 +205,19 @@ def brute_subquotient(form: FiniteQuadraticForm,
     of the induced form).  b vanishes on K once q does, by polarization."""
     table = ElementTable(form, cutoff)
     kset = set(form.subgroup(list(kernel_gens)).iter_elements())
-    _require(all(form.eval_q(k) == 0 for k in kset),
+    _require(all(_q(form, k) == 0 for k in kset),
              "kernel is not isotropic")
     assigned: Dict[Element, Element] = {}
     coset_q: Dict[Element, Fraction] = {}
     for x in table:
-        if x in assigned or any(form.eval_b(x, k) for k in kernel_gens):
+        if x in assigned or any(_b(form, x, k) for k in kernel_gens):
             continue
         # The table is sorted, so the first unassigned member of K-perp is
         # the lex-min member of its coset.
-        q = form.eval_q(x)
+        q = _q(form, x)
         for k in kset:
             y = form.add(x, k)
-            _require(form.eval_q(y) == q, "q is not constant on a coset")
+            _require(_q(form, y) == q, "q is not constant on a coset")
             assigned[y] = x
         coset_q[x] = q
     reps = list(coset_q)
@@ -248,7 +275,7 @@ def _checked_subquotient(form: FiniteQuadraticForm,
     _require(len(set(coords.values())) == brute.order,
              "to_coords is not injective on cosets")
     for rep in brute.reps:
-        _require(qform.eval_q(coords[rep]) == brute.coset_q[rep],
+        _require(_q(qform, coords[rep]) == brute.coset_q[rep],
                  "q differs on a coset")
     for j, gen in enumerate(sq.reps):
         unit = qform.reduce([int(i == j) for i in range(qform.rank)])
@@ -380,7 +407,7 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
 
     big_sum = [0] * m
     for x in table:
-        k = form.eval_q(x) * m // 2          # q in [0,2) -> exponent of x^k
+        k = _q(form, x) * m // 2             # q in [0,2) -> exponent of x^k
         assert k.denominator == 1
         big_sum[int(k) % m] += 1
 
@@ -431,7 +458,7 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     _require(checked.apply(cand.kappa) == form.neg(cand.kappa),
              "witness phi does not negate kappa")
     theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
-    _require(big.eval_q(theta) == 0, "glue vector is not isotropic")
+    _require(_q(big, theta) == 0, "glue vector is not isotropic")
     _require(big.order_of(theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 

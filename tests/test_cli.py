@@ -9,6 +9,7 @@ at a temporary directory so the repository is never polluted.
 import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 import jsonschema
@@ -411,3 +412,25 @@ def test_readme_cli_reference_options_are_known_to_the_parser():
     for command, used in options.items():
         known = subparsers.choices[command]._option_string_actions
         assert used <= set(known), (command, sorted(used - set(known)))
+
+
+def test_readme_quick_start_output_is_exact(capsys, tmp_path):
+    # Each "$ realstrata ..." line of the Quick start block runs through
+    # main(); its stdout must equal the README lines under it, byte for byte.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    examples = []
+    for line in block.splitlines()[1:]:          # drop the "sh" tag line
+        if line.startswith("$ realstrata "):
+            examples.append((shlex.split(line[len("$ realstrata "):]), []))
+        elif line:
+            examples[-1][1].append(line)
+    assert [argv[0] for argv, _ in examples] == ["disc", "detect", "detect"]
+    codes = []
+    for argv, expected in examples:
+        if argv[0] == "detect":
+            argv += ["--cache-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        codes.append(code)
+        assert out == "".join(f"{line}\n" for line in expected), argv
+    assert codes == [0, 0, 3]       # success, witness_found, none_exists

@@ -1,12 +1,18 @@
 """Root specs, Cartan matrices, discriminants of ADE lattices, polarized
 forms, symmetry-induced involutions, and rank-2 isometry groups."""
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from realstrata.fqf import canon_mod2, trivial_form
-from realstrata.lattices import (RootSpec, binary_autos, cartan_matrix,
-                                 disc_involutions, disc_of_gram, disc_root,
+from realstrata.lattices import (DiscAutomorphism, RootSpec, binary_autos,
+                                 cartan_matrix, disc_involutions,
+                                 disc_of_gram, disc_root,
                                  maximizing_has_skew, polarized_disc)
 from realstrata.oracle import brute_involutions
 
@@ -215,6 +221,63 @@ def test_disc_involutions_subset_of_brute():
         eng = {a.matrix for a in disc_involutions(pf)}
         brute = {a.matrix for a in brute_involutions(pf.form)}
         assert eng <= brute
+
+
+
+def test_is_involution_agrees_with_applying_twice():
+    # 3*A1 @ 4: orders (2, 2, 2, 4); the A1 generators all have q = 3/2,
+    # so every permutation of them is an isometry.
+    pf = polarized_disc(RootSpec.parse("3*A1"), 4)
+    form = pf.form
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+    cycle = [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    expected = {"swap": True, "cycle": False}
+    for name, mat in (("swap", swap), ("cycle", cycle)):
+        auto = DiscAutomorphism(form, mat)
+        twice = all(auto.apply(auto.apply(x)) == x
+                    for x in form.iter_elements())
+        assert auto.is_involution() is twice is expected[name], name
+    for auto in disc_involutions(pf):
+        assert all(auto.apply(auto.apply(x)) == x
+                   for x in form.iter_elements())
+
+
+def test_decision_checks_run_under_optimize():
+    # python -O strips assert statements; the involution check in
+    # disc_involutions and the size check in subquotient must still raise.
+    script = textwrap.dedent("""
+        from realstrata import isotropy, lattices
+        from realstrata.fqf import QuotientPresentation, u_block
+        print("debug:", __debug__)
+        lattices.DiscAutomorphism.is_involution = lambda self: False
+        pf = lattices.polarized_disc(lattices.RootSpec.parse("A1"), 4)
+        try:
+            lattices.disc_involutions(pf)
+        except AssertionError as exc:
+            print("involutions:", exc)
+        engine = isotropy._smith_generators
+        def one_too_many(*args):
+            pres = engine(*args)
+            return QuotientPresentation(pres.orders + [2], pres.reps,
+                                        pres.to_coords)
+        isotropy._smith_generators = one_too_many
+        form = u_block(1)
+        try:
+            isotropy.subquotient(form, form.subgroup([]))
+        except AssertionError as exc:
+            print("subquotient:", exc)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug: False",
+        "involutions: a symmetry-induced map is not an involution",
+        "subquotient: subquotient size mismatch"]
 
 
 # -------------------------------------------------------------- binary_autos

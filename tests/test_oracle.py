@@ -10,8 +10,9 @@ import pytest
 
 from realstrata import oracle
 from realstrata.detector import KernelCandidate, detect, kernel_candidates
-from realstrata.fqf import (cyclic_form, direct_sum_all, trivial_form,
-                            u_block, v_block)
+from realstrata.fqf import (FiniteQuadraticForm, cyclic_form,
+                            direct_sum_all, trivial_form, u_block, v_block)
+from realstrata.isotropy import subquotient
 from realstrata.lattices import (DiscAutomorphism, RootSpec, disc_involutions,
                                  disc_root, polarized_disc)
 from realstrata.nikulin import ambient_with_a_block, theta_vector
@@ -250,6 +251,69 @@ def test_revalidate_witness_checks_run_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "debug: False", "mismatch: witness glue does not embed"]
+
+
+def _break_eval_qn(monkeypatch, orders, element):
+    """Make the engine's integer q wrong by 1 (mod 2) on one element of
+    forms with the given orders; b and every other element are untouched."""
+    real = FiniteQuadraticForm.eval_qn
+
+    def wrong_on_one(self, x):
+        v = real(self, x)
+        if self.orders == orders and tuple(x) == element:
+            return (v + self.N) % (2 * self.N)
+        return v
+
+    monkeypatch.setattr(FiniteQuadraticForm, "eval_qn", wrong_on_one)
+
+
+def test_oracle_catches_wrong_integer_q_in_revalidation(monkeypatch):
+    # The A1@4 witness: K is trivial, so K-perp/K is the whole glued group.
+    # The first generator rep gets a wrong q in the engine's quotient form;
+    # the oracle, which evaluates q from form.q and form.b, must notice.
+    pf = polarized_disc(RootSpec.parse("A1"), 4)
+    phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    cand = KernelCandidate(2, 2, (0, 0))
+    big = ambient_with_a_block(pf.form, cand.a2)
+    theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
+    rep = subquotient(big, big.subgroup([theta])).reps[0]
+    _break_eval_qn(monkeypatch, big.orders, rep)
+    with pytest.raises(OracleMismatch, match="q differs on a coset"):
+        revalidate_witness(pf, cand, phi)
+
+
+def test_oracle_catches_a_consistent_wrong_integer_q(monkeypatch):
+    # q'(x) = q(x) + x_0 mod 2 is another quadratic refinement of the same
+    # b.  An engine evaluating q' on the A1@4 glued group builds a K-perp/K
+    # that agrees with q' everywhere, so an oracle sharing the engine's
+    # evaluator would agree too; the oracle reads form.q and form.b instead.
+    pf = polarized_disc(RootSpec.parse("A1"), 4)
+    phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    cand = KernelCandidate(2, 2, (0, 0))
+    orders = ambient_with_a_block(pf.form, cand.a2).orders
+    assert orders[0] == 2
+    real = FiniteQuadraticForm.eval_qn
+
+    def refined(self, x):
+        v = real(self, x)
+        if self.orders != orders:
+            return v
+        return (v + self.N * x[0]) % (2 * self.N)
+
+    monkeypatch.setattr(FiniteQuadraticForm, "eval_qn", refined)
+    with pytest.raises(OracleMismatch, match="q differs on a coset"):
+        revalidate_witness(pf, cand, phi)
+
+
+def test_oracle_catches_wrong_integer_q_in_trace_check(monkeypatch):
+    # The engine buckets kernel candidates by q*N; a wrong q on the witness
+    # kappa drops it from the engine's list, and the brute sweep differs.
+    rep = detect(4, "A1")
+    assert rep.witness["kappa"] == [0, 0]
+    pf = polarized_disc(RootSpec.parse("A1"), 4)
+    _break_eval_qn(monkeypatch, pf.form.orders, (0, 0))
+    with pytest.raises(OracleMismatch, match="candidate lists differ"):
+        oracle.cross_check_trace(pf, rep.trace, rep.witness)
 
 
 def test_detect_mid_size_positive_revalidates():

@@ -8,6 +8,7 @@ machinery.  Hypothesis adds free-form block combinations on top.
 """
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,91 @@ def test_candidate_and_involution_agreement():
     assert counts["candidate_pairs"] >= 100
 
 
+# ---------------------------------------------------------- integer core
+
+
+class _Rational:
+    """q and b from the Fraction values form.q and form.b alone: each value
+    is an exact sum over their common denominator L, returned as one
+    Fraction (q in [0, 2), b in [0, 1))."""
+
+    def __init__(self, form):
+        values = list(form.q) + [v for row in form.b for v in row]
+        self.den = math.lcm(*(v.denominator for v in values))
+        self.q = [v.numerator * (self.den // v.denominator) for v in form.q]
+        self.b = [[v.numerator * (self.den // v.denominator) for v in row]
+                  for row in form.b]
+
+    def eval_q(self, x):
+        total = 0
+        for i, xi in enumerate(x):
+            total += xi * xi * self.q[i]
+            for j in range(i + 1, len(x)):
+                total += 2 * xi * x[j] * self.b[i][j]
+        return Fraction(total, self.den) % 2
+
+    def eval_b(self, x, y):
+        total = sum(xi * yj * self.b[i][j]
+                    for i, xi in enumerate(x) for j, yj in enumerate(y))
+        return Fraction(total, self.den) % 1
+
+
+def _integer_core_failures(form):
+    """Every element x, paired with a partner y further down the element
+    list: q(x)*N and b(x, y)*N agree with the Fraction definitions, and
+    2 b(x, y) = q(x + y) - q(x) - q(y) mod 2 holds at scale N."""
+    n = form.N
+    rational = _Rational(form)
+    elems = list(form.iter_elements())
+    out = []
+    for k, x in enumerate(elems):
+        y = elems[(7 * k + 3) % len(elems)]
+        qn, bn = form.eval_qn(x), form.eval_bn(x, y)
+        if (qn != rational.eval_q(x) * n
+                or bn != rational.eval_b(x, y) * n):
+            out.append((form.orders, x, y, "differs from Fraction"))
+        if (2 * bn - form.eval_qn(form.add(x, y)) + qn
+                + form.eval_qn(y)) % (2 * n):
+            out.append((form.orders, x, y, "polarization"))
+    return out
+
+
+def _derived_forms(form, kappa):
+    """Returns ([K-perp/K, K-perp/K (+) [1/2]], failures) for K = <kappa>.
+    The failures compare the quotient's q and b with the Fraction values on
+    its ambient reps, and the sum's q and b with those of its summands."""
+    sq = subquotient(form, form.subgroup([kappa]))
+    quot = sq.form
+    rational = _Rational(form)
+    bad = []
+    for i, rep in enumerate(sq.reps):
+        if quot.q[i] != rational.eval_q(rep):
+            bad.append(("subquotient q", form.orders, kappa, i))
+        for j, other in enumerate(sq.reps):
+            if i != j and quot.b[i][j] != rational.eval_b(rep, other):
+                bad.append(("subquotient b", form.orders, kappa, i, j))
+    half = cyclic_form(1, 2)
+    total = quot.direct_sum(half)
+    r = quot.rank
+    if total.q != quot.q + half.q or any(
+            total.b[i][j] != (quot.b[i][j] if i < r and j < r
+                              else half.b[0][0] if i == j == r else 0)
+            for i in range(r + 1) for j in range(r + 1)):
+        bad.append(("direct sum", quot.orders))
+    return [quot, total], bad
+
+
+def test_integer_core_matches_fraction_definition():
+    failures = []
+    for item in corpus():
+        failures += _integer_core_failures(item.form)
+        derived, bad = _derived_forms(item.form, item.kappa)
+        failures += bad
+        for form in derived:
+            failures += _integer_core_failures(form)
+    assert failures == []
+
+
 # ------------------------------------------------------------- hypothesis
 
 _BLOCK_MENU = (
@@ -152,3 +238,15 @@ def test_equal_length_preserves_det_unit(data):
                 assert ds.unit == df.unit
             else:
                 assert (ds.unit % 8 in (1, 5)) == (df.unit % 8 in (1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_with_kernel())
+def test_integer_core_on_block_combinations(data):
+    form, kappa = data
+    failures = _integer_core_failures(form)
+    derived, bad = _derived_forms(form, kappa)
+    failures += bad
+    for sub in derived:
+        failures += _integer_core_failures(sub)
+    assert failures == []
