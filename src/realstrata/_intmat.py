@@ -3,12 +3,12 @@
 All routines operate on lists of lists of Python ints (arbitrary precision) and
 are deterministic.  Matrices are small (a dozen rows at most in this package),
 so clarity wins over asymptotics; the algorithms are the classical
-elimination ones with exact arithmetic throughout.
+elimination ones in integer arithmetic throughout: inverses come from the
+Smith form, determinants from Bareiss elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -215,70 +215,35 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 def unimodular_inverse(a: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (det = ±1)."""
+    """Exact inverse of a unimodular integer matrix (det = +-1): snf gives
+    u a v = I, so a^-1 = v u.  Raises ValueError for any other matrix."""
+    d, u, v = snf(a)
+    if d != identity(len(a)):
+        raise ValueError("matrix is not unimodular")
+    return matmul(v, u)
+
+
+def det(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (Bareiss fraction-free
+    elimination: every division is exact)."""
     n = len(a)
-    work = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    inv = [[work[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            int_row.append(int(x))
-        out.append(int_row)
-    return out
-
-
-def fraction_solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> List[Fraction]:
-    """Solve a square nonsingular rational system a x = b exactly."""
-    n = len(a)
-    work = [list(map(Fraction, a[i])) + [Fraction(b[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [work[i][n] for i in range(n)]
-
-
-def fraction_det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix (fraction-free pivoting)."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    work = [list(map(Fraction, row)) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] / pv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+    work = copy_matrix(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            pivot = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if pivot is None:
+                return 0
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        pk = work[k][k]
+        row_k = work[k]
+        for i in range(k + 1, n):
+            row, f = work[i], work[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - f * row_k[j]) // prev
+        prev = pk
+    return sign * work[n - 1][n - 1] if n else 1
 
 
 def solve_mod_orders(gens: Sequence[Sequence[int]], orders: Sequence[int],

@@ -3,8 +3,8 @@
 The subquotient of a finite quadratic form F by an isotropic subgroup K is
 K-perp/K with the induced quadratic form.  All constructions here are exact
 and element-enumeration free on the main path (integer HNF/SNF lattice
-arithmetic); only coset-representative minimization touches the (small)
-kernel's elements.
+arithmetic): each quotient generator is represented by the Smith
+representative the presentation of K-perp/K yields, one per coset.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Subquotient:
     """K-perp/K presented with invariant-factor generators.
 
     form:      the induced finite quadratic form on K-perp/K;
-    reps:      ambient representatives (lex-minimal in their K-coset);
+    reps:      ambient Smith representatives, one per generator's K-coset;
     kperp:     the subgroup K-perp of the ambient form;
     kernel:    K itself;
     to_coords: ambient element of K-perp -> quotient coordinates.
@@ -60,8 +60,10 @@ def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
     """Compute K-perp/K for an isotropic subgroup K.
 
     Raises ValueError when K is not isotropic.  The result's generators are
-    an invariant-factor chain; each representative is the lexicographically
-    minimal member of its coset.
+    an invariant-factor chain, each represented by its Smith representative.
+    The reps lie in K-perp and K is isotropic, so q(rep + k) = q(rep) and
+    b(rep + k, .) = b(rep, .): the quotient form does not depend on which
+    member of a coset represents it.
     """
     if not is_isotropic(form, kernel):
         raise ValueError("kernel is not isotropic")
@@ -77,13 +79,8 @@ def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
         got *= d
     if got != expected:
         raise AssertionError("subquotient size mismatch")
-    kelems = kernel.elements()
-    reps: List[Element] = []
-    for rep in pres.reps:
-        best = min(form.add(rep, k) for k in kelems)
-        reps.append(best)
-    quot = form.restricted_form(pres.orders, reps)
-    return Subquotient(quot, reps, kperp, kernel, pres.to_coords)
+    quot = form.restricted_form(pres.orders, pres.reps)
+    return Subquotient(quot, pres.reps, kperp, kernel, pres.to_coords)
 
 
 # ----------------------------------------------------- gluing-vector splits

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _intmat
-from .fqf import (Element, FiniteQuadraticForm, canon_mod2, cyclic_form,
-                  direct_sum_all, display_rep, factorint, trivial_form)
+from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
+                  display_rep, factorint, trivial_form)
 
 # --------------------------------------------------------------- root specs
 
@@ -114,7 +113,12 @@ class GramDisc:
 
 def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
     """Discriminant form of an even integral lattice with the given Gram
-    matrix: the group Z^n/G Z^n with q(v) = v^T G^{-1} v mod 2."""
+    matrix: the group Z^n/G Z^n with q(v) = v^T G^{-1} v mod 2.
+
+    Everything is read from one Smith form u G v = D: the generators are
+    the columns w_i = u^{-1} e_i = G v e_i / d_i, and G^{-1} w_i =
+    v e_i / d_i, so q and b are integers at the scale d_last (the
+    exponent)."""
     n = len(gram)
     if n == 0:
         return GramDisc(trivial_form(), [], lambda v: ())
@@ -122,27 +126,19 @@ def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
     dd = [d[i][i] for i in range(n)]
     if any(x == 0 for x in dd):
         raise ValueError("Gram matrix is singular")
-    uinv = _intmat.unimodular_inverse(u)
     kept = [i for i in range(n) if dd[i] > 1]
-    gen_duals = [[uinv[r][i] for r in range(n)] for i in kept]
-    ginv_cols: List[List[Fraction]] = []
-    for w in gen_duals:
-        ginv_cols.append(_intmat.fraction_solve(
-            [[Fraction(x) for x in row] for row in gram],
-            [Fraction(t) for t in w]))
-    q = []
-    b: Dict[Tuple[int, int], Fraction] = {}
-    for i, w in enumerate(gen_duals):
-        q.append(canon_mod2(sum((Fraction(t) * x
-                                 for t, x in zip(w, ginv_cols[i])),
-                                Fraction(0))))
-        for j in range(i + 1, len(gen_duals)):
-            val = sum((Fraction(t) * x
-                       for t, x in zip(gen_duals[j], ginv_cols[i])),
-                      Fraction(0))
-            b[(i, j)] = val
-
-    form = FiniteQuadraticForm([dd[i] for i in kept], q, b)
+    scale = dd[-1]
+    v_cols = [[v[r][i] for r in range(n)] for i in kept]
+    gen_duals = [[x // dd[i] for x in _intmat.matvec(gram, col)]
+                 for i, col in zip(kept, v_cols)]
+    # w_s^T G^{-1} w_t = w_s . v_t / d_t, at the scale d_last.
+    pair = [[sum(map(mul, w, col)) * (scale // dd[i])
+             for i, col in zip(kept, v_cols)] for w in gen_duals]
+    k = len(kept)
+    b = {(s, t): pair[s][t] for s in range(k) for t in range(s + 1, k)}
+    form = FiniteQuadraticForm([dd[i] for i in kept],
+                               [pair[s][s] for s in range(k)], b,
+                               scale=scale)
 
     def to_coords(vec: Sequence[int]) -> Tuple[int, ...]:
         w = _intmat.matvec(u, list(vec))
@@ -248,13 +244,12 @@ class DiscAutomorphism:
     matrix whose j-th column gives the image of the j-th generator."""
 
     def __init__(self, form: FiniteQuadraticForm,
-                 matrix: Sequence[Sequence[int]], validate: bool = True):
+                 matrix: Sequence[Sequence[int]]):
         r = form.rank
         self.form = form
         self.matrix = tuple(tuple(matrix[i][j] % form.orders[i]
                                   for j in range(r)) for i in range(r))
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         form = self.form
@@ -271,9 +266,8 @@ class DiscAutomorphism:
             for i in range(j + 1, r):
                 if form.eval_bn(cols[i], cols[j]) != form.Bn[i][j]:
                     raise ValueError("map does not preserve b")
-        # An endomorphism of a finite group is bijective iff it is onto.
-        if form.subgroup(cols).order != form.order:
-            raise ValueError("matrix is not invertible on the group")
+        # Bijective already: b is preserved, so the kernel lies in the
+        # radical, which is trivial (every form is checked nondegenerate).
 
     def apply(self, x: Sequence[int]) -> Element:
         form = self.form

@@ -85,18 +85,15 @@ def det_p(form: FiniteQuadraticForm, p: int) -> SquareClass:
     The Gram matrix of the p-part uses canonical representatives (diagonal:
     q in [0,2); off-diagonal: b in [0,1)); its determinant equals
     unit / |F_p|, and the returned class records p^{v_p(|F_p|)} * unit with
-    the 2-adic grading flag when p = 2.
+    the 2-adic grading flag when p = 2.  The determinant is taken of the
+    integer Gram at the scale N of the p-part (Qn on the diagonal, Bn off
+    it), which is N^ell times the rational one.
     """
     fp, _ = form.p_part(p)
     ell = fp.rank
-    gram = [[Fraction(0)] * ell for _ in range(ell)]
-    for i in range(ell):
-        gram[i][i] = fp.q[i]
-        for j in range(ell):
-            if i != j:
-                gram[i][j] = fp.b[i][j]
-    det = _intmat.fraction_det(gram)
-    unit = det * fp.order
+    gram = [[fp.Qn[i] if i == j else fp.Bn[i][j] for j in range(ell)]
+            for i in range(ell)]
+    unit = Fraction(_intmat.det(gram) * fp.order, fp.N ** ell)
     even = fp.is_even_2part() if p == 2 else True
     val = 0
     n = fp.order

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from realstrata.fqf import canon_mod2, trivial_form
+from realstrata.fqf import (canon_mod2, cyclic_form, trivial_form, u_block,
+                            v_block)
 from realstrata.lattices import (DiscAutomorphism, RootSpec, binary_autos,
                                  cartan_matrix, disc_involutions,
                                  disc_of_gram, disc_root,
@@ -142,6 +144,58 @@ def test_disc_of_gram_examples():
         disc_of_gram([[2, 2], [2, 2]])
 
 
+def _fraction_solve(a, w):
+    """x with a x = w, by Gauss-Jordan over the rationals."""
+    n = len(a)
+    work = [[Fraction(x) for x in a[i]] + [Fraction(w[i])] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n] for row in work]
+
+
+def test_disc_of_gram_matches_rational_inverse_on_ade():
+    # q(w_i) = w_i^T G^-1 w_i mod 2 and b(w_i, w_j) = w_i^T G^-1 w_j mod 1
+    # on the generators' dual vectors w, with G^-1 w from a Fraction solve:
+    # every ADE family up to rank 19, and sums with unequal invariant
+    # factors (each ADE discriminant alone has only one size).
+    cases = ([[("A", n)] for n in range(1, 20)]
+             + [[("D", n)] for n in range(4, 20)]
+             + [[("E", n)] for n in (6, 7, 8)]
+             + [[("A", 1), ("A", 3)], [("A", 2), ("A", 8)],
+                [("D", 5), ("A", 1), ("A", 7)], [("D", 4), ("A", 5)]])
+    for comps in cases:
+        blocks = [cartan_matrix(fam, n) for fam, n in comps]
+        size = sum(len(blk) for blk in blocks)
+        gram = [[0] * size for _ in range(size)]
+        pos = 0
+        for blk in blocks:
+            for i, row in enumerate(blk):
+                for j, x in enumerate(row):
+                    gram[pos + i][pos + j] = -x
+            pos += len(blk)
+        gd = disc_of_gram(gram)
+        form = gd.form
+        order = 1
+        for fam, n in comps:
+            order *= {"A": n + 1, "D": 4, "E": 9 - n}[fam]
+        assert form.order == order, comps
+        solved = [_fraction_solve(gram, w) for w in gd.gen_duals]
+        for i, w in enumerate(gd.gen_duals):
+            assert gd.to_coords(w) == form.reduce(
+                [int(j == i) for j in range(form.rank)]), (comps, i)
+            assert form.q[i] == canon_mod2(
+                sum(t * x for t, x in zip(w, solved[i]))), (comps, i)
+            for j, other in enumerate(gd.gen_duals):
+                val = sum(t * x for t, x in zip(other, solved[i]))
+                assert form.b[i][j] == val % 1, (comps, i, j)
+
+
 def test_disc_of_gram_to_coords():
     gd = disc_of_gram([[4]])
     assert gd.form.orders == (4,)
@@ -240,6 +294,34 @@ def test_is_involution_agrees_with_applying_twice():
     for auto in disc_involutions(pf):
         assert all(auto.apply(auto.apply(x)) == x
                    for x in form.iter_elements())
+
+
+def test_disc_automorphism_accepts_exactly_the_brute_isometries():
+    # Every integer matrix reduced mod the orders: the constructor must
+    # accept exactly the maps that are bijective on the group and keep q.
+    forms = [u_block(2), v_block(2),
+             cyclic_form(1, 4).direct_sum(cyclic_form(-1, 4))]
+    for form in forms:
+        r = form.rank
+        elems = list(form.iter_elements())
+        accepted = 0
+        for entries in product(*(range(form.orders[i])
+                                 for i in range(r) for _ in range(r))):
+            mat = [list(entries[i * r:(i + 1) * r]) for i in range(r)]
+            images = [tuple(sum(mat[i][j] * x[j] for j in range(r))
+                            % form.orders[i] for i in range(r))
+                      for x in elems]
+            brute = (len(set(images)) == len(elems)
+                     and all(form.eval_q(y) == form.eval_q(x)
+                             for x, y in zip(elems, images)))
+            try:
+                DiscAutomorphism(form, mat)
+                engine = True
+            except ValueError:
+                engine = False
+            assert engine is brute, (form.orders, mat)
+            accepted += engine
+        assert accepted >= 2, form.orders   # the identity and -1 at least
 
 
 def test_decision_checks_run_under_optimize():

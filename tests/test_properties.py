@@ -138,17 +138,21 @@ def _integer_core_failures(form):
 def _derived_forms(form, kappa):
     """Returns ([K-perp/K, K-perp/K (+) [1/2]], failures) for K = <kappa>.
     The failures compare the quotient's q and b with the Fraction values on
-    its ambient reps, and the sum's q and b with those of its summands."""
+    its ambient reps, also with each rep shifted by kappa (any member of a
+    coset may represent it), and the sum's q and b with those of its
+    summands."""
     sq = subquotient(form, form.subgroup([kappa]))
     quot = sq.form
     rational = _Rational(form)
     bad = []
     for i, rep in enumerate(sq.reps):
-        if quot.q[i] != rational.eval_q(rep):
-            bad.append(("subquotient q", form.orders, kappa, i))
-        for j, other in enumerate(sq.reps):
-            if i != j and quot.b[i][j] != rational.eval_b(rep, other):
-                bad.append(("subquotient b", form.orders, kappa, i, j))
+        for x in (rep, form.add(rep, kappa)):
+            if quot.q[i] != rational.eval_q(x):
+                bad.append(("subquotient q", form.orders, kappa, i, x))
+            for j, other in enumerate(sq.reps):
+                if i != j and quot.b[i][j] != rational.eval_b(x, other):
+                    bad.append(("subquotient b", form.orders, kappa, i, j,
+                                x))
     half = cyclic_form(1, 2)
     total = quot.direct_sum(half)
     r = quot.rank
