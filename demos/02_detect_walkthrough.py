@@ -8,8 +8,9 @@ configuration contain a real surface?  The pipeline it runs:
      discriminant with order a^2/n and q(kappa) = -n^2/a^2 mod 2Z;
   3. build K-perp/K once and test whether a lattice with that glued
      discriminant exists at all (p-adic genus conditions);
-  4. search the discriminant isometries for an involution phi with
-     phi(kappa) = -kappa that induces the identity on K-perp/K.
+  4. search the symmetry-induced involutions phi with phi(kappa) = -kappa
+     (only those are generated) for one that induces the identity on
+     K-perp/K.
 
 check_candidate runs stages 3 and 4 for one candidate and names the first
 stage that excludes it.
@@ -49,7 +50,7 @@ def main() -> None:
             cand = cands[0]
             print(f"  a^2 = {a2}, n = {n}: {len(cands)} kernel candidate(s);"
                   f" first kappa = {list(cand.kappa)}")
-            outcome, phi = check_candidate(pf, cand, phis)
+            outcome, phi = check_candidate(pf, cand)
             print(f"    stages 3-4: {outcome}")
             if phi is not None:
                 print(f"    phi matrix rows: {[list(r) for r in phi.matrix]}")

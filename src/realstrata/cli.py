@@ -33,8 +33,8 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .detector import detect, model_name, parse_model
-from .lattices import (RootSpec, binary_autos, disc_involutions,
-                       polarized_disc)
+from .lattices import (PolarizedForm, RootSpec, binary_autos,
+                       disc_involutions, polarized_disc, require_stratum_rank)
 from .nikulin import embedding_clauses
 
 EXIT_WITNESS = 0
@@ -135,9 +135,17 @@ def _print_human(rep: dict) -> None:
         print(f"oracle_checked: {rep['oracle_checked']}")
 
 
-def cmd_disc(args) -> int:
+def _stratum_disc(args) -> Tuple[int, PolarizedForm]:
+    """(h2, polarized discriminant) of --model and --spec, with the rank
+    check detect makes."""
     h2 = parse_model(args.model)
-    pf = polarized_disc(RootSpec.parse(args.spec), h2)
+    spec = RootSpec.parse(args.spec)
+    require_stratum_rank(spec)
+    return h2, polarized_disc(spec, h2)
+
+
+def cmd_disc(args) -> int:
+    h2, pf = _stratum_disc(args)
     if args.json:
         _emit_json(json.dumps({
             "model": model_name(h2),
@@ -195,8 +203,10 @@ def cmd_batch(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    h2 = parse_model(args.model)
-    pf = polarized_disc(RootSpec.parse(args.spec), h2)
+    if min(args.sigma_plus or 0, args.sigma_minus or 0) < 0:
+        raise ValueError("--sigma-plus and --sigma-minus must be "
+                         "nonnegative")
+    _h2, pf = _stratum_disc(args)
     sigma_plus = 2 if args.sigma_plus is None else args.sigma_plus
     sigma_minus = pf.rank_S if args.sigma_minus is None else args.sigma_minus
     clauses = embedding_clauses(sigma_plus, sigma_minus, pf.form)
@@ -229,8 +239,7 @@ def cmd_autos(args) -> int:
             for e in elements:
                 print(f"  {e['matrix']}  det={e['det']:+d}  {e['kind']}")
         return 0
-    h2 = parse_model(args.model)
-    pf = polarized_disc(RootSpec.parse(args.spec), h2)
+    _h2, pf = _stratum_disc(args)
     autos = disc_involutions(pf)
     if args.json:
         _emit_json(json.dumps({

@@ -18,15 +18,19 @@ to reflections of the rank-2 transcendental-side lattice T.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Tuple
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       disc_involutions, maximizing_has_skew, polarized_disc)
+                       checked_involution, involution_matrices,
+                       maximizing_has_skew, polarized_disc,
+                       require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
 
 SCOPE_NOTE = (
@@ -59,19 +63,40 @@ def enumerate_a_squares(pf: PolarizedForm) -> List[int]:
     return divs
 
 
-def _candidate_buckets(pf: PolarizedForm) -> Dict[Tuple[int, int],
-                                                  List[Element]]:
-    """Every element of the polarized discriminant, keyed by (order, q*N)."""
-    buckets = pf._cache.get("buckets")
-    if buckets is None:
-        buckets = {}
-        form = pf.form
-        for x in form.iter_elements():
-            key = (form.order_of(x), form.eval_qn(x))
-            buckets.setdefault(key, []).append(x)
-        for key in buckets:
-            buckets[key].sort()
-        pf._cache["buckets"] = buckets
+def _elements_of_order(pf: PolarizedForm, order: int
+                       ) -> Dict[int, List[Element]]:
+    """The elements of exact order `order`, keyed by q*N, each list in
+    lexicographic order.  Cached on pf: (a2, n) = (m, 1) and (2m, 2) both
+    ask for order m.
+
+    Walks the order-torsion only: coordinate by coordinate, x_i runs over
+    the multiples of o_i / gcd(o_i, order), and a prefix is dropped once
+    the coordinates left cannot lift its order to `order`."""
+    buckets = pf._cache.get(("order", order))
+    if buckets is not None:
+        return buckets
+    form = pf.form
+    r = form.rank
+    values = [[(v, o // math.gcd(v, o))
+               for v in range(0, o, o // math.gcd(o, order))]
+              for o in form.orders]
+    # reach[i]: the largest order coordinates i.. can contribute.
+    reach = [1] * (r + 1)
+    for i in reversed(range(r)):
+        reach[i] = math.lcm(math.gcd(form.orders[i], order), reach[i + 1])
+    buckets = pf._cache[("order", order)] = {}
+
+    def walk(x: Element, x_order: int) -> None:
+        i = len(x)
+        if i == r:
+            buckets.setdefault(form.eval_qn(x), []).append(x)
+            return
+        for v, v_order in values[i]:
+            lcm = math.lcm(x_order, v_order)
+            if math.lcm(lcm, reach[i + 1]) == order:
+                walk(x + (v,), lcm)
+
+    walk((), 1)
     return buckets
 
 
@@ -81,36 +106,27 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
     lexicographic coordinate order."""
     if a2 % n:
         return []
-    order = a2 // n
     # q*N of every element is an integer, so a target -n^2 N / a2 that is
     # not one has no candidates.
     target, rem = divmod(-n * n * pf.form.N, a2)
     if rem:
         return []
-    buckets = _candidate_buckets(pf)
-    elems = buckets.get((order, target % (2 * pf.form.N)), [])
+    elems = _elements_of_order(pf, a2 // n).get(target % (2 * pf.form.N), [])
     return [KernelCandidate(a2, n, x) for x in elems]
 
 
-def _big_phi_apply(phi: DiscAutomorphism, big: FiniteQuadraticForm,
-                   x: Sequence[int]) -> Element:
-    """(phi (+) -id) on disc (+) [1/a2]."""
-    r = phi.form.rank
-    head = phi.apply(x[:r])
-    return big.reduce(list(head) + [-x[r]])
-
-
-def check_candidate(pf: PolarizedForm, cand: KernelCandidate,
-                    phis: Optional[List[DiscAutomorphism]] = None
+def check_candidate(pf: PolarizedForm, cand: KernelCandidate
                     ) -> Tuple[str, Optional[DiscAutomorphism]]:
     """Decide one candidate: the glued genus, then the involution conditions.
 
     K = <kappa (+) n alpha>, K-perp and K-perp/K are built once.  Returns
     ("genus_empty", None) when K-perp/K does not embed into the (3, 19)
     lattice with signature (2, rank_S); ("witness", phi) for the first
-    symmetry-induced involution with phi(kappa) = -kappa inducing the
-    identity on K-perp/K; else ("no_involution_cond2"|"no_involution_cond3",
-    None).
+    symmetry-induced involution, in sorted matrix order, with phi(kappa) =
+    -kappa inducing the identity on K-perp/K; else
+    ("no_involution_cond2"|"no_involution_cond3", None).  Only the
+    involutions negating kappa are generated; the witness is rebuilt as a
+    whole matrix and checked again.
     """
     form = pf.form
     big = pf._cache.get(("ambient", cand.a2))
@@ -121,21 +137,30 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate,
                                                      cand.n)]))
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
         return "genus_empty", None
-    if phis is None:
-        phis = disc_involutions(pf)
-    neg = form.neg(cand.kappa)
-    cond2 = [phi for phi in phis if phi.apply(cand.kappa) == neg]
+    cond2 = involution_matrices(pf, cand.kappa)
     if not cond2:
         return "no_involution_cond2", None
+    # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in
+    # K = <kappa (+) n alpha> iff that is t*n mod a2 and its disc part is
+    # t*kappa.  So phi must send the disc part of each K-perp generator g
+    # to g + t*kappa.
+    wanted = []
+    for g in sq.kperp.gens:
+        t, rem = divmod(-2 * g[-1] % cand.a2, cand.n)
+        if rem:
+            return "no_involution_cond3", None
+        wanted.append((g, tuple((gi + t * ki) % o for gi, ki, o
+                                in zip(g, cand.kappa, form.orders))))
     for phi in cond2:
-        if all(sq.kernel.contains(big.sub(_big_phi_apply(phi, big, g), g))
-               for g in sq.kperp.gens):
-            return "witness", phi
+        # zip stops each row sum at the disc part of g.
+        if all(tuple(sum(map(mul, row, g)) % o
+                     for row, o in zip(phi, form.orders)) == image
+               for g, image in wanted):
+            return "witness", checked_involution(form, phi)
     return "no_involution_cond3", None
 
 
-def _search(pf: PolarizedForm, phis: List[DiscAutomorphism],
-            trace: List[dict]
+def _search(pf: PolarizedForm, trace: List[dict]
             ) -> Optional[Tuple[KernelCandidate, DiscAutomorphism]]:
     """Walk the gluing data in engine order, appending one trace row per
     excluded candidate (or empty (a2, n) pair); return the first witness."""
@@ -146,7 +171,7 @@ def _search(pf: PolarizedForm, phis: List[DiscAutomorphism],
                 trace.append({"a2": a2, "n": n, "kappa": None,
                               "reason": "no_kappa"})
             for cand in cands:
-                status, phi = check_candidate(pf, cand, phis)
+                status, phi = check_candidate(pf, cand)
                 if status == "witness":
                     return cand, phi
                 trace.append({"a2": a2, "n": n, "kappa": list(cand.kappa),
@@ -235,8 +260,7 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
     t0 = time.monotonic()
     if isinstance(spec, str):
         spec = RootSpec.parse(spec)
-    if spec.rank > 19:
-        raise ValueError("root rank exceeds 19; no such stratum")
+    require_stratum_rank(spec)
     pf = polarized_disc(spec, h2)
     rank_s = pf.rank_S
 
@@ -255,7 +279,7 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
             verdict = "witness_found" if has else "none_exists"
             basis = "rankT2"
     else:
-        found = _search(pf, disc_involutions(pf), trace)
+        found = _search(pf, trace)
         if found:
             cand, phi = found
             witness = {"a2": cand.a2, "n": cand.n,

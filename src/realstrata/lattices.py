@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
+from math import prod
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,6 +75,13 @@ class RootSpec:
 
     def display_text(self) -> str:
         return self.text if self.text else "0"
+
+
+def require_stratum_rank(spec: RootSpec) -> None:
+    """Raise ValueError unless the root lattice fits a stratum: with h it
+    spans a sublattice of the Picard lattice, whose rank is at most 20."""
+    if spec.rank > 19:
+        raise ValueError("root rank exceeds 19; no such stratum")
 
 
 # ----------------------------------------------------------- Cartan matrices
@@ -347,128 +355,196 @@ def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     return out
 
 
-def _matchings(items: List[int]) -> Iterator[List[Tuple[int, ...]]]:
-    """All partitions of items into fixed points and unordered pairs."""
+Block = Tuple[Tuple[int, ...], ...]
+Entries = Tuple[Tuple[int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """One block of a symmetry-induced involution: a fixed component
+    (src == dst), a swapped pair of equal components, or the h generator.
+
+    Each option is (block, entries): block maps the generators starting at
+    src onto those starting at dst, and entries lists the nonzero (row,
+    column, value) entries of the whole slot map, which for a pair also
+    holds the inverse block back from dst to src."""
+    src: int
+    dst: int
+    options: Tuple[Tuple[Block, Entries], ...]
+
+
+_NOT_AN_INVOLUTION = "a symmetry-induced map is not an involution"
+
+
+def checked_involution(form: FiniteQuadraticForm,
+                       matrix: Sequence[Sequence[int]]) -> DiscAutomorphism:
+    """The matrix as a DiscAutomorphism, checked to be a homomorphism
+    keeping q and b (by the constructor) and an involution.  Both checks
+    raise explicitly, so they also run under python -O."""
+    auto = DiscAutomorphism(form, matrix)
+    if not auto.is_involution():
+        raise AssertionError(_NOT_AN_INVOLUTION)
+    return auto
+
+
+def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int, k: int,
+                  blocks: List[List[List[int]]]) -> _Slot:
+    """Deduplicate the blocks mod the orders and check each slot map once,
+    placed in an identity matrix.  A pair block without an inverse cannot
+    be completed to an involution and raises."""
+    orders = form.orders[dst:dst + k]
+    coords = set(range(src, src + k)) | set(range(dst, dst + k))
+    options = []
+    for raw in blocks:
+        block = tuple(tuple(v % o for v in row) for row, o in zip(raw, orders))
+        if any(block == seen for seen, _ in options):
+            continue
+        entries = [(dst + i, src + j, v) for i, row in enumerate(block)
+                   for j, v in enumerate(row) if v]
+        if src != dst:
+            inv = _invert_mod_orders(block, orders)
+            if inv is None:
+                raise AssertionError(_NOT_AN_INVOLUTION)
+            entries += [(src + i, dst + j, v) for i, row in enumerate(inv)
+                        for j, v in enumerate(row) if v]
+        mat = _identity_matrix(form.rank)
+        for i in coords:
+            mat[i][i] = 0
+        for i, j, v in entries:
+            mat[i][j] = v
+        checked_involution(form, mat)
+        options.append((block, tuple(entries)))
+    return _Slot(src, dst, tuple(options))
+
+
+def _slot_table(pf: PolarizedForm
+                ) -> List[Tuple[List[object], Dict[object, _Slot],
+                                Dict[Tuple[object, object], _Slot]]]:
+    """Per class of equal components: its indices, the slot of each fixed
+    component and of each pair.  The h generator is a class of its own,
+    tagged "h".  Built and checked once per polarized form."""
+    cached = pf._cache.get("slots")
+    if cached is not None:
+        return cached
+    form = pf.form
+    classes: Dict[Tuple[str, int], List[int]] = {}
+    for idx, comp in enumerate(pf.spec.components):
+        classes.setdefault(comp, []).append(idx)
+    table = []
+    for (fam, n), idxs in sorted(classes.items()):
+        fixed = {}
+        for c in idxs:
+            lo, hi = pf.comp_slices[c]
+            fixed[c] = _checked_slot(form, lo, lo, hi - lo,
+                                     _component_fixed_autos(fam, n, hi - lo))
+        pairs = {}
+        for c, d in combinations(idxs, 2):
+            lo, hi = pf.comp_slices[c]
+            pairs[c, d] = _checked_slot(form, lo, pf.comp_slices[d][0],
+                                        hi - lo,
+                                        _component_swap_isos(fam, n, hi - lo))
+        table.append((idxs, fixed, pairs))
+    h = form.rank - 1
+    table.append((["h"], {"h": _checked_slot(form, h, h, 1, [[[1]], [[-1]]])},
+                  {}))
+    pf._cache["slots"] = table
+    return table
+
+
+def _matchings(items: List[object], fixed: Dict[object, List[Entries]],
+               pairs: Dict[Tuple[object, object], List[Entries]]
+               ) -> Iterator[List[List[Entries]]]:
+    """Every partition of items into fixed points and unordered pairs whose
+    slots all have an option left, as the list of those option lists."""
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for sub in _matchings(rest):
-        yield [(first,)] + sub
+    if fixed[first]:
+        for sub in _matchings(rest, fixed, pairs):
+            yield [fixed[first]] + sub
     for i, other in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for sub in _matchings(remaining):
-            yield [(first, other)] + sub
+        if pairs[first, other]:
+            for sub in _matchings(rest[:i] + rest[i + 1:], fixed, pairs):
+                yield [pairs[first, other]] + sub
+
+
+def _slot_choices(classes) -> Iterator[List[List[Entries]]]:
+    """One matching per class, in every combination."""
+    if not classes:
+        yield []
+        return
+    for head in _matchings(*classes[0]):
+        for tail in _slot_choices(classes[1:]):
+            yield head + tail
 
 
 _INVOLUTION_CAP = 2_000_000
 
 
+def involution_matrices(pf: PolarizedForm,
+                        kappa: Optional[Sequence[int]] = None) -> List[Block]:
+    """The symmetry-induced involutions of the polarized discriminant, as
+    reduced matrices, deduplicated and sorted; with kappa, only those with
+    phi(kappa) = -kappa.
+
+    Each involution is a product of slot maps (a diagram symmetry of a
+    fixed component, an identification of a swapped pair of equal
+    components, a sign on h).  Slot maps act on disjoint blocks, so they
+    commute, and a product of checked involutive isometries is one again.
+    phi(kappa) = -kappa splits by slot too: a slot's block must send
+    kappa's src part to minus its dst part, so options are filtered before
+    the product is taken.
+
+    Raises RuntimeError when one call would generate more than ~2e6
+    matrices.
+    """
+    form = pf.form
+    orders = form.orders
+
+    def live(slot: _Slot) -> List[Entries]:
+        if kappa is None:
+            return [entries for _, entries in slot.options]
+        return [entries for block, entries in slot.options
+                if all((sum(map(mul, row, kappa[slot.src:]))
+                        + kappa[slot.dst + i]) % orders[slot.dst + i] == 0
+                       for i, row in enumerate(block))]
+
+    classes = [(idxs, {c: live(s) for c, s in fixed.items()},
+                {cd: live(s) for cd, s in pairs.items()})
+               for idxs, fixed, pairs in _slot_table(pf)]
+    r = form.rank
+    out = set()
+    count = 0
+    for lists in _slot_choices(classes):
+        count += prod(map(len, lists))
+        if count > _INVOLUTION_CAP:
+            raise RuntimeError(
+                "involution enumeration exceeds the generation cap")
+        for choice in product(*lists):
+            rows = [[0] * r for _ in range(r)]
+            for entries in choice:
+                for i, j, v in entries:
+                    rows[i][j] = v
+            out.add(tuple(map(tuple, rows)))
+    return sorted(out)
+
+
 def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     """All involutions of the polarized discriminant induced by diagram
     symmetries, label-preserving component permutations, and the sign on the
-    polarization block.  Deduplicated and sorted by matrix entries.
+    polarization block: the unfiltered view of involution_matrices, each
+    matrix rebuilt as a validated DiscAutomorphism.  Deduplicated and sorted
+    by matrix entries.
 
-    Raises RuntimeError beyond a generation cap of ~2e6 matrices.
+    Raises RuntimeError when a call would generate more than ~2e6 matrices
+    (the cap counts matrices generated per call; the list is cached on pf).
     """
     cached = pf._cache.get("involutions")
-    if cached is not None:
-        return cached
-    form = pf.form
-    r = form.rank
-    comps = pf.spec.components
-    classes: Dict[Tuple[str, int], List[int]] = {}
-    for idx, comp in enumerate(comps):
-        classes.setdefault(comp, []).append(idx)
-    h_index = r - 1
-    h_opts = [[[1]], [[-1]]]
-
-    matrices: List[Tuple[Tuple[int, ...], ...]] = []
-    seen = set()
-    count = 0
-
-    def dedupe_options(options: List[List[List[int]]],
-                       sub_orders: List[int]) -> List[List[List[int]]]:
-        seen_opts = set()
-        out = []
-        for m in options:
-            key = tuple(tuple(v % o for v in row)
-                        for row, o in zip(m, sub_orders))
-            if key not in seen_opts:
-                seen_opts.add(key)
-                out.append(m)
-        return out
-
-    class_list = sorted(classes.items())
-    matching_sets = [list(_matchings(idxs)) for _, idxs in class_list]
-    for combo in product(*matching_sets):
-        # one matching per class; build the option lists for this permutation
-        option_lists: List[List] = []
-        slots: List[Tuple[str, Tuple[int, ...]]] = []
-        for (fam, n), matching in zip((c for c, _ in class_list), combo):
-            for group in matching:
-                c = group[0]
-                lo, hi = pf.comp_slices[c]
-                k = hi - lo
-                sub_orders = [form.orders[lo + i] for i in range(k)]
-                if len(group) == 1:
-                    option_lists.append(dedupe_options(
-                        _component_fixed_autos(fam, n, k), sub_orders))
-                    slots.append(("fixed", group))
-                else:
-                    option_lists.append(dedupe_options(
-                        _component_swap_isos(fam, n, k), sub_orders))
-                    slots.append(("pair", group))
-        option_lists.append(h_opts)
-        slots.append(("h", (h_index,)))
-        for choice in product(*option_lists):
-            count += 1
-            if count > _INVOLUTION_CAP:
-                raise RuntimeError(
-                    "involution enumeration exceeds the generation cap")
-            mat = [[0] * r for _ in range(r)]
-            ok = True
-            for (kind, group), opt in zip(slots, choice):
-                if kind == "h":
-                    mat[h_index][h_index] = opt[0][0]
-                elif kind == "fixed":
-                    lo, hi = pf.comp_slices[group[0]]
-                    for i in range(hi - lo):
-                        for j in range(hi - lo):
-                            mat[lo + i][lo + j] = opt[i][j]
-                else:
-                    c, dcomp = group
-                    lo_c, hi_c = pf.comp_slices[c]
-                    lo_d, _ = pf.comp_slices[dcomp]
-                    k = hi_c - lo_c
-                    sub_orders = [form.orders[lo_c + i] for i in range(k)]
-                    inv = _invert_mod_orders(opt, sub_orders)
-                    if inv is None:
-                        ok = False
-                        break
-                    for i in range(k):
-                        for j in range(k):
-                            mat[lo_d + i][lo_c + j] = opt[i][j]
-                            mat[lo_c + i][lo_d + j] = inv[i][j]
-            if not ok:
-                continue
-            reduced = tuple(tuple(mat[i][j] % form.orders[i]
-                                  for j in range(r)) for i in range(r))
-            if reduced in seen:
-                continue
-            seen.add(reduced)
-            matrices.append(reduced)
-
-    matrices.sort()
-    out = []
-    for m in matrices:
-        auto = DiscAutomorphism(form, m)
-        if not auto.is_involution():
-            raise AssertionError(
-                "a symmetry-induced map is not an involution")
-        out.append(auto)
-    pf._cache["involutions"] = out
-    return out
+    if cached is None:
+        cached = pf._cache["involutions"] = [
+            DiscAutomorphism(pf.form, m) for m in involution_matrices(pf)]
+    return cached
 
 
 def _invert_mod_orders(m: Sequence[Sequence[int]], orders: Sequence[int]

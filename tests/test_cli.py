@@ -70,6 +70,17 @@ def test_rank_over_19_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["disc", "embed", "autos", "detect"])
+def test_every_spec_subcommand_rejects_rank_over_19(capsys, tmp_path,
+                                                    command):
+    argv = [command, "--spec", "20*A1"]
+    if command == "detect":
+        argv += ["--cache-dir", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: root rank exceeds 19; no such stratum\n"
+
+
 # ---------------------------------------------------------------- disc
 
 
@@ -343,6 +354,13 @@ def test_embed_json_with_signature_override(capsys):
     assert doc["sigma"] == [1, 1]
     assert doc["embeds"] is True
     assert doc["clauses"]["clause1"] is True
+
+
+@pytest.mark.parametrize("flag", ["--sigma-plus", "--sigma-minus"])
+def test_embed_rejects_negative_signature(capsys, flag):
+    code, out, err = run(capsys, "embed", "--spec", "A1", flag, "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- autos

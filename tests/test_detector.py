@@ -9,7 +9,7 @@ import realstrata
 from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
-from realstrata.lattices import RootSpec, polarized_disc
+from realstrata.lattices import DiscAutomorphism, RootSpec, polarized_disc
 
 # ------------------------------------------------------------ a-square range
 
@@ -206,3 +206,23 @@ def test_report_trace_rows_use_reason_vocabulary():
         assert row["reason"] in REASONS
         if row["reason"] == "no_kappa":
             assert row["kappa"] is None
+
+
+def test_detect_builds_each_slot_option_once(monkeypatch):
+    # 8*A1 @ 16: 8 fixed A1 slots and 28 swapped pairs with one option each
+    # (+1 and -1 agree mod 2), the h slot with +-1, and the witness rebuilt
+    # as a whole matrix.  Revalidation is skipped (the glued group exceeds
+    # the oracle cutoff), so it builds none.  Materialising all 1,528
+    # involutions would build at least that many.
+    built = []
+    real = DiscAutomorphism.__init__
+
+    def counting(self, form, matrix):
+        built.append(matrix)
+        real(self, form, matrix)
+
+    monkeypatch.setattr(DiscAutomorphism, "__init__", counting)
+    rep = detect(16, "8*A1")
+    assert (rep.verdict, rep.witness_revalidated) == ("witness_found",
+                                                     "skipped_cutoff")
+    assert len(built) == 8 + 28 + 2 + 1

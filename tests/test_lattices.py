@@ -12,10 +12,15 @@ import pytest
 
 from realstrata.fqf import (canon_mod2, cyclic_form, trivial_form, u_block,
                             v_block)
+from realstrata.detector import (check_candidate, detect,
+                                 enumerate_a_squares, kernel_candidates)
+from realstrata.isotropy import subquotient
 from realstrata.lattices import (DiscAutomorphism, RootSpec, binary_autos,
                                  cartan_matrix, disc_involutions,
-                                 disc_of_gram, disc_root,
+                                 disc_of_gram, disc_root, involution_matrices,
                                  maximizing_has_skew, polarized_disc)
+from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
+                                theta_vector)
 from realstrata.oracle import brute_involutions
 
 # ------------------------------------------------------------------ RootSpec
@@ -277,6 +282,66 @@ def test_disc_involutions_subset_of_brute():
         assert eng <= brute
 
 
+# The h sign collapsing mod 2 (A1@2), swapped pairs (2*A1, 3*A2, 2*D4,
+# 2*D6), the D4 triality, odd D, E6, E7, and a component with trivial
+# discriminant (E8).
+FILTER_FORMS = [("A1", 2), ("2*A1", 4), ("3*A2", 4), ("D4", 4), ("2*D4", 4),
+                ("2*D6", 4), ("D5", 4), ("E6", 4), ("E7", 4), ("E8+A1", 4)]
+
+
+def test_kappa_filter_equals_filtering_the_full_list():
+    for spec, h2 in FILTER_FORMS:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        form = pf.form
+        full = [a.matrix for a in disc_involutions(pf)]
+        assert full == involution_matrices(pf), spec
+        for kappa in form.iter_elements():
+            want = [m for a, m in zip(disc_involutions(pf), full)
+                    if a.apply(kappa) == form.neg(kappa)]
+            assert involution_matrices(pf, kappa) == want, (spec, kappa)
+
+
+def _reference_check(pf, cand):
+    """check_candidate as it was before the slot filter: filter the whole
+    sorted involution list by phi(kappa) = -kappa, and test K-membership
+    of (phi (+) -1)(g) - g by an HNF solve."""
+    form = pf.form
+    r = form.rank
+    big = ambient_with_a_block(form, cand.a2)
+    sq = subquotient(big, big.subgroup([theta_vector(form, cand.kappa,
+                                                     cand.n)]))
+    if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
+        return "genus_empty", None
+    cond2 = [phi for phi in disc_involutions(pf)
+             if phi.apply(cand.kappa) == form.neg(cand.kappa)]
+    if not cond2:
+        return "no_involution_cond2", None
+    for phi in cond2:
+        if all(sq.kernel.contains(big.sub(
+                big.reduce(list(phi.apply(g[:r])) + [-g[r]]), g))
+               for g in sq.kperp.gens):
+            return "witness", phi
+    return "no_involution_cond3", None
+
+
+SMOKE = ["A1", "2*A1", "A2", "A3", "D4", "A1+A2", "2*A2", "A4", "A3+A1",
+         "D5", "E6", "3*A1"]
+
+
+def test_smoke_set_statuses_and_witnesses_match_the_full_list():
+    for spec in SMOKE:
+        pf = polarized_disc(RootSpec.parse(spec), 4)
+        first = None
+        for a2 in enumerate_a_squares(pf):
+            for n in (2, 1):
+                for cand in kernel_candidates(pf, a2, n):
+                    got = check_candidate(pf, cand)
+                    assert got == _reference_check(pf, cand), (spec, cand)
+                    if got[0] == "witness" and first is None:
+                        first = {"a2": a2, "n": n, "kappa": list(cand.kappa),
+                                 "phi": [list(row) for row in got[1].matrix]}
+        assert detect(4, spec).witness == first, spec
+
 
 def test_is_involution_agrees_with_applying_twice():
     # 3*A1 @ 4: orders (2, 2, 2, 4); the A1 generators all have q = 3/2,
@@ -360,6 +425,65 @@ def test_decision_checks_run_under_optimize():
         "debug: False",
         "involutions: a symmetry-induced map is not an involution",
         "subquotient: subquotient size mismatch"]
+
+
+def test_slot_checks_run_under_optimize():
+    # Every generated involution is a product of slot maps, each checked
+    # once; a bad slot option must raise from detect and from
+    # disc_involutions, also when python -O strips asserts.  The bad
+    # options sort after the identity, so detect's witness (the identity
+    # on 2*A4) never uses them: only the slot check can catch them.  x -> 2x
+    # does not keep q on A4; a zero swap block has no inverse, so the swap
+    # cannot be completed to an involution.
+    script = textwrap.dedent("""
+        from realstrata import detector, lattices
+        print("debug:", __debug__)
+
+        def options(*scales):
+            return lambda fam, n, k: [
+                [[m if i == j else 0 for j in range(k)] for i in range(k)]
+                for m in scales]
+
+        def run(label):
+            calls = (
+                ("disc_involutions", lambda: lattices.disc_involutions(
+                    lattices.polarized_disc(
+                        lattices.RootSpec.parse("2*A4"), 4))),
+                ("detect", lambda: detector.detect(4, "2*A4")))
+            for name, call in calls:
+                try:
+                    call()
+                    print(label, name, "no error")
+                except (ValueError, AssertionError) as exc:
+                    print(label, name, type(exc).__name__, exc)
+
+        real = lattices._component_fixed_autos
+        lattices._component_fixed_autos = options(1, 2)
+        run("fixed")
+        lattices._component_fixed_autos = real
+        lattices._component_swap_isos = options(1, 2)
+        run("swap")
+        lattices._component_swap_isos = options(1, 0)
+        run("singular-swap")
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    not_q = "ValueError map does not preserve q"
+    not_involution = ("AssertionError a symmetry-induced map is not an "
+                      "involution")
+    assert proc.stdout.splitlines() == [
+        "debug: False",
+        f"fixed disc_involutions {not_q}",
+        f"fixed detect {not_q}",
+        f"swap disc_involutions {not_q}",
+        f"swap detect {not_q}",
+        f"singular-swap disc_involutions {not_involution}",
+        f"singular-swap detect {not_involution}"]
 
 
 # -------------------------------------------------------------- binary_autos
