@@ -4,8 +4,10 @@ polarized K3 models with ADE singularities.
 The package decides, for a polarization square h^2 and a configuration of
 ADE singularities, whether the corresponding stratum contains a real
 representative, by searching for involutive skew-automorphisms acting as
-a sign on the transcendental side.  All arithmetic is exact (integers and
-fractions); no floats enter any decision.
+a sign on the transcendental side.  All arithmetic is exact: the engine
+computes in integers (each form held at the scale of its exponent),
+fractions appear only at the display and JSON boundary and in the
+independent oracle, and no floats enter any decision.
 
 Main entry points:
   detect            -- run the full decision pipeline for one stratum

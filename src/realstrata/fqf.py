@@ -1,4 +1,4 @@
-"""Finite quadratic forms with exact rational arithmetic.
+"""Finite quadratic forms as exact integers at the scale of their exponent.
 
 A finite quadratic form (FQF) is a finite abelian group F presented as a
 product of cyclic groups Z/o_1 x ... x Z/o_r with independent generators,
@@ -12,9 +12,11 @@ A form is stored as integers at the scale N = exponent of F:
 Qn[i] = q(e_i)*N mod 2N and Bn[i][j] = b(e_i, e_j)*N mod N.  Both are exact,
 since o_i q(e_i) and o_i b(e_i, e_j) are integers and o_i divides N.  Every
 evaluation on the engine's paths is integer arithmetic (`eval_qn`,
-`eval_bn`); `fractions.Fraction` appears only at the boundary: the public
-`eval_q`/`eval_b` wrappers, the `q`/`b` tuples used for display and JSON,
-and the rational input of the constructor.  Floating point never appears.
+`eval_bn`), and so are the invariants read from the integer Gram
+(nondegeneracy, `nikulin.det_p`); `fractions.Fraction` appears only at
+the boundary: the public `eval_q`/`eval_b` wrappers, the `q`/`b` tuples
+used for display and JSON, and the rational input of the constructor.
+Floating point never appears.
 Elements of F are tuples of canonical residues (0 <= x_i < o_i).
 """
 
@@ -296,18 +298,7 @@ class FiniteQuadraticForm:
     # ------------------------------------------------------- d sums / parts
 
     def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        n = math.lcm(self.N, other.N)
-        s, t = n // self.N, n // other.N
-        q = [v * s for v in self.Qn] + [v * t for v in other.Qn]
-        b: Dict[Tuple[int, int], int] = {}
-        r = self.rank
-        for i in range(r):
-            for j in range(i + 1, r):
-                b[(i, j)] = self.Bn[i][j] * s
-        for i in range(other.rank):
-            for j in range(i + 1, other.rank):
-                b[(r + i, r + j)] = other.Bn[i][j] * t
-        return FiniteQuadraticForm(self.orders + other.orders, q, b, scale=n)
+        return direct_sum_all([self, other])
 
     def p_part(self, p: int) -> Tuple["FiniteQuadraticForm", List[Element]]:
         """The p-primary part, with the embedding of its generators.
@@ -315,18 +306,22 @@ class FiniteQuadraticForm:
         Returns (form, gens) where gens[i] is the element of self generating
         the i-th cyclic factor of the p-part.
         """
-        idx = [i for i, o in enumerate(self.orders) if o % p == 0]
-        orders = []
-        gens: List[Element] = []
-        for i in idx:
-            o = self.orders[i]
-            pa = p ** _val(o, p)
-            m = o // pa
-            orders.append(pa)
-            vec = [0] * self.rank
-            vec[i] = m
-            gens.append(tuple(vec))
+        orders, gens = self._p_generators(p)
         return self.restricted_form(orders, gens), gens
+
+    def _p_generators(self, p: int) -> Tuple[List[int], List[Element]]:
+        """Orders p^a_i and elements (o_i/p^a_i)*e_i generating the cyclic
+        factors of the p-part, one per generator of order divisible by p."""
+        orders: List[int] = []
+        gens: List[Element] = []
+        for i, o in enumerate(self.orders):
+            if o % p == 0:
+                pa = p ** _val(o, p)
+                orders.append(pa)
+                vec = [0] * self.rank
+                vec[i] = o // pa
+                gens.append(tuple(vec))
+        return orders, gens
 
     def primary_component(self, x: Sequence[int], p: int) -> Element:
         """The p-primary component of x inside self."""
@@ -349,7 +344,7 @@ class FiniteQuadraticForm:
         r = self.rank
         hgens = sub.gens
         if not hgens or r == 0:
-            return self.subgroup([g for g in _identity_gens(self)])
+            return self.subgroup(_identity_gens(self))
         d = self.N
         # Row t: constraint sum_i x_i * (d * b(e_i, h_t)) = 0 mod d.
         rows = [self._pairing_row(h) for h in hgens]
@@ -427,22 +422,21 @@ class FiniteQuadraticForm:
     # ------------------------------------------------------------- internals
 
     def _check_nondegenerate(self) -> None:
-        if self.rank == 0:
+        """b is nondegenerate iff x -> b(x, .) maps F onto its dual
+        prod Z/o_j, read in coordinates o_j*b(., e_j): iff the columns
+        (o_j*Bn[j][i]/N)_j, one per e_i, and o_j*e_j span Z^r."""
+        r, n = self.rank, self.N
+        if r == 0:
             return
-        full = self.subgroup([_e(self, i) for i in range(self.rank)])
-        radical = self.orthogonal_complement(full)
-        if radical.order != 1:
+        rows = [[o * v // n for v in row] + [o * (k == j) for k in range(r)]
+                for j, (o, row) in enumerate(zip(self.orders, self.Bn))]
+        if _intmat.det_lower_triangular(_intmat.hnf_columns(rows)) != 1:
             raise ValueError("degenerate bilinear form (nontrivial radical)")
 
 
-def _e(form: FiniteQuadraticForm, i: int) -> Element:
-    vec = [0] * form.rank
-    vec[i] = 1
-    return tuple(vec)
-
-
 def _identity_gens(form: FiniteQuadraticForm) -> List[Element]:
-    return [_e(form, i) for i in range(form.rank)]
+    r = form.rank
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
 def _cols_to_matrix(cols: List[List[int]], rows: int) -> List[List[int]]:
@@ -552,13 +546,15 @@ def _smith_generators(ambient: FiniteQuadraticForm,
         rel.append(z)
     relmat = _cols_to_matrix(rel, r)
     d, u, v = _intmat.snf(relmat)
-    uinv = _intmat.unimodular_inverse(u)
-    c = _intmat.matmul(b, uinv)
     dd = [d[i][i] for i in range(r)]
     if any(x == 0 for x in dd):
         raise ValueError("quotient is not finite")
     kept = [i for i in range(r) if dd[i] > 1]
-    reps = [ambient.reduce([c[i][j] for i in range(r)]) for j in kept]
+    # The generators are the columns of b u^-1 = inner v d^-1 (from
+    # u rel v = d with b rel = inner): column j of inner v, divided by d_j.
+    c = _intmat.matmul(_cols_to_matrix(inner_cols, r), v)
+    reps = [ambient.reduce([c[i][j] // dd[j] for i in range(r)])
+            for j in kept]
 
     def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
         # c = b u^-1, so c^-1 x = u b^-1 x.
@@ -604,10 +600,19 @@ def v_block(k: int) -> FiniteQuadraticForm:
 
 
 def direct_sum_all(forms: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
-    out = trivial_form()
+    """The orthogonal sum, built once at the lcm of the exponents."""
+    n = math.lcm(*(f.N for f in forms))
+    orders: List[int] = []
+    q: List[int] = []
+    b: Dict[Tuple[int, int], int] = {}
     for f in forms:
-        out = out.direct_sum(f)
-    return out
+        s, base = n // f.N, len(orders)
+        for i in range(f.rank):
+            for j in range(i + 1, f.rank):
+                b[(base + i, base + j)] = f.Bn[i][j] * s
+        orders += f.orders
+        q += [v * s for v in f.Qn]
+    return FiniteQuadraticForm(orders, q, b, scale=n)
 
 
 # ------------------------------------------------- homogeneous decomposition

@@ -9,12 +9,13 @@ p-primary Gram matrix (odd p: modulo squares of p-adic units; p = 2: modulo
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import _intmat
-from .fqf import Element, FiniteQuadraticForm, cyclic_form
+from .fqf import Element, FiniteQuadraticForm, _val, cyclic_form
 
 
 def legendre(a: int, p: int) -> int:
@@ -67,11 +68,10 @@ class SquareClass:
                            self.unit * legendre(n, self.prime), self.even)
 
 
-def unit_square_class(n: Fraction | int, p: int, even: bool = True
+def unit_square_class(n: Rational, p: int, even: bool = True
                       ) -> SquareClass:
-    """Square class of a p-adic unit given as a rational number."""
-    fr = Fraction(n)
-    num, den = fr.numerator, fr.denominator
+    """Square class of a p-adic unit given as an int or a Fraction."""
+    num, den = n.numerator, n.denominator
     if num % p == 0 or den % p == 0:
         raise ValueError("not a p-adic unit")
     if p == 2:
@@ -85,23 +85,20 @@ def det_p(form: FiniteQuadraticForm, p: int) -> SquareClass:
     The Gram matrix of the p-part uses canonical representatives (diagonal:
     q in [0,2); off-diagonal: b in [0,1)); its determinant equals
     unit / |F_p|, and the returned class records p^{v_p(|F_p|)} * unit with
-    the 2-adic grading flag when p = 2.  The determinant is taken of the
-    integer Gram at the scale N of the p-part (Qn on the diagonal, Bn off
-    it), which is N^ell times the rational one.
+    the 2-adic grading flag when p = 2.  With the Gram read at the form's own
+    scale N, unit = det * |F_p| / N^ell = det(Gram_ij * o_j), an integer.
     """
-    fp, _ = form.p_part(p)
-    ell = fp.rank
-    gram = [[fp.Qn[i] if i == j else fp.Bn[i][j] for j in range(ell)]
-            for i in range(ell)]
-    unit = Fraction(_intmat.det(gram) * fp.order, fp.N ** ell)
-    even = fp.is_even_2part() if p == 2 else True
-    val = 0
-    n = fp.order
-    while n % p == 0:
-        n //= p
-        val += 1
-    sc = unit_square_class(unit, p, even)
-    return SquareClass(p, val, sc.unit, even)
+    orders, gens = form._p_generators(p)
+    ell = len(gens)
+    gram = [[form.eval_qn(g) if i == j else form.eval_bn(g, h)
+             for j, h in enumerate(gens)] for i, g in enumerate(gens)]
+    order_p = math.prod(orders)
+    unit, rem = divmod(_intmat.det(gram) * order_p, form.N ** ell)
+    if rem:
+        raise ValueError("det_p: det * |F_p| / N^ell is not an integer")
+    even = form.is_even_2part() if p == 2 else True
+    return SquareClass(p, _val(order_p, p),
+                       unit_square_class(unit, p, even).unit, even)
 
 
 # ------------------------------------------------------- embedding criterion
@@ -113,10 +110,11 @@ def embedding_clauses(sigma_plus: int, sigma_minus: int,
     lattice with invariants (sigma_plus, sigma_minus, form) into the even
     unimodular lattice of signature (3, 19).
 
-    Keys: "clause1" (signature and length bounds), "clause2:<p>" for each odd
-    prime dividing |form| (vacuously True below the length threshold), and
-    "clause3" (the 2-adic threshold condition, vacuously True when below the
-    threshold or when the 2-part is odd).
+    Keys, in insertion order: "clause1" (signature and length bounds),
+    "clause2:<p>" for each odd prime dividing |form| in ascending order
+    (vacuously True below the length threshold), and "clause3" (the 2-adic
+    threshold condition, vacuously True when below the threshold or when
+    the 2-part is odd).
     """
     rk = sigma_plus + sigma_minus
     size = form.order
@@ -155,14 +153,8 @@ def embeds_into_big_L(sigma_plus: int, sigma_minus: int,
     """Decide primitive embeddability into the even unimodular (3, 19)
     lattice; on failure the reason names the first failing clause."""
     clauses = embedding_clauses(sigma_plus, sigma_minus, form)
-    order = ["clause1"]
-    order += sorted((k for k in clauses if k.startswith("clause2:")),
-                    key=lambda k: int(k.split(":")[1]))
-    order += ["clause3"]
-    for key in order:
-        if not clauses[key]:
-            return False, key
-    return True, None
+    failed = next((key for key, ok in clauses.items() if not ok), None)
+    return failed is None, failed
 
 
 # ------------------------------------------------------- gluing ambient

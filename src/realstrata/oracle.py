@@ -315,10 +315,6 @@ def _poly_mul(a: List[int], b: List[int], m: int) -> List[int]:
     return out
 
 
-def _poly_scale(a: List[int], c: int) -> List[int]:
-    return [c * ai for ai in a]
-
-
 def _poly_sub(a: List[int], b: List[int]) -> List[int]:
     return [ai - bi for ai, bi in zip(a, b)]
 

@@ -1,12 +1,16 @@
 """Finite quadratic forms: constructors, canonicalization, evaluation,
 substructures, decomposition, and serialization."""
+import ast
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realstrata import fqf
 from realstrata.fqf import (FiniteQuadraticForm, canon_mod1, canon_mod2,
                             cyclic_form, direct_sum_all, display_rep,
                             factorint, homogeneous_decomposition,
@@ -152,6 +156,92 @@ def test_nondegeneracy_enforced():
     with pytest.raises(ValueError):
         # b identically zero on a 2-group: radical is everything
         FiniteQuadraticForm((2, 2), (Fraction(0), Fraction(0)), {})
+
+
+def _random_form_data(rng):
+    """Valid integer data (orders, Qn, b, N) at the scale N = lcm(orders),
+    degenerate or not: q(e_i) = k/o_i with o_i*k even, and
+    b(e_i, e_j) = m/gcd(o_i, o_j)."""
+    orders = [rng.choice((2, 3, 4, 6, 8, 9, 12))
+              for _ in range(rng.randint(1, 4))]
+    n = math.lcm(*orders)
+    qn = []
+    for o in orders:
+        k = rng.randrange(2 * o)
+        qn.append((k - k % 2 if o % 2 else k) * (n // o))
+    b = {}
+    for i, oi in enumerate(orders):
+        for j in range(i + 1, len(orders)):
+            g = math.gcd(oi, orders[j])
+            b[(i, j)] = rng.randrange(g) * (n // g)
+    return orders, qn, b, n
+
+
+def test_nondegeneracy_check_matches_radical(monkeypatch):
+    # Reference: the radical as the orthogonal complement of the whole
+    # group, computed on the same data with the constructor check off.
+    rng = random.Random(5150)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1000):
+        orders, qn, b, n = _random_form_data(rng)
+        try:
+            FiniteQuadraticForm(orders, qn, b, scale=n)
+            raised = False
+        except ValueError as exc:
+            assert "degenerate" in str(exc)
+            raised = True
+        with monkeypatch.context() as m:
+            m.setattr(FiniteQuadraticForm, "_check_nondegenerate",
+                      lambda self: None)
+            unchecked = FiniteQuadraticForm(orders, qn, b, scale=n)
+        full = unchecked.subgroup(
+            [tuple(int(i == j) for j in range(len(orders)))
+             for i in range(len(orders))])
+        radical = unchecked.orthogonal_complement(full)
+        assert raised == (radical.order != 1), (orders, qn, b)
+        outcomes[raised] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_direct_sum_all_matches_pairwise_sums():
+    parts = [cyclic_form(1, 2), cyclic_form(2, 9), u_block(2),
+             cyclic_form(-7, 8), cyclic_form(2, 5)]
+    whole = direct_sum_all(parts)
+    assert whole.N == 360
+    folded = trivial_form()
+    for f in parts:
+        # one rescaling per step: the last summand's Bn/Qn at its lcm
+        n = math.lcm(folded.N, f.N)
+        folded = FiniteQuadraticForm(
+            folded.orders + f.orders,
+            [v * (n // folded.N) for v in folded.Qn]
+            + [v * (n // f.N) for v in f.Qn],
+            {**{(i, j): folded.Bn[i][j] * (n // folded.N)
+                for i in range(folded.rank)
+                for j in range(i + 1, folded.rank)},
+             **{(folded.rank + i, folded.rank + j): f.Bn[i][j] * (n // f.N)
+                for i in range(f.rank) for j in range(i + 1, f.rank)}},
+            scale=n)
+    assert (whole.orders, whole.Qn, whole.Bn) == \
+        (folded.orders, folded.Qn, folded.Bn)
+    assert u_block(1).direct_sum(cyclic_form(2, 3)) == \
+        direct_sum_all([u_block(1), cyclic_form(2, 3)])
+
+
+def test_tracer_fqf_methods_exist():
+    # perfbench/tracer.py wraps these methods by name, through
+    # vars(cls)[method]; a missing one stops `perfbench/run.py --trace 1`.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(path.read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and any(getattr(t, "id", None) == "FQF_METHODS"
+                        for t in n.targets))
+    methods = ast.literal_eval(node.value)
+    assert methods
+    for cls_name, names in methods.items():
+        cls = getattr(fqf, cls_name)
+        for name in names:
+            assert name in vars(cls), f"{cls_name}.{name}"
 
 
 # ------------------------------------------------- homogeneous decomposition

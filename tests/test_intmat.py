@@ -153,10 +153,10 @@ def test_snf_property(a):
 
 
 def test_integer_modules_do_not_import_fractions():
-    # The K-perp/K path is integer-only; Fraction stays at the boundary
-    # (fqf's rational input and display, nikulin.unit_square_class) and in
-    # the oracle, which keeps its own arithmetic on purpose.
-    for name in ("_intmat", "isotropy", "lattices", "detector"):
+    # The K-perp/K path and the genus step are integer-only; Fraction stays
+    # at fqf's boundary (rational input, display and JSON) and in the
+    # oracle, which keeps its own arithmetic on purpose.
+    for name in ("_intmat", "isotropy", "lattices", "detector", "nikulin"):
         module = importlib.import_module(f"realstrata.{name}")
         tree = ast.parse(Path(module.__file__).read_text())
         imported = set()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from realstrata._intmat import det
 from realstrata.detector import (KernelCandidate, check_candidate,
                                  kernel_candidates)
 from realstrata.fqf import (cyclic_form, direct_sum_all, trivial_form,
@@ -14,6 +15,8 @@ from realstrata.lattices import RootSpec, polarized_disc
 from realstrata.nikulin import (SquareClass, ambient_with_a_block, det_p,
                                 embedding_clauses, embeds_into_big_L,
                                 legendre, theta_vector, unit_square_class)
+
+from _corpus import corpus
 
 # ----------------------------------------------------------- square classes
 
@@ -104,6 +107,33 @@ def test_det_p_cyclic_reproduces_numerator_class():
         assert sc.same_class(SquareClass(2, 1, m % 8, False))
 
 
+def _det_p_from_p_part(form, p):
+    """The class read from the standalone p-part form's integer Gram at its
+    own scale N_p: unit = det * |F_p| / N_p^ell."""
+    fp, _ = form.p_part(p)
+    ell = fp.rank
+    gram = [[fp.Qn[i] if i == j else fp.Bn[i][j] for j in range(ell)]
+            for i in range(ell)]
+    unit = Fraction(det(gram) * fp.order, fp.N ** ell)
+    even = fp.is_even_2part() if p == 2 else True
+    val, n = 0, fp.order
+    while n % p == 0:
+        n //= p
+        val += 1
+    return SquareClass(p, val, unit_square_class(unit, p, even).unit, even)
+
+
+def test_det_p_matches_p_part_gram():
+    # The corpus forms have prime-power generator orders; the composite
+    # cyclic forms make the p-part generators proper multiples of e_i.
+    composite = [cyclic_form(1, 6), cyclic_form(5, 12), cyclic_form(2, 15),
+                 cyclic_form(4, 45), cyclic_form(7, 24).direct_sum(u_block(1))]
+    forms = [item.form for item in corpus()] + composite
+    for form in forms:
+        for p in form.primes():
+            assert det_p(form, p) == _det_p_from_p_part(form, p), (form, p)
+
+
 # ------------------------------------------------------- embedding criterion
 
 
@@ -144,6 +174,22 @@ def test_embeds_clause3_two_adic_determinant():
     # odd 2-part at the threshold: clause vacuous
     odd = cyclic_form(-1, 2).direct_sum(cyclic_form(1, 2))
     assert embeds_into_big_L(2, 18, odd) == (True, None)
+
+
+def test_embeds_reason_is_first_failing_clause_on_corpus():
+    # Reference rule: clause1, then clause2:p by ascending p, then clause3.
+    seen = set()
+    for item in corpus():
+        for sp, sm in ((2, 19), (2, 18), (1, 18), (3, 15)):
+            clauses = embedding_clauses(sp, sm, item.form)
+            order = (["clause1"]
+                     + sorted((k for k in clauses if k.startswith("clause2:")),
+                              key=lambda k: int(k.split(":")[1]))
+                     + ["clause3"])
+            want = next((k for k in order if not clauses[k]), None)
+            assert embeds_into_big_L(sp, sm, item.form) == (want is None, want)
+            seen.add(want)
+    assert {None, "clause1", "clause2:3", "clause3"} <= seen, seen
 
 
 def test_embeds_below_threshold_vacuous():
