@@ -8,9 +8,9 @@ configuration contain a real surface?  The pipeline it runs:
      discriminant with order a^2/n and q(kappa) = -n^2/a^2 mod 2Z;
   3. build K-perp/K once and test whether a lattice with that glued
      discriminant exists at all (p-adic genus conditions);
-  4. search the symmetry-induced involutions phi with phi(kappa) = -kappa
-     (only those are generated) for one that induces the identity on
-     K-perp/K.
+  4. look for a symmetry-induced involution phi with phi(kappa) = -kappa
+     that induces the identity on K-perp/K; both conditions say where phi
+     sends given elements, and only the phi meeting them are generated.
 
 check_candidate runs stages 3 and 4 for one candidate and names the first
 stage that excludes it.

@@ -82,8 +82,9 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> IntMatrix:
         if col[pivot_row] < 0:
             col = [-x for x in col]
         basis.append(col)
-        # Drop columns that are now zero everywhere at or below pivot_row.
-        work = [c for c in work if any(c[i] for i in range(pivot_row + 1, rows))]
+        # Drop columns that are now zero: every column left in work is
+        # zero in all rows up to pivot_row.
+        work = [c for c in work if any(c)]
     # Reduce off-diagonal entries: for each later basis vector, reduce earlier
     # vectors' entries in its pivot row.
     for j in range(rows):

@@ -22,13 +22,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       checked_involution, involution_matrices,
+                       _live_classes, checked_involution, involution_matrices,
                        maximizing_has_skew, polarized_disc,
                        require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
@@ -124,8 +123,11 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     lattice with signature (2, rank_S); ("witness", phi) for the first
     symmetry-induced involution, in sorted matrix order, with phi(kappa) =
     -kappa inducing the identity on K-perp/K; else
-    ("no_involution_cond2"|"no_involution_cond3", None).  Only the
-    involutions negating kappa are generated; the witness is rebuilt as a
+    ("no_involution_cond2"|"no_involution_cond3", None).  Both
+    conditions are pairs (x, phi(x)) checked slot by slot: cond2 only asks
+    whether some slot matching negates kappa and builds no matrix; cond3
+    asks involution_matrices for the phi that also send each K-perp
+    generator where it must go, and the first is the witness, rebuilt as a
     whole matrix and checked again.
     """
     form = pf.form
@@ -137,8 +139,8 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
                                                      cand.n)]))
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
         return "genus_empty", None
-    cond2 = involution_matrices(pf, cand.kappa)
-    if not cond2:
+    negate = [(cand.kappa, form.neg(cand.kappa))]
+    if _live_classes(pf, negate) is None:
         return "no_involution_cond2", None
     # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in
     # K = <kappa (+) n alpha> iff that is t*n mod a2 and its disc part is
@@ -151,12 +153,9 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
             return "no_involution_cond3", None
         wanted.append((g, tuple((gi + t * ki) % o for gi, ki, o
                                 in zip(g, cand.kappa, form.orders))))
-    for phi in cond2:
-        # zip stops each row sum at the disc part of g.
-        if all(tuple(sum(map(mul, row, g)) % o
-                     for row, o in zip(phi, form.orders)) == image
-               for g, image in wanted):
-            return "witness", checked_involution(form, phi)
+    found = involution_matrices(pf, negate + wanted)
+    if found:
+        return "witness", checked_involution(form, found[0])
     return "no_involution_cond3", None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from math import prod
+from math import isqrt, prod
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -305,10 +305,6 @@ class DiscAutomorphism:
         return f"DiscAutomorphism({self.matrix})"
 
 
-def _unit(r: int, j: int) -> Element:
-    return tuple(1 if i == j else 0 for i in range(r))
-
-
 def _identity_matrix(k: int) -> List[List[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
@@ -356,21 +352,11 @@ def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
 
 
 Block = Tuple[Tuple[int, ...], ...]
-Entries = Tuple[Tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
-class _Slot:
-    """One block of a symmetry-induced involution: a fixed component
-    (src == dst), a swapped pair of equal components, or the h generator.
-
-    Each option is (block, entries): block maps the generators starting at
-    src onto those starting at dst, and entries lists the nonzero (row,
-    column, value) entries of the whole slot map, which for a pair also
-    holds the inverse block back from dst to src."""
-    src: int
-    dst: int
-    options: Tuple[Tuple[Block, Entries], ...]
+# A slot option as sparse rows: for every coordinate the slot owns, its
+# nonzero (column, value) entries.
+Rows = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
+Options = Tuple[Rows, ...]
+Pairs = Sequence[Tuple[Sequence[int], Sequence[int]]]
 
 
 _NOT_AN_INVOLUTION = "a symmetry-induced map is not an involution"
@@ -388,41 +374,45 @@ def checked_involution(form: FiniteQuadraticForm,
 
 
 def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int, k: int,
-                  blocks: List[List[List[int]]]) -> _Slot:
-    """Deduplicate the blocks mod the orders and check each slot map once,
-    placed in an identity matrix.  A pair block without an inverse cannot
-    be completed to an involution and raises."""
+                  blocks: List[List[List[int]]]) -> Options:
+    """The options of one block of a symmetry-induced involution: a fixed
+    component (src == dst), a swapped pair of equal components, or the h
+    generator.  Each block maps the generators starting at src onto those
+    starting at dst; for a pair its inverse maps them back.  The blocks are
+    deduplicated mod the orders and each slot map is checked once, placed
+    in an identity matrix.  A pair block without an inverse cannot be
+    completed to an involution and raises."""
     orders = form.orders[dst:dst + k]
-    coords = set(range(src, src + k)) | set(range(dst, dst + k))
-    options = []
+    options: List[Rows] = []
     for raw in blocks:
-        block = tuple(tuple(v % o for v in row) for row, o in zip(raw, orders))
-        if any(block == seen for seen, _ in options):
-            continue
-        entries = [(dst + i, src + j, v) for i, row in enumerate(block)
-                   for j, v in enumerate(row) if v]
+        block = [[v % o for v in row] for row, o in zip(raw, orders)]
+        parts = [(dst, src, block)]
         if src != dst:
             inv = _invert_mod_orders(block, orders)
             if inv is None:
                 raise AssertionError(_NOT_AN_INVOLUTION)
-            entries += [(src + i, dst + j, v) for i, row in enumerate(inv)
-                        for j, v in enumerate(row) if v]
+            parts.append((src, dst, inv))
+        rows = tuple((to + i, tuple((fro + j, v) for j, v in enumerate(row)
+                                    if v))
+                     for to, fro, part in parts for i, row in enumerate(part))
+        if rows in options:
+            continue
         mat = _identity_matrix(form.rank)
-        for i in coords:
+        for i, row in rows:
             mat[i][i] = 0
-        for i, j, v in entries:
-            mat[i][j] = v
+            for j, v in row:
+                mat[i][j] = v
         checked_involution(form, mat)
-        options.append((block, tuple(entries)))
-    return _Slot(src, dst, tuple(options))
+        options.append(rows)
+    return tuple(options)
 
 
 def _slot_table(pf: PolarizedForm
-                ) -> List[Tuple[List[object], Dict[object, _Slot],
-                                Dict[Tuple[object, object], _Slot]]]:
-    """Per class of equal components: its indices, the slot of each fixed
-    component and of each pair.  The h generator is a class of its own,
-    tagged "h".  Built and checked once per polarized form."""
+                ) -> List[Tuple[List[object], Dict[object, Options],
+                                Dict[Tuple[object, object], Options]]]:
+    """Per class of equal components: its indices, the slot options of
+    each fixed component and of each pair.  The h generator is a class of
+    its own, tagged "h".  Built and checked once per polarized form."""
     cached = pf._cache.get("slots")
     if cached is not None:
         return cached
@@ -451,9 +441,9 @@ def _slot_table(pf: PolarizedForm
     return table
 
 
-def _matchings(items: List[object], fixed: Dict[object, List[Entries]],
-               pairs: Dict[Tuple[object, object], List[Entries]]
-               ) -> Iterator[List[List[Entries]]]:
+def _matchings(items: List[object], fixed: Dict[object, List[Rows]],
+               pairs: Dict[Tuple[object, object], List[Rows]]
+               ) -> Iterator[List[List[Rows]]]:
     """Every partition of items into fixed points and unordered pairs whose
     slots all have an option left, as the list of those option lists."""
     if not items:
@@ -469,7 +459,7 @@ def _matchings(items: List[object], fixed: Dict[object, List[Entries]],
                 yield [pairs[first, other]] + sub
 
 
-def _slot_choices(classes) -> Iterator[List[List[Entries]]]:
+def _slot_choices(classes) -> Iterator[List[List[Rows]]]:
     """One matching per class, in every combination."""
     if not classes:
         yield []
@@ -479,41 +469,54 @@ def _slot_choices(classes) -> Iterator[List[List[Entries]]]:
             yield head + tail
 
 
+def _live_classes(pf: PolarizedForm, pairs: Pairs) -> Optional[list]:
+    """The slot table with only the options that send x to y for every
+    (x, y) in pairs, or None when some class has no matching left, so that
+    no symmetry-induced involution does.
+
+    A slot map acts on its own coordinates only, so phi(x) = y iff every
+    chosen option sends x's part on its source coordinates to y's part on
+    its destination coordinates (and back again, for a swapped pair).
+    Classes act on disjoint coordinates, so a matching in each class
+    combines with any matching in the others."""
+    orders = pf.form.orders
+
+    def live(options: Options) -> List[Rows]:
+        return [rows for rows in options
+                if all((sum(v * x[j] for j, v in row) - y[i]) % orders[i] == 0
+                       for x, y in pairs for i, row in rows)]
+
+    classes = [(idxs, {c: live(s) for c, s in fixed.items()},
+                {cd: live(s) for cd, s in swaps.items()})
+               for idxs, fixed, swaps in _slot_table(pf)]
+    if any(next(_matchings(*cls), None) is None for cls in classes):
+        return None
+    return classes
+
+
 _INVOLUTION_CAP = 2_000_000
 
 
-def involution_matrices(pf: PolarizedForm,
-                        kappa: Optional[Sequence[int]] = None) -> List[Block]:
-    """The symmetry-induced involutions of the polarized discriminant, as
-    reduced matrices, deduplicated and sorted; with kappa, only those with
-    phi(kappa) = -kappa.
+def involution_matrices(pf: PolarizedForm, pairs: Pairs = ()) -> List[Block]:
+    """The symmetry-induced involutions phi of the polarized discriminant
+    with phi(x) = y for every (x, y) in pairs, as reduced matrices,
+    deduplicated and sorted.  x may be longer than the form's rank; only
+    its first rank coordinates are read.
 
     Each involution is a product of slot maps (a diagram symmetry of a
     fixed component, an identification of a swapped pair of equal
     components, a sign on h).  Slot maps act on disjoint blocks, so they
     commute, and a product of checked involutive isometries is one again.
-    phi(kappa) = -kappa splits by slot too: a slot's block must send
-    kappa's src part to minus its dst part, so options are filtered before
-    the product is taken.
+    The pairs are checked slot by slot (see _live_classes) before any
+    product is taken.
 
     Raises RuntimeError when one call would generate more than ~2e6
     matrices.
     """
-    form = pf.form
-    orders = form.orders
-
-    def live(slot: _Slot) -> List[Entries]:
-        if kappa is None:
-            return [entries for _, entries in slot.options]
-        return [entries for block, entries in slot.options
-                if all((sum(map(mul, row, kappa[slot.src:]))
-                        + kappa[slot.dst + i]) % orders[slot.dst + i] == 0
-                       for i, row in enumerate(block))]
-
-    classes = [(idxs, {c: live(s) for c, s in fixed.items()},
-                {cd: live(s) for cd, s in pairs.items()})
-               for idxs, fixed, pairs in _slot_table(pf)]
-    r = form.rank
+    classes = _live_classes(pf, pairs)
+    if classes is None:
+        return []
+    r = pf.form.rank
     out = set()
     count = 0
     for lists in _slot_choices(classes):
@@ -522,29 +525,26 @@ def involution_matrices(pf: PolarizedForm,
             raise RuntimeError(
                 "involution enumeration exceeds the generation cap")
         for choice in product(*lists):
-            rows = [[0] * r for _ in range(r)]
-            for entries in choice:
-                for i, j, v in entries:
-                    rows[i][j] = v
-            out.add(tuple(map(tuple, rows)))
+            mat = [[0] * r for _ in range(r)]
+            for rows in choice:
+                for i, row in rows:
+                    for j, v in row:
+                        mat[i][j] = v
+            out.add(tuple(map(tuple, mat)))
     return sorted(out)
 
 
 def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     """All involutions of the polarized discriminant induced by diagram
     symmetries, label-preserving component permutations, and the sign on the
-    polarization block: the unfiltered view of involution_matrices, each
-    matrix rebuilt as a validated DiscAutomorphism.  Deduplicated and sorted
-    by matrix entries.
+    polarization block: involution_matrices with no pairs, each matrix
+    rebuilt as a validated DiscAutomorphism.  Deduplicated and sorted by
+    matrix entries.
 
-    Raises RuntimeError when a call would generate more than ~2e6 matrices
-    (the cap counts matrices generated per call; the list is cached on pf).
+    Raises RuntimeError when the call would generate more than ~2e6
+    matrices.
     """
-    cached = pf._cache.get("involutions")
-    if cached is None:
-        cached = pf._cache["involutions"] = [
-            DiscAutomorphism(pf.form, m) for m in involution_matrices(pf)]
-    return cached
+    return [DiscAutomorphism(pf.form, m) for m in involution_matrices(pf)]
 
 
 def _invert_mod_orders(m: Sequence[Sequence[int]], orders: Sequence[int]
@@ -580,8 +580,8 @@ def binary_autos(gram: Sequence[Sequence[int]]) -> List[List[List[int]]]:
 
     def vectors_of_norm(t: int) -> List[Tuple[int, int]]:
         out = []
-        xmax = _isqrt(t * d // det) + 1
-        ymax = _isqrt(t * a // det) + 1
+        xmax = isqrt(t * d // det) + 1
+        ymax = isqrt(t * a // det) + 1
         for x in range(-xmax, xmax + 1):
             for y in range(-ymax, ymax + 1):
                 if a * x * x + 2 * b * x * y + d * y * y == t:
@@ -605,16 +605,17 @@ def binary_autos(gram: Sequence[Sequence[int]]) -> List[List[List[int]]]:
     return autos
 
 
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(max(n, 0))
-
-
 def maximizing_has_skew(tgram: Sequence[Sequence[int]],
                         pf: PolarizedForm) -> bool:
     """Rank-19 dispatch: does some determinant -1 isometry of the rank-2
     positive lattice T act, through an anti-isometry of discriminants, as a
     symmetry-induced involution of the polarized discriminant?
+
+    For a reflection rho and an anti-isometry psi, sigma = psi rho psi^-1
+    sends psi(t_i) to psi(rho t_i) for the generators t_i of disc T.  These
+    images determine sigma, since the psi(t_i) generate the polarized
+    discriminant, so sigma is symmetry-induced iff some symmetry-induced
+    involution sends each psi(t_i) there.
 
     Raises ValueError when disc T is not anti-isometric to the polarized
     discriminant.
@@ -631,15 +632,17 @@ def maximizing_has_skew(tgram: Sequence[Sequence[int]],
         raise ValueError(
             "discriminant of T is not anti-isometric to the polarized "
             "discriminant")
-    invol_set = {auto.matrix for auto in disc_involutions(pf)}
     reflections = [m for m in binary_autos(tgram)
                    if m[0][0] * m[1][1] - m[0][1] * m[1][0] == -1]
     for refl in reflections:
         assert refl[0][0] + refl[1][1] == 0, "det -1 must be a reflection"
         rho = _induced_on_disc(gd, refl)
         for psi in psis:
-            sigma = _conjugate(disc_t, disc_s, psi, rho)
-            if sigma is not None and sigma in invol_set:
+            # Column i of rho is rho(t_i) in disc T coordinates.
+            pairs = [(img, tuple(sum(map(mul, col, row)) % o
+                                 for row, o in zip(zip(*psi), disc_s.orders)))
+                     for img, col in zip(psi, zip(*rho))]
+            if _live_classes(pf, pairs) is not None:
                 return True
     return False
 
@@ -694,38 +697,3 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
 
     extend([])
     return results
-
-
-def _conjugate(disc_t: FiniteQuadraticForm, disc_s: FiniteQuadraticForm,
-               psi: List[Element], rho: List[List[int]]
-               ) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """The matrix of psi rho psi^{-1} on disc_s generators, as a reduced
-    tuple matrix (None if the generators fail to resolve, which cannot
-    happen for genuine isomorphisms)."""
-    r_s = disc_s.rank
-    r_t = disc_t.rank
-    psi_cols = [list(img) for img in psi]
-
-    def psi_apply(tvec: Sequence[int]) -> Element:
-        out = disc_s.zero()
-        for c, img in zip(tvec, psi):
-            if c:
-                out = disc_s.add(out, disc_s.smul(c, img))
-        return out
-
-    cols = []
-    for kgen in range(r_s):
-        target = _unit(r_s, kgen)
-        coeff = _intmat.solve_mod_orders(psi_cols, list(disc_s.orders),
-                                         list(target))
-        if coeff is None:
-            return None
-        image = disc_s.zero()
-        for i, c in enumerate(coeff):
-            if c % disc_t.orders[i]:
-                rho_gi = tuple(rho[t][i] % disc_t.orders[t]
-                               for t in range(r_t))
-                image = disc_s.add(image,
-                                   disc_s.smul(c, psi_apply(rho_gi)))
-        cols.append(image)
-    return tuple(tuple(cols[j][i] for j in range(r_s)) for i in range(r_s))

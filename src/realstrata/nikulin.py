@@ -90,8 +90,13 @@ def det_p(form: FiniteQuadraticForm, p: int) -> SquareClass:
     """
     orders, gens = form._p_generators(p)
     ell = len(gens)
-    gram = [[form.eval_qn(g) if i == j else form.eval_bn(g, h)
-             for j, h in enumerate(gens)] for i, g in enumerate(gens)]
+    # Each generator is m * e_k, so its entries are read off Qn and Bn.
+    coords = [next((k, m) for k, m in enumerate(g) if m) for g in gens]
+    n = form.N
+    gram = [[m * m * form.Qn[k] % (2 * n) if i == j
+             else m * m2 * form.Bn[k][k2] % n
+             for j, (k2, m2) in enumerate(coords)]
+            for i, (k, m) in enumerate(coords)]
     order_p = math.prod(orders)
     unit, rem = divmod(_intmat.det(gram) * order_p, form.N ** ell)
     if rem:

@@ -261,7 +261,7 @@ def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
 
 
 def test_involution_cap_is_one_line_error(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 10)
+    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 0)
     code, out, err = run(capsys, "detect", "--spec", "4*A1",
                          "--cache-dir", str(tmp_path))
     assert code == 2
@@ -272,14 +272,14 @@ def test_involution_cap_is_one_line_error(capsys, tmp_path, monkeypatch):
 
 def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path,
                                                   monkeypatch):
-    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 10)
+    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 0)
     listing = tmp_path / "strata.txt"
-    listing.write_text("4*A1\nA1\n")
+    listing.write_text("4*A1\nD7+A6+A3+A2\n")
     code, out, err = run(capsys, "batch", str(listing),
                          "--cache-dir", str(tmp_path / "cache"))
     assert code == 1
-    assert out.splitlines() == ["A1: witness_found",
-                                "batch: 1 strata  witness_found=1  "
+    assert out.splitlines() == ["D7+A6+A3+A2: none_exists",
+                                "batch: 1 strata  none_exists=1  "
                                 "errors=1"]
     assert err.startswith("4*A1: error: involution enumeration exceeds")
 

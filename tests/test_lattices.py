@@ -1,6 +1,7 @@
 """Root specs, Cartan matrices, discriminants of ADE lattices, polarized
 forms, symmetry-induced involutions, and rank-2 isometry groups."""
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,15 +11,18 @@ from pathlib import Path
 
 import pytest
 
+from realstrata._intmat import solve_mod_orders
 from realstrata.fqf import (canon_mod2, cyclic_form, trivial_form, u_block,
                             v_block)
 from realstrata.detector import (check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
 from realstrata.isotropy import subquotient
-from realstrata.lattices import (DiscAutomorphism, RootSpec, binary_autos,
-                                 cartan_matrix, disc_involutions,
-                                 disc_of_gram, disc_root, involution_matrices,
-                                 maximizing_has_skew, polarized_disc)
+from realstrata.lattices import (DiscAutomorphism, RootSpec,
+                                 _anti_isometries, _induced_on_disc,
+                                 binary_autos, cartan_matrix,
+                                 disc_involutions, disc_of_gram, disc_root,
+                                 involution_matrices, maximizing_has_skew,
+                                 polarized_disc)
 from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import brute_involutions
@@ -298,8 +302,32 @@ def test_kappa_filter_equals_filtering_the_full_list():
         for kappa in form.iter_elements():
             want = [m for a, m in zip(disc_involutions(pf), full)
                     if a.apply(kappa) == form.neg(kappa)]
-            assert involution_matrices(pf, kappa) == want, (spec, kappa)
+            assert involution_matrices(
+                pf, [(kappa, form.neg(kappa))]) == want, (spec, kappa)
 
+
+
+def test_pair_filter_equals_filtering_the_full_list():
+    # phi(x) = y for y = x, -x and x + kappa, one pair at a time and all
+    # at once, and (kappa, -kappa) together with (x, x + kappa).  x may
+    # carry trailing coordinates past the rank, like a K-perp generator.
+    rng = random.Random(20240)
+    for spec, h2 in FILTER_FORMS:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        form = pf.form
+        full = disc_involutions(pf)
+        elems = sorted(form.iter_elements())
+        for _ in range(12):
+            x, kappa = rng.choice(elems), rng.choice(elems)
+            shifted = form.add(x, kappa)
+            queries = [[(x, x)], [(x, form.neg(x))], [(x, shifted)],
+                       [(kappa, form.neg(kappa)), (x + (1,), shifted)],
+                       [(x, x), (kappa, form.neg(kappa)), (x, shifted)]]
+            for pairs in queries:
+                want = [a.matrix for a in full
+                        if all(a.apply(u[:form.rank]) == v
+                               for u, v in pairs)]
+                assert involution_matrices(pf, pairs) == want, (spec, pairs)
 
 def _reference_check(pf, cand):
     """check_candidate as it was before the slot filter: filter the whole
@@ -329,7 +357,9 @@ SMOKE = ["A1", "2*A1", "A2", "A3", "D4", "A1+A2", "2*A2", "A4", "A3+A1",
 
 
 def test_smoke_set_statuses_and_witnesses_match_the_full_list():
-    for spec in SMOKE:
+    # Beyond the smoke set: inverse blocks of swapped pairs (2*D4, 3*A2,
+    # 2*D6, E6+2*A3) and the D4 triality in cond3.
+    for spec in SMOKE + ["2*D4", "3*A2", "2*D6", "E6+2*A3"]:
         pf = polarized_disc(RootSpec.parse(spec), 4)
         first = None
         for a2 in enumerate_a_squares(pf):
@@ -540,3 +570,75 @@ def test_maximizing_has_skew_rejects_mismatched_disc():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     with pytest.raises(ValueError):
         maximizing_has_skew(((2, 0), (0, 4)), pf)
+
+
+def _reference_has_skew(tgram, pf):
+    """maximizing_has_skew as it was before the pair filter: conjugate each
+    reflection of T through each anti-isometry psi into a matrix on the
+    polarized discriminant, and look it up in the full involution list."""
+    gd = disc_of_gram([list(row) for row in tgram])
+    disc_t, disc_s = gd.form, pf.form
+    invol_set = {auto.matrix for auto in disc_involutions(pf)}
+    for refl in binary_autos(tgram):
+        if refl[0][0] * refl[1][1] - refl[0][1] * refl[1][0] != -1:
+            continue
+        rho = _induced_on_disc(gd, refl)
+        for psi in _anti_isometries(disc_t, disc_s):
+            sigma = _conjugate(disc_t, disc_s, psi, rho)
+            if sigma is not None and sigma in invol_set:
+                return True
+    return False
+
+
+def _conjugate(disc_t, disc_s, psi, rho):
+    """The matrix of psi rho psi^-1 on the disc_s generators."""
+    r_s, r_t = disc_s.rank, disc_t.rank
+
+    def psi_apply(tvec):
+        out = disc_s.zero()
+        for c, img in zip(tvec, psi):
+            if c:
+                out = disc_s.add(out, disc_s.smul(c, img))
+        return out
+
+    cols = []
+    for kgen in range(r_s):
+        target = [1 if i == kgen else 0 for i in range(r_s)]
+        coeff = solve_mod_orders([list(img) for img in psi],
+                                 list(disc_s.orders), target)
+        if coeff is None:
+            return None
+        image = disc_s.zero()
+        for i, c in enumerate(coeff):
+            if c % disc_t.orders[i]:
+                rho_gi = tuple(rho[t][i] % disc_t.orders[t]
+                               for t in range(r_t))
+                image = disc_s.add(image, disc_s.smul(c, psi_apply(rho_gi)))
+        cols.append(image)
+    return tuple(tuple(cols[j][i] for j in range(r_s)) for i in range(r_s))
+
+
+def test_maximizing_has_skew_matches_conjugating_into_the_full_list():
+    cases = [("A10+D9", 2, (4, 0, 22), True), ("A1+A2", 4, (4, 0, 6), True),
+             ("A3", 2, (2, 0, 4), True), ("A11+E8", 2, (4, 0, 6), False),
+             ("A4+E7", 2, (4, 2, 6), False), ("D5+E6", 8, (8, 0, 12), False),
+             ("A6+D5", 2, (6, 2, 10), False)]
+    for spec, h2, (a, b, d), expected in cases:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        tgram = ((a, b), (b, d))
+        assert _reference_has_skew(tgram, pf) is expected, spec
+        assert maximizing_has_skew(tgram, pf) is expected, spec
+
+
+def test_involution_cap_spares_the_filtered_queries(monkeypatch):
+    # The unfiltered lists of 10*A1 @ 4 and 8*A1 @ 16 are far above 64
+    # matrices; the cond3 queries of their searches are not.
+    def report(h2, spec):
+        out = detect(h2, spec).to_json_dict()
+        del out["wall_time_ms"], out["generated_at"]
+        return out
+
+    plain = {key: report(*key) for key in ((4, "10*A1"), (16, "8*A1"))}
+    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 64)
+    for key, want in plain.items():
+        assert report(*key) == want, key
