@@ -1,10 +1,13 @@
-"""Exact integer matrix algebra: HNF, SNF, kernels, determinants, inverses.
+"""Exact integer matrix algebra: HNF, SNF, determinants, inverses, solves.
 
 All routines operate on lists of lists of Python ints (arbitrary precision) and
-are deterministic.  Matrices are small (a dozen rows at most in this package),
-so clarity wins over asymptotics; the algorithms are the classical
-elimination ones in integer arithmetic throughout: inverses come from the
-Smith form, determinants from Bareiss elimination.
+are deterministic.  Matrices are small (a few dozen rows at most in this
+package), so clarity wins over asymptotics; the algorithms are the classical
+elimination ones in integer arithmetic throughout.  Kernels and solves
+modulo orders are one Hermite form of the system stacked on an identity
+(Cohen 1993, section 2.4); Smith forms are taken only where a Smith
+presentation or a unimodular inverse is read; determinants come from
+Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -204,17 +207,6 @@ def snf_diagonal(a: Sequence[Sequence[int]]) -> List[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Integer kernel {x : a @ x = 0}: returns a list of basis column vectors."""
-    if not a or not a[0]:
-        cols = len(a[0]) if a else 0
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    d, _, v = snf(a)
-    rows, cols = len(a), len(a[0])
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
 def unimodular_inverse(a: Sequence[Sequence[int]]) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix (det = +-1): snf gives
     u a v = I, so a^-1 = v u.  Raises ValueError for any other matrix."""
@@ -251,29 +243,19 @@ def solve_mod_orders(gens: Sequence[Sequence[int]], orders: Sequence[int],
                      target: Sequence[int]) -> List[int] | None:
     """Find integer coefficients c with sum_t c[t] * gens[t] = target modulo
     the given coordinate orders, or None.  gens[t] and target are coordinate
-    vectors of length len(orders)."""
-    r = len(orders)
-    s = len(gens)
-    if r == 0:
-        return [0] * s
-    # Solve [G | diag(orders)] z = target over the integers:
-    # row i = [g_0[i], ..., g_{s-1}[i], 0 ... orders[i] ... 0].
-    a = []
-    for i in range(r):
-        row = [gens[t][i] for t in range(s)]
-        row += [orders[i] if j == i else 0 for j in range(r)]
-        a.append(row)
-    d, u, v = snf(a)
-    tb = matvec(u, list(target))
-    z = [0] * (s + r)
-    for i in range(r):
-        di = d[i][i]
-        if di == 0:
-            if tb[i]:
-                return None
-            continue
-        if tb[i] % di:
-            return None
-        z[i] = tb[i] // di
-    sol = matvec(v, z)
-    return sol[:s]
+    vectors of length len(orders).
+
+    The columns of [[G, diag(orders)], [I_s, 0]] (G has the gens as columns)
+    span the vectors (G c + diag(orders) y, c).  Their lower-triangular HNF
+    H spans the reachable first parts with its top-left r x r block, so the
+    target is reachable iff that block solves H11 z = target, and then
+    c = H21 z with H21 the lower-left s x r block."""
+    r, s = len(orders), len(gens)
+    a = [[g[i] for g in gens] + [o if j == i else 0 for j in range(r)]
+         for i, o in enumerate(orders)]
+    a += [[int(j == t) for j in range(s)] + [0] * r for t in range(s)]
+    h = hnf_columns(a)
+    z = hnf_solve([row[:r] for row in h[:r]], target)
+    if z is None:
+        return None
+    return [sum(x * y for x, y in zip(row, z)) for row in h[r:]]

@@ -340,26 +340,22 @@ class FiniteQuadraticForm:
         return Subgroup(self, [self.reduce(g) for g in gens])
 
     def orthogonal_complement(self, sub: "Subgroup") -> "Subgroup":
-        """The subgroup {x : b(x, h) = 0 for all h in sub}."""
-        r = self.rank
-        hgens = sub.gens
-        if not hgens or r == 0:
-            return self.subgroup(_identity_gens(self))
-        d = self.N
-        # Row t: constraint sum_i x_i * (d * b(e_i, h_t)) = 0 mod d.
-        rows = [self._pairing_row(h) for h in hgens]
+        """The subgroup {x : b(x, h) = 0 for all h in sub}.
+
+        Row t of B is the pairing row of the t-th generator h_t of sub, so
+        K-perp is the lattice {x : B x = 0 mod N}.  Its vectors are the
+        lower parts of the columns (B x + N y, x) with zero upper part.  The
+        HNF of [[B, N*I_k], [I_r, 0]] pivots the k constraint rows first, so
+        its lower-right r x r block is the canonical HNF basis of K-perp
+        (Cohen 1993, section 2.4)."""
+        r, n = self.rank, self.N
+        rows = [self._pairing_row(h) for h in sub.gens]
         k = len(rows)
-        # Kernel of [B | d*I] gives solutions (x, y) of Bx + dy = 0.
-        a = [rows[t] + [d if s == t else 0 for s in range(k)] for t in range(k)]
-        kernel = _intmat.kernel_basis(a)
-        cols = [[v[i] for i in range(r)] for v in kernel]
-        for i in range(r):
-            col = [0] * r
-            col[i] = self.orders[i]
-            cols.append(col)
-        h = _intmat.hnf_columns(_cols_to_matrix(cols, r))
-        basis = [self.reduce([h[i][j] for i in range(r)]) for j in range(r)]
-        return Subgroup(self, [x for x in basis if any(x)], _lattice=h)
+        a = [row + [n if s == t else 0 for s in range(k)]
+             for t, row in enumerate(rows)]
+        a += [[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
+        h = _intmat.hnf_columns(a)
+        return Subgroup(self, (), _lattice=[row[k:] for row in h[k:]])
 
     def smith_presentation(self, sub: "Subgroup") -> "QuotientPresentation":
         """Smith presentation of the subgroup itself (quotient by nothing)."""
@@ -439,10 +435,6 @@ def _identity_gens(form: FiniteQuadraticForm) -> List[Element]:
     return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
-def _cols_to_matrix(cols: List[List[int]], rows: int) -> List[List[int]]:
-    return [[col[i] for col in cols] for i in range(rows)]
-
-
 # ------------------------------------------------------------------ subgroup
 
 
@@ -461,7 +453,7 @@ class Subgroup:
                 col = [0] * r
                 col[i] = ambient.orders[i]
                 cols.append(col)
-            _lattice = _intmat.hnf_columns(_cols_to_matrix(cols, r)) if r else []
+            _lattice = _intmat.hnf_columns(_intmat.transpose(cols)) if r else []
         self.lattice = _lattice  # r x r lower-triangular HNF basis
         basis = [ambient.reduce([_lattice[i][j] for i in range(r)])
                  for j in range(r)]
@@ -544,7 +536,7 @@ def _smith_generators(ambient: FiniteQuadraticForm,
         if z is None:
             raise ValueError("inner lattice not contained in outer lattice")
         rel.append(z)
-    relmat = _cols_to_matrix(rel, r)
+    relmat = _intmat.transpose(rel)
     d, u, v = _intmat.snf(relmat)
     dd = [d[i][i] for i in range(r)]
     if any(x == 0 for x in dd):
@@ -552,7 +544,7 @@ def _smith_generators(ambient: FiniteQuadraticForm,
     kept = [i for i in range(r) if dd[i] > 1]
     # The generators are the columns of b u^-1 = inner v d^-1 (from
     # u rel v = d with b rel = inner): column j of inner v, divided by d_j.
-    c = _intmat.matmul(_cols_to_matrix(inner_cols, r), v)
+    c = _intmat.matmul(_intmat.transpose(inner_cols), v)
     reps = [ambient.reduce([c[i][j] // dd[j] for i in range(r)])
             for j in kept]
 

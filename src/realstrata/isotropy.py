@@ -9,13 +9,12 @@ representative the presentation of K-perp/K yields, one per coset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat
-from .fqf import (Element, FiniteQuadraticForm, HomogeneousBlock, Subgroup,
-                  homogeneous_decomposition, _smith_generators)
+from .fqf import (Element, FiniteQuadraticForm, Subgroup,
+                  homogeneous_decomposition, _smith_generators, _val)
 
 
 def is_isotropic(form: FiniteQuadraticForm, sub: Subgroup) -> bool:
@@ -47,14 +46,6 @@ class Subquotient:
     kernel: Subgroup
     to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
 
-    def push_automorphism(self, apply_amb: Callable[[Sequence[int]], Element]
-                          ) -> List[List[int]]:
-        """Matrix (columns = generator images) induced on the quotient by an
-        ambient map that preserves K-perp and K."""
-        cols = [self.to_coords(apply_amb(rep)) for rep in self.reps]
-        r = len(self.reps)
-        return [[cols[j][i] for j in range(r)] for i in range(r)]
-
 
 def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
     """Compute K-perp/K for an isotropic subgroup K.
@@ -71,8 +62,8 @@ def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
     r = form.rank
     if r == 0:
         return Subquotient(form, [], kperp, kernel, lambda x: ())
-    inner_cols = [[kernel.lattice[i][j] for i in range(r)] for j in range(r)]
-    pres = _smith_generators(form, kperp.lattice, inner_cols)
+    pres = _smith_generators(form, kperp.lattice,
+                             _intmat.transpose(kernel.lattice))
     expected = form.order // (kernel.order * kernel.order)
     got = 1
     for d in pres.orders:
@@ -151,11 +142,11 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
     blocks: List[SplitBlock] = []
     while any(coeffs):
         active = [(t, c) for t, c in enumerate(coeffs) if c]
-        r_s = min(_val2(c) for _, c in active)
+        r_s = min(_val(c, 2) for _, c in active)
         layer_val = {}
         for t, c in active:
             lvl = family[t][0]
-            v = _val2(c)
+            v = _val(c, 2)
             layer_val[lvl] = min(layer_val.get(lvl, v), v)
         n = max(lvl for lvl, v in layer_val.items() if v == r_s)
         m_s = n - r_s
@@ -208,14 +199,6 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
     return SplitDecomposition(form, kappa, blocks, base_form, base_gens)
 
 
-def _val2(c: int) -> int:
-    v = 0
-    while c % 2 == 0:
-        c //= 2
-        v += 1
-    return v
-
-
 # ------------------------------------------------------- case classification
 
 
@@ -262,7 +245,7 @@ def classify_gluing_case(form: FiniteQuadraticForm, kappa: Sequence[int],
                                       list(form.orders), list(k2_amb))
     assert coords is not None
     kappa2 = form2.reduce(coords)
-    m_derived = _val2(form2.order_of(kappa2))
+    m_derived = _val(form2.order_of(kappa2), 2)
     if m is not None and m != m_derived:
         raise ValueError(
             "gluing vector's 2-part has order 2^%d, not 2^%d"

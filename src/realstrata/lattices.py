@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
-                  display_rep, factorint, trivial_form)
+                  trivial_form)
 
 # --------------------------------------------------------------- root specs
 
@@ -155,23 +155,6 @@ def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
     return GramDisc(form, gen_duals, to_coords)
 
 
-def _crt_split_generators(form: FiniteQuadraticForm
-                          ) -> Tuple[List[int], List[Element]]:
-    """Split each generator into prime-power pieces (descending prime).
-    Returns (orders, elements-of-form)."""
-    orders: List[int] = []
-    gens: List[Element] = []
-    for i, o in enumerate(form.orders):
-        fact = sorted(factorint(o).items(), reverse=True)
-        for p, a in fact:
-            pa = p ** a
-            vec = [0] * form.rank
-            vec[i] = o // pa
-            orders.append(pa)
-            gens.append(tuple(vec))
-    return orders, gens
-
-
 def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
     """Discriminant form of the negative definite ADE root lattice, with
     generators split into prime-power cyclic pieces (descending prime within
@@ -190,7 +173,14 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
             spinors = spinors[:2]
         assert len(spinors) == 2
         return base.restricted_form([2, 2], spinors)
-    orders, gens = _crt_split_generators(base)
+    # Every other base is cyclic, so splitting prime by prime (descending)
+    # splits its one generator into prime-power pieces.
+    orders: List[int] = []
+    gens: List[Element] = []
+    for p in reversed(base.primes()):
+        p_orders, p_gens = base._p_generators(p)
+        orders += p_orders
+        gens += p_gens
     if not orders:
         return trivial_form()
     return base.restricted_form(orders, gens)
@@ -305,14 +295,6 @@ class DiscAutomorphism:
         return f"DiscAutomorphism({self.matrix})"
 
 
-def _identity_matrix(k: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _neg_identity(k: int) -> List[List[int]]:
-    return [[-1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 _D4_S3 = [
     [[1, 0], [0, 1]],
     [[0, 1], [1, 0]],
@@ -326,11 +308,12 @@ _D4_S3 = [
 def _component_fixed_autos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     """Involutive diagram-automorphism images on a fixed component's disc
     generators (k of them)."""
-    out = [_identity_matrix(k), _neg_identity(k)]
+    ident = _intmat.identity(k)
+    out = [ident, [[-v for v in row] for row in ident]]
     if fam == "D" and n == 4:
         out = [m for m in _D4_S3 if _is_involutive_2x2_mod2(m)]
     elif fam == "D" and n % 2 == 0:
-        out = [_identity_matrix(2), [[0, 1], [1, 0]]]
+        out = [_intmat.identity(2), [[0, 1], [1, 0]]]
     return out
 
 
@@ -343,11 +326,12 @@ def _is_involutive_2x2_mod2(m: List[List[int]]) -> bool:
 def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     """Diagram-automorphism images usable as the identification map of a
     swapped pair of equal components (need not be involutive)."""
-    out = [_identity_matrix(k), _neg_identity(k)]
+    ident = _intmat.identity(k)
+    out = [ident, [[-v for v in row] for row in ident]]
     if fam == "D" and n == 4:
         out = list(_D4_S3)
     elif fam == "D" and n % 2 == 0:
-        out = [_identity_matrix(2), [[0, 1], [1, 0]]]
+        out = [_intmat.identity(2), [[0, 1], [1, 0]]]
     return out
 
 
@@ -397,7 +381,7 @@ def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int, k: int,
                      for to, fro, part in parts for i, row in enumerate(part))
         if rows in options:
             continue
-        mat = _identity_matrix(form.rank)
+        mat = _intmat.identity(form.rank)
         for i, row in rows:
             mat[i][i] = 0
             for j, v in row:

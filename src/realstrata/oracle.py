@@ -255,15 +255,20 @@ def expected_killed_by(orders: Sequence[int]) -> Dict[int, int]:
     return out
 
 
-def _checked_subquotient(form: FiniteQuadraticForm,
-                         kernel_gens: Sequence[Element], cutoff: int
-                         ) -> Tuple[Subquotient, BruteQuotient]:
-    """The engine's K-perp/K and the brute one, after checking that the
-    engine's coordinate map f, read on coset reps, is a q-preserving
-    isomorphism: f is injective between groups of the same order, keeps q,
-    and f(x + g_j) = f(x) + e_j for every coset x and every generator e_j
-    with rep g_j.  The e_j span the engine's group, so the g_j span the
-    brute one and f is additive.  b then agrees by polarization,
+def verify_subquotient_presentation(form: FiniteQuadraticForm,
+                                    kernel_gens: Sequence[Element],
+                                    cutoff: int = ORACLE_CUTOFF
+                                    ) -> Tuple[Subquotient, BruteQuotient]:
+    """Cross-check the engine's K-perp/K presentation against the brute
+    coset construction and return both (the engine's Subquotient, then the
+    BruteQuotient).  Raises OracleMismatch on any disagreement.
+
+    The checks: same group order and invariant factors, and the engine's
+    coordinate map f, read on coset reps, is a q-preserving isomorphism: f
+    is injective between groups of the same order, keeps q, and
+    f(x + g_j) = f(x) + e_j for every coset x and every generator e_j with
+    rep g_j.  The e_j span the engine's group, so the g_j span the brute
+    one and f is additive.  b then agrees by polarization,
     2 b(x, y) = q(x + y) - q(x) - q(y) mod 2."""
     brute = brute_subquotient(form, kernel_gens, cutoff)
     sq = subquotient(form, form.subgroup(list(kernel_gens)))
@@ -287,17 +292,6 @@ def _checked_subquotient(form: FiniteQuadraticForm,
                      == qform.add(coords[rep], unit),
                      "to_coords is not additive")
     return sq, brute
-
-
-def verify_subquotient_presentation(form: FiniteQuadraticForm,
-                                    kernel_gens: Sequence[Element],
-                                    cutoff: int = ORACLE_CUTOFF) -> bool:
-    """Cross-check the engine's K-perp/K presentation against the brute
-    coset construction: same group invariants, and the engine's coordinate
-    map is a q-preserving isomorphism on the brute cosets (so b agrees too).
-    Raises OracleMismatch on any disagreement."""
-    _checked_subquotient(form, kernel_gens, cutoff)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +452,7 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     _require(big.order_of(theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 
-    sq, brute = _checked_subquotient(big, [theta], cutoff)
+    sq, brute = verify_subquotient_presentation(big, [theta], cutoff)
     _require(len(brute.assigned) * (cand.a2 // cand.n) == big.order,
              "K-perp has the wrong size")
     r = form.rank

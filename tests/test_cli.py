@@ -70,6 +70,25 @@ def test_rank_over_19_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("case", ["batch-file", "json-path", "cache-dir"])
+def test_io_error_exits_2_with_one_line(capsys, tmp_path, case):
+    # An I/O error is a usage error (exit 2), not a batch error (exit 1),
+    # and it reads as one error line, not a traceback.
+    missing = tmp_path / "missing"
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    argv = {
+        "batch-file": ["batch", str(missing), "--cache-dir", str(tmp_path)],
+        "json-path": ["disc", "--spec", "A1",
+                      "--json", str(missing / "out.json")],
+        "cache-dir": ["detect", "--spec", "A1", "--cache-dir", str(regular)],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["disc", "embed", "autos", "detect"])
 def test_every_spec_subcommand_rejects_rank_over_19(capsys, tmp_path,
                                                     command):

@@ -1,5 +1,6 @@
 """End-to-end decision engine: candidate enumeration, witness search,
 verdicts, conclusiveness bases, and report shape."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -197,6 +198,25 @@ def test_report_json_matches_schema_keys():
     assert doc["disc"]["tags"] == [0, "h"]
     round_trip = json.loads(rep.to_json())
     assert round_trip == json.loads(json.dumps(doc))
+
+
+def test_detect_matches_benchmark_reference_digests():
+    # perfbench/reference.json freezes the decision content of every
+    # stratum the benchmark runs.  The digest is taken as the benchmark
+    # takes it: sha256 of verdict, basis, witness and trace, dumped with
+    # sorted keys and compact separators.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["strata"]
+    assert reference
+    for name, want in reference.items():
+        spec, h2 = name.rsplit("@", 1)
+        doc = detect(int(h2), spec).to_json_dict()
+        content = {k: doc[k] for k in
+                   ("verdict", "conclusiveness_basis", "witness", "trace")}
+        text = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        assert doc["verdict"] == want["verdict"], name
+        assert hashlib.sha256(text.encode()).hexdigest() == want["digest"], \
+            name
 
 
 def test_report_trace_rows_use_reason_vocabulary():

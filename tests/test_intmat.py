@@ -1,9 +1,10 @@
-"""Integer matrix algebra: HNF/SNF/kernel/inverse/determinant/solve
+"""Integer matrix algebra: HNF/SNF/inverse/determinant/solve
 invariants, and the integer-only boundary of the hot-path modules."""
 import ast
 import importlib
+import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -108,15 +109,6 @@ def test_snf_random_battery():
             assert det == _leibniz_det(a)
 
 
-def test_kernel_basis():
-    a = [[1, 2, 3]]
-    ker = im.kernel_basis(a)
-    assert len(ker) == 2
-    for vec in ker:
-        assert im.matvec(a, vec) == [0]
-    assert im.kernel_basis([[1, 0], [0, 1]]) == []
-
-
 def test_unimodular_inverse_rejects_non_unimodular():
     with pytest.raises(ValueError):
         im.unimodular_inverse([[2, 0], [0, 1]])
@@ -143,6 +135,33 @@ def test_solve_mod_orders():
     assert acc == [3, 1]
     # unreachable target
     assert im.solve_mod_orders([[2, 0]], [4, 2], [1, 0]) is None
+
+
+def test_solve_mod_orders_random_battery():
+    # Against a brute search over c in [0, lcm(orders))^s, which covers
+    # every residue class of solutions.  Entries and targets may be
+    # negative; s = 0 (no generators) and r = 0 (no coordinates) occur.
+    rng = random.Random(20240611)
+    seen = {"solved": 0, "unsolvable": 0, "no_gens": 0}
+    for _ in range(600):
+        r, s = rng.randrange(3), rng.randrange(3)
+        orders = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(r)]
+        gens = [[rng.randrange(-12, 13) for _ in range(r)] for _ in range(s)]
+        target = [rng.randrange(-12, 13) for _ in range(r)]
+
+        def hits(c):
+            return all((sum(ct * g[i] for ct, g in zip(c, gens)) - target[i])
+                       % o == 0 for i, o in enumerate(orders))
+
+        span = math.lcm(*orders) if orders else 1
+        exists = any(hits(c) for c in product(range(span), repeat=s))
+        sol = im.solve_mod_orders(gens, orders, target)
+        assert (sol is not None) == exists, (gens, orders, target)
+        if sol is not None:
+            assert len(sol) == s and hits(sol)
+        seen["solved" if exists else "unsolvable"] += 1
+        seen["no_gens"] += s == 0
+    assert min(seen.values()) >= 50, seen
 
 
 @settings(max_examples=60, deadline=None)

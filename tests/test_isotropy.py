@@ -66,14 +66,6 @@ def test_subquotient_rejects_non_isotropic():
         subquotient(half, half.subgroup([(1,)]))
 
 
-def test_push_automorphism_negation():
-    u4 = u_block(2)
-    sq = subquotient(u4, u4.subgroup([(2, 0)]))
-    mat = sq.push_automorphism(lambda x: u4.neg(x))
-    # -id on a 2-torsion quotient is the identity matrix
-    assert mat == [[1, 0], [0, 1]]
-
-
 # ---------------------------------------------------------- split_off_cyclic
 
 

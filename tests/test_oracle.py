@@ -164,7 +164,7 @@ def test_verify_subquotient_presentation_on_candidates():
         for cand in kernel_candidates(pf, a2, n):
             big = ambient_with_a_block(pf.form, cand.a2)
             theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
-            assert verify_subquotient_presentation(big, [theta]) is True
+            assert verify_subquotient_presentation(big, [theta])
 
 
 def test_presentation_rejects_swapped_cosets(monkeypatch):
@@ -183,7 +183,7 @@ def test_presentation_rejects_swapped_cosets(monkeypatch):
         sq.to_coords = lambda v: swap[v] if v in swap else plain(v)
         return sq
 
-    assert verify_subquotient_presentation(form, []) is True
+    assert verify_subquotient_presentation(form, [])
     monkeypatch.setattr(oracle, "subquotient", swapped)
     with pytest.raises(OracleMismatch, match="not additive"):
         verify_subquotient_presentation(form, [])

@@ -8,6 +8,7 @@ machinery.  Hypothesis adds free-form block combinations on top.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -173,6 +174,24 @@ def test_integer_core_matches_fraction_definition():
         for form in derived:
             failures += _integer_core_failures(form)
     assert failures == []
+
+
+def test_orthogonal_complement_is_the_brute_annihilator():
+    # For a random subgroup of every corpus form, generated by 0 to 3
+    # random elements, K-perp must be exactly {x : b(x, h) = 0 for every
+    # chosen generator h}, read off all elements of the form.
+    rng = random.Random(SEED)
+    checked = 0
+    for idx, item in enumerate(corpus()):
+        form = item.form
+        elements = list(form.iter_elements())
+        gens = rng.sample(elements, min(idx % 4, len(elements)))
+        want = {x for x in elements
+                if all(form.eval_b(x, h) == 0 for h in gens)}
+        perp = form.orthogonal_complement(form.subgroup(gens))
+        assert set(perp.elements()) == want, (idx, gens)
+        checked += 1
+    assert checked == len(corpus())
 
 
 # ------------------------------------------------------------- hypothesis
