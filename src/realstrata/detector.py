@@ -22,12 +22,14 @@ import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       _live_classes, checked_involution, involution_matrices,
+                       _component_orbit_minima, _live_classes,
+                       checked_involution, involution_matrices,
                        maximizing_has_skew, polarized_disc,
                        require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
@@ -70,7 +72,9 @@ def _elements_of_order(pf: PolarizedForm, order: int
 
     Walks the order-torsion only: coordinate by coordinate, x_i runs over
     the multiples of o_i / gcd(o_i, order), and a prefix is dropped once
-    the coordinates left cannot lift its order to `order`."""
+    the coordinates left cannot lift its order to `order`.  q*N is carried
+    down the walk from the zero element: with x zero from coordinate i on,
+    q(x + v e_i) = q(x) + v^2 q(e_i) + 2 v b(x, e_i)."""
     buckets = pf._cache.get(("order", order))
     if buckets is not None:
         return buckets
@@ -84,18 +88,25 @@ def _elements_of_order(pf: PolarizedForm, order: int
     for i in reversed(range(r)):
         reach[i] = math.lcm(math.gcd(form.orders[i], order), reach[i + 1])
     buckets = pf._cache[("order", order)] = {}
+    two_n = 2 * form.N
 
-    def walk(x: Element, x_order: int) -> None:
+    def walk(x: Element, x_order: int, qn: int) -> None:
         i = len(x)
-        if i == r:
-            buckets.setdefault(form.eval_qn(x), []).append(x)
-            return
+        q_i = form.Qn[i]
+        b_i = 2 * sum(map(mul, x, form.Bn[i]))
         for v, v_order in values[i]:
             lcm = math.lcm(x_order, v_order)
-            if math.lcm(lcm, reach[i + 1]) == order:
-                walk(x + (v,), lcm)
+            if math.lcm(lcm, reach[i + 1]) != order:
+                continue
+            y, y_qn = x + (v,), (qn + v * (v * q_i + b_i)) % two_n
+            if i + 1 < r:
+                walk(y, lcm, y_qn)
+            else:
+                buckets.setdefault(y_qn, []).append(y)
 
-    walk((), 1)
+    # The start value is eval_qn at the zero element, so every bucket
+    # rests on the form's own evaluator.
+    walk((), 1, form.eval_qn(form.zero()))
     return buckets
 
 
@@ -159,20 +170,74 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     return "no_involution_cond3", None
 
 
+def _orbit_table(pf: PolarizedForm
+                 ) -> List[Tuple[List[Tuple[int, int]], Dict[Element, Element]]]:
+    """Per class of equal components: the coordinate slices of its
+    components and the orbit minimum of every block under the component's
+    diagram automorphisms.  Built once per polarized form."""
+    table = pf._cache.get("orbits")
+    if table is None:
+        classes: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+        for comp, cut in zip(pf.spec.components, pf.comp_slices):
+            classes.setdefault(comp, []).append(cut)
+        table = pf._cache["orbits"] = [
+            (cuts, _component_orbit_minima(*comp,
+                                           pf.form.orders[slice(*cuts[0])]))
+            for comp, cuts in classes.items()]
+    return table
+
+
+def _orbit_key(pf: PolarizedForm, kappa: Element) -> tuple:
+    """The same for kappa and g*kappa, for every g in the symmetry group G,
+    and different for kappas in different G-orbits: per class of equal
+    components the sorted block minima, then min(h, -h) on the h
+    coordinate."""
+    h = kappa[-1]
+    return (tuple(tuple(sorted(minima[kappa[lo:hi]] for lo, hi in cuts))
+                  for cuts, minima in _orbit_table(pf)),
+            min(h, -h % pf.form.orders[-1]))
+
+
 def _search(pf: PolarizedForm, trace: List[dict]
             ) -> Optional[Tuple[KernelCandidate, DiscAutomorphism]]:
     """Walk the gluing data in engine order, appending one trace row per
-    excluded candidate (or empty (a2, n) pair); return the first witness."""
+    excluded candidate (or empty (a2, n) pair); return the first witness.
+
+    Only the first kappa of each orbit of the symmetry group G is decided;
+    every later kappa of the orbit gets its row from that status.  G is
+    generated by the diagram automorphisms of each component (their images
+    on its discriminant: +-1, the spinor swap of D_even, S3 on D4), the
+    permutations of equal components and the sign on h; _orbit_key names
+    the orbits.  This is sound because, for every g in G:
+
+    * g is an isometry of the polarized discriminant, so g (+) id sends
+      K = <kappa (+) n alpha> to <g kappa (+) n alpha> with an isometric
+      K-perp/K, and the genus verdict is the same;
+    * the symmetry-induced involutions are closed under conjugation by G
+      (a conjugated slot map is a slot map), and g (+) id commutes with
+      id (+) -1.  So phi(kappa) = -kappa iff (g phi g^-1)(g kappa) =
+      -g kappa, and phi (+) -1 is the identity on K-perp/K iff
+      g phi g^-1 (+) -1 is the identity on its image under g (+) id.
+
+    So status(g kappa) = status(kappa).  Nothing before a witnessed
+    orbit's first kappa is a witness, so the witness (kappa, phi) is the
+    one a kappa-by-kappa walk finds.
+    """
     for a2 in enumerate_a_squares(pf):
         for n in (2, 1):
             cands = kernel_candidates(pf, a2, n)
             if not cands:
                 trace.append({"a2": a2, "n": n, "kappa": None,
                               "reason": "no_kappa"})
+            decided: Dict[tuple, str] = {}
             for cand in cands:
-                status, phi = check_candidate(pf, cand)
-                if status == "witness":
-                    return cand, phi
+                key = _orbit_key(pf, cand.kappa)
+                status = decided.get(key)
+                if status is None:
+                    status, phi = check_candidate(pf, cand)
+                    if status == "witness":
+                        return cand, phi
+                    decided[key] = status
                 trace.append({"a2": a2, "n": n, "kappa": list(cand.kappa),
                               "reason": status})
     return None

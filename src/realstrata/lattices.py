@@ -335,6 +335,17 @@ def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     return out
 
 
+def _component_orbit_minima(fam: str, n: int, orders: Sequence[int]
+                            ) -> Dict[Element, Element]:
+    """Every element of one component's discriminant (generator orders
+    `orders`), mapped to the least of its images under the diagram
+    automorphisms: _component_swap_isos lists all of them, a group."""
+    autos = _component_swap_isos(fam, n, len(orders))
+    return {x: min(tuple(sum(map(mul, row, x)) % o
+                         for row, o in zip(m, orders)) for m in autos)
+            for x in product(*map(range, orders))}
+
+
 Block = Tuple[Tuple[int, ...], ...]
 # A slot option as sparse rows: for every coordinate the slot owns, its
 # nonzero (column, value) entries.

@@ -2,15 +2,22 @@
 verdicts, conclusiveness bases, and report shape."""
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import realstrata
+from realstrata import detector
 from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
-from realstrata.lattices import DiscAutomorphism, RootSpec, polarized_disc
+from realstrata.lattices import (DiscAutomorphism, RootSpec,
+                                 _component_swap_isos, polarized_disc)
+from realstrata.oracle import OracleMismatch
+
+from test_acceptance import (GOLDEN_A7, GOLDEN_D7, GOLDEN_SEXTIC, REASONS_A7,
+                             REASONS_SEXTIC, reason_map)
 
 # ------------------------------------------------------------ a-square range
 
@@ -211,12 +218,36 @@ def test_detect_matches_benchmark_reference_digests():
     for name, want in reference.items():
         spec, h2 = name.rsplit("@", 1)
         doc = detect(int(h2), spec).to_json_dict()
-        content = {k: doc[k] for k in
-                   ("verdict", "conclusiveness_basis", "witness", "trace")}
-        text = json.dumps(content, sort_keys=True, separators=(",", ":"))
         assert doc["verdict"] == want["verdict"], name
-        assert hashlib.sha256(text.encode()).hexdigest() == want["digest"], \
-            name
+        assert _decision_digest(doc) == want["digest"], name
+
+
+def _decision_digest(doc: dict) -> str:
+    """sha256 of verdict, basis, witness and trace, dumped with sorted keys
+    and compact separators, as perfbench/run.py takes it."""
+    content = {k: doc[k] for k in
+               ("verdict", "conclusiveness_basis", "witness", "trace")}
+    text = json.dumps(content, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Frozen before candidates were decided once per symmetry orbit.
+BIG_TRACES = {
+    "11*A1": ("inconclusive", 3107, "9964440a0832fc71f456f4b0e714dbed"
+                                    "3d8d8fddf3502f5921b1c22fc90dd455"),
+    "10*A1+D8": ("none_exists", 6211, "959a4516dad423cc7e38cef196d4640c"
+                                      "764cdd0c25ba16206df5411d10d09bd5"),
+    "7*A1+A7+D4": ("none_exists", 3651, "8145483a9217490850af834fbbfa98a8"
+                                        "169a7e41670cea76c40681eb8c5e6655"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BIG_TRACES))
+def test_big_quartic_traces_are_unchanged(spec):
+    verdict, rows, digest = BIG_TRACES[spec]
+    doc = detect(4, spec).to_json_dict()
+    assert (doc["verdict"], len(doc["trace"])) == (verdict, rows)
+    assert _decision_digest(doc) == digest
 
 
 def test_report_trace_rows_use_reason_vocabulary():
@@ -246,3 +277,153 @@ def test_detect_builds_each_slot_option_once(monkeypatch):
     assert (rep.verdict, rep.witness_revalidated) == ("witness_found",
                                                      "skipped_cutoff")
     assert len(built) == 8 + 28 + 2 + 1
+
+
+# ------------------------------------------------------------ kappa orbits
+
+ORBIT_STRATA = [(GOLDEN_D7, 4), (GOLDEN_A7, 4), (GOLDEN_SEXTIC, 2),
+                ("3*D4", 4), ("2*D4+A3", 4), ("2*D6+A2", 4), ("2*E6+A3", 4),
+                ("3*A3+D5", 4), ("2*A5+A4", 2), ("4*A2+D4", 4),
+                ("2*A3+2*A2", 8), ("2*D5+A4", 4), ("2*E7+A2", 4),
+                ("D8+2*A4", 4), ("3*A4", 6)]
+
+
+def _symmetry_group_action(pf):
+    """The symmetry group G as its parts: per class of equal components,
+    their coordinate slices and the automorphism images of one of them
+    (the swap list, which is the whole group).  Written here from the
+    spec, independent of the engine's orbit key."""
+    classes = {}
+    for comp, cut in zip(pf.spec.components, pf.comp_slices):
+        classes.setdefault(comp, []).append(cut)
+    return [(cuts, _component_swap_isos(*comp, cuts[0][1] - cuts[0][0]))
+            for comp, cuts in classes.items()]
+
+
+def _act(pf, parts, moves, sign, kappa):
+    """g*kappa for g given per class by (permutation, one automorphism per
+    component) and a sign on h: the block of component c, moved by its
+    automorphism, lands on component perm[c]."""
+    orders = pf.form.orders
+    out = list(kappa)
+    for (cuts, _autos), (perm, mats) in zip(parts, moves):
+        for c, (lo, hi) in enumerate(cuts):
+            block = kappa[lo:hi]
+            dst = cuts[perm[c]][0]
+            for i, row in enumerate(mats[c]):
+                out[dst + i] = sum(v * x for v, x in zip(row, block)) \
+                    % orders[dst + i]
+    out[-1] = sign * kappa[-1] % orders[-1]
+    return tuple(out)
+
+
+def _identity_moves(parts):
+    # The first automorphism listed is the identity.
+    return [(list(range(len(cuts))), [autos[0]] * len(cuts))
+            for cuts, autos in parts]
+
+
+def _random_move(rng, parts):
+    moves = []
+    for cuts, autos in parts:
+        perm = list(range(len(cuts)))
+        rng.shuffle(perm)
+        moves.append((perm, [rng.choice(autos) for _ in cuts]))
+    return moves, rng.choice((1, -1))
+
+
+def _generators(parts):
+    """Generators of G as (moves, sign): -1 on h, each automorphism on the
+    first component of a class, and each adjacent swap within a class."""
+    gens = [(_identity_moves(parts), -1)]
+    for k, (cuts, autos) in enumerate(parts):
+        for m in autos[1:]:
+            moves = _identity_moves(parts)
+            moves[k][1][0] = m
+            gens.append((moves, 1))
+        for c in range(len(cuts) - 1):
+            moves = _identity_moves(parts)
+            perm = moves[k][0]
+            perm[c], perm[c + 1] = perm[c + 1], perm[c]
+            gens.append((moves, 1))
+    return gens
+
+
+def test_status_is_constant_on_each_orbit_key():
+    rng = random.Random(2026)
+    for spec, h2 in ORBIT_STRATA:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        parts = _symmetry_group_action(pf)
+        for a2 in enumerate_a_squares(pf):
+            for n in (2, 1):
+                cands = kernel_candidates(pf, a2, n)
+                kappas = {c.kappa for c in cands}
+                status = {}
+                for cand in cands:
+                    key = detector._orbit_key(pf, cand.kappa)
+                    got, _phi = check_candidate(pf, cand)
+                    assert status.setdefault(key, got) == got, \
+                        (spec, h2, a2, n, cand.kappa)
+                    for _ in range(3):
+                        moved = _act(pf, parts, *_random_move(rng, parts),
+                                     cand.kappa)
+                        assert moved in kappas, (spec, cand.kappa, moved)
+                        assert detector._orbit_key(pf, moved) == key
+
+
+def test_equal_orbit_keys_mean_one_orbit():
+    # On every form of order <= 512, the brute orbit closure under the
+    # generators of G splits the group exactly as the orbit key does:
+    # one key per orbit, and one orbit per key.
+    checked = 0
+    for spec, h2 in ORBIT_STRATA:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        if pf.form.order > 512:
+            continue
+        checked += 1
+        parts = _symmetry_group_action(pf)
+        gens = _generators(parts)
+        orbit_of = {}
+        for start in sorted(pf.form.iter_elements()):
+            if start in orbit_of:
+                continue
+            orbit_of[start] = start
+            todo = [start]
+            while todo:
+                x = todo.pop()
+                for y in (_act(pf, parts, *g, x) for g in gens):
+                    if y not in orbit_of:
+                        orbit_of[y] = start
+                        todo.append(y)
+        by_key, by_orbit = {}, {}
+        for x, start in orbit_of.items():
+            key = detector._orbit_key(pf, x)
+            assert by_orbit.setdefault(start, key) == key, (spec, x)
+            assert by_key.setdefault(key, start) == start, (spec, x)
+    assert checked == 8
+
+
+def test_golden_detect_decides_one_kappa_per_orbit(monkeypatch):
+    # 103 + 167 + 17 candidates fall into 17 + 24 + 8 orbits.
+    calls = []
+
+    def counting(pf, cand):
+        calls.append(cand)
+        return check_candidate(pf, cand)
+
+    monkeypatch.setattr(detector, "check_candidate", counting)
+    for spec, h2 in ORBIT_STRATA[:3]:
+        assert detect(h2, spec).verdict == "none_exists"
+    assert len(calls) == 49
+
+
+def test_a_coarser_orbit_key_is_caught(monkeypatch):
+    # One orbit per (a2, n) copies the first status to every row.  The
+    # oracle re-derives each row kappa by kappa and must notice, as must
+    # the frozen reason tables wherever a pair mixes two reasons.
+    monkeypatch.setattr(detector, "_orbit_key", lambda pf, kappa: None)
+    with pytest.raises(OracleMismatch, match="differs from trace row"):
+        detect(2, GOLDEN_SEXTIC, oracle=True)
+    for spec, h2, table in ((GOLDEN_A7, 4, REASONS_A7),
+                            (GOLDEN_SEXTIC, 2, REASONS_SEXTIC)):
+        assert reason_map(detect(h2, spec)) != table, spec
