@@ -284,16 +284,13 @@ class FiniteQuadraticForm:
 
     def is_even_2part(self) -> bool:
         """True when q takes only integer values on the order-<=2 elements
-        (the evenness grading of the 2-primary part)."""
-        half_gens = [i for i, o in enumerate(self.orders) if o % 2 == 0]
-        for bits in product((0, 1), repeat=len(half_gens)):
-            vec = [0] * self.rank
-            for bit, i in zip(bits, half_gens):
-                if bit:
-                    vec[i] = self.orders[i] // 2
-            if self.eval_qn(vec) % self.N:
-                return False
-        return True
+        (the evenness grading of the 2-primary part).
+
+        The 2-torsion is spanned by h_i = (o_i/2)*e_i for even o_i, and
+        q(x + y) = q(x) + q(y) + 2b(x, y) with 2b(h_i, h_j) an integer, so
+        q is integral on all of it iff it is integral on each h_i."""
+        return all(((o // 2) ** 2 * qn) % self.N == 0
+                   for o, qn in zip(self.orders, self.Qn) if o % 2 == 0)
 
     # ------------------------------------------------------- d sums / parts
 

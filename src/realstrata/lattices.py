@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import isqrt, prod
 from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -505,20 +505,19 @@ def involution_matrices(pf: PolarizedForm, pairs: Pairs = ()) -> List[Block]:
     The pairs are checked slot by slot (see _live_classes) before any
     product is taken.
 
-    Raises RuntimeError when one call would generate more than ~2e6
-    matrices.
+    Raises RuntimeError, before building any matrix, when one call would
+    generate more than ~2e6 matrices.
     """
     classes = _live_classes(pf, pairs)
     if classes is None:
         return []
+    counts = accumulate(prod(map(len, lists))
+                        for lists in _slot_choices(classes))
+    if any(count > _INVOLUTION_CAP for count in counts):
+        raise RuntimeError("involution enumeration exceeds the generation cap")
     r = pf.form.rank
     out = set()
-    count = 0
     for lists in _slot_choices(classes):
-        count += prod(map(len, lists))
-        if count > _INVOLUTION_CAP:
-            raise RuntimeError(
-                "involution enumeration exceeds the generation cap")
         for choice in product(*lists):
             mat = [[0] * r for _ in range(r)]
             for rows in choice:

@@ -4,8 +4,9 @@ Everything here recomputes results by exhaustive element enumeration or
 symbolic identities, sharing as little code as possible with the fast
 paths: subquotients are rebuilt coset by coset, automorphism groups by
 generator-image backtracking, and signatures via exact root-of-unity
-sums.  q and b are evaluated here as Fraction sums over form.q and form.b,
-not by the engine's integer evaluators.  All functions refuse (with
+sums.  q and b are evaluated here as integer sums over the common
+denominator of form.q and form.b (the Fraction tuples), never by the
+engine's integer evaluators or its integer Gram.  All functions refuse (with
 OracleSizeError) groups larger than a fixed cutoff rather than sampling,
 so a passing check is a complete one.
 A failed check raises OracleMismatch explicitly, so the checks also run
@@ -17,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import mul
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import Subquotient, subquotient
@@ -41,30 +43,39 @@ def _require(ok: bool, what: str) -> None:
         raise OracleMismatch(what)
 
 
-def _q(form: FiniteQuadraticForm, x: Sequence[int]) -> Fraction:
-    """q(x) in [0, 2)."""
-    qs, bs = form.q, form.b
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi:
-            total += xi * xi * qs[i]
-            for j in range(i + 1, len(x)):
-                if x[j]:
-                    total += 2 * xi * x[j] * bs[i][j]
-    return total % 2
+class _ScaledGram(NamedTuple):
+    """form.q and form.b over their common denominator d: q[i] = q(e_i)*d
+    and b[i][j] = b(e_i, e_j)*d, integers read off the Fraction tuples."""
+    d: int
+    q: Tuple[int, ...]
+    b: Tuple[Tuple[int, ...], ...]
 
 
-def _b(form: FiniteQuadraticForm, x: Sequence[int],
-       y: Sequence[int]) -> Fraction:
-    """b(x, y) in [0, 1)."""
-    bs = form.b
-    total = Fraction(0)
+def _scaled_gram(form: FiniteQuadraticForm) -> _ScaledGram:
+    d = lcm(*(v.denominator for v in form.q),
+            *(v.denominator for row in form.b for v in row))
+    return _ScaledGram(d, tuple(int(v * d) for v in form.q),
+                       tuple(tuple(int(v * d) for v in row)
+                             for row in form.b))
+
+
+def _qd(g: _ScaledGram, x: Sequence[int]) -> int:
+    """q(x)*d mod 2d, in [0, 2d)."""
+    total = 0
     for i, xi in enumerate(x):
         if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * bs[i][j]
-    return total % 1
+            total += xi * (xi * g.q[i]
+                           + 2 * sum(map(mul, x[i + 1:], g.b[i][i + 1:])))
+    return total % (2 * g.d)
+
+
+def _bd(g: _ScaledGram, x: Sequence[int], y: Sequence[int]) -> int:
+    """b(x, y)*d mod d, in [0, d)."""
+    total = 0
+    for xi, row in zip(x, g.b):
+        if xi:
+            total += xi * sum(map(mul, y, row))
+    return total % g.d
 
 
 class ElementTable:
@@ -100,7 +111,7 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
     if big.order > cutoff:
         raise OracleSizeError(
             f"group order {big.order} exceeds oracle cutoff {cutoff}")
-    zero = Fraction(0)
+    g = _scaled_gram(big)
     r = form.rank
     out = []
     for kappa in form.iter_elements():
@@ -112,7 +123,7 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
             if not any(mult[:r]) or mult[r] == 0:
                 graph = False        # K would meet a glued summand
                 break
-            if _q(big, mult) != zero or _b(big, mult, theta) != 0:
+            if _qd(g, mult) or _bd(g, mult, theta):
                 graph = False        # K would not be isotropic
                 break
             mult = big.add(mult, theta)
@@ -130,10 +141,11 @@ def brute_aut_group(form: FiniteQuadraticForm,
     table = ElementTable(form, cutoff)
     r = form.rank
     gens = [form.zero()[:i] + (1,) + form.zero()[i + 1:] for i in range(r)]
-    buckets: Dict[Tuple[int, Fraction], List[Element]] = {}
+    g = _scaled_gram(form)
+    buckets: Dict[Tuple[int, int], List[Element]] = {}
     for x in table:
-        buckets.setdefault((form.order_of(x), _q(form, x)), []).append(x)
-    gen_keys = [(form.orders[j], _q(form, gens[j])) for j in range(r)]
+        buckets.setdefault((form.order_of(x), _qd(g, x)), []).append(x)
+    gen_keys = [(form.orders[j], _qd(g, gens[j])) for j in range(r)]
     results: List[Tuple[Tuple[int, ...], ...]] = []
     images: List[Element] = []
 
@@ -156,7 +168,7 @@ def brute_aut_group(form: FiniteQuadraticForm,
         for cand in buckets.get(gen_keys[j], ()):
             ok = True
             for i in range(j):
-                if _b(form, images[i], cand) != _b(form, gens[i], gens[j]):
+                if _bd(g, images[i], cand) != _bd(g, gens[i], gens[j]):
                     ok = False
                     break
             if ok:
@@ -204,33 +216,26 @@ def brute_subquotient(form: FiniteQuadraticForm,
     isotropic and that q is constant on every coset (the well-definedness
     of the induced form).  b vanishes on K once q does, by polarization."""
     table = ElementTable(form, cutoff)
+    g = _scaled_gram(form)
     kset = set(form.subgroup(list(kernel_gens)).iter_elements())
-    _require(all(_q(form, k) == 0 for k in kset),
-             "kernel is not isotropic")
+    _require(not any(_qd(g, k) for k in kset), "kernel is not isotropic")
     assigned: Dict[Element, Element] = {}
     coset_q: Dict[Element, Fraction] = {}
     for x in table:
-        if x in assigned or any(_b(form, x, k) for k in kernel_gens):
+        if x in assigned or any(_bd(g, x, k) for k in kernel_gens):
             continue
         # The table is sorted, so the first unassigned member of K-perp is
         # the lex-min member of its coset.
-        q = _q(form, x)
+        q = _qd(g, x)
         for k in kset:
             y = form.add(x, k)
-            _require(_q(form, y) == q, "q is not constant on a coset")
+            _require(_qd(g, y) == q, "q is not constant on a coset")
             assigned[y] = x
-        coset_q[x] = q
+        coset_q[x] = Fraction(q, g.d)
     reps = list(coset_q)
-    zero = form.zero()
+    orders = _coset_orders(form, reps, kset)
     exp = 1
-    orders = {}
-    for rep in reps:
-        d = 1
-        y = rep
-        while assigned[y] != zero:
-            y = form.add(y, rep)
-            d += 1
-        orders[rep] = d
+    for d in orders.values():
         exp = exp * d // gcd(exp, d)
     killed: Dict[int, int] = {}
     for d in range(1, exp + 1):
@@ -238,6 +243,17 @@ def brute_subquotient(form: FiniteQuadraticForm,
             killed[d] = sum(1 for rep in reps if d % orders[rep] == 0)
     return BruteQuotient(order=len(reps), reps=reps, coset_q=coset_q,
                          killed_by=killed, assigned=assigned)
+
+
+def _coset_orders(form: FiniteQuadraticForm, reps: Sequence[Element],
+                  kset: set) -> Dict[Element, int]:
+    """The order of each coset x + K: the least divisor d of the exponent
+    with d*x in K.  The d with d*[x] = [0] are the multiples of that order,
+    which divides the exponent, so the least such divisor is the order."""
+    exp = form.exponent()
+    divisors = [d for d in range(1, exp + 1) if exp % d == 0]
+    return {rep: next(d for d in divisors if form.smul(d, rep) in kset)
+            for rep in reps}
 
 
 def expected_killed_by(orders: Sequence[int]) -> Dict[int, int]:
@@ -279,8 +295,9 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     coords = {rep: sq.to_coords(rep) for rep in brute.reps}
     _require(len(set(coords.values())) == brute.order,
              "to_coords is not injective on cosets")
+    qg = _scaled_gram(qform)
     for rep in brute.reps:
-        _require(_q(qform, coords[rep]) == brute.coset_q[rep],
+        _require(Fraction(_qd(qg, coords[rep]), qg.d) == brute.coset_q[rep],
                  "q differs on a coset")
     for j, gen in enumerate(sq.reps):
         unit = qform.reduce([int(i == j) for i in range(qform.rank)])
@@ -324,7 +341,7 @@ def _poly_divmod_monic(num: List[int], den: List[int]
                        ) -> Tuple[List[int], List[int]]:
     num = list(num)
     den = _trim(den)
-    assert den and den[-1] == 1, "divisor must be monic"
+    _require(bool(den) and den[-1] == 1, "divisor must be monic")
     d = len(den) - 1
     quo = [0] * max(len(num) - d, 0)
     for i in range(len(num) - 1, d - 1, -1):
@@ -342,7 +359,7 @@ def _cyclotomic(m: int) -> Tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             quo, rem = _poly_divmod_monic(num, list(_cyclotomic(d)))
-            assert rem == []
+            _require(rem == [], f"Phi_{d} does not divide x^{m} - 1")
             num = quo
     return tuple(_trim(num))
 
@@ -395,11 +412,12 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
     for extra in [8] + odd_primes:
         m = m * extra // gcd(m, extra)
 
+    g = _scaled_gram(form)
     big_sum = [0] * m
     for x in table:
-        k = _q(form, x) * m // 2             # q in [0,2) -> exponent of x^k
-        assert k.denominator == 1
-        big_sum[int(k) % m] += 1
+        k, rem = divmod(_qd(g, x) * m, 2 * g.d)   # q*m/2 in [0, m)
+        _require(rem == 0, "q*M/2 is not an integer exponent")
+        big_sum[k] += 1
 
     sqrt_part = [0] * m
     sqrt_part[0] = s
@@ -426,7 +444,7 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
         cand = _poly_mul(sqrt_part, zeta, m)
         if _is_zero_mod_cyclotomic(_poly_sub(big_sum, cand), m):
             return sigma
-    raise AssertionError("no signature residue matches the Gauss sum")
+    raise OracleMismatch("no signature residue matches the Gauss sum")
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +466,8 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     _require(checked.apply(cand.kappa) == form.neg(cand.kappa),
              "witness phi does not negate kappa")
     theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
-    _require(_q(big, theta) == 0, "glue vector is not isotropic")
+    _require(_qd(_scaled_gram(big), theta) == 0,
+             "glue vector is not isotropic")
     _require(big.order_of(theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 

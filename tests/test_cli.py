@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import jsonschema
@@ -301,6 +302,17 @@ def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path,
                                 "batch: 1 strata  none_exists=1  "
                                 "errors=1"]
     assert err.startswith("4*A1: error: involution enumeration exceeds")
+
+
+def test_autos_over_the_cap_fails_before_building(capsys):
+    # 16*A1 has far more than 2e6 symmetry-induced involutions; the cap is
+    # counted before any matrix is built, so the error comes quickly.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "autos", "--spec", "16*A1")
+    assert time.perf_counter() - start < 15
+    assert (code, out) == (2, "")
+    assert err == ("error: involution enumeration exceeds the generation "
+                   "cap\n")
 
 
 # ---------------------------------------------------------------- batch

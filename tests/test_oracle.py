@@ -1,9 +1,11 @@
 """Brute-force cross-checks: exhaustive automorphism groups, coset-built
 subquotients, exact Gauss-sum signatures, and witness revalidation."""
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ from realstrata.oracle import (ORACLE_CUTOFF, ElementTable, OracleMismatch,
                                brute_subquotient, expected_killed_by,
                                gauss_sum_signature, revalidate_witness,
                                verify_subquotient_presentation)
+
+from _corpus import corpus
 
 # ------------------------------------------------------------- Gauss sums
 
@@ -327,3 +331,82 @@ def test_detect_reports_pass_revalidation():
     rep = detect(4, "D4")
     assert rep.verdict == "witness_found"
     assert rep.witness_revalidated is True
+
+
+# ------------------------------------------------ independence and exactness
+
+
+def test_oracle_reads_no_engine_evaluator_and_has_no_assert():
+    # The oracle's q and b must not come from the engine's integer data or
+    # evaluators, and its checks must survive python -O.
+    engine_only = {"Qn", "Bn", "_gram", "eval_qn", "eval_bn", "eval_q",
+                   "eval_b", "_pairing_row"}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name)}
+    assert names & engine_only == set()
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+def _fraction_q(form, x):
+    """q(x) in [0, 2) as a plain Fraction sum over form.q and form.b."""
+    qs, bs = form.q, form.b
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            total += xi * xi * qs[i]
+            for j in range(i + 1, len(x)):
+                if x[j]:
+                    total += 2 * xi * x[j] * bs[i][j]
+    return total % 2
+
+
+def _fraction_b(form, x, y):
+    """b(x, y) in [0, 1) as a plain Fraction sum over form.b."""
+    bs = form.b
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    total += xi * yj * bs[i][j]
+    return total % 1
+
+
+def test_integer_q_and_b_match_fraction_sums_on_the_corpus():
+    # q on every element of every corpus form; b on every element paired
+    # with the element at the mirrored position of the list (b is
+    # symmetric, so each pair is checked once).
+    bad = []
+    for item in corpus():
+        form = item.form
+        g = oracle._scaled_gram(form)
+        elems = list(form.iter_elements())
+        for k, (x, y) in enumerate(zip(elems, reversed(elems))):
+            if Fraction(oracle._qd(g, x), g.d) != _fraction_q(form, x):
+                bad.append(("q", form.orders, x))
+            if 2 * k < len(elems) and (Fraction(oracle._bd(g, x, y), g.d)
+                                       != _fraction_b(form, x, y)):
+                bad.append(("b", form.orders, x, y))
+    assert bad == []
+
+
+def test_coset_orders_match_repeated_addition_on_the_corpus():
+    bad = []
+    for item in corpus():
+        form = item.form
+        bq = brute_subquotient(form, [item.kappa])
+        kset = set(form.subgroup([item.kappa]).iter_elements())
+        zero = form.zero()
+        walked = {}
+        for rep in bq.reps:
+            d, y = 1, rep
+            while bq.assigned[y] != zero:
+                y = form.add(y, rep)
+                d += 1
+            walked[rep] = d
+        if oracle._coset_orders(form, bq.reps, kset) != walked:
+            bad.append((form.orders, item.kappa))
+    assert bad == []

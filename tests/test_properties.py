@@ -194,6 +194,21 @@ def test_orthogonal_complement_is_the_brute_annihilator():
     assert checked == len(corpus())
 
 
+def test_is_even_2part_matches_the_2_torsion_enumeration():
+    # q integral on each (o_i/2)*e_i against q integral on every element
+    # of order <= 2, for every corpus form and its kernel subquotient.
+    seen = set()
+    for item in corpus():
+        quot = subquotient(item.form, item.form.subgroup([item.kappa])).form
+        for form in (item.form, quot):
+            torsion = [x for x in form.iter_elements()
+                       if not any(form.smul(2, x))]
+            want = all(form.eval_q(x).denominator == 1 for x in torsion)
+            assert form.is_even_2part() is want, form.display()
+            seen.add(want)
+    assert seen == {True, False}
+
+
 # ------------------------------------------------------------- hypothesis
 
 _BLOCK_MENU = (
