@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Tuple
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       _component_orbit_minima, _live_classes,
-                       checked_involution, involution_matrices,
+                       _component_orbit_minima, _first_involution,
+                       _live_classes, checked_involution,
                        maximizing_has_skew, polarized_disc,
                        require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
@@ -137,9 +137,10 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     ("no_involution_cond2"|"no_involution_cond3", None).  Both
     conditions are pairs (x, phi(x)) checked slot by slot: cond2 only asks
     whether some slot matching negates kappa and builds no matrix; cond3
-    asks involution_matrices for the phi that also send each K-perp
-    generator where it must go, and the first is the witness, rebuilt as a
-    whole matrix and checked again.
+    takes the first matching, in sorted matrix order, of the phi that also
+    send each K-perp generator where it must go (_first_involution), and
+    lists no other.  That phi is the witness, rebuilt as a whole matrix
+    and checked again.
     """
     form = pf.form
     big = pf._cache.get(("ambient", cand.a2))
@@ -164,9 +165,9 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
             return "no_involution_cond3", None
         wanted.append((g, tuple((gi + t * ki) % o for gi, ki, o
                                 in zip(g, cand.kappa, form.orders))))
-    found = involution_matrices(pf, negate + wanted)
-    if found:
-        return "witness", checked_involution(form, found[0])
+    found = _first_involution(pf, negate + wanted)
+    if found is not None:
+        return "witness", checked_involution(form, found)
     return "no_involution_cond3", None
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, product
+from itertools import product
 from math import isqrt, prod
 from operator import mul
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
@@ -307,13 +308,11 @@ _D4_S3 = [
 
 def _component_fixed_autos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     """Involutive diagram-automorphism images on a fixed component's disc
-    generators (k of them)."""
-    ident = _intmat.identity(k)
-    out = [ident, [[-v for v in row] for row in ident]]
-    if fam == "D" and n == 4:
-        out = [m for m in _D4_S3 if _is_involutive_2x2_mod2(m)]
-    elif fam == "D" and n % 2 == 0:
-        out = [_intmat.identity(2), [[0, 1], [1, 0]]]
+    generators (k of them): the swap isos, less the two 3-cycles of the D4
+    triality."""
+    out = _component_swap_isos(fam, n, k)
+    if (fam, n) == ("D", 4):
+        out = [m for m in out if _is_involutive_2x2_mod2(m)]
     return out
 
 
@@ -326,13 +325,12 @@ def _is_involutive_2x2_mod2(m: List[List[int]]) -> bool:
 def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     """Diagram-automorphism images usable as the identification map of a
     swapped pair of equal components (need not be involutive)."""
-    ident = _intmat.identity(k)
-    out = [ident, [[-v for v in row] for row in ident]]
     if fam == "D" and n == 4:
-        out = list(_D4_S3)
-    elif fam == "D" and n % 2 == 0:
-        out = [_intmat.identity(2), [[0, 1], [1, 0]]]
-    return out
+        return list(_D4_S3)
+    if fam == "D" and n % 2 == 0:
+        return [_intmat.identity(2), [[0, 1], [1, 0]]]
+    ident = _intmat.identity(k)
+    return [ident, [[-v for v in row] for row in ident]]
 
 
 def _component_orbit_minima(fam: str, n: int, orders: Sequence[int]
@@ -351,6 +349,8 @@ Block = Tuple[Tuple[int, ...], ...]
 # nonzero (column, value) entries.
 Rows = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
 Options = Tuple[Rows, ...]
+# The options of one index: (partner, rows), the partner None when fixed.
+Choices = List[Tuple[object, Rows]]
 Pairs = Sequence[Tuple[Sequence[int], Sequence[int]]]
 
 
@@ -403,65 +403,96 @@ def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int, k: int,
 
 
 def _slot_table(pf: PolarizedForm
-                ) -> List[Tuple[List[object], Dict[object, Options],
-                                Dict[Tuple[object, object], Options]]]:
-    """Per class of equal components: its indices, the slot options of
-    each fixed component and of each pair.  The h generator is a class of
-    its own, tagged "h".  Built and checked once per polarized form."""
+                ) -> List[Tuple[Tuple[object, ...], Dict[object, Choices]]]:
+    """Per class of equal components: its indices, and for each index c
+    the slot options of c, fixed or paired with a later index of the class.
+    The h generator is a class of its own, tagged "h".  Components with a
+    trivial discriminant (E8) own no rows and are left out, so distinct
+    matchings make distinct matrices.  Built and checked once per form.
+
+    Each list is sorted by its options' rows written out densely, in row
+    order, so c's rows come first.  Two options of c differ there (an
+    inverse block fixes its block, and a different partner means a
+    different column support), so _matchings walks the matchings of a
+    class in sorted order of the matrices they make."""
     cached = pf._cache.get("slots")
     if cached is not None:
         return cached
     form = pf.form
+    r = form.rank
+
+    def dense(option: Tuple[object, Rows]) -> List[List[int]]:
+        return [[entries.get(j, 0) for j in range(r)]
+                for entries in (dict(row) for _, row in sorted(option[1]))]
+
     classes: Dict[Tuple[str, int], List[int]] = {}
     for idx, comp in enumerate(pf.spec.components):
         classes.setdefault(comp, []).append(idx)
     table = []
     for (fam, n), idxs in sorted(classes.items()):
-        fixed = {}
-        for c in idxs:
-            lo, hi = pf.comp_slices[c]
-            fixed[c] = _checked_slot(form, lo, lo, hi - lo,
-                                     _component_fixed_autos(fam, n, hi - lo))
-        pairs = {}
-        for c, d in combinations(idxs, 2):
-            lo, hi = pf.comp_slices[c]
-            pairs[c, d] = _checked_slot(form, lo, pf.comp_slices[d][0],
-                                        hi - lo,
-                                        _component_swap_isos(fam, n, hi - lo))
-        table.append((idxs, fixed, pairs))
-    h = form.rank - 1
-    table.append((["h"], {"h": _checked_slot(form, h, h, 1, [[[1]], [[-1]]])},
-                  {}))
+        lo, hi = pf.comp_slices[idxs[0]]
+        k = hi - lo
+        if not k:
+            continue
+        choices = {}
+        for pos, c in enumerate(idxs):
+            src = pf.comp_slices[c][0]
+            options = [(d, rows) for d in idxs[pos + 1:]
+                       for rows in _checked_slot(
+                           form, src, pf.comp_slices[d][0], k,
+                           _component_swap_isos(fam, n, k))]
+            options += [(None, rows) for rows in _checked_slot(
+                form, src, src, k, _component_fixed_autos(fam, n, k))]
+            choices[c] = sorted(options, key=dense)
+        table.append((tuple(idxs), choices))
+    h = r - 1
+    table.append((("h",), {"h": [(None, rows) for rows in _checked_slot(
+        form, h, h, 1, [[[1]], [[-1]]])]}))
     pf._cache["slots"] = table
     return table
 
 
-def _matchings(items: List[object], fixed: Dict[object, List[Rows]],
-               pairs: Dict[Tuple[object, object], List[Rows]]
-               ) -> Iterator[List[List[Rows]]]:
-    """Every partition of items into fixed points and unordered pairs whose
-    slots all have an option left, as the list of those option lists."""
+def _matchings(items: Tuple[object, ...], choices: Dict[object, Choices]
+               ) -> Iterator[Tuple[Rows, ...]]:
+    """Every matching of items into fixed points and pairs, as one option
+    per slot, in the order of the choice lists: taking each remaining
+    index's options in turn, backtracking at a dead end.  A partner that
+    led to a dead end is not tried again with another option."""
     if not items:
-        yield []
+        yield ()
         return
     first, rest = items[0], items[1:]
-    if fixed[first]:
-        for sub in _matchings(rest, fixed, pairs):
-            yield [fixed[first]] + sub
-    for i, other in enumerate(rest):
-        if pairs[first, other]:
-            for sub in _matchings(rest[:i] + rest[i + 1:], fixed, pairs):
-                yield [pairs[first, other]] + sub
+    dead = set()
+    for partner, rows in choices[first]:
+        if partner in dead or (partner is not None and partner not in rest):
+            continue
+        left = rest if partner is None else tuple(c for c in rest
+                                                  if c != partner)
+        found = False
+        for sub in _matchings(left, choices):
+            found = True
+            yield (rows,) + sub
+        if not found:
+            dead.add(partner)
 
 
-def _slot_choices(classes) -> Iterator[List[List[Rows]]]:
-    """One matching per class, in every combination."""
-    if not classes:
-        yield []
-        return
-    for head in _matchings(*classes[0]):
-        for tail in _slot_choices(classes[1:]):
-            yield head + tail
+def _count(items: Tuple[object, ...], choices: Dict[object, Choices]) -> int:
+    """The number of matchings _matchings(items, choices) yields, by a
+    recursion over the tuple of remaining items, memoised, that builds
+    none of them."""
+    memo: Dict[Tuple[object, ...], int] = {(): 1}
+
+    def count(items: Tuple[object, ...]) -> int:
+        if items not in memo:
+            first, rest = items[0], items[1:]
+            memo[items] = sum(
+                count(rest if partner is None
+                      else tuple(c for c in rest if c != partner))
+                for partner, _ in choices[first]
+                if partner is None or partner in rest)
+        return memo[items]
+
+    return count(items)
 
 
 def _live_classes(pf: PolarizedForm, pairs: Pairs) -> Optional[list]:
@@ -476,17 +507,37 @@ def _live_classes(pf: PolarizedForm, pairs: Pairs) -> Optional[list]:
     combines with any matching in the others."""
     orders = pf.form.orders
 
-    def live(options: Options) -> List[Rows]:
-        return [rows for rows in options
+    def live(options: Choices) -> Choices:
+        return [(partner, rows) for partner, rows in options
                 if all((sum(v * x[j] for j, v in row) - y[i]) % orders[i] == 0
                        for x, y in pairs for i, row in rows)]
 
-    classes = [(idxs, {c: live(s) for c, s in fixed.items()},
-                {cd: live(s) for cd, s in swaps.items()})
-               for idxs, fixed, swaps in _slot_table(pf)]
+    classes = [(idxs, {c: live(options) for c, options in choices.items()})
+               for idxs, choices in _slot_table(pf)]
     if any(next(_matchings(*cls), None) is None for cls in classes):
         return None
     return classes
+
+
+def _join(r: int, matchings: Iterable[Tuple[Rows, ...]]) -> Block:
+    """The r x r matrix made of the rows of one matching per class."""
+    mat = [[0] * r for _ in range(r)]
+    for matching in matchings:
+        for rows in matching:
+            for i, row in rows:
+                for j, v in row:
+                    mat[i][j] = v
+    return tuple(map(tuple, mat))
+
+
+def _first_involution(pf: PolarizedForm, pairs: Pairs) -> Optional[Block]:
+    """The first matrix of involution_matrices(pf, pairs), or None, found
+    without listing the others: classes own disjoint rows, so the least
+    matrix joins the first matching of each class."""
+    classes = _live_classes(pf, pairs)
+    if classes is None:
+        return None
+    return _join(pf.form.rank, [next(_matchings(*cls)) for cls in classes])
 
 
 _INVOLUTION_CAP = 2_000_000
@@ -494,49 +545,40 @@ _INVOLUTION_CAP = 2_000_000
 
 def involution_matrices(pf: PolarizedForm, pairs: Pairs = ()) -> List[Block]:
     """The symmetry-induced involutions phi of the polarized discriminant
-    with phi(x) = y for every (x, y) in pairs, as reduced matrices,
-    deduplicated and sorted.  x may be longer than the form's rank; only
-    its first rank coordinates are read.
+    with phi(x) = y for every (x, y) in pairs, as reduced matrices, sorted.
+    x may be longer than the form's rank; only its first rank coordinates
+    are read.
 
     Each involution is a product of slot maps (a diagram symmetry of a
     fixed component, an identification of a swapped pair of equal
     components, a sign on h).  Slot maps act on disjoint blocks, so they
     commute, and a product of checked involutive isometries is one again.
     The pairs are checked slot by slot (see _live_classes) before any
-    product is taken.
+    product is taken.  Distinct matchings make distinct matrices.
 
-    Raises RuntimeError, before building any matrix, when one call would
-    generate more than ~2e6 matrices.
+    This is the full list, for disc_involutions and the tests; detection
+    asks _first_involution for its first entry only.  Raises RuntimeError,
+    before building any matrix, when the list would hold more than ~2e6
+    matrices.
     """
     classes = _live_classes(pf, pairs)
     if classes is None:
         return []
-    counts = accumulate(prod(map(len, lists))
-                        for lists in _slot_choices(classes))
-    if any(count > _INVOLUTION_CAP for count in counts):
+    if prod(_count(*cls) for cls in classes) > _INVOLUTION_CAP:
         raise RuntimeError("involution enumeration exceeds the generation cap")
     r = pf.form.rank
-    out = set()
-    for lists in _slot_choices(classes):
-        for choice in product(*lists):
-            mat = [[0] * r for _ in range(r)]
-            for rows in choice:
-                for i, row in rows:
-                    for j, v in row:
-                        mat[i][j] = v
-            out.add(tuple(map(tuple, mat)))
-    return sorted(out)
+    return sorted(_join(r, matchings)
+                  for matchings in product(*(_matchings(*cls)
+                                             for cls in classes)))
 
 
 def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     """All involutions of the polarized discriminant induced by diagram
     symmetries, label-preserving component permutations, and the sign on the
     polarization block: involution_matrices with no pairs, each matrix
-    rebuilt as a validated DiscAutomorphism.  Deduplicated and sorted by
-    matrix entries.
+    rebuilt as a validated DiscAutomorphism, sorted by matrix entries.
 
-    Raises RuntimeError when the call would generate more than ~2e6
-    matrices.
+    Raises RuntimeError when the list would hold more than ~2e6 matrices.
     """
     return [DiscAutomorphism(pf.form, m) for m in involution_matrices(pf)]
 

@@ -280,28 +280,27 @@ def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
 # ---------------------------------------------------- errors from the engine
 
 
-def test_involution_cap_is_one_line_error(capsys, tmp_path, monkeypatch):
+def test_involution_cap_is_one_line_error(capsys, monkeypatch):
     monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 0)
-    code, out, err = run(capsys, "detect", "--spec", "4*A1",
-                         "--cache-dir", str(tmp_path))
+    code, out, err = run(capsys, "autos", "--spec", "4*A1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: involution enumeration exceeds")
     assert err.count("\n") == 1
 
 
-def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path,
-                                                  monkeypatch):
-    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 0)
+def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path):
+    # detect never reaches the involution cap, so an error detect raises
+    # after the line parses (root rank 20) stands in for it.
     listing = tmp_path / "strata.txt"
-    listing.write_text("4*A1\nD7+A6+A3+A2\n")
+    listing.write_text("20*A1\nD7+A6+A3+A2\n")
     code, out, err = run(capsys, "batch", str(listing),
                          "--cache-dir", str(tmp_path / "cache"))
     assert code == 1
     assert out.splitlines() == ["D7+A6+A3+A2: none_exists",
                                 "batch: 1 strata  none_exists=1  "
                                 "errors=1"]
-    assert err.startswith("4*A1: error: involution enumeration exceeds")
+    assert err == "20*A1: error: root rank exceeds 19; no such stratum\n"
 
 
 def test_autos_over_the_cap_fails_before_building(capsys):
@@ -309,7 +308,7 @@ def test_autos_over_the_cap_fails_before_building(capsys):
     # counted before any matrix is built, so the error comes quickly.
     start = time.perf_counter()
     code, out, err = run(capsys, "autos", "--spec", "16*A1")
-    assert time.perf_counter() - start < 15
+    assert time.perf_counter() - start < 3
     assert (code, out) == (2, "")
     assert err == ("error: involution enumeration exceeds the generation "
                    "cap\n")

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,8 @@ from realstrata.detector import (check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
 from realstrata.isotropy import subquotient
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
-                                 _anti_isometries, _induced_on_disc,
+                                 _anti_isometries, _count, _first_involution,
+                                 _induced_on_disc, _slot_table,
                                  binary_autos, cartan_matrix,
                                  disc_involutions, disc_of_gram, disc_root,
                                  involution_matrices, maximizing_has_skew,
@@ -287,10 +289,13 @@ def test_disc_involutions_subset_of_brute():
 
 
 # The h sign collapsing mod 2 (A1@2), swapped pairs (2*A1, 3*A2, 2*D4,
-# 2*D6), the D4 triality, odd D, E6, E7, and a component with trivial
-# discriminant (E8).
+# 2*D6), the D4 triality, odd D, E6, E7, and components with trivial
+# discriminant (E8, 2*E8).
 FILTER_FORMS = [("A1", 2), ("2*A1", 4), ("3*A2", 4), ("D4", 4), ("2*D4", 4),
-                ("2*D6", 4), ("D5", 4), ("E6", 4), ("E7", 4), ("E8+A1", 4)]
+                ("2*D6", 4), ("D5", 4), ("E6", 4), ("E7", 4), ("E8+A1", 4),
+                ("2*E8+A1", 4)]
+# Classes of equal components whose rows interleave.
+INTERLEAVED = ["A1+A2+A1", "A2+D4+A2", "A1+D4+A1+D4"]
 
 
 def test_kappa_filter_equals_filtering_the_full_list():
@@ -311,11 +316,17 @@ def test_pair_filter_equals_filtering_the_full_list():
     # phi(x) = y for y = x, -x and x + kappa, one pair at a time and all
     # at once, and (kappa, -kappa) together with (x, x + kappa).  x may
     # carry trailing coordinates past the rank, like a K-perp generator.
+    # The first matrix is what _first_involution finds without the list,
+    # and _count counts the list without building it.  Each matching
+    # makes its own matrix, also when a component owns no rows: 2*E8+A1
+    # has 2 involutions, not 4.
     rng = random.Random(20240)
-    for spec, h2 in FILTER_FORMS:
+    for spec, h2 in FILTER_FORMS + [(s, 4) for s in INTERLEAVED]:
         pf = polarized_disc(RootSpec.parse(spec), h2)
         form = pf.form
         full = disc_involutions(pf)
+        assert len({a.matrix for a in full}) == len(full) == prod(
+            _count(*cls) for cls in _slot_table(pf)), spec
         elems = sorted(form.iter_elements())
         for _ in range(12):
             x, kappa = rng.choice(elems), rng.choice(elems)
@@ -328,6 +339,8 @@ def test_pair_filter_equals_filtering_the_full_list():
                         if all(a.apply(u[:form.rank]) == v
                                for u, v in pairs)]
                 assert involution_matrices(pf, pairs) == want, (spec, pairs)
+                assert _first_involution(pf, pairs) == (want or [None])[0], \
+                    (spec, pairs)
 
 def _reference_check(pf, cand):
     """check_candidate as it was before the slot filter: filter the whole
@@ -358,8 +371,9 @@ SMOKE = ["A1", "2*A1", "A2", "A3", "D4", "A1+A2", "2*A2", "A4", "A3+A1",
 
 def test_smoke_set_statuses_and_witnesses_match_the_full_list():
     # Beyond the smoke set: inverse blocks of swapped pairs (2*D4, 3*A2,
-    # 2*D6, E6+2*A3) and the D4 triality in cond3.
-    for spec in SMOKE + ["2*D4", "3*A2", "2*D6", "E6+2*A3"]:
+    # 2*D6, E6+2*A3), the D4 triality in cond3, and classes whose rows
+    # interleave.
+    for spec in SMOKE + ["2*D4", "3*A2", "2*D6", "E6+2*A3"] + INTERLEAVED:
         pf = polarized_disc(RootSpec.parse(spec), 4)
         first = None
         for a2 in enumerate_a_squares(pf):
@@ -631,14 +645,14 @@ def test_maximizing_has_skew_matches_conjugating_into_the_full_list():
 
 
 def test_involution_cap_spares_the_filtered_queries(monkeypatch):
-    # The unfiltered lists of 10*A1 @ 4 and 8*A1 @ 16 are far above 64
-    # matrices; the cond3 queries of their searches are not.
+    # The cap guards the full list only: detect takes the first matching
+    # and never reads it, so the reports are the same at a cap of 0.
     def report(h2, spec):
         out = detect(h2, spec).to_json_dict()
         del out["wall_time_ms"], out["generated_at"]
         return out
 
     plain = {key: report(*key) for key in ((4, "10*A1"), (16, "8*A1"))}
-    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 64)
+    monkeypatch.setattr("realstrata.lattices._INVOLUTION_CAP", 0)
     for key, want in plain.items():
         assert report(*key) == want, key
