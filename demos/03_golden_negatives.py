@@ -8,8 +8,8 @@ no_kappa row when a pair has no candidates at all):
 
   no_kappa             no kernel element of the right order and q-value
   genus_empty          no lattice with the glued discriminant exists
-  no_involution_cond2  no involution sends kappa to -kappa
-  no_involution_cond3  none of those induces the identity on K-perp/K
+  no_involution_cond3  no involution with phi(kappa) = -kappa induces the
+                       identity on K-perp/K (some phi negates kappa: -1 does)
 
 Run:  python3 demos/03_golden_negatives.py
 """

@@ -17,8 +17,9 @@ it a path (--json out.json) to write the document to a file instead.
 
 Reports are cached under --cache-dir (or $REALSTRATA_CACHE, default
 .realstrata-cache): a cache hit returns the stored report byte for byte,
-including its original timestamp.  An unreadable entry counts as a miss
-and is overwritten.
+including its original timestamp.  An entry that does not parse, or
+parses to something other than a report, counts as a miss and is
+overwritten.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .detector import detect, model_name, parse_model
+from .detector import VERDICTS, detect, model_name, parse_model
 from .lattices import (PolarizedForm, RootSpec, binary_autos,
                        disc_involutions, polarized_disc, require_stratum_rank)
 from .nikulin import embedding_clauses
@@ -92,6 +93,22 @@ def _cache_key(h2: int, spec: RootSpec, tgram, oracle: bool) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# The top-level keys of DetectionReport.to_json_dict, as report_schema.json
+# requires them.
+_REPORT_KEYS = frozenset((
+    "version", "model", "spec", "rank_S", "rank_T", "disc", "verdict",
+    "conclusiveness_basis", "scope_note", "witness", "witness_revalidated",
+    "trace", "oracle_checked", "wall_time_ms", "generated_at"))
+
+
+def _is_report(doc: object) -> bool:
+    """Whether a parsed cache entry can be served as a report: an object
+    with exactly a report's keys and a known verdict.  Cheap enough for
+    every hit; the schema is not read."""
+    return (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS
+            and doc["verdict"] in VERDICTS)
+
+
 def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
                    cache_dir: Path) -> Tuple[str, dict]:
     """Returns (report_json_text, report_dict), via the cache."""
@@ -99,11 +116,15 @@ def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
     key = _cache_key(h2, spec, tgram, oracle)
     path = cache_dir / f"{key}.json"
     if path.is_file():
+        # A truncated, corrupt or foreign entry is a miss: recompute and
+        # overwrite it.
         try:
             text = path.read_text()
-            return text, json.loads(text)
+            doc = json.loads(text)
         except ValueError:
-            pass  # a truncated or corrupt entry: recompute and overwrite
+            doc = None
+        if _is_report(doc):
+            return text, doc
     report = detect(h2, spec, tgram=tgram, oracle=oracle)
     text = report.to_json()
     cache_dir.mkdir(parents=True, exist_ok=True)

@@ -29,9 +29,8 @@ from .fqf import Element, FiniteQuadraticForm
 from .isotropy import subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        _component_orbit_minima, _first_involution,
-                       _live_classes, checked_involution,
-                       maximizing_has_skew, polarized_disc,
-                       require_stratum_rank)
+                       checked_involution, maximizing_has_skew,
+                       polarized_disc, require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
 
 SCOPE_NOTE = (
@@ -40,8 +39,7 @@ SCOPE_NOTE = (
     "it does not identify which homological type carries it, nor certify "
     "any particular one.")
 
-REASONS = ("no_kappa", "genus_empty", "no_involution_cond2",
-           "no_involution_cond3")
+REASONS = ("no_kappa", "genus_empty", "no_involution_cond3")
 
 VERDICTS = ("witness_found", "none_exists", "inconclusive", "needs_T_gram")
 
@@ -127,20 +125,25 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
 
 def check_candidate(pf: PolarizedForm, cand: KernelCandidate
                     ) -> Tuple[str, Optional[DiscAutomorphism]]:
-    """Decide one candidate: the glued genus, then the involution conditions.
+    """Decide one candidate: the glued genus, then one involution question.
 
     K = <kappa (+) n alpha>, K-perp and K-perp/K are built once.  Returns
     ("genus_empty", None) when K-perp/K does not embed into the (3, 19)
     lattice with signature (2, rank_S); ("witness", phi) for the first
     symmetry-induced involution, in sorted matrix order, with phi(kappa) =
     -kappa inducing the identity on K-perp/K; else
-    ("no_involution_cond2"|"no_involution_cond3", None).  Both
-    conditions are pairs (x, phi(x)) checked slot by slot: cond2 only asks
-    whether some slot matching negates kappa and builds no matrix; cond3
-    takes the first matching, in sorted matrix order, of the phi that also
-    send each K-perp generator where it must go (_first_involution), and
-    lists no other.  That phi is the witness, rebuilt as a whole matrix
-    and checked again.
+    ("no_involution_cond3", None).
+
+    Condition (2) alone, some phi with phi(kappa) = -kappa, always holds:
+    -1 is a symmetry-induced involution (every slot keeps -I mod its
+    orders as a fixed option: A_n, D_odd, E6 and E7 have +-I, -I = I mod 2
+    on D_even, E8 owns no rows, and h has [[-1]]), and it negates every
+    kappa.  So it is not asked on its own.  It still rides in the one
+    question asked, since phi (+) -1 preserves K only if phi(kappa) =
+    -kappa: _first_involution takes the first phi, in sorted matrix order,
+    that negates kappa and sends each K-perp generator where it must go,
+    and lists no other.  That phi is the witness, rebuilt as a whole
+    matrix and checked again.
     """
     form = pf.form
     big = pf._cache.get(("ambient", cand.a2))
@@ -151,21 +154,19 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
                                                      cand.n)]))
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
         return "genus_empty", None
-    negate = [(cand.kappa, form.neg(cand.kappa))]
-    if _live_classes(pf, negate) is None:
-        return "no_involution_cond2", None
+    # phi (+) -1 preserves K only if phi(kappa) = -kappa.
     # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in
     # K = <kappa (+) n alpha> iff that is t*n mod a2 and its disc part is
     # t*kappa.  So phi must send the disc part of each K-perp generator g
     # to g + t*kappa.
-    wanted = []
+    wanted = [(cand.kappa, form.neg(cand.kappa))]
     for g in sq.kperp.gens:
         t, rem = divmod(-2 * g[-1] % cand.a2, cand.n)
         if rem:
             return "no_involution_cond3", None
         wanted.append((g, tuple((gi + t * ki) % o for gi, ki, o
                                 in zip(g, cand.kappa, form.orders))))
-    found = _first_involution(pf, negate + wanted)
+    found = _first_involution(pf, wanted)
     if found is not None:
         return "witness", checked_involution(form, found)
     return "no_involution_cond3", None

@@ -45,6 +45,7 @@ class RootSpec:
         if cleaned in ("", "0", "none"):
             return cls((), "")
         comps: List[Tuple[str, int]] = []
+        rank = 0
         for term in cleaned.split("+"):
             m = _TERM_RE.match(term)
             if not m:
@@ -55,6 +56,10 @@ class RootSpec:
                 raise ValueError(f"bad multiplicity in {term!r}")
             if not _ADE_VALID[fam](n):
                 raise ValueError(f"invalid component {fam}{n}")
+            # Checked before the term is expanded, so a huge multiplicity
+            # is refused without allocating it.
+            rank += count * n
+            _require_root_rank(rank)
             comps.extend([(fam, n)] * count)
         return cls(tuple(comps), cleaned)
 
@@ -80,8 +85,14 @@ class RootSpec:
 
 def require_stratum_rank(spec: RootSpec) -> None:
     """Raise ValueError unless the root lattice fits a stratum: with h it
-    spans a sublattice of the Picard lattice, whose rank is at most 20."""
-    if spec.rank > 19:
+    spans a sublattice of the Picard lattice, whose rank is at most 20.
+    RootSpec.parse already refuses a larger rank; this covers specs built
+    directly."""
+    _require_root_rank(spec.rank)
+
+
+def _require_root_rank(rank: int) -> None:
+    if rank > 19:
         raise ValueError("root rank exceeds 19; no such stratum")
 
 
@@ -495,10 +506,10 @@ def _count(items: Tuple[object, ...], choices: Dict[object, Choices]) -> int:
     return count(items)
 
 
-def _live_classes(pf: PolarizedForm, pairs: Pairs) -> Optional[list]:
+def _live_classes(pf: PolarizedForm, pairs: Pairs) -> list:
     """The slot table with only the options that send x to y for every
-    (x, y) in pairs, or None when some class has no matching left, so that
-    no symmetry-induced involution does.
+    (x, y) in pairs.  x may be longer than the form's rank; only its first
+    rank coordinates are read.
 
     A slot map acts on its own coordinates only, so phi(x) = y iff every
     chosen option sends x's part on its source coordinates to y's part on
@@ -512,11 +523,8 @@ def _live_classes(pf: PolarizedForm, pairs: Pairs) -> Optional[list]:
                 if all((sum(v * x[j] for j, v in row) - y[i]) % orders[i] == 0
                        for x, y in pairs for i, row in rows)]
 
-    classes = [(idxs, {c: live(options) for c, options in choices.items()})
-               for idxs, choices in _slot_table(pf)]
-    if any(next(_matchings(*cls), None) is None for cls in classes):
-        return None
-    return classes
+    return [(idxs, {c: live(options) for c, options in choices.items()})
+            for idxs, choices in _slot_table(pf)]
 
 
 def _join(r: int, matchings: Iterable[Tuple[Rows, ...]]) -> Block:
@@ -531,56 +539,49 @@ def _join(r: int, matchings: Iterable[Tuple[Rows, ...]]) -> Block:
 
 
 def _first_involution(pf: PolarizedForm, pairs: Pairs) -> Optional[Block]:
-    """The first matrix of involution_matrices(pf, pairs), or None, found
-    without listing the others: classes own disjoint rows, so the least
-    matrix joins the first matching of each class."""
-    classes = _live_classes(pf, pairs)
-    if classes is None:
-        return None
-    return _join(pf.form.rank, [next(_matchings(*cls)) for cls in classes])
+    """The least symmetry-induced involution phi, in sorted matrix order,
+    with phi(x) = y for every (x, y) in pairs, as a reduced matrix, or
+    None.  Classes own disjoint rows and _matchings walks each class in
+    sorted matrix order, so this joins the first matching of each class
+    left by _live_classes and builds no other matrix; a class with no
+    matching left means there is no such phi."""
+    firsts = []
+    for cls in _live_classes(pf, pairs):
+        first = next(_matchings(*cls), None)
+        if first is None:
+            return None
+        firsts.append(first)
+    return _join(pf.form.rank, firsts)
 
 
 _INVOLUTION_CAP = 2_000_000
 
 
-def involution_matrices(pf: PolarizedForm, pairs: Pairs = ()) -> List[Block]:
-    """The symmetry-induced involutions phi of the polarized discriminant
-    with phi(x) = y for every (x, y) in pairs, as reduced matrices, sorted.
-    x may be longer than the form's rank; only its first rank coordinates
-    are read.
+def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
+    """All involutions of the polarized discriminant induced by diagram
+    symmetries, label-preserving component permutations, and the sign on the
+    polarization block, as validated DiscAutomorphisms sorted by matrix
+    entries.
 
     Each involution is a product of slot maps (a diagram symmetry of a
     fixed component, an identification of a swapped pair of equal
     components, a sign on h).  Slot maps act on disjoint blocks, so they
     commute, and a product of checked involutive isometries is one again.
-    The pairs are checked slot by slot (see _live_classes) before any
-    product is taken.  Distinct matchings make distinct matrices.
+    Distinct matchings make distinct matrices.
 
-    This is the full list, for disc_involutions and the tests; detection
-    asks _first_involution for its first entry only.  Raises RuntimeError,
-    before building any matrix, when the list would hold more than ~2e6
-    matrices.
+    This is the full list, for `autos` and the tests; detection asks
+    _first_involution for the first phi with given images only.  Raises
+    RuntimeError, before building any matrix, when the list would hold
+    more than ~2e6 matrices.
     """
-    classes = _live_classes(pf, pairs)
-    if classes is None:
-        return []
+    classes = _slot_table(pf)
     if prod(_count(*cls) for cls in classes) > _INVOLUTION_CAP:
         raise RuntimeError("involution enumeration exceeds the generation cap")
     r = pf.form.rank
-    return sorted(_join(r, matchings)
+    mats = sorted(_join(r, matchings)
                   for matchings in product(*(_matchings(*cls)
                                              for cls in classes)))
-
-
-def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
-    """All involutions of the polarized discriminant induced by diagram
-    symmetries, label-preserving component permutations, and the sign on the
-    polarization block: involution_matrices with no pairs, each matrix
-    rebuilt as a validated DiscAutomorphism, sorted by matrix entries.
-
-    Raises RuntimeError when the list would hold more than ~2e6 matrices.
-    """
-    return [DiscAutomorphism(pf.form, m) for m in involution_matrices(pf)]
+    return [DiscAutomorphism(pf.form, m) for m in mats]
 
 
 def _invert_mod_orders(m: Sequence[Sequence[int]], orders: Sequence[int]
@@ -678,7 +679,7 @@ def maximizing_has_skew(tgram: Sequence[Sequence[int]],
             pairs = [(img, tuple(sum(map(mul, col, row)) % o
                                  for row, o in zip(zip(*psi), disc_s.orders)))
                      for img, col in zip(psi, zip(*rho))]
-            if _live_classes(pf, pairs) is not None:
+            if _first_involution(pf, pairs) is not None:
                 return True
     return False
 

@@ -17,7 +17,7 @@ import jsonschema
 import pytest
 
 import realstrata
-from realstrata.cli import build_parser, main
+from realstrata.cli import _REPORT_KEYS, build_parser, main
 from realstrata.lattices import RootSpec, polarized_disc
 
 SCHEMA = json.loads(
@@ -93,12 +93,14 @@ def test_io_error_exits_2_with_one_line(capsys, tmp_path, case):
 @pytest.mark.parametrize("command", ["disc", "embed", "autos", "detect"])
 def test_every_spec_subcommand_rejects_rank_over_19(capsys, tmp_path,
                                                     command):
-    argv = [command, "--spec", "20*A1"]
-    if command == "detect":
-        argv += ["--cache-dir", str(tmp_path)]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == "error: root rank exceeds 19; no such stratum\n"
+    # A huge multiplicity is refused before the term is expanded.
+    for spec in ("20*A1", "99999999999*A1"):
+        argv = [command, "--spec", spec]
+        if command == "detect":
+            argv += ["--cache-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), spec
+        assert err == "error: root rank exceeds 19; no such stratum\n", spec
 
 
 # ---------------------------------------------------------------- disc
@@ -150,6 +152,8 @@ def test_detect_json_validates_against_schema(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
+    # the cache serves only entries with exactly these keys
+    assert doc.keys() == _REPORT_KEYS
     assert doc["verdict"] == "witness_found"
     assert doc["model"] == "quartic"
     # canonical serialization: sorted keys, two-space indent
@@ -263,18 +267,45 @@ def test_cache_key_depends_on_oracle(capsys, tmp_path):
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+# Cache entries that are not a report: truncated JSON, then JSON that
+# parses to something else.
+NOT_A_REPORT = [None, "{}", "null", "[1]", '{"verdict": "witness_found"}']
+
+
 def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
-    code1, out1, _ = run(capsys, "detect", "--spec", "A2", "--json",
-                         "--cache-dir", str(tmp_path))
-    (entry,) = tmp_path.glob("*.json")
-    entry.write_text(entry.read_text()[:40])
-    code2, out2, err2 = run(capsys, "detect", "--spec", "A2", "--json",
-                            "--cache-dir", str(tmp_path))
-    assert (code1, code2, err2) == (0, 0, "")
-    assert json.loads(out2)["verdict"] == json.loads(out1)["verdict"]
-    # the entry was rewritten whole, and no temporary file is left behind
-    assert entry.read_text() + "\n" == out2
-    assert list(tmp_path.iterdir()) == [entry]
+    # One loop, not a parametrization, so the test keeps its name; None
+    # stands for the first 40 characters of the real entry.
+    for i, content in enumerate(NOT_A_REPORT):
+        cache = tmp_path / str(i)
+        code1, out1, _ = run(capsys, "detect", "--spec", "A2", "--json",
+                             "--cache-dir", str(cache))
+        (entry,) = cache.glob("*.json")
+        entry.write_text(entry.read_text()[:40] if content is None
+                         else content)
+        code2, out2, err2 = run(capsys, "detect", "--spec", "A2", "--json",
+                                "--cache-dir", str(cache))
+        assert (code1, code2, err2) == (0, 0, ""), content
+        assert json.loads(out2)["verdict"] == json.loads(out1)["verdict"]
+        # the entry was rewritten whole, and no temporary file is left
+        # behind
+        assert entry.read_text() + "\n" == out2, content
+        assert list(cache.iterdir()) == [entry], content
+
+
+def test_batch_treats_an_entry_that_is_not_a_report_as_a_miss(capsys,
+                                                              tmp_path):
+    listing = tmp_path / "strata.txt"
+    listing.write_text("A1\nA2\n")
+    cache = tmp_path / "cache"
+    assert run(capsys, "batch", str(listing), "--cache-dir", str(cache))[0] \
+        == 0
+    for entry, content in zip(sorted(cache.glob("*.json")), NOT_A_REPORT[1:]):
+        entry.write_text(content)
+    code, out, err = run(capsys, "batch", str(listing),
+                         "--cache-dir", str(cache))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["A1: witness_found", "A2: witness_found",
+                                "batch: 2 strata  witness_found=2"]
 
 
 # ---------------------------------------------------- errors from the engine
@@ -290,8 +321,8 @@ def test_involution_cap_is_one_line_error(capsys, monkeypatch):
 
 
 def test_batch_records_involution_cap_and_goes_on(capsys, tmp_path):
-    # detect never reaches the involution cap, so an error detect raises
-    # after the line parses (root rank 20) stands in for it.
+    # detect never reaches the involution cap, so the error one line
+    # raises (root rank 20) stands in for it.
     listing = tmp_path / "strata.txt"
     listing.write_text("20*A1\nD7+A6+A3+A2\n")
     code, out, err = run(capsys, "batch", str(listing),

@@ -3,6 +3,7 @@ verdicts, conclusiveness bases, and report shape."""
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -180,8 +181,14 @@ def test_check_candidate_statuses():
 
 
 def test_vocabularies():
-    assert set(REASONS) == {"no_kappa", "genus_empty", "no_involution_cond2",
-                            "no_involution_cond3"}
+    assert REASONS == ("no_kappa", "genus_empty", "no_involution_cond3")
+    # The README's reason sentence and demo 03's legend name exactly these.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    sentence = re.search(r"one of the reasons\s(.*?)\.\s", readme, re.S)
+    assert tuple(re.findall(r"`(\w+)`", sentence.group(1))) == REASONS
+    legend = (root / "demos" / "03_golden_negatives.py").read_text()
+    assert tuple(re.findall(r"^  (\w+)  ", legend, re.M)) == REASONS
     assert set(VERDICTS) == {"witness_found", "none_exists", "inconclusive",
                              "needs_T_gram"}
     assert set(BASES) == {"corlem1", "corlem2", "rankT2"}

@@ -20,11 +20,10 @@ from realstrata.detector import (check_candidate, detect,
 from realstrata.isotropy import subquotient
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                  _anti_isometries, _count, _first_involution,
-                                 _induced_on_disc, _slot_table,
+                                 _induced_on_disc, _live_classes, _slot_table,
                                  binary_autos, cartan_matrix,
                                  disc_involutions, disc_of_gram, disc_root,
-                                 involution_matrices, maximizing_has_skew,
-                                 polarized_disc)
+                                 maximizing_has_skew, polarized_disc)
 from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import brute_involutions
@@ -298,17 +297,43 @@ FILTER_FORMS = [("A1", 2), ("2*A1", 4), ("3*A2", 4), ("D4", 4), ("2*D4", 4),
 INTERLEAVED = ["A1+A2+A1", "A2+D4+A2", "A1+D4+A1+D4"]
 
 
+def _assert_filter_matches(pf, pairs, want, label):
+    """The slot filter keeps exactly len(want) matchings, and its first
+    involution is the head of want: the brute-filtered full list."""
+    assert prod(_count(*cls) for cls in _live_classes(pf, pairs)) \
+        == len(want), label
+    assert _first_involution(pf, pairs) == (want or [None])[0], label
+
+
 def test_kappa_filter_equals_filtering_the_full_list():
     for spec, h2 in FILTER_FORMS:
         pf = polarized_disc(RootSpec.parse(spec), h2)
         form = pf.form
-        full = [a.matrix for a in disc_involutions(pf)]
-        assert full == involution_matrices(pf), spec
+        full = disc_involutions(pf)
         for kappa in form.iter_elements():
-            want = [m for a, m in zip(disc_involutions(pf), full)
-                    if a.apply(kappa) == form.neg(kappa)]
-            assert involution_matrices(
-                pf, [(kappa, form.neg(kappa))]) == want, (spec, kappa)
+            pairs = [(kappa, form.neg(kappa))]
+            want = [a.matrix for a in full if a.apply(kappa) == form.neg(kappa)]
+            _assert_filter_matches(pf, pairs, want, (spec, kappa))
+
+
+def test_minus_one_is_a_symmetry_induced_involution():
+    # check_candidate asks no separate phi(kappa) = -kappa question: -1 is
+    # always symmetry-induced and negates every kappa.  With every
+    # generator negated, the only candidate is -1 itself.
+    forms = FILTER_FORMS + [(s, 4) for s in INTERLEAVED]
+    for h2 in (2, 4):
+        forms += [(f"A{n}", h2) for n in range(1, 20)]
+        forms += [(f"D{n}", h2) for n in range(4, 20)]
+        forms += [(f"E{n}", h2) for n in (6, 7, 8)]
+    for spec, h2 in forms:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        form = pf.form
+        r = form.rank
+        gens = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        minus_one = tuple(tuple(-(i == j) % o for j in range(r))
+                          for i, o in enumerate(form.orders))
+        assert _first_involution(
+            pf, [(e, form.neg(e)) for e in gens]) == minus_one, (spec, h2)
 
 
 
@@ -338,9 +363,7 @@ def test_pair_filter_equals_filtering_the_full_list():
                 want = [a.matrix for a in full
                         if all(a.apply(u[:form.rank]) == v
                                for u, v in pairs)]
-                assert involution_matrices(pf, pairs) == want, (spec, pairs)
-                assert _first_involution(pf, pairs) == (want or [None])[0], \
-                    (spec, pairs)
+                _assert_filter_matches(pf, pairs, want, (spec, pairs))
 
 def _reference_check(pf, cand):
     """check_candidate as it was before the slot filter: filter the whole
