@@ -94,19 +94,35 @@ def _cache_key(h2: int, spec: RootSpec, tgram, oracle: bool) -> str:
 
 
 # The top-level keys of DetectionReport.to_json_dict, as report_schema.json
-# requires them.
-_REPORT_KEYS = frozenset((
-    "version", "model", "spec", "rank_S", "rank_T", "disc", "verdict",
-    "conclusiveness_basis", "scope_note", "witness", "witness_revalidated",
-    "trace", "oracle_checked", "wall_time_ms", "generated_at"))
+# requires them, each with the JSON types the schema allows it (exact
+# types: a bool is not an integer here).
+_REPORT_TYPES = {
+    "version": (str,), "model": (str,), "spec": (str,),
+    "rank_S": (int,), "rank_T": (int,), "disc": (dict,), "verdict": (str,),
+    "conclusiveness_basis": (str, type(None)), "scope_note": (str,),
+    "witness": (dict, type(None)),
+    "witness_revalidated": (bool, str, type(None)), "trace": (list,),
+    "oracle_checked": (bool, str), "wall_time_ms": (int,),
+    "generated_at": (str,)}
+_REPORT_KEYS = frozenset(_REPORT_TYPES)
+_WITNESS_KEYS = frozenset(("a2", "n", "kappa", "phi"))
 
 
 def _is_report(doc: object) -> bool:
     """Whether a parsed cache entry can be served as a report: an object
-    with exactly a report's keys and a known verdict.  Cheap enough for
-    every hit; the schema is not read."""
-    return (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS
-            and doc["verdict"] in VERDICTS)
+    with exactly a report's keys, each holding a value of a type the
+    schema allows, a known verdict, a disc whose display is a string and
+    a witness that is null or has a witness's keys.  Cheap enough for
+    every hit: the schema is not read and the trace rows are not walked."""
+    if not (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS):
+        return False
+    for key, types in _REPORT_TYPES.items():
+        if type(doc[key]) not in types:
+            return False
+    return (doc["verdict"] in VERDICTS
+            and type(doc["disc"].get("display")) is str
+            and (doc["witness"] is None
+                 or doc["witness"].keys() == _WITNESS_KEYS))
 
 
 def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,

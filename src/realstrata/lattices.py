@@ -249,9 +249,73 @@ def polarized_disc(spec: RootSpec, h2: int) -> PolarizedForm:
 # --------------------------------------------------------- disc automorphisms
 
 
+def _check_isometry(form: FiniteQuadraticForm, support: Sequence[int],
+                    block: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless the map phi that sends each generator e_t,
+    t in support (ascending), to sum_a block[a][b] e_{support[a]} (t =
+    support[b]) and fixes every other generator is a homomorphism keeping
+    q and b.  Bijective then: b is kept, so the kernel lies in the radical,
+    which is trivial (every form is checked nondegenerate).
+
+    Outside the support phi is the identity, so every check there holds
+    by definition: q(e_j) = Qn[j] and b(e_i, e_j) = Bn[i][j].  What can
+    fail is the homomorphism test on the block, q on each column j in the
+    support, and b(phi e_i, phi e_j) = Bn[i][j] for j in the support and
+    every other i; for i outside it that is b(e_i, phi e_j), a sum over
+    the support that is computed, not assumed 0.  These are the checks of
+    the whole matrix, made in its order (column by column, q before b), at
+    O(|S|^2 r) cost for a support S of a rank r form, not O(r^3)."""
+    orders, bn, n, r = form.orders, form.Bn, form.N, form.rank
+    for b, t in enumerate(support):
+        for a, s in enumerate(support):
+            if (orders[t] * block[a][b]) % orders[s]:
+                raise ValueError("matrix does not define a homomorphism")
+    # cols[b] is phi(e_t) on the support, and pairing[b][i] is
+    # b(e_i, phi e_t) * N mod N for every generator e_i.
+    cols = list(zip(*block))
+    bn_on = [[row[s] for s in support] for row in bn]
+    gram_on = [[form._gram[s][u] for u in support] for s in support]
+    pairing = [[sum(map(mul, row, col)) % n for row in bn_on]
+               for col in cols]
+    where = {t: b for b, t in enumerate(support)}
+    for j in range(r):
+        b = where.get(j)
+        if b is None:
+            # phi(e_j) = e_j: only its pairings with a later phi(e_i), i in
+            # the support, can differ from Bn.
+            if any(i > j and pairing[a][j] != bn[i][j]
+                   for a, i in enumerate(support)):
+                raise ValueError("map does not preserve b")
+            continue
+        col, row = cols[b], pairing[b]
+        if sum(x * sum(map(mul, g, col)) for x, g in zip(col, gram_on) if x
+               ) % (2 * n) != form.Qn[j]:
+            raise ValueError("map does not preserve q")
+        row_on = [row[s] for s in support]
+        for i in range(j + 1, r):
+            a = where.get(i)
+            got = row[i] if a is None else sum(map(mul, cols[a], row_on)) % n
+            if got != bn[i][j]:
+                raise ValueError("map does not preserve b")
+
+
+def _is_involution(orders: Sequence[int],
+                   block: Sequence[Sequence[int]]) -> bool:
+    """block*block = I, row a reduced mod orders[a]: the map the block
+    makes on generators of these orders, applied twice, is the identity
+    (column b of the square is the image of the b-th generator)."""
+    cols = list(zip(*block))
+    return all(sum(map(mul, row, col)) % o == (a == b)
+               for a, (o, row) in enumerate(zip(orders, block))
+               for b, col in enumerate(cols))
+
+
 class DiscAutomorphism:
     """An automorphism of a finite quadratic form, stored as an integer
-    matrix whose j-th column gives the image of the j-th generator."""
+    matrix whose j-th column gives the image of the j-th generator.  The
+    constructor and is_involution run the checks of a symmetry-induced
+    slot map (_check_isometry, _is_involution) with the support set to
+    every generator."""
 
     def __init__(self, form: FiniteQuadraticForm,
                  matrix: Sequence[Sequence[int]]):
@@ -259,25 +323,7 @@ class DiscAutomorphism:
         self.form = form
         self.matrix = tuple(tuple(matrix[i][j] % form.orders[i]
                                   for j in range(r)) for i in range(r))
-        self._validate()
-
-    def _validate(self) -> None:
-        form = self.form
-        r = form.rank
-        m = self.matrix
-        for j in range(r):
-            for i in range(r):
-                if (form.orders[j] * m[i][j]) % form.orders[i]:
-                    raise ValueError("matrix does not define a homomorphism")
-        cols = [tuple(m[i][j] for i in range(r)) for j in range(r)]
-        for j in range(r):
-            if form.eval_qn(cols[j]) != form.Qn[j]:
-                raise ValueError("map does not preserve q")
-            for i in range(j + 1, r):
-                if form.eval_bn(cols[i], cols[j]) != form.Bn[i][j]:
-                    raise ValueError("map does not preserve b")
-        # Bijective already: b is preserved, so the kernel lies in the
-        # radical, which is trivial (every form is checked nondegenerate).
+        _check_isometry(form, range(r), self.matrix)
 
     def apply(self, x: Sequence[int]) -> Element:
         form = self.form
@@ -286,15 +332,8 @@ class DiscAutomorphism:
                      % form.orders[i] for i in range(r))
 
     def is_involution(self) -> bool:
-        """M*M = I on the group: column j of M*M, reduced mod the orders, is
-        the image of e_j under the map applied twice."""
-        m = self.matrix
-        cols = list(zip(*m))
-        for i, (row, o) in enumerate(zip(m, self.form.orders)):
-            for j, col in enumerate(cols):
-                if sum(map(mul, row, col)) % o != (i == j):
-                    return False
-        return True
+        """M*M = I on the group."""
+        return _is_involution(self.form.orders, self.matrix)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiscAutomorphism)
@@ -323,14 +362,8 @@ def _component_fixed_autos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     triality."""
     out = _component_swap_isos(fam, n, k)
     if (fam, n) == ("D", 4):
-        out = [m for m in out if _is_involutive_2x2_mod2(m)]
+        out = [m for m in out if _is_involution((2, 2), m)]
     return out
-
-
-def _is_involutive_2x2_mod2(m: List[List[int]]) -> bool:
-    sq = [[sum(m[i][t] * m[t][j] for t in range(2)) % 2 for j in range(2)]
-          for i in range(2)]
-    return sq == [[1, 0], [0, 1]]
 
 
 def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
@@ -370,45 +403,69 @@ _NOT_AN_INVOLUTION = "a symmetry-induced map is not an involution"
 
 def checked_involution(form: FiniteQuadraticForm,
                        matrix: Sequence[Sequence[int]]) -> DiscAutomorphism:
-    """The matrix as a DiscAutomorphism, checked to be a homomorphism
-    keeping q and b (by the constructor) and an involution.  Both checks
-    raise explicitly, so they also run under python -O."""
+    """The matrix as a DiscAutomorphism, checked on every generator to be
+    a homomorphism keeping q and b (by the constructor) and an involution.
+    Both checks raise explicitly, so they also run under python -O."""
     auto = DiscAutomorphism(form, matrix)
     if not auto.is_involution():
         raise AssertionError(_NOT_AN_INVOLUTION)
     return auto
 
 
-def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int, k: int,
-                  blocks: List[List[List[int]]]) -> Options:
-    """The options of one block of a symmetry-induced involution: a fixed
-    component (src == dst), a swapped pair of equal components, or the h
-    generator.  Each block maps the generators starting at src onto those
-    starting at dst; for a pair its inverse maps them back.  The blocks are
-    deduplicated mod the orders and each slot map is checked once, placed
-    in an identity matrix.  A pair block without an inverse cannot be
-    completed to an involution and raises."""
-    orders = form.orders[dst:dst + k]
-    options: List[Rows] = []
+def _check_slot_map(form: FiniteQuadraticForm, rows: Rows) -> None:
+    """checked_involution for the matrix that is `rows` on the coordinates
+    the rows own and the identity elsewhere, checked on those coordinates
+    only: elsewhere the identity keeps q and b and squares to 1 by
+    definition (see _check_isometry).  Every column a row names is owned
+    by a row.  The same errors, in the same order, as the whole-matrix
+    check."""
+    support = sorted(i for i, _ in rows)
+    where = {t: b for b, t in enumerate(support)}
+    block = [[0] * len(support) for _ in support]
+    for i, row in rows:
+        for j, v in row:
+            block[where[i]][where[j]] = v
+    _check_isometry(form, support, block)
+    if not _is_involution([form.orders[s] for s in support], block):
+        raise AssertionError(_NOT_AN_INVOLUTION)
+
+
+def _reduced_blocks(blocks: Iterable[Sequence[Sequence[int]]],
+                    orders: Sequence[int]) -> List[List[List[int]]]:
+    """The distinct blocks mod the orders (one per row), in first-seen
+    order."""
+    out: List[List[List[int]]] = []
     for raw in blocks:
         block = [[v % o for v in row] for row, o in zip(raw, orders)]
+        if block not in out:
+            out.append(block)
+    return out
+
+
+def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int,
+                  blocks: Sequence[Tuple[List[List[int]],
+                                         Optional[List[List[int]]]]]
+                  ) -> Options:
+    """The options of one block of a symmetry-induced involution: a fixed
+    component (src == dst), a swapped pair of equal components, or the h
+    generator.  `blocks` holds distinct blocks reduced mod the orders,
+    each with its inverse (used for a pair only; None when there is
+    none).  Each block maps the generators starting at src onto those
+    starting at dst; for a pair its inverse maps them back.  Each slot map
+    is checked once, on its own coordinates by _check_slot_map; for a pair
+    that check also proves the inverse right.  A pair block without an
+    inverse cannot be completed to an involution and raises."""
+    options: List[Rows] = []
+    for block, inv in blocks:
         parts = [(dst, src, block)]
         if src != dst:
-            inv = _invert_mod_orders(block, orders)
             if inv is None:
                 raise AssertionError(_NOT_AN_INVOLUTION)
             parts.append((src, dst, inv))
         rows = tuple((to + i, tuple((fro + j, v) for j, v in enumerate(row)
                                     if v))
                      for to, fro, part in parts for i, row in enumerate(part))
-        if rows in options:
-            continue
-        mat = _intmat.identity(form.rank)
-        for i, row in rows:
-            mat[i][i] = 0
-            for j, v in row:
-                mat[i][j] = v
-        checked_involution(form, mat)
+        _check_slot_map(form, rows)
         options.append(rows)
     return tuple(options)
 
@@ -419,7 +476,10 @@ def _slot_table(pf: PolarizedForm
     the slot options of c, fixed or paired with a later index of the class.
     The h generator is a class of its own, tagged "h".  Components with a
     trivial discriminant (E8) own no rows and are left out, so distinct
-    matchings make distinct matrices.  Built and checked once per form.
+    matchings make distinct matrices.  Built once per form; each option is
+    checked once, as an involutive isometry on its own coordinates.  The
+    components of a class share their generator orders, so its blocks are
+    reduced, and its swap blocks inverted, once for all its pairs.
 
     Each list is sorted by its options' rows written out densely, in row
     order, so c's rows come first.  Two options of c differ there (an
@@ -445,20 +505,27 @@ def _slot_table(pf: PolarizedForm
         k = hi - lo
         if not k:
             continue
+        orders = form.orders[lo:hi]
+        swaps = [] if len(idxs) < 2 else [
+            (block, _invert_mod_orders(block, orders)) for block in
+            _reduced_blocks(_component_swap_isos(fam, n, k), orders)]
+        fixed = [(block, None) for block in _reduced_blocks(
+            _component_fixed_autos(fam, n, k), orders)]
         choices = {}
         for pos, c in enumerate(idxs):
             src = pf.comp_slices[c][0]
             options = [(d, rows) for d in idxs[pos + 1:]
                        for rows in _checked_slot(
-                           form, src, pf.comp_slices[d][0], k,
-                           _component_swap_isos(fam, n, k))]
-            options += [(None, rows) for rows in _checked_slot(
-                form, src, src, k, _component_fixed_autos(fam, n, k))]
+                           form, src, pf.comp_slices[d][0], swaps)]
+            options += [(None, rows)
+                        for rows in _checked_slot(form, src, src, fixed)]
             choices[c] = sorted(options, key=dense)
         table.append((tuple(idxs), choices))
     h = r - 1
+    signs = [(block, None) for block in _reduced_blocks(
+        [[[1]], [[-1]]], form.orders[h:])]
     table.append((("h",), {"h": [(None, rows) for rows in _checked_slot(
-        form, h, h, 1, [[[1]], [[-1]]])]}))
+        form, h, h, signs)]}))
     pf._cache["slots"] = table
     return table
 

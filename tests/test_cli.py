@@ -17,7 +17,8 @@ import jsonschema
 import pytest
 
 import realstrata
-from realstrata.cli import _REPORT_KEYS, build_parser, main
+from realstrata.cli import (_REPORT_KEYS, _REPORT_TYPES, _is_report,
+                            build_parser, main)
 from realstrata.lattices import RootSpec, polarized_disc
 
 SCHEMA = json.loads(
@@ -152,8 +153,16 @@ def test_detect_json_validates_against_schema(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
-    # the cache serves only entries with exactly these keys
+    # the cache serves only entries with exactly these keys, each of a
+    # type the schema allows
     assert doc.keys() == _REPORT_KEYS
+    assert _is_report(doc)
+    json_types = {"string": str, "integer": int, "boolean": bool,
+                  "object": dict, "array": list, "null": type(None)}
+    for key, prop in SCHEMA["properties"].items():
+        allowed = prop["type"] if isinstance(prop["type"], list) \
+            else [prop["type"]]
+        assert set(_REPORT_TYPES[key]) == {json_types[t] for t in allowed}
     assert doc["verdict"] == "witness_found"
     assert doc["model"] == "quartic"
     # canonical serialization: sorted keys, two-space indent
@@ -270,26 +279,49 @@ def test_cache_key_depends_on_oracle(capsys, tmp_path):
 # Cache entries that are not a report: truncated JSON, then JSON that
 # parses to something else.
 NOT_A_REPORT = [None, "{}", "null", "[1]", '{"verdict": "witness_found"}']
+# Entries with every report key but a value the schema does not allow, as
+# replacements in the real entry; printing one used to crash detect.
+MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
+                    {"witness": {"a2": 2}}, {"rank_S": "1"}, {"rank_T": True},
+                    {"disc": {"display": None}},
+                    {"verdict": ["witness_found"]}, {"oracle_checked": None}]
+
+
+def _untimed(text):
+    doc = json.loads(text)
+    del doc["wall_time_ms"], doc["generated_at"]
+    return doc
 
 
 def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
     # One loop, not a parametrization, so the test keeps its name; None
-    # stands for the first 40 characters of the real entry.
-    for i, content in enumerate(NOT_A_REPORT):
+    # stands for the first 40 characters of the real entry, a dict for the
+    # real entry with those values replaced.  The JSON output and the
+    # human output are both checked against a fresh run.
+    _, human, _ = run(capsys, "detect", "--spec", "A2",
+                      "--cache-dir", str(tmp_path / "fresh"))
+    for i, content in enumerate(NOT_A_REPORT + MALFORMED_VALUES):
         cache = tmp_path / str(i)
         code1, out1, _ = run(capsys, "detect", "--spec", "A2", "--json",
                              "--cache-dir", str(cache))
         (entry,) = cache.glob("*.json")
-        entry.write_text(entry.read_text()[:40] if content is None
-                         else content)
+        real = entry.read_text()
+        bad = (real[:40] if content is None
+               else json.dumps({**json.loads(real), **content})
+               if isinstance(content, dict) else content)
+        entry.write_text(bad)
         code2, out2, err2 = run(capsys, "detect", "--spec", "A2", "--json",
                                 "--cache-dir", str(cache))
         assert (code1, code2, err2) == (0, 0, ""), content
         assert json.loads(out2)["verdict"] == json.loads(out1)["verdict"]
+        assert _untimed(out2) == _untimed(out1), content
         # the entry was rewritten whole, and no temporary file is left
         # behind
         assert entry.read_text() + "\n" == out2, content
         assert list(cache.iterdir()) == [entry], content
+        entry.write_text(bad)
+        assert run(capsys, "detect", "--spec", "A2", "--cache-dir",
+                   str(cache)) == (0, human, ""), content
 
 
 def test_batch_treats_an_entry_that_is_not_a_report_as_a_miss(capsys,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import realstrata
-from realstrata import detector
+from realstrata import detector, lattices
 from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
@@ -268,22 +268,33 @@ def test_report_trace_rows_use_reason_vocabulary():
 
 def test_detect_builds_each_slot_option_once(monkeypatch):
     # 8*A1 @ 16: 8 fixed A1 slots and 28 swapped pairs with one option each
-    # (+1 and -1 agree mod 2), the h slot with +-1, and the witness rebuilt
-    # as a whole matrix.  Revalidation is skipped (the glued group exceeds
-    # the oracle cutoff), so it builds none.  Materialising all 1,528
-    # involutions would build at least that many.
-    built = []
-    real = DiscAutomorphism.__init__
+    # (+1 and -1 agree mod 2), and the h slot with +-1.  Each option is
+    # checked once on its own coordinates, with no whole matrix; only the
+    # witness is rebuilt as one.  Revalidation is skipped (the glued group
+    # exceeds the oracle cutoff), so it builds none.  Materialising all
+    # 1,528 involutions would build at least that many.
+    built, checked = [], []
+    real_init, real_check = DiscAutomorphism.__init__, lattices._check_slot_map
 
-    def counting(self, form, matrix):
+    def counting_init(self, form, matrix):
         built.append(matrix)
-        real(self, form, matrix)
+        real_init(self, form, matrix)
 
-    monkeypatch.setattr(DiscAutomorphism, "__init__", counting)
+    def counting_check(form, rows):
+        checked.append(rows)
+        real_check(form, rows)
+
+    monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
+    monkeypatch.setattr(lattices, "_check_slot_map", counting_check)
     rep = detect(16, "8*A1")
     assert (rep.verdict, rep.witness_revalidated) == ("witness_found",
                                                      "skipped_cutoff")
-    assert len(built) == 8 + 28 + 2 + 1
+    assert len(built) == 1
+    h = 8
+    kinds = ["pair" if len(rows) == 2 else "h" if rows[0][0] == h
+             else "fixed" for rows in checked]
+    assert len(set(checked)) == len(checked)
+    assert sorted(kinds) == ["fixed"] * 8 + ["h"] * 2 + ["pair"] * 28
 
 
 # ------------------------------------------------------------ kappa orbits

@@ -18,15 +18,19 @@ from realstrata.fqf import (canon_mod2, cyclic_form, trivial_form, u_block,
 from realstrata.detector import (check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
 from realstrata.isotropy import subquotient
+from realstrata import lattices
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
-                                 _anti_isometries, _count, _first_involution,
-                                 _induced_on_disc, _live_classes, _slot_table,
-                                 binary_autos, cartan_matrix,
+                                 _anti_isometries, _component_swap_isos,
+                                 _count, _first_involution, _induced_on_disc,
+                                 _live_classes, _slot_table, binary_autos,
+                                 cartan_matrix, checked_involution,
                                  disc_involutions, disc_of_gram, disc_root,
                                  maximizing_has_skew, polarized_disc)
 from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import brute_involutions
+
+from _corpus import corpus
 
 # ------------------------------------------------------------------ RootSpec
 
@@ -456,14 +460,139 @@ def test_disc_automorphism_accepts_exactly_the_brute_isometries():
         assert accepted >= 2, form.orders   # the identity and -1 at least
 
 
+def _outcome(check, *args):
+    """None when check(*args) accepts, else its exception's type and text."""
+    try:
+        check(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _sparse_maps(form, rng, bases):
+    """Slot maps as (support, block): the bases, then for each base a
+    column scaled by a random factor (q), the whole block negated (cross
+    terms b(e_i, phi e_j) with i outside the support), its columns
+    permuted (an involution or not) and one entry set to 1 (a
+    homomorphism or not), and random signed permutations."""
+    r = form.rank
+    maps = list(bases)
+    for support, block in bases:
+        size = len(support)
+        b = rng.randrange(size)
+        scale = rng.randrange(2, max(form.orders) + 1)
+        maps.append((support, [[v * scale if c == b else v
+                                for c, v in enumerate(row)] for row in block]))
+        maps.append((support, [[-v for v in row] for row in block]))
+        perm = rng.sample(range(size), size)
+        maps.append((support, [[row[perm[c]] for c in range(size)]
+                               for row in block]))
+        a, b = rng.randrange(size), rng.randrange(size)
+        maps.append((support, [[1 if (x, c) == (a, b) else v
+                                for c, v in enumerate(row)]
+                               for x, row in enumerate(block)]))
+    for _ in range(2 * len(bases) + 4):
+        support = sorted(rng.sample(range(r), rng.randint(1, min(r, 4))))
+        perm = rng.sample(range(len(support)), len(support))
+        maps.append((support, [[rng.choice((1, -1)) if perm[c] == x else 0
+                                for c in range(len(support))]
+                               for x in range(len(support))]))
+    return maps
+
+
+def test_local_slot_check_equals_the_whole_matrix_check():
+    # Every slot option, every diagram automorphism of a component taken
+    # as a fixed map (the D4 3-cycles are isometries but no involutions),
+    # identities on random supports of corpus forms, and their mutations:
+    # the check on the support and checked_involution on the matrix that
+    # is the identity elsewhere accept or reject together, with the same
+    # exception and message.
+    rng = random.Random(5150)
+    cases = []
+    for spec, h2 in FILTER_FORMS + [(s, 4) for s in INTERLEAVED]:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        options = [rows for _, choices in _slot_table(pf)
+                   for opts in choices.values() for _, rows in opts]
+        for (fam, n), (lo, hi) in zip(pf.spec.components, pf.comp_slices):
+            if hi == lo:
+                continue
+            options += [tuple((lo + i, tuple((lo + j, v)
+                                             for j, v in enumerate(row)
+                                             if v))
+                              for i, row in enumerate(m))
+                        for m in _component_swap_isos(fam, n, hi - lo)]
+        cases.append((pf.form, [_dense_block(rows) for rows in options]))
+    for item in random.Random(6).sample(corpus(), 80):
+        form = item.form
+        cases.append((form, [
+            (support, [[int(x == c) for c in range(len(support))]
+                       for x in range(len(support))])
+            for support in (sorted(rng.sample(range(form.rank), size))
+                            for size in range(1, form.rank + 1))]))
+    seen = set()
+    for form, bases in cases:
+        for support, block in _sparse_maps(form, rng, bases):
+            rows = tuple((s, tuple((t, v) for t, v in zip(support, row) if v))
+                         for s, row in zip(support, block))
+            whole = [[int(i == j) for j in range(form.rank)]
+                     for i in range(form.rank)]
+            for s, row in zip(support, block):
+                for t, v in zip(support, row):
+                    whole[s][t] = v
+            got = _outcome(lattices._check_slot_map, form, rows)
+            assert got == _outcome(checked_involution, form, whole), \
+                (form.orders, rows)
+            seen.add(got)
+    assert seen == {None,
+                    ("ValueError", "matrix does not define a homomorphism"),
+                    ("ValueError", "map does not preserve q"),
+                    ("ValueError", "map does not preserve b"),
+                    ("AssertionError", lattices._NOT_AN_INVOLUTION)}
+
+
+def _dense_block(rows):
+    """(support, block) of a slot option given as sparse rows."""
+    support = sorted(i for i, _ in rows)
+    entries = dict(rows)
+    return support, [[dict(entries[s]).get(t, 0) for t in support]
+                     for s in support]
+
+
+def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
+    # The census walks every rank-18 spec, 18*A1 among them: its slot
+    # table checks 18 + 153 + 2 options on their own coordinates, builds
+    # no DiscAutomorphism, and inverts the one reduced A1 swap block once,
+    # not once per pair.  Counted, not timed.
+    built, inverted = [], []
+    real_init, real_invert = (DiscAutomorphism.__init__,
+                              lattices._invert_mod_orders)
+
+    def counting_init(self, form, matrix):
+        built.append(matrix)
+        real_init(self, form, matrix)
+
+    def counting_invert(block, orders):
+        inverted.append((tuple(map(tuple, block)), tuple(orders)))
+        return real_invert(block, orders)
+
+    monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
+    monkeypatch.setattr(lattices, "_invert_mod_orders", counting_invert)
+    table = _slot_table(polarized_disc(RootSpec.parse("18*A1"), 4))
+    assert built == []
+    assert inverted == [(((1,),), (2,))]
+    assert sum(len(options) for _, choices in table
+               for options in choices.values()) == 18 + 153 + 2
+
+
 def test_decision_checks_run_under_optimize():
     # python -O strips assert statements; the involution check in
     # disc_involutions and the size check in subquotient must still raise.
+    # The slot checks and DiscAutomorphism share one involution test.
     script = textwrap.dedent("""
         from realstrata import isotropy, lattices
         from realstrata.fqf import QuotientPresentation, u_block
         print("debug:", __debug__)
-        lattices.DiscAutomorphism.is_involution = lambda self: False
+        lattices._is_involution = lambda orders, block: False
         pf = lattices.polarized_disc(lattices.RootSpec.parse("A1"), 4)
         try:
             lattices.disc_involutions(pf)
