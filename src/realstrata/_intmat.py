@@ -12,6 +12,7 @@ Bareiss elimination.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
@@ -45,7 +46,7 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def matvec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
@@ -107,7 +108,7 @@ def hnf_solve(h: Sequence[Sequence[int]], x: Sequence[int]) -> List[int] | None:
     n = len(h)
     z = [0] * n
     for i in range(n):
-        rem = x[i] - sum(h[i][j] * z[j] for j in range(i))
+        rem = x[i] - sum(map(mul, h[i][:i], z))
         if rem % h[i][i]:
             return None
         z[i] = rem // h[i][i]

@@ -111,18 +111,28 @@ _WITNESS_KEYS = frozenset(("a2", "n", "kappa", "phi"))
 def _is_report(doc: object) -> bool:
     """Whether a parsed cache entry can be served as a report: an object
     with exactly a report's keys, each holding a value of a type the
-    schema allows, a known verdict, a disc whose display is a string and
-    a witness that is null or has a witness's keys.  Cheap enough for
-    every hit: the schema is not read and the trace rows are not walked."""
+    schema allows, a known verdict, a disc whose display is a string, a
+    witness that is null or has a witness's keys with integer a2 and n
+    and array kappa and phi, and trace rows that are objects with a
+    string reason.  These are the fields the human output reads.  Cheap
+    enough for every hit: the schema is not read, and each trace row is
+    looked at once."""
     if not (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS):
         return False
     for key, types in _REPORT_TYPES.items():
         if type(doc[key]) not in types:
             return False
+    witness, trace = doc["witness"], doc["trace"]
     return (doc["verdict"] in VERDICTS
             and type(doc["disc"].get("display")) is str
-            and (doc["witness"] is None
-                 or doc["witness"].keys() == _WITNESS_KEYS))
+            and (witness is None
+                 or (witness.keys() == _WITNESS_KEYS
+                     and (type(witness["a2"]), type(witness["n"]),
+                          type(witness["kappa"]), type(witness["phi"]))
+                     == (int, int, list, list)))
+            and (not trace      # a witness report usually has no rows
+                 or all(type(row) is dict and type(row.get("reason")) is str
+                        for row in trace)))
 
 
 def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,

@@ -183,7 +183,8 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
                    if any(x) and base.eval_qn(x) == target]
         if len(spinors) == 3:  # D4: all three agree; take the first two
             spinors = spinors[:2]
-        assert len(spinors) == 2
+        if len(spinors) != 2:
+            raise AssertionError(f"D{n} has {len(spinors)} spinor classes")
         return base.restricted_form([2, 2], spinors)
     # Every other base is cyclic, so splitting prime by prime (descending)
     # splits its one generator into prime-power pieces.
@@ -233,9 +234,12 @@ def polarized_disc(spec: RootSpec, h2: int) -> PolarizedForm:
     parts: List[FiniteQuadraticForm] = []
     tags: List[object] = []
     comp_slices: List[Tuple[int, int]] = []
+    roots: Dict[Tuple[str, int], FiniteQuadraticForm] = {}
     pos = 0
     for idx, (fam, n) in enumerate(spec.components):
-        dform = disc_root(fam, n)
+        dform = roots.get((fam, n))
+        if dform is None:
+            dform = roots[fam, n] = disc_root(fam, n)
         parts.append(dform)
         comp_slices.append((pos, pos + dform.rank))
         tags.extend([idx] * dform.rank)
@@ -326,10 +330,8 @@ class DiscAutomorphism:
         _check_isometry(form, range(r), self.matrix)
 
     def apply(self, x: Sequence[int]) -> Element:
-        form = self.form
-        r = form.rank
-        return tuple(sum(self.matrix[i][j] * x[j] for j in range(r))
-                     % form.orders[i] for i in range(r))
+        return tuple(sum(map(mul, row, x)) % o
+                     for row, o in zip(self.matrix, self.form.orders))
 
     def is_involution(self) -> bool:
         """M*M = I on the group."""

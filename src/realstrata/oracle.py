@@ -9,6 +9,10 @@ denominator of form.q and form.b (the Fraction tuples), never by the
 engine's integer evaluators or its integer Gram.  All functions refuse (with
 OracleSizeError) groups larger than a fixed cutoff rather than sampling,
 so a passing check is a complete one.
+The engine's K-perp/K presentation is proved by one walk over the sum of
+its cyclic factors: the generator reps send each coordinate vector to a
+distinct brute-force coset, on which the engine's coordinate map gives the
+vector back and the engine's quotient q agrees with the brute one.
 A failed check raises OracleMismatch explicitly, so the checks also run
 under ``python -O``.
 """
@@ -219,6 +223,7 @@ def brute_subquotient(form: FiniteQuadraticForm,
     g = _scaled_gram(form)
     kset = set(form.subgroup(list(kernel_gens)).iter_elements())
     _require(not any(_qd(g, k) for k in kset), "kernel is not isotropic")
+    nonzero = [k for k in kset if any(k)]       # x + 0 is x itself
     assigned: Dict[Element, Element] = {}
     coset_q: Dict[Element, Fraction] = {}
     for x in table:
@@ -227,7 +232,8 @@ def brute_subquotient(form: FiniteQuadraticForm,
         # The table is sorted, so the first unassigned member of K-perp is
         # the lex-min member of its coset.
         q = _qd(g, x)
-        for k in kset:
+        assigned[x] = x
+        for k in nonzero:
             y = form.add(x, k)
             _require(_qd(g, y) == q, "q is not constant on a coset")
             assigned[y] = x
@@ -271,6 +277,20 @@ def expected_killed_by(orders: Sequence[int]) -> Dict[int, int]:
     return out
 
 
+def _lex_walk(form: FiniteQuadraticForm, orders: Sequence[int],
+              gens: Sequence[Element], c: Tuple[int, ...], x: Element):
+    """Yield (c + t, x + sum_j t_j gens[j]) for every t with
+    0 <= t_j < orders[j], in lexicographic order of t, with one addition
+    per step."""
+    if not orders:
+        yield c, x
+        return
+    for t in range(orders[0]):
+        if t:
+            x = form.add(x, gens[0])
+        yield from _lex_walk(form, orders[1:], gens[1:], c + (t,), x)
+
+
 def verify_subquotient_presentation(form: FiniteQuadraticForm,
                                     kernel_gens: Sequence[Element],
                                     cutoff: int = ORACLE_CUTOFF
@@ -279,35 +299,44 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     coset construction and return both (the engine's Subquotient, then the
     BruteQuotient).  Raises OracleMismatch on any disagreement.
 
-    The checks: same group order and invariant factors, and the engine's
-    coordinate map f, read on coset reps, is a q-preserving isomorphism: f
-    is injective between groups of the same order, keeps q, and
-    f(x + g_j) = f(x) + e_j for every coset x and every generator e_j with
-    rep g_j.  The e_j span the engine's group, so the g_j span the brute
-    one and f is additive.  b then agrees by polarization,
-    2 b(x, y) = q(x + y) - q(x) - q(y) mod 2."""
+    Let d_j be the engine's invariant factors, g_j its generator reps and
+    f its coordinate map.  The checks: the same group order and invariant
+    factors; each g_j lies in K-perp with f(g_j) = e_j; each d_j*g_j lies
+    in K.  The last makes psi(c) = [sum_j c_j g_j] a well-defined
+    homomorphism from the sum of the Z/d_j to K-perp/K.  Then one walk
+    over every c in lexicographic order, carrying sum_j c_j g_j with one
+    addition per step, requires that psi(c) is a coset not met before,
+    that f(psi(c)) = c, and that the engine's quotient q at c is the
+    brute q of psi(c).  psi is one to one between groups of the same
+    order, so it is bijective, and f on coset reps is its inverse: an
+    isomorphism that sends each generator to its unit and keeps q.  b
+    then agrees by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
+    The cost is |K-perp/K| + rank calls of f and |K-perp/K| - 1
+    additions, not rank*|K-perp/K| of each."""
     brute = brute_subquotient(form, kernel_gens, cutoff)
     sq = subquotient(form, form.subgroup(list(kernel_gens)))
     qform = sq.form
     _require(qform.order == brute.order, "quotient orders differ")
     _require(expected_killed_by(qform.orders) == brute.killed_by,
              "quotient invariant factors differ")
-    coords = {rep: sq.to_coords(rep) for rep in brute.reps}
-    _require(len(set(coords.values())) == brute.order,
-             "to_coords is not injective on cosets")
-    qg = _scaled_gram(qform)
-    for rep in brute.reps:
-        _require(Fraction(_qd(qg, coords[rep]), qg.d) == brute.coset_q[rep],
-                 "q differs on a coset")
-    for j, gen in enumerate(sq.reps):
+    zero = form.zero()
+    for j, (d, gen) in enumerate(zip(qform.orders, sq.reps)):
         unit = qform.reduce([int(i == j) for i in range(qform.rank)])
         g = brute.assigned.get(gen)
-        _require(g is not None and coords[g] == unit,
+        _require(g is not None and sq.to_coords(g) == unit,
                  "a generator rep does not map to its generator")
-        for rep in brute.reps:
-            _require(coords[brute.assigned[form.add(rep, g)]]
-                     == qform.add(coords[rep], unit),
-                     "to_coords is not additive")
+        _require(brute.assigned[form.smul(d, gen)] == zero,
+                 "a generator rep times its invariant factor is not in K")
+    qg = _scaled_gram(qform)
+    seen = set()
+    for c, x in _lex_walk(form, qform.orders, sq.reps, (), zero):
+        rep = brute.assigned[x]
+        _require(rep not in seen, "two coordinate vectors give one coset")
+        seen.add(rep)
+        _require(sq.to_coords(rep) == c, "to_coords is not additive")
+        q = brute.coset_q[rep]         # _qd/qg.d == q, cross-multiplied
+        _require(_qd(qg, c) * q.denominator == q.numerator * qg.d,
+                 "q differs on a coset")
     return sq, brute
 
 
@@ -458,9 +487,9 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     Raises OracleMismatch when a check fails.
     """
     form = pf.form
-    big = ambient_with_a_block(form, cand.a2)
-    if big.order > cutoff:
+    if form.order * cand.a2 > cutoff:       # the order of the glued group
         return "skipped_cutoff"
+    big = ambient_with_a_block(form, cand.a2)
     checked = DiscAutomorphism(form, phi.matrix)      # full re-validation
     _require(checked.is_involution(), "witness phi is not an involution")
     _require(checked.apply(cand.kappa) == form.neg(cand.kappa),

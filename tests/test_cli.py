@@ -284,7 +284,12 @@ NOT_A_REPORT = [None, "{}", "null", "[1]", '{"verdict": "witness_found"}']
 MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
                     {"witness": {"a2": 2}}, {"rank_S": "1"}, {"rank_T": True},
                     {"disc": {"display": None}},
-                    {"verdict": ["witness_found"]}, {"oracle_checked": None}]
+                    {"verdict": ["witness_found"]}, {"oracle_checked": None},
+                    {"trace": [5]}, {"trace": [{"a2": 2}]},
+                    {"trace": [{"reason": 5}]},
+                    {"witness": {"a2": 2, "n": 2, "kappa": 5, "phi": None}},
+                    {"witness": {"a2": "2", "n": 2, "kappa": [0, 0],
+                                 "phi": [[1, 0], [0, 1]]}}]
 
 
 def _untimed(text):

@@ -248,6 +248,28 @@ def test_polarized_disc_tags_and_h_block():
             assert pf.form.eval_q(gen) == comp.eval_q(unit)
 
 
+def test_polarized_disc_builds_each_distinct_component_once(monkeypatch):
+    built = []
+    real = lattices.disc_root
+
+    def counted(fam, n):
+        built.append((fam, n))
+        return real(fam, n)
+
+    monkeypatch.setattr(lattices, "disc_root", counted)
+    pf = polarized_disc(RootSpec.parse("8*A1"), 4)
+    assert built == [("A", 1)]
+    assert pf.form.orders == (2,) * 8 + (4,)
+    assert pf.comp_slices == [(i, i + 1) for i in range(8)]
+    built.clear()
+    polarized_disc(RootSpec.parse("D7+A6+A3+A2"), 4)
+    assert len(built) == 4
+    # a second call builds them again: nothing is kept between calls
+    built.clear()
+    polarized_disc(RootSpec.parse("8*A1"), 4)
+    assert built == [("A", 1)]
+
+
 def test_polarized_disc_rejects_bad_h2():
     with pytest.raises(ValueError):
         polarized_disc(RootSpec.parse("A1"), 3)

@@ -193,6 +193,67 @@ def test_presentation_rejects_swapped_cosets(monkeypatch):
         verify_subquotient_presentation(form, [])
 
 
+def _altered_presentation(monkeypatch, reps, coords):
+    """Make the engine's K-perp/K report the given generator reps, and send
+    the elements in coords to the given quotient coordinates."""
+    engine = oracle.subquotient
+
+    def altered(f, kernel):
+        sq = engine(f, kernel)
+        plain = sq.to_coords
+        sq.reps = list(reps)
+        sq.to_coords = lambda v: coords[v] if v in coords else plain(v)
+        return sq
+
+    monkeypatch.setattr(oracle, "subquotient", altered)
+
+
+def test_presentation_rejects_a_rep_of_too_high_order(monkeypatch):
+    # [1/2] (+) [1/4] with trivial kernel: (1, 1) has order 4 but stands
+    # for the Z/2 generator.  It maps to that generator, so only the check
+    # that 2*(1, 1) lies in K can tell.
+    form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
+    assert subquotient(form, form.subgroup([])).form.orders == (2, 4)
+    assert verify_subquotient_presentation(form, [])
+    _altered_presentation(monkeypatch, [(1, 1), (0, 1)], {(1, 1): (1, 0)})
+    with pytest.raises(OracleMismatch, match="times its invariant factor"):
+        verify_subquotient_presentation(form, [])
+
+
+def test_presentation_rejects_reps_that_meet_one_coset_twice(monkeypatch):
+    # U(4) with trivial kernel: the reps (1, 0) and (2, 0) map to the two
+    # generators, and 4*(2, 0) = 0, but 2*(2, 0) is the coset of (0, 0)
+    # again, and q(2, 0) = 0 is the quotient's q at (0, 1).
+    form = u_block(2)
+    assert subquotient(form, form.subgroup([])).form.q == (0, 0)
+    _altered_presentation(monkeypatch, [(1, 0), (2, 0)], {(2, 0): (0, 1)})
+    with pytest.raises(OracleMismatch, match="give one coset"):
+        verify_subquotient_presentation(form, [])
+
+
+@pytest.mark.parametrize("spec", ["A1", "3*A1", "5*A1"])
+def test_presentation_maps_each_coset_once(monkeypatch, spec):
+    # One to_coords call per generator and one per coset of K-perp/K.
+    rep = detect(4, spec)
+    assert rep.witness_revalidated is True
+    pf = polarized_disc(RootSpec.parse(spec), 4)
+    w = rep.witness
+    big = ambient_with_a_block(pf.form, w["a2"])
+    theta = big.reduce(theta_vector(pf.form, w["kappa"], w["n"]))
+    engine = oracle.subquotient
+    calls = []
+
+    def counted(f, kernel):
+        sq = engine(f, kernel)
+        plain = sq.to_coords
+        sq.to_coords = lambda v: calls.append(v) or plain(v)
+        return sq
+
+    monkeypatch.setattr(oracle, "subquotient", counted)
+    sq, _ = verify_subquotient_presentation(big, [theta])
+    assert len(calls) == sq.form.order + sq.form.rank
+
+
 def test_brute_kernel_candidates_matches_engine_small():
     for spec, h2 in (("A1", 4), ("A3", 4), ("A1+A2", 4)):
         pf = polarized_disc(RootSpec.parse(spec), h2)
@@ -216,6 +277,16 @@ def test_revalidate_witness_full_chain():
 
 def test_revalidate_witness_skipped_over_cutoff():
     pf = polarized_disc(RootSpec.parse("6*A1"), 4)   # order 256
+    cand = KernelCandidate(32, 1, (0,) * pf.form.rank)
+    assert revalidate_witness(pf, cand, None) == "skipped_cutoff"
+
+
+def test_revalidate_witness_skips_before_building_the_ambient(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the glued group was built")
+
+    monkeypatch.setattr(oracle, "ambient_with_a_block", unbuilt)
+    pf = polarized_disc(RootSpec.parse("6*A1"), 4)
     cand = KernelCandidate(32, 1, (0,) * pf.form.rank)
     assert revalidate_witness(pf, cand, None) == "skipped_cutoff"
 
