@@ -13,7 +13,8 @@ configuration contain a real surface?  The pipeline it runs:
      sends given elements, and only the phi meeting them are generated.
 
 check_candidate runs stages 3 and 4 for one candidate and names the first
-stage that excludes it.
+stage that excludes it; it also returns the K-perp/K it built, which is
+what the oracle re-verifies for a witness.
 
 The first candidate passing all stages is a witness; it is then
 re-verified by the brute-force oracle before being reported.
@@ -50,8 +51,9 @@ def main() -> None:
             cand = cands[0]
             print(f"  a^2 = {a2}, n = {n}: {len(cands)} kernel candidate(s);"
                   f" first kappa = {list(cand.kappa)}")
-            outcome, phi = check_candidate(pf, cand)
-            print(f"    stages 3-4: {outcome}")
+            outcome, phi, sq = check_candidate(pf, cand)
+            print(f"    stages 3-4: {outcome}   (K-perp/K has invariant"
+                  f" factors {list(sq.form.orders)})")
             if phi is not None:
                 print(f"    phi matrix rows: {[list(r) for r in phi.matrix]}")
     print()

@@ -8,6 +8,7 @@ share no shortcuts.  This demo runs three such cross-checks on small strata.
 Run:  python3 demos/04_oracle_crosschecks.py
 """
 from realstrata.detector import detect, enumerate_a_squares, kernel_candidates
+from realstrata.isotropy import subquotient
 from realstrata.lattices import RootSpec, polarized_disc, disc_involutions
 from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import (brute_involutions, brute_kernel_candidates,
@@ -51,7 +52,8 @@ def main() -> None:
             for cand in kernel_candidates(pf, a2, n):
                 big = ambient_with_a_block(pf.form, a2)
                 theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
-                verify_subquotient_presentation(big, [theta])
+                verify_subquotient_presentation(
+                    big, [theta], subquotient(big, big.subgroup([theta])))
                 checked += 1
     print(f"  {checked} glued-kernel presentations verified against the"
           " brute-force quotient")

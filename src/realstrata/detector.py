@@ -26,7 +26,7 @@ from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .fqf import Element, FiniteQuadraticForm
-from .isotropy import subquotient
+from .isotropy import Subquotient, subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        _component_orbit_minima, _first_involution,
                        checked_involution, maximizing_has_skew,
@@ -124,15 +124,16 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
 
 
 def check_candidate(pf: PolarizedForm, cand: KernelCandidate
-                    ) -> Tuple[str, Optional[DiscAutomorphism]]:
+                    ) -> Tuple[str, Optional[DiscAutomorphism], Subquotient]:
     """Decide one candidate: the glued genus, then one involution question.
 
-    K = <kappa (+) n alpha>, K-perp and K-perp/K are built once.  Returns
-    ("genus_empty", None) when K-perp/K does not embed into the (3, 19)
-    lattice with signature (2, rank_S); ("witness", phi) for the first
-    symmetry-induced involution, in sorted matrix order, with phi(kappa) =
-    -kappa inducing the identity on K-perp/K; else
-    ("no_involution_cond3", None).
+    K = <kappa (+) n alpha>, K-perp and K-perp/K are built once, as the
+    Subquotient sq that every return hands back, so the oracle proves the
+    very presentation the decision read.  Returns ("genus_empty", None, sq)
+    when K-perp/K does not embed into the (3, 19) lattice with signature
+    (2, rank_S); ("witness", phi, sq) for the first symmetry-induced
+    involution, in sorted matrix order, with phi(kappa) = -kappa inducing
+    the identity on K-perp/K; else ("no_involution_cond3", None, sq).
 
     Condition (2) alone, some phi with phi(kappa) = -kappa, always holds:
     -1 is a symmetry-induced involution (every slot keeps -I mod its
@@ -153,7 +154,7 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     sq = subquotient(big, big.subgroup([theta_vector(form, cand.kappa,
                                                      cand.n)]))
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
-        return "genus_empty", None
+        return "genus_empty", None, sq
     # phi (+) -1 preserves K only if phi(kappa) = -kappa.
     # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in
     # K = <kappa (+) n alpha> iff that is t*n mod a2 and its disc part is
@@ -163,13 +164,13 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     for g in sq.kperp.gens:
         t, rem = divmod(-2 * g[-1] % cand.a2, cand.n)
         if rem:
-            return "no_involution_cond3", None
+            return "no_involution_cond3", None, sq
         wanted.append((g, tuple((gi + t * ki) % o for gi, ki, o
                                 in zip(g, cand.kappa, form.orders))))
     found = _first_involution(pf, wanted)
     if found is not None:
-        return "witness", checked_involution(form, found)
-    return "no_involution_cond3", None
+        return "witness", checked_involution(form, found), sq
+    return "no_involution_cond3", None, sq
 
 
 def _orbit_table(pf: PolarizedForm
@@ -201,9 +202,11 @@ def _orbit_key(pf: PolarizedForm, kappa: Element) -> tuple:
 
 
 def _search(pf: PolarizedForm, trace: List[dict]
-            ) -> Optional[Tuple[KernelCandidate, DiscAutomorphism]]:
+            ) -> Optional[Tuple[KernelCandidate, DiscAutomorphism,
+                                Subquotient]]:
     """Walk the gluing data in engine order, appending one trace row per
-    excluded candidate (or empty (a2, n) pair); return the first witness.
+    excluded candidate (or empty (a2, n) pair); return the first witness
+    with the K-perp/K it was decided from.
 
     Only the first kappa of each orbit of the symmetry group G is decided;
     every later kappa of the orbit gets its row from that status.  G is
@@ -236,9 +239,9 @@ def _search(pf: PolarizedForm, trace: List[dict]
                 key = _orbit_key(pf, cand.kappa)
                 status = decided.get(key)
                 if status is None:
-                    status, phi = check_candidate(pf, cand)
+                    status, phi, sq = check_candidate(pf, cand)
                     if status == "witness":
-                        return cand, phi
+                        return cand, phi, sq
                     decided[key] = status
                 trace.append({"a2": a2, "n": n, "kappa": list(cand.kappa),
                               "reason": status})
@@ -347,14 +350,14 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
     else:
         found = _search(pf, trace)
         if found:
-            cand, phi = found
+            cand, phi, sq = found
             witness = {"a2": cand.a2, "n": cand.n,
                        "kappa": list(cand.kappa),
                        "phi": [list(row) for row in phi.matrix]}
             verdict = "witness_found"
             basis = "corlem1"
             from . import oracle as oracle_mod
-            witness_reval = oracle_mod.revalidate_witness(pf, cand, phi)
+            witness_reval = oracle_mod.revalidate_witness(pf, cand, phi, sq)
         else:
             if rank_s == 18:
                 verdict = "none_exists"

@@ -9,10 +9,13 @@ denominator of form.q and form.b (the Fraction tuples), never by the
 engine's integer evaluators or its integer Gram.  All functions refuse (with
 OracleSizeError) groups larger than a fixed cutoff rather than sampling,
 so a passing check is a complete one.
-The engine's K-perp/K presentation is proved by one walk over the sum of
-its cyclic factors: the generator reps send each coordinate vector to a
-distinct brute-force coset, on which the engine's coordinate map gives the
-vector back and the engine's quotient q agrees with the brute one.
+The engine's K-perp/K presentation, the very Subquotient its decision
+read, is handed in and proved by one walk over the sum of its cyclic
+factors: the generator reps send each coordinate vector to a distinct
+brute-force coset, on which the engine's coordinate map gives the vector
+back and the engine's quotient q agrees with the brute one.  That proves
+an isometry, so the invariant factors agree too.  The oracle never calls
+the engine's subquotient construction, and takes K from its own generators.
 A failed check raises OracleMismatch explicitly, so the checks also run
 under ``python -O``.
 """
@@ -27,7 +30,7 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fqf import Element, FiniteQuadraticForm
-from .isotropy import Subquotient, subquotient
+from .isotropy import Subquotient
 from .lattices import DiscAutomorphism, PolarizedForm
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
 
@@ -201,16 +204,7 @@ class BruteQuotient:
     order: int
     reps: List[Element]                      # lex-min member per coset
     coset_q: Dict[Element, Fraction]         # canonical q per coset rep
-    killed_by: Dict[int, int]                # d -> #cosets with d*[x] = [0]
     assigned: Dict[Element, Element]         # element of K-perp -> its rep
-
-    def length_p(self, p: int) -> int:
-        count = self.killed_by.get(p, 1)
-        ell = 0
-        while count > 1:
-            count //= p
-            ell += 1
-        return ell
 
 
 def brute_subquotient(form: FiniteQuadraticForm,
@@ -238,43 +232,8 @@ def brute_subquotient(form: FiniteQuadraticForm,
             _require(_qd(g, y) == q, "q is not constant on a coset")
             assigned[y] = x
         coset_q[x] = Fraction(q, g.d)
-    reps = list(coset_q)
-    orders = _coset_orders(form, reps, kset)
-    exp = 1
-    for d in orders.values():
-        exp = exp * d // gcd(exp, d)
-    killed: Dict[int, int] = {}
-    for d in range(1, exp + 1):
-        if exp % d == 0:
-            killed[d] = sum(1 for rep in reps if d % orders[rep] == 0)
-    return BruteQuotient(order=len(reps), reps=reps, coset_q=coset_q,
-                         killed_by=killed, assigned=assigned)
-
-
-def _coset_orders(form: FiniteQuadraticForm, reps: Sequence[Element],
-                  kset: set) -> Dict[Element, int]:
-    """The order of each coset x + K: the least divisor d of the exponent
-    with d*x in K.  The d with d*[x] = [0] are the multiples of that order,
-    which divides the exponent, so the least such divisor is the order."""
-    exp = form.exponent()
-    divisors = [d for d in range(1, exp + 1) if exp % d == 0]
-    return {rep: next(d for d in divisors if form.smul(d, rep) in kset)
-            for rep in reps}
-
-
-def expected_killed_by(orders: Sequence[int]) -> Dict[int, int]:
-    """For a product of cyclic groups: d -> #elements killed by d."""
-    exp = 1
-    for o in orders:
-        exp = exp * o // gcd(exp, o)
-    out = {}
-    for d in range(1, exp + 1):
-        if exp % d == 0:
-            n = 1
-            for o in orders:
-                n *= gcd(d, o)
-            out[d] = n
-    return out
+    return BruteQuotient(order=len(coset_q), reps=list(coset_q),
+                         coset_q=coset_q, assigned=assigned)
 
 
 def _lex_walk(form: FiniteQuadraticForm, orders: Sequence[int],
@@ -293,32 +252,30 @@ def _lex_walk(form: FiniteQuadraticForm, orders: Sequence[int],
 
 def verify_subquotient_presentation(form: FiniteQuadraticForm,
                                     kernel_gens: Sequence[Element],
+                                    sq: Subquotient,
                                     cutoff: int = ORACLE_CUTOFF
-                                    ) -> Tuple[Subquotient, BruteQuotient]:
-    """Cross-check the engine's K-perp/K presentation against the brute
-    coset construction and return both (the engine's Subquotient, then the
-    BruteQuotient).  Raises OracleMismatch on any disagreement.
+                                    ) -> BruteQuotient:
+    """Cross-check the engine's K-perp/K presentation sq, for the K the
+    kernel_gens generate in form, against the brute coset construction, and
+    return the BruteQuotient.  Raises OracleMismatch on any disagreement.
 
     Let d_j be the engine's invariant factors, g_j its generator reps and
-    f its coordinate map.  The checks: the same group order and invariant
-    factors; each g_j lies in K-perp with f(g_j) = e_j; each d_j*g_j lies
-    in K.  The last makes psi(c) = [sum_j c_j g_j] a well-defined
-    homomorphism from the sum of the Z/d_j to K-perp/K.  Then one walk
-    over every c in lexicographic order, carrying sum_j c_j g_j with one
-    addition per step, requires that psi(c) is a coset not met before,
-    that f(psi(c)) = c, and that the engine's quotient q at c is the
-    brute q of psi(c).  psi is one to one between groups of the same
-    order, so it is bijective, and f on coset reps is its inverse: an
-    isomorphism that sends each generator to its unit and keeps q.  b
-    then agrees by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
+    f its coordinate map.  The checks: the same group order; each g_j lies
+    in K-perp with f(g_j) = e_j; each d_j*g_j lies in K.  The last makes
+    psi(c) = [sum_j c_j g_j] a well-defined homomorphism from the sum of
+    the Z/d_j to K-perp/K.  Then one walk over every c in lexicographic
+    order, carrying sum_j c_j g_j with one addition per step, requires
+    that psi(c) is a coset not met before, that f(psi(c)) = c, and that the
+    engine's quotient q at c is the brute q of psi(c).  psi is one to one
+    between groups of the same order, so it is bijective, and f on coset
+    reps is its inverse: an isomorphism that sends each generator to its
+    unit and keeps q.  So the invariant factors d_j are those of K-perp/K,
+    and b agrees by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
     The cost is |K-perp/K| + rank calls of f and |K-perp/K| - 1
     additions, not rank*|K-perp/K| of each."""
     brute = brute_subquotient(form, kernel_gens, cutoff)
-    sq = subquotient(form, form.subgroup(list(kernel_gens)))
     qform = sq.form
     _require(qform.order == brute.order, "quotient orders differ")
-    _require(expected_killed_by(qform.orders) == brute.killed_by,
-             "quotient invariant factors differ")
     zero = form.zero()
     for j, (d, gen) in enumerate(zip(qform.orders, sq.reps)):
         unit = qform.reduce([int(i == j) for i in range(qform.rank)])
@@ -337,7 +294,7 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
         q = brute.coset_q[rep]         # _qd/qg.d == q, cross-multiplied
         _require(_qd(qg, c) * q.denominator == q.numerator * qg.d,
                  "q differs on a coset")
-    return sq, brute
+    return brute
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +438,10 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
 # ---------------------------------------------------------------------------
 
 def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
-                       cutoff: int = ORACLE_CUTOFF):
-    """Re-verify a reported witness by brute force.  Returns True, or the
-    string "skipped_cutoff" when the glued group is too large to enumerate.
+                       sq: Subquotient, cutoff: int = ORACLE_CUTOFF):
+    """Re-verify a reported witness by brute force, against sq, the
+    K-perp/K the engine decided it from.  Returns True, or the string
+    "skipped_cutoff" when the glued group is too large to enumerate.
     Raises OracleMismatch when a check fails.
     """
     form = pf.form
@@ -495,12 +453,11 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     _require(checked.apply(cand.kappa) == form.neg(cand.kappa),
              "witness phi does not negate kappa")
     theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
-    _require(_qd(_scaled_gram(big), theta) == 0,
-             "glue vector is not isotropic")
     _require(big.order_of(theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 
-    sq, brute = verify_subquotient_presentation(big, [theta], cutoff)
+    # brute_subquotient also requires q = 0 on K = <theta>, theta included.
+    brute = verify_subquotient_presentation(big, [theta], sq, cutoff)
     _require(len(brute.assigned) * (cand.a2 // cand.n) == big.order,
              "K-perp has the wrong size")
     r = form.rank
@@ -548,8 +505,9 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
                 continue
             kappa = tuple(row["kappa"])
             theta = big.reduce(theta_vector(form, kappa, n))
-            verify_subquotient_presentation(big, [theta], cutoff)
-            status, _phi = check_candidate(pf, KernelCandidate(a2, n, kappa))
+            status, _phi, sq = check_candidate(
+                pf, KernelCandidate(a2, n, kappa))
+            verify_subquotient_presentation(big, [theta], sq, cutoff)
             _require(status == row["reason"],
                      f"status {status!r} differs from trace row {row}")
     return "partial" if partial else True

@@ -189,6 +189,7 @@ def oracle_agreement_report() -> dict:
     if "oracle_report" in _CACHE:
         return _CACHE["oracle_report"]
     from realstrata.detector import enumerate_a_squares, kernel_candidates
+    from realstrata.isotropy import subquotient
     from realstrata.lattices import RootSpec, disc_involutions, polarized_disc
     from realstrata.oracle import (brute_involutions, brute_kernel_candidates,
                                    verify_subquotient_presentation)
@@ -199,7 +200,9 @@ def oracle_agreement_report() -> dict:
 
     for idx, item in enumerate(corpus()):
         try:
-            verify_subquotient_presentation(item.form, [item.kappa])
+            form = item.form
+            sq = subquotient(form, form.subgroup([item.kappa]))
+            verify_subquotient_presentation(form, [item.kappa], sq)
             counts["subquotients"] += 1
         except AssertionError as exc:
             failures.append((idx, f"subquotient presentation: {exc}"))

@@ -173,7 +173,7 @@ def test_detect_rejects_rank_over_19_before_building_disc(monkeypatch):
 
 def test_check_candidate_statuses():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
-    status, phi = check_candidate(pf, KernelCandidate(2, 2, (0, 0)))
+    status, phi, _sq = check_candidate(pf, KernelCandidate(2, 2, (0, 0)))
     assert status == "witness" and phi.is_involution()
 
 
@@ -379,7 +379,7 @@ def test_status_is_constant_on_each_orbit_key():
                 status = {}
                 for cand in cands:
                     key = detector._orbit_key(pf, cand.kappa)
-                    got, _phi = check_candidate(pf, cand)
+                    got, _phi, _sq = check_candidate(pf, cand)
                     assert status.setdefault(key, got) == got, \
                         (spec, h2, a2, n, cand.kappa)
                     for _ in range(3):

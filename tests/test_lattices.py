@@ -428,7 +428,7 @@ def test_smoke_set_statuses_and_witnesses_match_the_full_list():
         for a2 in enumerate_a_squares(pf):
             for n in (2, 1):
                 for cand in kernel_candidates(pf, a2, n):
-                    got = check_candidate(pf, cand)
+                    got = check_candidate(pf, cand)[:2]
                     assert got == _reference_check(pf, cand), (spec, cand)
                     if got[0] == "witness" and first is None:
                         first = {"a2": a2, "n": n, "kappa": list(cand.kappa),

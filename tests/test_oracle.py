@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from realstrata import oracle
-from realstrata.detector import KernelCandidate, detect, kernel_candidates
+import realstrata
+from realstrata import detector, isotropy, oracle
+from realstrata.detector import (KernelCandidate, check_candidate, detect,
+                                 kernel_candidates)
 from realstrata.fqf import (FiniteQuadraticForm, cyclic_form,
                             direct_sum_all, trivial_form, u_block, v_block)
 from realstrata.isotropy import subquotient
@@ -21,8 +24,8 @@ from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import (ORACLE_CUTOFF, ElementTable, OracleMismatch,
                                OracleSizeError, brute_aut_group,
                                brute_involutions, brute_kernel_candidates,
-                               brute_subquotient, expected_killed_by,
-                               gauss_sum_signature, revalidate_witness,
+                               brute_subquotient, gauss_sum_signature,
+                               revalidate_witness,
                                verify_subquotient_presentation)
 
 from _corpus import corpus
@@ -141,25 +144,17 @@ def test_brute_subquotient_trivial_kernel():
     form = u_block(2)        # U(4)
     bq = brute_subquotient(form, [])
     assert bq.order == form.order
-    assert bq.killed_by == expected_killed_by(form.orders)
 
 
 def test_brute_subquotient_isotropic_line():
     form = u_block(2)        # U(4), kernel <2*u1>
     bq = brute_subquotient(form, [(2, 0)])
     assert bq.order == 4     # 16 / 2^2
-    assert bq.length_p(2) == 2
 
 
 def test_brute_subquotient_rejects_anisotropic_kernel():
     with pytest.raises(AssertionError):
         brute_subquotient(cyclic_form(1, 2), [(1,)])
-
-
-def test_expected_killed_by():
-    assert expected_killed_by([2, 4]) == {1: 1, 2: 4, 4: 8}
-    assert expected_killed_by([3]) == {1: 1, 3: 3}
-    assert expected_killed_by([]) == {1: 1}
 
 
 def test_verify_subquotient_presentation_on_candidates():
@@ -168,71 +163,84 @@ def test_verify_subquotient_presentation_on_candidates():
         for cand in kernel_candidates(pf, a2, n):
             big = ambient_with_a_block(pf.form, cand.a2)
             theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
-            assert verify_subquotient_presentation(big, [theta])
+            assert verify_subquotient_presentation(
+                big, [theta], check_candidate(pf, cand)[2])
 
 
-def test_presentation_rejects_swapped_cosets(monkeypatch):
+def _trivial_quotient(form):
+    """The engine's K-perp/K of form by the trivial kernel."""
+    return subquotient(form, form.subgroup([]))
+
+
+def test_presentation_rejects_swapped_cosets():
     # U(4) with trivial kernel: the cosets (2,1) and (1,2) both have q = 1,
     # so a to_coords that swaps them is injective and keeps q; only the
     # additivity check can tell it from the engine's map.
     form = u_block(2)
     x, y = (2, 1), (1, 2)
     assert form.eval_q(x) == form.eval_q(y)
-    engine = oracle.subquotient
-
-    def swapped(f, kernel):
-        sq = engine(f, kernel)
-        plain = sq.to_coords
-        swap = {x: plain(y), y: plain(x)}
-        sq.to_coords = lambda v: swap[v] if v in swap else plain(v)
-        return sq
-
-    assert verify_subquotient_presentation(form, [])
-    monkeypatch.setattr(oracle, "subquotient", swapped)
+    assert verify_subquotient_presentation(form, [], _trivial_quotient(form))
+    sq = _trivial_quotient(form)
+    plain = sq.to_coords
+    swap = {x: plain(y), y: plain(x)}
+    sq.to_coords = lambda v: swap[v] if v in swap else plain(v)
     with pytest.raises(OracleMismatch, match="not additive"):
-        verify_subquotient_presentation(form, [])
+        verify_subquotient_presentation(form, [], sq)
 
 
-def _altered_presentation(monkeypatch, reps, coords):
-    """Make the engine's K-perp/K report the given generator reps, and send
-    the elements in coords to the given quotient coordinates."""
-    engine = oracle.subquotient
-
-    def altered(f, kernel):
-        sq = engine(f, kernel)
-        plain = sq.to_coords
-        sq.reps = list(reps)
-        sq.to_coords = lambda v: coords[v] if v in coords else plain(v)
-        return sq
-
-    monkeypatch.setattr(oracle, "subquotient", altered)
+def _altered_presentation(form, reps, coords):
+    """The engine's K-perp/K of form by the trivial kernel, made to report
+    the given generator reps and to send the elements in coords to the
+    given quotient coordinates."""
+    sq = _trivial_quotient(form)
+    plain = sq.to_coords
+    sq.reps = list(reps)
+    sq.to_coords = lambda v: coords[v] if v in coords else plain(v)
+    return sq
 
 
-def test_presentation_rejects_a_rep_of_too_high_order(monkeypatch):
+def test_presentation_rejects_a_rep_of_too_high_order():
     # [1/2] (+) [1/4] with trivial kernel: (1, 1) has order 4 but stands
     # for the Z/2 generator.  It maps to that generator, so only the check
     # that 2*(1, 1) lies in K can tell.
     form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
-    assert subquotient(form, form.subgroup([])).form.orders == (2, 4)
-    assert verify_subquotient_presentation(form, [])
-    _altered_presentation(monkeypatch, [(1, 1), (0, 1)], {(1, 1): (1, 0)})
+    assert _trivial_quotient(form).form.orders == (2, 4)
+    assert verify_subquotient_presentation(form, [], _trivial_quotient(form))
+    sq = _altered_presentation(form, [(1, 1), (0, 1)], {(1, 1): (1, 0)})
     with pytest.raises(OracleMismatch, match="times its invariant factor"):
-        verify_subquotient_presentation(form, [])
+        verify_subquotient_presentation(form, [], sq)
 
 
-def test_presentation_rejects_reps_that_meet_one_coset_twice(monkeypatch):
+def test_presentation_rejects_reps_that_meet_one_coset_twice():
     # U(4) with trivial kernel: the reps (1, 0) and (2, 0) map to the two
     # generators, and 4*(2, 0) = 0, but 2*(2, 0) is the coset of (0, 0)
     # again, and q(2, 0) = 0 is the quotient's q at (0, 1).
     form = u_block(2)
-    assert subquotient(form, form.subgroup([])).form.q == (0, 0)
-    _altered_presentation(monkeypatch, [(1, 0), (2, 0)], {(2, 0): (0, 1)})
+    assert _trivial_quotient(form).form.q == (0, 0)
+    sq = _altered_presentation(form, [(1, 0), (2, 0)], {(2, 0): (0, 1)})
     with pytest.raises(OracleMismatch, match="give one coset"):
-        verify_subquotient_presentation(form, [])
+        verify_subquotient_presentation(form, [], sq)
+
+
+def test_presentation_rejects_wrong_invariant_factors():
+    # [1/2] (+) [1/4] with trivial kernel, claimed to be Z/8 = [3/8]
+    # generated by (1, 1): the same order, (1, 1) maps to the generator and
+    # 8*(1, 1) = 0, so only the walk is left to catch it.  (1, 1) has order
+    # 4, so 4*(1, 1) meets the coset of 0 again; and q is in (1/4)Z on the
+    # whole group but 3/8 at the claimed generator, so q already differs at
+    # the walk's first step.
+    form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
+    z8 = cyclic_form(3, 8)
+    assert z8.order == form.order
+    coords = {(0, 0): (0,), (1, 1): (1,), (0, 2): (2,), (1, 3): (3,)}
+    sq = replace(_trivial_quotient(form), form=z8, reps=[(1, 1)],
+                 to_coords=lambda v: coords[tuple(v)])
+    with pytest.raises(OracleMismatch):
+        verify_subquotient_presentation(form, [], sq)
 
 
 @pytest.mark.parametrize("spec", ["A1", "3*A1", "5*A1"])
-def test_presentation_maps_each_coset_once(monkeypatch, spec):
+def test_presentation_maps_each_coset_once(spec):
     # One to_coords call per generator and one per coset of K-perp/K.
     rep = detect(4, spec)
     assert rep.witness_revalidated is True
@@ -240,18 +248,52 @@ def test_presentation_maps_each_coset_once(monkeypatch, spec):
     w = rep.witness
     big = ambient_with_a_block(pf.form, w["a2"])
     theta = big.reduce(theta_vector(pf.form, w["kappa"], w["n"]))
-    engine = oracle.subquotient
+    sq = check_candidate(
+        pf, KernelCandidate(w["a2"], w["n"], tuple(w["kappa"])))[2]
+    plain = sq.to_coords
     calls = []
-
-    def counted(f, kernel):
-        sq = engine(f, kernel)
-        plain = sq.to_coords
-        sq.to_coords = lambda v: calls.append(v) or plain(v)
-        return sq
-
-    monkeypatch.setattr(oracle, "subquotient", counted)
-    sq, _ = verify_subquotient_presentation(big, [theta])
+    sq.to_coords = lambda v: calls.append(v) or plain(v)
+    verify_subquotient_presentation(big, [theta], sq)
     assert len(calls) == sq.form.order + sq.form.rank
+
+
+def _count_builds(monkeypatch):
+    """Count subquotient calls through every binding of it in realstrata,
+    and check_candidate calls through the detector binding."""
+    counts = {"subquotient": 0, "check_candidate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counted("subquotient", isotropy.subquotient)
+    for module in (isotropy, detector, oracle, realstrata):
+        if hasattr(module, "subquotient"):
+            monkeypatch.setattr(module, "subquotient", build)
+    monkeypatch.setattr(detector, "check_candidate",
+                        counted("check_candidate", check_candidate))
+    return counts
+
+
+@pytest.mark.parametrize("spec", ["A1", "3*A1", "5*A1"])
+def test_detect_builds_one_quotient_per_candidate(monkeypatch, spec):
+    # The oracle revalidates the K-perp/K check_candidate built; it builds
+    # none of its own.
+    counts = _count_builds(monkeypatch)
+    assert detect(4, spec).witness_revalidated is True
+    assert counts["check_candidate"] > 0
+    assert counts["subquotient"] == counts["check_candidate"]
+
+
+def test_oracle_trace_check_builds_one_quotient_per_row(monkeypatch):
+    # The golden sextic with the oracle on: one K-perp/K per decided orbit
+    # in the search, then one per re-derived trace row, verified as built.
+    counts = _count_builds(monkeypatch)
+    rep = detect(2, "A7+A6+A5", oracle=True)
+    assert (rep.verdict, rep.oracle_checked) == ("none_exists", "partial")
+    assert counts["subquotient"] == 11
 
 
 def test_brute_kernel_candidates_matches_engine_small():
@@ -272,13 +314,15 @@ def test_revalidate_witness_full_chain():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
     cand = KernelCandidate(2, 2, (0, 0))
-    assert revalidate_witness(pf, cand, phi) is True
+    sq = check_candidate(pf, cand)[2]
+    assert revalidate_witness(pf, cand, phi, sq) is True
 
 
 def test_revalidate_witness_skipped_over_cutoff():
+    # The skip comes before anything is read from phi or the quotient.
     pf = polarized_disc(RootSpec.parse("6*A1"), 4)   # order 256
     cand = KernelCandidate(32, 1, (0,) * pf.form.rank)
-    assert revalidate_witness(pf, cand, None) == "skipped_cutoff"
+    assert revalidate_witness(pf, cand, None, None) == "skipped_cutoff"
 
 
 def test_revalidate_witness_skips_before_building_the_ambient(monkeypatch):
@@ -288,7 +332,7 @@ def test_revalidate_witness_skips_before_building_the_ambient(monkeypatch):
     monkeypatch.setattr(oracle, "ambient_with_a_block", unbuilt)
     pf = polarized_disc(RootSpec.parse("6*A1"), 4)
     cand = KernelCandidate(32, 1, (0,) * pf.form.rank)
-    assert revalidate_witness(pf, cand, None) == "skipped_cutoff"
+    assert revalidate_witness(pf, cand, None, None) == "skipped_cutoff"
 
 
 def test_revalidate_witness_rejects_wrong_phi():
@@ -296,8 +340,9 @@ def test_revalidate_witness_rejects_wrong_phi():
     cand = KernelCandidate(4, 1, (1, 1))
     # identity does not negate kappa = (1,1) (order 4): must trip the checks
     phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    sq = check_candidate(pf, cand)[2]
     with pytest.raises(AssertionError):
-        revalidate_witness(pf, cand, phi)
+        revalidate_witness(pf, cand, phi, sq)
 
 
 def test_revalidate_witness_checks_run_under_optimize():
@@ -305,15 +350,17 @@ def test_revalidate_witness_checks_run_under_optimize():
     # witness whose glue does not embed.
     script = textwrap.dedent("""
         from realstrata import oracle
-        from realstrata.detector import KernelCandidate
+        from realstrata.detector import KernelCandidate, check_candidate
         from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                          polarized_disc)
         oracle.embeds_into_big_L = lambda *args: (False, "clause1")
         pf = polarized_disc(RootSpec.parse("A1"), 4)
         phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+        cand = KernelCandidate(2, 2, (0, 0))
+        sq = check_candidate(pf, cand)[2]
         print("debug:", __debug__)
         try:
-            oracle.revalidate_witness(pf, KernelCandidate(2, 2, (0, 0)), phi)
+            oracle.revalidate_witness(pf, cand, phi, sq)
         except oracle.OracleMismatch as exc:
             print("mismatch:", exc)
         """)
@@ -353,8 +400,9 @@ def test_oracle_catches_wrong_integer_q_in_revalidation(monkeypatch):
     theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
     rep = subquotient(big, big.subgroup([theta])).reps[0]
     _break_eval_qn(monkeypatch, big.orders, rep)
+    sq = check_candidate(pf, cand)[2]
     with pytest.raises(OracleMismatch, match="q differs on a coset"):
-        revalidate_witness(pf, cand, phi)
+        revalidate_witness(pf, cand, phi, sq)
 
 
 def test_oracle_catches_a_consistent_wrong_integer_q(monkeypatch):
@@ -376,8 +424,9 @@ def test_oracle_catches_a_consistent_wrong_integer_q(monkeypatch):
         return (v + self.N * x[0]) % (2 * self.N)
 
     monkeypatch.setattr(FiniteQuadraticForm, "eval_qn", refined)
+    sq = check_candidate(pf, cand)[2]
     with pytest.raises(OracleMismatch, match="q differs on a coset"):
-        revalidate_witness(pf, cand, phi)
+        revalidate_witness(pf, cand, phi, sq)
 
 
 def test_oracle_catches_wrong_integer_q_in_trace_check(monkeypatch):
@@ -409,14 +458,17 @@ def test_detect_reports_pass_revalidation():
 
 def test_oracle_reads_no_engine_evaluator_and_has_no_assert():
     # The oracle's q and b must not come from the engine's integer data or
-    # evaluators, and its checks must survive python -O.
+    # evaluators, it must check the K-perp/K it is handed rather than build
+    # one through the engine, and its checks must survive python -O.
     engine_only = {"Qn", "Bn", "_gram", "eval_qn", "eval_bn", "eval_q",
-                   "eval_b", "_pairing_row"}
+                   "eval_b", "_pairing_row", "subquotient"}
     tree = ast.parse(Path(oracle.__file__).read_text())
     names = {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree)
               if isinstance(node, ast.Name)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert names & engine_only == set()
     assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
 
@@ -463,21 +515,3 @@ def test_integer_q_and_b_match_fraction_sums_on_the_corpus():
                 bad.append(("b", form.orders, x, y))
     assert bad == []
 
-
-def test_coset_orders_match_repeated_addition_on_the_corpus():
-    bad = []
-    for item in corpus():
-        form = item.form
-        bq = brute_subquotient(form, [item.kappa])
-        kset = set(form.subgroup([item.kappa]).iter_elements())
-        zero = form.zero()
-        walked = {}
-        for rep in bq.reps:
-            d, y = 1, rep
-            while bq.assigned[y] != zero:
-                y = form.add(y, rep)
-                d += 1
-            walked[rep] = d
-        if oracle._coset_orders(form, bq.reps, kset) != walked:
-            bad.append((form.orders, item.kappa))
-    assert bad == []
