@@ -17,9 +17,11 @@ it a path (--json out.json) to write the document to a file instead.
 
 Reports are cached under --cache-dir (or $REALSTRATA_CACHE, default
 .realstrata-cache): a cache hit returns the stored report byte for byte,
-including its original timestamp.  An entry that does not parse, or
-parses to something other than a report, counts as a miss and is
-overwritten.
+including its original timestamp.  An entry that does not parse (nested
+too deeply included), or parses to something other than a report, counts
+as a miss and is overwritten.  batch parses, keys and reads or decides
+each distinct line once per run and prints its repeats from that one
+outcome; nothing is remembered from one run to the next.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
         try:
             text = path.read_text()
             doc = json.loads(text)
-        except ValueError:
+        except (ValueError, RecursionError):   # RecursionError: too deep
             doc = None
         if _is_report(doc):
             return text, doc
@@ -229,19 +231,27 @@ def cmd_batch(args) -> int:
     cache = _cache_dir(args.cache_dir)
     counts: dict = {}
     errors = 0
+    # line -> (verdict, None) or (None, error message), for this run only:
+    # a repeated line is printed from here, not parsed, keyed or read again.
+    outcomes: dict = {}
     for raw in Path(args.file).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            _text, rep = _cached_detect(h2, line, None, args.oracle, cache)
-        except (ValueError, AssertionError, RuntimeError) as exc:
-            print(f"{line}: error: {exc}", file=sys.stderr)
+        if line not in outcomes:
+            try:
+                _text, rep = _cached_detect(h2, line, None, args.oracle,
+                                            cache)
+                outcomes[line] = (rep["verdict"], None)
+            except (ValueError, AssertionError, RuntimeError) as exc:
+                outcomes[line] = (None, str(exc))
+        verdict, error = outcomes[line]
+        if verdict is None:
+            print(f"{line}: error: {error}", file=sys.stderr)
             errors += 1
             continue
-        verdict = rep["verdict"]
         counts[verdict] = counts.get(verdict, 0) + 1
-        print(f"{line or '(empty)'}: {verdict}")
+        print(f"{line}: {verdict}")
     total = sum(counts.values())
     summary = "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"batch: {total} strata  {summary}" +

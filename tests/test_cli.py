@@ -17,6 +17,7 @@ import jsonschema
 import pytest
 
 import realstrata
+from realstrata import cli
 from realstrata.cli import (_REPORT_KEYS, _REPORT_TYPES, _is_report,
                             build_parser, main)
 from realstrata.lattices import RootSpec, polarized_disc
@@ -345,6 +346,30 @@ def test_batch_treats_an_entry_that_is_not_a_report_as_a_miss(capsys,
                                 "batch: 2 strata  witness_found=2"]
 
 
+def test_too_deeply_nested_entry_is_a_miss(capsys, tmp_path):
+    # json.loads raises RecursionError, not ValueError, on this entry.
+    nested = "[" * 100000 + "]" * 100000
+    listing = tmp_path / "strata.txt"
+    listing.write_text("A1\n")
+    cache = tmp_path / "cache"
+    code, fresh, _ = run(capsys, "detect", "--spec", "A1", "--json",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    (entry,) = cache.glob("*.json")
+    entry.write_text(nested)
+    code, out, err = run(capsys, "detect", "--spec", "A1", "--json",
+                         "--cache-dir", str(cache))
+    assert (code, err) == (0, "")
+    assert _untimed(out) == _untimed(fresh)
+    assert entry.read_text() + "\n" == out
+    assert list(cache.iterdir()) == [entry]
+    entry.write_text(nested)
+    assert run(capsys, "batch", str(listing), "--cache-dir", str(cache)) \
+        == (0, "A1: witness_found\nbatch: 1 strata  witness_found=1\n", "")
+    assert _untimed(entry.read_text()) == _untimed(fresh)
+    assert list(cache.iterdir()) == [entry]
+
+
 # ---------------------------------------------------- errors from the engine
 
 
@@ -422,6 +447,81 @@ def test_batch_exit_code_ignores_verdicts(capsys, tmp_path):
                        "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
     assert "A7+A6+A5: none_exists" in out
+
+
+# Repeated spellings of one stratum, comments, blank lines, an empty
+# stratum in two spellings and an unparseable line listed twice.
+DUPLICATES = ("# duplicates, in several spellings\n"
+              "3*A1\n"
+              "A1+A1+A1\n"
+              "A1+2*A1   # same stratum again\n"
+              "\n"
+              "Q9\n"
+              "A2\n"
+              "3*A1\n"
+              "Q9\n"
+              "none\n"
+              "0\n"
+              "A2  # again\n")
+DUPLICATES_OUT = ("3*A1: witness_found\n"
+                  "A1+A1+A1: witness_found\n"
+                  "A1+2*A1: witness_found\n"
+                  "A2: witness_found\n"
+                  "3*A1: witness_found\n"
+                  "none: witness_found\n"
+                  "0: witness_found\n"
+                  "A2: witness_found\n"
+                  "batch: 8 strata  witness_found=8  errors=2\n")
+DUPLICATES_ERR = "Q9: error: cannot parse root-spec term 'Q9'\n" * 2
+
+
+def test_batch_decides_each_distinct_line_once(capsys, tmp_path,
+                                               monkeypatch):
+    listing = tmp_path / "strata.txt"
+    listing.write_text(DUPLICATES)
+    cache = tmp_path / "cache"
+    seen = []
+    inner = cli._cached_detect
+
+    def counting(h2, spec_text, *rest):
+        seen.append(spec_text)
+        return inner(h2, spec_text, *rest)
+
+    monkeypatch.setattr(cli, "_cached_detect", counting)
+    for _ in range(2):      # cold cache, then warm
+        seen.clear()
+        assert run(capsys, "batch", str(listing), "--cache-dir",
+                   str(cache)) == (1, DUPLICATES_OUT, DUPLICATES_ERR)
+        assert seen == ["3*A1", "A1+A1+A1", "A1+2*A1", "Q9", "A2", "none",
+                        "0"]
+        # one entry per canonical stratum: 3*A1, A2 and the empty one, "0"
+        entries = [json.loads(e.read_text()) for e in cache.glob("*.json")]
+        assert sorted(e["spec"] for e in entries) == ["0", "3*A1", "A2"]
+
+
+def test_batch_remembers_lines_for_one_invocation_only(capsys, tmp_path):
+    listing = tmp_path / "strata.txt"
+    listing.write_text(DUPLICATES)
+    cache = tmp_path / "cache"
+    assert run(capsys, "batch", str(listing), "--cache-dir", str(cache)) \
+        == (1, DUPLICATES_OUT, DUPLICATES_ERR)
+    entries = sorted(cache.glob("*.json"))
+    reports = [_untimed(e.read_text()) for e in entries]
+    for entry, content in zip(entries, NOT_A_REPORT[1:]):
+        entry.write_text(content)
+    assert run(capsys, "batch", str(listing), "--cache-dir", str(cache)) \
+        == (1, DUPLICATES_OUT, DUPLICATES_ERR)
+    assert [_untimed(e.read_text()) for e in entries] == reports
+    # The same line under another model is another stratum.
+    listing.write_text("A7+A6+A5\nA7+A6+A5\n")
+    for model in ("quartic", "sextic"):
+        _, human, _ = run(capsys, "detect", "--model", model, "--spec",
+                          "A7+A6+A5", "--cache-dir", str(tmp_path / model))
+        verdict = re.search(r"^verdict: (\w+)", human, re.M).group(1)
+        assert run(capsys, "batch", str(listing), "--model", model,
+                   "--cache-dir", str(cache)) == (
+            0, f"A7+A6+A5: {verdict}\n" * 2
+            + f"batch: 2 strata  {verdict}=2\n", "")
 
 
 # ---------------------------------------------------------------- embed
