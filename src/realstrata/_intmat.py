@@ -3,11 +3,11 @@
 All routines operate on lists of lists of Python ints (arbitrary precision) and
 are deterministic.  Matrices are small (a few dozen rows at most in this
 package), so clarity wins over asymptotics; the algorithms are the classical
-elimination ones in integer arithmetic throughout.  Kernels and solves
-modulo orders are one Hermite form of the system stacked on an identity
-(Cohen 1993, section 2.4); Smith forms are taken only where a Smith
-presentation or a unimodular inverse is read; determinants come from
-Bareiss elimination.
+elimination ones in integer arithmetic throughout.  Solves modulo orders
+are one Hermite form of the system stacked on an identity (Cohen 1993,
+section 2.4), as K-perp is in fqf.orthogonal_complement; Smith forms are
+taken only where a Smith presentation or a unimodular inverse is read;
+determinants come from Bareiss elimination.
 """
 
 from __future__ import annotations

@@ -28,9 +28,10 @@ from typing import Dict, List, Optional, Tuple
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import Subquotient, subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       _component_orbit_minima, _first_involution,
-                       checked_involution, maximizing_has_skew,
-                       polarized_disc, require_stratum_rank)
+                       _component_classes, _component_orbit_minima,
+                       _first_involution, checked_involution,
+                       maximizing_has_skew, polarized_disc,
+                       require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
 
 SCOPE_NOTE = (
@@ -180,13 +181,12 @@ def _orbit_table(pf: PolarizedForm
     diagram automorphisms.  Built once per polarized form."""
     table = pf._cache.get("orbits")
     if table is None:
-        classes: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
-        for comp, cut in zip(pf.spec.components, pf.comp_slices):
-            classes.setdefault(comp, []).append(cut)
-        table = pf._cache["orbits"] = [
-            (cuts, _component_orbit_minima(*comp,
-                                           pf.form.orders[slice(*cuts[0])]))
-            for comp, cuts in classes.items()]
+        table = []
+        for comp, idxs in _component_classes(pf):
+            cuts = [pf.comp_slices[c] for c in idxs]
+            table.append((cuts, _component_orbit_minima(
+                *comp, pf.form.orders[slice(*cuts[0])])))
+        pf._cache["orbits"] = table
     return table
 
 
@@ -228,6 +228,7 @@ def _search(pf: PolarizedForm, trace: List[dict]
     orbit's first kappa is a witness, so the witness (kappa, phi) is the
     one a kappa-by-kappa walk finds.
     """
+    _orbit_table(pf)    # checks that pf.form is the sum G acts on
     for a2 in enumerate_a_squares(pf):
         for n in (2, 1):
             cands = kernel_candidates(pf, a2, n)

@@ -202,18 +202,6 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
 # ------------------------------------------------------- case classification
 
 
-CASE_TAGS = (
-    "r0_single_pair",
-    "r0_cyclic_low1_pair_high1",
-    "r0_pair_low1_cyclic_high1",
-    "r0_cyclic_low1_cyclic_deep",
-    "r0_cyclic_low1_pair_deep",
-    "r0_cyclic_low2_cyclic_high1",
-    "r0_pair_low2_cyclic_high1",
-    "r1_single_cyclic",
-)
-
-
 @dataclass
 class GluingCase:
     """Classification of the 2-primary shape of a gluing vector."""

@@ -253,53 +253,25 @@ def polarized_disc(spec: RootSpec, h2: int) -> PolarizedForm:
 # --------------------------------------------------------- disc automorphisms
 
 
-def _check_isometry(form: FiniteQuadraticForm, support: Sequence[int],
-                    block: Sequence[Sequence[int]]) -> None:
-    """Raise ValueError unless the map phi that sends each generator e_t,
-    t in support (ascending), to sum_a block[a][b] e_{support[a]} (t =
-    support[b]) and fixes every other generator is a homomorphism keeping
-    q and b.  Bijective then: b is kept, so the kernel lies in the radical,
-    which is trivial (every form is checked nondegenerate).
-
-    Outside the support phi is the identity, so every check there holds
-    by definition: q(e_j) = Qn[j] and b(e_i, e_j) = Bn[i][j].  What can
-    fail is the homomorphism test on the block, q on each column j in the
-    support, and b(phi e_i, phi e_j) = Bn[i][j] for j in the support and
-    every other i; for i outside it that is b(e_i, phi e_j), a sum over
-    the support that is computed, not assumed 0.  These are the checks of
-    the whole matrix, made in its order (column by column, q before b), at
-    O(|S|^2 r) cost for a support S of a rank r form, not O(r^3)."""
-    orders, bn, n, r = form.orders, form.Bn, form.N, form.rank
-    for b, t in enumerate(support):
-        for a, s in enumerate(support):
-            if (orders[t] * block[a][b]) % orders[s]:
-                raise ValueError("matrix does not define a homomorphism")
-    # cols[b] is phi(e_t) on the support, and pairing[b][i] is
-    # b(e_i, phi e_t) * N mod N for every generator e_i.
-    cols = list(zip(*block))
-    bn_on = [[row[s] for s in support] for row in bn]
-    gram_on = [[form._gram[s][u] for u in support] for s in support]
-    pairing = [[sum(map(mul, row, col)) % n for row in bn_on]
-               for col in cols]
-    where = {t: b for b, t in enumerate(support)}
+def _check_isometry(form: FiniteQuadraticForm,
+                    matrix: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless the matrix, whose j-th column c_j is the
+    image of the j-th generator, defines a homomorphism keeping q and b:
+    column by column, q(c_j)*N = c_j^T G c_j mod 2N before b(c_i, c_j)*N =
+    c_i^T G c_j mod N, G the integer Gram.  Bijective then: b is kept, so
+    the kernel lies in the trivial radical (forms are nondegenerate)."""
+    orders, n, r = form.orders, form.N, form.rank
     for j in range(r):
-        b = where.get(j)
-        if b is None:
-            # phi(e_j) = e_j: only its pairings with a later phi(e_i), i in
-            # the support, can differ from Bn.
-            if any(i > j and pairing[a][j] != bn[i][j]
-                   for a, i in enumerate(support)):
-                raise ValueError("map does not preserve b")
-            continue
-        col, row = cols[b], pairing[b]
-        if sum(x * sum(map(mul, g, col)) for x, g in zip(col, gram_on) if x
-               ) % (2 * n) != form.Qn[j]:
+        for i in range(r):
+            if (orders[j] * matrix[i][j]) % orders[i]:
+                raise ValueError("matrix does not define a homomorphism")
+    cols = list(zip(*matrix))
+    for j, col in enumerate(cols):
+        g_col = [sum(map(mul, row, col)) for row in form._gram]
+        if sum(map(mul, col, g_col)) % (2 * n) != form.Qn[j]:
             raise ValueError("map does not preserve q")
-        row_on = [row[s] for s in support]
         for i in range(j + 1, r):
-            a = where.get(i)
-            got = row[i] if a is None else sum(map(mul, cols[a], row_on)) % n
-            if got != bn[i][j]:
+            if sum(map(mul, cols[i], g_col)) % n != form.Bn[i][j]:
                 raise ValueError("map does not preserve b")
 
 
@@ -317,9 +289,8 @@ def _is_involution(orders: Sequence[int],
 class DiscAutomorphism:
     """An automorphism of a finite quadratic form, stored as an integer
     matrix whose j-th column gives the image of the j-th generator.  The
-    constructor and is_involution run the checks of a symmetry-induced
-    slot map (_check_isometry, _is_involution) with the support set to
-    every generator."""
+    constructor checks, on the whole matrix, that it is a homomorphism
+    keeping q and b (_check_isometry); is_involution checks M*M = I."""
 
     def __init__(self, form: FiniteQuadraticForm,
                  matrix: Sequence[Sequence[int]]):
@@ -327,7 +298,7 @@ class DiscAutomorphism:
         self.form = form
         self.matrix = tuple(tuple(matrix[i][j] % form.orders[i]
                                   for j in range(r)) for i in range(r))
-        _check_isometry(form, range(r), self.matrix)
+        _check_isometry(form, self.matrix)
 
     def apply(self, x: Sequence[int]) -> Element:
         return tuple(sum(map(mul, row, x)) % o
@@ -397,6 +368,8 @@ Rows = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
 Options = Tuple[Rows, ...]
 # The options of one index: (partner, rows), the partner None when fixed.
 Choices = List[Tuple[object, Rows]]
+# Checked blocks of one class: (block, its inverse for a pair, else None).
+Checked = List[Tuple[List[List[int]], Optional[List[List[int]]]]]
 Pairs = Sequence[Tuple[Sequence[int], Sequence[int]]]
 
 
@@ -414,62 +387,80 @@ def checked_involution(form: FiniteQuadraticForm,
     return auto
 
 
-def _check_slot_map(form: FiniteQuadraticForm, rows: Rows) -> None:
-    """checked_involution for the matrix that is `rows` on the coordinates
-    the rows own and the identity elsewhere, checked on those coordinates
-    only: elsewhere the identity keeps q and b and squares to 1 by
-    definition (see _check_isometry).  Every column a row names is owned
-    by a row.  The same errors, in the same order, as the whole-matrix
-    check."""
-    support = sorted(i for i, _ in rows)
-    where = {t: b for b, t in enumerate(support)}
-    block = [[0] * len(support) for _ in support]
-    for i, row in rows:
-        for j, v in row:
-            block[where[i]][where[j]] = v
-    _check_isometry(form, support, block)
-    if not _is_involution([form.orders[s] for s in support], block):
-        raise AssertionError(_NOT_AN_INVOLUTION)
-
-
-def _reduced_blocks(blocks: Iterable[Sequence[Sequence[int]]],
-                    orders: Sequence[int]) -> List[List[List[int]]]:
-    """The distinct blocks mod the orders (one per row), in first-seen
-    order."""
-    out: List[List[List[int]]] = []
+def _checked_blocks(own: FiniteQuadraticForm,
+                    blocks: Iterable[Sequence[Sequence[int]]], pair: bool
+                    ) -> Checked:
+    """The distinct blocks mod own's orders (one per row), in first-seen
+    order, each checked once on own, the form of one component (or of h)
+    on its own generators.  A fixed block must be an involutive isometry.
+    A pair block B must have an inverse, returned beside it (None for a
+    fixed block), and be an isometry: then [[0, B^-1], [B, 0]] is an
+    involutive isometry of own (+) own.  Every check raises explicitly."""
+    out: Checked = []
     for raw in blocks:
-        block = [[v % o for v in row] for row, o in zip(raw, orders)]
-        if block not in out:
-            out.append(block)
+        block = [[v % o for v in row] for row, o in zip(raw, own.orders)]
+        if any(block == seen for seen, _ in out):
+            continue
+        inv = None
+        if pair:
+            inv = _invert_mod_orders(block, own.orders)
+            if inv is None:
+                raise AssertionError(_NOT_AN_INVOLUTION)
+            DiscAutomorphism(own, block)
+        else:
+            checked_involution(own, block)
+        out.append((block, inv))
     return out
 
 
-def _checked_slot(form: FiniteQuadraticForm, src: int, dst: int,
-                  blocks: Sequence[Tuple[List[List[int]],
-                                         Optional[List[List[int]]]]]
-                  ) -> Options:
-    """The options of one block of a symmetry-induced involution: a fixed
+def _checked_slot(src: int, dst: int, blocks: Checked) -> Options:
+    """The options of one slot of a symmetry-induced involution: a fixed
     component (src == dst), a swapped pair of equal components, or the h
-    generator.  `blocks` holds distinct blocks reduced mod the orders,
-    each with its inverse (used for a pair only; None when there is
-    none).  Each block maps the generators starting at src onto those
-    starting at dst; for a pair its inverse maps them back.  Each slot map
-    is checked once, on its own coordinates by _check_slot_map; for a pair
-    that check also proves the inverse right.  A pair block without an
-    inverse cannot be completed to an involution and raises."""
+    generator, placed from blocks that _checked_blocks checked.  Each
+    block maps the generators starting at src onto those starting at dst;
+    for a pair its inverse maps them back."""
     options: List[Rows] = []
     for block, inv in blocks:
         parts = [(dst, src, block)]
         if src != dst:
-            if inv is None:
-                raise AssertionError(_NOT_AN_INVOLUTION)
             parts.append((src, dst, inv))
-        rows = tuple((to + i, tuple((fro + j, v) for j, v in enumerate(row)
-                                    if v))
-                     for to, fro, part in parts for i, row in enumerate(part))
-        _check_slot_map(form, rows)
-        options.append(rows)
+        options.append(tuple(
+            (to + i, tuple((fro + j, v) for j, v in enumerate(row) if v))
+            for to, fro, part in parts for i, row in enumerate(part)))
     return tuple(options)
+
+
+def _component_classes(pf: PolarizedForm
+                       ) -> List[Tuple[Tuple[str, int], List[int]]]:
+    """The classes of equal components of pf, sorted by label, each with
+    its component indices.  Built once per form, after checking, with an
+    explicit raise, that pf.form is the orthogonal sum of its component
+    slices and the h generator, in that order, with equal forms on equal
+    components (Nikulin 1979, section 1): the symmetry-induced maps act
+    on that sum block by block."""
+    cached = pf._cache.get("classes")
+    if cached is not None:
+        return cached
+    form = pf.form
+    r = form.rank
+    cuts = list(pf.comp_slices) + [(r - 1, r)]
+    owner = [c for c, (lo, hi) in enumerate(cuts) for _ in range(lo, hi)]
+    if (len(pf.comp_slices) != len(pf.spec.components)
+            or [i for lo, hi in cuts for i in range(lo, hi)] != list(range(r))
+            or any(form.Bn[i][j] for i in range(r) for j in range(i)
+                   if owner[i] != owner[j])):
+        raise ValueError("the polarized form is not the orthogonal sum of "
+                         "its components and h")
+    classes: Dict[Tuple[str, int], List[int]] = {}
+    for idx, comp in enumerate(pf.spec.components):
+        classes.setdefault(comp, []).append(idx)
+    for idxs in classes.values():
+        if len({(form.orders[lo:hi], form.Qn[lo:hi],
+                 tuple(row[lo:hi] for row in form.Bn[lo:hi]))
+                for lo, hi in (pf.comp_slices[c] for c in idxs)}) > 1:
+            raise ValueError("equal components have different forms")
+    pf._cache["classes"] = table = sorted(classes.items())
+    return table
 
 
 def _slot_table(pf: PolarizedForm
@@ -478,10 +469,9 @@ def _slot_table(pf: PolarizedForm
     the slot options of c, fixed or paired with a later index of the class.
     The h generator is a class of its own, tagged "h".  Components with a
     trivial discriminant (E8) own no rows and are left out, so distinct
-    matchings make distinct matrices.  Built once per form; each option is
-    checked once, as an involutive isometry on its own coordinates.  The
-    components of a class share their generator orders, so its blocks are
-    reduced, and its swap blocks inverted, once for all its pairs.
+    matchings make distinct matrices.  Built once per form.  pf.form is an
+    orthogonal sum (_component_classes), so each distinct block is checked
+    once per class, on its component's own form, and only placed in slots.
 
     Each list is sorted by its options' rows written out densely, in row
     order, so c's rows come first.  Two options of c differ there (an
@@ -494,40 +484,39 @@ def _slot_table(pf: PolarizedForm
     form = pf.form
     r = form.rank
 
+    def own_form(lo: int, hi: int) -> FiniteQuadraticForm:
+        units = [tuple(int(i == j) for i in range(r)) for j in range(lo, hi)]
+        return form.restricted_form(form.orders[lo:hi], units)
+
     def dense(option: Tuple[object, Rows]) -> List[List[int]]:
         return [[entries.get(j, 0) for j in range(r)]
                 for entries in (dict(row) for _, row in sorted(option[1]))]
 
-    classes: Dict[Tuple[str, int], List[int]] = {}
-    for idx, comp in enumerate(pf.spec.components):
-        classes.setdefault(comp, []).append(idx)
     table = []
-    for (fam, n), idxs in sorted(classes.items()):
+    for (fam, n), idxs in _component_classes(pf):
         lo, hi = pf.comp_slices[idxs[0]]
         k = hi - lo
         if not k:
             continue
-        orders = form.orders[lo:hi]
-        swaps = [] if len(idxs) < 2 else [
-            (block, _invert_mod_orders(block, orders)) for block in
-            _reduced_blocks(_component_swap_isos(fam, n, k), orders)]
-        fixed = [(block, None) for block in _reduced_blocks(
-            _component_fixed_autos(fam, n, k), orders)]
+        own = own_form(lo, hi)
+        swaps = [] if len(idxs) < 2 else _checked_blocks(
+            own, _component_swap_isos(fam, n, k), pair=True)
+        fixed = _checked_blocks(own, _component_fixed_autos(fam, n, k),
+                                pair=False)
         choices = {}
         for pos, c in enumerate(idxs):
             src = pf.comp_slices[c][0]
             options = [(d, rows) for d in idxs[pos + 1:]
-                       for rows in _checked_slot(
-                           form, src, pf.comp_slices[d][0], swaps)]
+                       for rows in _checked_slot(src, pf.comp_slices[d][0],
+                                                 swaps)]
             options += [(None, rows)
-                        for rows in _checked_slot(form, src, src, fixed)]
+                        for rows in _checked_slot(src, src, fixed)]
             choices[c] = sorted(options, key=dense)
         table.append((tuple(idxs), choices))
     h = r - 1
-    signs = [(block, None) for block in _reduced_blocks(
-        [[[1]], [[-1]]], form.orders[h:])]
-    table.append((("h",), {"h": [(None, rows) for rows in _checked_slot(
-        form, h, h, signs)]}))
+    signs = _checked_blocks(own_form(h, r), [[[1]], [[-1]]], pair=False)
+    table.append((("h",), {"h": [(None, rows)
+                                 for rows in _checked_slot(h, h, signs)]}))
     pf._cache["slots"] = table
     return table
 

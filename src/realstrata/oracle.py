@@ -16,6 +16,7 @@ brute-force coset, on which the engine's coordinate map gives the vector
 back and the engine's quotient q agrees with the brute one.  That proves
 an isometry, so the invariant factors agree too.  The oracle never calls
 the engine's subquotient construction, and takes K from its own generators.
+A witness phi is re-checked from its matrix with the oracle's q and b.
 A failed check raises OracleMismatch explicitly, so the checks also run
 under ``python -O``.
 """
@@ -202,8 +203,7 @@ def brute_involutions(form: FiniteQuadraticForm,
 class BruteQuotient:
     """K-perp/K rebuilt coset by coset."""
     order: int
-    reps: List[Element]                      # lex-min member per coset
-    coset_q: Dict[Element, Fraction]         # canonical q per coset rep
+    coset_q: Dict[Element, Fraction]         # q per coset's lex-min member
     assigned: Dict[Element, Element]         # element of K-perp -> its rep
 
 
@@ -232,8 +232,8 @@ def brute_subquotient(form: FiniteQuadraticForm,
             _require(_qd(g, y) == q, "q is not constant on a coset")
             assigned[y] = x
         coset_q[x] = Fraction(q, g.d)
-    return BruteQuotient(order=len(coset_q), reps=list(coset_q),
-                         coset_q=coset_q, assigned=assigned)
+    return BruteQuotient(order=len(coset_q), coset_q=coset_q,
+                         assigned=assigned)
 
 
 def _lex_walk(form: FiniteQuadraticForm, orders: Sequence[int],
@@ -437,6 +437,13 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
 # Witness and trace re-validation.
 # ---------------------------------------------------------------------------
 
+def _apply(form: FiniteQuadraticForm, matrix: Sequence[Sequence[int]],
+           x: Sequence[int]) -> Element:
+    """x under the map whose j-th column is the image of e_j."""
+    return tuple(sum(map(mul, row, x)) % o
+                 for row, o in zip(matrix, form.orders))
+
+
 def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
                        sq: Subquotient, cutoff: int = ORACLE_CUTOFF):
     """Re-verify a reported witness by brute force, against sq, the
@@ -448,9 +455,20 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     if form.order * cand.a2 > cutoff:       # the order of the glued group
         return "skipped_cutoff"
     big = ambient_with_a_block(form, cand.a2)
-    checked = DiscAutomorphism(form, phi.matrix)      # full re-validation
-    _require(checked.is_involution(), "witness phi is not an involution")
-    _require(checked.apply(cand.kappa) == form.neg(cand.kappa),
+    # phi keeps q on the generators and b on their pairs, with the oracle's
+    # own q and b, hence everywhere, and is its own inverse.
+    g, r = _scaled_gram(form), form.rank
+    units = [form.reduce([int(i == j) for i in range(r)]) for j in range(r)]
+    images = [_apply(form, phi.matrix, e) for e in units]
+    for j, (e, y) in enumerate(zip(units, images)):
+        _require(not any(form.smul(form.orders[j], y)),
+                 "witness phi is not a homomorphism")
+        _require(_qd(g, y) == _qd(g, e) and all(
+            _bd(g, images[i], y) == _bd(g, units[i], e) for i in range(j)),
+            "witness phi is not an isometry")
+        _require(_apply(form, phi.matrix, y) == e,
+                 "witness phi is not an involution")
+    _require(_apply(form, phi.matrix, cand.kappa) == form.neg(cand.kappa),
              "witness phi does not negate kappa")
     theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
     _require(big.order_of(theta) == cand.a2 // cand.n,
@@ -460,9 +478,8 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     brute = verify_subquotient_presentation(big, [theta], sq, cutoff)
     _require(len(brute.assigned) * (cand.a2 // cand.n) == big.order,
              "K-perp has the wrong size")
-    r = form.rank
     for x, rep in brute.assigned.items():
-        img = big.reduce(list(checked.apply(x[:r])) + [-x[r]])
+        img = big.reduce(list(_apply(form, phi.matrix, x[:r])) + [-x[r]])
         _require(brute.assigned.get(img) == rep,
                  "witness involution fails on K-perp")
     ok, _ = embeds_into_big_L(2, pf.rank_S, sq.form)

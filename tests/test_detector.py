@@ -268,32 +268,35 @@ def test_report_trace_rows_use_reason_vocabulary():
 
 def test_detect_builds_each_slot_option_once(monkeypatch):
     # 8*A1 @ 16: 8 fixed A1 slots and 28 swapped pairs with one option each
-    # (+1 and -1 agree mod 2), and the h slot with +-1.  Each option is
-    # checked once on its own coordinates, with no whole matrix; only the
-    # witness is rebuilt as one.  Revalidation is skipped (the glued group
-    # exceeds the oracle cutoff), so it builds none.  Materialising all
-    # 1,528 involutions would build at least that many.
-    built, checked = [], []
-    real_init, real_check = DiscAutomorphism.__init__, lattices._check_slot_map
+    # (+1 and -1 agree mod 2), and the h slot with +-1.  Each distinct
+    # block is checked once, on its component's own form of rank 1: the A1
+    # swap block, the A1 fixed block and the two h signs.  Each option is
+    # placed once from them; only the witness is built as a whole matrix.
+    # Revalidation is skipped (the glued group exceeds the oracle cutoff),
+    # so it builds none.  Materialising all 1,528 involutions would build
+    # at least that many.
+    built, placed = [], []
+    real_init, real_slot = DiscAutomorphism.__init__, lattices._checked_slot
 
     def counting_init(self, form, matrix):
-        built.append(matrix)
+        built.append(form.rank)
         real_init(self, form, matrix)
 
-    def counting_check(form, rows):
-        checked.append(rows)
-        real_check(form, rows)
+    def counting_slot(src, dst, blocks):
+        options = real_slot(src, dst, blocks)
+        placed.extend(options)
+        return options
 
     monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
-    monkeypatch.setattr(lattices, "_check_slot_map", counting_check)
+    monkeypatch.setattr(lattices, "_checked_slot", counting_slot)
     rep = detect(16, "8*A1")
     assert (rep.verdict, rep.witness_revalidated) == ("witness_found",
                                                      "skipped_cutoff")
-    assert len(built) == 1
+    assert built == [1, 1, 1, 1, 9]
     h = 8
     kinds = ["pair" if len(rows) == 2 else "h" if rows[0][0] == h
-             else "fixed" for rows in checked]
-    assert len(set(checked)) == len(checked)
+             else "fixed" for rows in placed]
+    assert len(set(placed)) == len(placed)
     assert sorted(kinds) == ["fixed"] * 8 + ["h"] * 2 + ["pair"] * 28
 
 

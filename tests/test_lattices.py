@@ -30,7 +30,6 @@ from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import brute_involutions
 
-from _corpus import corpus
 
 # ------------------------------------------------------------------ RootSpec
 
@@ -491,80 +490,96 @@ def _outcome(check, *args):
     return None
 
 
-def _sparse_maps(form, rng, bases):
-    """Slot maps as (support, block): the bases, then for each base a
-    column scaled by a random factor (q), the whole block negated (cross
-    terms b(e_i, phi e_j) with i outside the support), its columns
-    permuted (an involution or not) and one entry set to 1 (a
-    homomorphism or not), and random signed permutations."""
-    r = form.rank
-    maps = list(bases)
-    for support, block in bases:
-        size = len(support)
+def _mutated_blocks(rng, orders, bases):
+    """Blocks on generators of the given orders: the bases, then for each
+    base a column scaled by a random factor (q), the whole block negated,
+    its columns permuted (an involution or not) and one entry set to 1 (a
+    homomorphism or not, and b kept or not), and random signed
+    permutations."""
+    size = len(orders)
+    blocks = list(bases)
+    for block in bases:
         b = rng.randrange(size)
-        scale = rng.randrange(2, max(form.orders) + 1)
-        maps.append((support, [[v * scale if c == b else v
-                                for c, v in enumerate(row)] for row in block]))
-        maps.append((support, [[-v for v in row] for row in block]))
+        scale = rng.randrange(2, max(orders) + 1)
+        blocks.append([[v * scale if c == b else v
+                        for c, v in enumerate(row)] for row in block])
+        blocks.append([[-v for v in row] for row in block])
         perm = rng.sample(range(size), size)
-        maps.append((support, [[row[perm[c]] for c in range(size)]
-                               for row in block]))
+        blocks.append([[row[perm[c]] for c in range(size)] for row in block])
         a, b = rng.randrange(size), rng.randrange(size)
-        maps.append((support, [[1 if (x, c) == (a, b) else v
-                                for c, v in enumerate(row)]
-                               for x, row in enumerate(block)]))
-    for _ in range(2 * len(bases) + 4):
-        support = sorted(rng.sample(range(r), rng.randint(1, min(r, 4))))
-        perm = rng.sample(range(len(support)), len(support))
-        maps.append((support, [[rng.choice((1, -1)) if perm[c] == x else 0
-                                for c in range(len(support))]
-                               for x in range(len(support))]))
-    return maps
+        blocks.append([[1 if (x, c) == (a, b) else v
+                        for c, v in enumerate(row)]
+                       for x, row in enumerate(block)])
+    for _ in range(len(bases) + 2):
+        perm = rng.sample(range(size), size)
+        blocks.append([[rng.choice((1, -1)) if perm[c] == x else 0
+                        for c in range(size)] for x in range(size)])
+    return blocks
+
+
+def _placed(r, parts):
+    """The r x r matrix that is the identity except on the given parts
+    (dst, src, block): block maps the generators from src onto those from
+    dst."""
+    whole = [[int(i == j) for j in range(r)] for i in range(r)]
+    for dst, src, block in parts:
+        for i in range(len(block)):
+            whole[dst + i][dst + i] = 0
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                whole[dst + i][src + j] = v
+    return whole
 
 
 def test_local_slot_check_equals_the_whole_matrix_check():
-    # Every slot option, every diagram automorphism of a component taken
-    # as a fixed map (the D4 3-cycles are isometries but no involutions),
-    # identities on random supports of corpus forms, and their mutations:
-    # the check on the support and checked_involution on the matrix that
-    # is the identity elsewhere accept or reject together, with the same
-    # exception and message.
+    # Every diagram automorphism of every component (the D4 3-cycles are
+    # isometries but no involutions), the signs on h, and their mutations,
+    # each taken as a fixed block and, on a class of equal components, as
+    # a pair block: the check on the component's own form, read off
+    # pf.form, and checked_involution on the whole matrix that places the
+    # block (for a pair, the block and its inverse) and is the identity
+    # elsewhere accept or reject together, with the same exception and
+    # message.  A pair block without an inverse has no whole matrix to
+    # compare with; it must be refused as no involution.
     rng = random.Random(5150)
-    cases = []
-    for spec, h2 in FILTER_FORMS + [(s, 4) for s in INTERLEAVED]:
-        pf = polarized_disc(RootSpec.parse(spec), h2)
-        options = [rows for _, choices in _slot_table(pf)
-                   for opts in choices.values() for _, rows in opts]
-        for (fam, n), (lo, hi) in zip(pf.spec.components, pf.comp_slices):
-            if hi == lo:
-                continue
-            options += [tuple((lo + i, tuple((lo + j, v)
-                                             for j, v in enumerate(row)
-                                             if v))
-                              for i, row in enumerate(m))
-                        for m in _component_swap_isos(fam, n, hi - lo)]
-        cases.append((pf.form, [_dense_block(rows) for rows in options]))
-    for item in random.Random(6).sample(corpus(), 80):
-        form = item.form
-        cases.append((form, [
-            (support, [[int(x == c) for c in range(len(support))]
-                       for x in range(len(support))])
-            for support in (sorted(rng.sample(range(form.rank), size))
-                            for size in range(1, form.rank + 1))]))
     seen = set()
-    for form, bases in cases:
-        for support, block in _sparse_maps(form, rng, bases):
-            rows = tuple((s, tuple((t, v) for t, v in zip(support, row) if v))
-                         for s, row in zip(support, block))
-            whole = [[int(i == j) for j in range(form.rank)]
-                     for i in range(form.rank)]
-            for s, row in zip(support, block):
-                for t, v in zip(support, row):
-                    whole[s][t] = v
-            got = _outcome(lattices._check_slot_map, form, rows)
-            assert got == _outcome(checked_involution, form, whole), \
-                (form.orders, rows)
-            seen.add(got)
+    forms = FILTER_FORMS + [(s, 4) for s in INTERLEAVED] + [
+        ("2*A5", 4), ("A11+A1", 2), ("2*D5+A3", 8)]
+    for spec, h2 in forms:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        form, r = pf.form, pf.form.rank
+        classes = {}
+        for comp, cut in zip(pf.spec.components, pf.comp_slices):
+            classes.setdefault(comp, []).append(cut)
+        items = [(cuts, _component_swap_isos(*comp, cuts[0][1] - cuts[0][0]))
+                 for comp, cuts in classes.items() if cuts[0][1] > cuts[0][0]]
+        items.append(([(r - 1, r)], [[[1]], [[-1]]]))
+        for cuts, bases in items:
+            lo, hi = cuts[0]
+            own = form.restricted_form(
+                form.orders[lo:hi],
+                [[int(i == j) for i in range(r)] for j in range(lo, hi)])
+            for block in _mutated_blocks(rng, own.orders, bases):
+                got = _outcome(lattices._checked_blocks, own, [block], False)
+                want = _outcome(checked_involution, form,
+                                _placed(r, [(lo, lo, block)]))
+                assert got == want, (spec, h2, lo, block)
+                seen.add(got)
+                if len(cuts) < 2:
+                    continue
+                got = _outcome(lattices._checked_blocks, own, [block], True)
+                reduced = [[v % o for v in row]
+                           for row, o in zip(block, own.orders)]
+                inv = lattices._invert_mod_orders(reduced, own.orders)
+                if inv is None:
+                    assert got == ("AssertionError",
+                                   lattices._NOT_AN_INVOLUTION), block
+                    continue
+                (src, _), (dst, _) = cuts[:2]
+                want = _outcome(checked_involution, form, _placed(
+                    r, [(dst, src, block), (src, dst, inv)]))
+                assert got == want, (spec, h2, src, dst, block)
+                seen.add(got)
     assert seen == {None,
                     ("ValueError", "matrix does not define a homomorphism"),
                     ("ValueError", "map does not preserve q"),
@@ -572,25 +587,19 @@ def test_local_slot_check_equals_the_whole_matrix_check():
                     ("AssertionError", lattices._NOT_AN_INVOLUTION)}
 
 
-def _dense_block(rows):
-    """(support, block) of a slot option given as sparse rows."""
-    support = sorted(i for i, _ in rows)
-    entries = dict(rows)
-    return support, [[dict(entries[s]).get(t, 0) for t in support]
-                     for s in support]
-
-
 def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
     # The census walks every rank-18 spec, 18*A1 among them: its slot
-    # table checks 18 + 153 + 2 options on their own coordinates, builds
-    # no DiscAutomorphism, and inverts the one reduced A1 swap block once,
-    # not once per pair.  Counted, not timed.
+    # table checks 4 distinct blocks, each once on its component's own
+    # form of rank 1 (the A1 swap block, the A1 fixed block and the two h
+    # signs), not 18 + 153 + 2 options on the rank-19 form.  It builds no
+    # rank-19 DiscAutomorphism and inverts the one reduced A1 swap block
+    # once, not once per pair.  Counted, not timed.
     built, inverted = [], []
     real_init, real_invert = (DiscAutomorphism.__init__,
                               lattices._invert_mod_orders)
 
     def counting_init(self, form, matrix):
-        built.append(matrix)
+        built.append((form.rank, tuple(map(tuple, matrix))))
         real_init(self, form, matrix)
 
     def counting_invert(block, orders):
@@ -600,7 +609,7 @@ def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
     monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
     monkeypatch.setattr(lattices, "_invert_mod_orders", counting_invert)
     table = _slot_table(polarized_disc(RootSpec.parse("18*A1"), 4))
-    assert built == []
+    assert built == [(1, ((1,),)), (1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
     assert inverted == [(((1,),), (2,))]
     assert sum(len(options) for _, choices in table
                for options in choices.values()) == 18 + 153 + 2
@@ -702,6 +711,59 @@ def test_slot_checks_run_under_optimize():
         f"swap detect {not_q}",
         f"singular-swap disc_involutions {not_involution}",
         f"singular-swap detect {not_involution}"]
+
+
+def test_a_form_that_is_no_orthogonal_sum_is_refused_under_optimize():
+    # Each block is checked on its component's own form, which is sound
+    # only when pf.form is the orthogonal sum of its component slices and
+    # h, with equal forms on equal components.  Two hand-built 2*A3 @ 4
+    # forms break that: one pairs the two A3 generators to 1/2, the other
+    # negates q on the second A3.  _slot_table and detect must refuse
+    # both, also when python -O strips asserts.
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from realstrata import detector, lattices
+        from realstrata.fqf import FiniteQuadraticForm
+        print("debug:", __debug__)
+        good = lattices.polarized_disc(lattices.RootSpec.parse("2*A3"), 4)
+        q = good.form.q
+        forms = (
+            ("paired", FiniteQuadraticForm(good.form.orders, q,
+                                           {(0, 1): Fraction(1, 2)})),
+            ("unequal", FiniteQuadraticForm(good.form.orders,
+                                            [q[0], -q[1], q[2]])))
+        for label, form in forms:
+            def hand_built(spec, h2):
+                return lattices.PolarizedForm(good.spec, h2, form,
+                                              list(good.tags),
+                                              list(good.comp_slices))
+            detector.polarized_disc = hand_built
+            calls = (
+                ("slots", lambda: lattices._slot_table(hand_built(None, 4))),
+                ("detect", lambda: detector.detect(4, "2*A3")))
+            for name, call in calls:
+                try:
+                    call()
+                    print(label, name, "no error")
+                except ValueError as exc:
+                    print(label, name, exc)
+        """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    not_a_sum = ("the polarized form is not the orthogonal sum of its "
+                 "components and h")
+    unequal = "equal components have different forms"
+    assert proc.stdout.splitlines() == [
+        "debug: False",
+        f"paired slots {not_a_sum}",
+        f"paired detect {not_a_sum}",
+        f"unequal slots {unequal}",
+        f"unequal detect {unequal}"]
 
 
 # -------------------------------------------------------------- binary_autos

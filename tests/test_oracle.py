@@ -345,6 +345,20 @@ def test_revalidate_witness_rejects_wrong_phi():
         revalidate_witness(pf, cand, phi, sq)
 
 
+def test_revalidate_witness_rederives_the_isometry_itself():
+    # On A1@4, phi = [[1, 0], [2, 1]] sends e_0 to e_0 + 2h: a homomorphism
+    # and an involution that negates kappa = 0, but q(e_0 + 2h) = 1/2 is
+    # not q(e_0) = 3/2.  Built with object.__new__, phi never passes the
+    # engine's checks, so only the oracle's own q can refuse it.
+    pf = polarized_disc(RootSpec.parse("A1"), 4)
+    cand = KernelCandidate(2, 2, (0, 0))
+    sq = check_candidate(pf, cand)[2]
+    phi = object.__new__(DiscAutomorphism)
+    phi.form, phi.matrix = pf.form, ((1, 0), (2, 1))
+    with pytest.raises(OracleMismatch, match="witness phi is not an isometry"):
+        revalidate_witness(pf, cand, phi, sq)
+
+
 def test_revalidate_witness_checks_run_under_optimize():
     # python -O strips assert statements; the oracle must still reject a
     # witness whose glue does not embed.
