@@ -20,12 +20,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .fqf import Element, FiniteQuadraticForm
+from .fqf import Element, FiniteQuadraticForm, factorint
 from .isotropy import Subquotient, subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        _component_classes, _component_orbit_minima,
@@ -47,8 +45,7 @@ VERDICTS = ("witness_found", "none_exists", "inconclusive", "needs_T_gram")
 BASES = ("corlem1", "corlem2", "rankT2")
 
 
-@dataclass(frozen=True)
-class KernelCandidate:
+class KernelCandidate(NamedTuple):
     """One gluing datum: kernel order a2/n, generator kappa (+) n alpha."""
     a2: int
     n: int
@@ -57,10 +54,12 @@ class KernelCandidate:
 
 def enumerate_a_squares(pf: PolarizedForm) -> List[int]:
     """Even divisors of twice the exponent of the polarized discriminant,
-    ascending — the complete range of polarizing squares a^2."""
-    e = 2 * pf.form.exponent()
-    divs = [d for d in range(2, e + 1) if e % d == 0 and d % 2 == 0]
-    return divs
+    ascending — the complete range of polarizing squares a^2.  Built from
+    the factorization, so a huge h2 costs its divisors, not a scan."""
+    divs = [1]
+    for p, k in factorint(2 * pf.form.exponent()).items():
+        divs = [d * p ** i for d in divs for i in range(k + 1)]
+    return sorted(d for d in divs if d % 2 == 0)
 
 
 def _elements_of_order(pf: PolarizedForm, order: int
@@ -249,24 +248,36 @@ def _search(pf: PolarizedForm, trace: List[dict]
     return None
 
 
-@dataclass
 class DetectionReport:
-    model: str
-    spec_text: str
-    rank_S: int
-    rank_T: int
-    disc_display: str
-    disc_form: FiniteQuadraticForm
-    tags: List[object]
-    verdict: str
-    conclusiveness_basis: Optional[str]
-    witness: Optional[dict]
-    witness_revalidated: Optional[object]
-    trace: List[dict]
-    wall_time_ms: int
-    generated_at: str
-    oracle_checked: object = False
-    version: str = ""
+    __slots__ = ("model", "spec_text", "rank_S", "rank_T", "disc_display",
+                 "disc_form", "tags", "verdict", "conclusiveness_basis",
+                 "witness", "witness_revalidated", "trace", "wall_time_ms",
+                 "generated_at", "oracle_checked", "version")
+
+    def __init__(self, model: str, spec_text: str, rank_S: int, rank_T: int,
+                 disc_display: str, disc_form: FiniteQuadraticForm,
+                 tags: List[object], verdict: str,
+                 conclusiveness_basis: Optional[str],
+                 witness: Optional[dict],
+                 witness_revalidated: Optional[object], trace: List[dict],
+                 wall_time_ms: int, generated_at: str,
+                 oracle_checked: object = False, version: str = "") -> None:
+        self.model = model
+        self.spec_text = spec_text
+        self.rank_S = rank_S
+        self.rank_T = rank_T
+        self.disc_display = disc_display
+        self.disc_form = disc_form
+        self.tags = tags
+        self.verdict = verdict
+        self.conclusiveness_basis = conclusiveness_basis
+        self.witness = witness
+        self.witness_revalidated = witness_revalidated
+        self.trace = trace
+        self.wall_time_ms = wall_time_ms
+        self.generated_at = generated_at
+        self.oracle_checked = oracle_checked
+        self.version = version
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,7 +383,8 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
         oracle_checked = oracle_mod.cross_check_trace(pf, trace, witness)
 
     wall_ms = int((time.monotonic() - t0) * 1000)
-    report = DetectionReport(
+    from . import __version__
+    return DetectionReport(
         model=model_name(h2),
         spec_text=spec.display_text(),
         rank_S=rank_s,
@@ -386,9 +398,7 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
         witness_revalidated=witness_reval,
         trace=trace,
         wall_time_ms=wall_ms,
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        generated_at=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         oracle_checked=oracle_checked,
+        version=__version__,
     )
-    from . import __version__
-    report.version = __version__
-    return report

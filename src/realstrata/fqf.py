@@ -22,9 +22,7 @@ Elements of F are tuples of canonical residues (0 <= x_i < o_i).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -500,7 +498,6 @@ class Subgroup:
 # -------------------------------------------------- relative Smith machinery
 
 
-@dataclass
 class QuotientPresentation:
     """Smith presentation of outer/inner for coordinate lattices
     inner <= outer inside Z^r (both containing nothing in particular;
@@ -511,9 +508,14 @@ class QuotientPresentation:
     to_coords: maps an ambient vector lying in the outer lattice to its
     quotient coordinates.
     """
-    orders: List[int]
-    reps: List[Element]
-    to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+    __slots__ = ("orders", "reps", "to_coords")
+
+    def __init__(self, orders: List[int], reps: List[Element],
+                 to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+                 ) -> None:
+        self.orders = orders
+        self.reps = reps
+        self.to_coords = to_coords
 
 
 def _smith_generators(ambient: FiniteQuadraticForm,
@@ -607,14 +609,16 @@ def direct_sum_all(forms: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 # ------------------------------------------------- homogeneous decomposition
 
 
-@dataclass
 class HomogeneousBlock:
     """A rank-1 or rank-2 orthogonal block of a p-primary form.
 
     gens are elements of the ambient form; level is k with exponent p^k.
     """
-    level: int
-    gens: List[Element]
+    __slots__ = ("level", "gens")
+
+    def __init__(self, level: int, gens: List[Element]) -> None:
+        self.level = level
+        self.gens = gens
 
 
 _DECOMP_CUTOFF = 1 << 16

@@ -9,7 +9,6 @@ representative the presentation of K-perp/K yields, one per coset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -30,7 +29,6 @@ def is_isotropic(form: FiniteQuadraticForm, sub: Subgroup) -> bool:
     return True
 
 
-@dataclass
 class Subquotient:
     """K-perp/K presented with invariant-factor generators.
 
@@ -40,11 +38,17 @@ class Subquotient:
     kernel:    K itself;
     to_coords: ambient element of K-perp -> quotient coordinates.
     """
-    form: FiniteQuadraticForm
-    reps: List[Element]
-    kperp: Subgroup
-    kernel: Subgroup
-    to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+    __slots__ = ("form", "reps", "kperp", "kernel", "to_coords")
+
+    def __init__(self, form: FiniteQuadraticForm, reps: List[Element],
+                 kperp: Subgroup, kernel: Subgroup,
+                 to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+                 ) -> None:
+        self.form = form
+        self.reps = reps
+        self.kperp = kperp
+        self.kernel = kernel
+        self.to_coords = to_coords
 
 
 def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
@@ -77,7 +81,6 @@ def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
 # ----------------------------------------------------- gluing-vector splits
 
 
-@dataclass
 class SplitBlock:
     """One block N_s split off along a gluing vector.
 
@@ -88,29 +91,38 @@ class SplitBlock:
     mu:    q(u) * 2^level as an odd/even integer mod 2^(level+1);
     nu:    q(v) * 2^level mod 2^(level+1) (pair blocks only).
     """
-    kind: str
-    m: int
-    r: int
-    level: int
-    u: Element
-    mu: int
-    v: Optional[Element] = None
-    nu: Optional[int] = None
+    __slots__ = ("kind", "m", "r", "level", "u", "mu", "v", "nu")
+
+    def __init__(self, kind: str, m: int, r: int, level: int, u: Element,
+                 mu: int, v: Optional[Element] = None,
+                 nu: Optional[int] = None) -> None:
+        self.kind = kind
+        self.m = m
+        self.r = r
+        self.level = level
+        self.u = u
+        self.mu = mu
+        self.v = v
+        self.nu = nu
 
     @property
     def gens(self) -> List[Element]:
         return [self.u] if self.v is None else [self.u, self.v]
 
 
-@dataclass
 class SplitDecomposition:
     """Result of split_off_cyclic: kappa = sum of 2^{r_s} u_s with pairwise
     orthogonal blocks N_s, plus the orthogonal rest N_0."""
-    form: FiniteQuadraticForm
-    kappa: Element
-    blocks: List[SplitBlock]
-    base_form: FiniteQuadraticForm
-    base_gens: List[Element]
+    __slots__ = ("form", "kappa", "blocks", "base_form", "base_gens")
+
+    def __init__(self, form: FiniteQuadraticForm, kappa: Element,
+                 blocks: List[SplitBlock], base_form: FiniteQuadraticForm,
+                 base_gens: List[Element]) -> None:
+        self.form = form
+        self.kappa = kappa
+        self.blocks = blocks
+        self.base_form = base_form
+        self.base_gens = base_gens
 
 
 def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
@@ -202,15 +214,19 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
 # ------------------------------------------------------- case classification
 
 
-@dataclass
 class GluingCase:
     """Classification of the 2-primary shape of a gluing vector."""
-    tag: str
-    m: int
-    split: SplitDecomposition
-    form2: FiniteQuadraticForm
-    kappa2: Element
-    embedding: List[Element]
+    __slots__ = ("tag", "m", "split", "form2", "kappa2", "embedding")
+
+    def __init__(self, tag: str, m: int, split: SplitDecomposition,
+                 form2: FiniteQuadraticForm, kappa2: Element,
+                 embedding: List[Element]) -> None:
+        self.tag = tag
+        self.m = m
+        self.split = split
+        self.form2 = form2
+        self.kappa2 = kappa2
+        self.embedding = embedding
 
 
 def classify_gluing_case(form: FiniteQuadraticForm, kappa: Sequence[int],

@@ -10,12 +10,11 @@ for the polarization class, tagged "h".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import product
 from math import isqrt, prod
 from operator import mul
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
@@ -33,8 +32,7 @@ _ADE_VALID = {
 }
 
 
-@dataclass(frozen=True)
-class RootSpec:
+class RootSpec(NamedTuple):
     """An ordered multiset of ADE components."""
     components: Tuple[Tuple[str, int], ...]
     text: str = ""
@@ -121,14 +119,19 @@ def cartan_matrix(fam: str, n: int) -> List[List[int]]:
 # --------------------------------------------- discriminants of Gram lattices
 
 
-@dataclass
 class GramDisc:
     """Discriminant form of an integral nondegenerate Gram matrix, with the
     coordinate bridge: elements of the quotient Z^n / G Z^n are addressed by
     integer vectors in dual coordinates."""
-    form: FiniteQuadraticForm
-    gen_duals: List[List[int]]   # dual-coordinate vectors of the generators
-    to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+    __slots__ = ("form", "gen_duals", "to_coords")
+
+    def __init__(self, form: FiniteQuadraticForm,
+                 gen_duals: List[List[int]],   # dual coordinates of the gens
+                 to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+                 ) -> None:
+        self.form = form
+        self.gen_duals = gen_duals
+        self.to_coords = to_coords
 
 
 def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
@@ -202,19 +205,23 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
 # ---------------------------------------------------------- polarized discs
 
 
-@dataclass
 class PolarizedForm:
     """Discriminant form of (root part) (+) Z h with h^2 = h2 >= 2 even.
 
     tags[i] is the index of the originating component, or "h" for the
     polarization generator (always last).
     """
-    spec: RootSpec
-    h2: int
-    form: FiniteQuadraticForm
-    tags: List[object]
-    comp_slices: List[Tuple[int, int]]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("spec", "h2", "form", "tags", "comp_slices", "_cache")
+
+    def __init__(self, spec: RootSpec, h2: int, form: FiniteQuadraticForm,
+                 tags: List[object], comp_slices: List[Tuple[int, int]]
+                 ) -> None:
+        self.spec = spec
+        self.h2 = h2
+        self.form = form
+        self.tags = tags
+        self.comp_slices = comp_slices
+        self._cache: dict = {}
 
     @property
     def rank_S(self) -> int:

@@ -10,9 +10,8 @@ p-primary Gram matrix (odd p: modulo squares of p-adic units; p = 2: modulo
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Rational
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import _intmat
 from .fqf import Element, FiniteQuadraticForm, _val, cyclic_form
@@ -27,8 +26,7 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(NamedTuple):
     """A p-adic square class p^valuation * unit.
 
     For odd p the unit is +-1 (the Legendre class); for p = 2 it is a residue

@@ -23,7 +23,6 @@ under ``python -O``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -199,12 +198,17 @@ def brute_involutions(form: FiniteQuadraticForm,
     return out
 
 
-@dataclass
 class BruteQuotient:
     """K-perp/K rebuilt coset by coset."""
-    order: int
-    coset_q: Dict[Element, Fraction]         # q per coset's lex-min member
-    assigned: Dict[Element, Element]         # element of K-perp -> its rep
+    __slots__ = ("order", "coset_q", "assigned")
+
+    def __init__(self, order: int,
+                 coset_q: Dict[Element, Fraction],    # q per coset's lex-min
+                 assigned: Dict[Element, Element]     # K-perp element -> rep
+                 ) -> None:
+        self.order = order
+        self.coset_q = coset_q
+        self.assigned = assigned
 
 
 def brute_subquotient(form: FiniteQuadraticForm,

@@ -1,15 +1,19 @@
 """End-to-end tests for the command-line interface.
 
 Everything runs in-process through cli.main(argv) so exit codes, stdout,
-stderr, cache files, and JSON documents can all be asserted exactly.
+stderr, cache files, and JSON documents can all be asserted exactly; the
+one exception runs in a subprocess so a hang fails on a timeout.
 Every detect invocation points --cache-dir (or the environment fallback)
 at a temporary directory so the repository is never polluted.
 """
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -137,6 +141,22 @@ def test_disc_json_document(capsys):
 
 
 # ------------------------------------------------------------- detect
+
+
+def test_detect_answers_a_huge_h2(tmp_path):
+    # The a^2 range comes from factoring 2N, not from scanning up to it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from realstrata.cli import main; sys.exit(main())",
+         "detect", "--spec", "A1", "--model", "h2=" + "1" + "0" * 20,
+         "--cache-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: witness_found" in proc.stdout
 
 
 def test_detect_witness_human(capsys, tmp_path):

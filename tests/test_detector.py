@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,17 @@ def test_enumerate_a_squares_golden_ranges():
     pf = polarized_disc(RootSpec.parse("A7+A6+A5"), 2)
     divs = enumerate_a_squares(pf)
     assert divs[-1] == 336 and 8 in divs and 84 in divs
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A4+A2", "D5", "E7+A1"])
+def test_enumerate_a_squares_matches_the_divisor_scan(spec):
+    # The divisor list built from the factorization equals the scan over
+    # every integer up to twice the exponent.
+    for h2 in range(2, 302, 2):
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        e = 2 * pf.form.exponent()
+        scan = [d for d in range(2, e + 1) if e % d == 0 and d % 2 == 0]
+        assert enumerate_a_squares(pf) == scan, (spec, h2)
 
 
 # --------------------------------------------------------- kernel candidates
@@ -212,6 +224,15 @@ def test_report_json_matches_schema_keys():
     assert doc["disc"]["tags"] == [0, "h"]
     round_trip = json.loads(rep.to_json())
     assert round_trip == json.loads(json.dumps(doc))
+
+
+def test_report_timestamp_is_utc_to_the_second():
+    # The shape datetime.isoformat(timespec="seconds") gives a UTC time.
+    stamp = detect(4, "A1").generated_at
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    when = datetime.fromisoformat(stamp)
+    assert when.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - when) < timedelta(minutes=1)
 
 
 def test_detect_matches_benchmark_reference_digests():

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,8 +232,9 @@ def test_presentation_rejects_wrong_invariant_factors():
     z8 = cyclic_form(3, 8)
     assert z8.order == form.order
     coords = {(0, 0): (0,), (1, 1): (1,), (0, 2): (2,), (1, 3): (3,)}
-    sq = replace(_trivial_quotient(form), form=z8, reps=[(1, 1)],
-                 to_coords=lambda v: coords[tuple(v)])
+    plain = _trivial_quotient(form)
+    sq = isotropy.Subquotient(z8, [(1, 1)], plain.kperp, plain.kernel,
+                              lambda v: coords[tuple(v)])
     with pytest.raises(OracleMismatch):
         verify_subquotient_presentation(form, [], sq)
 

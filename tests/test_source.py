@@ -1,5 +1,9 @@
-"""Checks on the source itself, read as syntax trees."""
+"""Checks on the source itself: its syntax trees, and what importing the
+package loads."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +61,43 @@ def test_every_module_level_name_is_read_somewhere():
                        if other != path or node is not definition):
                 unread.append(f"{path.name}: {name}")
     assert unread == []
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    # An import that nothing in its own module reads (as a loaded name, or
+    # as a string in __all__) is dead and costs import time.
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {sub.id for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Name)
+                 and not isinstance(sub.ctx, ast.Store)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+                names.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in names:
+                        unread.append(f"{path.name}: {bound}")
+    assert unread == []
+
+
+def test_import_loads_no_dataclasses_inspect_or_datetime():
+    # Each CLI call pays for the import: these modules (and what they pull
+    # in: dis, tokenize, ast) cost about a quarter of it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    script = ("import sys; import realstrata, realstrata.cli, "
+              "realstrata.oracle; print(sorted(m for m in ('dataclasses', "
+              "'inspect', 'datetime') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
