@@ -35,7 +35,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .detector import VERDICTS, detect, model_name, parse_model
+from .detector import (VERDICTS, detect, model_name, parse_model,
+                       require_tgram_rank)
 from .lattices import (PolarizedForm, RootSpec, binary_autos,
                        disc_involutions, polarized_disc, require_stratum_rank)
 from .nikulin import embedding_clauses
@@ -141,6 +142,9 @@ def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
                    cache_dir: Path) -> Tuple[str, dict]:
     """Returns (report_json_text, report_dict), via the cache."""
     spec = RootSpec.parse(spec_text)
+    # Before the lookup: an entry an older version wrote under this key
+    # must not be served.
+    require_tgram_rank(spec, tgram)
     key = _cache_key(h2, spec, tgram, oracle)
     path = cache_dir / f"{key}.json"
     if path.is_file():

@@ -26,8 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .fqf import Element, FiniteQuadraticForm, factorint
 from .isotropy import Subquotient, subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       _component_classes, _component_orbit_minima,
-                       _first_involution, checked_involution,
+                       _first_involution, _symmetry_table, checked_involution,
                        maximizing_has_skew, polarized_disc,
                        require_stratum_rank)
 from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
@@ -173,30 +172,14 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     return "no_involution_cond3", None, sq
 
 
-def _orbit_table(pf: PolarizedForm
-                 ) -> List[Tuple[List[Tuple[int, int]], Dict[Element, Element]]]:
-    """Per class of equal components: the coordinate slices of its
-    components and the orbit minimum of every block under the component's
-    diagram automorphisms.  Built once per polarized form."""
-    table = pf._cache.get("orbits")
-    if table is None:
-        table = []
-        for comp, idxs in _component_classes(pf):
-            cuts = [pf.comp_slices[c] for c in idxs]
-            table.append((cuts, _component_orbit_minima(
-                *comp, pf.form.orders[slice(*cuts[0])])))
-        pf._cache["orbits"] = table
-    return table
-
-
 def _orbit_key(pf: PolarizedForm, kappa: Element) -> tuple:
     """The same for kappa and g*kappa, for every g in the symmetry group G,
     and different for kappas in different G-orbits: per class of equal
-    components the sorted block minima, then min(h, -h) on the h
-    coordinate."""
+    components the sorted block minima read off the symmetry table, then
+    min(h, -h) on the h coordinate (the table's last entry)."""
     h = kappa[-1]
     return (tuple(tuple(sorted(minima[kappa[lo:hi]] for lo, hi in cuts))
-                  for cuts, minima in _orbit_table(pf)),
+                  for _, cuts, _, minima in _symmetry_table(pf)[:-1]),
             min(h, -h % pf.form.orders[-1]))
 
 
@@ -211,8 +194,13 @@ def _search(pf: PolarizedForm, trace: List[dict]
     every later kappa of the orbit gets its row from that status.  G is
     generated by the diagram automorphisms of each component (their images
     on its discriminant: +-1, the spinor swap of D_even, S3 on D4), the
-    permutations of equal components and the sign on h; _orbit_key names
-    the orbits.  This is sound because, for every g in G:
+    permutations of equal components and the sign on h.  It is one table
+    per form (lattices._symmetry_table), built before the walk: every
+    block of G is checked there, once, as an isometry of its component's
+    own form, before any candidate is decided.  The same table gives the
+    orbit minima that _orbit_key names the orbits by and the slot options
+    that the involution question asks.  This is sound because, for every
+    g in G:
 
     * g is an isometry of the polarized discriminant, so g (+) id sends
       K = <kappa (+) n alpha> to <g kappa (+) n alpha> with an isometric
@@ -227,7 +215,7 @@ def _search(pf: PolarizedForm, trace: List[dict]
     orbit's first kappa is a witness, so the witness (kappa, phi) is the
     one a kappa-by-kappa walk finds.
     """
-    _orbit_table(pf)    # checks that pf.form is the sum G acts on
+    _symmetry_table(pf)     # checks pf.form and every block of G
     for a2 in enumerate_a_squares(pf):
         for n in (2, 1):
             cands = kernel_candidates(pf, a2, n)
@@ -328,6 +316,14 @@ def parse_model(text: str) -> int:
     raise ValueError(f"unknown model {text!r}")
 
 
+def require_tgram_rank(spec: RootSpec, tgram) -> None:
+    """Raise ValueError when a Gram matrix of T comes with a stratum whose
+    rank_S is not 19: only the rank-19 dispatch reads it."""
+    if tgram is not None and spec.rank != 19:
+        raise ValueError("tgram applies only at rank_S = 19; this "
+                         f"stratum has rank_S = {spec.rank}")
+
+
 def detect(h2: int, spec: RootSpec | str, tgram=None,
            oracle: bool = False) -> DetectionReport:
     """Run the full decision pipeline for one stratum.
@@ -335,13 +331,15 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
     h2: polarization square (4 = quartic, 2 = sextic surface in P^3-speak);
     spec: the ADE configuration;
     tgram: optional 2x2 Gram matrix of the transcendental-side lattice,
-           required for conclusiveness at rank_S = 19;
+           required for conclusiveness at rank_S = 19 and refused (with
+           ValueError) at any other rank, where nothing reads it;
     oracle: re-check decisions by brute force where group sizes permit.
     """
     t0 = time.monotonic()
     if isinstance(spec, str):
         spec = RootSpec.parse(spec)
     require_stratum_rank(spec)
+    require_tgram_rank(spec, tgram)
     pf = polarized_disc(spec, h2)
     rank_s = pf.rank_S
 

@@ -51,19 +51,84 @@ def display_rep(x: Fraction) -> Fraction:
 
 
 def factorint(n: int) -> Dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer, primes ascending: trial
+    division by the integers below 2^10, then, on a cofactor too large to
+    be prime by that alone, Miller-Rabin and Pollard's rho (_is_prime,
+    _rho), so a huge prime factor costs no scan up to its square root."""
     if n < 1:
         raise ValueError("factorint needs a positive integer")
     out: Dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1 << 10:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    todo = [n] if n > 1 else []
+    while todo:
+        m = todo.pop()
+        if d * d > m or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            todo += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 13 primes as bases, for an odd n > 41:
+    no composite below 3.3 * 10^24 passes them all (Sorenson and Webster
+    2015), so the answer is proven there; above, n is a strong probable
+    prime to all 13 bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of an odd composite n: Pollard's rho with Brent's
+    cycle search on x -> x^2 + c from x = 2, for c = 1, 2, ... until one
+    splits n.  The differences are multiplied 128 at a time before one
+    gcd; when a batch overshoots to n, it is replayed one step at a time."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def _val(n: int, p: int) -> int:

@@ -336,36 +336,17 @@ _D4_S3 = [
 ]
 
 
-def _component_fixed_autos(fam: str, n: int, k: int) -> List[List[List[int]]]:
-    """Involutive diagram-automorphism images on a fixed component's disc
-    generators (k of them): the swap isos, less the two 3-cycles of the D4
-    triality."""
-    out = _component_swap_isos(fam, n, k)
-    if (fam, n) == ("D", 4):
-        out = [m for m in out if _is_involution((2, 2), m)]
-    return out
-
-
 def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
-    """Diagram-automorphism images usable as the identification map of a
-    swapped pair of equal components (need not be involutive)."""
+    """The diagram automorphisms of one component, as images on its k
+    disc generators: +-1, the spinor swap of D_even, S3 on D4.  Each one
+    identifies a swapped pair of equal components; the involutive ones
+    are the symmetries of a fixed component."""
     if fam == "D" and n == 4:
         return list(_D4_S3)
     if fam == "D" and n % 2 == 0:
         return [_intmat.identity(2), [[0, 1], [1, 0]]]
     ident = _intmat.identity(k)
     return [ident, [[-v for v in row] for row in ident]]
-
-
-def _component_orbit_minima(fam: str, n: int, orders: Sequence[int]
-                            ) -> Dict[Element, Element]:
-    """Every element of one component's discriminant (generator orders
-    `orders`), mapped to the least of its images under the diagram
-    automorphisms: _component_swap_isos lists all of them, a group."""
-    autos = _component_swap_isos(fam, n, len(orders))
-    return {x: min(tuple(sum(map(mul, row, x)) % o
-                         for row, o in zip(m, orders)) for m in autos)
-            for x in product(*map(range, orders))}
 
 
 Block = Tuple[Tuple[int, ...], ...]
@@ -375,8 +356,14 @@ Rows = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
 Options = Tuple[Rows, ...]
 # The options of one index: (partner, rows), the partner None when fixed.
 Choices = List[Tuple[object, Rows]]
-# Checked blocks of one class: (block, its inverse for a pair, else None).
-Checked = List[Tuple[List[List[int]], Optional[List[List[int]]]]]
+# Checked blocks of one class: (block, its inverse), an involutive block
+# stored as its own inverse.
+Checked = List[Tuple[List[List[int]], List[List[int]]]]
+# One class of the symmetry table: its component indices (("h",) for h),
+# their coordinate slices, each index's slot choices, and the orbit
+# minimum of every element of one component's discriminant (None for h).
+Symmetry = Tuple[Tuple[object, ...], List[Tuple[int, int]],
+                 Dict[object, Choices], Optional[Dict[Element, Element]]]
 Pairs = Sequence[Tuple[Sequence[int], Sequence[int]]]
 
 
@@ -395,27 +382,23 @@ def checked_involution(form: FiniteQuadraticForm,
 
 
 def _checked_blocks(own: FiniteQuadraticForm,
-                    blocks: Iterable[Sequence[Sequence[int]]], pair: bool
-                    ) -> Checked:
+                    blocks: Iterable[Sequence[Sequence[int]]]) -> Checked:
     """The distinct blocks mod own's orders (one per row), in first-seen
     order, each checked once on own, the form of one component (or of h)
-    on its own generators.  A fixed block must be an involutive isometry.
-    A pair block B must have an inverse, returned beside it (None for a
-    fixed block), and be an isometry: then [[0, B^-1], [B, 0]] is an
-    involutive isometry of own (+) own.  Every check raises explicitly."""
+    on its own generators, to be an isometry with an inverse, returned
+    beside it.  Then an involutive block is a fixed slot's option, and for
+    every block B, [[0, B^-1], [B, 0]] is an involutive isometry of own
+    (+) own.  Every check raises explicitly."""
     out: Checked = []
     for raw in blocks:
         block = [[v % o for v in row] for row, o in zip(raw, own.orders)]
         if any(block == seen for seen, _ in out):
             continue
-        inv = None
-        if pair:
-            inv = _invert_mod_orders(block, own.orders)
-            if inv is None:
-                raise AssertionError(_NOT_AN_INVOLUTION)
-            DiscAutomorphism(own, block)
-        else:
-            checked_involution(own, block)
+        DiscAutomorphism(own, block)
+        inv = (block if _is_involution(own.orders, block)
+               else _invert_mod_orders(block, own.orders))
+        if inv is None:
+            raise AssertionError(_NOT_AN_INVOLUTION)
         out.append((block, inv))
     return out
 
@@ -437,23 +420,38 @@ def _checked_slot(src: int, dst: int, blocks: Checked) -> Options:
     return tuple(options)
 
 
-def _component_classes(pf: PolarizedForm
-                       ) -> List[Tuple[Tuple[str, int], List[int]]]:
-    """The classes of equal components of pf, sorted by label, each with
-    its component indices.  Built once per form, after checking, with an
-    explicit raise, that pf.form is the orthogonal sum of its component
-    slices and the h generator, in that order, with equal forms on equal
-    components (Nikulin 1979, section 1): the symmetry-induced maps act
-    on that sum block by block."""
-    cached = pf._cache.get("classes")
-    if cached is not None:
-        return cached
+def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
+    """The symmetry group G of pf (diagram symmetries of each component,
+    permutations of equal components, the sign on h), one entry per class
+    of equal components, sorted by label, then one for h.  Built once per
+    form, after checking, with an explicit raise, that pf.form is the
+    orthogonal sum of its component slices and the h generator, in that
+    order, with equal forms on equal components (Nikulin 1979, section 1):
+    G acts on that sum block by block.
+
+    So each distinct block of a class is checked once, on its component's
+    own form (_checked_blocks), and everything else is read off the
+    checked blocks: for each index c the slot options of c, fixed (the
+    involutive blocks) or paired with a later index of the class, and the
+    orbit minimum of every element of the component's discriminant.  The
+    h generator's options are its signs; its orbit key, min(h, -h), is
+    closed-form.  Components with a trivial discriminant (E8) own no rows
+    and are left out, so distinct matchings make distinct matrices.
+
+    Each choice list is sorted by its options' rows written out densely,
+    in row order, so c's rows come first.  Two options of c differ there
+    (an inverse block fixes its block, and a different partner means a
+    different column support), so _matchings walks the matchings of a
+    class in sorted order of the matrices they make."""
+    table = pf._cache.get("symmetry")
+    if table is not None:
+        return table
     form = pf.form
     r = form.rank
-    cuts = list(pf.comp_slices) + [(r - 1, r)]
-    owner = [c for c, (lo, hi) in enumerate(cuts) for _ in range(lo, hi)]
+    spans = list(pf.comp_slices) + [(r - 1, r)]
+    owner = [c for c, (lo, hi) in enumerate(spans) for _ in range(lo, hi)]
     if (len(pf.comp_slices) != len(pf.spec.components)
-            or [i for lo, hi in cuts for i in range(lo, hi)] != list(range(r))
+            or [i for lo, hi in spans for i in range(lo, hi)] != list(range(r))
             or any(form.Bn[i][j] for i in range(r) for j in range(i)
                    if owner[i] != owner[j])):
         raise ValueError("the polarized form is not the orthogonal sum of "
@@ -461,35 +459,6 @@ def _component_classes(pf: PolarizedForm
     classes: Dict[Tuple[str, int], List[int]] = {}
     for idx, comp in enumerate(pf.spec.components):
         classes.setdefault(comp, []).append(idx)
-    for idxs in classes.values():
-        if len({(form.orders[lo:hi], form.Qn[lo:hi],
-                 tuple(row[lo:hi] for row in form.Bn[lo:hi]))
-                for lo, hi in (pf.comp_slices[c] for c in idxs)}) > 1:
-            raise ValueError("equal components have different forms")
-    pf._cache["classes"] = table = sorted(classes.items())
-    return table
-
-
-def _slot_table(pf: PolarizedForm
-                ) -> List[Tuple[Tuple[object, ...], Dict[object, Choices]]]:
-    """Per class of equal components: its indices, and for each index c
-    the slot options of c, fixed or paired with a later index of the class.
-    The h generator is a class of its own, tagged "h".  Components with a
-    trivial discriminant (E8) own no rows and are left out, so distinct
-    matchings make distinct matrices.  Built once per form.  pf.form is an
-    orthogonal sum (_component_classes), so each distinct block is checked
-    once per class, on its component's own form, and only placed in slots.
-
-    Each list is sorted by its options' rows written out densely, in row
-    order, so c's rows come first.  Two options of c differ there (an
-    inverse block fixes its block, and a different partner means a
-    different column support), so _matchings walks the matchings of a
-    class in sorted order of the matrices they make."""
-    cached = pf._cache.get("slots")
-    if cached is not None:
-        return cached
-    form = pf.form
-    r = form.rank
 
     def own_form(lo: int, hi: int) -> FiniteQuadraticForm:
         units = [tuple(int(i == j) for i in range(r)) for j in range(lo, hi)]
@@ -500,31 +469,38 @@ def _slot_table(pf: PolarizedForm
                 for entries in (dict(row) for _, row in sorted(option[1]))]
 
     table = []
-    for (fam, n), idxs in _component_classes(pf):
-        lo, hi = pf.comp_slices[idxs[0]]
-        k = hi - lo
-        if not k:
+    for (fam, n), idxs in sorted(classes.items()):
+        cuts = [pf.comp_slices[c] for c in idxs]
+        if len({(form.orders[lo:hi], form.Qn[lo:hi],
+                 tuple(row[lo:hi] for row in form.Bn[lo:hi]))
+                for lo, hi in cuts}) > 1:
+            raise ValueError("equal components have different forms")
+        lo, hi = cuts[0]
+        if lo == hi:
             continue
-        own = own_form(lo, hi)
-        swaps = [] if len(idxs) < 2 else _checked_blocks(
-            own, _component_swap_isos(fam, n, k), pair=True)
-        fixed = _checked_blocks(own, _component_fixed_autos(fam, n, k),
-                                pair=False)
+        orders = form.orders[lo:hi]
+        blocks = _checked_blocks(own_form(lo, hi),
+                                 _component_swap_isos(fam, n, hi - lo))
+        fixed = [(block, inv) for block, inv in blocks if inv is block]
         choices = {}
-        for pos, c in enumerate(idxs):
-            src = pf.comp_slices[c][0]
-            options = [(d, rows) for d in idxs[pos + 1:]
-                       for rows in _checked_slot(src, pf.comp_slices[d][0],
-                                                 swaps)]
+        for pos, (c, (src, _)) in enumerate(zip(idxs, cuts)):
+            options = [(d, rows)
+                       for d, (dst, _) in zip(idxs[pos + 1:], cuts[pos + 1:])
+                       for rows in _checked_slot(src, dst, blocks)]
             options += [(None, rows)
                         for rows in _checked_slot(src, src, fixed)]
             choices[c] = sorted(options, key=dense)
-        table.append((tuple(idxs), choices))
+        minima = {x: min(tuple(sum(map(mul, row, x)) % o
+                               for row, o in zip(block, orders))
+                         for block, _ in blocks)
+                  for x in product(*map(range, orders))}
+        table.append((tuple(idxs), cuts, choices, minima))
     h = r - 1
-    signs = _checked_blocks(own_form(h, r), [[[1]], [[-1]]], pair=False)
-    table.append((("h",), {"h": [(None, rows)
-                                 for rows in _checked_slot(h, h, signs)]}))
-    pf._cache["slots"] = table
+    signs = _checked_blocks(own_form(h, r), [[[1]], [[-1]]])
+    table.append((("h",), [(h, r)],
+                  {"h": [(None, rows) for rows in _checked_slot(h, h, signs)]},
+                  None))
+    pf._cache["symmetry"] = table
     return table
 
 
@@ -572,9 +548,9 @@ def _count(items: Tuple[object, ...], choices: Dict[object, Choices]) -> int:
 
 
 def _live_classes(pf: PolarizedForm, pairs: Pairs) -> list:
-    """The slot table with only the options that send x to y for every
-    (x, y) in pairs.  x may be longer than the form's rank; only its first
-    rank coordinates are read.
+    """The slot choices of the symmetry table with only the options that
+    send x to y for every (x, y) in pairs.  x may be longer than the
+    form's rank; only its first rank coordinates are read.
 
     A slot map acts on its own coordinates only, so phi(x) = y iff every
     chosen option sends x's part on its source coordinates to y's part on
@@ -589,7 +565,7 @@ def _live_classes(pf: PolarizedForm, pairs: Pairs) -> list:
                        for x, y in pairs for i, row in rows)]
 
     return [(idxs, {c: live(options) for c, options in choices.items()})
-            for idxs, choices in _slot_table(pf)]
+            for idxs, _, choices, _ in _symmetry_table(pf)]
 
 
 def _join(r: int, matchings: Iterable[Tuple[Rows, ...]]) -> Block:
@@ -639,7 +615,7 @@ def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     RuntimeError, before building any matrix, when the list would hold
     more than ~2e6 matrices.
     """
-    classes = _slot_table(pf)
+    classes = [(idxs, choices) for idxs, _, choices, _ in _symmetry_table(pf)]
     if prod(_count(*cls) for cls in classes) > _INVOLUTION_CAP:
         raise RuntimeError("involution enumeration exceeds the generation cap")
     r = pf.form.rank

@@ -189,13 +189,16 @@ def brute_aut_group(form: FiniteQuadraticForm,
 
 def brute_involutions(form: FiniteQuadraticForm,
                       cutoff: int = ORACLE_CUTOFF) -> List[DiscAutomorphism]:
-    """Order-(1 or 2) isometries, from the brute automorphism group."""
-    out = []
-    for mat in brute_aut_group(form, cutoff):
-        auto = DiscAutomorphism(form, mat)
-        if auto.is_involution():
-            out.append(auto)
-    return out
+    """Order-(1 or 2) isometries, from the brute automorphism group.
+    phi o phi = id is decided with the oracle's own _apply on every
+    generator, not with the engine's involution test, which picks the
+    engine's fixed slot options."""
+    units = [tuple(int(i == j) for i in range(form.rank))
+             for j in range(form.rank)]
+    return [DiscAutomorphism(form, mat)
+            for mat in brute_aut_group(form, cutoff)
+            if all(_apply(form, mat, _apply(form, mat, e)) == e
+                   for e in units)]
 
 
 class BruteQuotient:

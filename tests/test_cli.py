@@ -2,7 +2,7 @@
 
 Everything runs in-process through cli.main(argv) so exit codes, stdout,
 stderr, cache files, and JSON documents can all be asserted exactly; the
-one exception runs in a subprocess so a hang fails on a timeout.
+huge-h2 calls run in a subprocess so a hang fails on a timeout.
 Every detect invocation points --cache-dir (or the environment fallback)
 at a temporary directory so the repository is never polluted.
 """
@@ -24,6 +24,7 @@ import realstrata
 from realstrata import cli
 from realstrata.cli import (_REPORT_KEYS, _REPORT_TYPES, _is_report,
                             build_parser, main)
+from realstrata.detector import detect
 from realstrata.lattices import RootSpec, polarized_disc
 
 SCHEMA = json.loads(
@@ -143,8 +144,7 @@ def test_disc_json_document(capsys):
 # ------------------------------------------------------------- detect
 
 
-def test_detect_answers_a_huge_h2(tmp_path):
-    # The a^2 range comes from factoring 2N, not from scanning up to it.
+def _detect_a1_in_a_subprocess(tmp_path, h2):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
@@ -152,11 +152,22 @@ def test_detect_answers_a_huge_h2(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from realstrata.cli import main; sys.exit(main())",
-         "detect", "--spec", "A1", "--model", "h2=" + "1" + "0" * 20,
+         "detect", "--spec", "A1", "--model", f"h2={h2}",
          "--cache-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=5)
     assert proc.returncode == 0, proc.stderr
     assert "verdict: witness_found" in proc.stdout
+
+
+def test_detect_answers_a_huge_h2(tmp_path):
+    # The a^2 range comes from factoring 2N, not from scanning up to it.
+    _detect_a1_in_a_subprocess(tmp_path, 10 ** 20)
+
+
+def test_detect_answers_an_h2_with_a_huge_prime_factor(tmp_path):
+    # 2 * (10^18 + 3), the second factor a prime: trial division would
+    # run to its square root, 10^9.
+    _detect_a1_in_a_subprocess(tmp_path, 2 * (10 ** 18 + 3))
 
 
 def test_detect_witness_human(capsys, tmp_path):
@@ -233,6 +244,24 @@ def test_detect_rank19_with_tgram(capsys, tmp_path):
                        "--tgram", "4, 0, 6", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "verdict: witness_found  (basis: rankT2)" in out
+
+
+def test_detect_refuses_a_tgram_below_rank_19(capsys, tmp_path):
+    # Below rank 19 nothing reads T's Gram matrix: it is refused, not
+    # ignored, and keys no second cache entry.
+    code, out, err = run(capsys, "detect", "--spec", "A18",
+                         "--tgram", "2,1,10", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: tgram applies only at rank_S = 19; this "
+                   "stratum has rank_S = 18\n")
+    assert list(tmp_path.iterdir()) == []
+    # An entry that a version reading no tgram wrote under its key is not
+    # served either.
+    tgram = ((2, 1), (1, 10))
+    key = cli._cache_key(4, RootSpec.parse("A18"), tgram, False)
+    (tmp_path / f"{key}.json").write_text(detect(4, "A18").to_json())
+    assert run(capsys, "detect", "--spec", "A18", "--tgram", "2,1,10",
+               "--cache-dir", str(tmp_path))[0] == 2
 
 
 # -------------------------------------------------------------- caching

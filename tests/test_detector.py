@@ -172,6 +172,13 @@ def test_detect_rank19_with_t_gram():
     assert rep.witness is None      # decision by reflection, not gluing data
 
 
+def test_detect_refuses_a_t_gram_below_rank_19():
+    # Only the rank-19 dispatch reads T's Gram matrix.
+    for spec in ("A18", "A1"):
+        with pytest.raises(ValueError, match="only at rank_S = 19"):
+            detect(4, spec, tgram=[[2, 1], [1, 10]])
+
+
 def test_detect_rejects_rank_over_19_before_building_disc(monkeypatch):
     import realstrata.detector as detector
 
@@ -291,8 +298,9 @@ def test_detect_builds_each_slot_option_once(monkeypatch):
     # 8*A1 @ 16: 8 fixed A1 slots and 28 swapped pairs with one option each
     # (+1 and -1 agree mod 2), and the h slot with +-1.  Each distinct
     # block is checked once, on its component's own form of rank 1: the A1
-    # swap block, the A1 fixed block and the two h signs.  Each option is
-    # placed once from them; only the witness is built as a whole matrix.
+    # block, its own inverse, for fixed and swapped slots alike, and the
+    # two h signs.  Each option is placed once from them; only the witness
+    # is built as a whole matrix.
     # Revalidation is skipped (the glued group exceeds the oracle cutoff),
     # so it builds none.  Materialising all 1,528 involutions would build
     # at least that many.
@@ -313,7 +321,7 @@ def test_detect_builds_each_slot_option_once(monkeypatch):
     rep = detect(16, "8*A1")
     assert (rep.verdict, rep.witness_revalidated) == ("witness_found",
                                                      "skipped_cutoff")
-    assert built == [1, 1, 1, 1, 9]
+    assert built == [1, 1, 1, 9]
     h = 8
     kinds = ["pair" if len(rows) == 2 else "h" if rows[0][0] == h
              else "fixed" for rows in placed]
@@ -443,6 +451,29 @@ def test_equal_orbit_keys_mean_one_orbit():
             assert by_orbit.setdefault(start, key) == key, (spec, x)
             assert by_key.setdefault(key, start) == start, (spec, x)
     assert checked == 8
+
+
+def test_an_unchecked_block_is_refused_before_any_candidate(monkeypatch):
+    # No row of D6+A8+D4 @ 4 reaches cond3, so no involution question
+    # ever reads A8's blocks; the orbit key does.  A non-isometry among
+    # them (x -> 2x keeps no q on Z/9) must raise from the symmetry table
+    # that detect builds before deciding any candidate.
+    rep = detect(4, "D6+A8+D4")
+    assert rep.verdict == "none_exists"
+    assert "no_involution_cond3" not in {row["reason"] for row in rep.trace}
+    real = lattices._component_swap_isos
+
+    def with_a_bad_block(fam, n, k):
+        blocks = real(fam, n, k)
+        return blocks + [[[2]]] if (fam, n) == ("A", 8) else blocks
+
+    decided = []
+    monkeypatch.setattr(lattices, "_component_swap_isos", with_a_bad_block)
+    monkeypatch.setattr(detector, "check_candidate",
+                        lambda pf, cand: decided.append(cand))
+    with pytest.raises(ValueError, match="map does not preserve q"):
+        detect(4, "D6+A8+D4")
+    assert decided == []
 
 
 def test_golden_detect_decides_one_kappa_per_orbit(monkeypatch):

@@ -22,7 +22,7 @@ from realstrata import lattices
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                  _anti_isometries, _component_swap_isos,
                                  _count, _first_involution, _induced_on_disc,
-                                 _live_classes, _slot_table, binary_autos,
+                                 _live_classes, _symmetry_table, binary_autos,
                                  cartan_matrix, checked_involution,
                                  disc_involutions, disc_of_gram, disc_root,
                                  maximizing_has_skew, polarized_disc)
@@ -376,7 +376,8 @@ def test_pair_filter_equals_filtering_the_full_list():
         form = pf.form
         full = disc_involutions(pf)
         assert len({a.matrix for a in full}) == len(full) == prod(
-            _count(*cls) for cls in _slot_table(pf)), spec
+            _count(idxs, choices)
+            for idxs, _, choices, _ in _symmetry_table(pf)), spec
         elems = sorted(form.iter_elements())
         for _ in range(12):
             x, kappa = rng.choice(elems), rng.choice(elems)
@@ -533,14 +534,16 @@ def _placed(r, parts):
 
 def test_local_slot_check_equals_the_whole_matrix_check():
     # Every diagram automorphism of every component (the D4 3-cycles are
-    # isometries but no involutions), the signs on h, and their mutations,
-    # each taken as a fixed block and, on a class of equal components, as
-    # a pair block: the check on the component's own form, read off
-    # pf.form, and checked_involution on the whole matrix that places the
-    # block (for a pair, the block and its inverse) and is the identity
-    # elsewhere accept or reject together, with the same exception and
-    # message.  A pair block without an inverse has no whole matrix to
-    # compare with; it must be refused as no involution.
+    # isometries but no involutions), the signs on h, and their mutations:
+    # _checked_blocks checks each on the component's own form, read off
+    # pf.form.  It refuses a block with the exception and message that
+    # checked_involution gives on the whole matrix placing the block on
+    # its component and the identity elsewhere, and on a class of equal
+    # components, when the block has an inverse, on the whole matrix
+    # placing the block and its inverse on a swapped pair.  A block it
+    # accepts is an isometry: stored as its own inverse exactly when the
+    # fixed whole matrix is an involution (a fixed option), and its
+    # returned inverse completes every swapped pair to an involution.
     rng = random.Random(5150)
     seen = set()
     forms = FILTER_FORMS + [(s, 4) for s in INTERLEAVED] + [
@@ -560,26 +563,27 @@ def test_local_slot_check_equals_the_whole_matrix_check():
                 form.orders[lo:hi],
                 [[int(i == j) for i in range(r)] for j in range(lo, hi)])
             for block in _mutated_blocks(rng, own.orders, bases):
-                got = _outcome(lattices._checked_blocks, own, [block], False)
-                want = _outcome(checked_involution, form,
-                                _placed(r, [(lo, lo, block)]))
-                assert got == want, (spec, h2, lo, block)
-                seen.add(got)
-                if len(cuts) < 2:
-                    continue
-                got = _outcome(lattices._checked_blocks, own, [block], True)
+                got = _outcome(lattices._checked_blocks, own, [block])
+                fixed = _outcome(checked_involution, form,
+                                 _placed(r, [(lo, lo, block)]))
+                seen.update((got, fixed))
                 reduced = [[v % o for v in row]
                            for row, o in zip(block, own.orders)]
-                inv = lattices._invert_mod_orders(reduced, own.orders)
-                if inv is None:
-                    assert got == ("AssertionError",
-                                   lattices._NOT_AN_INVOLUTION), block
+                if got is None:
+                    [(kept, inv)] = lattices._checked_blocks(own, [block])
+                    assert kept == reduced, block
+                    assert (inv is kept) == (fixed is None), (spec, block)
+                    assert fixed in (None, ("AssertionError",
+                                            lattices._NOT_AN_INVOLUTION))
+                else:
+                    assert got == fixed, (spec, h2, lo, block)
+                    inv = lattices._invert_mod_orders(reduced, own.orders)
+                if len(cuts) < 2 or inv is None:
                     continue
                 (src, _), (dst, _) = cuts[:2]
-                want = _outcome(checked_involution, form, _placed(
+                pair = _outcome(checked_involution, form, _placed(
                     r, [(dst, src, block), (src, dst, inv)]))
-                assert got == want, (spec, h2, src, dst, block)
-                seen.add(got)
+                assert pair == got, (spec, h2, src, dst, block)
     assert seen == {None,
                     ("ValueError", "matrix does not define a homomorphism"),
                     ("ValueError", "map does not preserve q"),
@@ -588,12 +592,13 @@ def test_local_slot_check_equals_the_whole_matrix_check():
 
 
 def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
-    # The census walks every rank-18 spec, 18*A1 among them: its slot
-    # table checks 4 distinct blocks, each once on its component's own
-    # form of rank 1 (the A1 swap block, the A1 fixed block and the two h
-    # signs), not 18 + 153 + 2 options on the rank-19 form.  It builds no
-    # rank-19 DiscAutomorphism and inverts the one reduced A1 swap block
-    # once, not once per pair.  Counted, not timed.
+    # The census walks every rank-18 spec, 18*A1 among them: its symmetry
+    # table checks 3 distinct blocks, each once on its component's own
+    # form of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs),
+    # not 18 + 153 + 2 options on the rank-19 form.  It builds no rank-19
+    # DiscAutomorphism, and inverts nothing: every block is an involution,
+    # so it is its own inverse, for fixed and swapped slots alike.
+    # Counted, not timed.
     built, inverted = [], []
     real_init, real_invert = (DiscAutomorphism.__init__,
                               lattices._invert_mod_orders)
@@ -608,23 +613,24 @@ def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
 
     monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
     monkeypatch.setattr(lattices, "_invert_mod_orders", counting_invert)
-    table = _slot_table(polarized_disc(RootSpec.parse("18*A1"), 4))
-    assert built == [(1, ((1,),)), (1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
-    assert inverted == [(((1,),), (2,))]
-    assert sum(len(options) for _, choices in table
+    table = _symmetry_table(polarized_disc(RootSpec.parse("18*A1"), 4))
+    assert built == [(1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
+    assert inverted == []
+    assert sum(len(options) for _, _, choices, _ in table
                for options in choices.values()) == 18 + 153 + 2
 
 
 def test_decision_checks_run_under_optimize():
-    # python -O strips assert statements; the involution check in
-    # disc_involutions and the size check in subquotient must still raise.
-    # The slot checks and DiscAutomorphism share one involution test.
+    # python -O strips assert statements; the inverse check on the blocks
+    # of the symmetry group and the size check in subquotient must still
+    # raise.  A D4 3-cycle is no involution, so only its inverse completes
+    # it to a swap; when there is none, the slot check refuses it.
     script = textwrap.dedent("""
         from realstrata import isotropy, lattices
         from realstrata.fqf import QuotientPresentation, u_block
         print("debug:", __debug__)
-        lattices._is_involution = lambda orders, block: False
-        pf = lattices.polarized_disc(lattices.RootSpec.parse("A1"), 4)
+        lattices._invert_mod_orders = lambda block, orders: None
+        pf = lattices.polarized_disc(lattices.RootSpec.parse("D4"), 4)
         try:
             lattices.disc_involutions(pf)
         except AssertionError as exc:
@@ -655,13 +661,13 @@ def test_decision_checks_run_under_optimize():
 
 
 def test_slot_checks_run_under_optimize():
-    # Every generated involution is a product of slot maps, each checked
-    # once; a bad slot option must raise from detect and from
-    # disc_involutions, also when python -O strips asserts.  The bad
-    # options sort after the identity, so detect's witness (the identity
-    # on 2*A4) never uses them: only the slot check can catch them.  x -> 2x
-    # does not keep q on A4; a zero swap block has no inverse, so the swap
-    # cannot be completed to an involution.
+    # Every generated involution is a product of slot maps, placed from
+    # blocks of the symmetry table, each checked once; a bad block must
+    # raise from detect and from disc_involutions, also when python -O
+    # strips asserts.  detect builds the table before its walk, so it
+    # raises though its witness (the identity on 2*A4) uses no bad block.
+    # Neither x -> 2x nor the zero block keeps q on A4; a D4 3-cycle with
+    # no inverse cannot complete a swap of 2*D4 to an involution.
     script = textwrap.dedent("""
         from realstrata import detector, lattices
         print("debug:", __debug__)
@@ -671,12 +677,12 @@ def test_slot_checks_run_under_optimize():
                 [[m if i == j else 0 for j in range(k)] for i in range(k)]
                 for m in scales]
 
-        def run(label):
+        def run(label, spec):
             calls = (
                 ("disc_involutions", lambda: lattices.disc_involutions(
                     lattices.polarized_disc(
-                        lattices.RootSpec.parse("2*A4"), 4))),
-                ("detect", lambda: detector.detect(4, "2*A4")))
+                        lattices.RootSpec.parse(spec), 4))),
+                ("detect", lambda: detector.detect(4, spec)))
             for name, call in calls:
                 try:
                     call()
@@ -684,14 +690,14 @@ def test_slot_checks_run_under_optimize():
                 except (ValueError, AssertionError) as exc:
                     print(label, name, type(exc).__name__, exc)
 
-        real = lattices._component_fixed_autos
-        lattices._component_fixed_autos = options(1, 2)
-        run("fixed")
-        lattices._component_fixed_autos = real
+        real = lattices._component_swap_isos
         lattices._component_swap_isos = options(1, 2)
-        run("swap")
+        run("scaled", "2*A4")
         lattices._component_swap_isos = options(1, 0)
-        run("singular-swap")
+        run("singular", "2*A4")
+        lattices._component_swap_isos = real
+        lattices._invert_mod_orders = lambda block, orders: None
+        run("no-inverse", "2*D4")
         """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -705,12 +711,12 @@ def test_slot_checks_run_under_optimize():
                       "involution")
     assert proc.stdout.splitlines() == [
         "debug: False",
-        f"fixed disc_involutions {not_q}",
-        f"fixed detect {not_q}",
-        f"swap disc_involutions {not_q}",
-        f"swap detect {not_q}",
-        f"singular-swap disc_involutions {not_involution}",
-        f"singular-swap detect {not_involution}"]
+        f"scaled disc_involutions {not_q}",
+        f"scaled detect {not_q}",
+        f"singular disc_involutions {not_q}",
+        f"singular detect {not_q}",
+        f"no-inverse disc_involutions {not_involution}",
+        f"no-inverse detect {not_involution}"]
 
 
 def test_a_form_that_is_no_orthogonal_sum_is_refused_under_optimize():
@@ -718,7 +724,7 @@ def test_a_form_that_is_no_orthogonal_sum_is_refused_under_optimize():
     # only when pf.form is the orthogonal sum of its component slices and
     # h, with equal forms on equal components.  Two hand-built 2*A3 @ 4
     # forms break that: one pairs the two A3 generators to 1/2, the other
-    # negates q on the second A3.  _slot_table and detect must refuse
+    # negates q on the second A3.  _symmetry_table and detect must refuse
     # both, also when python -O strips asserts.
     script = textwrap.dedent("""
         from fractions import Fraction
@@ -739,7 +745,8 @@ def test_a_form_that_is_no_orthogonal_sum_is_refused_under_optimize():
                                               list(good.comp_slices))
             detector.polarized_disc = hand_built
             calls = (
-                ("slots", lambda: lattices._slot_table(hand_built(None, 4))),
+                ("table", lambda: lattices._symmetry_table(
+                    hand_built(None, 4))),
                 ("detect", lambda: detector.detect(4, "2*A3")))
             for name, call in calls:
                 try:
@@ -760,9 +767,9 @@ def test_a_form_that_is_no_orthogonal_sum_is_refused_under_optimize():
     unequal = "equal components have different forms"
     assert proc.stdout.splitlines() == [
         "debug: False",
-        f"paired slots {not_a_sum}",
+        f"paired table {not_a_sum}",
         f"paired detect {not_a_sum}",
-        f"unequal slots {unequal}",
+        f"unequal table {unequal}",
         f"unequal detect {unequal}"]
 
 

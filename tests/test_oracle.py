@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import realstrata
-from realstrata import detector, isotropy, oracle
+from realstrata import detector, isotropy, lattices, oracle
 from realstrata.detector import (KernelCandidate, check_candidate, detect,
                                  kernel_candidates)
 from realstrata.fqf import (FiniteQuadraticForm, cyclic_form,
@@ -90,6 +90,15 @@ def test_brute_involutions_are_involutions():
     assert len(brute_aut_group(d4)) == 6
     for auto in invs:
         assert auto.is_involution()
+
+
+def test_brute_involutions_use_no_engine_involution_test(monkeypatch):
+    # Criterion 7 checks the engine's involutions against these, and the
+    # engine's involution test picks its fixed slot options: the oracle
+    # must not share it.  Told that every block is an involution, the
+    # engine would take the two D4 3-cycles too.
+    monkeypatch.setattr(lattices, "_is_involution", lambda orders, block: True)
+    assert len(brute_involutions(disc_root("D", 4))) == 4
 
 
 def test_size_cutoff_raises():

@@ -101,3 +101,35 @@ def test_import_loads_no_dataclasses_inspect_or_datetime():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _writes_cache_entry(node, key):
+    """Whether node stores into some x._cache[key], or passes key to a
+    method of some x._cache (setdefault, update, ...)."""
+    def is_cache(sub):
+        return isinstance(sub, ast.Attribute) and sub.attr == "_cache"
+
+    if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and is_cache(node.value)):
+        return (isinstance(node.slice, ast.Constant)
+                and node.slice.value == key)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and is_cache(node.func.value)):
+        return any(isinstance(sub, ast.Constant) and sub.value == key
+                   for arg in node.args + [k.value for k in node.keywords]
+                   for sub in ast.walk(arg))
+    return False
+
+
+def test_the_symmetry_group_is_one_table_in_lattices():
+    # The symmetry group G of a polarized form is one checked table,
+    # lattices._symmetry_table: the detector reads its orbits from it and
+    # names no _component* helper of lattices to build them again, and no
+    # other module writes the table's cache entry.
+    detector_names = {name for name in _read(ast.parse(
+        (PACKAGE / "detector.py").read_text())) if name.startswith("_component")}
+    assert detector_names == set()
+    writers = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if any(_writes_cache_entry(node, "symmetry")
+                            for node in ast.walk(ast.parse(path.read_text()))))
+    assert writers == ["lattices.py"]
