@@ -1,4 +1,4 @@
-"""Exact integer matrix algebra: HNF, SNF, determinants, inverses, solves.
+"""Exact integer matrix algebra: HNF, SNF, determinants, solves.
 
 All routines operate on lists of lists of Python ints (arbitrary precision) and
 are deterministic.  Matrices are small (a few dozen rows at most in this
@@ -6,8 +6,8 @@ package), so clarity wins over asymptotics; the algorithms are the classical
 elimination ones in integer arithmetic throughout.  Solves modulo orders
 are one Hermite form of the system stacked on an identity (Cohen 1993,
 section 2.4), as K-perp is in fqf.orthogonal_complement; Smith forms are
-taken only where a Smith presentation or a unimodular inverse is read;
-determinants come from Bareiss elimination.
+taken only where a Smith presentation is read; determinants come from
+Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -206,15 +206,6 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
 def snf_diagonal(a: Sequence[Sequence[int]]) -> List[int]:
     d, _, _ = snf(a)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def unimodular_inverse(a: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (det = +-1): snf gives
-    u a v = I, so a^-1 = v u.  Raises ValueError for any other matrix."""
-    d, u, v = snf(a)
-    if d != identity(len(a)):
-        raise ValueError("matrix is not unimodular")
-    return matmul(v, u)
 
 
 def det(a: Sequence[Sequence[int]]) -> int:

@@ -23,6 +23,7 @@ import time
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from . import __version__
 from .fqf import Element, FiniteQuadraticForm, factorint
 from .isotropy import Subquotient, subquotient
 from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
@@ -249,7 +250,7 @@ class DetectionReport:
                  witness: Optional[dict],
                  witness_revalidated: Optional[object], trace: List[dict],
                  wall_time_ms: int, generated_at: str,
-                 oracle_checked: object = False, version: str = "") -> None:
+                 oracle_checked: object, version: str) -> None:
         self.model = model
         self.spec_text = spec_text
         self.rank_S = rank_S
@@ -381,7 +382,6 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
         oracle_checked = oracle_mod.cross_check_trace(pf, trace, witness)
 
     wall_ms = int((time.monotonic() - t0) * 1000)
-    from . import __version__
     return DetectionReport(
         model=model_name(h2),
         spec_text=spec.display_text(),

@@ -53,8 +53,12 @@ def display_rep(x: Fraction) -> Fraction:
 def factorint(n: int) -> Dict[int, int]:
     """Prime factorization of a positive integer, primes ascending: trial
     division by the integers below 2^10, then, on a cofactor too large to
-    be prime by that alone, Miller-Rabin and Pollard's rho (_is_prime,
-    _rho), so a huge prime factor costs no scan up to its square root."""
+    be prime by that alone, Miller-Rabin, a perfect-power test and
+    Pollard's rho (_is_prime, _power_root, _rho), so a huge prime factor
+    costs no scan up to its square root.  Raises ValueError on a cofactor
+    that is no perfect power and that rho does not split within
+    _RHO_STEPS steps, which a product of two primes above about 2^40
+    can be."""
     if n < 1:
         raise ValueError("factorint needs a positive integer")
     out: Dict[int, int] = {}
@@ -69,10 +73,30 @@ def factorint(n: int) -> Dict[int, int]:
         m = todo.pop()
         if d * d > m or _is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        root, k = _power_root(m)
+        if k > 1:
+            todo += [root] * k
         else:
             f = _rho(m)
             todo += [f, m // f]
     return dict(sorted(out.items()))
+
+
+def _power_root(m: int) -> Tuple[int, int]:
+    """(r, k) with r^k = m and k >= 2 as small as possible, or (m, 1).
+    Every prime factor of m exceeds 2^10 here, so k < bits(m) / 10."""
+    for k in range(2, m.bit_length() // 10 + 1):
+        # Newton's iteration for the integer k-th root, from above.
+        x = 1 << -(-m.bit_length() // k)
+        while True:
+            y = ((k - 1) * x + m // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x ** k == m:
+            return x, k
+    return m, 1
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -100,16 +124,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_RHO_STEPS = 1 << 20
+
+
 def _rho(n: int) -> int:
     """A proper divisor of an odd composite n: Pollard's rho with Brent's
     cycle search on x -> x^2 + c from x = 2, for c = 1, 2, ... until one
     splits n.  The differences are multiplied 128 at a time before one
-    gcd; when a batch overshoots to n, it is replayed one step at a time."""
-    c = 0
+    gcd; when a batch overshoots to n, it is replayed one step at a time.
+    Past _RHO_STEPS steps over all c it raises ValueError: rho needs
+    about sqrt(p) steps to find a prime factor p."""
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise ValueError(
+                    f"cannot factor {n}: Pollard's rho found no factor "
+                    f"in {_RHO_STEPS} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -150,9 +184,8 @@ class FiniteQuadraticForm:
     q_values:
         q(e_i) in Q/2Z, one per generator.
     b_matrix:
-        Either a full symmetric matrix of b(e_i, e_j) in Q/Z (the diagonal
-        must agree with q mod 1) or a dict {(i, j): value} for i < j with
-        omitted pairs meaning 0.
+        A dict {(i, j): b(e_i, e_j)} in Q/Z for i < j, omitted pairs
+        meaning 0 (None for none); the diagonal is q mod 1.
     scale:
         None when the values are rationals (anything ``Fraction`` accepts);
         an integer S when they are integers v standing for v/S.  Forms built
@@ -163,7 +196,7 @@ class FiniteQuadraticForm:
     """
 
     def __init__(self, orders: Sequence[int],
-                 q_values: Sequence, b_matrix=None,
+                 q_values: Sequence, b_matrix: Optional[dict] = None,
                  scale: Optional[int] = None):
         orders = [int(o) for o in orders]
         if any(o < 2 for o in orders):
@@ -187,27 +220,10 @@ class FiniteQuadraticForm:
 
         q = [at_n(v) % two_n for v in q_values]
         b = [[0] * r for _ in range(r)]
-        if b_matrix is None:
-            b_matrix = {}
-        if isinstance(b_matrix, dict):
-            for (i, j), v in b_matrix.items():
-                if i == j:
-                    raise ValueError("pass q for diagonal entries, not b")
-                b[i][j] = b[j][i] = at_n(v) % n
-        else:
-            for i in range(r):
-                for j in range(r):
-                    v = at_n(b_matrix[i][j]) % n
-                    if i == j:
-                        if v != q[i] % n:
-                            raise ValueError(
-                                "diagonal of b must equal q mod 1")
-                    else:
-                        b[i][j] = v
-            for i in range(r):
-                for j in range(r):
-                    if b[i][j] != b[j][i]:
-                        raise ValueError("b must be symmetric")
+        for (i, j), v in (b_matrix or {}).items():
+            if i == j:
+                raise ValueError("pass q for diagonal entries, not b")
+            b[i][j] = b[j][i] = at_n(v) % n
         # Validity: q_i must define a quadratic value on a generator of
         # order o_i (o*q integral and o^2*q even), and o_i b_ij integral.
         for i, o in enumerate(orders):
@@ -436,7 +452,7 @@ class FiniteQuadraticForm:
         pres = self.smith_presentation(sub)
         return self.restricted_form(pres.orders, pres.reps), list(pres.reps)
 
-    # ----------------------------------------------------------- (de)coding
+    # -------------------------------------------------------------- encoding
 
     def to_json_dict(self) -> dict:
         return {
@@ -444,13 +460,6 @@ class FiniteQuadraticForm:
             "q": [str(v) for v in self.q],
             "b": [[str(v) for v in row] for row in self.b],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FiniteQuadraticForm":
-        orders = data["orders"]
-        q = [Fraction(s) for s in data["q"]]
-        b_rows = [[Fraction(s) for s in row] for row in data["b"]]
-        return cls(orders, q, b_rows)
 
     def display(self) -> str:
         """Human-readable generator-wise description like ``[-7/8] (+) [1/4]``."""
@@ -482,8 +491,6 @@ class FiniteQuadraticForm:
         prod Z/o_j, read in coordinates o_j*b(., e_j): iff the columns
         (o_j*Bn[j][i]/N)_j, one per e_i, and o_j*e_j span Z^r."""
         r, n = self.rank, self.N
-        if r == 0:
-            return
         rows = [[o * v // n for v in row] + [o * (k == j) for k in range(r)]
                 for j, (o, row) in enumerate(zip(self.orders, self.Bn))]
         if _intmat.det_lower_triangular(_intmat.hnf_columns(rows)) != 1:
@@ -513,29 +520,20 @@ class Subgroup:
                 col = [0] * r
                 col[i] = ambient.orders[i]
                 cols.append(col)
-            _lattice = _intmat.hnf_columns(_intmat.transpose(cols)) if r else []
+            _lattice = _intmat.hnf_columns(_intmat.transpose(cols))
         self.lattice = _lattice  # r x r lower-triangular HNF basis
         basis = [ambient.reduce([_lattice[i][j] for i in range(r)])
                  for j in range(r)]
         self.gens: List[Element] = [x for x in basis if any(x)]
-        if r:
-            det = _intmat.det_lower_triangular(_lattice)
-            self.order = ambient.order // det
-        else:
-            self.order = 1
+        self.order = ambient.order // _intmat.det_lower_triangular(_lattice)
 
     def contains(self, x: Sequence[int]) -> bool:
-        if self.ambient.rank == 0:
-            return True
         return _intmat.hnf_solve(self.lattice, list(x)) is not None
 
     def iter_elements(self) -> Iterator[Element]:
         """All subgroup elements (by combinations of the canonical basis)."""
         amb = self.ambient
         gens = self.gens
-        if not gens:
-            yield amb.zero()
-            return
         seen = set()
         ords = [amb.order_of(g) for g in gens]
         for coeffs in product(*(range(o) for o in ords)):
@@ -591,8 +589,6 @@ def _smith_generators(ambient: FiniteQuadraticForm,
     contained in it for the quotient to be a bona fide subquotient group).
     Representatives are reduced into ambient coordinates."""
     r = ambient.rank
-    if r == 0:
-        return QuotientPresentation([], [], lambda x: ())
     b = outer_lattice
     rel = []
     for col in inner_cols:
@@ -675,9 +671,9 @@ def direct_sum_all(forms: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
 
 
 class HomogeneousBlock:
-    """A rank-1 or rank-2 orthogonal block of a p-primary form.
+    """A rank-1 or rank-2 orthogonal block of a 2-primary form.
 
-    gens are elements of the ambient form; level is k with exponent p^k.
+    gens are elements of the ambient form; level is k with exponent 2^k.
     """
     __slots__ = ("level", "gens")
 
@@ -689,9 +685,9 @@ class HomogeneousBlock:
 _DECOMP_CUTOFF = 1 << 16
 
 
-def homogeneous_decomposition(form: FiniteQuadraticForm, p: int = 2
+def homogeneous_decomposition(form: FiniteQuadraticForm
                               ) -> List[HomogeneousBlock]:
-    """Orthogonally split a p-primary form into rank-<=2 blocks.
+    """Orthogonally split a 2-primary form into rank-<=2 blocks.
 
     Deterministic: at each step picks the lexicographically least maximal-order
     element x with b(x,x) of full order (cyclic split) or, failing that, the
@@ -699,8 +695,8 @@ def homogeneous_decomposition(form: FiniteQuadraticForm, p: int = 2
     returned grouped by descending level.
     """
     for o in form.orders:
-        if o != p ** _val(o, p):
-            raise ValueError("form is not p-primary")
+        if o != 1 << _val(o, 2):
+            raise ValueError("form is not 2-primary")
     if form.order > _DECOMP_CUTOFF:
         raise ValueError("homogeneous_decomposition cutoff exceeded")
 
@@ -710,7 +706,7 @@ def homogeneous_decomposition(form: FiniteQuadraticForm, p: int = 2
         if f.rank == 0:
             return
         e = f.exponent()
-        lvl = _val(e, p)
+        lvl = _val(e, 2)
         top = sorted(x for x in f.iter_elements() if f.order_of(x) == e)
         # b(x, x) = q(x) mod 1, resp. b(x, y), has order e iff its value
         # at scale N = e is a unit mod e.
@@ -739,7 +735,7 @@ def homogeneous_decomposition(form: FiniteQuadraticForm, p: int = 2
     blocks.sort(key=lambda blk: (-blk.level, blk.gens))
     total = 1
     for blk in blocks:
-        total *= (p ** blk.level) ** len(blk.gens)
+        total *= 1 << (blk.level * len(blk.gens))
     assert total == form.order
     return blocks
 

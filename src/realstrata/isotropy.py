@@ -63,9 +63,6 @@ def subquotient(form: FiniteQuadraticForm, kernel: Subgroup) -> Subquotient:
     if not is_isotropic(form, kernel):
         raise ValueError("kernel is not isotropic")
     kperp = form.orthogonal_complement(kernel)
-    r = form.rank
-    if r == 0:
-        return Subquotient(form, [], kperp, kernel, lambda x: ())
     pres = _smith_generators(form, kperp.lattice,
                              _intmat.transpose(kernel.lattice))
     expected = form.order // (kernel.order * kernel.order)
@@ -137,7 +134,7 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
     kappa = form.reduce(kappa)
     if not any(kappa):
         raise ValueError("kappa must be nonzero")
-    layers_blocks = homogeneous_decomposition(form, 2)
+    layers_blocks = homogeneous_decomposition(form)
     # family of generators grouped by level, ascending
     levels = sorted({blk.level for blk in layers_blocks})
     layer_gens = {lvl: [] for lvl in levels}

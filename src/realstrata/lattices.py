@@ -197,8 +197,6 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
         p_orders, p_gens = base._p_generators(p)
         orders += p_orders
         gens += p_gens
-    if not orders:
-        return trivial_form()
     return base.restricted_form(orders, gens)
 
 
@@ -727,10 +725,14 @@ def maximizing_has_skew(tgram: Sequence[Sequence[int]],
 
 def _induced_on_disc(gd: GramDisc, iso: Sequence[Sequence[int]]
                      ) -> List[List[int]]:
-    """Matrix induced on the discriminant generators by a lattice isometry
-    (dual-coordinate action is by the inverse transpose)."""
-    inv = _intmat.unimodular_inverse([list(r) for r in iso])
-    inv_t = _intmat.transpose(inv)
+    """Matrix induced on the discriminant generators by a 2x2 lattice
+    isometry (dual-coordinate action is by the inverse transpose, the
+    adjugate's transpose divided by the determinant +-1)."""
+    (a, b), (c, d) = iso
+    det = a * d - b * c
+    if det not in (1, -1):
+        raise ValueError("isometry is not unimodular")
+    inv_t = [[d * det, -c * det], [-b * det, a * det]]
     cols = []
     for w in gd.gen_duals:
         cols.append(gd.to_coords(_intmat.matvec(inv_t, w)))

@@ -222,7 +222,17 @@ def brute_subquotient(form: FiniteQuadraticForm,
     of the induced form).  b vanishes on K once q does, by polarization."""
     table = ElementTable(form, cutoff)
     g = _scaled_gram(form)
-    kset = set(form.subgroup(list(kernel_gens)).iter_elements())
+    # K as the closure of its generators under addition, walked here
+    # rather than read off the engine's Hermite-form Subgroup.
+    kset = {form.zero()}
+    todo = list(kset)
+    while todo:
+        x = todo.pop()
+        for k in kernel_gens:
+            y = form.add(x, k)
+            if y not in kset:
+                kset.add(y)
+                todo.append(y)
     _require(not any(_qd(g, k) for k in kset), "kernel is not isotropic")
     nonzero = [k for k in kset if any(k)]       # x + 0 is x itself
     assigned: Dict[Element, Element] = {}

@@ -144,17 +144,21 @@ def test_disc_json_document(capsys):
 # ------------------------------------------------------------- detect
 
 
-def _detect_a1_in_a_subprocess(tmp_path, h2):
+def _cli_in_a_subprocess(tmp_path, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
          "import sys; from realstrata.cli import main; sys.exit(main())",
-         "detect", "--spec", "A1", "--model", f"h2={h2}",
-         "--cache-dir", str(tmp_path)],
+         *argv, "--cache-dir", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=5)
+
+
+def _detect_a1_in_a_subprocess(tmp_path, h2):
+    proc = _cli_in_a_subprocess(tmp_path, "detect", "--spec", "A1",
+                                "--model", f"h2={h2}")
     assert proc.returncode == 0, proc.stderr
     assert "verdict: witness_found" in proc.stdout
 
@@ -168,6 +172,38 @@ def test_detect_answers_an_h2_with_a_huge_prime_factor(tmp_path):
     # 2 * (10^18 + 3), the second factor a prime: trial division would
     # run to its square root, 10^9.
     _detect_a1_in_a_subprocess(tmp_path, 2 * (10 ** 18 + 3))
+
+
+def test_detect_answers_an_h2_with_a_squared_huge_prime(tmp_path):
+    # 2 * (2^61 - 1)^2: rho alone would need about 2^30 steps to split the
+    # square; the perfect-power test reads it off at once.
+    _detect_a1_in_a_subprocess(tmp_path, 2 * (2 ** 61 - 1) ** 2)
+
+
+HARD_H2 = 2 * (2 ** 61 - 1) * (2 ** 89 - 1)   # two primes out of rho's reach
+
+
+def test_detect_refuses_an_h2_it_cannot_factor(tmp_path):
+    proc = _cli_in_a_subprocess(tmp_path, "detect", "--spec", "A1",
+                                "--model", f"h2={HARD_H2}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: cannot factor \d+: .*\n", proc.stderr)
+    assert not any(tmp_path.iterdir())
+
+
+def test_batch_reports_an_h2_it_cannot_factor_and_goes_on(tmp_path):
+    specs = tmp_path / "specs.txt"
+    specs.write_text("A1\nA1\n")
+    cache = tmp_path / "cache"
+    proc = _cli_in_a_subprocess(cache, "batch", str(specs),
+                                "--model", f"h2={HARD_H2}")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(re.fullmatch(r"A1: error: cannot factor \d+: .*", line)
+               for line in lines)
+    assert proc.stdout == "batch: 0 strata    errors=2\n"
 
 
 def test_detect_witness_human(capsys, tmp_path):

@@ -266,6 +266,112 @@ def _decision_digest(doc: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# sha256 of json.dumps(doc["disc"], sort_keys=True), which covers the
+# display string, the form's q and b strings and the tags: every stratum of
+# perfbench/reference.json, plus E8 and the empty spec, whose discriminant
+# is the h block alone.
+DISC_DIGESTS = {
+    "2*A1+A1@4":
+        "31118c1eac227bc873fa749998738d51"
+        "88c45c5b6a86302b1581415329b0d408",
+    "2*A1@4":
+        "a4d5bab016bc7487255222db2132beee"
+        "cf86c62306640194e16fdf2d683683a2",
+    "2*A2@4":
+        "1e718e2f7ace6633d07f844debba4aaa"
+        "0c7c423830d6514c63ad211e832b3701",
+    "3*A1@4":
+        "31118c1eac227bc873fa749998738d51"
+        "88c45c5b6a86302b1581415329b0d408",
+    "4*A1@4":
+        "07fe3eee4f04625ffdbc6524358a7539"
+        "d401b3108abe5915508c01a2f2180ac3",
+    "5*A1@4":
+        "63971b0181434cf0d0beb56b68268d6e"
+        "00b312cafc4d165708a7a5d211d0e7fc",
+    "6*A1@64":
+        "354cba967ec70a4629bd3833ade3695f"
+        "1da6ff42126d657bfc0b83641acec282",
+    "7*A1@32":
+        "f9c726b8b09c3d1417c2f1479d852a5c"
+        "b86f3e2fab463743b2057f5318faa80d",
+    "8*A1@16":
+        "4b5477fa9e5c599a7d389de5adf77155"
+        "4e0d874f5150adff6778745281694e72",
+    "A1+2*A1@4":
+        "31118c1eac227bc873fa749998738d51"
+        "88c45c5b6a86302b1581415329b0d408",
+    "A1+A1+A1@4":
+        "31118c1eac227bc873fa749998738d51"
+        "88c45c5b6a86302b1581415329b0d408",
+    "A1+A1@4":
+        "a4d5bab016bc7487255222db2132beee"
+        "cf86c62306640194e16fdf2d683683a2",
+    "A1+A2@4":
+        "c47f82a9789d449e8df5b2c293f41bd8"
+        "0930baff1e5a14ca5b2b12e7f393e33e",
+    "A1+A3@4":
+        "3f7943f93491edfb439a0ce34ce4e874"
+        "e12cf3fc9b6daffd5314508b7c5310d9",
+    "A1@4":
+        "436555c3146328ad565ff078b84e8f6a"
+        "879108cfd4598e9332d0301e33c120ac",
+    "A2+A1@4":
+        "e97a4486e7c8b0cbbb833825cd94c4d0"
+        "aa2d72971778a3a47c73a6f1e569a710",
+    "A2+A2@4":
+        "1e718e2f7ace6633d07f844debba4aaa"
+        "0c7c423830d6514c63ad211e832b3701",
+    "A2@4":
+        "6536bc808546709fcd954fa4d6842ee7"
+        "47b1acc9ddd882513c65cf48efa85438",
+    "A3+A1@4":
+        "10ce5a4cac6ead362752fd3ac6fb0cd2"
+        "867762f4719c6024f2f01687ffd5ae77",
+    "A3@4":
+        "71de4b1c0a5d9a57005fc41510d659b8"
+        "de76e2815857c9f2f08c2ab42a060c07",
+    "A4@4":
+        "d5137034dd90f6184b898f213e6d31ae"
+        "627c5a6154393ce551137ae3d5743cbc",
+    "A7+A6+A3+A2@4":
+        "9a91a46f774fe9a48f8308b05a9a51b3"
+        "47c91c10e6096a97be147d749da2392a",
+    "A7+A6+A5@2":
+        "9e2977c69e1fef3f1831c852d8e56aa0"
+        "4a7cc2c4688bf2f4ba9fbe350f384fdf",
+    "D4@4":
+        "01d9ad8e3ba7538f99433ab60fd35760"
+        "bd4aebafab8a45c24aa3c83fbe9584ba",
+    "D5@4":
+        "3f24a8693380ddb75e703af2a040f9d9"
+        "739596062cc022009ff68b4d31c9ecf7",
+    "D7+A6+A3+A2@4":
+        "8d944eddcd3bd3334fb10c1c2bb53958"
+        "8b5e7d7f74b571fe99e7d18da0583931",
+    "E6@4":
+        "ba6ef79ed84c6a20e7dc9ab83f92f811"
+        "ca53e3aeb17b9ec2732c2618b31e5b33",
+    "E8@4":
+        "2ca82d779b4b7c2981f076ee45dbe7a9"
+        "9ea7b74d7bbd8a1cfad419901509c314",
+    "@4":
+        "2ca82d779b4b7c2981f076ee45dbe7a9"
+        "9ea7b74d7bbd8a1cfad419901509c314",
+}
+
+
+def test_detect_disc_blocks_are_unchanged():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["strata"]
+    assert set(DISC_DIGESTS) == set(reference) | {"E8@4", "@4"}
+    for name, want in DISC_DIGESTS.items():
+        spec, h2 = name.rsplit("@", 1)
+        doc = detect(int(h2), spec).to_json_dict()
+        text = json.dumps(doc["disc"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
 # Frozen before candidates were decided once per symmetry orbit.
 BIG_TRACES = {
     "11*A1": ("inconclusive", 3107, "9964440a0832fc71f456f4b0e714dbed"

@@ -62,11 +62,10 @@ def _check_snf(a):
     for x, y in zip(diag, diag[1:]):
         if x:
             assert y % x == 0
-    # unimodularity via exact inverse round trip
+    # unimodularity: an integer matrix has an integer inverse iff its
+    # determinant is a unit
     for m in (u, v):
-        inv = im.unimodular_inverse(m)
-        assert im.matmul(m, inv) == im.identity(len(m))
-        assert im.matmul(inv, m) == im.identity(len(m))
+        assert im.det(m) in (1, -1)
     return diag
 
 
@@ -107,13 +106,6 @@ def test_snf_random_battery():
                 prod *= x
             assert abs(det) == prod
             assert det == _leibniz_det(a)
-
-
-def test_unimodular_inverse_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        im.unimodular_inverse([[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        im.unimodular_inverse([[1, 2], [2, 4]])
 
 
 def test_det():

@@ -829,6 +829,18 @@ def test_maximizing_has_skew_rejects_mismatched_disc():
         maximizing_has_skew(((2, 0), (0, 4)), pf)
 
 
+def test_induced_on_disc_refuses_a_non_unimodular_matrix():
+    # The inverse transpose of a 2x2 isometry is its adjugate's transpose
+    # times the determinant, so the determinant must be +-1.
+    gd = disc_of_gram([[2, 0], [0, 4]])
+    assert gd.form.orders == (2, 4)
+    assert _induced_on_disc(gd, [[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert _induced_on_disc(gd, [[-1, 0], [0, -1]]) == [[1, 0], [0, 3]]
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            _induced_on_disc(gd, bad)
+
+
 def _reference_has_skew(tgram, pf):
     """maximizing_has_skew as it was before the pair filter: conjugate each
     reflection of T through each anti-isometry psi into a matrix on the

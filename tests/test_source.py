@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "realstrata"
 
@@ -88,19 +90,49 @@ def test_every_module_level_import_is_read_in_its_module():
     assert unread == []
 
 
-def test_import_loads_no_dataclasses_inspect_or_datetime():
-    # Each CLI call pays for the import: these modules (and what they pull
-    # in: dis, tokenize, ast) cost about a quarter of it.
+def _stdout_of(script):
+    """What a fresh interpreter prints running script with src/ on its
+    path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    script = ("import sys; import realstrata, realstrata.cli, "
-              "realstrata.oracle; print(sorted(m for m in ('dataclasses', "
-              "'inspect', 'datetime') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_dataclasses_inspect_or_datetime():
+    # Each CLI call pays for the import: these modules (and what they pull
+    # in: dis, tokenize, ast) cost about a quarter of it.
+    script = ("import sys; import realstrata, realstrata.cli, "
+              "realstrata.oracle; print(sorted(m for m in ('dataclasses', "
+              "'inspect', 'datetime') if m in sys.modules))")
+    assert _stdout_of(script) == "[]"
+
+
+def test_package_import_loads_no_module():
+    # The package holds its version and nothing else: every caller imports
+    # from the modules, so no re-export layer loads them all.
+    script = ("import sys; import realstrata; print(sorted(m for m in "
+              "sys.modules if m.startswith('realstrata.')))")
+    assert _stdout_of(script) == "[]"
+
+
+def test_the_version_is_defined_once():
+    # pyproject.toml reads the version from realstrata.__version__, which
+    # the report cache key also reads, so a bump in one place bumps both.
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == \
+        {"attr": "realstrata.__version__"}
+    # setuptools reads the attribute statically: one literal assignment.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    versions = [node for name, node in _defined(tree) if name == "__version__"]
+    assert len(versions) == 1
+    assert isinstance(versions[0].value, ast.Constant)
 
 
 def _writes_cache_entry(node, key):
