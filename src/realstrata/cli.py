@@ -19,9 +19,11 @@ Reports are cached under --cache-dir (or $REALSTRATA_CACHE, default
 .realstrata-cache): a cache hit returns the stored report byte for byte,
 including its original timestamp.  An entry that does not parse (nested
 too deeply included), or parses to something other than a report, counts
-as a miss and is overwritten.  batch parses, keys and reads or decides
-each distinct line once per run and prints its repeats from that one
-outcome; nothing is remembered from one run to the next.
+as a miss and is overwritten.  batch factors h2 once before it reads a
+line, so an h2 it cannot factor ends the run with one error; it then
+parses, keys and reads or decides each distinct line once per run and
+prints its repeats from that one outcome; nothing is remembered from one
+run to the next.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Optional, Sequence, Tuple
 from . import __version__
 from .detector import (VERDICTS, detect, model_name, parse_model,
                        require_tgram_rank)
+from .fqf import factorint
 from .lattices import (PolarizedForm, RootSpec, binary_autos,
                        disc_involutions, polarized_disc, require_stratum_rank)
 from .nikulin import embedding_clauses
@@ -232,6 +235,10 @@ def cmd_detect(args) -> int:
 
 def cmd_batch(args) -> int:
     h2 = parse_model(args.model)
+    # Each line factors 2N, N the lcm of h2 and its root exponents, which
+    # add no prime above trial division's 2^10: so an h2 that factorint
+    # cannot split fails every line alike, and ends the run here, once.
+    factorint(h2)
     cache = _cache_dir(args.cache_dir)
     counts: dict = {}
     errors = 0

@@ -547,7 +547,9 @@ class Subgroup:
 
     def elements(self) -> List[Element]:
         out = sorted(self.iter_elements())
-        assert len(out) == self.order
+        if len(out) != self.order:
+            raise AssertionError(
+                "subgroup element count differs from its order")
         return out
 
     def __eq__(self, other) -> bool:
@@ -607,14 +609,14 @@ def _smith_generators(ambient: FiniteQuadraticForm,
     c = _intmat.matmul(_intmat.transpose(inner_cols), v)
     reps = [ambient.reduce([c[i][j] // dd[j] for i in range(r)])
             for j in kept]
+    rows = [(u[i], dd[i]) for i in kept]
 
     def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
-        # c = b u^-1, so c^-1 x = u b^-1 x.
-        z = _intmat.hnf_solve(b, [int(t) for t in x])
+        # c = b u^-1, so c^-1 x = u b^-1 x, read on the kept rows of u.
+        z = _intmat.hnf_solve(b, x)
         if z is None:
             raise ValueError("vector is not in the outer lattice")
-        y = _intmat.matvec(u, z)
-        return tuple(y[i] % dd[i] for i in kept)
+        return tuple(sum(map(mul, row, z)) % o for row, o in rows)
 
     return QuotientPresentation([dd[i] for i in kept], reps, to_coords)
 
@@ -728,7 +730,9 @@ def homogeneous_decomposition(form: FiniteQuadraticForm
         blocks.append(HomogeneousBlock(lvl, lifted))
         comp = f.orthogonal_complement(f.subgroup(picked))
         sub_form, sub_gens = f.subgroup_as_form(comp)
-        assert sub_form.order * (e ** len(picked)) == f.order
+        if sub_form.order * (e ** len(picked)) != f.order:
+            raise AssertionError("split block and complement orders differ "
+                                 "from the form's")
         recurse(sub_form, [_lift(embed, form, g) for g in sub_gens])
 
     recurse(form, _identity_gens(form))
@@ -736,7 +740,9 @@ def homogeneous_decomposition(form: FiniteQuadraticForm
     total = 1
     for blk in blocks:
         total *= 1 << (blk.level * len(blk.gens))
-    assert total == form.order
+    if total != form.order:
+        raise AssertionError("homogeneous block orders differ from the "
+                             "form's")
     return blocks
 
 

@@ -145,7 +145,8 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
         family.extend((lvl, g) for g in layer_gens[lvl])
     coeffs = _intmat.solve_mod_orders([list(g) for _, g in family],
                                       list(form.orders), list(kappa))
-    assert coeffs is not None, "generator family must span the form"
+    if coeffs is None:
+        raise AssertionError("generator family must span the form")
     coeffs = [c % (1 << lvl) for c, (lvl, _) in zip(coeffs, family)]
 
     blocks: List[SplitBlock] = []
@@ -165,10 +166,12 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
             lvl, g = family[t]
             if lvl in included:
                 u = form.add(u, form.smul(c >> r_s, g))
-        assert form.order_of(u) == 1 << n
+        if form.order_of(u) != 1 << n:
+            raise AssertionError("split vector u has the wrong order")
         # q(u) * 2^n from q(u) * N, N = 2^L with L >= n.
         lam, rem = divmod(form.eval_qn(u), form.N >> n)
-        assert rem == 0
+        if rem:
+            raise AssertionError("q(u) is not in (1/2^n)Z")
         mu = lam % (1 << (n + 1))
         if mu % 2 == 1:
             blocks.append(SplitBlock("cyclic", m_s, r_s, n, u, mu))
@@ -179,7 +182,9 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
                 if form.eval_bn(u, v_cand) == target:
                     v_el = v_cand
                     break
-            assert v_el is not None, "no pairing partner in homogeneous layer"
+            if v_el is None:
+                raise AssertionError(
+                    "no pairing partner in homogeneous layer")
             nu = (form.eval_qn(v_el) // (form.N >> n)) % (1 << (n + 1))
             blocks.append(SplitBlock("pair", m_s, r_s, n, u, mu, v_el, nu))
         for t, c in enumerate(coeffs):
@@ -188,12 +193,15 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
 
     # invariants of the sequence
     for a, b in zip(blocks, blocks[1:]):
-        assert a.m < b.m and a.r < b.r
-    assert (1 << blocks[-1].m) == form.order_of(kappa)
+        if not (a.m < b.m and a.r < b.r):
+            raise AssertionError("split block levels do not increase")
+    if (1 << blocks[-1].m) != form.order_of(kappa):
+        raise AssertionError("last split block misses the order of kappa")
     recon = form.zero()
     for blk in blocks:
         recon = form.add(recon, form.smul(1 << blk.r, blk.u))
-    assert recon == kappa
+    if recon != kappa:
+        raise AssertionError("split blocks do not sum to kappa")
     all_gens: List[Element] = []
     for blk in blocks:
         all_gens.extend(blk.gens)
@@ -201,8 +209,9 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
         for blk_b in blocks[i + 1:]:
             for g in blk_a.gens:
                 for h in blk_b.gens:
-                    assert form.eval_bn(g, h) == 0, \
-                        "split blocks must be pairwise orthogonal"
+                    if form.eval_bn(g, h):
+                        raise AssertionError(
+                            "split blocks must be pairwise orthogonal")
     comp = form.orthogonal_complement(form.subgroup(all_gens))
     base_form, base_gens = form.subgroup_as_form(comp)
     return SplitDecomposition(form, kappa, blocks, base_form, base_gens)
@@ -244,7 +253,8 @@ def classify_gluing_case(form: FiniteQuadraticForm, kappa: Sequence[int],
         return None
     coords = _intmat.solve_mod_orders([list(g) for g in gens2],
                                       list(form.orders), list(k2_amb))
-    assert coords is not None
+    if coords is None:
+        raise AssertionError("the 2-part generators must span the 2-part")
     kappa2 = form2.reduce(coords)
     m_derived = _val(form2.order_of(kappa2), 2)
     if m is not None and m != m_derived:

@@ -675,7 +675,9 @@ def binary_autos(gram: Sequence[Sequence[int]]) -> List[List[List[int]]]:
                 continue
             mat = [[v1[0], v2[0]], [v1[1], v2[1]]]
             dm = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-            assert dm in (1, -1)
+            if dm not in (1, -1):
+                raise AssertionError("isometry of T has determinant "
+                                     f"{dm}, not +-1")
             autos.append(mat)
     autos.sort()
     return autos
@@ -711,7 +713,8 @@ def maximizing_has_skew(tgram: Sequence[Sequence[int]],
     reflections = [m for m in binary_autos(tgram)
                    if m[0][0] * m[1][1] - m[0][1] * m[1][0] == -1]
     for refl in reflections:
-        assert refl[0][0] + refl[1][1] == 0, "det -1 must be a reflection"
+        if refl[0][0] + refl[1][1]:
+            raise AssertionError("det -1 must be a reflection")
         rho = _induced_on_disc(gd, refl)
         for psi in psis:
             # Column i of rho is rho(t_i) in disc T coordinates.

@@ -5,10 +5,17 @@ symbolic identities, sharing as little code as possible with the fast
 paths: subquotients are rebuilt coset by coset, automorphism groups by
 generator-image backtracking, and signatures via exact root-of-unity
 sums.  q and b are evaluated here as integer sums over the common
-denominator of form.q and form.b (the Fraction tuples), never by the
-engine's integer evaluators or its integer Gram.  All functions refuse (with
-OracleSizeError) groups larger than a fixed cutoff rather than sampling,
-so a passing check is a complete one.
+denominator d of form.q and form.b (the Fraction tuples), never by the
+engine's integer evaluators or its integer Gram.  Every listing of a
+group is one lexicographic odometer.  _walk lists the elements of a form
+as its digit vectors and carries q(x)*d and b(x, .)*d along: the step
+that raises digit j adds a fixed s_j, and q(x + s_j) = q(x) + q(s_j) +
+2 b(x, s_j), so a step costs O(rank) where a from-scratch evaluation
+costs O(rank^2); q(s_j) and the b(s_j, .) are evaluated from scratch
+once per walk.  _span lists the sums of given generators with one
+form.add per step.  All functions refuse (with OracleSizeError) groups
+larger than a fixed cutoff rather than sampling, so a passing check is a
+complete one.
 The engine's K-perp/K presentation, the very Subquotient its decision
 read, is handed in and proved by one walk over the sum of its cyclic
 factors: the generator reps send each coordinate vector to a distinct
@@ -23,11 +30,11 @@ under ``python -O``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import Subquotient
@@ -50,6 +57,12 @@ def _require(ok: bool, what: str) -> None:
         raise OracleMismatch(what)
 
 
+def _within_cutoff(order: int, cutoff: int) -> None:
+    if order > cutoff:
+        raise OracleSizeError(
+            f"group order {order} exceeds oracle cutoff {cutoff}")
+
+
 class _ScaledGram(NamedTuple):
     """form.q and form.b over their common denominator d: q[i] = q(e_i)*d
     and b[i][j] = b(e_i, e_j)*d, integers read off the Fraction tuples."""
@@ -61,9 +74,10 @@ class _ScaledGram(NamedTuple):
 def _scaled_gram(form: FiniteQuadraticForm) -> _ScaledGram:
     d = lcm(*(v.denominator for v in form.q),
             *(v.denominator for row in form.b for v in row))
-    return _ScaledGram(d, tuple(int(v * d) for v in form.q),
-                       tuple(tuple(int(v * d) for v in row)
-                             for row in form.b))
+    return _ScaledGram(d, tuple(v.numerator * (d // v.denominator)
+                                for v in form.q),
+                       tuple(tuple(v.numerator * (d // v.denominator)
+                                   for v in row) for row in form.b))
 
 
 def _qd(g: _ScaledGram, x: Sequence[int]) -> int:
@@ -85,22 +99,76 @@ def _bd(g: _ScaledGram, x: Sequence[int], y: Sequence[int]) -> int:
     return total % g.d
 
 
-class ElementTable:
-    """Complete, sorted element list of a form, for groups up to the cutoff."""
+def _units(rank: int) -> List[Element]:
+    return [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
 
-    def __init__(self, form: FiniteQuadraticForm,
-                 cutoff: int = ORACLE_CUTOFF) -> None:
-        if form.order > cutoff:
-            raise OracleSizeError(
-                f"group order {form.order} exceeds oracle cutoff {cutoff}")
-        self.form = form
-        self.elements: List[Element] = sorted(form.iter_elements())
 
-    def __len__(self) -> int:
-        return len(self.elements)
+def _odometer(orders: Sequence[int]) -> Iterator[Tuple[int, List[int]]]:
+    """Count through the digit vectors t, 0 <= t_j < orders[j], in
+    lexicographic order, starting after zero: yield (j, t) for each step,
+    which raises t_j and resets the digits after it.  t is one list,
+    changed in place."""
+    m = len(orders)
+    last = [o - 1 for o in orders]
+    t = [0] * m
+    while True:
+        j = m - 1
+        while j >= 0 and t[j] == last[j]:
+            t[j] = 0
+            j -= 1
+        if j < 0:
+            return
+        t[j] += 1
+        yield j, t
 
-    def __iter__(self):
-        return iter(self.elements)
+
+def _span(form: FiniteQuadraticForm, gens: Sequence[Element],
+          orders: Sequence[int]) -> Iterator[Element]:
+    """sum_j t_j gens[j] for every t with 0 <= t_j < orders[j], in
+    lexicographic order of t, with one form.add per step: the odometer
+    step that raises t_j adds s_j = gens[j] - sum_{i>j} (orders[i] - 1)
+    gens[i]."""
+    steps: List[Element] = []
+    tail = [0] * form.rank      # -sum_{i>j} (orders[i] - 1) gens[i]
+    for gen, o in zip(reversed(gens), reversed(orders)):
+        steps.append(form.reduce(map(add, gen, tail)))
+        tail = [t - (o - 1) * c for t, c in zip(tail, gen)]
+    steps.reverse()
+    x = form.zero()
+    yield x
+    for j, _t in _odometer(orders):
+        x = form.add(x, steps[j])
+        yield x
+
+
+def _walk(form: FiniteQuadraticForm, g: _ScaledGram,
+          targets: Sequence[Element] = ()
+          ) -> Iterator[Tuple[Element, int, Tuple[int, ...]]]:
+    """Yield (x, q(x)*d mod 2d, row) for every element x of form, in
+    lexicographic order; g is the scaled Gram of form.  row[i] is
+    b(x, targets[i])*d up to a multiple of d.
+
+    x is the odometer's digit vector.  The step that raises x_j adds
+    s_j = e_j - sum_{i>j} (o_i - 1) e_i, which is 1 from coordinate j on
+    and 0 before, and q(x + s_j) = q(x) + q(s_j) + 2 b(x, s_j).  So the
+    walk carries b(x, s_j)*d for every j and b(x, y)*d for every target
+    y in one vector, which moves by that of s_j: a step costs
+    O(rank + len(targets)) where a from-scratch _qd costs O(rank^2)."""
+    m = form.rank
+    steps = [(0,) * j + (1,) * (m - j) for j in range(m)]
+    step_q = [_qd(g, s) for s in steps]
+    paired = steps + list(targets)
+    step_b = []
+    for s in steps:
+        srow = [sum(map(mul, s, col)) for col in zip(*g.b)]  # b(s, e_i)*d
+        step_b.append(tuple(sum(map(mul, srow, y)) % g.d for y in paired))
+    d2 = 2 * g.d
+    q, b = 0, (0,) * len(paired)
+    yield form.zero(), q, b[m:]
+    for j, t in _odometer(form.orders):
+        q = (q + step_q[j] + 2 * b[j]) % d2
+        b = tuple(map(add, b, step_b[j]))
+        yield tuple(t), q, b[m:]
 
 
 def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
@@ -115,9 +183,7 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
         return []
     form = pf.form
     big = ambient_with_a_block(form, a2)
-    if big.order > cutoff:
-        raise OracleSizeError(
-            f"group order {big.order} exceeds oracle cutoff {cutoff}")
+    _within_cutoff(big.order, cutoff)
     g = _scaled_gram(big)
     r = form.rank
     out = []
@@ -144,14 +210,15 @@ def brute_aut_group(form: FiniteQuadraticForm,
                     cutoff: int = ORACLE_CUTOFF
                     ) -> List[Tuple[Tuple[int, ...], ...]]:
     """All isometries of the form, as matrices (columns = images of the
-    standard generators), found by backtracking over generator images."""
-    table = ElementTable(form, cutoff)
+    standard generators), found by backtracking over generator images.
+    Bijectivity of a full set of images is one _span of them."""
+    _within_cutoff(form.order, cutoff)
     r = form.rank
-    gens = [form.zero()[:i] + (1,) + form.zero()[i + 1:] for i in range(r)]
+    gens = _units(r)
     g = _scaled_gram(form)
     buckets: Dict[Tuple[int, int], List[Element]] = {}
-    for x in table:
-        buckets.setdefault((form.order_of(x), _qd(g, x)), []).append(x)
+    for x, q, _row in _walk(form, g):
+        buckets.setdefault((form.order_of(x), q), []).append(x)
     gen_keys = [(form.orders[j], _qd(g, gens[j])) for j in range(r)]
     results: List[Tuple[Tuple[int, ...], ...]] = []
     images: List[Element] = []
@@ -159,17 +226,10 @@ def brute_aut_group(form: FiniteQuadraticForm,
     def full_matrix() -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(images[j][i] for j in range(r)) for i in range(r))
 
-    def apply_images(x: Element) -> Element:
-        acc = form.zero()
-        for j, c in enumerate(x):
-            if c:
-                acc = form.add(acc, form.smul(c, images[j]))
-        return acc
-
     def extend(j: int) -> None:
         if j == r:
-            seen = {apply_images(x) for x in table}
-            if len(seen) == len(table):
+            seen = set(_span(form, images, form.orders))
+            if len(seen) == form.order:
                 results.append(full_matrix())
             return
         for cand in buckets.get(gen_keys[j], ()):
@@ -193,24 +253,24 @@ def brute_involutions(form: FiniteQuadraticForm,
     phi o phi = id is decided with the oracle's own _apply on every
     generator, not with the engine's involution test, which picks the
     engine's fixed slot options."""
-    units = [tuple(int(i == j) for i in range(form.rank))
-             for j in range(form.rank)]
     return [DiscAutomorphism(form, mat)
             for mat in brute_aut_group(form, cutoff)
             if all(_apply(form, mat, _apply(form, mat, e)) == e
-                   for e in units)]
+                   for e in _units(form.rank))]
 
 
 class BruteQuotient:
     """K-perp/K rebuilt coset by coset."""
-    __slots__ = ("order", "coset_q", "assigned")
+    __slots__ = ("order", "coset_q", "d", "assigned")
 
     def __init__(self, order: int,
-                 coset_q: Dict[Element, Fraction],    # q per coset's lex-min
-                 assigned: Dict[Element, Element]     # K-perp element -> rep
+                 coset_q: Dict[Element, int],      # q*d per coset's lex-min
+                 d: int,                           # the scale of coset_q
+                 assigned: Dict[Element, Element]  # K-perp element -> rep
                  ) -> None:
         self.order = order
         self.coset_q = coset_q
+        self.d = d
         self.assigned = assigned
 
 
@@ -219,8 +279,10 @@ def brute_subquotient(form: FiniteQuadraticForm,
                       cutoff: int = ORACLE_CUTOFF) -> BruteQuotient:
     """Construct K-perp/K by explicit coset enumeration, checking that K is
     isotropic and that q is constant on every coset (the well-definedness
-    of the induced form).  b vanishes on K once q does, by polarization."""
-    table = ElementTable(form, cutoff)
+    of the induced form).  b vanishes on K once q does, by polarization.
+    One walk over the form: a coset's lex-min is the first of its members
+    the walk meets, and each later member is checked against its q there."""
+    _within_cutoff(form.order, cutoff)
     g = _scaled_gram(form)
     # K as the closure of its generators under addition, walked here
     # rather than read off the engine's Hermite-form Subgroup.
@@ -235,36 +297,24 @@ def brute_subquotient(form: FiniteQuadraticForm,
                 todo.append(y)
     _require(not any(_qd(g, k) for k in kset), "kernel is not isotropic")
     nonzero = [k for k in kset if any(k)]       # x + 0 is x itself
+    d = g.d
     assigned: Dict[Element, Element] = {}
-    coset_q: Dict[Element, Fraction] = {}
-    for x in table:
-        if x in assigned or any(_bd(g, x, k) for k in kernel_gens):
+    coset_q: Dict[Element, int] = {}
+    for x, q, row in _walk(form, g, kernel_gens):
+        rep = assigned.get(x)
+        if rep is not None:
+            _require(q == coset_q[rep], "q is not constant on a coset")
             continue
-        # The table is sorted, so the first unassigned member of K-perp is
-        # the lex-min member of its coset.
-        q = _qd(g, x)
+        if any(v % d for v in row):           # x is not in K-perp
+            continue
+        # The walk is in lexicographic order, so the first unassigned
+        # member of K-perp is the lex-min member of its coset.
         assigned[x] = x
         for k in nonzero:
-            y = form.add(x, k)
-            _require(_qd(g, y) == q, "q is not constant on a coset")
-            assigned[y] = x
-        coset_q[x] = Fraction(q, g.d)
-    return BruteQuotient(order=len(coset_q), coset_q=coset_q,
+            assigned[form.add(x, k)] = x
+        coset_q[x] = q
+    return BruteQuotient(order=len(coset_q), coset_q=coset_q, d=d,
                          assigned=assigned)
-
-
-def _lex_walk(form: FiniteQuadraticForm, orders: Sequence[int],
-              gens: Sequence[Element], c: Tuple[int, ...], x: Element):
-    """Yield (c + t, x + sum_j t_j gens[j]) for every t with
-    0 <= t_j < orders[j], in lexicographic order of t, with one addition
-    per step."""
-    if not orders:
-        yield c, x
-        return
-    for t in range(orders[0]):
-        if t:
-            x = form.add(x, gens[0])
-        yield from _lex_walk(form, orders[1:], gens[1:], c + (t,), x)
 
 
 def verify_subquotient_presentation(form: FiniteQuadraticForm,
@@ -288,14 +338,16 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     reps is its inverse: an isomorphism that sends each generator to its
     unit and keeps q.  So the invariant factors d_j are those of K-perp/K,
     and b agrees by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
-    The cost is |K-perp/K| + rank calls of f and |K-perp/K| - 1
-    additions, not rank*|K-perp/K| of each."""
+    The cost is |K-perp/K| + rank calls of f and two walks in step: a
+    _walk of the quotient form lists the c with its q at c, and a _span of
+    the reps carries sum_j c_j g_j with one addition per step.  No q is
+    evaluated from scratch per coset; the brute one is an integer at the
+    scale d of form, compared cross-multiplied."""
     brute = brute_subquotient(form, kernel_gens, cutoff)
     qform = sq.form
     _require(qform.order == brute.order, "quotient orders differ")
     zero = form.zero()
-    for j, (d, gen) in enumerate(zip(qform.orders, sq.reps)):
-        unit = qform.reduce([int(i == j) for i in range(qform.rank)])
+    for d, gen, unit in zip(qform.orders, sq.reps, _units(qform.rank)):
         g = brute.assigned.get(gen)
         _require(g is not None and sq.to_coords(g) == unit,
                  "a generator rep does not map to its generator")
@@ -303,13 +355,14 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
                  "a generator rep times its invariant factor is not in K")
     qg = _scaled_gram(qform)
     seen = set()
-    for c, x in _lex_walk(form, qform.orders, sq.reps, (), zero):
+    for (c, qc, _row), x in zip(_walk(qform, qg),
+                                _span(form, sq.reps, qform.orders)):
         rep = brute.assigned[x]
         _require(rep not in seen, "two coordinate vectors give one coset")
         seen.add(rep)
         _require(sq.to_coords(rep) == c, "to_coords is not additive")
-        q = brute.coset_q[rep]         # _qd/qg.d == q, cross-multiplied
-        _require(_qd(qg, c) * q.denominator == q.numerator * qg.d,
+        # qc/qg.d == coset_q/brute.d, cross-multiplied
+        _require(qc * brute.d == brute.coset_q[rep] * qg.d,
                  "q differs on a coset")
     return brute
 
@@ -395,7 +448,7 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
     evaluated symbolically in Z[x]/(x^M - 1): sqrt(2) = zeta_8 + zeta_8^-1,
     sqrt(p) from the quadratic Gauss sum of p, equality tested modulo the
     M-th cyclotomic polynomial.  Diagnostic; raises if no sigma matches."""
-    table = ElementTable(form, cutoff)
+    _within_cutoff(form.order, cutoff)
     e2 = 2 * form.exponent()
     s, m_free = _squarefree_split(form.order)
     odd_primes = []
@@ -417,8 +470,8 @@ def gauss_sum_signature(form: FiniteQuadraticForm,
 
     g = _scaled_gram(form)
     big_sum = [0] * m
-    for x in table:
-        k, rem = divmod(_qd(g, x) * m, 2 * g.d)   # q*m/2 in [0, m)
+    for _x, q, _row in _walk(form, g):
+        k, rem = divmod(q * m, 2 * g.d)           # q*m/2 in [0, m)
         _require(rem == 0, "q*M/2 is not an integer exponent")
         big_sum[k] += 1
 
@@ -475,7 +528,7 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     # phi keeps q on the generators and b on their pairs, with the oracle's
     # own q and b, hence everywhere, and is its own inverse.
     g, r = _scaled_gram(form), form.rank
-    units = [form.reduce([int(i == j) for i in range(r)]) for j in range(r)]
+    units = _units(r)
     images = [_apply(form, phi.matrix, e) for e in units]
     for j, (e, y) in enumerate(zip(units, images)):
         _require(not any(form.smul(form.orders[j], y)),
@@ -495,8 +548,12 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     brute = verify_subquotient_presentation(big, [theta], sq, cutoff)
     _require(len(brute.assigned) * (cand.a2 // cand.n) == big.order,
              "K-perp has the wrong size")
+    # phi (+) -1 on the glued group, row by row from phi's columns.
+    glued = [tuple(y[i] for y in images) + (0,) for i in range(r)]
+    glued.append((0,) * r + (-1,))
     for x, rep in brute.assigned.items():
-        img = big.reduce(list(_apply(form, phi.matrix, x[:r])) + [-x[r]])
+        img = tuple(sum(map(mul, row, x)) % o
+                    for row, o in zip(glued, big.orders))
         _require(brute.assigned.get(img) == rep,
                  "witness involution fails on K-perp")
     ok, _ = embeds_into_big_L(2, pf.rank_S, sq.form)

@@ -192,18 +192,21 @@ def test_detect_refuses_an_h2_it_cannot_factor(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_batch_reports_an_h2_it_cannot_factor_and_goes_on(tmp_path):
+def test_batch_refuses_an_h2_it_cannot_factor_before_any_line(tmp_path):
+    # The model is factored once, before the lines: one error and exit 2,
+    # not one rho budget (about a second) and one error per distinct line.
     specs = tmp_path / "specs.txt"
-    specs.write_text("A1\nA1\n")
+    specs.write_text("".join(f"A{n}\n" for n in range(1, 9)) + "A1\n")
     cache = tmp_path / "cache"
+    start = time.perf_counter()
     proc = _cli_in_a_subprocess(cache, "batch", str(specs),
                                 "--model", f"h2={HARD_H2}")
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 2
-    assert all(re.fullmatch(r"A1: error: cannot factor \d+: .*", line)
-               for line in lines)
-    assert proc.stdout == "batch: 0 strata    errors=2\n"
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert re.fullmatch(r"error: cannot factor \d+: .*\n", proc.stderr)
+    assert elapsed < 4
+    assert not cache.exists()
 
 
 def test_detect_witness_human(capsys, tmp_path):

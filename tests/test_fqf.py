@@ -2,7 +2,11 @@
 substructures, decomposition, and serialization."""
 import ast
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -270,6 +274,31 @@ def test_homogeneous_decomposition_reassembles():
         for lb, gb in all_gens[i + 1:]:
             if la != lb:
                 assert g.eval_b(ga, gb) == 0
+
+
+def test_invariant_checks_run_under_optimize():
+    # python -O strips assert statements; Subgroup.elements must still
+    # refuse an element count that differs from the subgroup's order.
+    script = textwrap.dedent("""
+        from realstrata.fqf import u_block
+        sub = u_block(1).subgroup([(1, 0)])
+        sub.order = 3
+        print("debug:", __debug__)
+        try:
+            sub.elements()
+        except AssertionError as exc:
+            print("raised:", exc)
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug: False",
+        "raised: subgroup element count differs from its order"]
 
 
 # ------------------------------------------------------------- serialization

@@ -50,6 +50,11 @@ def test_subquotient_u4_gives_u2():
     # representatives pair correctly in the ambient form
     assert len(sq.reps) == 2
     assert u4.eval_b(sq.reps[0], sq.reps[1]) in (Fraction(1, 2),)
+    # the coordinate map sends K to zero and refuses a vector outside
+    # K-perp = {(x, y) : y even}
+    assert sq.to_coords((2, 0)) == (0, 0)
+    with pytest.raises(ValueError, match="not in the outer lattice"):
+        sq.to_coords((0, 1))
 
 
 def test_subquotient_trivial_kernel_is_identity():

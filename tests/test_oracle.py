@@ -19,7 +19,7 @@ from realstrata.isotropy import subquotient
 from realstrata.lattices import (DiscAutomorphism, RootSpec, disc_involutions,
                                  disc_root, polarized_disc)
 from realstrata.nikulin import ambient_with_a_block, theta_vector
-from realstrata.oracle import (ORACLE_CUTOFF, ElementTable, OracleMismatch,
+from realstrata.oracle import (ORACLE_CUTOFF, OracleMismatch,
                                OracleSizeError, brute_aut_group,
                                brute_involutions, brute_kernel_candidates,
                                brute_subquotient, gauss_sum_signature,
@@ -102,7 +102,7 @@ def test_brute_involutions_use_no_engine_involution_test(monkeypatch):
 
 def test_size_cutoff_raises():
     with pytest.raises(OracleSizeError):
-        ElementTable(cyclic_form(1, 512), cutoff=256)
+        brute_subquotient(cyclic_form(1, 512), [], cutoff=256)
     with pytest.raises(OracleSizeError):
         brute_aut_group(u_block(3), cutoff=16)   # order 64
 
@@ -244,6 +244,25 @@ def test_presentation_rejects_wrong_invariant_factors():
     sq = isotropy.Subquotient(z8, [(1, 1)], plain.kperp, plain.kernel,
                               lambda v: coords[tuple(v)])
     with pytest.raises(OracleMismatch):
+        verify_subquotient_presentation(form, [], sq)
+
+
+def test_presentation_rejects_a_q_wrong_only_past_a_carry():
+    # [1/2] (+) [1/4] with trivial kernel, claimed to carry b(e_0, e_1) =
+    # 1/2: q' = q + c_0 c_1 mod 2, so q' differs from q only at (1, 1)
+    # and (1, 3).  The walk meets (1, 1) right after the carry to (1, 0),
+    # so it must carry q and the element through that step correctly.
+    form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
+    plain = _trivial_quotient(form)
+    claimed = FiniteQuadraticForm([2, 4], [Fraction(1, 2), Fraction(1, 4)],
+                                  {(0, 1): Fraction(1, 2)})
+    assert plain.form.orders == claimed.orders == (2, 4)
+    differ = [c for c in claimed.iter_elements()
+              if claimed.eval_q(c) != plain.form.eval_q(c)]
+    assert differ == [(1, 1), (1, 3)]
+    sq = isotropy.Subquotient(claimed, plain.reps, plain.kperp,
+                              plain.kernel, plain.to_coords)
+    with pytest.raises(OracleMismatch, match="q differs on a coset"):
         verify_subquotient_presentation(form, [], sq)
 
 
@@ -524,17 +543,68 @@ def _fraction_b(form, x, y):
 def test_integer_q_and_b_match_fraction_sums_on_the_corpus():
     # q on every element of every corpus form; b on every element paired
     # with the element at the mirrored position of the list (b is
-    # symmetric, so each pair is checked once).
+    # symmetric, so each pair is checked once).  The walk meets the same
+    # elements in the same order, with the same q*d, and with the
+    # from-scratch b*d against the kernel generator.
     bad = []
     for item in corpus():
         form = item.form
         g = oracle._scaled_gram(form)
         elems = list(form.iter_elements())
-        for k, (x, y) in enumerate(zip(elems, reversed(elems))):
-            if Fraction(oracle._qd(g, x), g.d) != _fraction_q(form, x):
+        walked = list(oracle._walk(form, g, [item.kappa]))
+        assert [x for x, _q, _row in walked] == elems
+        for k, ((x, walk_q, (walk_b,)), y) in enumerate(
+                zip(walked, reversed(elems))):
+            qd = oracle._qd(g, x)
+            if Fraction(qd, g.d) != _fraction_q(form, x) or walk_q != qd:
                 bad.append(("q", form.orders, x))
+            if walk_b % g.d != oracle._bd(g, x, item.kappa):
+                bad.append(("walk b", form.orders, x))
             if 2 * k < len(elems) and (Fraction(oracle._bd(g, x, y), g.d)
                                        != _fraction_b(form, x, y)):
                 bad.append(("b", form.orders, x, y))
     assert bad == []
 
+
+# ------------------------------------------------------------------ the walk
+
+POSITIVE = ["A1", "2*A1", "A2", "A3", "D4", "A1+A2", "2*A2", "A4", "A3+A1",
+            "D5", "E6", "3*A1", "4*A1", "5*A1"]
+
+
+def _walk_mismatches(form, targets):
+    """Elements where the walk's q*d, or its b*d against the targets,
+    differs from the oracle's from-scratch _qd and _bd."""
+    g = oracle._scaled_gram(form)
+    return [x for x, q, row in oracle._walk(form, g, targets)
+            if q != oracle._qd(g, x)
+            or [v % g.d for v in row] != [oracle._bd(g, x, y)
+                                          for y in targets]]
+
+
+@pytest.mark.parametrize("spec", POSITIVE)
+def test_walk_matches_from_scratch_values_on_each_witness(spec):
+    # The glued group of each positive-revalidation witness, with b
+    # against its generators and theta, and the witness's K-perp/K; and
+    # the span of the quotient's reps, the presentation walk's sums.
+    rep = detect(4, spec)
+    pf = polarized_disc(RootSpec.parse(spec), 4)
+    w = rep.witness
+    big = ambient_with_a_block(pf.form, w["a2"])
+    theta = big.reduce(theta_vector(pf.form, w["kappa"], w["n"]))
+    sq = check_candidate(
+        pf, KernelCandidate(w["a2"], w["n"], tuple(w["kappa"])))[2]
+    assert _walk_mismatches(big, oracle._units(big.rank) + [theta]) == []
+    assert _walk_mismatches(sq.form, oracle._units(sq.form.rank)) == []
+    sums = [big.reduce(sum(c * gen[i] for c, gen in zip(cs, sq.reps))
+                       for i in range(big.rank))
+            for cs in sq.form.iter_elements()]
+    assert list(oracle._span(big, sq.reps, sq.form.orders)) == sums
+
+
+def test_scaled_gram_is_the_fraction_values_times_d():
+    for item in corpus():
+        g = oracle._scaled_gram(item.form)
+        assert g.q == tuple(int(v * g.d) for v in item.form.q)
+        assert g.b == tuple(tuple(int(v * g.d) for v in row)
+                            for row in item.form.b)

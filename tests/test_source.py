@@ -90,6 +90,25 @@ def test_every_module_level_import_is_read_in_its_module():
     assert unread == []
 
 
+def test_the_oracle_reads_no_engine_integer_form_data():
+    # The oracle evaluates q and b from form.q and form.b alone: its q*d
+    # and b*d come from its own scaled Gram and walk, never from the
+    # engine's integer values or evaluators, named directly or as strings.
+    engine = {"Qn", "Bn", "_gram", "eval_qn", "eval_bn", "_pairing_row"}
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    assert _read(tree) & engine == set()
+
+
+def test_the_package_has_no_bare_assert():
+    # python -O strips assert statements, so a check the package relies on
+    # is an explicit raise.
+    bare = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)]
+    assert bare == []
+
+
 def _stdout_of(script):
     """What a fresh interpreter prints running script with src/ on its
     path."""
