@@ -12,27 +12,20 @@ Bareiss elimination.
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 
 
-def copy_matrix(a: Sequence[Sequence[int]]) -> IntMatrix:
-    return [list(row) for row in a]
-
-
 def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> IntMatrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
+    out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]
         oi = out[i]
@@ -61,45 +54,47 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> IntMatrix:
     Returns a lower-triangular r x r basis H of the column span (which must be
     full rank r = number of rows), with positive diagonal and off-diagonal
     entries reduced to 0 <= H[i][j] < H[i][i] for j < i.
+
+    Each column is folded into the pivot column of its first nonzero row,
+    by an exact multiple when the pivot entry divides its entry, else by
+    the extended-gcd 2 x 2 unimodular step (Cohen 1993, section 2.4), and
+    what is left of it moves on to its next nonzero row.  The reduced HNF
+    of a full-rank lattice is unique, so the fold order does not show.
     """
     rows = len(a)
-    work = [list(col) for col in zip(*a)] if a and a[0] else []
-    # work holds columns as row-vectors for easy swapping.
-    basis: List[List[int]] = []
-    for pivot_row in range(rows):
-        # Reduce all columns so only one has a nonzero entry in pivot_row
-        # (gcd via repeated remainder on column pairs).
+    basis: list = [None] * rows     # basis[p]: the pivot column of row p
+    for c in map(list, zip(*a)):
+        p = 0
         while True:
-            nonzero = [c for c in work if c[pivot_row] != 0]
-            if not nonzero:
-                raise ValueError("column span is not full rank")
-            if len(nonzero) == 1:
+            while p < rows and not c[p]:
+                p += 1
+            if p == rows:
                 break
-            nonzero.sort(key=lambda c: abs(c[pivot_row]))
-            small = nonzero[0]
-            for c in nonzero[1:]:
-                f = c[pivot_row] // small[pivot_row]
-                for i in range(rows):
-                    c[i] -= f * small[i]
-        col = next(c for c in work if c[pivot_row] != 0)
-        work.remove(col)
-        if col[pivot_row] < 0:
-            col = [-x for x in col]
-        basis.append(col)
-        # Drop columns that are now zero: every column left in work is
-        # zero in all rows up to pivot_row.
-        work = [c for c in work if any(c)]
-    # Reduce off-diagonal entries: for each later basis vector, reduce earlier
-    # vectors' entries in its pivot row.
-    for j in range(rows):
-        for i in range(j + 1, rows):
-            pivot = basis[i][i]
-            f = basis[j][i] // pivot
+            b = basis[p]
+            if b is None:
+                basis[p] = c if c[p] > 0 else [-u for u in c]
+                break
+            x, y = b[p], c[p]
+            f, rem = divmod(y, x)
+            if rem:
+                # s x + t y = 1 on the cofactors: the pivot entry becomes
+                # gcd(x, y) > 0 and c's entry 0.
+                g = math.gcd(x, y)
+                x, y = x // g, y // g
+                s = pow(x, -1, abs(y))
+                t = (1 - s * x) // y
+                basis[p], c = ([s * u + t * v for u, v in zip(b, c)],
+                               [y * u - x * v for u, v in zip(b, c)])
+            else:
+                c = [v - f * u for u, v in zip(b, c)]
+    if None in basis:
+        raise ValueError("column span is not full rank")
+    for i, b in enumerate(basis):
+        for j in range(i):
+            f = basis[j][i] // b[i]
             if f:
-                for k in range(rows):
-                    basis[j][k] -= f * basis[i][k]
-    # Return as matrix whose columns are the basis vectors.
-    return [[basis[j][i] for j in range(rows)] for i in range(rows)]
+                basis[j] = [u - f * v for u, v in zip(basis[j], b)]
+    return [list(row) for row in zip(*basis)]
 
 
 def hnf_solve(h: Sequence[Sequence[int]], x: Sequence[int]) -> List[int] | None:
@@ -116,30 +111,17 @@ def hnf_solve(h: Sequence[Sequence[int]], x: Sequence[int]) -> List[int] | None:
 
 
 def det_lower_triangular(h: Sequence[Sequence[int]]) -> int:
-    d = 1
-    for i in range(len(h)):
-        d *= h[i][i]
-    return d
+    return math.prod(h[i][i] for i in range(len(h)))
 
 
 def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (d, u, v) with u @ a @ v = d, u and v
     unimodular, d diagonal with d[i][i] | d[i+1][i+1] and nonnegative."""
-    d = copy_matrix(a)
+    d = [list(row) for row in a]
     rows = len(d)
     cols = len(d[0]) if rows else 0
     u = identity(rows)
     v = identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     def addmul_row(dst, src, f):
         for k in range(cols):
@@ -153,10 +135,6 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         for r in v:
             r[dst] += f * r[src]
 
-    def neg_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
     n = min(rows, cols)
     for t in range(n):
         while True:
@@ -169,10 +147,10 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             if best is None:
                 break
             bi, bj = best
-            if bi != t:
-                swap_rows(t, bi)
+            d[t], d[bi], u[t], u[bi] = d[bi], d[t], u[bi], u[t]
             if bj != t:
-                swap_cols(t, bj)
+                for r in d + v:
+                    r[t], r[bj] = r[bj], r[t]
             done = True
             for i in range(t + 1, rows):
                 if d[i][t]:
@@ -198,8 +176,8 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             if offender is None:
                 break
             addmul_row(t, offender, 1)
-        if t < rows and t < cols and d[t][t] < 0:
-            neg_row(t)
+        if d[t][t] < 0:
+            d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
     return d, u, v
 
 
@@ -212,7 +190,7 @@ def det(a: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss fraction-free
     elimination: every division is exact)."""
     n = len(a)
-    work = copy_matrix(a)
+    work = [list(row) for row in a]
     sign, prev = 1, 1
     for k in range(n - 1):
         if not work[k][k]:

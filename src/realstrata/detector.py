@@ -52,32 +52,44 @@ class KernelCandidate(NamedTuple):
     kappa: Element
 
 
+def _factors_of_2n(pf: PolarizedForm) -> Dict[int, int]:
+    """The factorization of 2N, N the exponent of pf, once per form: every
+    order of a form built from pf (glued, or a K-perp/K) divides 2N."""
+    if "2N" not in pf._cache:
+        pf._cache["2N"] = factorint(2 * pf.form.N)
+    return pf._cache["2N"]
+
+
 def enumerate_a_squares(pf: PolarizedForm) -> List[int]:
     """Even divisors of twice the exponent of the polarized discriminant,
     ascending — the complete range of polarizing squares a^2.  Built from
     the factorization, so a huge h2 costs its divisors, not a scan."""
     divs = [1]
-    for p, k in factorint(2 * pf.form.exponent()).items():
+    for p, k in _factors_of_2n(pf).items():
         divs = [d * p ** i for d in divs for i in range(k + 1)]
     return sorted(d for d in divs if d % 2 == 0)
 
 
-def _elements_of_order(pf: PolarizedForm, order: int
-                       ) -> Dict[int, List[Element]]:
-    """The elements of exact order `order`, keyed by q*N, each list in
-    lexicographic order.  Cached on pf: (a2, n) = (m, 1) and (2m, 2) both
-    ask for order m.
+def _elements_of_order(pf: PolarizedForm, order: int, target: int
+                       ) -> List[Element]:
+    """The elements of exact order `order` with q*N = target mod 2N, in
+    lexicographic order, cached on pf once read (the oracle reads them).
 
-    Walks the order-torsion only: coordinate by coordinate, x_i runs over
-    the multiples of o_i / gcd(o_i, order), and a prefix is dropped once
-    the coordinates left cannot lift its order to `order`.  q*N is carried
-    down the walk from the zero element: with x zero from coordinate i on,
-    q(x + v e_i) = q(x) + v^2 q(e_i) + 2 v b(x, e_i)."""
-    buckets = pf._cache.get(("order", order))
-    if buckets is not None:
-        return buckets
+    Meets in the middle at the component boundary (orthogonal, as
+    _symmetry_table checks) that makes the two halves smallest: since
+    q(u + w) = q(u) + q(w) there, each prefix u, in lexicographic order,
+    reads the one bucket of suffixes w with q(w)*N = target - q(u)*N, in
+    lexicographic order too, and keeps those that lift its order to
+    `order`.  Each half runs x_i over the multiples of o_i / gcd(o_i,
+    order) with q(x + v e_i) = q(x) + v^2 q(e_i) + 2 v b(x, e_i), x zero
+    from i on; a prefix is dropped once the coordinates left cannot lift
+    its order to `order`.  Prefixes start from eval_qn at the zero
+    element, so every list rests on the form's own evaluator."""
+    lists = pf._cache.setdefault(("order", order), {})
+    if target in lists:
+        return lists[target]
     form = pf.form
-    r = form.rank
+    r, two_n = form.rank, 2 * form.N
     values = [[(v, o // math.gcd(v, o))
                for v in range(0, o, o // math.gcd(o, order))]
               for o in form.orders]
@@ -85,27 +97,37 @@ def _elements_of_order(pf: PolarizedForm, order: int
     reach = [1] * (r + 1)
     for i in reversed(range(r)):
         reach[i] = math.lcm(math.gcd(form.orders[i], order), reach[i + 1])
-    buckets = pf._cache[("order", order)] = {}
-    two_n = 2 * form.N
+    _symmetry_table(pf)     # checks that these cuts are orthogonal
+    sizes = [len(v) for v in values]
+    cut = min([lo for lo, _ in pf.comp_slices] + [r - 1, r],
+              key=lambda c: math.prod(sizes[:c]) + math.prod(sizes[c:]))
 
-    def walk(x: Element, x_order: int, qn: int) -> None:
-        i = len(x)
-        q_i = form.Qn[i]
-        b_i = 2 * sum(map(mul, x, form.Bn[i]))
-        for v, v_order in values[i]:
-            lcm = math.lcm(x_order, v_order)
-            if math.lcm(lcm, reach[i + 1]) != order:
-                continue
-            y, y_qn = x + (v,), (qn + v * (v * q_i + b_i)) % two_n
-            if i + 1 < r:
-                walk(y, lcm, y_qn)
-            else:
-                buckets.setdefault(y_qn, []).append(y)
+    def half(lo: int, hi: int, qn0: int, need: Optional[List[int]]
+             ) -> List[Tuple[Element, int, int]]:
+        """(x, order of x, q(x)*N + qn0 mod 2N) on coordinates lo..hi-1,
+        pruned to lcm(order of x, need[i + 1]) = `order` when need is set."""
+        level = [((), 1, qn0)]
+        for i in range(lo, hi):
+            q_i, row = form.Qn[i], form.Bn[i][lo:i]
+            level = [(x + (v,), o, (qn + v * (v * q_i + b)) % two_n)
+                     for x, x_order, qn in level
+                     for b in (2 * sum(map(mul, x, row)),)
+                     for v, v_order in values[i]
+                     for o in (math.lcm(x_order, v_order),)
+                     if need is None or math.lcm(o, need[i + 1]) == order]
+        return level
 
-    # The start value is eval_qn at the zero element, so every bucket
-    # rests on the form's own evaluator.
-    walk((), 1, form.eval_qn(form.zero()))
-    return buckets
+    prefix = half(0, cut, form.eval_qn(form.zero()), reach)
+    # Only the buckets some prefix reads are kept.
+    buckets = {(target - qn) % two_n: [] for _, _, qn in prefix}
+    for w, w_order, qn in half(cut, r, 0, None) if buckets else ():
+        if qn in buckets:
+            buckets[qn].append((w, w_order))
+    elems = lists[target] = [
+        u + w for u, u_order, qn in prefix
+        for w, w_order in buckets[(target - qn) % two_n]
+        if math.lcm(u_order, w_order) == order]
+    return elems
 
 
 def kernel_candidates(pf: PolarizedForm, a2: int, n: int
@@ -119,7 +141,7 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
     target, rem = divmod(-n * n * pf.form.N, a2)
     if rem:
         return []
-    elems = _elements_of_order(pf, a2 // n).get(target % (2 * pf.form.N), [])
+    elems = _elements_of_order(pf, a2 // n, target % (2 * pf.form.N))
     return [KernelCandidate(a2, n, x) for x in elems]
 
 
@@ -153,7 +175,7 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
             form, cand.a2)
     sq = subquotient(big, big.subgroup([theta_vector(form, cand.kappa,
                                                      cand.n)]))
-    if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
+    if not embeds_into_big_L(2, pf.rank_S, sq.form, _factors_of_2n(pf))[0]:
         return "genus_empty", None, sq
     # phi (+) -1 preserves K only if phi(kappa) = -kappa.
     # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in
@@ -189,7 +211,9 @@ def _search(pf: PolarizedForm, trace: List[dict]
                                 Subquotient]]:
     """Walk the gluing data in engine order, appending one trace row per
     excluded candidate (or empty (a2, n) pair); return the first witness
-    with the K-perp/K it was decided from.
+    with the K-perp/K it was decided from.  Each (a2, n) reads only its
+    own candidates, listed in lexicographic order by meeting in the middle
+    at a component cut (_elements_of_order); no other q*N is listed.
 
     Only the first kappa of each orbit of the symmetry group G is decided;
     every later kappa of the orbit gets its row from that status.  G is
@@ -310,7 +334,10 @@ def parse_model(text: str) -> int:
     if text in ("sextic", "sextic-planar"):
         return 2
     if text.startswith("h2="):
-        h2 = int(text[3:])
+        # ASCII digits only: int() would also take "4_0", "+4", " 4" and
+        # the digits of other scripts.
+        digits = text[3:]
+        h2 = int(digits) if digits.isascii() and digits.isdigit() else 1
         if h2 < 2 or h2 % 2:
             raise ValueError("h2 must be a positive even integer")
         return h2

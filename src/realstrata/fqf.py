@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from . import _intmat
 
@@ -349,17 +350,11 @@ class FiniteQuadraticForm:
         """Minimal generator count of the p-part."""
         return sum(1 for o in self.orders if o % p == 0)
 
-    def length(self) -> int:
-        primes = set()
-        for o in self.orders:
-            primes.update(factorint(o))
-        return max((self.length_p(p) for p in primes), default=0)
-
-    def primes(self) -> List[int]:
-        ps = set()
-        for o in self.orders:
-            ps.update(factorint(o))
-        return sorted(ps)
+    def primes(self, among: Iterable[int] = ()) -> List[int]:
+        """The primes dividing the group order, ascending, read off
+        `among`, when given, a set of primes that holds them all."""
+        ps = among or {p for o in self.orders for p in factorint(o)}
+        return sorted(p for p in ps if any(o % p == 0 for o in self.orders))
 
     def is_even_2part(self) -> bool:
         """True when q takes only integer values on the order-<=2 elements
@@ -495,11 +490,6 @@ class FiniteQuadraticForm:
                 for j, (o, row) in enumerate(zip(self.orders, self.Bn))]
         if _intmat.det_lower_triangular(_intmat.hnf_columns(rows)) != 1:
             raise ValueError("degenerate bilinear form (nontrivial radical)")
-
-
-def _identity_gens(form: FiniteQuadraticForm) -> List[Element]:
-    r = form.rank
-    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
 # ------------------------------------------------------------------ subgroup
@@ -735,7 +725,8 @@ def homogeneous_decomposition(form: FiniteQuadraticForm
                                  "from the form's")
         recurse(sub_form, [_lift(embed, form, g) for g in sub_gens])
 
-    recurse(form, _identity_gens(form))
+    recurse(form, [tuple(int(i == j) for j in range(form.rank))
+                   for i in range(form.rank)])
     blocks.sort(key=lambda blk: (-blk.level, blk.gens))
     total = 1
     for blk in blocks:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from numbers import Rational
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import _intmat
 from .fqf import Element, FiniteQuadraticForm, _val, cyclic_form
@@ -108,7 +108,8 @@ def det_p(form: FiniteQuadraticForm, p: int) -> SquareClass:
 
 
 def embedding_clauses(sigma_plus: int, sigma_minus: int,
-                      form: FiniteQuadraticForm) -> Dict[str, bool]:
+                      form: FiniteQuadraticForm, among: Iterable[int] = ()
+                      ) -> Dict[str, bool]:
     """Detailed clause outcomes for primitive embeddability of an even
     lattice with invariants (sigma_plus, sigma_minus, form) into the even
     unimodular lattice of signature (3, 19).
@@ -117,16 +118,19 @@ def embedding_clauses(sigma_plus: int, sigma_minus: int,
     "clause2:<p>" for each odd prime dividing |form| in ascending order
     (vacuously True below the length threshold), and "clause3" (the 2-adic
     threshold condition, vacuously True when below the threshold or when
-    the 2-part is odd).
+    the 2-part is odd).  `among`, when given, holds every prime of the
+    form's order (FiniteQuadraticForm.primes).
     """
     rk = sigma_plus + sigma_minus
     size = form.order
     threshold = 22 - rk
+    primes = form.primes(among)
     out: Dict[str, bool] = {}
     out["clause1"] = (sigma_plus <= 3 and sigma_minus <= 19
-                      and form.length() <= threshold)
+                      and max(map(form.length_p, primes), default=0)
+                      <= threshold)
     target_sign = (-1) ** (sigma_plus - 1)
-    for p in form.primes():
+    for p in primes:
         if p == 2:
             continue
         key = f"clause2:{p}"
@@ -138,7 +142,7 @@ def embedding_clauses(sigma_plus: int, sigma_minus: int,
         want = SquareClass(p, dp.valuation,
                            legendre(target_sign % p, p), True)
         out[key] = total.same_class(want)
-    if 2 in form.primes():
+    if 2 in primes:
         d2 = det_p(form, 2)
         if form.length_p(2) != threshold or not d2.even:
             out["clause3"] = True
@@ -151,11 +155,11 @@ def embedding_clauses(sigma_plus: int, sigma_minus: int,
 
 
 def embeds_into_big_L(sigma_plus: int, sigma_minus: int,
-                      form: FiniteQuadraticForm
+                      form: FiniteQuadraticForm, among: Iterable[int] = ()
                       ) -> Tuple[bool, Optional[str]]:
     """Decide primitive embeddability into the even unimodular (3, 19)
     lattice; on failure the reason names the first failing clause."""
-    clauses = embedding_clauses(sigma_plus, sigma_minus, form)
+    clauses = embedding_clauses(sigma_plus, sigma_minus, form, among)
     failed = next((key for key, ok in clauses.items() if not ok), None)
     return failed is None, failed
 

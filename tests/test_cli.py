@@ -71,6 +71,19 @@ def test_unknown_model_exits_2(capsys, tmp_path):
     assert err.startswith("error: unknown model")
 
 
+@pytest.mark.parametrize("model", ["h2=3", "h2=4_0", "h2=\u0664", "h2=abc",
+                                   "h2=1e3", "h2=+4", "h2=0"])
+def test_malformed_h2_exits_2_with_one_error_line(capsys, tmp_path, model):
+    # ASCII digits only ("4_0" and the Arabic-Indic four are no h2), and
+    # a non-integer gets the same one line as an odd h2.
+    cache = ["--cache-dir", str(tmp_path)]
+    for argv in (["detect", *cache], ["disc"]):
+        code, out, err = run(capsys, *argv, "--model", model, "--spec", "A1")
+        assert (code, out) == (2, "")
+        assert err == "error: h2 must be a positive even integer\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_rank_over_19_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "detect", "--spec", "2*E8+A4",
                        "--cache-dir", str(tmp_path))

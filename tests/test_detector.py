@@ -2,21 +2,24 @@
 verdicts, conclusiveness bases, and report shape."""
 import hashlib
 import json
+import math
 import random
 import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import realstrata
-from realstrata import detector, lattices
+from realstrata import detector, fqf, lattices
 from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                  _component_swap_isos, polarized_disc)
-from realstrata.oracle import OracleMismatch
+from realstrata.oracle import OracleMismatch, brute_kernel_candidates
 
 from test_acceptance import (GOLDEN_A7, GOLDEN_D7, GOLDEN_SEXTIC, REASONS_A7,
                              REASONS_SEXTIC, reason_map)
@@ -87,6 +90,75 @@ def test_kernel_candidates_closed_under_negation():
             for n in (1, 2):
                 kappas = {c.kappa for c in kernel_candidates(pf, a2, n)}
                 assert {pf.form.neg(k) for k in kappas} == kappas
+
+
+def _bucket_walk(pf, order):
+    """The full walk the listing replaced: every element of exact order
+    `order`, bucketed by q*N, each bucket in lexicographic order."""
+    form = pf.form
+    r, two_n = form.rank, 2 * form.N
+    values = [[(v, o // math.gcd(v, o))
+               for v in range(0, o, o // math.gcd(o, order))]
+              for o in form.orders]
+    reach = [1] * (r + 1)
+    for i in reversed(range(r)):
+        reach[i] = math.lcm(math.gcd(form.orders[i], order), reach[i + 1])
+    buckets = {}
+
+    def walk(x, x_order, qn):
+        i = len(x)
+        b_i = 2 * sum(a * b for a, b in zip(x, form.Bn[i]))
+        for v, v_order in values[i]:
+            lcm = math.lcm(x_order, v_order)
+            if math.lcm(lcm, reach[i + 1]) != order:
+                continue
+            y, y_qn = x + (v,), (qn + v * (v * form.Qn[i] + b_i)) % two_n
+            if i + 1 < r:
+                walk(y, lcm, y_qn)
+            else:
+                buckets.setdefault(y_qn, []).append(y)
+
+    walk((), 1, 0)
+    return buckets
+
+
+@pytest.mark.parametrize("spec,h2", [(GOLDEN_D7, 4), (GOLDEN_A7, 4),
+                                     (GOLDEN_SEXTIC, 2), ("6*A1", 64),
+                                     ("7*A1", 32), ("8*A1", 16)])
+def test_kernel_candidates_equal_the_full_bucket_walk(spec, h2):
+    # The golden and ladder strata: for every (a2, n), the same kappas in
+    # the same order as the bucket the full walk files them under.
+    pf = polarized_disc(RootSpec.parse(spec), h2)
+    two_n = 2 * pf.form.N
+    for a2 in enumerate_a_squares(pf):
+        for n in (2, 1):
+            target, rem = divmod(-n * n * pf.form.N, a2)
+            want = ([] if a2 % n or rem else
+                    _bucket_walk(pf, a2 // n).get(target % two_n, []))
+            got = [c.kappa for c in kernel_candidates(pf, a2, n)]
+            assert got == want, (spec, h2, a2, n)
+
+
+_COMPONENTS = ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "D8", "E6", "E7"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_COMPONENTS), min_size=1, max_size=3),
+       st.sampled_from([2, 4, 6, 8]))
+def test_kernel_candidates_equal_brute_force_on_block_combinations(
+        comps, h2):
+    # D_even components are pair blocks whose two coordinates pair with
+    # each other, so a cut inside one would break q(u + w) = q(u) + q(w);
+    # the listing must cut between components only.
+    assume(sum(int(c[1:]) for c in comps) <= 19)     # the root rank
+    pf = polarized_disc(RootSpec.parse("+".join(comps)), h2)
+    cap = 1 << 14       # the brute sweep's glued group, |disc| * a2
+    assume(pf.form.order * 2 * pf.form.N <= cap)
+    for a2 in enumerate_a_squares(pf):
+        for n in (2, 1):
+            want = brute_kernel_candidates(pf, a2, n, cap)
+            got = [c.kappa for c in kernel_candidates(pf, a2, n)]
+            assert got == want, (comps, h2, a2, n)
 
 
 # ------------------------------------------------------------- model parsing
@@ -188,6 +260,33 @@ def test_detect_rejects_rank_over_19_before_building_disc(monkeypatch):
     monkeypatch.setattr(detector, "polarized_disc", fail)
     with pytest.raises(ValueError, match="exceeds 19"):
         detect(4, "300*A1")
+
+
+def _next_prime(n):
+    n += 1
+    while not (n % 2 and fqf._is_prime(n)):
+        n += 1
+    return n
+
+
+def test_detect_factors_a_large_h2_once(monkeypatch):
+    # h2 = 2pq with p, q just above 2^37 and 2^38: rho takes a noticeable
+    # fraction of a second to split pq.  Every order of a form built
+    # inside one detect divides 2N, so 2N is the one number above 2^30
+    # that gets factored; the genus clauses read their primes off it.
+    p, q = _next_prime(1 << 37), _next_prime(1 << 38)
+    real, large = fqf.factorint, []
+
+    def counting(n):
+        if n > 1 << 30:
+            large.append(n)
+        return real(n)
+
+    monkeypatch.setattr(fqf, "factorint", counting)
+    monkeypatch.setattr(detector, "factorint", counting)
+    rep = detect(2 * p * q, "A2")
+    assert rep.verdict == "witness_found"
+    assert large == [2 * math.lcm(3, 2 * p * q)]     # 2N, A2's disc Z/3
 
 
 def test_check_candidate_statuses():

@@ -42,6 +42,86 @@ def test_hnf_columns_rejects_rank_deficient():
         im.hnf_columns([[1, 2], [2, 4]])
 
 
+def _hnf_by_remainders(a):
+    """The column HNF by repeated remainders, as hnf_columns took it
+    before the extended-gcd folds: per pivot row, the column of least
+    entry reduces the others until one nonzero entry is left."""
+    rows = len(a)
+    work = [list(col) for col in zip(*a)] if a and a[0] else []
+    basis = []
+    for p in range(rows):
+        while True:
+            nonzero = [c for c in work if c[p] != 0]
+            if not nonzero:
+                raise ValueError("column span is not full rank")
+            if len(nonzero) == 1:
+                break
+            nonzero.sort(key=lambda c: abs(c[p]))
+            for c in nonzero[1:]:
+                f = c[p] // nonzero[0][p]
+                for i in range(rows):
+                    c[i] -= f * nonzero[0][i]
+        col = next(c for c in work if c[p] != 0)
+        work.remove(col)
+        basis.append(col if col[p] > 0 else [-x for x in col])
+        work = [c for c in work if any(c)]
+    for j in range(rows):
+        for i in range(j + 1, rows):
+            f = basis[j][i] // basis[i][i]
+            for k in range(rows):
+                basis[j][k] -= f * basis[i][k]
+    return [[basis[j][i] for j in range(rows)] for i in range(rows)]
+
+
+@st.composite
+def _matrix_with_zero_columns(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.lists(st.lists(st.integers(-30, 30) | st.just(0),
+                                  min_size=rows, max_size=rows),
+                         max_size=8))
+    zero_at = draw(st.lists(st.integers(0, len(cols)), max_size=2))
+    for at in zero_at:
+        cols.insert(at, [0] * rows)
+    return [[col[i] for col in cols] for i in range(rows)] if cols else \
+        [[] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_with_zero_columns())
+def test_hnf_columns_equals_the_repeated_remainder_form(a):
+    # Negative entries and zero columns included.  The reduced HNF of a
+    # full-rank lattice is unique, so the folds must land on the very
+    # matrix the remainder loop does, and refuse the same inputs.
+    try:
+        want = _hnf_by_remainders(a)
+    except ValueError as exc:
+        assert str(exc) == "column span is not full rank"
+        with pytest.raises(ValueError, match="column span is not full rank"):
+            im.hnf_columns(a)
+        return
+    h = im.hnf_columns(a)
+    assert h == want
+    n = len(a)
+    for i in range(n):
+        assert h[i][i] > 0
+        assert all(h[i][j] == 0 for j in range(i + 1, n))
+        assert all(0 <= h[i][j] < h[i][i] for j in range(i))
+    for col in zip(*a):
+        assert im.hnf_solve(h, list(col)) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_with_zero_columns(), st.lists(st.integers(-3, 3), min_size=5,
+                                             max_size=5))
+def test_hnf_columns_refuses_a_rank_deficient_span(a, coeffs):
+    # One more row, an integer combination of the others: the columns
+    # then span a lattice of rank below the row count.
+    extra = [sum(c * row[j] for c, row in zip(coeffs, a))
+             for j in range(len(a[0]))]
+    with pytest.raises(ValueError, match="column span is not full rank"):
+        im.hnf_columns(a + [extra])
+
+
 def test_hnf_solve_none_outside_lattice():
     h = im.hnf_columns([[2, 0], [0, 2]])
     assert im.hnf_solve(h, [1, 0]) is None
