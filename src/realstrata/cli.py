@@ -32,6 +32,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -58,16 +59,21 @@ _VERDICT_EXIT = {
 }
 
 
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with at most one leading '-': int()
+    would also take '1_0', '+1' and the digits of other scripts."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_tgram(text: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             "tgram must be three integers a,b,d for the Gram matrix "
             "[[a, b], [b, d]]")
-    try:
-        a, b, d = (int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    a, b, d = map(_ascii_int, parts)
     return ((a, b), (b, d))
 
 
@@ -291,7 +297,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_autos(args) -> int:
+    # --spec and --model default to None here, so that a stratum given
+    # beside --tgram, which lists O(T) and reads none, is refused.
     if args.tgram is not None:
+        if args.spec is not None or args.model is not None:
+            raise ValueError("autos --tgram lists O(T) and reads no "
+                             "stratum; drop --spec and --model")
         elements = []
         for mat in binary_autos(args.tgram):
             det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
@@ -307,6 +318,8 @@ def cmd_autos(args) -> int:
             for e in elements:
                 print(f"  {e['matrix']}  det={e['det']:+d}  {e['kind']}")
         return 0
+    if args.model is None:
+        args.model = "quartic"
     _h2, pf = _stratum_disc(args)
     autos = disc_involutions(pf)
     if args.json:
@@ -369,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed",
                        help="evaluate the unimodular-embedding clauses")
     common(p)
-    p.add_argument("--sigma-plus", type=int, default=None)
-    p.add_argument("--sigma-minus", type=int, default=None)
+    p.add_argument("--sigma-plus", type=_ascii_int, default=None)
+    p.add_argument("--sigma-minus", type=_ascii_int, default=None)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("autos",
@@ -381,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="a,b,d",
                    help="rank-2 Gram matrix [[a,b],[b,d]]; lists its full "
                         "isometry group instead of disc involutions")
-    p.set_defaults(func=cmd_autos)
+    p.set_defaults(func=cmd_autos, model=None, spec=None)
 
     return parser
 

@@ -18,9 +18,7 @@ to reflections of the rank-2 transcendental-side lattice T.
 from __future__ import annotations
 
 import json
-import math
 import time
-from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
@@ -70,70 +68,11 @@ def enumerate_a_squares(pf: PolarizedForm) -> List[int]:
     return sorted(d for d in divs if d % 2 == 0)
 
 
-def _elements_of_order(pf: PolarizedForm, order: int, target: int
-                       ) -> List[Element]:
-    """The elements of exact order `order` with q*N = target mod 2N, in
-    lexicographic order, cached on pf once read (the oracle reads them).
-
-    Meets in the middle at the component boundary (orthogonal, as
-    _symmetry_table checks) that makes the two halves smallest: since
-    q(u + w) = q(u) + q(w) there, each prefix u, in lexicographic order,
-    reads the one bucket of suffixes w with q(w)*N = target - q(u)*N, in
-    lexicographic order too, and keeps those that lift its order to
-    `order`.  Each half runs x_i over the multiples of o_i / gcd(o_i,
-    order) with q(x + v e_i) = q(x) + v^2 q(e_i) + 2 v b(x, e_i), x zero
-    from i on; a prefix is dropped once the coordinates left cannot lift
-    its order to `order`.  Prefixes start from eval_qn at the zero
-    element, so every list rests on the form's own evaluator."""
-    lists = pf._cache.setdefault(("order", order), {})
-    if target in lists:
-        return lists[target]
-    form = pf.form
-    r, two_n = form.rank, 2 * form.N
-    values = [[(v, o // math.gcd(v, o))
-               for v in range(0, o, o // math.gcd(o, order))]
-              for o in form.orders]
-    # reach[i]: the largest order coordinates i.. can contribute.
-    reach = [1] * (r + 1)
-    for i in reversed(range(r)):
-        reach[i] = math.lcm(math.gcd(form.orders[i], order), reach[i + 1])
-    _symmetry_table(pf)     # checks that these cuts are orthogonal
-    sizes = [len(v) for v in values]
-    cut = min([lo for lo, _ in pf.comp_slices] + [r - 1, r],
-              key=lambda c: math.prod(sizes[:c]) + math.prod(sizes[c:]))
-
-    def half(lo: int, hi: int, qn0: int, need: Optional[List[int]]
-             ) -> List[Tuple[Element, int, int]]:
-        """(x, order of x, q(x)*N + qn0 mod 2N) on coordinates lo..hi-1,
-        pruned to lcm(order of x, need[i + 1]) = `order` when need is set."""
-        level = [((), 1, qn0)]
-        for i in range(lo, hi):
-            q_i, row = form.Qn[i], form.Bn[i][lo:i]
-            level = [(x + (v,), o, (qn + v * (v * q_i + b)) % two_n)
-                     for x, x_order, qn in level
-                     for b in (2 * sum(map(mul, x, row)),)
-                     for v, v_order in values[i]
-                     for o in (math.lcm(x_order, v_order),)
-                     if need is None or math.lcm(o, need[i + 1]) == order]
-        return level
-
-    prefix = half(0, cut, form.eval_qn(form.zero()), reach)
-    # Only the buckets some prefix reads are kept.
-    buckets = {(target - qn) % two_n: [] for _, _, qn in prefix}
-    for w, w_order, qn in half(cut, r, 0, None) if buckets else ():
-        if qn in buckets:
-            buckets[qn].append((w, w_order))
-    elems = lists[target] = [
-        u + w for u, u_order, qn in prefix
-        for w, w_order in buckets[(target - qn) % two_n]
-        if math.lcm(u_order, w_order) == order]
-    return elems
-
-
 def kernel_candidates(pf: PolarizedForm, a2: int, n: int
                       ) -> List[KernelCandidate]:
     """All kappa with order a2/n and q(kappa) = -n^2/a2 mod 2, in
-    lexicographic coordinate order."""
+    lexicographic coordinate order: FiniteQuadraticForm.elements_of_order,
+    cached on pf once read (the oracle reads the same lists)."""
     if a2 % n:
         return []
     # q*N of every element is an integer, so a target -n^2 N / a2 that is
@@ -141,8 +80,10 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
     target, rem = divmod(-n * n * pf.form.N, a2)
     if rem:
         return []
-    elems = _elements_of_order(pf, a2 // n, target % (2 * pf.form.N))
-    return [KernelCandidate(a2, n, x) for x in elems]
+    key = ("order", a2 // n, target % (2 * pf.form.N))
+    if key not in pf._cache:
+        pf._cache[key] = pf.form.elements_of_order(*key[1:])
+    return [KernelCandidate(a2, n, x) for x in pf._cache[key]]
 
 
 def check_candidate(pf: PolarizedForm, cand: KernelCandidate
@@ -212,8 +153,9 @@ def _search(pf: PolarizedForm, trace: List[dict]
     """Walk the gluing data in engine order, appending one trace row per
     excluded candidate (or empty (a2, n) pair); return the first witness
     with the K-perp/K it was decided from.  Each (a2, n) reads only its
-    own candidates, listed in lexicographic order by meeting in the middle
-    at a component cut (_elements_of_order); no other q*N is listed.
+    own candidates, listed in lexicographic order by the form's own
+    FiniteQuadraticForm.elements_of_order, a meet in the middle at one of
+    its orthogonal cuts; no other q*N is listed.
 
     Only the first kappa of each orbit of the symmetry group G is decided;
     every later kappa of the orbit gets its row from that status.  G is

@@ -267,10 +267,7 @@ class FiniteQuadraticForm:
 
     @property
     def order(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return math.prod(self.orders)
 
     def exponent(self) -> int:
         return self.N
@@ -343,6 +340,70 @@ class FiniteQuadraticForm:
     def iter_elements(self) -> Iterator[Element]:
         """All group elements in lexicographic coordinate order."""
         return iter(product(*(range(o) for o in self.orders)))
+
+    @cached_property
+    def orthogonal_cuts(self) -> Tuple[int, ...]:
+        """Every c, ascending, with b(e_i, e_j) = 0 for all i < c <= j: the
+        generators split there into two orthogonal halves.  far is the
+        last generator that some generator before c pairs with."""
+        cuts, far = [], -1
+        for c, row in enumerate(self.Bn):
+            if far < c:
+                cuts.append(c)
+            far = max(far, c, *(j for j, v in enumerate(row) if v))
+        return tuple(cuts) + (self.rank,)
+
+    def elements_of_order(self, order: int, target: int) -> List[Element]:
+        """The elements of exact order `order` with q*N = target mod 2N, in
+        lexicographic order.
+
+        Meets in the middle at the orthogonal cut that makes the two halves
+        smallest: since q(u + w) = q(u) + q(w) there, each prefix u, in
+        lexicographic order, reads the one bucket of suffixes w with
+        q(w)*N = target - q(u)*N, in lexicographic order too, and keeps
+        those that lift its order to `order`.  Each half runs x_i over the
+        multiples of o_i / gcd(o_i, order) with q(x + v e_i) = q(x) +
+        v^2 q(e_i) + 2 v b(x, e_i), x zero from i on; a prefix is dropped
+        once the coordinates left cannot lift its order to `order`.
+        Prefixes start from eval_qn at the zero element, so every list
+        rests on the form's own evaluator."""
+        r, two_n = self.rank, 2 * self.N
+        values = [[(v, o // math.gcd(v, o))
+                   for v in range(0, o, o // math.gcd(o, order))]
+                  for o in self.orders]
+        # reach[i]: the largest order coordinates i.. can contribute.
+        reach = [1] * (r + 1)
+        for i in reversed(range(r)):
+            reach[i] = math.lcm(math.gcd(self.orders[i], order), reach[i + 1])
+        sizes = [len(v) for v in values]
+        cut = min(self.orthogonal_cuts,
+                  key=lambda c: math.prod(sizes[:c]) + math.prod(sizes[c:]))
+
+        def half(lo: int, hi: int, qn0: int, need: Optional[List[int]]
+                 ) -> List[Tuple[Element, int, int]]:
+            """(x, order of x, q(x)*N + qn0 mod 2N) on coordinates lo..hi-1,
+            pruned to lcm(order of x, need[i + 1]) = `order` when need is
+            set."""
+            level = [((), 1, qn0)]
+            for i in range(lo, hi):
+                q_i, row = self.Qn[i], self.Bn[i][lo:i]
+                level = [(x + (v,), o, (qn + v * (v * q_i + b)) % two_n)
+                         for x, x_order, qn in level
+                         for b in (2 * sum(map(mul, x, row)),)
+                         for v, v_order in values[i]
+                         for o in (math.lcm(x_order, v_order),)
+                         if need is None or math.lcm(o, need[i + 1]) == order]
+            return level
+
+        prefix = half(0, cut, self.eval_qn(self.zero()), reach)
+        # Only the buckets some prefix reads are kept.
+        buckets = {(target - qn) % two_n: [] for _, _, qn in prefix}
+        for w, w_order, qn in half(cut, r, 0, None) if buckets else ():
+            if qn in buckets:
+                buckets[qn].append((w, w_order))
+        return [u + w for u, u_order, qn in prefix
+                for w, w_order in buckets[(target - qn) % two_n]
+                if math.lcm(u_order, w_order) == order]
 
     # ------------------------------------------------------------ invariants
 
@@ -431,11 +492,8 @@ class FiniteQuadraticForm:
     def smith_presentation(self, sub: "Subgroup") -> "QuotientPresentation":
         """Smith presentation of the subgroup itself (quotient by nothing)."""
         r = self.rank
-        inner = []
-        for i in range(r):
-            col = [0] * r
-            col[i] = self.orders[i]
-            inner.append(col)
+        inner = [[o * (i == j) for i in range(r)]
+                 for j, o in enumerate(self.orders)]
         return _smith_generators(self, sub.lattice, inner)
 
     def subgroup_as_form(self, sub: "Subgroup") -> Tuple["FiniteQuadraticForm", List[Element]]:
@@ -505,11 +563,9 @@ class Subgroup:
         self.ambient = ambient
         r = ambient.rank
         if _lattice is None:
-            cols = [list(g) for g in gens]
-            for i in range(r):
-                col = [0] * r
-                col[i] = ambient.orders[i]
-                cols.append(col)
+            cols = [list(g) for g in gens] + [
+                [o * (i == j) for i in range(r)]
+                for j, o in enumerate(ambient.orders)]
             _lattice = _intmat.hnf_columns(_intmat.transpose(cols))
         self.lattice = _lattice  # r x r lower-triangular HNF basis
         basis = [ambient.reduce([_lattice[i][j] for i in range(r)])
@@ -728,9 +784,7 @@ def homogeneous_decomposition(form: FiniteQuadraticForm
     recurse(form, [tuple(int(i == j) for j in range(form.rank))
                    for i in range(form.rank)])
     blocks.sort(key=lambda blk: (-blk.level, blk.gens))
-    total = 1
-    for blk in blocks:
-        total *= 1 << (blk.level * len(blk.gens))
+    total = math.prod(1 << (blk.level * len(blk.gens)) for blk in blocks)
     if total != form.order:
         raise AssertionError("homogeneous block orders differ from the "
                              "form's")

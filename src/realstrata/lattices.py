@@ -23,7 +23,8 @@ from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
 # --------------------------------------------------------------- root specs
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)\*)?([ADE])(\d+)$")
+# ASCII digits only: \d would also match the digits of other scripts.
+_TERM_RE = re.compile(r"^(?:([0-9]+)\*)?([ADE])([0-9]+)$")
 
 _ADE_VALID = {
     "A": lambda n: n >= 1,
@@ -181,9 +182,7 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
         # (Z/2)^2; canonical generators are the two spinor classes, whose
         # q-value is -n/4 mod 2; the vector class has q = -1 mod 2.
         # The group has exponent N = 2, so the target is -n/2 mod 4.
-        target = (-n * base.N // 4) % (2 * base.N)
-        spinors = [x for x in sorted(base.iter_elements())
-                   if any(x) and base.eval_qn(x) == target]
+        spinors = base.elements_of_order(2, -n * base.N // 4)
         if len(spinors) == 3:  # D4: all three agree; take the first two
             spinors = spinors[:2]
         if len(spinors) != 2:
@@ -424,8 +423,9 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
     of equal components, sorted by label, then one for h.  Built once per
     form, after checking, with an explicit raise, that pf.form is the
     orthogonal sum of its component slices and the h generator, in that
-    order, with equal forms on equal components (Nikulin 1979, section 1):
-    G acts on that sum block by block.
+    order (every slice starts at one of the form's orthogonal_cuts), with
+    equal forms on equal components (Nikulin 1979, section 1): G acts on
+    that sum block by block.
 
     So each distinct block of a class is checked once, on its component's
     own form (_checked_blocks), and everything else is read off the
@@ -447,11 +447,9 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
     form = pf.form
     r = form.rank
     spans = list(pf.comp_slices) + [(r - 1, r)]
-    owner = [c for c, (lo, hi) in enumerate(spans) for _ in range(lo, hi)]
     if (len(pf.comp_slices) != len(pf.spec.components)
             or [i for lo, hi in spans for i in range(lo, hi)] != list(range(r))
-            or any(form.Bn[i][j] for i in range(r) for j in range(i)
-                   if owner[i] != owner[j])):
+            or not {lo for lo, _ in spans} <= set(form.orthogonal_cuts)):
         raise ValueError("the polarized form is not the orthogonal sum of "
                          "its components and h")
     classes: Dict[Tuple[str, int], List[int]] = {}
@@ -736,11 +734,8 @@ def _induced_on_disc(gd: GramDisc, iso: Sequence[Sequence[int]]
     if det not in (1, -1):
         raise ValueError("isometry is not unimodular")
     inv_t = [[d * det, -c * det], [-b * det, a * det]]
-    cols = []
-    for w in gd.gen_duals:
-        cols.append(gd.to_coords(_intmat.matvec(inv_t, w)))
-    k = len(gd.gen_duals)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    cols = [gd.to_coords(_intmat.matvec(inv_t, w)) for w in gd.gen_duals]
+    return [list(row) for row in zip(*cols)]
 
 
 def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
@@ -749,12 +744,16 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
     as lists of generator images."""
     if src.order != dst.order:
         return []
-    dst_elems = sorted(dst.iter_elements())
-    results: List[List[Element]] = []
-    # q(y) = -q_src(e_i) mod 2 with both sides at their own scale:
-    # qn(y)/dN + Qn_src/sN = 0 mod 2, i.e. qn(y)*sN + Qn_src*dN = 0 mod
-    # 2*sN*dN (and the same mod sN*dN for b).
+    # The images of e_i, listed once: q(y) = -q_src(e_i) mod 2 with both
+    # sides at their own scale is qn(y) = -Qn_src[i]*dN/sN mod 2dN, with
+    # no y when that is not an integer.  Only y of exact order o_i can
+    # help the images generate a group of order |src| = |dst|.
     s_n, d_n = src.N, dst.N
+    images_of = []
+    for o, qn in zip(src.orders, src.Qn):
+        target, rem = divmod(-qn * d_n, s_n)
+        images_of.append([] if rem else dst.elements_of_order(o, target))
+    results: List[List[Element]] = []
 
     def extend(images: List[Element]) -> None:
         i = len(images)
@@ -763,19 +762,11 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
             if sub.order == dst.order:
                 results.append(list(images))
             return
-        oi = src.orders[i]
-        for y in dst_elems:
-            if dst.smul(oi, y) != dst.zero():
-                continue
-            if (dst.eval_qn(y) * s_n + src.Qn[i] * d_n) % (2 * s_n * d_n):
-                continue
-            good = True
-            for t in range(i):
-                if (dst.eval_bn(y, images[t]) * s_n
-                        + src.Bn[i][t] * d_n) % (s_n * d_n):
-                    good = False
-                    break
-            if good:
+        for y in images_of[i]:
+            # b(y, psi e_t) = -b_src(e_i, e_t) mod 1, at both scales.
+            if all((dst.eval_bn(y, images[t]) * s_n
+                    + src.Bn[i][t] * d_n) % (s_n * d_n) == 0
+                   for t in range(i)):
                 extend(images + [y])
 
     extend([])

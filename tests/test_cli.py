@@ -84,6 +84,38 @@ def test_malformed_h2_exits_2_with_one_error_line(capsys, tmp_path, model):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec", ["A\u0664+A1", "\u0662*A1", "A1_0"])
+def test_spec_digits_are_ascii_only(capsys, tmp_path, spec):
+    # The Arabic-Indic digits four and two are no rank or multiplicity.
+    for argv in (["detect", "--cache-dir", str(tmp_path)], ["disc"]):
+        code, out, err = run(capsys, *argv, "--spec", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse root-spec term ")
+        assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--spec", "A18", "--tgram", "2,1,1_0"],
+    ["detect", "--spec", "A18", "--tgram", "2, +1,\u0661\u0660"],
+    ["autos", "--tgram", "2,1,\u0662"],
+    ["embed", "--spec", "A1", "--sigma-plus", "1_0"],
+    ["embed", "--spec", "A1", "--sigma-minus", "+1"],
+    ["embed", "--spec", "A1", "--sigma-minus", "\u0661"]])
+def test_integer_options_take_ascii_digits_only(capsys, tmp_path, argv):
+    # int() would read 1_0 as 10, +1 as 1 and the Arabic-Indic digits as
+    # theirs; a tgram entry or a signature is ASCII digits with at most
+    # one leading '-'.
+    if argv[0] == "detect":
+        argv += ["--cache-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid integer" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_rank_over_19_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "detect", "--spec", "2*E8+A4",
                        "--cache-dir", str(tmp_path))
@@ -700,6 +732,25 @@ def test_autos_tgram_hexagonal_json(capsys):
     assert dets.count(1) == 6 and dets.count(-1) == 6
     for e in doc["elements"]:
         assert e["kind"] == ("rotation" if e["det"] == 1 else "reflection")
+
+
+@pytest.mark.parametrize("stratum", [["--spec", "D4", "--model", "sextic"],
+                                     ["--spec", "D4"], ["--model", "quartic"],
+                                     ["--spec", ""]])
+def test_autos_tgram_refuses_a_stratum(capsys, stratum):
+    # O(T) reads no stratum, so a --spec or --model beside --tgram would
+    # be ignored; it is refused instead.
+    code, out, err = run(capsys, "autos", *stratum, "--tgram", "2,1,2")
+    assert (code, out) == (2, "")
+    assert err == ("error: autos --tgram lists O(T) and reads no stratum; "
+                   "drop --spec and --model\n")
+
+
+def test_autos_model_alone_still_defaults_the_spec(capsys):
+    assert run(capsys, "autos", "--model", "sextic") == \
+        (0, "1 involutions\n  ((1,),)\n", "")
+    assert run(capsys, "autos", "--spec", "A1")[1].startswith(
+        "2 involutions\n")
 
 
 def test_autos_tgram_rejects_odd_lattice(capsys):

@@ -147,9 +147,10 @@ _COMPONENTS = ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "D8", "E6", "E7"]
        st.sampled_from([2, 4, 6, 8]))
 def test_kernel_candidates_equal_brute_force_on_block_combinations(
         comps, h2):
-    # D_even components are pair blocks whose two coordinates pair with
-    # each other, so a cut inside one would break q(u + w) = q(u) + q(w);
-    # the listing must cut between components only.
+    # D4 and D8 are pair blocks whose two coordinates pair with each
+    # other, so a cut inside one would break q(u + w) = q(u) + q(w); the
+    # listing must cut at the form's orthogonal cuts only (D6's spinors
+    # are orthogonal, so a cut between them is one).
     assume(sum(int(c[1:]) for c in comps) <= 19)     # the root rank
     pf = polarized_disc(RootSpec.parse("+".join(comps)), h2)
     cap = 1 << 14       # the brute sweep's glued group, |disc| * a2

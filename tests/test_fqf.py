@@ -20,6 +20,8 @@ from realstrata.fqf import (FiniteQuadraticForm, canon_mod1, canon_mod2,
                             factorint, homogeneous_decomposition,
                             trivial_form, u_block, v_block)
 
+from _corpus import CORPUS_SIZE, corpus
+
 # ------------------------------------------------------------ canonical reps
 
 
@@ -253,6 +255,55 @@ def test_tracer_fqf_methods_exist():
         cls = getattr(fqf, cls_name)
         for name in names:
             assert name in vars(cls), f"{cls_name}.{name}"
+
+
+# ---------------------------------------------- elements by order and q*N
+
+
+def _cuts_by_definition(form):
+    """Every c with b(e_i, e_j) = 0 for all i < c <= j, read pair by pair
+    off the Fraction matrix b."""
+    r = form.rank
+    return tuple(c for c in range(r + 1)
+                 if all(form.b[i][j] == 0
+                        for i in range(c) for j in range(c, r)))
+
+
+def test_orthogonal_cuts_anchors():
+    # A pairing from the first generator to the last leaves no inner cut;
+    # an orthogonal sum cuts between its blocks and nowhere inside u.
+    far = FiniteQuadraticForm([2, 2, 2, 2], [0, 0, 0, 0],
+                              {(0, 3): Fraction(1, 2), (1, 2): Fraction(1, 2)})
+    assert far.orthogonal_cuts == _cuts_by_definition(far) == (0, 4)
+    summed = direct_sum_all([u_block(1), cyclic_form(1, 2), v_block(1)])
+    assert summed.orthogonal_cuts == (0, 2, 3, 5)
+    assert trivial_form().orthogonal_cuts == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, CORPUS_SIZE - 1))
+def test_orthogonal_cuts_are_the_cuts_no_pairing_crosses(idx):
+    form = corpus()[idx].form
+    assert form.orthogonal_cuts == _cuts_by_definition(form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, CORPUS_SIZE - 1), st.data())
+def test_elements_of_order_is_the_filter_of_every_element(idx, data):
+    # For every order m dividing N: the q*N values that occur at order m,
+    # two that do not, and one drawn unreduced mod 2N.
+    form = corpus()[idx].form
+    two_n = 2 * form.N
+    want = {}
+    for x in form.iter_elements():      # lexicographic
+        want.setdefault((form.order_of(x), form.eval_qn(x)), []).append(x)
+    for m in (d for d in range(1, form.N + 1) if form.N % d == 0):
+        seen = sorted(t for order, t in want if order == m)
+        unseen = [t for t in range(two_n) if t not in seen][:2]
+        drawn = data.draw(st.integers(-2 * two_n, 2 * two_n))
+        for t in seen + unseen + [drawn]:
+            assert form.elements_of_order(m, t) == \
+                want.get((m, t % two_n), []), (form, m, t)
 
 
 # ------------------------------------------------- homogeneous decomposition

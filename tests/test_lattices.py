@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -125,6 +126,18 @@ def test_disc_root_d_even_spinor_classes():
         assert form.eval_q((1, 1)) == canon_mod2(Fraction(-1))
 
 
+def test_disc_root_d_even_spinors_are_the_full_scan():
+    # The spinor classes, listed by q and order, are the first two the
+    # scan of every element in lexicographic order finds.
+    for n in range(4, 20, 2):
+        base = disc_of_gram([[-x for x in row]
+                             for row in cartan_matrix("D", n)]).form
+        target = (-n * base.N // 4) % (2 * base.N)
+        spinors = [x for x in sorted(base.iter_elements())
+                   if any(x) and base.eval_qn(x) == target][:2]
+        assert disc_root("D", n) == base.restricted_form([2, 2], spinors), n
+
+
 def test_disc_root_splits_composite_cyclic():
     # A5 disc has order 6, presented as prime-power pieces
     form = disc_root("A", 5)
@@ -226,6 +239,21 @@ def test_polarized_disc_golden_displays():
     assert pf.display() == "[-7/8] (+) [-6/7] (+) [-3/4] (+) [-2/3] (+) [1/4]"
     pf = polarized_disc(RootSpec.parse("A7+A6+A5"), 2)
     assert pf.display() == "[-7/8] (+) [-6/7] (+) [2/3] (+) [1/2] (+) [1/2]"
+
+
+def test_a_polarized_form_cuts_inside_a_component():
+    # A5's discriminant splits into Z/3 and Z/2 pieces that b does not
+    # pair, so the form cuts at 3 too, where no component boundary falls;
+    # D4's two spinors pair to 1/2, so nothing cuts between them.
+    pf = polarized_disc(RootSpec.parse("A7+A6+A5"), 2)
+    assert pf.comp_slices == [(0, 1), (1, 2), (2, 4)]
+    assert pf.form.orthogonal_cuts == (0, 1, 2, 3, 4, 5)
+    r = pf.form.rank
+    assert [c for c in range(r + 1)
+            if all(pf.form.b[i][j] == 0
+                   for i in range(c) for j in range(c, r))] == list(range(6))
+    assert polarized_disc(RootSpec.parse("D4+A1"), 4).form.orthogonal_cuts \
+        == (0, 2, 3, 4)
 
 
 def test_polarized_disc_tags_and_h_block():
@@ -827,6 +855,86 @@ def test_maximizing_has_skew_rejects_mismatched_disc():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     with pytest.raises(ValueError):
         maximizing_has_skew(((2, 0), (0, 4)), pf)
+
+
+def test_a_large_disc_is_refused_without_a_scan():
+    # |disc| = 4096 passes the size check; disc T = Z/2 x Z/2048 has an
+    # element of order 2048, the polarized form none, so the listing of
+    # the second generator's images is empty at once.
+    pf = polarized_disc(RootSpec.parse("9*A1+D10"), 2)
+    assert pf.form.order == 4096
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="not anti-isometric"):
+        maximizing_has_skew(((2, 0), (0, 2048)), pf)
+    assert time.monotonic() - start < 2
+
+
+# Rank-19 polarized forms of |disc| <= 300: 24 with an anti-isometric T,
+# 12 without.
+RANK19 = [("2*D6+E6+A1", 2), ("2*E8+A2+A1", 2), ("A10+A9", 2),
+          ("A10+E6+A3", 2), ("A10+E7+2*A1", 2), ("A10+E8+A1", 2),
+          ("A12+A7", 2), ("A12+E7", 2), ("A13+E6", 2), ("A14+D5", 2),
+          ("A16+A3", 2), ("A18+A1", 4), ("A7+2*E6", 2), ("A8+D7+D4", 2),
+          ("A8+E8+A2+A1", 2), ("A9+E8+A2", 2), ("D10+D7+A2", 4),
+          ("D11+A8", 2), ("D11+D8", 2), ("D13+3*A2", 2), ("D13+A4+A2", 2),
+          ("D13+E6", 4), ("D15+A3+A1", 4), ("D17+A2", 2), ("D7+A6+E6", 2),
+          ("D7+E7+D5", 4), ("D9+2*D5", 4), ("D9+E6+A4", 4), ("E7+2*E6", 2),
+          ("E7+2*E6", 4), ("E7+E6+A4+A2", 2), ("E8+A5+2*A3", 2),
+          ("E8+A6+A3+A2", 2), ("E8+A6+A5", 2), ("E8+A7+2*A2", 2),
+          ("E8+D6+A3+2*A1", 2)]
+
+
+def _reduced_tgrams(det):
+    """Every reduced even positive definite Gram (a, b, d) of determinant
+    det: |2b| <= a <= d, with a and d even."""
+    out = []
+    for a in range(2, det + 1, 2):
+        if 3 * a * a > 4 * det:
+            break
+        for b in range(-(a // 2), a // 2 + 1):
+            d, rem = divmod(det + b * b, a)
+            if not rem and d % 2 == 0 and d >= a:
+                out.append(((a, b), (b, d)))
+    return out
+
+
+def _scanned_anti_isometries(src, dst):
+    """_anti_isometries as it was before the listing: at every node, scan
+    every element of dst for the images of the next generator."""
+    dst_elems = sorted(dst.iter_elements())
+    results = []
+    s_n, d_n = src.N, dst.N
+
+    def extend(images):
+        i = len(images)
+        if i == src.rank:
+            if dst.subgroup(images).order == dst.order:
+                results.append(list(images))
+            return
+        for y in dst_elems:
+            if (dst.smul(src.orders[i], y) == dst.zero()
+                    and (dst.eval_qn(y) * s_n + src.Qn[i] * d_n)
+                    % (2 * s_n * d_n) == 0
+                    and all((dst.eval_bn(y, images[t]) * s_n
+                             + src.Bn[i][t] * d_n) % (s_n * d_n) == 0
+                            for t in range(i))):
+                extend(images + [y])
+
+    extend([])
+    return results
+
+
+def test_anti_isometries_equal_the_full_scan_on_rank_19_forms():
+    found = 0
+    for spec, h2 in RANK19:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        for tgram in _reduced_tgrams(pf.form.order):
+            disc_t = disc_of_gram(tgram).form
+            got = _anti_isometries(disc_t, pf.form)
+            assert got == _scanned_anti_isometries(disc_t, pf.form), \
+                (spec, h2, tgram)
+            found += bool(got)
+    assert found == 35
 
 
 def test_induced_on_disc_refuses_a_non_unimodular_matrix():

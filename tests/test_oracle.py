@@ -471,10 +471,10 @@ def test_oracle_catches_a_consistent_wrong_integer_q(monkeypatch):
 
 
 def test_oracle_catches_wrong_integer_q_in_trace_check(monkeypatch):
-    # The engine's listing carries q*N from eval_qn at the zero element,
-    # the witness kappa here; a wrong q there shifts every q*N it reads,
-    # so the witness drops out of the engine's list and the brute sweep
-    # differs.
+    # The engine's listing, FiniteQuadraticForm.elements_of_order, carries
+    # q*N from eval_qn at the zero element, the witness kappa here; a
+    # wrong q there shifts every q*N it reads, so the witness drops out of
+    # the engine's list and the brute sweep differs.
     rep = detect(4, "A1")
     assert rep.witness["kappa"] == [0, 0]
     pf = polarized_disc(RootSpec.parse("A1"), 4)

@@ -184,3 +184,39 @@ def test_the_symmetry_group_is_one_table_in_lattices():
                      if any(_writes_cache_entry(node, "symmetry")
                             for node in ast.walk(ast.parse(path.read_text()))))
     assert writers == ["lattices.py"]
+
+
+def _calls(node, name):
+    """The calls in node of a function or method named name, called by
+    its name or as an attribute."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and name in (getattr(sub.func, "id", None),
+                         getattr(sub.func, "attr", None))]
+
+
+def test_only_fqf_and_the_oracle_walk_every_element_of_a_form():
+    # A search by order and q reads FiniteQuadraticForm.elements_of_order;
+    # walks of every element stay in fqf and in the oracle, which shares
+    # no fast-path code.  form.subgroup(...).iter_elements() lists a
+    # subgroup, not the form, and is not counted.
+    def of_a_form(call):
+        owner = call.func.value
+        return not (isinstance(owner, ast.Call)
+                    and getattr(owner.func, "attr", None) == "subgroup")
+
+    walkers = {path.name for path in PACKAGE.glob("*.py")
+               if any(of_a_form(call) for call in _calls(
+                   ast.parse(path.read_text()), "iter_elements"))}
+    assert walkers <= {"fqf.py", "oracle.py"}
+
+
+def test_the_detector_reads_the_symmetry_table_to_search_and_key_only():
+    # The kernel candidates come from the form's own listing; the
+    # detector builds G's table before any decision (_search) and reads
+    # its orbit minima (_orbit_key), and calls it nowhere else.
+    tree = ast.parse((PACKAGE / "detector.py").read_text())
+    callers = {node.name: len(_calls(node, "_symmetry_table"))
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name, n in callers.items() if n} == {"_search",
+                                                          "_orbit_key"}
+    assert sum(callers.values()) == len(_calls(tree, "_symmetry_table"))
