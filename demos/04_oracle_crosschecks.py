@@ -53,7 +53,7 @@ def main() -> None:
                 big = ambient_with_a_block(pf.form, a2)
                 theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
                 verify_subquotient_presentation(
-                    big, [theta], subquotient(big, big.subgroup([theta])))
+                    big, [theta], subquotient(big, theta))
                 checked += 1
     print(f"  {checked} glued-kernel presentations verified against the"
           " brute-force quotient")

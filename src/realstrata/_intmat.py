@@ -5,9 +5,11 @@ are deterministic.  Matrices are small (a few dozen rows at most in this
 package), so clarity wins over asymptotics; the algorithms are the classical
 elimination ones in integer arithmetic throughout.  Solves modulo orders
 are one Hermite form of the system stacked on an identity (Cohen 1993,
-section 2.4), as K-perp is in fqf.orthogonal_complement; Smith forms are
-taken only where a Smith presentation is read; determinants come from
-Bareiss elimination.
+section 2.4), as K-perp is in fqf.orthogonal_complement; the Hermite form
+of one congruence s . x = 0 mod m, the K-perp of a cyclic kernel, is one
+gcd sweep instead.  Triangular solves read only the nonzero entries of
+the basis.  Smith forms are taken only where a Smith presentation is
+read; determinants come from Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -97,17 +99,63 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> IntMatrix:
     return [list(row) for row in zip(*basis)]
 
 
+def hnf_congruence(s: Sequence[int], m: int) -> IntMatrix:
+    """The lower-triangular HNF (as from hnf_columns) of the lattice
+    {x in Z^r : s . x = 0 mod m}, by one gcd sweep from the last coordinate.
+
+    With g_j = gcd(s_j, ..., s_{r-1}, m) (g_r = m), the diagonal is
+    d_j = g_{j+1} / g_j.  Column j is d_j e_j plus the reduced tail w, one
+    entry per later row i with d_i > 1, that brings s . x back to 0 mod m:
+    s_i w_i must take the value v left so far mod g_{i+1}, which fixes w_i
+    mod d_i, as s_i / g_i is a unit mod d_i.  A row with d_i = 1 takes 0.
+    When s_{r-1} is a unit mod m, as on a gluing vector, every other d_j is
+    1 and the basis is [[I, 0], [t, m]]."""
+    r = len(s)
+    g = [m] * (r + 1)
+    for j in reversed(range(r)):
+        g[j] = math.gcd(s[j], g[j + 1])
+    diag = [g[j + 1] // g[j] for j in range(r)]
+    # (row, its g, the inverse of s_i / g_i mod d_i) for each d_i > 1
+    pivots = [(i, g[i], pow(s[i] // g[i], -1, diag[i]))
+              for i in range(r) if diag[i] > 1]
+    h = [[0] * r for _ in range(r)]
+    for j, d in enumerate(diag):
+        h[j][j] = d
+        v = -s[j] * d % m
+        for i, gi, inv in pivots:
+            if i > j:
+                w = v // gi * inv % diag[i]
+                h[i][j] = w
+                v = (v - s[i] * w) % m
+    return h
+
+
+def hnf_solver(h: Sequence[Sequence[int]]):
+    """solve(x): the integer z with H z = x for a lower-triangular H (as
+    from hnf_columns), or None when there is none.  A row with diagonal 1
+    and nothing left of it gives z_i = x_i; every other row keeps only its
+    nonzero entries, so on a basis [[I, 0], [t, m]] a solve is one dot
+    product."""
+    rows = [(i, [j for j in range(i) if row[j]], [v for v in row[:i] if v],
+             row[i])
+            for i, row in enumerate(h) if row[i] != 1 or any(row[:i])]
+
+    def solve(x: Sequence[int]) -> List[int] | None:
+        z = list(x)
+        for i, cols, coefs, d in rows:
+            z[i], rem = divmod(
+                z[i] - sum(map(mul, coefs, map(z.__getitem__, cols))), d)
+            if rem:
+                return None
+        return z
+
+    return solve
+
+
 def hnf_solve(h: Sequence[Sequence[int]], x: Sequence[int]) -> List[int] | None:
     """Solve H z = x for integer z given lower-triangular H (as from
     hnf_columns).  Returns None when no integer solution exists."""
-    n = len(h)
-    z = [0] * n
-    for i in range(n):
-        rem = x[i] - sum(map(mul, h[i][:i], z))
-        if rem % h[i][i]:
-            return None
-        z[i] = rem // h[i][i]
-    return z
+    return hnf_solver(h)(x)
 
 
 def det_lower_triangular(h: Sequence[Sequence[int]]) -> int:

@@ -68,7 +68,8 @@ def _ascii_int(text: str) -> int:
 
 
 def _parse_tgram(text: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    parts = [p.strip() for p in text.split(",")]
+    # ASCII whitespace only: str.strip() would also take U+2003.
+    parts = [p.strip(" \t\n\r\f\v") for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             "tgram must be three integers a,b,d for the Gram matrix "

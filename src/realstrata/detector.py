@@ -28,7 +28,8 @@ from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
                        _first_involution, _symmetry_table, checked_involution,
                        maximizing_has_skew, polarized_disc,
                        require_stratum_rank)
-from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
+from .nikulin import (ambient_with_a_block, embeds_into_big_L, length_bound,
+                      theta_vector)
 
 SCOPE_NOTE = (
     "A witness certifies only that the polarized lattice extends to some "
@@ -114,8 +115,7 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     if big is None:
         big = pf._cache[("ambient", cand.a2)] = ambient_with_a_block(
             form, cand.a2)
-    sq = subquotient(big, big.subgroup([theta_vector(form, cand.kappa,
-                                                     cand.n)]))
+    sq = subquotient(big, theta_vector(form, cand.kappa, cand.n))
     if not embeds_into_big_L(2, pf.rank_S, sq.form, _factors_of_2n(pf))[0]:
         return "genus_empty", None, sq
     # phi (+) -1 preserves K only if phi(kappa) = -kappa.
@@ -157,6 +157,16 @@ def _search(pf: PolarizedForm, trace: List[dict]
     FiniteQuadraticForm.elements_of_order, a meet in the middle at one of
     its orthogonal cuts; no other q*N is listed.
 
+    A pair (a2, n) is settled whole, every kappa a genus_empty row, when
+    clause 1 of the embedding criterion fails on every K-perp/K it can
+    give: when some prime p has l_p(disc (+) [1/a2]) > bound + 2 [p | m],
+    with m = a2/n the order of K and bound = nikulin.length_bound(2,
+    rank_S).  For p not dividing m, K_p = 0 and b(x, theta) = 0 on the
+    p-part, so (K-perp/K)_p is the p-part of disc (+) [1/a2].  For any p,
+    the group modulo K-perp is cyclic, and so is K, so l_p(K-perp/K) >=
+    l_p(disc (+) [1/a2]) - 2.  The lengths are read off the orders, plus
+    [p | a2]; no form is built for a settled pair, and it is never keyed.
+
     Only the first kappa of each orbit of the symmetry group G is decided;
     every later kappa of the orbit gets its row from that status.  G is
     generated by the diagram automorphisms of each component (their images
@@ -183,12 +193,20 @@ def _search(pf: PolarizedForm, trace: List[dict]
     one a kappa-by-kappa walk finds.
     """
     _symmetry_table(pf)     # checks pf.form and every block of G
+    bound = length_bound(2, pf.rank_S)
+    lengths = {p: pf.form.length_p(p) for p in _factors_of_2n(pf)}
     for a2 in enumerate_a_squares(pf):
         for n in (2, 1):
             cands = kernel_candidates(pf, a2, n)
             if not cands:
                 trace.append({"a2": a2, "n": n, "kappa": None,
                               "reason": "no_kappa"})
+            m = a2 // n
+            if any(ell + (a2 % p == 0) > bound + 2 * (m % p == 0)
+                   for p, ell in lengths.items()):
+                trace.extend({"a2": a2, "n": n, "kappa": list(cand.kappa),
+                              "reason": "genus_empty"} for cand in cands)
+                continue
             decided: Dict[tuple, str] = {}
             for cand in cands:
                 key = _orbit_key(pf, cand.kappa)

@@ -637,10 +637,10 @@ def _smith_generators(ambient: FiniteQuadraticForm,
     contained in it for the quotient to be a bona fide subquotient group).
     Representatives are reduced into ambient coordinates."""
     r = ambient.rank
-    b = outer_lattice
+    solve = _intmat.hnf_solver(outer_lattice)
     rel = []
     for col in inner_cols:
-        z = _intmat.hnf_solve(b, col)
+        z = solve(col)
         if z is None:
             raise ValueError("inner lattice not contained in outer lattice")
         rel.append(z)
@@ -659,7 +659,7 @@ def _smith_generators(ambient: FiniteQuadraticForm,
 
     def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
         # c = b u^-1, so c^-1 x = u b^-1 x, read on the kept rows of u.
-        z = _intmat.hnf_solve(b, x)
+        z = solve(x)
         if z is None:
             raise ValueError("vector is not in the outer lattice")
         return tuple(sum(map(mul, row, z)) % o for row, o in rows)

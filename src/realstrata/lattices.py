@@ -24,7 +24,9 @@ from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
 
 
 # ASCII digits only: \d would also match the digits of other scripts.
-_TERM_RE = re.compile(r"^(?:([0-9]+)\*)?([ADE])([0-9]+)$")
+_TERM_RE = re.compile(r"(?:([0-9]+)\*)?([ADE])([0-9]+)")
+# ASCII whitespace around '+' and '*'; any other is left inside a term.
+_OP_RE = re.compile(r"[ \t\n\r\f\v]*([+*])[ \t\n\r\f\v]*")
 
 _ADE_VALID = {
     "A": lambda n: n >= 1,
@@ -40,13 +42,13 @@ class RootSpec(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "RootSpec":
-        cleaned = re.sub(r"\s+", "", text or "")
+        cleaned = _OP_RE.sub(r"\1", (text or "").strip(" \t\n\r\f\v"))
         if cleaned in ("", "0", "none"):
             return cls((), "")
         comps: List[Tuple[str, int]] = []
         rank = 0
         for term in cleaned.split("+"):
-            m = _TERM_RE.match(term)
+            m = _TERM_RE.fullmatch(term)
             if not m:
                 raise ValueError(f"cannot parse root-spec term {term!r}")
             count = int(m.group(1)) if m.group(1) else 1

@@ -107,6 +107,12 @@ def det_p(form: FiniteQuadraticForm, p: int) -> SquareClass:
 # ------------------------------------------------------- embedding criterion
 
 
+def length_bound(sigma_plus: int, sigma_minus: int) -> int:
+    """The largest l_p(form) that clause 1 of embedding_clauses admits for
+    an even lattice of signature (sigma_plus, sigma_minus): 22 - rank."""
+    return 22 - (sigma_plus + sigma_minus)
+
+
 def embedding_clauses(sigma_plus: int, sigma_minus: int,
                       form: FiniteQuadraticForm, among: Iterable[int] = ()
                       ) -> Dict[str, bool]:
@@ -121,9 +127,8 @@ def embedding_clauses(sigma_plus: int, sigma_minus: int,
     the 2-part is odd).  `among`, when given, holds every prime of the
     form's order (FiniteQuadraticForm.primes).
     """
-    rk = sigma_plus + sigma_minus
     size = form.order
-    threshold = 22 - rk
+    threshold = length_bound(sigma_plus, sigma_minus)
     primes = form.primes(among)
     out: Dict[str, bool] = {}
     out["clause1"] = (sigma_plus <= 3 and sigma_minus <= 19

@@ -143,7 +143,7 @@ def det_relation_report() -> dict:
         counts["items"] += 1
         if any(item.kappa):
             counts["nonzero_kernels"] += 1
-        sub = subquotient(form, kernel).form
+        sub = subquotient(form, item.kappa).form
         if sub.order * kernel.order ** 2 != form.order:
             fail(idx, "size relation violated")
         for p in form.primes():
@@ -201,7 +201,7 @@ def oracle_agreement_report() -> dict:
     for idx, item in enumerate(corpus()):
         try:
             form = item.form
-            sq = subquotient(form, form.subgroup([item.kappa]))
+            sq = subquotient(form, item.kappa)
             verify_subquotient_presentation(form, [item.kappa], sq)
             counts["subquotients"] += 1
         except AssertionError as exc:

@@ -109,7 +109,7 @@ def run_instance(inst: Instance) -> None:
         big = form.direct_sum(cyclic_form(delta % mod, mod))
         theta = big.reduce(tuple(kappa) + (2,))
         assert big.eval_q(theta) == 0, (inst.tag, delta)
-        sq = subquotient(big, big.subgroup([theta]))
+        sq = subquotient(big, theta)
 
         expected_powers = sorted(
             inst.quot_powers + prime_power_multiset(MBARS[inst.mbar].orders))

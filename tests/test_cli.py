@@ -84,9 +84,11 @@ def test_malformed_h2_exits_2_with_one_error_line(capsys, tmp_path, model):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("spec", ["A\u0664+A1", "\u0662*A1", "A1_0"])
+@pytest.mark.parametrize("spec", ["A\u0664+A1", "\u0662*A1", "A1_0",
+                                  "A1 7", "1 8*A1", "A1\u2003+A2"])
 def test_spec_digits_are_ascii_only(capsys, tmp_path, spec):
-    # The Arabic-Indic digits four and two are no rank or multiplicity.
+    # The Arabic-Indic digits four and two are no rank or multiplicity,
+    # and digits on both sides of a space, or an em space, join no term.
     for argv in (["detect", "--cache-dir", str(tmp_path)], ["disc"]):
         code, out, err = run(capsys, *argv, "--spec", spec)
         assert (code, out) == (2, "")
@@ -95,9 +97,18 @@ def test_spec_digits_are_ascii_only(capsys, tmp_path, spec):
     assert not any(tmp_path.iterdir())
 
 
+def test_spec_takes_ascii_whitespace_around_operators(capsys, tmp_path):
+    # The spelling is shown as it was cleaned: its bytes do not change.
+    code, out, _ = run(capsys, "detect", "--spec", " 2 * A1 + A2 ", "--json",
+                       "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["spec"] == "2*A1+A2"
+
+
 @pytest.mark.parametrize("argv", [
     ["detect", "--spec", "A18", "--tgram", "2,1,1_0"],
     ["detect", "--spec", "A18", "--tgram", "2, +1,\u0661\u0660"],
+    ["detect", "--spec", "A18", "--tgram", "2,\u20031,10"],
     ["autos", "--tgram", "2,1,\u0662"],
     ["embed", "--spec", "A1", "--sigma-plus", "1_0"],
     ["embed", "--spec", "A1", "--sigma-minus", "+1"],

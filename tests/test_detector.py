@@ -19,6 +19,7 @@ from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  kernel_candidates, model_name, parse_model)
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                  _component_swap_isos, polarized_disc)
+from realstrata.nikulin import ambient_with_a_block
 from realstrata.oracle import OracleMismatch, brute_kernel_candidates
 
 from test_acceptance import (GOLDEN_A7, GOLDEN_D7, GOLDEN_SEXTIC, REASONS_A7,
@@ -683,7 +684,13 @@ def test_an_unchecked_block_is_refused_before_any_candidate(monkeypatch):
 
 
 def test_golden_detect_decides_one_kappa_per_orbit(monkeypatch):
-    # 103 + 167 + 17 candidates fall into 17 + 24 + 8 orbits.
+    # 103 + 167 + 17 candidates fall into 17 + 24 + 8 orbits.  Seven of
+    # them are single-orbit pairs that the length bound settles before any
+    # orbit is decided: (a2, n) = (2, 2), (6, 2) and (42, 2) on both golden
+    # quartics and (2, 2) on the sextic.  The other 42 are decided.
+    settled = {GOLDEN_D7: {(2, 2), (6, 2), (42, 2)},
+               GOLDEN_A7: {(2, 2), (6, 2), (42, 2)},
+               GOLDEN_SEXTIC: {(2, 2)}}
     calls = []
 
     def counting(pf, cand):
@@ -692,8 +699,13 @@ def test_golden_detect_decides_one_kappa_per_orbit(monkeypatch):
 
     monkeypatch.setattr(detector, "check_candidate", counting)
     for spec, h2 in ORBIT_STRATA[:3]:
-        assert detect(h2, spec).verdict == "none_exists"
-    assert len(calls) == 49
+        start = len(calls)
+        rep = detect(h2, spec)
+        assert rep.verdict == "none_exists"
+        assert not settled[spec] & {(c.a2, c.n) for c in calls[start:]}
+        assert {(row["a2"], row["n"]) for row in rep.trace
+                if row["reason"] == "genus_empty"} >= settled[spec]
+    assert len(calls) == 42
 
 
 def test_a_coarser_orbit_key_is_caught(monkeypatch):
@@ -706,3 +718,142 @@ def test_a_coarser_orbit_key_is_caught(monkeypatch):
     for spec, h2, table in ((GOLDEN_A7, 4, REASONS_A7),
                             (GOLDEN_SEXTIC, 2, REASONS_SEXTIC)):
         assert reason_map(detect(h2, spec)) != table, spec
+
+
+# ROADMAP D8: the none_exists rank-18 strata whose traces get past the
+# genus step, 7 quartic and 12 sextic, each with its verdict and reason
+# counts, read off the full traces before the length bound settled any
+# (a2, n) pair.
+D8_PAST_GENUS = [
+    ("D7+A6+A3+A2", 4, "none_exists",
+     {"genus_empty": 11, "no_involution_cond3": 92, "no_kappa": 16}),
+    ("A7+A6+A3+A2", 4, "none_exists",
+     {"genus_empty": 39, "no_involution_cond3": 128, "no_kappa": 22}),
+    ("2*A6+2*A3", 4, "none_exists",
+     {"genus_empty": 57, "no_involution_cond3": 192, "no_kappa": 5}),
+    ("2*A6+D5+A1", 4, "none_exists",
+     {"genus_empty": 41, "no_involution_cond3": 72, "no_kappa": 3}),
+    ("2*A6+D6", 4, "none_exists",
+     {"genus_empty": 21, "no_involution_cond3": 40, "no_kappa": 5}),
+    ("2*A7+2*A2", 4, "none_exists",
+     {"genus_empty": 65, "no_involution_cond3": 176, "no_kappa": 6}),
+    ("3*A6", 4, "none_exists",
+     {"genus_empty": 2, "no_involution_cond3": 224, "no_kappa": 7}),
+    ("A7+A6+A5", 2, "none_exists",
+     {"genus_empty": 8, "no_involution_cond3": 9, "no_kappa": 27}),
+    ("E8+2*A5", 2, "none_exists",
+     {"genus_empty": 6, "no_involution_cond3": 27, "no_kappa": 2}),
+    ("2*A6+2*A3", 2, "none_exists",
+     {"genus_empty": 41, "no_involution_cond3": 72, "no_kappa": 3}),
+    ("2*A6+D5+A1", 2, "none_exists",
+     {"genus_empty": 21, "no_involution_cond3": 40, "no_kappa": 5}),
+    ("2*A6+D6", 2, "none_exists",
+     {"genus_empty": 13, "no_involution_cond3": 48, "no_kappa": 2}),
+    ("2*A7+A4", 2, "none_exists",
+     {"genus_empty": 1, "no_involution_cond3": 28, "no_kappa": 12}),
+    ("3*A6", 2, "none_exists",
+     {"genus_empty": 1, "no_involution_cond3": 112, "no_kappa": 5}),
+    ("A11+E6+A1", 2, "none_exists",
+     {"genus_empty": 10, "no_involution_cond3": 13, "no_kappa": 4}),
+    ("E7+E6+A5", 2, "none_exists",
+     {"genus_empty": 6, "no_involution_cond3": 27, "no_kappa": 2}),
+    ("A6+E6+A5+A1", 2, "none_exists",
+     {"genus_empty": 18, "no_involution_cond3": 29, "no_kappa": 7}),
+    ("A7+E7+A4", 2, "none_exists",
+     {"genus_empty": 4, "no_involution_cond3": 5, "no_kappa": 12}),
+    ("A7+E6+A5", 2, "none_exists",
+     {"genus_empty": 20, "no_involution_cond3": 37, "no_kappa": 8}),
+]
+
+
+def test_d8_strata_past_the_genus_step_keep_their_reason_counts():
+    assert len(D8_PAST_GENUS) == 19
+    assert sum(h2 == 4 for _, h2, _, _ in D8_PAST_GENUS) == 7
+    for spec, h2, verdict, counts in D8_PAST_GENUS:
+        rep = detect(h2, spec)
+        got = {}
+        for row in rep.trace:
+            got[row["reason"]] = got.get(row["reason"], 0) + 1
+        assert (rep.verdict, got) == (verdict, counts), (spec, h2)
+
+
+def _ade_sums(rank):
+    """Every ADE sum of the given rank, in sorted canonical spelling."""
+    comps = ([("A", n) for n in range(1, rank + 1)]
+             + [("D", n) for n in range(4, rank + 1)]
+             + [("E", n) for n in (6, 7, 8) if n <= rank])
+    out = []
+
+    def walk(i, left, acc):
+        if left == 0:
+            out.append(RootSpec(tuple(acc)).canonical_text())
+        elif i < len(comps):
+            for k in range(left // comps[i][1] + 1):
+                walk(i + 1, left - k * comps[i][1], acc + [comps[i]] * k)
+
+    walk(0, rank, [])
+    return sorted(out)
+
+
+def _length_settles(pf, a2, n):
+    """The length bound read off the built form disc (+) [1/a2]: some
+    prime p has l_p > 20 - rank_S + 2 [p | a2/n]."""
+    big = ambient_with_a_block(pf.form, a2)
+    return any(big.length_p(p) > 20 - pf.rank_S + 2 * ((a2 // n) % p == 0)
+               for p in big.primes())
+
+
+BOUND_STRATA = ([(GOLDEN_D7, 4), (GOLDEN_A7, 4), (GOLDEN_SEXTIC, 2),
+                 ("11*A1", 4)]
+                + [(s, 4) for s in ("A1", "2*A1", "A2", "A3", "D4", "A1+A2",
+                                    "2*A2", "A4", "A3+A1", "D5", "E6",
+                                    "3*A1")]
+                + [(s, h2) for h2 in (4, 2) for s in _ade_sums(18)[::50]])
+
+
+def test_length_bound_settles_only_genus_empty_pairs(monkeypatch):
+    # Every pair the bound settles is genus_empty kappa by kappa: one
+    # kappa per orbit decided by check_candidate, which builds K-perp/K.
+    # detect decides no kappa of a settled pair and writes its rows as
+    # genus_empty, in the order of its candidates; it decides some kappa
+    # of every other pair it reaches, all of them without a witness.
+    assert len(_ade_sums(18)) == 1599
+    built, decided = [], []
+    monkeypatch.setattr(detector, "polarized_disc",
+                        lambda *args: built.append(polarized_disc(*args))
+                        or built[-1])
+    monkeypatch.setattr(detector, "check_candidate",
+                        lambda pf, cand: decided.append((cand.a2, cand.n))
+                        or check_candidate(pf, cand))
+    settled_pairs = 0
+    for spec, h2 in BOUND_STRATA:
+        decided.clear()
+        rep = detect(h2, spec)
+        pf = built[-1]          # its candidate lists are cached on it
+        rows = {}
+        for row in rep.trace:
+            rows.setdefault((row["a2"], row["n"]), []).append(row)
+        open_pairs = set()
+        for a2 in enumerate_a_squares(pf):
+            for n in (2, 1):
+                cands = kernel_candidates(pf, a2, n)
+                if cands and not _length_settles(pf, a2, n):
+                    open_pairs.add((a2, n))
+                if not cands or (a2, n) in open_pairs:
+                    continue
+                settled_pairs += 1
+                assert (a2, n) not in decided, (spec, h2, a2, n)
+                orbits = {}
+                for cand in cands:
+                    orbits.setdefault(detector._orbit_key(pf, cand.kappa),
+                                      cand)
+                for cand in orbits.values():
+                    assert check_candidate(pf, cand)[0] == "genus_empty", (
+                        spec, h2, cand)
+                want = [{"a2": a2, "n": n, "kappa": list(c.kappa),
+                         "reason": "genus_empty"} for c in cands]
+                assert rows.get((a2, n), []) in ([], want), (spec, h2, a2, n)
+        assert set(decided) <= open_pairs, (spec, h2)
+        if rep.witness is None:
+            assert set(decided) == open_pairs, (spec, h2)
+    assert settled_pairs > 0

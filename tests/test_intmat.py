@@ -4,6 +4,7 @@ import ast
 import importlib
 import math
 import random
+from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -126,6 +127,47 @@ def test_hnf_solve_none_outside_lattice():
     h = im.hnf_columns([[2, 0], [0, 2]])
     assert im.hnf_solve(h, [1, 0]) is None
     assert im.hnf_solve(h, [2, -4]) == [1, -2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 30, 36, 64]))
+def test_hnf_congruence_is_the_hermite_form_of_the_congruence(s, m):
+    # {x : s . x = 0 mod m} is the lower part of the columns of
+    # [[s, m], [I, 0]] with zero upper part, as in orthogonal_complement.
+    s = [v % m for v in s]
+    r = len(s)
+    a = [s + [m]] + [[int(i == j) for j in range(r)] + [0]
+                     for i in range(r)]
+    want = [row[1:] for row in im.hnf_columns(a)[1:]]
+    assert im.hnf_congruence(s, m) == want
+
+
+def test_hnf_congruence_of_a_gluing_row_is_identity_and_one_row():
+    # s_{r-1} = 1, as b(alpha, theta) m = 1 on a gluing vector.
+    h = im.hnf_congruence([4, 0, 6, 1], 8)
+    assert h == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [4, 0, 2, 8]]
+    solve = im.hnf_solver(h)
+    assert solve([1, 2, 3, 2]) == [1, 2, 3, -1]
+    assert solve([1, 2, 3, 5]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+                min_size=3, max_size=3),
+       st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+def test_hnf_solver_matches_the_dense_solve(a, x):
+    if im.det(a) == 0:
+        return
+    # Forward substitution over Q: z is the integer solution, or None
+    # when the rational one is not integral.
+    h = im.hnf_columns(a)
+    want = []
+    for i, row in enumerate(h):
+        want.append(Fraction(x[i] - sum(v * w for v, w in zip(row, want)),
+                             row[i]))
+    integral = all(w.denominator == 1 for w in want)
+    assert im.hnf_solver(h)(x) == (want if integral else None)
 
 
 def _check_snf(a):

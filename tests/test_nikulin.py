@@ -213,7 +213,7 @@ def _glued_form(pf, cand):
     """K-perp/K for the candidate's kernel inside disc (+) [1/a2]."""
     big = ambient_with_a_block(pf.form, cand.a2)
     theta = theta_vector(pf.form, cand.kappa, cand.n)
-    return subquotient(big, big.subgroup([theta])).form
+    return subquotient(big, theta).form
 
 
 def test_genus_tilde_trivial_kernel_cases():

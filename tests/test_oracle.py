@@ -176,7 +176,7 @@ def test_verify_subquotient_presentation_on_candidates():
 
 def _trivial_quotient(form):
     """The engine's K-perp/K of form by the trivial kernel."""
-    return subquotient(form, form.subgroup([]))
+    return subquotient(form, form.zero())
 
 
 def test_presentation_rejects_swapped_cosets():
@@ -241,7 +241,7 @@ def test_presentation_rejects_wrong_invariant_factors():
     assert z8.order == form.order
     coords = {(0, 0): (0,), (1, 1): (1,), (0, 2): (2,), (1, 3): (3,)}
     plain = _trivial_quotient(form)
-    sq = isotropy.Subquotient(z8, [(1, 1)], plain.kperp, plain.kernel,
+    sq = isotropy.Subquotient(z8, [(1, 1)], plain.kperp, plain.theta,
                               lambda v: coords[tuple(v)])
     with pytest.raises(OracleMismatch):
         verify_subquotient_presentation(form, [], sq)
@@ -261,7 +261,7 @@ def test_presentation_rejects_a_q_wrong_only_past_a_carry():
               if claimed.eval_q(c) != plain.form.eval_q(c)]
     assert differ == [(1, 1), (1, 3)]
     sq = isotropy.Subquotient(claimed, plain.reps, plain.kperp,
-                              plain.kernel, plain.to_coords)
+                              plain.theta, plain.to_coords)
     with pytest.raises(OracleMismatch, match="q differs on a coset"):
         verify_subquotient_presentation(form, [], sq)
 
@@ -316,11 +316,13 @@ def test_detect_builds_one_quotient_per_candidate(monkeypatch, spec):
 
 def test_oracle_trace_check_builds_one_quotient_per_row(monkeypatch):
     # The golden sextic with the oracle on: one K-perp/K per decided orbit
-    # in the search, then one per re-derived trace row, verified as built.
+    # in the search (7 of its 8 orbits: the length bound settles the pair
+    # (a2, n) = (2, 2) and builds none), then one per re-derived trace row
+    # (3), verified as built.
     counts = _count_builds(monkeypatch)
     rep = detect(2, "A7+A6+A5", oracle=True)
     assert (rep.verdict, rep.oracle_checked) == ("none_exists", "partial")
-    assert counts["subquotient"] == 11
+    assert counts["subquotient"] == 10
 
 
 def test_brute_kernel_candidates_matches_engine_small():
@@ -439,7 +441,7 @@ def test_oracle_catches_wrong_integer_q_in_revalidation(monkeypatch):
     cand = KernelCandidate(2, 2, (0, 0))
     big = ambient_with_a_block(pf.form, cand.a2)
     theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
-    rep = subquotient(big, big.subgroup([theta])).reps[0]
+    rep = subquotient(big, theta).reps[0]
     _break_eval_qn(monkeypatch, big.orders, rep)
     sq = check_candidate(pf, cand)[2]
     with pytest.raises(OracleMismatch, match="q differs on a coset"):

@@ -142,7 +142,7 @@ def _derived_forms(form, kappa):
     its ambient reps, also with each rep shifted by kappa (any member of a
     coset may represent it), and the sum's q and b with those of its
     summands."""
-    sq = subquotient(form, form.subgroup([kappa]))
+    sq = subquotient(form, kappa)
     quot = sq.form
     rational = _Rational(form)
     bad = []
@@ -194,12 +194,25 @@ def test_orthogonal_complement_is_the_brute_annihilator():
     assert checked == len(corpus())
 
 
+def test_kperp_sweep_is_the_hermite_basis_of_the_complement():
+    # subquotient's K-perp, one congruence s . x = 0 mod m taken by one
+    # gcd sweep, against the Hermite form of fqf.orthogonal_complement,
+    # zero kernels included.
+    zero = 0
+    for item in corpus():
+        form = item.form
+        want = form.orthogonal_complement(form.subgroup([item.kappa]))
+        assert subquotient(form, item.kappa).kperp.lattice == want.lattice
+        zero += not any(item.kappa)
+    assert zero > 0
+
+
 def test_is_even_2part_matches_the_2_torsion_enumeration():
     # q integral on each (o_i/2)*e_i against q integral on every element
     # of order <= 2, for every corpus form and its kernel subquotient.
     seen = set()
     for item in corpus():
-        quot = subquotient(item.form, item.form.subgroup([item.kappa])).form
+        quot = subquotient(item.form, item.kappa).form
         for form in (item.form, quot):
             torsion = [x for x in form.iter_elements()
                        if not any(form.smul(2, x))]
@@ -241,7 +254,7 @@ def _form_with_kernel(draw):
 def test_subquotient_size_and_valuations(data):
     form, kappa = data
     kernel = form.subgroup([kappa])
-    sub = subquotient(form, kernel).form
+    sub = subquotient(form, kappa).form
     assert sub.order * kernel.order ** 2 == form.order
     for p in form.primes():
         df, ds = det_p(form, p), det_p(sub, p)
@@ -263,7 +276,7 @@ def test_subquotient_size_and_valuations(data):
 def test_equal_length_preserves_det_unit(data):
     form, kappa = data
     kernel = form.subgroup([kappa])
-    sub = subquotient(form, kernel).form
+    sub = subquotient(form, kappa).form
     for p in form.primes():
         if sub.length_p(p) != form.length_p(p):
             continue
@@ -276,6 +289,14 @@ def test_equal_length_preserves_det_unit(data):
                 assert ds.unit == df.unit
             else:
                 assert (ds.unit % 8 in (1, 5)) == (df.unit % 8 in (1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_with_kernel())
+def test_kperp_sweep_on_block_combinations(data):
+    form, kappa = data
+    want = form.orthogonal_complement(form.subgroup([kappa]))
+    assert subquotient(form, kappa).kperp.lattice == want.lattice
 
 
 @settings(max_examples=60, deadline=None)
