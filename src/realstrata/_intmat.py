@@ -229,11 +229,6 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     return d, u, v
 
 
-def snf_diagonal(a: Sequence[Sequence[int]]) -> List[int]:
-    d, _, _ = snf(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 def det(a: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss fraction-free
     elimination: every division is exact)."""

@@ -252,8 +252,11 @@ def cmd_batch(args) -> int:
     # line -> (verdict, None) or (None, error message), for this run only:
     # a repeated line is printed from here, not parsed, keyed or read again.
     outcomes: dict = {}
-    for raw in Path(args.file).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
+    # Lines end at "\n" only (read_text maps "\r\n" and "\r" to it), and
+    # ASCII whitespace only is stripped: splitlines() would also end a
+    # line at U+2028, and str.strip() would also take U+2003.
+    for raw in Path(args.file).read_text().split("\n"):
+        line = raw.split("#", 1)[0].strip(" \t\n\r\f\v")
         if not line:
             continue
         if line not in outcomes:

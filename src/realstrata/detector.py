@@ -288,7 +288,8 @@ def model_name(h2: int) -> str:
 
 
 def parse_model(text: str) -> int:
-    text = text.strip().lower()
+    # ASCII whitespace only: str.strip() would also take U+2003.
+    text = text.strip(" \t\n\r\f\v").lower()
     if text == "quartic":
         return 4
     if text in ("sextic", "sextic-planar"):

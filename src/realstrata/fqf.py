@@ -40,11 +40,6 @@ def canon_mod2(x: Fraction) -> Fraction:
     return x - 2 * math.floor(x / 2)
 
 
-def canon_mod1(x: Fraction) -> Fraction:
-    """Canonical representative of x mod Z in [0, 1)."""
-    return x - math.floor(x)
-
-
 def display_rep(x: Fraction) -> Fraction:
     """Representative of x mod 2Z in (-1, 1], the human-display convention."""
     y = canon_mod2(x)
@@ -455,17 +450,6 @@ class FiniteQuadraticForm:
                 gens.append(tuple(vec))
         return orders, gens
 
-    def primary_component(self, x: Sequence[int], p: int) -> Element:
-        """The p-primary component of x inside self."""
-        o = self.order_of(x)
-        a = _val(o, p)
-        m = o // p ** a
-        if a == 0:
-            return self.zero()
-        # e = 1 mod p^a, 0 mod m
-        e = (m * pow(m, -1, p ** a)) % o if m > 1 else 1
-        return self.smul(e, x)
-
     # ------------------------------------------------------------- subgroups
 
     def subgroup(self, gens: Sequence[Sequence[int]]) -> "Subgroup":
@@ -572,9 +556,6 @@ class Subgroup:
                  for j in range(r)]
         self.gens: List[Element] = [x for x in basis if any(x)]
         self.order = ambient.order // _intmat.det_lower_triangular(_lattice)
-
-    def contains(self, x: Sequence[int]) -> bool:
-        return _intmat.hnf_solve(self.lattice, list(x)) is not None
 
     def iter_elements(self) -> Iterator[Element]:
         """All subgroup elements (by combinations of the canonical basis)."""
@@ -713,88 +694,3 @@ def direct_sum_all(forms: Sequence[FiniteQuadraticForm]) -> FiniteQuadraticForm:
         orders += f.orders
         q += [v * s for v in f.Qn]
     return FiniteQuadraticForm(orders, q, b, scale=n)
-
-
-# ------------------------------------------------- homogeneous decomposition
-
-
-class HomogeneousBlock:
-    """A rank-1 or rank-2 orthogonal block of a 2-primary form.
-
-    gens are elements of the ambient form; level is k with exponent 2^k.
-    """
-    __slots__ = ("level", "gens")
-
-    def __init__(self, level: int, gens: List[Element]) -> None:
-        self.level = level
-        self.gens = gens
-
-
-_DECOMP_CUTOFF = 1 << 16
-
-
-def homogeneous_decomposition(form: FiniteQuadraticForm
-                              ) -> List[HomogeneousBlock]:
-    """Orthogonally split a 2-primary form into rank-<=2 blocks.
-
-    Deterministic: at each step picks the lexicographically least maximal-order
-    element x with b(x,x) of full order (cyclic split) or, failing that, the
-    lexicographically least pair (x, y) with b(x,y) of full order.  Blocks are
-    returned grouped by descending level.
-    """
-    for o in form.orders:
-        if o != 1 << _val(o, 2):
-            raise ValueError("form is not 2-primary")
-    if form.order > _DECOMP_CUTOFF:
-        raise ValueError("homogeneous_decomposition cutoff exceeded")
-
-    blocks: List[HomogeneousBlock] = []
-
-    def recurse(f: FiniteQuadraticForm, embed: List[Element]) -> None:
-        if f.rank == 0:
-            return
-        e = f.exponent()
-        lvl = _val(e, 2)
-        top = sorted(x for x in f.iter_elements() if f.order_of(x) == e)
-        # b(x, x) = q(x) mod 1, resp. b(x, y), has order e iff its value
-        # at scale N = e is a unit mod e.
-        cyclic = next((x for x in top
-                       if math.gcd(f.eval_qn(x), e) == 1), None)
-        if cyclic is not None:
-            picked = [cyclic]
-        else:
-            picked = None
-            for x in top:
-                y = next((y for y in top
-                          if math.gcd(f.eval_bn(x, y), e) == 1), None)
-                if y is not None:
-                    picked = [x, y]
-                    break
-            if picked is None:
-                raise AssertionError("no splittable block at top exponent")
-        lifted = [_lift(embed, form, x) for x in picked]
-        blocks.append(HomogeneousBlock(lvl, lifted))
-        comp = f.orthogonal_complement(f.subgroup(picked))
-        sub_form, sub_gens = f.subgroup_as_form(comp)
-        if sub_form.order * (e ** len(picked)) != f.order:
-            raise AssertionError("split block and complement orders differ "
-                                 "from the form's")
-        recurse(sub_form, [_lift(embed, form, g) for g in sub_gens])
-
-    recurse(form, [tuple(int(i == j) for j in range(form.rank))
-                   for i in range(form.rank)])
-    blocks.sort(key=lambda blk: (-blk.level, blk.gens))
-    total = math.prod(1 << (blk.level * len(blk.gens)) for blk in blocks)
-    if total != form.order:
-        raise AssertionError("homogeneous block orders differ from the "
-                             "form's")
-    return blocks
-
-
-def _lift(embed: List[Element], ambient: FiniteQuadraticForm,
-          x: Sequence[int]) -> Element:
-    vec = ambient.zero()
-    for c, g in zip(x, embed):
-        if c:
-            vec = ambient.add(vec, ambient.smul(c, g))
-    return vec

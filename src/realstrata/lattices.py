@@ -306,10 +306,6 @@ class DiscAutomorphism:
                                   for j in range(r)) for i in range(r))
         _check_isometry(form, self.matrix)
 
-    def apply(self, x: Sequence[int]) -> Element:
-        return tuple(sum(map(mul, row, x)) % o
-                     for row, o in zip(self.matrix, self.form.orders))
-
     def is_involution(self) -> bool:
         """M*M = I on the group."""
         return _is_involution(self.form.orders, self.matrix)

@@ -48,13 +48,6 @@ class SquareClass(NamedTuple):
             return self.unit == other.unit
         return (self.unit % 8 in (1, 5)) == (other.unit % 8 in (1, 5))
 
-    def negated(self) -> "SquareClass":
-        if self.prime == 2:
-            return SquareClass(2, self.valuation, (-self.unit) % 8, self.even)
-        sign = 1 if self.prime % 4 == 1 else -1
-        return SquareClass(self.prime, self.valuation, self.unit * sign,
-                           self.even)
-
     def scaled_by_unit(self, n: int) -> "SquareClass":
         """The class of n * (this class) for an integer n prime to p."""
         if n % self.prime == 0:

@@ -124,7 +124,8 @@ def det_relation_report() -> dict:
     """
     if "det_report" in _CACHE:
         return _CACHE["det_report"]
-    from realstrata.isotropy import is_isotropic, split_off_cyclic, subquotient
+    from realstrata.gluing import is_isotropic, split_off_cyclic
+    from realstrata.isotropy import subquotient
     from realstrata.nikulin import SquareClass, det_p
 
     counts = {"items": 0, "primes": 0, "length_equal": 0,
@@ -164,7 +165,7 @@ def det_relation_report() -> dict:
                 counts["length_drop_2"] += 1
                 if lf - ls != 2:
                     fail(idx, f"l_2 dropped by {lf - ls}, not 2")
-                if not ds.same_class(expected.negated()):
+                if not ds.same_class(expected.scaled_by_unit(-1)):
                     fail(idx, "det_2 not negated at dropped length")
         kappa2 = tuple(item.kappa[i] for i in item.two_indices)
         if any(kappa2) and sub.length_p(2) < form.length_p(2):

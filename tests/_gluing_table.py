@@ -3,9 +3,11 @@
 For synthesized instances of each 2-adic gluing shape this module checks
 that:
 
-  * ``classify_gluing_case`` returns the expected tag and order exponent m,
+  * ``realstrata.gluing.classify_gluing_case`` returns the expected tag and
+    order exponent m,
   * for both odd lifts of delta (the glued cyclic block's square numerator),
-    the subquotient K-perp/K of the glued form has the expected group shape,
+    the subquotient K-perp/K of the glued form, from the engine's
+    ``realstrata.isotropy.subquotient``, has the expected group shape,
   * the tabulated generators w_i lie in K-perp, have the expected orders in
     the quotient, are orthogonal to the passive summand, and together with
     it generate the whole quotient,
@@ -22,7 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from realstrata.fqf import (FiniteQuadraticForm, canon_mod2, cyclic_form,
                             factorint, trivial_form, u_block, v_block)
-from realstrata.isotropy import classify_gluing_case, subquotient
+from realstrata.gluing import classify_gluing_case
+from realstrata.isotropy import subquotient
 
 
 def pair_form(level: int, mu: int, nu: int) -> FiniteQuadraticForm:

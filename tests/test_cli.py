@@ -65,10 +65,12 @@ def test_malformed_tgram_is_usage_error(capsys):
 
 
 def test_unknown_model_exits_2(capsys, tmp_path):
-    code, out, err = run(capsys, "detect", "--model", "cubic", "--spec", "A1",
-                         "--cache-dir", str(tmp_path))
-    assert code == 2
-    assert err.startswith("error: unknown model")
+    # An em space is no whitespace around a model name.
+    for model in ("cubic", "\u2003quartic"):
+        code, out, err = run(capsys, "detect", "--model", model, "--spec",
+                             "A1", "--cache-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: unknown model")
 
 
 @pytest.mark.parametrize("model", ["h2=3", "h2=4_0", "h2=\u0664", "h2=abc",
@@ -572,6 +574,23 @@ def test_batch_mixed_file(capsys, tmp_path):
     assert "A1+A2: witness_found" in lines
     assert lines[-1] == "batch: 3 strata  witness_found=3  errors=1"
     assert err.startswith("Q9: error:")
+
+
+@pytest.mark.parametrize("line", ["\u2003A1\u2003", "A1\u2028A2",
+                                  "A1\u2029A2", "A1\x85A2"])
+def test_batch_lines_end_at_newline_and_strip_ascii_whitespace(
+        capsys, tmp_path, line):
+    # Like --spec: an em space around a stratum is no whitespace, and a
+    # Unicode line or paragraph separator or NEL ends no line, so each
+    # such line is one stratum that does not parse.
+    listing = tmp_path / "strata.txt"
+    listing.write_text(line + "\n")
+    code, out, err = run(capsys, "batch", str(listing),
+                         "--cache-dir", str(tmp_path / "cache"))
+    assert code == 1
+    assert out == "batch: 0 strata    errors=1\n"
+    assert err.startswith(f"{line}: error: cannot parse root-spec term ")
+    assert err.count("\n") == 1
 
 
 def test_batch_clean_file_exits_0(capsys, tmp_path):

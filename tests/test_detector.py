@@ -181,6 +181,10 @@ def test_parse_model_errors():
         parse_model("h2=5")
     with pytest.raises(ValueError):
         parse_model("h2=0")
+    # ASCII whitespace is stripped, an em space is not.
+    assert parse_model(" quartic ") == 4
+    with pytest.raises(ValueError, match="unknown model"):
+        parse_model("\u2003quartic")
 
 
 # ------------------------------------------------------------------- detect

@@ -209,7 +209,8 @@ def test_snf_examples():
     assert _check_snf([[2, 0], [0, 3]]) == [1, 6]
     assert _check_snf([[2, 4], [6, 8]]) == [2, 4]
     assert _check_snf([[0, 0], [0, 0]]) == [0, 0]
-    assert im.snf_diagonal([[4]]) == [4]
+    d, _, _ = im.snf([[4]])
+    assert [d[0][0]] == [4]
 
 
 def test_snf_random_battery():

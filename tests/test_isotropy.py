@@ -1,13 +1,15 @@
-"""Isotropic kernels, subquotients K-perp/K, gluing-vector splitting, and
-the structural case classification."""
+"""Isotropic kernels and subquotients K-perp/K (realstrata.isotropy), and
+gluing-vector splitting and the structural case classification
+(realstrata.gluing)."""
 from fractions import Fraction
 
 import pytest
 
 from realstrata.detector import kernel_candidates
 from realstrata.fqf import cyclic_form, trivial_form, u_block
-from realstrata.isotropy import (classify_gluing_case, is_isotropic,
-                                 split_off_cyclic, subquotient)
+from realstrata.gluing import (classify_gluing_case, is_isotropic,
+                               split_off_cyclic)
+from realstrata.isotropy import subquotient
 from realstrata.lattices import RootSpec, polarized_disc
 from realstrata.nikulin import ambient_with_a_block, theta_vector
 

@@ -45,10 +45,10 @@ def test_square_class_comparison_and_coarsening():
 
 
 def test_square_class_negation():
-    assert SquareClass(2, 0, 1).negated().unit == 7
+    assert SquareClass(2, 0, 1).scaled_by_unit(-1).unit == 7
     # -1 is a square mod p iff p = 1 mod 4
-    assert SquareClass(5, 0, 1).negated().unit == 1
-    assert SquareClass(3, 0, 1).negated().unit == -1
+    assert SquareClass(5, 0, 1).scaled_by_unit(-1).unit == 1
+    assert SquareClass(3, 0, 1).scaled_by_unit(-1).unit == -1
 
 
 def test_unit_square_class_rejects_non_units():

@@ -65,6 +65,101 @@ def test_every_module_level_name_is_read_somewhere():
     assert unread == []
 
 
+def _engine_closure(*entries):
+    """The package modules that entries import, directly or through the
+    modules they import (`from .x import ...` and `from . import x`,
+    anywhere in a module, the lazy imports inside functions too), as
+    name -> syntax tree; `from . import __version__` imports __init__."""
+    trees, todo = {}, list(entries)
+    while todo:
+        name = todo.pop()
+        if name in trees:
+            continue
+        trees[name] = tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    todo.append(node.module)
+                else:
+                    todo += [alias.name if (PACKAGE / f"{alias.name}.py")
+                             .exists() else "__init__" for alias in node.names]
+    return trees
+
+
+def _tracer_fqf_methods():
+    """perfbench/tracer.py's FQF_METHODS, read from its syntax tree (the
+    tracer patches these fqf methods by name)."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    value = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and any(
+                     getattr(t, "id", None) == "FQF_METHODS"
+                     for t in node.targets))
+    return {f"{cls}.{method}"
+            for cls, methods in ast.literal_eval(value).items()
+            for method in methods}
+
+
+def test_every_function_on_the_cli_path_is_reachable():
+    # Every function, class and method of a module that the CLI or the
+    # oracle imports is reached from what runs: cli.main, each command
+    # build_parser binds with set_defaults(func=...), every public oracle
+    # function, each name a demo imports or calls (the documented library
+    # surface: u_block, v_block, eval_q, ...), the fqf methods the
+    # benchmark's tracer patches by name, and every module-level statement
+    # that is not a def or an import.
+    # A name read reaches every definition of that bare name (an
+    # over-approximation); a reached class reaches its dunders and
+    # class-level statements, and a reached method reaches its class,
+    # since it runs on an instance.  What only the tests call fails here.
+    trees = _engine_closure("cli", "oracle")
+    defs = {}       # qualified name -> (bare name, class or None)
+    reads = {}      # qualified name -> the qualified names it reaches
+    roots = {"main"} | _tracer_fqf_methods()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs[node.name] = (node.name, None)
+                methods = [sub for sub in node.body
+                           if isinstance(sub, ast.FunctionDef)]
+                for sub in methods:
+                    qual = f"{node.name}.{sub.name}"
+                    defs[qual] = (sub.name, node.name)
+                    reads[qual] = _read(sub) | {node.name}
+                reads[node.name] = set().union(
+                    *map(_read, node.decorator_list + node.bases),
+                    *(_read(sub) for sub in node.body if sub not in methods),
+                    (f"{node.name}.{sub.name}" for sub in methods
+                     if sub.name.startswith("__")
+                     and sub.name.endswith("__")))
+            elif isinstance(node, ast.FunctionDef):
+                defs[node.name] = (node.name, None)
+                reads[node.name] = _read(node)
+                if module == "oracle" and not node.name.startswith("_"):
+                    roots.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _read(node)
+    parser = next(node for node in trees["cli"].body
+                  if getattr(node, "name", None) == "build_parser")
+    roots |= {kw.value.id for call in _calls(parser, "set_defaults")
+              for kw in call.keywords if kw.arg == "func"}
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        roots |= _read(ast.parse(path.read_text()))
+    # A bare name stands for every definition of it; a qualified name (a
+    # class-to-method edge, a tracer root) for itself.
+    named = {}
+    for qual, (bare, _) in defs.items():
+        named.setdefault(bare, set()).add(qual)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        for qual in named.get(name, {name} & defs.keys()) - reached:
+            reached.add(qual)
+            todo += reads[qual]
+    unreached = sorted(qual for qual, (_, owner) in defs.items()
+                       if qual not in reached and owner in reached | {None})
+    assert unreached == []
+
+
 def test_every_module_level_import_is_read_in_its_module():
     # An import that nothing in its own module reads (as a loaded name, or
     # as a string in __all__) is dead and costs import time.
@@ -121,12 +216,14 @@ def _stdout_of(script):
     return proc.stdout.strip()
 
 
-def test_import_loads_no_dataclasses_inspect_or_datetime():
+def test_import_loads_no_dataclasses_inspect_datetime_or_gluing():
     # Each CLI call pays for the import: these modules (and what they pull
-    # in: dis, tokenize, ast) cost about a quarter of it.
+    # in: dis, tokenize, ast) cost about a quarter of it.  The gluing-case
+    # classification runs in no engine path, so no engine module loads it.
     script = ("import sys; import realstrata, realstrata.cli, "
               "realstrata.oracle; print(sorted(m for m in ('dataclasses', "
-              "'inspect', 'datetime') if m in sys.modules))")
+              "'inspect', 'datetime', 'realstrata.gluing') "
+              "if m in sys.modules))")
     assert _stdout_of(script) == "[]"
 
 
@@ -196,9 +293,11 @@ def _calls(node, name):
 
 def test_only_fqf_and_the_oracle_walk_every_element_of_a_form():
     # A search by order and q reads FiniteQuadraticForm.elements_of_order;
-    # walks of every element stay in fqf and in the oracle, which shares
-    # no fast-path code.  form.subgroup(...).iter_elements() lists a
-    # subgroup, not the form, and is not counted.
+    # walks of every element stay in fqf, in the oracle, which shares no
+    # fast-path code, and in gluing's homogeneous decomposition (of a
+    # 2-primary form of order at most 2^16), which no engine module
+    # imports.  form.subgroup(...).iter_elements() lists a subgroup, not
+    # the form, and is not counted.
     def of_a_form(call):
         owner = call.func.value
         return not (isinstance(owner, ast.Call)
@@ -207,7 +306,7 @@ def test_only_fqf_and_the_oracle_walk_every_element_of_a_form():
     walkers = {path.name for path in PACKAGE.glob("*.py")
                if any(of_a_form(call) for call in _calls(
                    ast.parse(path.read_text()), "iter_elements"))}
-    assert walkers <= {"fqf.py", "oracle.py"}
+    assert walkers <= {"fqf.py", "gluing.py", "oracle.py"}
 
 
 def test_the_detector_reads_the_symmetry_table_to_search_and_key_only():
