@@ -52,8 +52,8 @@ def main() -> None:
             print(f"  a^2 = {a2}, n = {n}: {len(cands)} kernel candidate(s);"
                   f" first kappa = {list(cand.kappa)}")
             outcome, phi, sq = check_candidate(pf, cand)
-            print(f"    stages 3-4: {outcome}   (K-perp/K has invariant"
-                  f" factors {list(sq.form.orders)})")
+            print(f"    stages 3-4: {outcome}   (K-perp/K has prime-power"
+                  f" pieces {list(sq.form.orders)})")
             if phi is not None:
                 print(f"    phi matrix rows: {[list(r) for r in phi.matrix]}")
     print()

@@ -8,8 +8,8 @@ are one Hermite form of the system stacked on an identity (Cohen 1993,
 section 2.4), as K-perp is in fqf.orthogonal_complement; the Hermite form
 of one congruence s . x = 0 mod m, the K-perp of a cyclic kernel, is one
 gcd sweep instead.  Triangular solves read only the nonzero entries of
-the basis.  Smith forms are taken only where a Smith presentation is
-read; determinants come from Bareiss elimination.
+the basis.  Smith forms over Z serve disc_of_gram and smith_presentation
+only, K-perp/K takes sweeps mod p^k; determinants are Bareiss eliminations.
 """
 
 from __future__ import annotations
@@ -227,6 +227,41 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[t][t] < 0:
             d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
     return d, u, v
+
+
+def smith_mod_prime_power(a: Sequence[Sequence[int]], p: int, k: int
+                          ) -> Tuple[List[int], IntMatrix, IntMatrix]:
+    """The Smith form modulo p^k of an l x c matrix a whose column span
+    contains p^k Z^l: (d, u, w), w[t] column t of u^-1 mod p^k, such that
+    z -> ((u z)_t mod d[t])_t maps Z^l / (column span) onto the sum of the
+    Z/d[t].  Each pivot has least p-valuation among the entries left, so
+    one row operation per row clears its column; the column operations
+    would clear only its own row, so they are not made."""
+    q = p ** k
+    m = [[x % q for x in row] for row in a]
+    rows = len(m)
+    u, w = identity(rows), identity(rows)
+    free = list(range(len(m[0]) if rows else 0))
+    d: List[int] = []
+    for t in range(rows):
+        g, i, j = min(((math.gcd(m[i][j], q), i, j)
+                       for i in range(t, rows) for j in free),
+                      default=(q, t, 0))
+        if g == q:
+            d += [q] * (rows - t)
+            break
+        m[t], m[i], u[t], u[i], w[t], w[i] = m[i], m[t], u[i], u[t], w[i], w[t]
+        free.remove(j)
+        inv = pow(m[t][j] // g, -1, q)
+        for i in range(t + 1, rows):
+            f = m[i][j] // g * inv % q
+            if f:
+                # row i -= f row t, so column t of u^-1 += f column i
+                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[t])]
+                u[i] = [(x - f * y) % q for x, y in zip(u[i], u[t])]
+                w[t] = [(x + f * y) % q for x, y in zip(w[t], w[i])]
+        d.append(g)
+    return d, u, w
 
 
 def det(a: Sequence[Sequence[int]]) -> int:

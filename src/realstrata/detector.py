@@ -115,8 +115,9 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     if big is None:
         big = pf._cache[("ambient", cand.a2)] = ambient_with_a_block(
             form, cand.a2)
-    sq = subquotient(big, theta_vector(form, cand.kappa, cand.n))
-    if not embeds_into_big_L(2, pf.rank_S, sq.form, _factors_of_2n(pf))[0]:
+    primes = _factors_of_2n(pf)
+    sq = subquotient(big, theta_vector(form, cand.kappa, cand.n), primes)
+    if not embeds_into_big_L(2, pf.rank_S, sq.form, primes)[0]:
         return "genus_empty", None, sq
     # phi (+) -1 preserves K only if phi(kappa) = -kappa.
     # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in

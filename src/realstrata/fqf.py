@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from . import _intmat
 
@@ -326,11 +326,14 @@ class FiniteQuadraticForm:
                         ) -> "FiniteQuadraticForm":
         """The form read on independent elements gens of the given orders
         (generators of a subgroup, or coset reps of a subquotient)."""
-        q = [self.eval_qn(g) for g in gens]
-        rows = [self._pairing_row(g) for g in gens]
-        b = {(s, t): sum(map(mul, gens[s], rows[t]))
-             for s in range(len(gens)) for t in range(s + 1, len(gens))}
-        return FiniteQuadraticForm(orders, q, b, scale=self.N)
+        nz = [[(i, v) for i, v in enumerate(g) if v] for g in gens]
+        bn = self.Bn
+        b = {(s, t): v for s in range(len(gens))
+             for t in range(s + 1, len(gens))
+             if (v := sum(a * c * bn[i][j] for i, a in nz[s]
+                          for j, c in nz[t]))}
+        return FiniteQuadraticForm(orders, [self.eval_qn(g) for g in gens],
+                                   b, scale=self.N)
 
     def iter_elements(self) -> Iterator[Element]:
         """All group elements in lexicographic coordinate order."""
@@ -409,7 +412,7 @@ class FiniteQuadraticForm:
     def primes(self, among: Iterable[int] = ()) -> List[int]:
         """The primes dividing the group order, ascending, read off
         `among`, when given, a set of primes that holds them all."""
-        ps = among or {p for o in self.orders for p in factorint(o)}
+        ps = among or factorint(self.N)
         return sorted(p for p in ps if any(o % p == 0 for o in self.orders))
 
     def is_even_2part(self) -> bool:
@@ -450,6 +453,17 @@ class FiniteQuadraticForm:
                 gens.append(tuple(vec))
         return orders, gens
 
+    def _p_coordinates(self, p: int) -> tuple:
+        """_p_generators with the index i of each piece and the inverse of
+        o_i/p^a_i mod p^a_i, (idx, orders, inv, gens), cached per prime."""
+        cache = self.__dict__.setdefault("_by_prime", {})
+        if p not in cache:
+            orders, gens = self._p_generators(p)
+            idx = [i for i, o in enumerate(self.orders) if o % p == 0]
+            cache[p] = idx, orders, [pow(g[i], -1, pa) for i, pa, g
+                                     in zip(idx, orders, gens)], gens
+        return cache[p]
+
     # ------------------------------------------------------------- subgroups
 
     def subgroup(self, gens: Sequence[Sequence[int]]) -> "Subgroup":
@@ -473,12 +487,11 @@ class FiniteQuadraticForm:
         h = _intmat.hnf_columns(a)
         return Subgroup(self, (), _lattice=[row[k:] for row in h[k:]])
 
-    def smith_presentation(self, sub: "Subgroup") -> "QuotientPresentation":
-        """Smith presentation of the subgroup itself (quotient by nothing)."""
-        r = self.rank
-        inner = [[o * (i == j) for i in range(r)]
-                 for j, o in enumerate(self.orders)]
-        return _smith_generators(self, sub.lattice, inner)
+    def smith_presentation(self, sub: "Subgroup"
+                           ) -> Tuple[List[int], List[Element]]:
+        """Smith presentation of the subgroup itself (quotient by nothing):
+        its invariant factors > 1 and their generators."""
+        return _smith_generators(self, sub.lattice)
 
     def subgroup_as_form(self, sub: "Subgroup") -> Tuple["FiniteQuadraticForm", List[Element]]:
         """Restrict the form to a (nondegenerate) subgroup.
@@ -486,8 +499,8 @@ class FiniteQuadraticForm:
         Returns (form, gens) with gens the independent generators inside self.
         Raises ValueError when the restriction is degenerate.
         """
-        pres = self.smith_presentation(sub)
-        return self.restricted_form(pres.orders, pres.reps), list(pres.reps)
+        orders, gens = self.smith_presentation(sub)
+        return self.restricted_form(orders, gens), gens
 
     # -------------------------------------------------------------- encoding
 
@@ -590,62 +603,29 @@ class Subgroup:
 # -------------------------------------------------- relative Smith machinery
 
 
-class QuotientPresentation:
-    """Smith presentation of outer/inner for coordinate lattices
-    inner <= outer inside Z^r (both containing nothing in particular;
-    the quotient must be finite).
-
-    orders: invariant factors > 1 (ascending divisibility);
-    reps: ambient coordinate representatives of the generators;
-    to_coords: maps an ambient vector lying in the outer lattice to its
-    quotient coordinates.
-    """
-    __slots__ = ("orders", "reps", "to_coords")
-
-    def __init__(self, orders: List[int], reps: List[Element],
-                 to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
-                 ) -> None:
-        self.orders = orders
-        self.reps = reps
-        self.to_coords = to_coords
-
-
 def _smith_generators(ambient: FiniteQuadraticForm,
-                      outer_lattice: List[List[int]],
-                      inner_cols: List[List[int]]) -> QuotientPresentation:
-    """Smith presentation of (outer lattice)/(inner lattice) in Z^r, where
-    inner_cols generate the inner lattice (the ambient orders lattice must be
-    contained in it for the quotient to be a bona fide subquotient group).
-    Representatives are reduced into ambient coordinates."""
+                      outer_lattice: List[List[int]]
+                      ) -> Tuple[List[int], List[Element]]:
+    """Smith presentation of (outer lattice)/(orders lattice) in Z^r, the
+    outer lattice containing the orders lattice: the invariant factors > 1
+    (ascending divisibility) and ambient representatives of their
+    generators."""
     r = ambient.rank
+    inner = [[o * (i == j) for i in range(r)]
+             for j, o in enumerate(ambient.orders)]
     solve = _intmat.hnf_solver(outer_lattice)
-    rel = []
-    for col in inner_cols:
-        z = solve(col)
-        if z is None:
-            raise ValueError("inner lattice not contained in outer lattice")
-        rel.append(z)
-    relmat = _intmat.transpose(rel)
-    d, u, v = _intmat.snf(relmat)
+    rel = [solve(col) for col in inner]
+    if None in rel:
+        raise ValueError("inner lattice not contained in outer lattice")
+    d, _u, v = _intmat.snf(_intmat.transpose(rel))
     dd = [d[i][i] for i in range(r)]
-    if any(x == 0 for x in dd):
-        raise ValueError("quotient is not finite")
-    kept = [i for i in range(r) if dd[i] > 1]
     # The generators are the columns of b u^-1 = inner v d^-1 (from
     # u rel v = d with b rel = inner): column j of inner v, divided by d_j.
-    c = _intmat.matmul(_intmat.transpose(inner_cols), v)
-    reps = [ambient.reduce([c[i][j] // dd[j] for i in range(r)])
-            for j in kept]
-    rows = [(u[i], dd[i]) for i in kept]
-
-    def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
-        # c = b u^-1, so c^-1 x = u b^-1 x, read on the kept rows of u.
-        z = solve(x)
-        if z is None:
-            raise ValueError("vector is not in the outer lattice")
-        return tuple(sum(map(mul, row, z)) % o for row, o in rows)
-
-    return QuotientPresentation([dd[i] for i in kept], reps, to_coords)
+    c = _intmat.matmul(_intmat.transpose(inner), v)
+    kept = [j for j in range(r) if dd[j] > 1]
+    return ([dd[j] for j in kept],
+            [ambient.reduce([c[i][j] // dd[j] for i in range(r)])
+             for j in kept])
 
 
 # ------------------------------------------------------------- constructors

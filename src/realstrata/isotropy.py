@@ -1,11 +1,10 @@
 """The subquotient K-perp/K of a finite quadratic form by a cyclic
-isotropic kernel K.
+isotropic kernel K, with the induced quadratic form.
 
-The subquotient of a finite quadratic form F by an isotropic subgroup K is
-K-perp/K with the induced quadratic form.  All constructions here are exact
-and element-enumeration free on the main path (integer HNF/SNF lattice
-arithmetic): each quotient generator is represented by the Smith
-representative the presentation of K-perp/K yields, one per coset.
+All constructions here are exact and element-enumeration free (integer
+Hermite forms and Smith sweeps modulo prime powers), one prime at a time:
+K-perp/K is presented by prime-power pieces, as lattices.disc_root
+presents root discriminants, each represented by one element of K-perp.
 The 2-adic gluing-case classification is in `gluing`, which no engine
 module imports.
 """
@@ -13,18 +12,19 @@ module imports.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from operator import mul
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from . import _intmat
-from .fqf import Element, FiniteQuadraticForm, Subgroup, _smith_generators
+from .fqf import Element, FiniteQuadraticForm, Subgroup, _val
 
 
 class Subquotient:
     """K-perp/K for a cyclic kernel K = <theta>, presented with
-    invariant-factor generators.
+    prime-power generators.
 
     form:      the induced finite quadratic form on K-perp/K;
-    reps:      ambient Smith representatives, one per generator's K-coset;
+    reps:      ambient representatives, one per generator's K-coset;
     kperp:     the subgroup K-perp of the ambient form;
     theta:     the reduced generator of K;
     to_coords: ambient element of K-perp -> quotient coordinates.
@@ -42,22 +42,27 @@ class Subquotient:
         self.to_coords = to_coords
 
 
-def subquotient(form: FiniteQuadraticForm, theta: Sequence[int]
-                ) -> Subquotient:
-    """Compute K-perp/K for the cyclic kernel K = <theta>.
+def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
+                among: Iterable[int] = ()) -> Subquotient:
+    """Compute K-perp/K for the cyclic kernel K = <theta>; `among`, when
+    given, holds every prime of the form's order.
 
-    Raises ValueError when q(theta) != 0, that is, when K is not isotropic
-    (q(k theta) = k^2 q(theta)).  With m the order of theta, b(e_i, theta)
-    lies in (1/m)Z/Z, so K-perp is the one congruence s . x = 0 mod m with
-    s_i = m b(e_i, theta), read off Bn; _intmat.hnf_congruence gives its
-    Hermite basis by one gcd sweep, [[I, 0], [t, m]] for a gluing vector.
-    K/(orders lattice) is spanned by theta and the orders o_i e_i, which
-    are the relations, solved on that basis, of one Smith form.  Its
-    generators are an invariant-factor chain, each represented by its
-    Smith representative.  The reps lie in K-perp and K is isotropic, so
-    q(rep + k) = q(rep) and b(rep + k, .) = b(rep, .): the quotient form
-    does not depend on which member of a coset represents it.
-    """
+    Raises ValueError on a theta not of the form's rank, or with q(theta)
+    != 0 (K not isotropic).  With m the order of theta, K-perp is the
+    congruence s . x = 0 mod m, s_i = m b(e_i, theta), Hermite basis by
+    _intmat.hnf_congruence.  K-perp/K is the sum of the (K_p)-perp/K_p in
+    the p-parts of F, with coordinates the pieces g_j = c_j e_j of order
+    p^a_j, c_j = o_j / p^a_j.  A piece off the support of K_p = <(m/p^mu)
+    theta> and orthogonal to it splits off, as all do when p does not
+    divide m.  On the rest, (K_p)-perp is s' . y = 0 mod p^mu, s'_j =
+    c_j s_j / (m/p^mu); the relations (m/p^mu) theta and p^a_j e_j, solved
+    on its Hermite basis H ([[I, 0], [t, p^mu]] for a gluing vector), are
+    swept mod p^k, and the pivots > 1 are the pieces, represented by H
+    times the columns of u^-1.  K is isotropic, so any member of a coset
+    represents it."""
+    if len(theta) != form.rank:
+        raise ValueError(f"theta has {len(theta)} coordinates, the form "
+                         f"has rank {form.rank}")
     theta = form.reduce(theta)
     if form.eval_qn(theta):
         raise ValueError("kernel is not isotropic")
@@ -65,10 +70,49 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int]
     step = form.N // m
     s = [v // step for v in form._pairing_row(theta)]
     kperp = Subgroup(form, (), _lattice=_intmat.hnf_congruence(s, m))
-    inner = [list(theta)] + [[o * (i == j) for i in range(r)]
-                             for j, o in enumerate(form.orders)]
-    pres = _smith_generators(form, kperp.lattice, inner)
-    if math.prod(pres.orders) != form.order // (m * m):
+    orders: List[int] = []
+    reps: List[Element] = []
+    parts = []      # per prime, what to_coords reads
+    for p in form.primes(among):
+        idx, pa, inv, pieces = form._p_coordinates(p)
+        pm = math.gcd(m, max(pa))
+        sp = [g[j] * s[j] // (m // pm) % pm for j, g in zip(idx, pieces)]
+        tp = [m // pm * theta[j] * i % q for j, i, q in zip(idx, inv, pa)]
+        live = [t for t in range(len(idx)) if sp[t] or tp[t]]
+        free = [t for t in range(len(idx)) if t not in live]
+        orders += [pa[t] for t in free]
+        reps += [pieces[t] for t in free]
+        solve, rows = None, []
+        if math.prod(pa[t] for t in live) > pm * pm:    # else order 1
+            h = _intmat.hnf_congruence([sp[t] for t in live], pm)
+            solve = _intmat.hnf_solver(h)
+            rel = [[tp[t] for t in live]] + [
+                [pa[t] * (t == i) for i in live] for t in live]
+            d, u, w = _intmat.smith_mod_prime_power(
+                _intmat.transpose([solve(y) for y in rel]), p,
+                _val(max(pa), p))
+            for c, dc in enumerate(d):
+                if dc > 1:
+                    x = [0] * r
+                    for t, v in zip(live, _intmat.matvec(h, w[c])):
+                        x[idx[t]] = pieces[t][idx[t]] * v
+                    orders.append(dc)
+                    reps.append(form.reduce(x))
+                    rows.append((u[c], dc))
+        parts.append((idx, inv, pa, sp, pm, free, live, solve, rows))
+    if math.prod(orders) != form.order // (m * m):
         raise AssertionError("subquotient size mismatch")
-    quot = form.restricted_form(pres.orders, pres.reps)
-    return Subquotient(quot, pres.reps, kperp, theta, pres.to_coords)
+    quot = form.restricted_form(orders, reps)
+
+    def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
+        out: List[int] = []
+        for idx, inv, pa, sp, pm, free, live, solve, rows in parts:
+            y = [x[j] * i % q for j, i, q in zip(idx, inv, pa)]
+            if sum(map(mul, sp, y)) % pm:
+                raise ValueError("vector is not in the outer lattice")
+            z = solve([y[t] for t in live]) if rows else ()
+            out += [y[t] for t in free] + [
+                sum(map(mul, row, z)) % dc for row, dc in rows]
+        return tuple(out)
+
+    return Subquotient(quot, reps, kperp, theta, to_coords)

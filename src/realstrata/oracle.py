@@ -21,8 +21,9 @@ read, is handed in and proved by one walk over the sum of its cyclic
 factors: the generator reps send each coordinate vector to a distinct
 brute-force coset, on which the engine's coordinate map gives the vector
 back and the engine's quotient q agrees with the brute one.  That proves
-an isometry, so the invariant factors agree too.  The oracle never calls
-the engine's subquotient construction, and takes K from its own generators.
+an isometry, so the presentation's orders d_j (prime powers) are those of
+cyclic factors of K-perp/K.  The oracle never calls the engine's
+subquotient construction, and takes K from its own generators.
 A witness phi is re-checked from its matrix with the oracle's q and b.
 A failed check raises OracleMismatch explicitly, so the checks also run
 under ``python -O``.
@@ -326,9 +327,10 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     kernel_gens generate in form, against the brute coset construction, and
     return the BruteQuotient.  Raises OracleMismatch on any disagreement.
 
-    Let d_j be the engine's invariant factors, g_j its generator reps and
-    f its coordinate map.  The checks: the same group order; each g_j lies
-    in K-perp with f(g_j) = e_j; each d_j*g_j lies in K.  The last makes
+    Let d_j be the presentation's orders (prime powers), g_j its
+    generator reps and f its coordinate map.  The checks: the same group
+    order; each g_j lies in K-perp with f(g_j) = e_j; each d_j*g_j lies
+    in K.  The last makes
     psi(c) = [sum_j c_j g_j] a well-defined homomorphism from the sum of
     the Z/d_j to K-perp/K.  Then one walk over every c in lexicographic
     order, carrying sum_j c_j g_j with one addition per step, requires
@@ -336,8 +338,8 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     engine's quotient q at c is the brute q of psi(c).  psi is one to one
     between groups of the same order, so it is bijective, and f on coset
     reps is its inverse: an isomorphism that sends each generator to its
-    unit and keeps q.  So the invariant factors d_j are those of K-perp/K,
-    and b agrees by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
+    unit and keeps q.  So the cyclic factors Z/d_j present K-perp/K, and
+    b agrees by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
     The cost is |K-perp/K| + rank calls of f and two walks in step: a
     _walk of the quotient form lists the c with its q at c, and a _span of
     the reps carries sum_j c_j g_j with one addition per step.  No q is

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import realstrata
-from realstrata import detector, fqf, lattices
+from realstrata import _intmat, detector, fqf, lattices
 from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
@@ -293,6 +294,38 @@ def test_detect_factors_a_large_h2_once(monkeypatch):
     rep = detect(2 * p * q, "A2")
     assert rep.verdict == "witness_found"
     assert large == [2 * math.lcm(3, 2 * p * q)]     # 2N, A2's disc Z/3
+
+
+def test_detect_takes_smith_forms_for_root_discriminants_only(monkeypatch):
+    # K-perp/K is built prime by prime, with no Smith form over Z: the
+    # only ones left are disc_of_gram's, once per distinct component.
+    callers = []
+    real = _intmat.snf
+
+    def counting(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(a)
+
+    monkeypatch.setattr(_intmat, "snf", counting)
+    detect(4, "D7+A6+A3+A2")
+    assert callers == ["disc_of_gram"] * 4
+
+
+def test_detect_factors_once_above_trial_division(monkeypatch):
+    # The K-perp/K pieces read their primes off the cached factorization
+    # of 2N, so one detect factors one number above 2^10, 2N itself.
+    h2 = 2 * 8191 * (2 ** 31 - 1)
+    real, large = fqf.factorint, []
+
+    def counting(n):
+        if n > 1 << 10:
+            large.append(n)
+        return real(n)
+
+    monkeypatch.setattr(fqf, "factorint", counting)
+    monkeypatch.setattr(detector, "factorint", counting)
+    detect(h2, "A2")
+    assert large == [2 * math.lcm(3, h2)]
 
 
 def test_check_candidate_statuses():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realstrata import _intmat as im
+from realstrata.fqf import _val
 
 
 def test_identity_matmul_matvec():
@@ -229,6 +230,59 @@ def test_snf_random_battery():
                 prod *= x
             assert abs(det) == prod
             assert det == _leibniz_det(a)
+
+
+def _check_smith_mod_prime_power(a, p, k):
+    d, u, w = im.smith_mod_prime_power(a, p, k)
+    q, rows = p ** k, len(a)
+    # the pivots are the p-parts of the invariant factors over Z
+    snf_d, _, _ = im.snf(a)
+    want = [p ** min(k, _val(snf_d[i][i], p)) for i in range(rows)]
+    assert sorted(d) == sorted(want)
+    # the w[t] are the columns of u^-1 mod p^k
+    assert [[x % q for x in row] for row in im.matmul(u, im.transpose(w))] \
+        == im.identity(rows)
+    # each kept row of u sends every column to 0 mod its piece's order
+    for row, dt in zip(u, d):
+        if dt > 1:
+            assert all(sum(x * y for x, y in zip(row, col)) % dt == 0
+                       for col in zip(*a))
+    return d
+
+
+def test_smith_mod_prime_power_needs_a_non_unit_pivot():
+    # (Z/2 + Z/8) / <(1, 2)> is Z/4: after the unit pivot 1 clears (1, 2),
+    # the column of 8 and the fill-in 2 * -2 = -4 leave the pivot 4.
+    # Reading off the largest coordinate alone would give Z/2 + Z/2.
+    assert sorted(_check_smith_mod_prime_power(
+        [[2, 0, 1], [0, 8, 2]], 2, 3)) == [1, 4]
+
+
+def test_smith_mod_prime_power_random_battery():
+    # Random columns beside p^k e_i, moved by a random unimodular row
+    # transform, so the span contains p^k Z^l without showing it.
+    rng = random.Random(20261019)
+    seen = set()
+    for p in (2, 3):
+        for _ in range(150):
+            rows, k = rng.randrange(1, 5), rng.randrange(1, 4)
+            cols = [[rng.randrange(-20, 21) * rng.choice((1, p, p * p))
+                     for _ in range(rows)]
+                    for _ in range(rng.randrange(0, 4))]
+            cols += [[p ** k * (i == j) for i in range(rows)]
+                     for j in range(rows)]
+            rng.shuffle(cols)
+            mix = im.identity(rows)
+            for _ in range(4 if rows > 1 else 0):
+                i, j = rng.sample(range(rows), 2)
+                f = rng.randrange(-3, 4)
+                mix[i] = [x + f * y for x, y in zip(mix[i], mix[j])]
+            a = im.matmul(mix, im.transpose(cols))
+            d = _check_smith_mod_prime_power(a, p, k)
+            seen.update((p, x) for x in d)
+    # units, intermediate pieces and whole p^k pieces all occur
+    assert {(2, 1), (2, 2), (2, 4), (2, 8), (3, 1), (3, 3), (3, 9),
+            (3, 27)} <= seen
 
 
 def test_det():

@@ -12,6 +12,7 @@ from realstrata.gluing import (classify_gluing_case, is_isotropic,
 from realstrata.isotropy import subquotient
 from realstrata.lattices import RootSpec, polarized_disc
 from realstrata.nikulin import ambient_with_a_block, theta_vector
+from realstrata.oracle import verify_subquotient_presentation
 
 from _gluing_table import INSTANCES, pair_form, run_instance
 
@@ -71,6 +72,26 @@ def test_subquotient_rejects_non_isotropic():
     half = cyclic_form(1, 2)
     with pytest.raises(ValueError):
         subquotient(half, (1,))
+
+
+@pytest.mark.parametrize("theta", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
+                                   (6, 6)])
+def test_subquotient_of_composite_orders_is_proved(theta):
+    # [1/12] + [-1/12]: each coordinate has two primes, and K_2 and K_3
+    # differ as theta runs over the multiples of (1, 1).
+    form = cyclic_form(1, 12).direct_sum(cyclic_form(-1, 12))
+    sq = subquotient(form, theta)
+    assert sq.form.order * form.order_of(theta) ** 2 == 144
+    assert all(o in (2, 3, 4) for o in sq.form.orders)
+    verify_subquotient_presentation(form, [form.reduce(theta)], sq)
+
+
+@pytest.mark.parametrize("theta", [(2,), (2, 0, 1)])
+def test_subquotient_rejects_theta_of_the_wrong_length(theta):
+    # Coordinatewise helpers zip theta with the orders, so a long theta
+    # would be cut to (2, 0) and a short one would fail deep inside.
+    with pytest.raises(ValueError, match="theta has .* coordinates"):
+        subquotient(u_block(2), theta)
 
 
 # ---------------------------------------------------------- split_off_cyclic

@@ -676,10 +676,12 @@ def test_decision_checks_run_under_optimize():
     # python -O strips assert statements; the inverse check on the blocks
     # of the symmetry group and the size check in subquotient must still
     # raise.  A D4 3-cycle is no involution, so only its inverse completes
-    # it to a swap; when there is none, the slot check refuses it.
+    # it to a swap; when there is none, the slot check refuses it.  The
+    # kernel <(2, 0)> of u_block(2) has order 2, so its 2-part is swept;
+    # a sweep that returns one piece too many must fail the size check.
     script = textwrap.dedent("""
-        from realstrata import isotropy, lattices
-        from realstrata.fqf import QuotientPresentation, u_block
+        from realstrata import _intmat, isotropy, lattices
+        from realstrata.fqf import u_block
         print("debug:", __debug__)
         lattices._invert_mod_orders = lambda block, orders: None
         pf = lattices.polarized_disc(lattices.RootSpec.parse("D4"), 4)
@@ -687,15 +689,13 @@ def test_decision_checks_run_under_optimize():
             lattices.disc_involutions(pf)
         except AssertionError as exc:
             print("involutions:", exc)
-        engine = isotropy._smith_generators
-        def one_too_many(*args):
-            pres = engine(*args)
-            return QuotientPresentation(pres.orders + [2], pres.reps,
-                                        pres.to_coords)
-        isotropy._smith_generators = one_too_many
-        form = u_block(1)
+        engine = _intmat.smith_mod_prime_power
+        def one_too_many(a, p, k):
+            d, u, w = engine(a, p, k)
+            return d + [p], u + u[-1:], w + w[-1:]
+        _intmat.smith_mod_prime_power = one_too_many
         try:
-            isotropy.subquotient(form, form.zero())
+            isotropy.subquotient(u_block(2), (2, 0))
         except AssertionError as exc:
             print("subquotient:", exc)
         """)

@@ -11,12 +11,15 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realstrata.fqf import cyclic_form, direct_sum_all, u_block, v_block
+from realstrata.fqf import (cyclic_form, direct_sum_all, factorint, u_block,
+                            v_block)
 from realstrata.isotropy import subquotient
 from realstrata.nikulin import det_p
+from realstrata.oracle import verify_subquotient_presentation
 
 from _corpus import (CORPUS_SIZE, ORDER_CAP, SEED, build_corpus, corpus,
                      det_relation_report, oracle_agreement_report)
@@ -289,6 +292,24 @@ def test_equal_length_preserves_det_unit(data):
                 assert ds.unit == df.unit
             else:
                 assert (ds.unit % 8 in (1, 5)) == (df.unit % 8 in (1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_with_kernel())
+def test_subquotient_presents_prime_power_pieces(data):
+    # K-perp/K is presented one prime at a time, so every generator order
+    # is a prime power (an invariant-factor chain would merge Z/2 + Z/3
+    # into Z/6); the oracle proves the presentation coset by coset, and
+    # the coordinate map refuses a generator that pairs with kappa.
+    form, kappa = data
+    sq = subquotient(form, kappa)
+    assert all(len(factorint(o)) == 1 for o in sq.form.orders)
+    verify_subquotient_presentation(form, [kappa], sq)
+    for j in range(form.rank):
+        e = tuple(int(i == j) for i in range(form.rank))
+        if form.eval_b(e, kappa):
+            with pytest.raises(ValueError, match="not in the outer lattice"):
+                sq.to_coords(e)
 
 
 @settings(max_examples=60, deadline=None)
