@@ -5,10 +5,11 @@ are deterministic.  Matrices are small (a few dozen rows at most in this
 package), so clarity wins over asymptotics; the algorithms are the classical
 elimination ones in integer arithmetic throughout.  Solves modulo orders
 are one Hermite form of the system stacked on an identity (Cohen 1993,
-section 2.4), as K-perp is in fqf.orthogonal_complement; the Hermite form
-of one congruence s . x = 0 mod m, the K-perp of a cyclic kernel, is one
-gcd sweep instead.  Triangular solves read only the nonzero entries of
-the basis.  Smith forms over Z serve disc_of_gram and smith_presentation
+section 2.4), as K-perp is in fqf.orthogonal_complement, which is off
+detect's path.  The K-perp of a cyclic kernel is one congruence
+s . x = 0 mod p^mu per prime p dividing its order, each Hermite form one
+gcd sweep.  Triangular solves read only the nonzero entries of the
+basis.  Smith forms over Z serve disc_of_gram and smith_presentation
 only, K-perp/K takes sweeps mod p^k; determinants are Bareiss eliminations.
 """
 

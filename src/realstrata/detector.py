@@ -91,13 +91,15 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
                     ) -> Tuple[str, Optional[DiscAutomorphism], Subquotient]:
     """Decide one candidate: the glued genus, then one involution question.
 
-    K = <kappa (+) n alpha>, K-perp and K-perp/K are built once, as the
+    K = <kappa (+) n alpha> and K-perp/K are built once, as the
     Subquotient sq that every return hands back, so the oracle proves the
-    very presentation the decision read.  Returns ("genus_empty", None, sq)
-    when K-perp/K does not embed into the (3, 19) lattice with signature
-    (2, rank_S); ("witness", phi, sq) for the first symmetry-induced
-    involution, in sorted matrix order, with phi(kappa) = -kappa inducing
-    the identity on K-perp/K; else ("no_involution_cond3", None, sq).
+    very presentation the decision read.  K-perp is not built on its own:
+    theta = kappa (+) n alpha and sq.reps generate it.  Returns
+    ("genus_empty", None, sq) when K-perp/K does not embed into the (3, 19)
+    lattice with signature (2, rank_S); ("witness", phi, sq) for the first
+    symmetry-induced involution, in sorted matrix order, with phi(kappa) =
+    -kappa inducing the identity on K-perp/K; else ("no_involution_cond3",
+    None, sq).
 
     Condition (2) alone, some phi with phi(kappa) = -kappa, always holds:
     -1 is a symmetry-induced involution (every slot keeps -I mod its
@@ -106,8 +108,8 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     kappa.  So it is not asked on its own.  It still rides in the one
     question asked, since phi (+) -1 preserves K only if phi(kappa) =
     -kappa: _first_involution takes the first phi, in sorted matrix order,
-    that negates kappa and sends each K-perp generator where it must go,
-    and lists no other.  That phi is the witness, rebuilt as a whole
+    that negates kappa and sends each of sq.reps where it must go, and
+    lists no other.  That phi is the witness, rebuilt as a whole
     matrix and checked again.
     """
     form = pf.form
@@ -119,16 +121,14 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     sq = subquotient(big, theta_vector(form, cand.kappa, cand.n), primes)
     if not embeds_into_big_L(2, pf.rank_S, sq.form, primes)[0]:
         return "genus_empty", None, sq
-    # phi (+) -1 preserves K only if phi(kappa) = -kappa.
-    # (phi (+) -1)(g) - g has alpha coordinate -2 g_alpha; it lies in
-    # K = <kappa (+) n alpha> iff that is t*n mod a2 and its disc part is
-    # t*kappa.  So phi must send the disc part of each K-perp generator g
-    # to g + t*kappa.
+    # phi (+) -1 preserves K only if phi(kappa) = -kappa, which is also
+    # all that theta asks.  (phi (+) -1)(g) - g has alpha coordinate
+    # -2 g_alpha; it lies in K = <kappa (+) n alpha> iff that is t*n mod a2
+    # (a2 is even, so t = -2 g_alpha / n exists) and its disc part is
+    # t*kappa.  So phi must send the disc part of each rep g to g + t*kappa.
     wanted = [(cand.kappa, form.neg(cand.kappa))]
-    for g in sq.kperp.gens:
-        t, rem = divmod(-2 * g[-1] % cand.a2, cand.n)
-        if rem:
-            return "no_involution_cond3", None, sq
+    for g in sq.reps:
+        t = -2 * g[-1] % cand.a2 // cand.n
         wanted.append((g, tuple((gi + t * ki) % o for gi, ki, o
                                 in zip(g, cand.kappa, form.orders))))
     found = _first_involution(pf, wanted)
@@ -318,7 +318,8 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
            oracle: bool = False) -> DetectionReport:
     """Run the full decision pipeline for one stratum.
 
-    h2: polarization square (4 = quartic, 2 = sextic surface in P^3-speak);
+    h2: polarization square (4 = quartic surface in P^3, 2 = double plane
+        branched over a sextic curve);
     spec: the ADE configuration;
     tgram: optional 2x2 Gram matrix of the transcendental-side lattice,
            required for conclusiveness at rank_S = 19 and refused (with

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from . import _intmat
-from .fqf import Element, FiniteQuadraticForm, Subgroup, _val
+from .fqf import Element, FiniteQuadraticForm, _val
 
 
 class Subquotient:
@@ -24,21 +24,17 @@ class Subquotient:
     prime-power generators.
 
     form:      the induced finite quadratic form on K-perp/K;
-    reps:      ambient representatives, one per generator's K-coset;
-    kperp:     the subgroup K-perp of the ambient form;
-    theta:     the reduced generator of K;
+    reps:      ambient representatives, one per generator's K-coset, so
+               theta and the reps generate K-perp;
     to_coords: ambient element of K-perp -> quotient coordinates.
     """
-    __slots__ = ("form", "reps", "kperp", "theta", "to_coords")
+    __slots__ = ("form", "reps", "to_coords")
 
     def __init__(self, form: FiniteQuadraticForm, reps: List[Element],
-                 kperp: Subgroup, theta: Element,
                  to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
                  ) -> None:
         self.form = form
         self.reps = reps
-        self.kperp = kperp
-        self.theta = theta
         self.to_coords = to_coords
 
 
@@ -49,8 +45,8 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
 
     Raises ValueError on a theta not of the form's rank, or with q(theta)
     != 0 (K not isotropic).  With m the order of theta, K-perp is the
-    congruence s . x = 0 mod m, s_i = m b(e_i, theta), Hermite basis by
-    _intmat.hnf_congruence.  K-perp/K is the sum of the (K_p)-perp/K_p in
+    congruence s . x = 0 mod m, s_i = m b(e_i, theta), taken one prime
+    at a time and never whole.  K-perp/K is the sum of the (K_p)-perp/K_p in
     the p-parts of F, with coordinates the pieces g_j = c_j e_j of order
     p^a_j, c_j = o_j / p^a_j.  A piece off the support of K_p = <(m/p^mu)
     theta> and orthogonal to it splits off, as all do when p does not
@@ -59,7 +55,7 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
     on its Hermite basis H ([[I, 0], [t, p^mu]] for a gluing vector), are
     swept mod p^k, and the pivots > 1 are the pieces, represented by H
     times the columns of u^-1.  K is isotropic, so any member of a coset
-    represents it."""
+    represents it; theta and the reps generate K-perp."""
     if len(theta) != form.rank:
         raise ValueError(f"theta has {len(theta)} coordinates, the form "
                          f"has rank {form.rank}")
@@ -69,7 +65,6 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
     m, r = form.order_of(theta), form.rank
     step = form.N // m
     s = [v // step for v in form._pairing_row(theta)]
-    kperp = Subgroup(form, (), _lattice=_intmat.hnf_congruence(s, m))
     orders: List[int] = []
     reps: List[Element] = []
     parts = []      # per prime, what to_coords reads
@@ -115,4 +110,4 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
                 sum(map(mul, row, z)) % dc for row, dc in rows]
         return tuple(out)
 
-    return Subquotient(quot, reps, kperp, theta, to_coords)
+    return Subquotient(quot, reps, to_coords)

@@ -20,11 +20,12 @@ from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  kernel_candidates, model_name, parse_model)
 from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                  _component_swap_isos, polarized_disc)
-from realstrata.nikulin import ambient_with_a_block
+from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import OracleMismatch, brute_kernel_candidates
 
 from test_acceptance import (GOLDEN_A7, GOLDEN_D7, GOLDEN_SEXTIC, REASONS_A7,
                              REASONS_SEXTIC, reason_map)
+from test_lattices import SMOKE
 
 # ------------------------------------------------------------ a-square range
 
@@ -48,7 +49,9 @@ def test_enumerate_a_squares_golden_ranges():
 @pytest.mark.parametrize("spec", ["A1", "A2", "A4+A2", "D5", "E7+A1"])
 def test_enumerate_a_squares_matches_the_divisor_scan(spec):
     # The divisor list built from the factorization equals the scan over
-    # every integer up to twice the exponent.
+    # every integer up to twice the exponent.  Every a2 is even, which
+    # check_candidate's cond3 relies on: -2 g_alpha mod a2 is then a
+    # multiple of n in {2, 1}.
     for h2 in range(2, 302, 2):
         pf = polarized_disc(RootSpec.parse(spec), h2)
         e = 2 * pf.form.exponent()
@@ -332,6 +335,28 @@ def test_check_candidate_statuses():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     status, phi, _sq = check_candidate(pf, KernelCandidate(2, 2, (0, 0)))
     assert status == "witness" and phi.is_involution()
+
+
+def test_theta_and_the_reps_generate_kperp():
+    # cond3 asks phi only on theta (as the pair (kappa, -kappa)) and on the
+    # K-perp/K reps, so together they must generate K-perp: the same
+    # Hermite lattice as fqf.orthogonal_complement, on every candidate of
+    # the golden strata and the smoke set.
+    checked = 0
+    for spec, h2 in ([(GOLDEN_D7, 4), (GOLDEN_A7, 4), (GOLDEN_SEXTIC, 2)]
+                     + [(s, 4) for s in SMOKE]):
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        for a2 in enumerate_a_squares(pf):
+            big = ambient_with_a_block(pf.form, a2)
+            for n in (2, 1):
+                for cand in kernel_candidates(pf, a2, n):
+                    theta = big.reduce(theta_vector(pf.form, cand.kappa, n))
+                    sq = check_candidate(pf, cand)[2]
+                    want = big.orthogonal_complement(big.subgroup([theta]))
+                    got = big.subgroup([theta] + sq.reps)
+                    assert got.lattice == want.lattice, (spec, h2, cand)
+                    checked += 1
+    assert checked == 377
 
 
 # ------------------------------------------------------------------- report

@@ -444,12 +444,15 @@ def test_pair_filter_equals_filtering_the_full_list():
 def _reference_check(pf, cand):
     """check_candidate as it was before the slot filter: filter the whole
     sorted involution list by phi(kappa) = -kappa, and test K-membership
-    of (phi (+) -1)(g) - g by an HNF solve."""
+    of (phi (+) -1)(g) - g on every generator g of K-perp, taken from
+    fqf.orthogonal_complement and not from the presentation under test."""
     form = pf.form
     r = form.rank
     big = ambient_with_a_block(form, cand.a2)
-    sq = subquotient(big, theta_vector(form, cand.kappa, cand.n))
-    kernel = big.subgroup([sq.theta]).elements()
+    theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
+    sq = subquotient(big, theta)
+    kernel = big.subgroup([theta]).elements()
+    kperp = big.orthogonal_complement(big.subgroup([theta])).gens
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
         return "genus_empty", None
     cond2 = [phi for phi in disc_involutions(pf)
@@ -459,7 +462,7 @@ def _reference_check(pf, cand):
     for phi in cond2:
         if all(big.sub(big.reduce(list(_apply(form, phi.matrix, g[:r]))
                                   + [-g[r]]), g) in kernel
-               for g in sq.kperp.gens):
+               for g in kperp):
             return "witness", phi
     return "no_involution_cond3", None
 
@@ -470,9 +473,11 @@ SMOKE = ["A1", "2*A1", "A2", "A3", "D4", "A1+A2", "2*A2", "A4", "A3+A1",
 
 def test_smoke_set_statuses_and_witnesses_match_the_full_list():
     # Beyond the smoke set: inverse blocks of swapped pairs (2*D4, 3*A2,
-    # 2*D6, E6+2*A3), the D4 triality in cond3, and classes whose rows
-    # interleave.
-    for spec in SMOKE + ["2*D4", "3*A2", "2*D6", "E6+2*A3"] + INTERLEAVED:
+    # 2*D6, E6+2*A3), the D4 triality in cond3, classes whose rows
+    # interleave, and the golden quartics, whose no_involution_cond3
+    # candidates test cond3 against the whole K-perp.
+    for spec in (SMOKE + ["2*D4", "3*A2", "2*D6", "E6+2*A3"] + INTERLEAVED
+                 + ["D7+A6+A3+A2", "A7+A6+A3+A2"]):
         pf = polarized_disc(RootSpec.parse(spec), 4)
         first = None
         for a2 in enumerate_a_squares(pf):

@@ -240,9 +240,7 @@ def test_presentation_rejects_wrong_invariant_factors():
     z8 = cyclic_form(3, 8)
     assert z8.order == form.order
     coords = {(0, 0): (0,), (1, 1): (1,), (0, 2): (2,), (1, 3): (3,)}
-    plain = _trivial_quotient(form)
-    sq = isotropy.Subquotient(z8, [(1, 1)], plain.kperp, plain.theta,
-                              lambda v: coords[tuple(v)])
+    sq = isotropy.Subquotient(z8, [(1, 1)], lambda v: coords[tuple(v)])
     with pytest.raises(OracleMismatch):
         verify_subquotient_presentation(form, [], sq)
 
@@ -260,8 +258,7 @@ def test_presentation_rejects_a_q_wrong_only_past_a_carry():
     differ = [c for c in claimed.iter_elements()
               if claimed.eval_q(c) != plain.form.eval_q(c)]
     assert differ == [(1, 1), (1, 3)]
-    sq = isotropy.Subquotient(claimed, plain.reps, plain.kperp,
-                              plain.theta, plain.to_coords)
+    sq = isotropy.Subquotient(claimed, plain.reps, plain.to_coords)
     with pytest.raises(OracleMismatch, match="q differs on a coset"):
         verify_subquotient_presentation(form, [], sq)
 
