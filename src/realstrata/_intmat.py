@@ -231,17 +231,18 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def smith_mod_prime_power(a: Sequence[Sequence[int]], p: int, k: int
-                          ) -> Tuple[List[int], IntMatrix, IntMatrix]:
+                          ) -> Tuple[List[int], IntMatrix]:
     """The Smith form modulo p^k of an l x c matrix a whose column span
-    contains p^k Z^l: (d, u, w), w[t] column t of u^-1 mod p^k, such that
-    z -> ((u z)_t mod d[t])_t maps Z^l / (column span) onto the sum of the
-    Z/d[t].  Each pivot has least p-valuation among the entries left, so
-    one row operation per row clears its column; the column operations
-    would clear only its own row, so they are not made."""
+    contains p^k Z^l: (d, w) such that Z^l / (column span) is the direct
+    sum of the cyclic groups of order d[t] that the w[t] generate.  w[t]
+    is column t of u^-1 mod p^k, for u the sweep's row transform, which
+    is not built.  Each pivot has least p-valuation among the entries
+    left, so one row operation per row clears its column; the column
+    operations would clear only its own row, so they are not made."""
     q = p ** k
     m = [[x % q for x in row] for row in a]
     rows = len(m)
-    u, w = identity(rows), identity(rows)
+    w = identity(rows)
     free = list(range(len(m[0]) if rows else 0))
     d: List[int] = []
     for t in range(rows):
@@ -251,7 +252,7 @@ def smith_mod_prime_power(a: Sequence[Sequence[int]], p: int, k: int
         if g == q:
             d += [q] * (rows - t)
             break
-        m[t], m[i], u[t], u[i], w[t], w[i] = m[i], m[t], u[i], u[t], w[i], w[t]
+        m[t], m[i], w[t], w[i] = m[i], m[t], w[i], w[t]
         free.remove(j)
         inv = pow(m[t][j] // g, -1, q)
         for i in range(t + 1, rows):
@@ -259,10 +260,9 @@ def smith_mod_prime_power(a: Sequence[Sequence[int]], p: int, k: int
             if f:
                 # row i -= f row t, so column t of u^-1 += f column i
                 m[i] = [(x - f * y) % q for x, y in zip(m[i], m[t])]
-                u[i] = [(x - f * y) % q for x, y in zip(u[i], u[t])]
                 w[t] = [(x + f * y) % q for x, y in zip(w[t], w[i])]
         d.append(g)
-    return d, u, w
+    return d, w
 
 
 def det(a: Sequence[Sequence[int]]) -> int:

@@ -5,6 +5,9 @@ All constructions here are exact and element-enumeration free (integer
 Hermite forms and Smith sweeps modulo prime powers), one prime at a time:
 K-perp/K is presented by prime-power pieces, as lattices.disc_root
 presents root discriminants, each represented by one element of K-perp.
+The presentation is the induced form and those reps, all a decision
+reads: the genus clauses read the form, and cond3 reads theta and the
+reps, which generate K-perp.
 The 2-adic gluing-case classification is in `gluing`, which no engine
 module imports.
 """
@@ -12,8 +15,7 @@ module imports.
 from __future__ import annotations
 
 import math
-from operator import mul
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from . import _intmat
 from .fqf import Element, FiniteQuadraticForm, _val
@@ -23,19 +25,16 @@ class Subquotient:
     """K-perp/K for a cyclic kernel K = <theta>, presented with
     prime-power generators.
 
-    form:      the induced finite quadratic form on K-perp/K;
-    reps:      ambient representatives, one per generator's K-coset, so
-               theta and the reps generate K-perp;
-    to_coords: ambient element of K-perp -> quotient coordinates.
+    form: the induced finite quadratic form on K-perp/K;
+    reps: ambient representatives, one per generator's K-coset, so
+          theta and the reps generate K-perp.
     """
-    __slots__ = ("form", "reps", "to_coords")
+    __slots__ = ("form", "reps")
 
-    def __init__(self, form: FiniteQuadraticForm, reps: List[Element],
-                 to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+    def __init__(self, form: FiniteQuadraticForm, reps: List[Element]
                  ) -> None:
         self.form = form
         self.reps = reps
-        self.to_coords = to_coords
 
 
 def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
@@ -54,7 +53,7 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
     c_j s_j / (m/p^mu); the relations (m/p^mu) theta and p^a_j e_j, solved
     on its Hermite basis H ([[I, 0], [t, p^mu]] for a gluing vector), are
     swept mod p^k, and the pivots > 1 are the pieces, represented by H
-    times the columns of u^-1.  K is isotropic, so any member of a coset
+    times the sweep's columns w.  K is isotropic, so any member of a coset
     represents it; theta and the reps generate K-perp."""
     if len(theta) != form.rank:
         raise ValueError(f"theta has {len(theta)} coordinates, the form "
@@ -67,7 +66,6 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
     s = [v // step for v in form._pairing_row(theta)]
     orders: List[int] = []
     reps: List[Element] = []
-    parts = []      # per prime, what to_coords reads
     for p in form.primes(among):
         idx, pa, inv, pieces = form._p_coordinates(p)
         pm = math.gcd(m, max(pa))
@@ -77,37 +75,21 @@ def subquotient(form: FiniteQuadraticForm, theta: Sequence[int],
         free = [t for t in range(len(idx)) if t not in live]
         orders += [pa[t] for t in free]
         reps += [pieces[t] for t in free]
-        solve, rows = None, []
         if math.prod(pa[t] for t in live) > pm * pm:    # else order 1
             h = _intmat.hnf_congruence([sp[t] for t in live], pm)
             solve = _intmat.hnf_solver(h)
             rel = [[tp[t] for t in live]] + [
                 [pa[t] * (t == i) for i in live] for t in live]
-            d, u, w = _intmat.smith_mod_prime_power(
+            d, w = _intmat.smith_mod_prime_power(
                 _intmat.transpose([solve(y) for y in rel]), p,
                 _val(max(pa), p))
-            for c, dc in enumerate(d):
+            for dc, wc in zip(d, w):
                 if dc > 1:
                     x = [0] * r
-                    for t, v in zip(live, _intmat.matvec(h, w[c])):
+                    for t, v in zip(live, _intmat.matvec(h, wc)):
                         x[idx[t]] = pieces[t][idx[t]] * v
                     orders.append(dc)
                     reps.append(form.reduce(x))
-                    rows.append((u[c], dc))
-        parts.append((idx, inv, pa, sp, pm, free, live, solve, rows))
     if math.prod(orders) != form.order // (m * m):
         raise AssertionError("subquotient size mismatch")
-    quot = form.restricted_form(orders, reps)
-
-    def to_coords(x: Sequence[int]) -> Tuple[int, ...]:
-        out: List[int] = []
-        for idx, inv, pa, sp, pm, free, live, solve, rows in parts:
-            y = [x[j] * i % q for j, i, q in zip(idx, inv, pa)]
-            if sum(map(mul, sp, y)) % pm:
-                raise ValueError("vector is not in the outer lattice")
-            z = solve([y[t] for t in live]) if rows else ()
-            out += [y[t] for t in free] + [
-                sum(map(mul, row, z)) % dc for row, dc in rows]
-        return tuple(out)
-
-    return Subquotient(quot, reps, to_coords)
+    return Subquotient(form.restricted_form(orders, reps), reps)

@@ -176,7 +176,8 @@ def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
 def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
     """Discriminant form of the negative definite ADE root lattice, with
     generators split into prime-power cyclic pieces (descending prime within
-    each invariant factor).  D_even components use the two spinor classes."""
+    each invariant factor).  D_even components use the two spinor classes,
+    or, for n = 4 mod 8, two nonzero classes that carry the same form."""
     gram = [[-x for x in row] for row in cartan_matrix(fam, n)]
     gd = disc_of_gram(gram)
     base = gd.form
@@ -184,8 +185,11 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
         # (Z/2)^2; canonical generators are the two spinor classes, whose
         # q-value is -n/4 mod 2; the vector class has q = -1 mod 2.
         # The group has exponent N = 2, so the target is -n/2 mod 4.
+        # For n = 4 mod 8 the vector class has that q too, and all three
+        # nonzero classes pair to 1/2, so any two carry the same form: take
+        # the first two, for D12 a spinor class and the vector class.
         spinors = base.elements_of_order(2, -n * base.N // 4)
-        if len(spinors) == 3:  # D4: all three agree; take the first two
+        if len(spinors) == 3:
             spinors = spinors[:2]
         if len(spinors) != 2:
             raise AssertionError(f"D{n} has {len(spinors)} spinor classes")

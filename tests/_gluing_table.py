@@ -10,7 +10,8 @@ that:
     ``realstrata.isotropy.subquotient``, has the expected group shape,
   * the tabulated generators w_i lie in K-perp, have the expected orders in
     the quotient, are orthogonal to the passive summand, and together with
-    it generate the whole quotient,
+    it generate the whole quotient, all read in the glued form itself
+    (modulo K = <theta>),
   * the parity flip (source 2-part odd, quotient 2-part even) happens
     exactly under the per-case condition encoded in each instance.
 
@@ -121,21 +122,24 @@ def run_instance(inst: Instance) -> None:
 
         ws = inst.w_builder(case, delta, big, to_full)
         assert len(ws) == len(inst.w_orders)
-        mb_coords = []
+        # K-perp/K read in the glued form itself: the passive units lie in
+        # K-perp, an order in the quotient is one modulo K = <theta>, and b
+        # on the quotient is b on any reps.
+        units = []
         for j in range(MBARS[inst.mbar].rank):
             e = [0] * big.rank
             e[inst.npart.rank + j] = 1
-            mb_coords.append(sq.to_coords(tuple(e)))
-        w_coords = []
+            assert big.eval_b(e, theta) == 0, (inst.tag, delta, e)
+            units.append(tuple(e))
+        k_order = big.subgroup([theta]).order
         for w, od in zip(ws, inst.w_orders):
             assert big.eval_b(w, theta) == 0, (inst.tag, delta, w)
-            c = sq.to_coords(w)
-            assert sq.form.order_of(c) == od, (
-                inst.tag, delta, w, sq.form.order_of(c), od)
-            for mc in mb_coords:
-                assert sq.form.eval_b(mc, c) == 0, (inst.tag, delta)
-            w_coords.append(c)
-        assert sq.form.subgroup(mb_coords + w_coords).order == sq.form.order, (
+            w_order = big.subgroup([w, theta]).order // k_order
+            assert w_order == od, (inst.tag, delta, w, w_order, od)
+            for e in units:
+                assert big.eval_b(e, w) == 0, (inst.tag, delta)
+        assert big.subgroup(units + ws + [theta]).order == (
+            sq.form.order * k_order), (
             inst.tag, delta, "w gens + passive summand must span quotient")
 
         flip = (not form.is_even_2part()) and sq.form.is_even_2part()

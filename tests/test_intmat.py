@@ -233,20 +233,21 @@ def test_snf_random_battery():
 
 
 def _check_smith_mod_prime_power(a, p, k):
-    d, u, w = im.smith_mod_prime_power(a, p, k)
-    q, rows = p ** k, len(a)
-    # the pivots are the p-parts of the invariant factors over Z
+    d, w = im.smith_mod_prime_power(a, p, k)
+    rows = len(a)
+    # the pivots are the p-parts of the invariant factors over Z, so the
+    # sum of the Z/d[t] has the order of Z^l / (column span)
     snf_d, _, _ = im.snf(a)
     want = [p ** min(k, _val(snf_d[i][i], p)) for i in range(rows)]
     assert sorted(d) == sorted(want)
-    # the w[t] are the columns of u^-1 mod p^k
-    assert [[x % q for x in row] for row in im.matmul(u, im.transpose(w))] \
-        == im.identity(rows)
-    # each kept row of u sends every column to 0 mod its piece's order
-    for row, dt in zip(u, d):
-        if dt > 1:
-            assert all(sum(x * y for x, y in zip(row, col)) % dt == 0
-                       for col in zip(*a))
+    # each d[t] w[t] lies in the column span, so t -> w[t] is well defined
+    h = im.hnf_columns(a)
+    assert all(im.hnf_solve(h, [dt * x for x in wt]) is not None
+               for dt, wt in zip(d, w))
+    # and the w[t] with the span give all of Z^l, so it is onto: an
+    # isomorphism between groups of one order
+    cols = [list(col) for col in zip(*a)] + w
+    assert im.det_lower_triangular(im.hnf_columns(im.transpose(cols))) == 1
     return d
 
 

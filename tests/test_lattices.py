@@ -148,8 +148,8 @@ def test_disc_root_d_even_spinor_classes():
 
 
 def test_disc_root_d_even_spinors_are_the_full_scan():
-    # The spinor classes, listed by q and order, are the first two the
-    # scan of every element in lexicographic order finds.
+    # The classes disc_root takes, listed by q and order, are the first
+    # two the scan of every element in lexicographic order finds.
     for n in range(4, 20, 2):
         base = disc_of_gram([[-x for x in row]
                              for row in cartan_matrix("D", n)]).form
@@ -157,6 +157,27 @@ def test_disc_root_d_even_spinors_are_the_full_scan():
         spinors = [x for x in sorted(base.iter_elements())
                    if any(x) and base.eval_qn(x) == target][:2]
         assert disc_root("D", n) == base.restricted_form([2, 2], spinors), n
+
+
+def test_disc_root_d_even_is_the_form_on_the_spinor_classes():
+    # In disc_of_gram coordinates the unit e_i is the class of the i-th
+    # fundamental weight: the spinor classes are those of the fork's ends
+    # e_{n-2} and e_{n-1}, the vector class that of e_0.  For n = 4 mod 8
+    # all three nonzero classes have the spinors' q, and disc_root takes
+    # the first two (for D12 a spinor and the vector class), which carry
+    # the same form.
+    for n in range(4, 20, 2):
+        gd = disc_of_gram([[-x for x in row]
+                           for row in cartan_matrix("D", n)])
+        base = gd.form
+        unit = [[int(i == j) for i in range(n)] for j in range(n)]
+        spinors = sorted(gd.to_coords(unit[j]) for j in (n - 2, n - 1))
+        assert disc_root("D", n) == base.restricted_form([2, 2], spinors), n
+        found = base.elements_of_order(2, -n * base.N // 4)
+        if n % 8 == 4:
+            assert found == sorted(spinors + [gd.to_coords(unit[0])]), n
+        else:
+            assert found == spinors, n
 
 
 def test_disc_root_splits_composite_cyclic():
@@ -696,8 +717,8 @@ def test_decision_checks_run_under_optimize():
             print("involutions:", exc)
         engine = _intmat.smith_mod_prime_power
         def one_too_many(a, p, k):
-            d, u, w = engine(a, p, k)
-            return d + [p], u + u[-1:], w + w[-1:]
+            d, w = engine(a, p, k)
+            return d + [p], w + w[-1:]
         _intmat.smith_mod_prime_power = one_too_many
         try:
             isotropy.subquotient(u_block(2), (2, 0))

@@ -179,59 +179,56 @@ def _trivial_quotient(form):
     return subquotient(form, form.zero())
 
 
-def test_presentation_rejects_swapped_cosets():
-    # U(4) with trivial kernel: the cosets (2,1) and (1,2) both have q = 1,
-    # so a to_coords that swaps them is injective and keeps q; only the
-    # additivity check can tell it from the engine's map.
-    form = u_block(2)
-    x, y = (2, 1), (1, 2)
-    assert form.eval_q(x) == form.eval_q(y)
-    assert verify_subquotient_presentation(form, [], _trivial_quotient(form))
-    sq = _trivial_quotient(form)
-    plain = sq.to_coords
-    swap = {x: plain(y), y: plain(x)}
-    sq.to_coords = lambda v: swap[v] if v in swap else plain(v)
-    with pytest.raises(OracleMismatch, match="not additive"):
-        verify_subquotient_presentation(form, [], sq)
-
-
-def _altered_presentation(form, reps, coords):
+def _altered_presentation(form, reps):
     """The engine's K-perp/K of form by the trivial kernel, made to report
-    the given generator reps and to send the elements in coords to the
-    given quotient coordinates."""
+    the given generator reps."""
     sq = _trivial_quotient(form)
-    plain = sq.to_coords
     sq.reps = list(reps)
-    sq.to_coords = lambda v: coords[v] if v in coords else plain(v)
     return sq
+
+
+def test_presentation_rejects_a_rep_outside_kperp():
+    # U(4) by K = <(2, 0)>: K-perp = {(x, y) : y even}, and K-perp/K is
+    # U(2), whose generators the engine represents in K-perp.  (0, 1) pairs
+    # with (2, 0) to 1/2, so a presentation that reports it for one
+    # generator is no presentation of K-perp/K.
+    form = u_block(2)
+    sq = subquotient(form, (2, 0))
+    assert verify_subquotient_presentation(form, [(2, 0)], sq)
+    assert form.eval_b((0, 1), (2, 0)) == Fraction(1, 2)
+    for j in range(len(sq.reps)):
+        bad = subquotient(form, (2, 0))
+        bad.reps[j] = (0, 1)
+        with pytest.raises(OracleMismatch, match="not in K-perp"):
+            verify_subquotient_presentation(form, [(2, 0)], bad)
 
 
 def test_presentation_rejects_a_rep_of_too_high_order():
     # [1/2] (+) [1/4] with trivial kernel: (1, 1) has order 4 but stands
-    # for the Z/2 generator.  It maps to that generator, so only the check
-    # that 2*(1, 1) lies in K can tell.
+    # for the Z/2 generator.  It lies in K-perp, so only the check that
+    # 2*(1, 1) lies in K can tell.
     form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
     assert _trivial_quotient(form).form.orders == (2, 4)
     assert verify_subquotient_presentation(form, [], _trivial_quotient(form))
-    sq = _altered_presentation(form, [(1, 1), (0, 1)], {(1, 1): (1, 0)})
+    sq = _altered_presentation(form, [(1, 1), (0, 1)])
     with pytest.raises(OracleMismatch, match="times its invariant factor"):
         verify_subquotient_presentation(form, [], sq)
 
 
 def test_presentation_rejects_reps_that_meet_one_coset_twice():
-    # U(4) with trivial kernel: the reps (1, 0) and (2, 0) map to the two
-    # generators, and 4*(2, 0) = 0, but 2*(2, 0) is the coset of (0, 0)
-    # again, and q(2, 0) = 0 is the quotient's q at (0, 1).
+    # U(4) with trivial kernel: the reps (1, 0) and (2, 0) lie in K-perp,
+    # and 4*(2, 0) = 0, but 2*(2, 0) is the coset of (0, 0) again, and
+    # q(2, 0) = 0 is the quotient's q at (0, 1).
     form = u_block(2)
     assert _trivial_quotient(form).form.q == (0, 0)
-    sq = _altered_presentation(form, [(1, 0), (2, 0)], {(2, 0): (0, 1)})
+    sq = _altered_presentation(form, [(1, 0), (2, 0)])
     with pytest.raises(OracleMismatch, match="give one coset"):
         verify_subquotient_presentation(form, [], sq)
 
 
 def test_presentation_rejects_wrong_invariant_factors():
     # [1/2] (+) [1/4] with trivial kernel, claimed to be Z/8 = [3/8]
-    # generated by (1, 1): the same order, (1, 1) maps to the generator and
+    # generated by (1, 1): the same order, (1, 1) lies in K-perp and
     # 8*(1, 1) = 0, so only the walk is left to catch it.  (1, 1) has order
     # 4, so 4*(1, 1) meets the coset of 0 again; and q is in (1/4)Z on the
     # whole group but 3/8 at the claimed generator, so q already differs at
@@ -239,8 +236,7 @@ def test_presentation_rejects_wrong_invariant_factors():
     form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
     z8 = cyclic_form(3, 8)
     assert z8.order == form.order
-    coords = {(0, 0): (0,), (1, 1): (1,), (0, 2): (2,), (1, 3): (3,)}
-    sq = isotropy.Subquotient(z8, [(1, 1)], lambda v: coords[tuple(v)])
+    sq = isotropy.Subquotient(z8, [(1, 1)])
     with pytest.raises(OracleMismatch):
         verify_subquotient_presentation(form, [], sq)
 
@@ -258,27 +254,9 @@ def test_presentation_rejects_a_q_wrong_only_past_a_carry():
     differ = [c for c in claimed.iter_elements()
               if claimed.eval_q(c) != plain.form.eval_q(c)]
     assert differ == [(1, 1), (1, 3)]
-    sq = isotropy.Subquotient(claimed, plain.reps, plain.to_coords)
+    sq = isotropy.Subquotient(claimed, plain.reps)
     with pytest.raises(OracleMismatch, match="q differs on a coset"):
         verify_subquotient_presentation(form, [], sq)
-
-
-@pytest.mark.parametrize("spec", ["A1", "3*A1", "5*A1"])
-def test_presentation_maps_each_coset_once(spec):
-    # One to_coords call per generator and one per coset of K-perp/K.
-    rep = detect(4, spec)
-    assert rep.witness_revalidated is True
-    pf = polarized_disc(RootSpec.parse(spec), 4)
-    w = rep.witness
-    big = ambient_with_a_block(pf.form, w["a2"])
-    theta = big.reduce(theta_vector(pf.form, w["kappa"], w["n"]))
-    sq = check_candidate(
-        pf, KernelCandidate(w["a2"], w["n"], tuple(w["kappa"])))[2]
-    plain = sq.to_coords
-    calls = []
-    sq.to_coords = lambda v: calls.append(v) or plain(v)
-    verify_subquotient_presentation(big, [theta], sq)
-    assert len(calls) == sq.form.order + sq.form.rank
 
 
 def _count_builds(monkeypatch):
