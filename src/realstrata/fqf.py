@@ -12,11 +12,11 @@ A form is stored as integers at the scale N = exponent of F:
 Qn[i] = q(e_i)*N mod 2N and Bn[i][j] = b(e_i, e_j)*N mod N.  Both are exact,
 since o_i q(e_i) and o_i b(e_i, e_j) are integers and o_i divides N.  Every
 evaluation on the engine's paths is integer arithmetic (`eval_qn`,
-`eval_bn`), and so are the invariants read from the integer Gram
-(nondegeneracy, `nikulin.det_p`); `fractions.Fraction` appears only at
-the boundary: the public `eval_q`/`eval_b` wrappers, the `q`/`b` tuples
-used for display and JSON, and the rational input of the constructor.
-Floating point never appears.
+`eval_bn`), and so are display, JSON and the invariants read from the
+integer Gram (nondegeneracy, one orthogonal block at a time, and
+`nikulin.det_p`); `fractions.Fraction` appears only at the boundary: the
+public `eval_q`/`eval_b` wrappers, the `q`/`b` tuples the oracle reads,
+and the rational input of the constructor.  Floating point never appears.
 Elements of F are tuples of canonical residues (0 <= x_i < o_i).
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from operator import mul
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -35,15 +35,10 @@ from . import _intmat
 Element = Tuple[int, ...]
 
 
-def canon_mod2(x: Fraction) -> Fraction:
-    """Canonical representative of x mod 2Z in [0, 2)."""
-    return x - 2 * math.floor(x / 2)
-
-
-def display_rep(x: Fraction) -> Fraction:
-    """Representative of x mod 2Z in (-1, 1], the human-display convention."""
-    y = canon_mod2(x)
-    return y - 2 if y > 1 else y
+def _ratio_text(v: int, n: int) -> str:
+    """str(Fraction(v, n)), read from the integers."""
+    g = math.gcd(v, n)
+    return f"{v // g}" if g == n else f"{v // g}/{n // g}"
 
 
 def factorint(n: int) -> Dict[int, int]:
@@ -180,15 +175,17 @@ class FiniteQuadraticForm:
     q_values:
         q(e_i) in Q/2Z, one per generator.
     b_matrix:
-        A dict {(i, j): b(e_i, e_j)} in Q/Z for i < j, omitted pairs
-        meaning 0 (None for none); the diagonal is q mod 1.
+        A dict {(i, j): b(e_i, e_j)} in Q/Z keyed 0 <= i < j < rank,
+        omitted pairs meaning 0 (None for none); the diagonal is q mod 1.
     scale:
         None when the values are rationals (anything ``Fraction`` accepts);
         an integer S when they are integers v standing for v/S.  Forms built
         from another form pass its integer values with ``scale`` = its N.
 
-    The form keeps N = exponent, ``Qn`` (q(e_i)*N mod 2N) and ``Bn``
-    (b(e_i, e_j)*N mod N, with Bn[i][i] = Qn[i] mod N).
+    The form keeps N, ``Qn`` and ``Bn`` (with Bn[i][i] = Qn[i] mod N).  It
+    raises ValueError on any other b key, on a value not defined on its
+    generators (read on the nonzero entries alone), and on a degenerate b,
+    decided one orthogonal block at a time (`_check_nondegenerate`).
     """
 
     def __init__(self, orders: Sequence[int],
@@ -205,33 +202,31 @@ class FiniteQuadraticForm:
 
         # value * N as an int, or as a Fraction when it is not integral
         # (which the validity checks below reject).
-        if scale is None:
-            def at_n(v):
+        def at_n(v):
+            if scale is None:
                 t = Fraction(v) * n
                 return t.numerator if t.denominator == 1 else t
-        else:
-            def at_n(v):
-                t, rem = divmod(v * n, scale)
-                return Fraction(v * n, scale) if rem else t
+            t, rem = divmod(v * n, scale)
+            return Fraction(v * n, scale) if rem else t
 
         q = [at_n(v) % two_n for v in q_values]
         b = [[0] * r for _ in range(r)]
         for (i, j), v in (b_matrix or {}).items():
-            if i == j:
-                raise ValueError("pass q for diagonal entries, not b")
+            if not 0 <= i < j < r:
+                raise ValueError("pass q for diagonal entries, not b" if i == j
+                                 else f"b key {(i, j)} not 0 <= i < j < {r}")
             b[i][j] = b[j][i] = at_n(v) % n
         # Validity: q_i must define a quadratic value on a generator of
-        # order o_i (o*q integral and o^2*q even), and o_i b_ij integral.
+        # order o_i (o*q integral and o^2*q even), and o_i b_ij integral;
+        # a zero b_ij cannot fail, so row i checks its nonzero ones alone.
         for i, o in enumerate(orders):
-            if isinstance(q[i], Fraction) or (o * q[i]) % n:
+            if type(q[i]) is Fraction or (o * q[i]) % n:
                 raise ValueError(f"q[{i}] is not defined on Z/{o}")
             if (o * o * q[i]) % two_n:
                 raise ValueError(f"q[{i}] violates o^2 q = 0 mod 2 on Z/{o}")
-            for j in range(r):
-                if i != j and (isinstance(b[i][j], Fraction)
-                               or (o * b[i][j]) % n):
+            for j in compress(range(r), b[i]):
+                if type(b[i][j]) is Fraction or (o * b[i][j]) % n:
                     raise ValueError(f"b[{i}][{j}] is not defined on Z/{o}")
-        for i in range(r):
             b[i][i] = q[i] % n
         self.orders: Tuple[int, ...] = tuple(orders)
         self.N: int = n
@@ -241,18 +236,29 @@ class FiniteQuadraticForm:
         # b(x, y)*N = x^T G y mod N.
         self._gram = tuple(row[:i] + (q[i],) + row[i + 1:]
                            for i, row in enumerate(self.Bn))
+        # orthogonal_cuts: every c, ascending, with b(e_i, e_j) = 0 for all
+        # i < c <= j, where the generators split into two orthogonal
+        # halves; far is the last generator that one before c pairs with.
+        cuts, far = [], -1
+        for c, row in enumerate(b):
+            if far < c:
+                cuts.append(c)
+                far = c
+            if any(row[far + 1:]):
+                far = max(j for j, v in enumerate(row) if v)
+        self.orthogonal_cuts: Tuple[int, ...] = tuple(cuts) + (r,)
         self._check_nondegenerate()
 
     # ---------------------------------------------------------------- basics
 
     @cached_property
     def q(self) -> Tuple[Fraction, ...]:
-        """q(e_i) in [0, 2), as Fractions (display and JSON boundary)."""
+        """q(e_i) in [0, 2), as Fractions (the oracle's boundary)."""
         return tuple(Fraction(v, self.N) for v in self.Qn)
 
     @cached_property
     def b(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """b(e_i, e_j) in [0, 1), as Fractions (display and JSON boundary)."""
+        """b(e_i, e_j) in [0, 1), as Fractions (the oracle's boundary)."""
         return tuple(tuple(Fraction(v, self.N) for v in row)
                      for row in self.Bn)
 
@@ -338,18 +344,6 @@ class FiniteQuadraticForm:
     def iter_elements(self) -> Iterator[Element]:
         """All group elements in lexicographic coordinate order."""
         return iter(product(*(range(o) for o in self.orders)))
-
-    @cached_property
-    def orthogonal_cuts(self) -> Tuple[int, ...]:
-        """Every c, ascending, with b(e_i, e_j) = 0 for all i < c <= j: the
-        generators split there into two orthogonal halves.  far is the
-        last generator that some generator before c pairs with."""
-        cuts, far = [], -1
-        for c, row in enumerate(self.Bn):
-            if far < c:
-                cuts.append(c)
-            far = max(far, c, *(j for j, v in enumerate(row) if v))
-        return tuple(cuts) + (self.rank,)
 
     def elements_of_order(self, order: int, target: int) -> List[Element]:
         """The elements of exact order `order` with q*N = target mod 2N, in
@@ -505,22 +499,18 @@ class FiniteQuadraticForm:
     # -------------------------------------------------------------- encoding
 
     def to_json_dict(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "q": [str(v) for v in self.q],
-            "b": [[str(v) for v in row] for row in self.b],
-        }
+        return {"orders": list(self.orders),
+                "q": [_ratio_text(v, self.N) for v in self.Qn],
+                "b": [[_ratio_text(v, self.N) for v in vs] for vs in self.Bn]}
 
     def display(self) -> str:
-        """Human-readable generator-wise description like ``[-7/8] (+) [1/4]``."""
-        if not self.orders:
-            return "[0]"
-        parts = []
-        for i in range(self.rank):
-            off = any(self.Bn[i][j] for j in range(self.rank) if j != i)
-            rep = display_rep(self.q[i])
-            parts.append(f"[{rep}]" + ("*" if off else ""))
-        return " (+) ".join(parts)
+        """Human-readable generator-wise description like ``[-7/8] (+) [1/4]``:
+        q(e_i) in (-1, 1], starred when e_i pairs with another generator."""
+        n = self.N
+        return " (+) ".join(
+            f"[{_ratio_text(qn - 2 * n if qn > n else qn, n)}]"
+            + ("*" if any(row[:i]) or any(row[i + 1:]) else "")
+            for i, (qn, row) in enumerate(zip(self.Qn, self.Bn))) or "[0]"
 
     def __repr__(self) -> str:
         return f"FiniteQuadraticForm(orders={list(self.orders)})"
@@ -539,12 +529,24 @@ class FiniteQuadraticForm:
     def _check_nondegenerate(self) -> None:
         """b is nondegenerate iff x -> b(x, .) maps F onto its dual
         prod Z/o_j, read in coordinates o_j*b(., e_j): iff the columns
-        (o_j*Bn[j][i]/N)_j, one per e_i, and o_j*e_j span Z^r."""
-        r, n = self.rank, self.N
-        rows = [[o * v // n for v in row] + [o * (k == j) for k in range(r)]
-                for j, (o, row) in enumerate(zip(self.orders, self.Bn))]
-        if _intmat.det_lower_triangular(_intmat.hnf_columns(rows)) != 1:
-            raise ValueError("degenerate bilinear form (nontrivial radical)")
+        (o_j*Bn[j][i]/N)_j, one per e_i, and o_j*e_j span Z^r.  Between
+        orthogonal_cuts the matrix is block diagonal, so the index of the
+        span is the product of the blocks' indices: a block of one
+        generator of order o has index gcd(o*Bn[i][i]/N, o), a larger one
+        the determinant of its own Hermite form."""
+        n, orders, bn = self.N, self.orders, self.Bn
+        cuts = self.orthogonal_cuts
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi - lo == 1:
+                det = math.gcd(orders[lo] * bn[lo][lo] // n, orders[lo])
+            else:
+                det = _intmat.det_lower_triangular(_intmat.hnf_columns(
+                    [[o * v // n for v in bn[j][lo:hi]]
+                     + [o * (k == j) for k in range(lo, hi)]
+                     for j, o in enumerate(orders[lo:hi], lo)]))
+            if det != 1:
+                raise ValueError(
+                    "degenerate bilinear form (nontrivial radical)")
 
 
 # ------------------------------------------------------------------ subgroup
@@ -636,14 +638,9 @@ def trivial_form() -> FiniteQuadraticForm:
 
 
 def cyclic_form(m: int, n: int) -> FiniteQuadraticForm:
-    """The cyclic form [m/n]: Z/n with q(g) = m/n mod 2 (mn even, gcd(m,n)=1)."""
-    if n < 2:
-        raise ValueError("cyclic form needs n >= 2")
-    if math.gcd(m, n) != 1:
-        raise ValueError("m and n must be coprime")
-    if (m * n) % 2 != 0:
-        raise ValueError("mn must be even")
-    return FiniteQuadraticForm([n], [Fraction(m, n)], {})
+    """The cyclic form [m/n]: Z/n with q(g) = m/n mod 2.  The constructor
+    refuses n < 2, an odd mn, and gcd(m, n) > 1, where b is degenerate."""
+    return FiniteQuadraticForm([n], [m], scale=n)
 
 
 def u_block(k: int) -> FiniteQuadraticForm:

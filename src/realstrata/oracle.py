@@ -329,8 +329,8 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     return the BruteQuotient.  Raises OracleMismatch on any disagreement.
 
     Let d_j be the presentation's orders (prime powers) and g_j its
-    generator reps.  The checks: the same group order; each g_j lies in
-    K-perp; each d_j*g_j lies in K.  The last two make
+    generator reps, one per d_j.  The checks: the same group order; each
+    g_j lies in K-perp; each d_j*g_j lies in K.  The last two make
     psi(c) = [sum_j c_j g_j] a well-defined homomorphism from the sum of
     the Z/d_j to K-perp/K.  Then one walk over every c in lexicographic
     order, carrying sum_j c_j g_j with one addition per step, requires
@@ -345,8 +345,9 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     the reps carries sum_j c_j g_j with one addition per step.  No q is
     evaluated from scratch per coset; the brute one is an integer at the
     scale d of form, compared cross-multiplied."""
-    brute = brute_subquotient(form, kernel_gens, cutoff)
     qform = sq.form
+    _require(len(sq.reps) == qform.rank, "not one rep per quotient generator")
+    brute = brute_subquotient(form, kernel_gens, cutoff)
     _require(qform.order == brute.order, "quotient orders differ")
     zero = form.zero()
     for d, gen in zip(qform.orders, sq.reps):

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from realstrata.fqf import (FiniteQuadraticForm, canon_mod2, cyclic_form,
-                            factorint, trivial_form, u_block, v_block)
+from realstrata.fqf import (FiniteQuadraticForm, cyclic_form, factorint,
+                            trivial_form, u_block, v_block)
 from realstrata.gluing import classify_gluing_case
 from realstrata.isotropy import subquotient
+
+from _fractions import canon_mod2
 
 
 def pair_form(level: int, mu: int, nu: int) -> FiniteQuadraticForm:

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realstrata import fqf
-from realstrata.fqf import (FiniteQuadraticForm, canon_mod2, cyclic_form,
-                            direct_sum_all, display_rep, factorint,
-                            trivial_form, u_block, v_block)
+from realstrata.fqf import (FiniteQuadraticForm, cyclic_form, direct_sum_all,
+                            factorint, trivial_form, u_block, v_block)
 from realstrata.gluing import homogeneous_decomposition, primary_component
 
 from _corpus import CORPUS_SIZE, corpus
+from _fractions import canon_mod2, display_rep
 
 # ------------------------------------------------------------ canonical reps
 
@@ -214,6 +214,119 @@ def test_nondegeneracy_check_matches_radical(monkeypatch):
         assert raised == (radical.order != 1), (orders, qn, b)
         outcomes[raised] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def _radical_order(monkeypatch, orders, qn, b, n):
+    """|radical| of the data, read as the orthogonal complement of the
+    whole group on a form built with the constructor's check off."""
+    with monkeypatch.context() as m:
+        m.setattr(FiniteQuadraticForm, "_check_nondegenerate",
+                  lambda self: None)
+        form = FiniteQuadraticForm(orders, qn, b, scale=n)
+    full = form.subgroup([tuple(int(i == j) for j in range(len(orders)))
+                          for i in range(len(orders))])
+    return form.orthogonal_complement(full).order
+
+
+def test_blockwise_nondegeneracy_matches_radical(monkeypatch):
+    # Orthogonal sums of 2-4 random blocks of 1-3 generators, either all
+    # nondegenerate or with exactly one degenerate block among them; the
+    # constructor, which decides block by block, must agree with the
+    # radical of the whole sum.
+    rng = random.Random(8128)
+    outcomes = {True: 0, False: 0}
+
+    def block(degenerate):
+        while True:
+            data = _random_form_data(rng)
+            if len(data[0]) <= 3 and (
+                    _radical_order(monkeypatch, *data) != 1) == degenerate:
+                return data
+
+    for _ in range(300):
+        k = rng.randint(2, 4)
+        bad = rng.randrange(k) if rng.random() < 0.5 else None
+        blocks = [block(t == bad) for t in range(k)]
+        n = math.lcm(*(data[3] for data in blocks))
+        orders, qn, b = [], [], {}
+        for o, q, bb, m in blocks:
+            base = len(orders)
+            orders += o
+            qn += [v * (n // m) for v in q]
+            b.update({(base + i, base + j): v * (n // m)
+                      for (i, j), v in bb.items()})
+        degenerate = _radical_order(monkeypatch, orders, qn, b, n) != 1
+        assert degenerate == (bad is not None), (orders, qn, b)
+        try:
+            FiniteQuadraticForm(orders, qn, b, scale=n)
+            raised = False
+        except ValueError as exc:
+            assert "degenerate" in str(exc)
+            raised = True
+        assert raised == degenerate, (orders, qn, b)
+        outcomes[raised] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def _first_error_over_the_whole_matrix(orders, q_values, b_matrix):
+    """The first validity message of the constructor's rule read over
+    every entry of the r x r matrix, zeros included, or None."""
+    r, n = len(orders), math.lcm(*orders)
+    q = [Fraction(v) * n % (2 * n) for v in q_values]
+    b = [[Fraction(0)] * r for _ in range(r)]
+    for (i, j), v in b_matrix.items():
+        b[i][j] = b[j][i] = Fraction(v) * n % n
+    for i, o in enumerate(orders):
+        if q[i].denominator != 1 or (o * q[i]) % n:
+            return f"q[{i}] is not defined on Z/{o}"
+        if (o * o * q[i]) % (2 * n):
+            return f"q[{i}] violates o^2 q = 0 mod 2 on Z/{o}"
+        for j in range(r):
+            if i != j and (b[i][j].denominator != 1 or (o * b[i][j]) % n):
+                return f"b[{i}][{j}] is not defined on Z/{o}"
+    return None
+
+
+def test_validity_checks_nonzero_entries_in_matrix_order():
+    # The constructor checks only the nonzero b entries, yet its first
+    # ValueError is the one a walk over the whole matrix meets first.
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(2000):
+        r = rng.randint(1, 4)
+        orders = [rng.choice((2, 3, 4, 6, 8)) for _ in range(r)]
+        q = [Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 3, 4, 8, 16)))
+             for _ in range(r)]
+        pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        rng.shuffle(pairs)
+        b = {p: Fraction(rng.randrange(-4, 5), rng.choice((1, 2, 3, 4, 8)))
+             for p in pairs[:rng.randint(0, len(pairs))]}
+        want = _first_error_over_the_whole_matrix(orders, q, b)
+        try:
+            FiniteQuadraticForm(orders, q, b)
+            got = None
+        except ValueError as exc:
+            got = None if "degenerate" in str(exc) else str(exc)
+        assert got == want, (orders, q, b)
+        seen.add(want.split(" ")[0][0] if want else None)
+    assert seen == {"q", "b", None}
+
+
+@pytest.mark.parametrize("orders,b,message", [
+    ([4], {(0, 1): Fraction(1, 4)}, r"b key \(0, 1\) not 0 <= i < j < 1"),
+    ([4, 4], {(-1, 0): Fraction(1, 4)}, r"b key \(-1, 0\) not"),
+    ([4, 4], {(1, 0): Fraction(1, 4)}, r"b key \(1, 0\) not"),
+    ([4, 4], {(0, 1): Fraction(1, 4), (1, 0): Fraction(3, 4)},
+     r"b key \(1, 0\) not"),
+    ([4, 4], {(0, 2): 0}, r"b key \(0, 2\) not"),
+    ([4, 4], {(1, 1): Fraction(1, 4)}, "pass q for diagonal"),
+], ids=["past_rank", "negative", "below_diagonal", "both_orders",
+        "zero_past_rank", "diagonal"])
+def test_b_keys_outside_the_upper_triangle_are_refused(orders, b, message):
+    # Out of range, negative, below the diagonal, or given twice in both
+    # orders: no key outside 0 <= i < j < rank is read, or silently won.
+    with pytest.raises(ValueError, match=message):
+        FiniteQuadraticForm(orders, [0] * len(orders), b)
 
 
 def test_direct_sum_all_matches_pairwise_sums():

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from realstrata._intmat import solve_mod_orders
-from realstrata.fqf import (canon_mod2, cyclic_form, trivial_form, u_block,
-                            v_block)
+from realstrata.fqf import cyclic_form, trivial_form, u_block, v_block
 from realstrata.detector import (check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
 from realstrata.isotropy import subquotient
@@ -30,6 +29,8 @@ from realstrata.lattices import (DiscAutomorphism, RootSpec,
 from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import _apply, brute_involutions
+
+from _fractions import canon_mod2, display_rep
 
 
 # ------------------------------------------------------------------ RootSpec
@@ -281,6 +282,39 @@ def test_polarized_disc_golden_displays():
     assert pf.display() == "[-7/8] (+) [-6/7] (+) [-3/4] (+) [-2/3] (+) [1/4]"
     pf = polarized_disc(RootSpec.parse("A7+A6+A5"), 2)
     assert pf.display() == "[-7/8] (+) [-6/7] (+) [2/3] (+) [1/2] (+) [1/2]"
+
+
+def _fraction_display_and_json(form):
+    """display() and to_json_dict() as str of the Fractions form.q and
+    form.b: q shown in (-1, 1], starred when b pairs e_i with another
+    generator."""
+    r = form.rank
+    display = " (+) ".join(
+        f"[{display_rep(form.q[i])}]"
+        + ("*" if any(form.b[i][j] for j in range(r) if j != i) else "")
+        for i in range(r)) or "[0]"
+    return display, {"orders": list(form.orders),
+                     "q": [str(v) for v in form.q],
+                     "b": [[str(v) for v in row] for row in form.b]}
+
+
+def test_display_and_json_are_the_fraction_text():
+    # The integer formatter prints what str(Fraction) printed: every ADE
+    # component of rank <= 19 on its own, and the golden and ladder
+    # strata at five models.
+    forms = [disc_root(fam, n) for fam, ns in (("A", range(1, 20)),
+                                               ("D", range(4, 20)),
+                                               ("E", (6, 7, 8)))
+             for n in ns]
+    forms += [polarized_disc(RootSpec.parse(spec), h2).form
+              for spec in ("D7+A6+A3+A2", "A7+A6+A3+A2", "A7+A6+A5",
+                           "6*A1", "7*A1", "8*A1")
+              for h2 in (2, 4, 16, 32, 64)]
+    for form in forms:
+        assert (form.display(), form.to_json_dict()) == \
+            _fraction_display_and_json(form), form.orders
+    assert max(form.rank for form in forms) == 9
+    assert any("*" in form.display() for form in forms)
 
 
 def test_a_polarized_form_cuts_inside_a_component():

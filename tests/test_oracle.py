@@ -203,6 +203,19 @@ def test_presentation_rejects_a_rep_outside_kperp():
             verify_subquotient_presentation(form, [(2, 0)], bad)
 
 
+def test_presentation_needs_one_rep_per_generator():
+    # The reps pair with the quotient's generators one to one.  A surplus
+    # rep in front would leave the last one unchecked; one at the end
+    # would reach the walk.  Both are refused before any walk.
+    form = u_block(2)
+    sq = subquotient(form, (2, 0))
+    assert len(sq.reps) == sq.form.rank == 2
+    for reps in ([(2, 0)] + sq.reps, sq.reps + [(0, 1)], sq.reps[:1]):
+        with pytest.raises(OracleMismatch, match="one rep per"):
+            verify_subquotient_presentation(
+                form, [(2, 0)], isotropy.Subquotient(sq.form, reps))
+
+
 def test_presentation_rejects_a_rep_of_too_high_order():
     # [1/2] (+) [1/4] with trivial kernel: (1, 1) has order 4 but stands
     # for the Z/2 generator.  It lies in K-perp, so only the check that
