@@ -43,9 +43,10 @@ def main() -> None:
           f" (brute total {len(brute_set)})")
     print()
 
-    print("check 3 - K-perp/K presentations of the glued kernels, re-derived")
-    print("          coset by coset (a candidate kappa becomes isotropic only")
-    print("          after gluing the [1/a^2] block on):")
+    print("check 3 - K-perp/K presentations of the glued kernels, proved by")
+    print("          one walk of K-perp, spanned by theta and the reps (a")
+    print("          candidate kappa becomes isotropic only after gluing the")
+    print("          [1/a^2] block on):")
     checked = 0
     for a2 in enumerate_a_squares(pf):
         for n in (1, 2):
@@ -55,8 +56,8 @@ def main() -> None:
                 verify_subquotient_presentation(
                     big, [theta], subquotient(big, theta))
                 checked += 1
-    print(f"  {checked} glued-kernel presentations verified against the"
-          " brute-force quotient")
+    print(f"  {checked} glued-kernel presentations verified element by"
+          " element of K-perp")
     print()
 
     report = detect(4, "A1+A2", oracle=True)

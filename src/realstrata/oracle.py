@@ -2,39 +2,39 @@
 
 Everything here recomputes results by exhaustive element enumeration or
 symbolic identities, sharing as little code as possible with the fast
-paths: subquotients are rebuilt coset by coset, automorphism groups by
-generator-image backtracking, and signatures via exact root-of-unity
-sums.  q and b are evaluated here as integer sums over the common
-denominator d of form.q and form.b (the Fraction tuples), never by the
-engine's integer evaluators or its integer Gram.  Every listing of a
-group is one lexicographic odometer.  _walk lists the elements of a form
-as its digit vectors and carries q(x)*d and b(x, .)*d along: the step
-that raises digit j adds a fixed s_j, and q(x + s_j) = q(x) + q(s_j) +
-2 b(x, s_j), so a step costs O(rank) where a from-scratch evaluation
-costs O(rank^2); q(s_j) and the b(s_j, .) are evaluated from scratch
-once per walk.  _span lists the sums of given generators with one
-form.add per step.  All functions refuse (with OracleSizeError) groups
-larger than a fixed cutoff rather than sampling, so a passing check is a
-complete one.
+paths: kernel candidates by a sweep of the glued group, subquotients by
+a certificate walk of K-perp, automorphism groups by generator-image
+backtracking, and signatures via exact root-of-unity sums.  q and b are
+evaluated here as integer sums over the common denominator d of form.q
+and form.b (the Fraction tuples), never by the engine's integer
+evaluators or its integer Gram.  Every listing of a group is one
+lexicographic odometer over sum_j t_j g_j for given generators g_j: the
+step that raises t_j adds a fixed s_j, and q(x + s_j) = q(x) + q(s_j) +
+2 b(x, s_j), so a walk carries x, q(x)*d and b(x, .)*d by one addition
+each per step, where a from-scratch evaluation costs O(rank^2); q(s_j)
+and the b(s_j, .) are evaluated from scratch once per walk.  _walk lists
+a form by its units, _span lists sums alone.  All functions refuse (with
+OracleSizeError) groups larger than a fixed cutoff rather than sampling,
+so a passing check is a complete one.
 The engine's K-perp/K presentation, the very Subquotient its decision
-read, is handed in and proved by one walk over the sum of its cyclic
-factors: the generator reps, which lie in K-perp, send each coordinate
-vector to a distinct brute-force coset, on which the engine's quotient q
-agrees with the brute one.  That proves an isometry, so the
-presentation's orders d_j (prime powers) are those of cyclic factors of
-K-perp/K, and K with the reps generates K-perp.  The oracle never calls
-the engine's subquotient construction, and takes K from its own
-generators.
-A witness phi is re-checked from its matrix with the oracle's q and b.
-A failed check raises OracleMismatch explicitly, so the checks also run
-under ``python -O``.
+read, is handed in and proved by one walk of K-perp alone (Nikulin 1979,
+1.4), which theta and the generator reps span: |K-perp| is read off the
+pairings b(e_i, theta), and the walk requires distinct elements, each
+with a brute q equal to the engine's quotient q at its coset.  That proves
+an isometry, so the presentation's orders d_j (prime powers) are those
+of cyclic factors of K-perp/K, and K with the reps generates K-perp.
+The oracle never calls the engine's subquotient construction, and lists
+K by its own additions.  A witness phi is re-checked from its matrix
+with the oracle's q and b, and phi (+) -1 on every element of K-perp, in
+the same walk.  A failed check raises OracleMismatch explicitly, so the
+checks also run under ``python -O``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mod, mul
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -124,23 +124,43 @@ def _odometer(orders: Sequence[int]) -> Iterator[Tuple[int, List[int]]]:
         yield j, t
 
 
-def _span(form: FiniteQuadraticForm, gens: Sequence[Element],
-          orders: Sequence[int]) -> Iterator[Element]:
-    """sum_j t_j gens[j] for every t with 0 <= t_j < orders[j], in
-    lexicographic order of t, with one form.add per step: the odometer
-    step that raises t_j adds s_j = gens[j] - sum_{i>j} (orders[i] - 1)
-    gens[i]."""
+def _steps(form: FiniteQuadraticForm, gens: Sequence[Element],
+           orders: Sequence[int]) -> List[Element]:
+    """The odometer's steps over sum_j t_j gens[j], 0 <= t_j < orders[j]:
+    the step that raises t_j adds s_j = gens[j] - sum_{i>j} (orders[i] - 1)
+    gens[i], reduced."""
     steps: List[Element] = []
     tail = [0] * form.rank      # -sum_{i>j} (orders[i] - 1) gens[i]
     for gen, o in zip(reversed(gens), reversed(orders)):
         steps.append(form.reduce(map(add, gen, tail)))
         tail = [t - (o - 1) * c for t, c in zip(tail, gen)]
     steps.reverse()
+    return steps
+
+
+def _span(form: FiniteQuadraticForm, gens: Sequence[Element],
+          orders: Sequence[int]) -> Iterator[Element]:
+    """sum_j t_j gens[j] for every t with 0 <= t_j < orders[j], in
+    lexicographic order of t, with one form.add per step."""
+    steps = _steps(form, gens, orders)
     x = form.zero()
     yield x
     for j, _t in _odometer(orders):
         x = form.add(x, steps[j])
         yield x
+
+
+def _step_values(g: _ScaledGram, steps: Sequence[Element],
+                 targets: Sequence[Element] = ()
+                 ) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """q(s)*d for each step s, and the row of b(s, y)*d mod d for y in the
+    steps and then the targets: what a walk adds to its q and b."""
+    paired = [*steps, *targets]
+    step_b = []
+    for s in steps:
+        srow = [sum(map(mul, s, col)) for col in zip(*g.b)]  # b(s, e_i)*d
+        step_b.append(tuple(sum(map(mul, srow, y)) % g.d for y in paired))
+    return [_qd(g, s) for s in steps], step_b
 
 
 def _walk(form: FiniteQuadraticForm, g: _ScaledGram,
@@ -158,14 +178,9 @@ def _walk(form: FiniteQuadraticForm, g: _ScaledGram,
     O(rank + len(targets)) where a from-scratch _qd costs O(rank^2)."""
     m = form.rank
     steps = [(0,) * j + (1,) * (m - j) for j in range(m)]
-    step_q = [_qd(g, s) for s in steps]
-    paired = steps + list(targets)
-    step_b = []
-    for s in steps:
-        srow = [sum(map(mul, s, col)) for col in zip(*g.b)]  # b(s, e_i)*d
-        step_b.append(tuple(sum(map(mul, srow, y)) % g.d for y in paired))
+    step_q, step_b = _step_values(g, steps, targets)
     d2 = 2 * g.d
-    q, b = 0, (0,) * len(paired)
+    q, b = 0, (0,) * (m + len(targets))
     yield form.zero(), q, b[m:]
     for j, t in _odometer(form.orders):
         q = (q + step_q[j] + 2 * b[j]) % d2
@@ -261,110 +276,99 @@ def brute_involutions(form: FiniteQuadraticForm,
                    for e in _units(form.rank))]
 
 
-class BruteQuotient:
-    """K-perp/K rebuilt coset by coset."""
-    __slots__ = ("order", "coset_q", "d", "assigned")
-
-    def __init__(self, order: int,
-                 coset_q: Dict[Element, int],      # q*d per coset's lex-min
-                 d: int,                           # the scale of coset_q
-                 assigned: Dict[Element, Element]  # K-perp element -> rep
-                 ) -> None:
-        self.order = order
-        self.coset_q = coset_q
-        self.d = d
-        self.assigned = assigned
-
-
-def brute_subquotient(form: FiniteQuadraticForm,
-                      kernel_gens: Sequence[Element],
-                      cutoff: int = ORACLE_CUTOFF) -> BruteQuotient:
-    """Construct K-perp/K by explicit coset enumeration, checking that K is
-    isotropic and that q is constant on every coset (the well-definedness
-    of the induced form).  b vanishes on K once q does, by polarization.
-    One walk over the form: a coset's lex-min is the first of its members
-    the walk meets, and each later member is checked against its q there."""
+def _kperp_walk(form: FiniteQuadraticForm, kernel_gens: Sequence[Element],
+                sq: Subquotient, cutoff: int,
+                involution: Optional[Sequence[Sequence[int]]] = None
+                ) -> List[Element]:
+    """Prove that sq presents K-perp/K, K = <theta> the kernel_gens
+    generate, by one walk of K-perp, and return K-perp in walk order: |K|
+    elements per coset, the cosets in lexicographic order of their
+    coordinates c.  Given the rows of an involution of form, also require
+    that it sends every element into its own coset.  Raises OracleMismatch
+    on any disagreement; see verify_subquotient_presentation."""
     _within_cutoff(form.order, cutoff)
+    if len(kernel_gens) > 1:
+        raise ValueError("K must be cyclic: give at most one generator")
+    qform = sq.form
+    _require(len(sq.reps) == qform.rank, "not one rep per quotient generator")
     g = _scaled_gram(form)
-    # K as the closure of its generators under addition, walked here
-    # rather than read off the engine's Hermite-form Subgroup.
-    kset = {form.zero()}
-    todo = list(kset)
-    while todo:
-        x = todo.pop()
-        for k in kernel_gens:
-            y = form.add(x, k)
-            if y not in kset:
-                kset.add(y)
-                todo.append(y)
-    _require(not any(_qd(g, k) for k in kset), "kernel is not isotropic")
-    nonzero = [k for k in kset if any(k)]       # x + 0 is x itself
-    d = g.d
-    assigned: Dict[Element, Element] = {}
-    coset_q: Dict[Element, int] = {}
-    for x, q, row in _walk(form, g, kernel_gens):
-        rep = assigned.get(x)
-        if rep is not None:
-            _require(q == coset_q[rep], "q is not constant on a coset")
-            continue
-        if any(v % d for v in row):           # x is not in K-perp
-            continue
-        # The walk is in lexicographic order, so the first unassigned
-        # member of K-perp is the lex-min member of its coset.
-        assigned[x] = x
-        for k in nonzero:
-            assigned[form.add(x, k)] = x
-        coset_q[x] = q
-    return BruteQuotient(order=len(coset_q), coset_q=coset_q, d=d,
-                         assigned=assigned)
+    theta = form.reduce(kernel_gens[0]) if kernel_gens else form.zero()
+    kernel = [form.zero()]      # K listed by the oracle's own additions
+    while any(k := form.add(kernel[-1], theta)):
+        kernel.append(k)
+    _require(not any(_qd(g, k) for k in kernel), "kernel is not isotropic")
+    m = len(kernel)
+    # b(., theta) maps form onto the subgroup of (1/d)Z/Z its values on the
+    # units generate, and K-perp is its kernel.
+    image = g.d // gcd(g.d, *(_bd(g, e, theta) for e in _units(form.rank)))
+    _require(qform.order * m * image == form.order, "quotient orders differ")
+    kset = set(kernel)
+    for o, gen in zip(qform.orders, sq.reps):
+        _require(len(gen) == form.rank and not _bd(g, gen, theta),
+                 "a generator rep is not in K-perp")
+        _require(form.smul(o, gen) in kset,
+                 "a generator rep times its invariant factor is not in K")
+    # One odometer over (c, t), theta the fastest digit: x = sum_j c_j g_j +
+    # t*theta moves by the step s_j of the digit j raised, q(x)*d and
+    # b(x, s_.)*d by their recurrence, and the quotient's q at c and
+    # b(c, u_.) by theirs, u_j its own step, only when a c digit moves.
+    gens, orders, r = [*sq.reps, theta], (*qform.orders, m), qform.rank
+    steps = _steps(form, gens, orders)
+    step_q, step_b = _step_values(g, steps)
+    qg = _scaled_gram(qform)
+    qstep_q, qstep_b = _step_values(
+        qg, _steps(qform, _units(r), qform.orders))
+    if involution is not None:  # the image of x, less x: in K iff same coset
+        moves = [form.sub(_apply(form, involution, s), s) for s in steps]
+        y = form.zero()
+    d, qd, group = g.d, qg.d, form.orders
+    x, q, b, qc, bc = form.zero(), 0, (0,) * len(steps), 0, (0,) * r
+    seen = {x: None}            # K-perp in walk order
+    for j, _t in _odometer(orders):
+        x = tuple(map(mod, map(add, x, steps[j]), group))
+        q = (q + step_q[j] + 2 * b[j]) % (2 * d)
+        b = tuple(map(add, b, step_b[j]))
+        if j < r:
+            qc = (qc + qstep_q[j] + 2 * bc[j]) % (2 * qd)
+            bc = tuple(map(add, bc, qstep_b[j]))
+        _require(x not in seen, "two coordinate vectors give one coset")
+        seen[x] = None
+        _require(q * qd == qc * d, "q differs on a coset")  # q/d == qc/qd
+        if involution is not None:
+            y = tuple(map(mod, map(add, y, moves[j]), group))
+            _require(y in kset, "witness involution fails on K-perp")
+    return list(seen)
 
 
 def verify_subquotient_presentation(form: FiniteQuadraticForm,
                                     kernel_gens: Sequence[Element],
                                     sq: Subquotient,
-                                    cutoff: int = ORACLE_CUTOFF
-                                    ) -> BruteQuotient:
-    """Cross-check the engine's K-perp/K presentation sq, for the K the
-    kernel_gens generate in form, against the brute coset construction, and
-    return the BruteQuotient.  Raises OracleMismatch on any disagreement.
+                                    cutoff: int = ORACLE_CUTOFF) -> int:
+    """Prove the engine's K-perp/K presentation sq, for the cyclic K =
+    <theta> the kernel_gens (at most one) generate in form, by one walk of
+    K-perp, and return |K-perp|.  Raises OracleMismatch on any
+    disagreement.
 
     Let d_j be the presentation's orders (prime powers) and g_j its
-    generator reps, one per d_j.  The checks: the same group order; each
-    g_j lies in K-perp; each d_j*g_j lies in K.  The last two make
-    psi(c) = [sum_j c_j g_j] a well-defined homomorphism from the sum of
-    the Z/d_j to K-perp/K.  Then one walk over every c in lexicographic
-    order, carrying sum_j c_j g_j with one addition per step, requires
-    that psi(c) is a coset not met before, and that the engine's quotient
-    q at c is the brute q of psi(c).  psi is one to one between groups of
-    the same order, so it is bijective: an isomorphism that sends each
-    unit to its generator's coset and keeps q.  So the cyclic factors
-    Z/d_j present K-perp/K, the g_j with K generate K-perp, and b agrees
-    by polarization, 2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.
-    The cost is two walks in step, with no call of any engine map: a
-    _walk of the quotient form lists the c with its q at c, and a _span of
-    the reps carries sum_j c_j g_j with one addition per step.  No q is
-    evaluated from scratch per coset; the brute one is an integer at the
-    scale d of form, compared cross-multiplied."""
-    qform = sq.form
-    _require(len(sq.reps) == qform.rank, "not one rep per quotient generator")
-    brute = brute_subquotient(form, kernel_gens, cutoff)
-    _require(qform.order == brute.order, "quotient orders differ")
-    zero = form.zero()
-    for d, gen in zip(qform.orders, sq.reps):
-        _require(gen in brute.assigned, "a generator rep is not in K-perp")
-        _require(brute.assigned[form.smul(d, gen)] == zero,
-                 "a generator rep times its invariant factor is not in K")
-    qg = _scaled_gram(qform)
-    seen = set()
-    for (_c, qc, _row), x in zip(_walk(qform, qg),
-                                 _span(form, sq.reps, qform.orders)):
-        rep = brute.assigned[x]
-        _require(rep not in seen, "two coordinate vectors give one coset")
-        seen.add(rep)
-        # qc/qg.d == coset_q/brute.d, cross-multiplied
-        _require(qc * brute.d == brute.coset_q[rep] * qg.d,
-                 "q differs on a coset")
-    return brute
+    generator reps, one per d_j, and m = |K|, K listed by the oracle's own
+    additions with q = 0 on it.  Each g_j pairs to 0 with theta, so lies in
+    K-perp, and each d_j*g_j lies in K: so psi(c) = [sum_j c_j g_j] is a
+    well-defined homomorphism from the sum of the Z/d_j to K-perp/K.
+    x -> b(x, theta) is a homomorphism whose image the b(e_i, theta)
+    generate, so |K-perp| is read off them with no walk, and must be
+    |sq.form|*m.  Then one odometer over (c, t), 0 <= t < m and theta the
+    fastest digit, lists x = sum_j c_j g_j + t*theta, carrying x, its brute
+    q and the engine's quotient q at c by one addition per step.  It
+    requires that each x is new, so that psi is one to one and the walk
+    lists all of K-perp, and that the brute q(x) is the engine's q at c,
+    x being in the coset psi(c).  psi is one to one between groups of the
+    same order, so it is bijective: an isomorphism that sends each unit to
+    its generator's coset and keeps q.  So the cyclic factors Z/d_j present
+    K-perp/K, the g_j with K generate K-perp, and b agrees by polarization,
+    2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.  No engine map is called and
+    no q is evaluated from scratch per element; the brute q is an integer
+    at the scale d of form, compared cross-multiplied."""
+    return len(_kperp_walk(form, kernel_gens, sq, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +548,13 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     _require(big.order_of(theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 
-    # brute_subquotient also requires q = 0 on K = <theta>, theta included.
-    brute = verify_subquotient_presentation(big, [theta], sq, cutoff)
-    _require(len(brute.assigned) * (cand.a2 // cand.n) == big.order,
-             "K-perp has the wrong size")
-    # phi (+) -1 on the glued group, row by row from phi's columns.
+    # phi (+) -1 on the glued group, row by row from phi's columns, checked
+    # on every element of K-perp by the walk that proves sq.
     glued = [tuple(y[i] for y in images) + (0,) for i in range(r)]
     glued.append((0,) * r + (-1,))
-    for x, rep in brute.assigned.items():
-        img = tuple(sum(map(mul, row, x)) % o
-                    for row, o in zip(glued, big.orders))
-        _require(brute.assigned.get(img) == rep,
-                 "witness involution fails on K-perp")
+    kperp = len(_kperp_walk(big, [theta], sq, cutoff, glued))
+    _require(kperp * (cand.a2 // cand.n) == big.order,
+             "K-perp has the wrong size")
     ok, _ = embeds_into_big_L(2, pf.rank_S, sq.form)
     _require(ok, "witness glue does not embed")
     return True

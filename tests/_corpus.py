@@ -182,7 +182,7 @@ def det_relation_report() -> dict:
 def oracle_agreement_report() -> dict:
     """Brute-force agreement checks, memoized.
 
-    * every corpus subquotient presentation is re-verified coset by coset;
+    * every corpus subquotient presentation is proved by one walk of K-perp;
     * on each ORACLE_STRATA discriminant, symmetry-induced involutions are
       a subset of the brute involution list, and the kernel-candidate lists
       agree exactly for every admissible (a^2, n).

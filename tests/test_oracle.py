@@ -1,5 +1,6 @@
-"""Brute-force cross-checks: exhaustive automorphism groups, coset-built
-subquotients, exact Gauss-sum signatures, and witness revalidation."""
+"""Brute-force cross-checks: exhaustive automorphism groups, subquotient
+presentations proved by a walk of K-perp (against the coset-built whole-group
+reference), exact Gauss-sum signatures, and witness revalidation."""
 import ast
 import os
 import subprocess
@@ -22,10 +23,10 @@ from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import (ORACLE_CUTOFF, OracleMismatch,
                                OracleSizeError, brute_aut_group,
                                brute_involutions, brute_kernel_candidates,
-                               brute_subquotient, gauss_sum_signature,
-                               revalidate_witness,
+                               gauss_sum_signature, revalidate_witness,
                                verify_subquotient_presentation)
 
+from _brute_quotient import brute_subquotient
 from _corpus import corpus
 
 # ------------------------------------------------------------- Gauss sums
@@ -272,6 +273,68 @@ def test_presentation_rejects_a_q_wrong_only_past_a_carry():
         verify_subquotient_presentation(form, [], sq)
 
 
+def test_presentation_rejects_a_quotient_of_the_wrong_order():
+    # [1/2] (+) [1/4] with trivial kernel, presented as [1/4] on (0, 1):
+    # the rep lies in K-perp and 4*(0, 1) = 0, but K-perp/K has order 8.
+    form = direct_sum_all([cyclic_form(1, 2), cyclic_form(1, 4)])
+    sq = isotropy.Subquotient(cyclic_form(1, 4), [(0, 1)])
+    with pytest.raises(OracleMismatch, match="quotient orders differ"):
+        verify_subquotient_presentation(form, [], sq)
+
+
+def test_presentation_rejects_an_anisotropic_kernel():
+    # [1/2] by K = <(1,)>: q(1) = 1/2, so K is no isotropic subgroup.
+    form = cyclic_form(1, 2)
+    with pytest.raises(OracleMismatch, match="kernel is not isotropic"):
+        verify_subquotient_presentation(form, [(1,)], _trivial_quotient(form))
+
+
+def test_presentation_refuses_a_kernel_of_two_generators():
+    # K is cyclic at every caller; two generators are refused, not walked.
+    form = u_block(2)
+    sq = subquotient(form, (2, 0))
+    with pytest.raises(ValueError, match="cyclic"):
+        verify_subquotient_presentation(form, [(2, 0), (0, 2)], sq)
+
+
+def _cosets_by_walk(form, theta, sq):
+    """K-perp as the certificate walk lists it: |K| elements per coset, the
+    cosets in lexicographic order of their coordinates c, each with the
+    engine's quotient q at c."""
+    kperp = oracle._kperp_walk(form, [theta], sq, ORACLE_CUTOFF)
+    m = len(kperp) // sq.form.order
+    return {frozenset(kperp[i * m:(i + 1) * m]): sq.form.eval_q(c)
+            for i, c in enumerate(sq.form.iter_elements())}
+
+
+def _cosets_by_brute(form, theta):
+    """K-perp/K as the whole-group walk builds it: each coset with its q."""
+    brute = brute_subquotient(form, [theta])
+    cosets = {}
+    for x, rep in brute.assigned.items():
+        cosets.setdefault(rep, set()).add(x)
+    return {frozenset(xs): Fraction(brute.coset_q[rep], brute.d)
+            for rep, xs in cosets.items()}
+
+
+def test_certificate_walk_partitions_kperp_as_the_whole_group_walk():
+    # The criterion-7 corpus and the glued candidates of A3@4: the walk of
+    # K-perp alone meets the same cosets, with the same q on each, as the
+    # walk of the whole group.
+    cases = [(item.form, item.kappa, subquotient(item.form, item.kappa))
+             for item in corpus()]
+    pf = polarized_disc(RootSpec.parse("A3"), 4)
+    for a2, n in ((4, 1), (2, 2), (8, 2), (2, 1)):
+        for cand in kernel_candidates(pf, a2, n):
+            big = ambient_with_a_block(pf.form, cand.a2)
+            theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
+            cases.append((big, theta, check_candidate(pf, cand)[2]))
+    assert len(cases) > len(corpus())
+    bad = [(form.orders, theta) for form, theta, sq in cases
+           if _cosets_by_walk(form, theta, sq) != _cosets_by_brute(form, theta)]
+    assert bad == []
+
+
 def _count_builds(monkeypatch):
     """Count subquotient calls through every binding of it in realstrata,
     and check_candidate calls through the detector binding."""
@@ -374,6 +437,40 @@ def test_revalidate_witness_rederives_the_isometry_itself():
     phi.form, phi.matrix = pf.form, ((1, 0), (2, 1))
     with pytest.raises(OracleMismatch, match="witness phi is not an isometry"):
         revalidate_witness(pf, cand, phi, sq)
+
+
+def test_revalidate_witness_rejects_an_involution_wrong_on_the_z3_part():
+    # The A2@4 witness with phi = -1: an involutive isometry that negates
+    # kappa = 0, but -1 on the Z/3 part, whose K-perp/K classes it moves.
+    pf = polarized_disc(RootSpec.parse("A2"), 4)
+    cand = KernelCandidate(2, 2, (0, 0))
+    assert pf.form.orders == (3, 4)
+    sq = check_candidate(pf, cand)[2]
+    phi = DiscAutomorphism(pf.form, [[-1, 0], [0, -1]])
+    with pytest.raises(OracleMismatch,
+                       match="witness involution fails on K-perp"):
+        revalidate_witness(pf, cand, phi, sq)
+
+
+def test_revalidate_witness_with_a_nontrivial_kernel():
+    # A3+A7+E7@2: a2 = 2, n = 1, so |K| = 2; the glued group has 256
+    # elements and K-perp 128.  A rep swapped for an element off K-perp is
+    # refused.
+    rep = detect(2, "A3+A7+E7")
+    w = rep.witness
+    pf = polarized_disc(RootSpec.parse("A3+A7+E7"), 2)
+    cand = KernelCandidate(w["a2"], w["n"], tuple(w["kappa"]))
+    _status, phi, sq = check_candidate(pf, cand)
+    big = ambient_with_a_block(pf.form, cand.a2)
+    theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
+    assert (cand.a2 // cand.n, big.order) == (2, 256)
+    assert verify_subquotient_presentation(big, [theta], sq) == 128
+    assert revalidate_witness(pf, cand, phi, sq) is True
+    off = (1,) + (0,) * (big.rank - 1)
+    assert big.eval_b(off, theta) != 0
+    bad = isotropy.Subquotient(sq.form, [off] + sq.reps[1:])
+    with pytest.raises(OracleMismatch, match="not in K-perp"):
+        revalidate_witness(pf, cand, phi, bad)
 
 
 def test_revalidate_witness_checks_run_under_optimize():

@@ -307,7 +307,7 @@ def test_equal_length_preserves_det_unit(data):
 def test_subquotient_presents_prime_power_pieces(data):
     # K-perp/K is presented one prime at a time, so every generator order
     # is a prime power (an invariant-factor chain would merge Z/2 + Z/3
-    # into Z/6); the oracle proves the presentation coset by coset.
+    # into Z/6); the oracle proves the presentation by one walk of K-perp.
     form, kappa = data
     sq = subquotient(form, kappa)
     assert all(len(factorint(o)) == 1 for o in sq.form.orders)
