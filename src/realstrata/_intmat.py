@@ -9,8 +9,9 @@ section 2.4), as K-perp is in fqf.orthogonal_complement, which is off
 detect's path.  The K-perp of a cyclic kernel is one congruence
 s . x = 0 mod p^mu per prime p dividing its order, each Hermite form one
 gcd sweep.  Triangular solves read only the nonzero entries of the
-basis.  Smith forms over Z serve disc_of_gram and smith_presentation
-only, K-perp/K takes sweeps mod p^k; determinants are Bareiss eliminations.
+basis.  Smith forms over Z serve disc_of_gram, and smith_presentation,
+which only the tests call; K-perp/K takes sweeps mod p^k; determinants
+are Bareiss eliminations.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ presents root discriminants, each represented by one element of K-perp.
 The presentation is the induced form and those reps, all a decision
 reads: the genus clauses read the form, and cond3 reads theta and the
 reps, which generate K-perp.
-The 2-adic gluing-case classification is in `gluing`, which no engine
-module imports.
+The 2-adic gluing-case classification, which the program never runs,
+is a tests helper (tests/_gluing.py) that checks each gluing shape's
+K-perp/K against `subquotient`.
 """
 
 from __future__ import annotations

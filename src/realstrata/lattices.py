@@ -14,7 +14,7 @@ from itertools import product
 from math import isqrt, prod
 from operator import mul
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
@@ -644,7 +644,12 @@ def _invert_mod_orders(m: Sequence[Sequence[int]], orders: Sequence[int]
 
 def binary_autos(gram: Sequence[Sequence[int]]) -> List[List[List[int]]]:
     """The orthogonal group of a positive definite even binary lattice,
-    as integer matrices in the lattice basis."""
+    as integer matrices in the lattice basis, sorted.
+
+    Lagrange steps take the Gram to a reduced one, |2b| <= a <= d, by a
+    unimodular P (its columns the reduced basis), whose isometries lie in
+    a box that the entries as given do not bound; each isometry M of the
+    reduced Gram is P M P^-1 in the given basis."""
     a, b, d = gram[0][0], gram[0][1], gram[1][1]
     if gram[1][0] != b:
         raise ValueError("Gram matrix must be symmetric")
@@ -653,15 +658,29 @@ def binary_autos(gram: Sequence[Sequence[int]]) -> List[List[List[int]]]:
         raise ValueError("Gram matrix must be positive definite")
     if a % 2 or d % 2:
         raise ValueError("lattice must be even")
+    (p, q), (r, s) = (1, 0), (0, 1)
+    while True:
+        if a > d:                       # swap the basis vectors
+            a, d, p, q, r, s = d, a, q, p, s, r
+        elif abs(2 * b) > a:            # e2 -= k e1, k nearest to b/a
+            k = (2 * b + a) // (2 * a)
+            b, d = b - k * a, d - 2 * k * b + k * k * a
+            q, s = q - k * p, s - k * r
+        else:
+            break
 
-    def vectors_of_norm(t: int) -> List[Tuple[int, int]]:
-        out = []
-        xmax = isqrt(t * d // det) + 1
-        ymax = isqrt(t * a // det) + 1
-        for x in range(-xmax, xmax + 1):
-            for y in range(-ymax, ymax + 1):
-                if a * x * x + 2 * b * x * y + d * y * y == t:
-                    out.append((x, y))
+    def vectors_of_norm(t: int) -> Set[Tuple[int, int]]:
+        # a x^2 + 2bxy + d y^2 = t iff (a x + b y)^2 = a t - det y^2: one
+        # square root per y, and |y| <= 1 on a reduced Gram.
+        out = set()
+        ymax = isqrt(a * t // det)
+        for y in range(-ymax, ymax + 1):
+            rest = a * t - det * y * y
+            root = isqrt(rest)
+            if root * root == rest:
+                out.update((num // a, y)
+                           for num in (root - b * y, -root - b * y)
+                           if num % a == 0)
         return out
 
     v1s = vectors_of_norm(a)
@@ -679,8 +698,11 @@ def binary_autos(gram: Sequence[Sequence[int]]) -> List[List[List[int]]]:
                 raise AssertionError("isometry of T has determinant "
                                      f"{dm}, not +-1")
             autos.append(mat)
-    autos.sort()
-    return autos
+    # P^-1 = det(P) [[s, -q], [-r, p]], and det(P) = +-1.
+    e = p * s - q * r
+    back, inv = [[p, q], [r, s]], [[e * s, -e * q], [-e * r, e * p]]
+    return sorted(_intmat.matmul(_intmat.matmul(back, m), inv)
+                  for m in autos)
 
 
 def maximizing_has_skew(tgram: Sequence[Sequence[int]],

@@ -124,7 +124,7 @@ def det_relation_report() -> dict:
     """
     if "det_report" in _CACHE:
         return _CACHE["det_report"]
-    from realstrata.gluing import is_isotropic, split_off_cyclic
+    from _gluing import is_isotropic, split_off_cyclic
     from realstrata.isotropy import subquotient
     from realstrata.nikulin import SquareClass, det_p
 

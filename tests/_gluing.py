@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from . import _intmat
-from .fqf import Element, FiniteQuadraticForm, Subgroup, _val
+from realstrata import _intmat
+from realstrata.fqf import Element, FiniteQuadraticForm, Subgroup, _val
 
 
 def is_isotropic(form: FiniteQuadraticForm, sub: Subgroup) -> bool:

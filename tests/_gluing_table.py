@@ -3,7 +3,7 @@
 For synthesized instances of each 2-adic gluing shape this module checks
 that:
 
-  * ``realstrata.gluing.classify_gluing_case`` returns the expected tag and
+  * ``_gluing.classify_gluing_case`` returns the expected tag and
     order exponent m,
   * for both odd lifts of delta (the glued cyclic block's square numerator),
     the subquotient K-perp/K of the glued form, from the engine's
@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from realstrata.fqf import (FiniteQuadraticForm, cyclic_form, factorint,
                             trivial_form, u_block, v_block)
-from realstrata.gluing import classify_gluing_case
+from _gluing import classify_gluing_case
 from realstrata.isotropy import subquotient
 
 from _fractions import canon_mod2

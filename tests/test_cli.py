@@ -764,6 +764,41 @@ def test_autos_tgram_hexagonal_json(capsys):
         assert e["kind"] == ("rotation" if e["det"] == 1 else "reflection")
 
 
+def test_autos_tgram_of_an_unreduced_gram(capsys):
+    # 2,11,62 and 2,1001,501002 are the hexagonal 2,1,2 in other bases:
+    # O(T) is listed on the reduced Gram and written back in the basis as
+    # given, so entries of any size answer at once.
+    code, out, _ = run(capsys, "autos", "--tgram", "2,11,62")
+    assert code == 0
+    assert out.splitlines() == [
+        "12 isometries",
+        "  [[-6, -35], [1, 6]]  det=-1  reflection",
+        "  [[-6, -31], [1, 5]]  det=+1  rotation",
+        "  [[-5, -31], [1, 6]]  det=+1  rotation",
+        "  [[-5, -24], [1, 5]]  det=-1  reflection",
+        "  [[-1, -11], [0, 1]]  det=-1  reflection",
+        "  [[-1, 0], [0, -1]]  det=+1  rotation",
+        "  [[1, 0], [0, 1]]  det=+1  rotation",
+        "  [[1, 11], [0, -1]]  det=-1  reflection",
+        "  [[5, 24], [-1, -5]]  det=-1  reflection",
+        "  [[5, 31], [-1, -6]]  det=+1  rotation",
+        "  [[6, 31], [-1, -5]]  det=+1  rotation",
+        "  [[6, 35], [-1, -6]]  det=-1  reflection"]
+    code, out, _ = run(capsys, "autos", "--tgram", "2,1001,501002")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "12 isometries"
+    assert "  [[501, 251000], [-1, -501]]  det=-1  reflection" in lines
+
+
+def test_detect_rank19_with_an_unreduced_tgram(capsys, tmp_path):
+    code, out, _ = run(capsys, "detect", "--spec", "E8+E8+A2+A1",
+                       "--tgram", "4,1000,250006", "--cache-dir",
+                       str(tmp_path))
+    assert code == 0
+    assert "verdict: witness_found  (basis: rankT2)" in out
+
+
 @pytest.mark.parametrize("stratum", [["--spec", "D4", "--model", "sextic"],
                                      ["--spec", "D4"], ["--model", "quartic"],
                                      ["--spec", ""]])

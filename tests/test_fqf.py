@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from realstrata import fqf
 from realstrata.fqf import (FiniteQuadraticForm, cyclic_form, direct_sum_all,
                             factorint, trivial_form, u_block, v_block)
-from realstrata.gluing import homogeneous_decomposition, primary_component
 
 from _corpus import CORPUS_SIZE, corpus
 from _fractions import canon_mod2, display_rep
+from _gluing import homogeneous_decomposition, primary_component
 
 # ------------------------------------------------------------ canonical reps
 

@@ -1,19 +1,18 @@
 """Isotropic kernels and subquotients K-perp/K (realstrata.isotropy), and
 gluing-vector splitting and the structural case classification
-(realstrata.gluing)."""
+(tests/_gluing.py)."""
 from fractions import Fraction
 
 import pytest
 
 from realstrata.detector import kernel_candidates
 from realstrata.fqf import cyclic_form, trivial_form, u_block
-from realstrata.gluing import (classify_gluing_case, is_isotropic,
-                               split_off_cyclic)
 from realstrata.isotropy import subquotient
 from realstrata.lattices import RootSpec, polarized_disc
 from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import verify_subquotient_presentation
 
+from _gluing import classify_gluing_case, is_isotropic, split_off_cyclic
 from _gluing_table import INSTANCES, pair_form, run_instance
 
 # -------------------------------------------------------------- is_isotropic

@@ -896,6 +896,12 @@ def _matmul2(a, b):
 def test_binary_autos_orders():
     assert len(binary_autos([[2, 0], [0, 2]])) == 8
     assert len(binary_autos([[2, 1], [1, 2]])) == 12
+    # Unreduced Grams of those lattices: the box their entries as given
+    # would span is far larger than the group.
+    assert len(binary_autos([[10, 4], [4, 2]])) == 8
+    assert len(binary_autos([[2, 1001], [1001, 501002]])) == 12
+    # Reduced, but a norm-d vector's x ranges up to sqrt(d/a).
+    assert len(binary_autos([[2, 0], [0, 2 * 10 ** 30]])) == 4
     autos = binary_autos([[2, 0], [0, 6]])
     assert len(autos) == 4
     mats = {tuple(tuple(r) for r in m) for m in autos}
@@ -905,12 +911,16 @@ def test_binary_autos_orders():
 
 def test_binary_autos_group_closure_and_reflections():
     for gram in ([[2, 0], [0, 2]], [[2, 1], [1, 2]], [[2, 0], [0, 6]],
-                 [[4, 1], [1, 4]]):
+                 [[4, 1], [1, 4]], [[2, 11], [11, 62]], [[6, -3], [-3, 6]],
+                 [[4, 1000], [1000, 250006]]):
         autos = binary_autos(gram)
+        assert autos == sorted(autos)
         mats = {tuple(tuple(r) for r in m) for m in autos}
         assert ((1, 0), (0, 1)) in mats
         assert ((-1, 0), (0, -1)) in mats
         for a in mats:
+            assert _matmul2(_matmul2(tuple(zip(*a)), gram), a) == \
+                tuple(map(tuple, gram)), "isometry"
             for b in mats:
                 assert _matmul2(a, b) in mats, "closure"
             det = a[0][0] * a[1][1] - a[0][1] * a[1][0]

@@ -99,6 +99,14 @@ def _tracer_fqf_methods():
             for method in methods}
 
 
+def test_every_package_module_is_one_the_cli_or_the_oracle_imports():
+    # Code that only the tests run lives under tests/, not in the package:
+    # every module of src/realstrata is imported, directly or through
+    # another, by the CLI or the oracle.
+    stems = {path.stem for path in PACKAGE.glob("*.py")}
+    assert stems == set(_engine_closure("cli", "oracle"))
+
+
 def test_every_function_on_the_cli_path_is_reachable():
     # Every function, class and method of a module that the CLI or the
     # oracle imports is reached from what runs: cli.main, each command
@@ -216,14 +224,12 @@ def _stdout_of(script):
     return proc.stdout.strip()
 
 
-def test_import_loads_no_dataclasses_inspect_datetime_or_gluing():
+def test_import_loads_no_dataclasses_inspect_or_datetime():
     # Each CLI call pays for the import: these modules (and what they pull
-    # in: dis, tokenize, ast) cost about a quarter of it.  The gluing-case
-    # classification runs in no engine path, so no engine module loads it.
+    # in: dis, tokenize, ast) cost about a quarter of it.
     script = ("import sys; import realstrata, realstrata.cli, "
               "realstrata.oracle; print(sorted(m for m in ('dataclasses', "
-              "'inspect', 'datetime', 'realstrata.gluing') "
-              "if m in sys.modules))")
+              "'inspect', 'datetime') if m in sys.modules))")
     assert _stdout_of(script) == "[]"
 
 
@@ -293,11 +299,9 @@ def _calls(node, name):
 
 def test_only_fqf_and_the_oracle_walk_every_element_of_a_form():
     # A search by order and q reads FiniteQuadraticForm.elements_of_order;
-    # walks of every element stay in fqf, in the oracle, which shares no
-    # fast-path code, and in gluing's homogeneous decomposition (of a
-    # 2-primary form of order at most 2^16), which no engine module
-    # imports.  form.subgroup(...).iter_elements() lists a subgroup, not
-    # the form, and is not counted.
+    # walks of every element stay in fqf and in the oracle, which shares no
+    # fast-path code.  form.subgroup(...).iter_elements() lists a subgroup,
+    # not the form, and is not counted.
     def of_a_form(call):
         owner = call.func.value
         return not (isinstance(owner, ast.Call)
@@ -306,7 +310,7 @@ def test_only_fqf_and_the_oracle_walk_every_element_of_a_form():
     walkers = {path.name for path in PACKAGE.glob("*.py")
                if any(of_a_form(call) for call in _calls(
                    ast.parse(path.read_text()), "iter_elements"))}
-    assert walkers <= {"fqf.py", "gluing.py", "oracle.py"}
+    assert walkers <= {"fqf.py", "oracle.py"}
 
 
 def test_the_detector_reads_the_symmetry_table_to_search_and_key_only():
