@@ -3,15 +3,15 @@
 All routines operate on lists of lists of Python ints (arbitrary precision) and
 are deterministic.  Matrices are small (a few dozen rows at most in this
 package), so clarity wins over asymptotics; the algorithms are the classical
-elimination ones in integer arithmetic throughout.  Solves modulo orders
-are one Hermite form of the system stacked on an identity (Cohen 1993,
-section 2.4), as K-perp is in fqf.orthogonal_complement, which is off
-detect's path.  The K-perp of a cyclic kernel is one congruence
-s . x = 0 mod p^mu per prime p dividing its order, each Hermite form one
-gcd sweep.  Triangular solves read only the nonzero entries of the
-basis.  Smith forms over Z serve disc_of_gram, and smith_presentation,
-which only the tests call; K-perp/K takes sweeps mod p^k; determinants
-are Bareiss eliminations.
+elimination ones in integer arithmetic throughout.  K-perp is one Hermite
+form of the pairing rows stacked on an identity (Cohen 1993, section 2.4)
+in fqf.orthogonal_complement, which is off detect's path.  The K-perp of
+a cyclic kernel is one congruence s . x = 0 mod p^mu per prime p dividing
+its order, each Hermite form one gcd sweep.  Triangular solves read only
+the nonzero entries of the basis.  Smith forms over Z serve disc_of_gram,
+which only the rank-19 --tgram dispatch calls (the ADE discriminants are
+closed forms), and smith_presentation, which only the tests call;
+K-perp/K takes sweeps mod p^k; determinants are Bareiss eliminations.
 """
 
 from __future__ import annotations
@@ -154,12 +154,6 @@ def hnf_solver(h: Sequence[Sequence[int]]):
     return solve
 
 
-def hnf_solve(h: Sequence[Sequence[int]], x: Sequence[int]) -> List[int] | None:
-    """Solve H z = x for integer z given lower-triangular H (as from
-    hnf_columns).  Returns None when no integer solution exists."""
-    return hnf_solver(h)(x)
-
-
 def det_lower_triangular(h: Sequence[Sequence[int]]) -> int:
     return math.prod(h[i][i] for i in range(len(h)))
 
@@ -288,24 +282,3 @@ def det(a: Sequence[Sequence[int]]) -> int:
         prev = pk
     return sign * work[n - 1][n - 1] if n else 1
 
-
-def solve_mod_orders(gens: Sequence[Sequence[int]], orders: Sequence[int],
-                     target: Sequence[int]) -> List[int] | None:
-    """Find integer coefficients c with sum_t c[t] * gens[t] = target modulo
-    the given coordinate orders, or None.  gens[t] and target are coordinate
-    vectors of length len(orders).
-
-    The columns of [[G, diag(orders)], [I_s, 0]] (G has the gens as columns)
-    span the vectors (G c + diag(orders) y, c).  Their lower-triangular HNF
-    H spans the reachable first parts with its top-left r x r block, so the
-    target is reachable iff that block solves H11 z = target, and then
-    c = H21 z with H21 the lower-left s x r block."""
-    r, s = len(orders), len(gens)
-    a = [[g[i] for g in gens] + [o if j == i else 0 for j in range(r)]
-         for i, o in enumerate(orders)]
-    a += [[int(j == t) for j in range(s)] + [0] * r for t in range(s)]
-    h = hnf_columns(a)
-    z = hnf_solve([row[:r] for row in h[:r]], target)
-    if z is None:
-        return None
-    return [sum(x * y for x, y in zip(row, z)) for row in h[r:]]

@@ -12,6 +12,9 @@ Subcommands:
              or, with --tgram, the full isometry group O(T) of a rank-2
              lattice with each element classified as rotation/reflection
 
+A command whose reader closes stdout early (as `| head` does) exits 141,
+the shell's code for a writer cut off by its pipe, with nothing on stderr.
+
 The --json flag prints the full JSON document instead of a summary; give
 it a path (--json out.json) to write the document to a file instead.
 
@@ -50,6 +53,8 @@ EXIT_BATCH_ERRORS = 1
 EXIT_USAGE = 2
 EXIT_NONE = 3
 EXIT_INCONCLUSIVE = 4
+# A writer cut off by its pipe, as the shell reports one: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 _VERDICT_EXIT = {
     "witness_found": EXIT_WITNESS,
@@ -407,7 +412,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does): that is no
+        # failure of the run.  What is left in stdout's buffer goes to
+        # devnull, so the interpreter's last flush is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, AssertionError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

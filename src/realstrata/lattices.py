@@ -97,28 +97,6 @@ def _require_root_rank(rank: int) -> None:
         raise ValueError("root rank exceeds 19; no such stratum")
 
 
-# ----------------------------------------------------------- Cartan matrices
-
-
-def cartan_matrix(fam: str, n: int) -> List[List[int]]:
-    """The Cartan matrix (2 on the diagonal, -1 per diagram edge)."""
-    if not _ADE_VALID[fam](n):
-        raise ValueError(f"invalid component {fam}{n}")
-    edges: List[Tuple[int, int]] = []
-    if fam == "A":
-        edges = [(i, i + 1) for i in range(n - 1)]
-    elif fam == "D":
-        edges = [(i, i + 1) for i in range(n - 3)]
-        edges += [(n - 3, n - 2), (n - 3, n - 1)]
-    else:  # E6, E7, E8: a chain with one branch at the third node
-        edges = [(i, i + 1) for i in range(n - 2)]
-        edges.append((2, n - 1))
-    mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        mat[i][j] = mat[j][i] = -1
-    return mat
-
-
 # --------------------------------------------- discriminants of Gram lattices
 
 
@@ -174,28 +152,24 @@ def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
 
 
 def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
-    """Discriminant form of the negative definite ADE root lattice, with
-    generators split into prime-power cyclic pieces (descending prime within
-    each invariant factor).  D_even components use the two spinor classes,
-    or, for n = 4 mod 8, two nonzero classes that carry the same form."""
-    gram = [[-x for x in row] for row in cartan_matrix(fam, n)]
-    gd = disc_of_gram(gram)
-    base = gd.form
+    """Discriminant form of the negative definite ADE root lattice, read
+    off its closed form (Conway-Sloane, SPLAG ch. 4; Nikulin 1979,
+    section 1): [-n/(n+1)] for A_n, [-n/4] for odd D_n, [-4/3] for E6,
+    [-3/2] for E7, trivial for E8, and for even D_n the two spinor
+    classes, q = -n/4 each, pairing to (n-2)/4 mod 1 (their sum, the
+    vector class, has q = -1).  A cyclic form is split into prime-power
+    pieces, descending prime."""
+    if not _ADE_VALID[fam](n):
+        raise ValueError(f"invalid component {fam}{n}")
     if fam == "D" and n % 2 == 0:
-        # (Z/2)^2; canonical generators are the two spinor classes, whose
-        # q-value is -n/4 mod 2; the vector class has q = -1 mod 2.
-        # The group has exponent N = 2, so the target is -n/2 mod 4.
-        # For n = 4 mod 8 the vector class has that q too, and all three
-        # nonzero classes pair to 1/2, so any two carry the same form: take
-        # the first two, for D12 a spinor class and the vector class.
-        spinors = base.elements_of_order(2, -n * base.N // 4)
-        if len(spinors) == 3:
-            spinors = spinors[:2]
-        if len(spinors) != 2:
-            raise AssertionError(f"D{n} has {len(spinors)} spinor classes")
-        return base.restricted_form([2, 2], spinors)
-    # Every other base is cyclic, so splitting prime by prime (descending)
-    # splits its one generator into prime-power pieces.
+        return FiniteQuadraticForm([2, 2], [-n, -n], {(0, 1): n - 2},
+                                   scale=4)
+    if fam == "E":
+        if n == 8:
+            return trivial_form()
+        base = cyclic_form(-4, 3) if n == 6 else cyclic_form(-3, 2)
+    else:
+        base = cyclic_form(-n, n + 1) if fam == "A" else cyclic_form(-n, 4)
     orders: List[int] = []
     gens: List[Element] = []
     for p in reversed(base.primes()):
@@ -285,15 +259,16 @@ def _check_isometry(form: FiniteQuadraticForm,
                 raise ValueError("map does not preserve b")
 
 
-def _is_involution(orders: Sequence[int],
-                   block: Sequence[Sequence[int]]) -> bool:
-    """block*block = I, row a reduced mod orders[a]: the map the block
-    makes on generators of these orders, applied twice, is the identity
-    (column b of the square is the image of the b-th generator)."""
-    cols = list(zip(*block))
-    return all(sum(map(mul, row, col)) % o == (a == b)
-               for a, (o, row) in enumerate(zip(orders, block))
-               for b, col in enumerate(cols))
+def _is_inverse(orders: Sequence[int], b: Sequence[Sequence[int]],
+                c: Sequence[Sequence[int]]) -> bool:
+    """b*c = I, row a reduced mod orders[a]: the map c makes on
+    generators of these orders, followed by the map b makes, is the
+    identity (column j of the product is the image of the j-th
+    generator).  With c = b, b is an involution."""
+    cols = list(zip(*c))
+    return all(sum(map(mul, row, col)) % o == (i == j)
+               for i, (o, row) in enumerate(zip(orders, b))
+               for j, col in enumerate(cols))
 
 
 class DiscAutomorphism:
@@ -312,7 +287,7 @@ class DiscAutomorphism:
 
     def is_involution(self) -> bool:
         """M*M = I on the group."""
-        return _is_involution(self.form.orders, self.matrix)
+        return _is_inverse(self.form.orders, self.matrix, self.matrix)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DiscAutomorphism)
@@ -339,7 +314,8 @@ def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     """The diagram automorphisms of one component, as images on its k
     disc generators: +-1, the spinor swap of D_even, S3 on D4.  Each one
     identifies a swapped pair of equal components; the involutive ones
-    are the symmetries of a fixed component."""
+    are the symmetries of a fixed component.  Each list is a group, so
+    it holds the inverse of each of its blocks."""
     if fam == "D" and n == 4:
         return list(_D4_S3)
     if fam == "D" and n % 2 == 0:
@@ -384,18 +360,22 @@ def _checked_blocks(own: FiniteQuadraticForm,
                     blocks: Iterable[Sequence[Sequence[int]]]) -> Checked:
     """The distinct blocks mod own's orders (one per row), in first-seen
     order, each checked once on own, the form of one component (or of h)
-    on its own generators, to be an isometry with an inverse, returned
-    beside it.  Then an involutive block is a fixed slot's option, and for
-    every block B, [[0, B^-1], [B, 0]] is an involutive isometry of own
-    (+) own.  Every check raises explicitly."""
-    out: Checked = []
+    on its own generators, to be an isometry, and returned beside its
+    inverse, the block C of the same list with B*C = I: an involutive
+    block is its own.  Then an involutive block is a fixed slot's option,
+    and for every block B, [[0, B^-1], [B, 0]] is an involutive isometry
+    of own (+) own.  A block whose inverse is not in the list is refused.
+    Every check raises explicitly."""
+    reduced: List[List[List[int]]] = []
     for raw in blocks:
         block = [[v % o for v in row] for row, o in zip(raw, own.orders)]
-        if any(block == seen for seen, _ in out):
-            continue
+        if block not in reduced:
+            reduced.append(block)
+    out: Checked = []
+    for block in reduced:
         DiscAutomorphism(own, block)
-        inv = (block if _is_involution(own.orders, block)
-               else _invert_mod_orders(block, own.orders))
+        inv = next((c for c in reduced if _is_inverse(own.orders, block, c)),
+                   None)
         if inv is None:
             raise AssertionError(_NOT_AN_INVOLUTION)
         out.append((block, inv))
@@ -623,22 +603,6 @@ def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     return [DiscAutomorphism(pf.form, m) for m in mats]
 
 
-def _invert_mod_orders(m: Sequence[Sequence[int]], orders: Sequence[int]
-                       ) -> Optional[List[List[int]]]:
-    """Inverse of a square matrix acting on prod Z/orders, or None."""
-    k = len(orders)
-    cols = [[m[i][j] for i in range(k)] for j in range(k)]
-    inv_cols = []
-    for j in range(k):
-        target = [1 if i == j else 0 for i in range(k)]
-        sol = _intmat.solve_mod_orders(cols, list(orders), target)
-        if sol is None:
-            return None
-        inv_cols.append(sol)
-    return [[inv_cols[j][i] % orders[i] for j in range(k)]
-            for i in range(k)]
-
-
 # ----------------------------------------------------- rank-2 positive autos
 
 
@@ -770,8 +734,15 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
         return []
     # The images of e_i, listed once: q(y) = -q_src(e_i) mod 2 with both
     # sides at their own scale is qn(y) = -Qn_src[i]*dN/sN mod 2dN, with
-    # no y when that is not an integer.  Only y of exact order o_i can
-    # help the images generate a group of order |src| = |dst|.
+    # no y when that is not an integer, and y of exact order o_i.
+    #
+    # Every full list of images is an anti-isometry, with no check that
+    # they generate dst: each y_i has order o_i, so e_i -> y_i is a
+    # homomorphism psi; psi carries q to -q on each generator and b to -b
+    # on each pair of them, so b(psi x, psi y) = -b(x, y) for all x, y,
+    # and q(psi x) = -q(x); a kernel element of psi then pairs to 0 with
+    # all of src, which is nondegenerate, so psi is injective, and onto
+    # since |src| = |dst|.
     s_n, d_n = src.N, dst.N
     images_of = []
     for o, qn in zip(src.orders, src.Qn):
@@ -782,9 +753,7 @@ def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
     def extend(images: List[Element]) -> None:
         i = len(images)
         if i == src.rank:
-            sub = dst.subgroup(images)
-            if sub.order == dst.order:
-                results.append(list(images))
+            results.append(list(images))
             return
         for y in images_of[i]:
             # b(y, psi e_t) = -b_src(e_i, e_t) mod 1, at both scales.

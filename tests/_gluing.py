@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from realstrata import _intmat
 from realstrata.fqf import Element, FiniteQuadraticForm, Subgroup, _val
+
+from _references import solve_mod_orders
 
 
 def is_isotropic(form: FiniteQuadraticForm, sub: Subgroup) -> bool:
@@ -193,7 +194,7 @@ def split_off_cyclic(form: FiniteQuadraticForm, kappa: Sequence[int]
     family: List[Tuple[int, Element]] = []
     for lvl in levels:
         family.extend((lvl, g) for g in layer_gens[lvl])
-    coeffs = _intmat.solve_mod_orders([list(g) for _, g in family],
+    coeffs = solve_mod_orders([list(g) for _, g in family],
                                       list(form.orders), list(kappa))
     if coeffs is None:
         raise AssertionError("generator family must span the form")
@@ -301,7 +302,7 @@ def classify_gluing_case(form: FiniteQuadraticForm, kappa: Sequence[int],
     k2_amb = primary_component(form, kappa, 2)
     if not any(k2_amb):
         return None
-    coords = _intmat.solve_mod_orders([list(g) for g in gens2],
+    coords = solve_mod_orders([list(g) for g in gens2],
                                       list(form.orders), list(k2_amb))
     if coords is None:
         raise AssertionError("the 2-part generators must span the 2-part")

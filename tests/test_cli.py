@@ -155,6 +155,29 @@ def test_io_error_exits_2_with_one_line(capsys, tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["autos", "batch"])
+def test_a_reader_that_closes_stdout_early_is_no_io_error(tmp_path, command):
+    # A reader that stops reading (`| head -0`) is no I/O error (exit 2,
+    # one error line): the run exits 141, 128 + SIGPIPE as the shell
+    # reports a writer cut off by its pipe, with nothing on stderr.
+    specs = tmp_path / "specs.txt"
+    specs.write_text("A1\nA2\n")
+    argv = {"autos": ["autos", "--tgram", "2,0,6"],
+            "batch": ["batch", str(specs),
+                      "--cache-dir", str(tmp_path / "cache")]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from realstrata.cli import main; sys.exit(main())",
+             *argv], env=_src_env(), stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("command", ["disc", "embed", "autos", "detect"])
 def test_every_spec_subcommand_rejects_rank_over_19(capsys, tmp_path,
                                                     command):
@@ -202,16 +225,21 @@ def test_disc_json_document(capsys):
 # ------------------------------------------------------------- detect
 
 
-def _cli_in_a_subprocess(tmp_path, *argv):
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                     env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cli_in_a_subprocess(tmp_path, *argv):
     return subprocess.run(
         [sys.executable, "-c",
          "import sys; from realstrata.cli import main; sys.exit(main())",
          *argv, "--cache-dir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=5)
+        env=_src_env(), capture_output=True, text=True, timeout=5)
 
 
 def _detect_a1_in_a_subprocess(tmp_path, h2):

@@ -299,9 +299,9 @@ def test_detect_factors_a_large_h2_once(monkeypatch):
     assert large == [2 * math.lcm(3, 2 * p * q)]     # 2N, A2's disc Z/3
 
 
-def test_detect_takes_smith_forms_for_root_discriminants_only(monkeypatch):
-    # K-perp/K is built prime by prime, with no Smith form over Z: the
-    # only ones left are disc_of_gram's, once per distinct component.
+def test_detect_takes_no_smith_form_over_z(monkeypatch):
+    # K-perp/K is built prime by prime, and the root discriminants are
+    # read off closed forms, so detect takes no Smith form over Z.
     callers = []
     real = _intmat.snf
 
@@ -311,7 +311,7 @@ def test_detect_takes_smith_forms_for_root_discriminants_only(monkeypatch):
 
     monkeypatch.setattr(_intmat, "snf", counting)
     detect(4, "D7+A6+A3+A2")
-    assert callers == ["disc_of_gram"] * 4
+    assert callers == []
 
 
 def test_detect_factors_once_above_trial_division(monkeypatch):

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from realstrata import _intmat as im
 from realstrata.fqf import _val
 
+from _references import solve_mod_orders
+
 
 def test_identity_matmul_matvec():
     a = [[1, 2], [3, 4]]
@@ -36,7 +38,7 @@ def test_hnf_columns_triangular_and_spans():
             assert 0 <= h[i][j] < h[i][i], "reduced off-diagonal"
     # every original column solves over the HNF basis
     for col in im.transpose(a):
-        assert im.hnf_solve(h, col) is not None
+        assert im.hnf_solver(h)(col) is not None
 
 
 def test_hnf_columns_rejects_rank_deficient():
@@ -109,7 +111,7 @@ def test_hnf_columns_equals_the_repeated_remainder_form(a):
         assert all(h[i][j] == 0 for j in range(i + 1, n))
         assert all(0 <= h[i][j] < h[i][i] for j in range(i))
     for col in zip(*a):
-        assert im.hnf_solve(h, list(col)) is not None
+        assert im.hnf_solver(h)(list(col)) is not None
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,8 +128,8 @@ def test_hnf_columns_refuses_a_rank_deficient_span(a, coeffs):
 
 def test_hnf_solve_none_outside_lattice():
     h = im.hnf_columns([[2, 0], [0, 2]])
-    assert im.hnf_solve(h, [1, 0]) is None
-    assert im.hnf_solve(h, [2, -4]) == [1, -2]
+    assert im.hnf_solver(h)([1, 0]) is None
+    assert im.hnf_solver(h)([2, -4]) == [1, -2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,7 +244,7 @@ def _check_smith_mod_prime_power(a, p, k):
     assert sorted(d) == sorted(want)
     # each d[t] w[t] lies in the column span, so t -> w[t] is well defined
     h = im.hnf_columns(a)
-    assert all(im.hnf_solve(h, [dt * x for x in wt]) is not None
+    assert all(im.hnf_solver(h)([dt * x for x in wt]) is not None
                for dt, wt in zip(d, w))
     # and the w[t] with the span give all of Z^l, so it is onto: an
     # isomorphism between groups of one order
@@ -297,14 +299,14 @@ def test_solve_mod_orders():
     # generators (1,0) and (1,1) of Z/4 x Z/2; hit (3, 1)
     gens = [[1, 0], [1, 1]]
     orders = [4, 2]
-    sol = im.solve_mod_orders(gens, orders, [3, 1])
+    sol = solve_mod_orders(gens, orders, [3, 1])
     assert sol is not None
     acc = [0, 0]
     for c, g in zip(sol, gens):
         acc = [(x + c * y) % o for x, y, o in zip(acc, g, orders)]
     assert acc == [3, 1]
     # unreachable target
-    assert im.solve_mod_orders([[2, 0]], [4, 2], [1, 0]) is None
+    assert solve_mod_orders([[2, 0]], [4, 2], [1, 0]) is None
 
 
 def test_solve_mod_orders_random_battery():
@@ -325,7 +327,7 @@ def test_solve_mod_orders_random_battery():
 
         span = math.lcm(*orders) if orders else 1
         exists = any(hits(c) for c in product(range(span), repeat=s))
-        sol = im.solve_mod_orders(gens, orders, target)
+        sol = solve_mod_orders(gens, orders, target)
         assert (sol is not None) == exists, (gens, orders, target)
         if sol is not None:
             assert len(sol) == s and hits(sol)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from realstrata._intmat import solve_mod_orders
 from realstrata.fqf import cyclic_form, trivial_form, u_block, v_block
 from realstrata.detector import (check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
@@ -23,14 +22,15 @@ from realstrata.lattices import (DiscAutomorphism, RootSpec,
                                  _anti_isometries, _component_swap_isos,
                                  _count, _first_involution, _induced_on_disc,
                                  _live_classes, _symmetry_table, binary_autos,
-                                 cartan_matrix, checked_involution,
-                                 disc_involutions, disc_of_gram, disc_root,
-                                 maximizing_has_skew, polarized_disc)
+                                 checked_involution, disc_involutions,
+                                 disc_of_gram, disc_root, maximizing_has_skew,
+                                 polarized_disc)
 from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import _apply, brute_involutions
 
 from _fractions import canon_mod2, display_rep
+from _references import cartan_matrix, solve_mod_orders
 
 
 # ------------------------------------------------------------------ RootSpec
@@ -148,18 +148,6 @@ def test_disc_root_d_even_spinor_classes():
         assert form.eval_q((1, 1)) == canon_mod2(Fraction(-1))
 
 
-def test_disc_root_d_even_spinors_are_the_full_scan():
-    # The classes disc_root takes, listed by q and order, are the first
-    # two the scan of every element in lexicographic order finds.
-    for n in range(4, 20, 2):
-        base = disc_of_gram([[-x for x in row]
-                             for row in cartan_matrix("D", n)]).form
-        target = (-n * base.N // 4) % (2 * base.N)
-        spinors = [x for x in sorted(base.iter_elements())
-                   if any(x) and base.eval_qn(x) == target][:2]
-        assert disc_root("D", n) == base.restricted_form([2, 2], spinors), n
-
-
 def test_disc_root_d_even_is_the_form_on_the_spinor_classes():
     # In disc_of_gram coordinates the unit e_i is the class of the i-th
     # fundamental weight: the spinor classes are those of the fork's ends
@@ -195,6 +183,42 @@ def test_disc_root_always_from_even_lattice():
             gen = tuple(1 if j == i else 0 for j in range(form.rank))
             q = form.eval_q(gen)
             assert (q * form.orders[i]).denominator <= 2
+
+
+ADE_COMPONENTS = ([("A", n) for n in range(1, 20)]
+                  + [("D", n) for n in range(4, 20)]
+                  + [("E", n) for n in (6, 7, 8)])
+
+
+def _disc_from_cartan(fam, n):
+    """The root discriminant derived from the Cartan matrix C: the form
+    of disc_of_gram(-C) on its two spinor classes for even D_n (the first
+    two nonzero classes with q = -n/4, in lexicographic order), else on
+    its one cyclic generator split prime by prime, descending."""
+    base = disc_of_gram([[-x for x in row]
+                         for row in cartan_matrix(fam, n)]).form
+    if fam == "D" and n % 2 == 0:
+        target = (-n * base.N // 4) % (2 * base.N)
+        spinors = [x for x in sorted(base.iter_elements())
+                   if any(x) and base.eval_qn(x) == target][:2]
+        return base.restricted_form([2, 2], spinors)
+    orders, gens = [], []
+    for p in reversed(base.primes()):
+        p_orders, p_gens = base._p_generators(p)
+        orders += p_orders
+        gens += p_gens
+    return base.restricted_form(orders, gens)
+
+
+def test_disc_root_closed_forms_equal_the_cartan_derivation():
+    # disc_root reads each form off a table of closed forms; derived from
+    # the Cartan matrix, every component of rank <= 19 gives the same
+    # orders, q and b on the same generators.
+    for fam, n in ADE_COMPONENTS:
+        assert disc_root(fam, n) == _disc_from_cartan(fam, n), (fam, n)
+    for fam, n in (("A", 0), ("D", 3), ("E", 9)):
+        with pytest.raises(ValueError, match=f"invalid component {fam}{n}"):
+            disc_root(fam, n)
 
 
 # ------------------------------------------------------------- disc_of_gram
@@ -233,9 +257,7 @@ def test_disc_of_gram_matches_rational_inverse_on_ade():
     # on the generators' dual vectors w, with G^-1 w from a Fraction solve:
     # every ADE family up to rank 19, and sums with unequal invariant
     # factors (each ADE discriminant alone has only one size).
-    cases = ([[("A", n)] for n in range(1, 20)]
-             + [[("D", n)] for n in range(4, 20)]
-             + [[("E", n)] for n in (6, 7, 8)]
+    cases = ([[comp] for comp in ADE_COMPONENTS]
              + [[("A", 1), ("A", 3)], [("A", 2), ("A", 8)],
                 [("D", 5), ("A", 1), ("A", 7)], [("D", 4), ("A", 5)]])
     for comps in cases:
@@ -644,18 +666,32 @@ def _placed(r, parts):
     return whole
 
 
+def _inverse_by_search(block, orders):
+    """The C with block*C = I on generators of these orders, row a of
+    both read mod orders[a], found by trying every such C; or None."""
+    k = len(orders)
+    for entries in product(*(range(o) for o in orders for _ in range(k))):
+        c = [list(entries[i * k:(i + 1) * k]) for i in range(k)]
+        if all(sum(x * c[t][j] for t, x in enumerate(row)) % o == (i == j)
+               for i, (o, row) in enumerate(zip(orders, block))
+               for j in range(k)):
+            return c
+    return None
+
+
 def test_local_slot_check_equals_the_whole_matrix_check():
     # Every diagram automorphism of every component (the D4 3-cycles are
     # isometries but no involutions), the signs on h, and their mutations:
     # _checked_blocks checks each on the component's own form, read off
-    # pf.form.  It refuses a block with the exception and message that
-    # checked_involution gives on the whole matrix placing the block on
-    # its component and the identity elsewhere, and on a class of equal
-    # components, when the block has an inverse, on the whole matrix
-    # placing the block and its inverse on a swapped pair.  A block it
-    # accepts is an isometry: stored as its own inverse exactly when the
-    # fixed whole matrix is an involution (a fixed option), and its
-    # returned inverse completes every swapped pair to an involution.
+    # pf.form.  Alone, a block is refused with the exception and message
+    # that checked_involution gives on the whole matrix placing the block
+    # on its component and the identity elsewhere, and accepted, as its
+    # own inverse, exactly when that matrix is accepted.  Passed with its
+    # inverse (found test-side, when there is one), it is refused with
+    # the same exception as alone unless it is an isometry, and then
+    # returned beside that inverse; on a class of equal components, the
+    # whole matrix placing the block and its inverse on a swapped pair
+    # is refused or accepted as the pair of blocks is.
     rng = random.Random(5150)
     seen = set()
     forms = FILTER_FORMS + [(s, 4) for s in INTERLEAVED] + [
@@ -679,23 +715,29 @@ def test_local_slot_check_equals_the_whole_matrix_check():
                 fixed = _outcome(checked_involution, form,
                                  _placed(r, [(lo, lo, block)]))
                 seen.update((got, fixed))
+                assert got == fixed, (spec, h2, lo, block)
                 reduced = [[v % o for v in row]
                            for row, o in zip(block, own.orders)]
                 if got is None:
                     [(kept, inv)] = lattices._checked_blocks(own, [block])
-                    assert kept == reduced, block
-                    assert (inv is kept) == (fixed is None), (spec, block)
-                    assert fixed in (None, ("AssertionError",
-                                            lattices._NOT_AN_INVOLUTION))
+                    assert kept == reduced and inv is kept, (spec, block)
+                inv = _inverse_by_search(reduced, own.orders)
+                if inv is None:
+                    continue
+                paired = _outcome(lattices._checked_blocks, own, [block, inv])
+                if paired is None:
+                    (kept, kept_inv), *_ = lattices._checked_blocks(
+                        own, [block, inv])
+                    assert (kept, kept_inv) == (reduced, inv), (spec, block)
+                    assert (kept_inv is kept) == (got is None), (spec, block)
                 else:
-                    assert got == fixed, (spec, h2, lo, block)
-                    inv = lattices._invert_mod_orders(reduced, own.orders)
-                if len(cuts) < 2 or inv is None:
+                    assert paired == got, (spec, h2, lo, block)
+                if len(cuts) < 2:
                     continue
                 (src, _), (dst, _) = cuts[:2]
                 pair = _outcome(checked_involution, form, _placed(
                     r, [(dst, src, block), (src, dst, inv)]))
-                assert pair == got, (spec, h2, src, dst, block)
+                assert pair == paired, (spec, h2, src, dst, block)
     assert seen == {None,
                     ("ValueError", "matrix does not define a homomorphism"),
                     ("ValueError", "map does not preserve q"),
@@ -708,26 +750,17 @@ def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
     # table checks 3 distinct blocks, each once on its component's own
     # form of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs),
     # not 18 + 153 + 2 options on the rank-19 form.  It builds no rank-19
-    # DiscAutomorphism, and inverts nothing: every block is an involution,
-    # so it is its own inverse, for fixed and swapped slots alike.
-    # Counted, not timed.
-    built, inverted = [], []
-    real_init, real_invert = (DiscAutomorphism.__init__,
-                              lattices._invert_mod_orders)
+    # DiscAutomorphism.  Counted, not timed.
+    built = []
+    real_init = DiscAutomorphism.__init__
 
     def counting_init(self, form, matrix):
         built.append((form.rank, tuple(map(tuple, matrix))))
         real_init(self, form, matrix)
 
-    def counting_invert(block, orders):
-        inverted.append((tuple(map(tuple, block)), tuple(orders)))
-        return real_invert(block, orders)
-
     monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
-    monkeypatch.setattr(lattices, "_invert_mod_orders", counting_invert)
     table = _symmetry_table(polarized_disc(RootSpec.parse("18*A1"), 4))
     assert built == [(1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
-    assert inverted == []
     assert sum(len(options) for _, _, choices, _ in table
                for options in choices.values()) == 18 + 153 + 2
 
@@ -736,14 +769,16 @@ def test_decision_checks_run_under_optimize():
     # python -O strips assert statements; the inverse check on the blocks
     # of the symmetry group and the size check in subquotient must still
     # raise.  A D4 3-cycle is no involution, so only its inverse completes
-    # it to a swap; when there is none, the slot check refuses it.  The
+    # it to a swap; with the last block of D4's list, one 3-cycle's
+    # inverse, dropped, the slot check refuses the other.  The
     # kernel <(2, 0)> of u_block(2) has order 2, so its 2-part is swept;
     # a sweep that returns one piece too many must fail the size check.
     script = textwrap.dedent("""
         from realstrata import _intmat, isotropy, lattices
         from realstrata.fqf import u_block
         print("debug:", __debug__)
-        lattices._invert_mod_orders = lambda block, orders: None
+        real = lattices._component_swap_isos
+        lattices._component_swap_isos = lambda *comp: real(*comp)[:-1]
         pf = lattices.polarized_disc(lattices.RootSpec.parse("D4"), 4)
         try:
             lattices.disc_involutions(pf)
@@ -778,8 +813,9 @@ def test_slot_checks_run_under_optimize():
     # raise from detect and from disc_involutions, also when python -O
     # strips asserts.  detect builds the table before its walk, so it
     # raises though its witness (the identity on 2*A4) uses no bad block.
-    # Neither x -> 2x nor the zero block keeps q on A4; a D4 3-cycle with
-    # no inverse cannot complete a swap of 2*D4 to an involution.
+    # Neither x -> 2x nor the zero block keeps q on A4; a D4 3-cycle whose
+    # inverse is dropped from D4's list cannot complete a swap of 2*D4 to
+    # an involution.
     script = textwrap.dedent("""
         from realstrata import detector, lattices
         print("debug:", __debug__)
@@ -807,8 +843,7 @@ def test_slot_checks_run_under_optimize():
         run("scaled", "2*A4")
         lattices._component_swap_isos = options(1, 0)
         run("singular", "2*A4")
-        lattices._component_swap_isos = real
-        lattices._invert_mod_orders = lambda block, orders: None
+        lattices._component_swap_isos = lambda *comp: real(*comp)[:-1]
         run("no-inverse", "2*D4")
         """)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -97,7 +97,7 @@ def test_brute_involutions_use_no_engine_involution_test(monkeypatch):
     # engine's involution test picks its fixed slot options: the oracle
     # must not share it.  Told that every block is an involution, the
     # engine would take the two D4 3-cycles too.
-    monkeypatch.setattr(lattices, "_is_involution", lambda orders, block: True)
+    monkeypatch.setattr(lattices, "_is_inverse", lambda orders, b, c: True)
     assert len(brute_involutions(disc_root("D", 4))) == 4
 
 
