@@ -175,7 +175,7 @@ def _search(pf: PolarizedForm, trace: List[dict]
     permutations of equal components and the sign on h.  It is one table
     per form (lattices._symmetry_table), built before the walk: every
     block of G is checked there, once, as an isometry of its component's
-    own form, before any candidate is decided.  The same table gives the
+    slice of pf.form, before any candidate is decided.  The same table gives the
     orbit minima that _orbit_key names the orbits by and the slot options
     that the involution question asks.  This is sound because, for every
     g in G:

@@ -253,14 +253,17 @@ class FiniteQuadraticForm:
 
     @cached_property
     def q(self) -> Tuple[Fraction, ...]:
-        """q(e_i) in [0, 2), as Fractions (the oracle's boundary)."""
-        return tuple(Fraction(v, self.N) for v in self.Qn)
+        """q(e_i) in [0, 2), as Fractions (the oracle's boundary), one
+        Fraction per distinct value."""
+        at = {v: Fraction(v, self.N) for v in set(self.Qn)}
+        return tuple(map(at.__getitem__, self.Qn))
 
     @cached_property
     def b(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """b(e_i, e_j) in [0, 1), as Fractions (the oracle's boundary)."""
-        return tuple(tuple(Fraction(v, self.N) for v in row)
-                     for row in self.Bn)
+        """b(e_i, e_j) in [0, 1), as Fractions (the oracle's boundary), one
+        Fraction per distinct value."""
+        at = {v: Fraction(v, self.N) for v in set().union(*self.Bn)}
+        return tuple(tuple(map(at.__getitem__, row)) for row in self.Bn)
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
-                  trivial_form)
+                  factorint, trivial_form)
 
 # --------------------------------------------------------------- root specs
 
@@ -157,8 +157,10 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
     section 1): [-n/(n+1)] for A_n, [-n/4] for odd D_n, [-4/3] for E6,
     [-3/2] for E7, trivial for E8, and for even D_n the two spinor
     classes, q = -n/4 each, pairing to (n-2)/4 mod 1 (their sum, the
-    vector class, has q = -1).  A cyclic form is split into prime-power
-    pieces, descending prime."""
+    vector class, has q = -1).  A cyclic form [m/den] is split into
+    prime-power pieces, descending prime: the piece of p^k exactly
+    dividing den is generated by c*g, c = den/p^k, so q = m*c^2/den, and
+    pieces of two primes pair to c*c'*m/den, an integer."""
     if not _ADE_VALID[fam](n):
         raise ValueError(f"invalid component {fam}{n}")
     if fam == "D" and n % 2 == 0:
@@ -167,16 +169,12 @@ def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
     if fam == "E":
         if n == 8:
             return trivial_form()
-        base = cyclic_form(-4, 3) if n == 6 else cyclic_form(-3, 2)
+        m, den = (-4, 3) if n == 6 else (-3, 2)
     else:
-        base = cyclic_form(-n, n + 1) if fam == "A" else cyclic_form(-n, 4)
-    orders: List[int] = []
-    gens: List[Element] = []
-    for p in reversed(base.primes()):
-        p_orders, p_gens = base._p_generators(p)
-        orders += p_orders
-        gens += p_gens
-    return base.restricted_form(orders, gens)
+        m, den = (-n, n + 1) if fam == "A" else (-n, 4)
+    pieces = [p ** k for p, k in reversed(factorint(den).items())]
+    return FiniteQuadraticForm(pieces, [m * (den // pk) ** 2 for pk in pieces],
+                               scale=den)
 
 
 # ---------------------------------------------------------- polarized discs
@@ -238,24 +236,30 @@ def polarized_disc(spec: RootSpec, h2: int) -> PolarizedForm:
 
 
 def _check_isometry(form: FiniteQuadraticForm,
-                    matrix: Sequence[Sequence[int]]) -> None:
-    """Raise ValueError unless the matrix, whose j-th column c_j is the
-    image of the j-th generator, defines a homomorphism keeping q and b:
-    column by column, q(c_j)*N = c_j^T G c_j mod 2N before b(c_i, c_j)*N =
-    c_i^T G c_j mod N, G the integer Gram.  Bijective then: b is kept, so
-    the kernel lies in the trivial radical (forms are nondegenerate)."""
-    orders, n, r = form.orders, form.N, form.rank
-    for j in range(r):
-        for i in range(r):
+                    matrix: Sequence[Sequence[int]], lo: int = 0) -> None:
+    """Raise ValueError unless the k x k matrix, whose j-th column c_j is
+    the image of the j-th generator, defines a homomorphism keeping q and
+    b on the generators lo .. lo+k-1 of form (all of them by default),
+    which must span an orthogonal summand: column by column, q(c_j)*N =
+    c_j^T G c_j mod 2N before b(c_i, c_j)*N = c_i^T G c_j mod N, G the
+    integer Gram of the summand at form's scale N.  Bijective then: b is
+    kept, so the kernel lies in the trivial radical (forms are
+    nondegenerate)."""
+    k, n = len(matrix), form.N
+    hi = lo + k
+    orders = form.orders[lo:hi]
+    for j in range(k):
+        for i in range(k):
             if (orders[j] * matrix[i][j]) % orders[i]:
                 raise ValueError("matrix does not define a homomorphism")
+    gram = [row[lo:hi] for row in form._gram[lo:hi]]
     cols = list(zip(*matrix))
     for j, col in enumerate(cols):
-        g_col = [sum(map(mul, row, col)) for row in form._gram]
-        if sum(map(mul, col, g_col)) % (2 * n) != form.Qn[j]:
+        g_col = [sum(map(mul, row, col)) for row in gram]
+        if sum(map(mul, col, g_col)) % (2 * n) != form.Qn[lo + j]:
             raise ValueError("map does not preserve q")
-        for i in range(j + 1, r):
-            if sum(map(mul, cols[i], g_col)) % n != form.Bn[i][j]:
+        for i in range(j + 1, k):
+            if sum(map(mul, cols[i], g_col)) % n != form.Bn[lo + i][lo + j]:
                 raise ValueError("map does not preserve b")
 
 
@@ -356,25 +360,27 @@ def checked_involution(form: FiniteQuadraticForm,
     return auto
 
 
-def _checked_blocks(own: FiniteQuadraticForm,
+def _checked_blocks(form: FiniteQuadraticForm, lo: int, hi: int,
                     blocks: Iterable[Sequence[Sequence[int]]]) -> Checked:
-    """The distinct blocks mod own's orders (one per row), in first-seen
-    order, each checked once on own, the form of one component (or of h)
-    on its own generators, to be an isometry, and returned beside its
-    inverse, the block C of the same list with B*C = I: an involutive
-    block is its own.  Then an involutive block is a fixed slot's option,
-    and for every block B, [[0, B^-1], [B, 0]] is an involutive isometry
-    of own (+) own.  A block whose inverse is not in the list is refused.
-    Every check raises explicitly."""
+    """The distinct blocks mod the orders of form's generators lo .. hi-1
+    (one per row), in first-seen order, each checked once on that slice,
+    an orthogonal summand of form: one component (or h), at form's scale
+    (_check_isometry from lo).  Each is returned beside its inverse, the
+    block C of the same list with B*C = I: an involutive block is its
+    own.  Then an involutive block is a fixed slot's option, and for
+    every block B, [[0, B^-1], [B, 0]] is an involutive isometry of the
+    slice's form (+) itself.  A block whose inverse is not in the list is
+    refused.  Every check raises explicitly."""
+    orders = form.orders[lo:hi]
     reduced: List[List[List[int]]] = []
     for raw in blocks:
-        block = [[v % o for v in row] for row, o in zip(raw, own.orders)]
+        block = [[v % o for v in row] for row, o in zip(raw, orders)]
         if block not in reduced:
             reduced.append(block)
     out: Checked = []
     for block in reduced:
-        DiscAutomorphism(own, block)
-        inv = next((c for c in reduced if _is_inverse(own.orders, block, c)),
+        _check_isometry(form, block, lo)
+        inv = next((c for c in reduced if _is_inverse(orders, block, c)),
                    None)
         if inv is None:
             raise AssertionError(_NOT_AN_INVOLUTION)
@@ -409,8 +415,10 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
     equal forms on equal components (Nikulin 1979, section 1): G acts on
     that sum block by block.
 
-    So each distinct block of a class is checked once, on its component's
-    own form (_checked_blocks), and everything else is read off the
+    So each distinct block of a class is checked once, on its first
+    component's slice of pf.form (_checked_blocks): that slice is the
+    component's own form at pf's scale N, where each congruence is the one
+    at the component's exponent, scaled.  Everything else is read off the
     checked blocks: for each index c the slot options of c, fixed (the
     involutive blocks) or paired with a later index of the class, and the
     orbit minimum of every element of the component's discriminant.  The
@@ -438,10 +446,6 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
     for idx, comp in enumerate(pf.spec.components):
         classes.setdefault(comp, []).append(idx)
 
-    def own_form(lo: int, hi: int) -> FiniteQuadraticForm:
-        units = [tuple(int(i == j) for i in range(r)) for j in range(lo, hi)]
-        return form.restricted_form(form.orders[lo:hi], units)
-
     def dense(option: Tuple[object, Rows]) -> List[List[int]]:
         return [[entries.get(j, 0) for j in range(r)]
                 for entries in (dict(row) for _, row in sorted(option[1]))]
@@ -457,7 +461,7 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
         if lo == hi:
             continue
         orders = form.orders[lo:hi]
-        blocks = _checked_blocks(own_form(lo, hi),
+        blocks = _checked_blocks(form, lo, hi,
                                  _component_swap_isos(fam, n, hi - lo))
         fixed = [(block, inv) for block, inv in blocks if inv is block]
         choices = {}
@@ -474,7 +478,7 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
                   for x in product(*map(range, orders))}
         table.append((tuple(idxs), cuts, choices, minima))
     h = r - 1
-    signs = _checked_blocks(own_form(h, r), [[[1]], [[-1]]])
+    signs = _checked_blocks(form, h, r, [[[1]], [[-1]]])
     table.append((("h",), [(h, r)],
                   {"h": [(None, rows) for rows in _checked_slot(h, h, signs)]},
                   None))

@@ -7,7 +7,11 @@ a certificate walk of K-perp, automorphism groups by generator-image
 backtracking, and signatures via exact root-of-unity sums.  q and b are
 evaluated here as integer sums over the common denominator d of form.q
 and form.b (the Fraction tuples), never by the engine's integer
-evaluators or its integer Gram.  Every listing of a group is one
+evaluators or its integer Gram.  The glued group form (+) [1/a2] is no
+form here: its orders are form's and a2, and its scaled Gram is form's,
+rescaled to lcm(d, a2), with one orthogonal generator of q = 1/a2 added
+(_glued_gram), so the oracle imports no engine gluing and builds no
+form.  Every listing of a group is one
 lexicographic odometer over sum_j t_j g_j for given generators g_j: the
 step that raises t_j adds a fixed s_j, and q(x + s_j) = q(x) + q(s_j) +
 2 b(x, s_j), so a walk carries x, q(x)*d and b(x, .)*d by one addition
@@ -33,15 +37,15 @@ checks also run under ``python -O``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mod, mul
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import Subquotient
 from .lattices import DiscAutomorphism, PolarizedForm
-from .nikulin import ambient_with_a_block, embeds_into_big_L, theta_vector
+from .nikulin import embeds_into_big_L, theta_vector
 
 ORACLE_CUTOFF = 4096
 
@@ -80,6 +84,28 @@ def _scaled_gram(form: FiniteQuadraticForm) -> _ScaledGram:
                                 for v in form.q),
                        tuple(tuple(v.numerator * (d // v.denominator)
                                    for v in row) for row in form.b))
+
+
+def _glued_gram(g: _ScaledGram, a2: int) -> _ScaledGram:
+    """The scaled Gram of form (+) [1/a2], g that of form: at d' =
+    lcm(d, a2), form's q and b times d'/d, and a last generator with
+    q*d' = b*d' = d'/a2 that pairs to 0 with the rest.  The glued group
+    is (*form.orders, a2); no form of it is built."""
+    d = lcm(g.d, a2)
+    s, last = d // g.d, d // a2
+    return _ScaledGram(
+        d, (*(v * s for v in g.q), last),
+        (*(tuple(v * s for v in row) + (0,) for row in g.b),
+         (0,) * len(g.q) + (last,)))
+
+
+def _reduce(group: Sequence[int], x: Iterable[int]) -> Element:
+    """x reduced into the group of the given orders."""
+    return tuple(map(mod, x, group))
+
+
+def _order_of(group: Sequence[int], x: Sequence[int]) -> int:
+    return lcm(*(o // gcd(v, o) for v, o in zip(x, group)))
 
 
 def _qd(g: _ScaledGram, x: Sequence[int]) -> int:
@@ -124,15 +150,15 @@ def _odometer(orders: Sequence[int]) -> Iterator[Tuple[int, List[int]]]:
         yield j, t
 
 
-def _steps(form: FiniteQuadraticForm, gens: Sequence[Element],
+def _steps(group: Sequence[int], gens: Sequence[Element],
            orders: Sequence[int]) -> List[Element]:
-    """The odometer's steps over sum_j t_j gens[j], 0 <= t_j < orders[j]:
-    the step that raises t_j adds s_j = gens[j] - sum_{i>j} (orders[i] - 1)
-    gens[i], reduced."""
+    """The odometer's steps over sum_j t_j gens[j], 0 <= t_j < orders[j],
+    in the group of the given orders: the step that raises t_j adds s_j =
+    gens[j] - sum_{i>j} (orders[i] - 1) gens[i], reduced."""
     steps: List[Element] = []
-    tail = [0] * form.rank      # -sum_{i>j} (orders[i] - 1) gens[i]
+    tail = [0] * len(group)     # -sum_{i>j} (orders[i] - 1) gens[i]
     for gen, o in zip(reversed(gens), reversed(orders)):
-        steps.append(form.reduce(map(add, gen, tail)))
+        steps.append(_reduce(group, map(add, gen, tail)))
         tail = [t - (o - 1) * c for t, c in zip(tail, gen)]
     steps.reverse()
     return steps
@@ -142,7 +168,7 @@ def _span(form: FiniteQuadraticForm, gens: Sequence[Element],
           orders: Sequence[int]) -> Iterator[Element]:
     """sum_j t_j gens[j] for every t with 0 <= t_j < orders[j], in
     lexicographic order of t, with one form.add per step."""
-    steps = _steps(form, gens, orders)
+    steps = _steps(form.orders, gens, orders)
     x = form.zero()
     yield x
     for j, _t in _odometer(orders):
@@ -199,13 +225,13 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
     if a2 % n:
         return []
     form = pf.form
-    big = ambient_with_a_block(form, a2)
-    _within_cutoff(big.order, cutoff)
-    g = _scaled_gram(big)
+    group = (*form.orders, a2)
+    _within_cutoff(prod(group), cutoff)
+    g = _glued_gram(_scaled_gram(form), a2)
     r = form.rank
     out = []
     for kappa in form.iter_elements():
-        theta = big.reduce(theta_vector(form, kappa, n))
+        theta = _reduce(group, theta_vector(form, kappa, n))
         mult = theta
         size = 1
         graph = True
@@ -216,7 +242,7 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
             if _qd(g, mult) or _bd(g, mult, theta):
                 graph = False        # K would not be isotropic
                 break
-            mult = big.add(mult, theta)
+            mult = _reduce(group, map(add, mult, theta))
             size += 1
         if graph and size == a2 // n:
             out.append(kappa)
@@ -276,53 +302,57 @@ def brute_involutions(form: FiniteQuadraticForm,
                    for e in _units(form.rank))]
 
 
-def _kperp_walk(form: FiniteQuadraticForm, kernel_gens: Sequence[Element],
-                sq: Subquotient, cutoff: int,
+def _kperp_walk(group: Sequence[int], g: _ScaledGram,
+                kernel_gens: Sequence[Element], sq: Subquotient, cutoff: int,
                 involution: Optional[Sequence[Sequence[int]]] = None
                 ) -> List[Element]:
     """Prove that sq presents K-perp/K, K = <theta> the kernel_gens
-    generate, by one walk of K-perp, and return K-perp in walk order: |K|
-    elements per coset, the cosets in lexicographic order of their
-    coordinates c.  Given the rows of an involution of form, also require
-    that it sends every element into its own coset.  Raises OracleMismatch
-    on any disagreement; see verify_subquotient_presentation."""
-    _within_cutoff(form.order, cutoff)
+    generate in the group of the given orders with scaled Gram g, by one
+    walk of K-perp, and return K-perp in walk order: |K| elements per
+    coset, the cosets in lexicographic order of their coordinates c.
+    Given the rows of an involution of the group, also require that it
+    sends every element into its own coset.  Raises OracleMismatch on any
+    disagreement; see verify_subquotient_presentation."""
+    size, rank = prod(group), len(group)
+    _within_cutoff(size, cutoff)
     if len(kernel_gens) > 1:
         raise ValueError("K must be cyclic: give at most one generator")
     qform = sq.form
     _require(len(sq.reps) == qform.rank, "not one rep per quotient generator")
-    g = _scaled_gram(form)
-    theta = form.reduce(kernel_gens[0]) if kernel_gens else form.zero()
-    kernel = [form.zero()]      # K listed by the oracle's own additions
-    while any(k := form.add(kernel[-1], theta)):
+    zero = (0,) * rank
+    theta = _reduce(group, kernel_gens[0]) if kernel_gens else zero
+    kernel = [zero]             # K listed by the oracle's own additions
+    while any(k := _reduce(group, map(add, kernel[-1], theta))):
         kernel.append(k)
     _require(not any(_qd(g, k) for k in kernel), "kernel is not isotropic")
     m = len(kernel)
-    # b(., theta) maps form onto the subgroup of (1/d)Z/Z its values on the
-    # units generate, and K-perp is its kernel.
-    image = g.d // gcd(g.d, *(_bd(g, e, theta) for e in _units(form.rank)))
-    _require(qform.order * m * image == form.order, "quotient orders differ")
+    # b(., theta) maps the group onto the subgroup of (1/d)Z/Z its values
+    # on the units generate, and K-perp is its kernel.
+    image = g.d // gcd(g.d, *(_bd(g, e, theta) for e in _units(rank)))
+    _require(qform.order * m * image == size, "quotient orders differ")
     kset = set(kernel)
     for o, gen in zip(qform.orders, sq.reps):
-        _require(len(gen) == form.rank and not _bd(g, gen, theta),
+        _require(len(gen) == rank and not _bd(g, gen, theta),
                  "a generator rep is not in K-perp")
-        _require(form.smul(o, gen) in kset,
+        _require(_reduce(group, (o * v for v in gen)) in kset,
                  "a generator rep times its invariant factor is not in K")
     # One odometer over (c, t), theta the fastest digit: x = sum_j c_j g_j +
     # t*theta moves by the step s_j of the digit j raised, q(x)*d and
     # b(x, s_.)*d by their recurrence, and the quotient's q at c and
     # b(c, u_.) by theirs, u_j its own step, only when a c digit moves.
     gens, orders, r = [*sq.reps, theta], (*qform.orders, m), qform.rank
-    steps = _steps(form, gens, orders)
+    steps = _steps(group, gens, orders)
     step_q, step_b = _step_values(g, steps)
     qg = _scaled_gram(qform)
     qstep_q, qstep_b = _step_values(
-        qg, _steps(qform, _units(r), qform.orders))
+        qg, _steps(qform.orders, _units(r), qform.orders))
     if involution is not None:  # the image of x, less x: in K iff same coset
-        moves = [form.sub(_apply(form, involution, s), s) for s in steps]
-        y = form.zero()
-    d, qd, group = g.d, qg.d, form.orders
-    x, q, b, qc, bc = form.zero(), 0, (0,) * len(steps), 0, (0,) * r
+        moves = [_reduce(group, (sum(map(mul, row, s)) - v
+                                 for row, v in zip(involution, s)))
+                 for s in steps]
+        y = zero
+    d, qd = g.d, qg.d
+    x, q, b, qc, bc = zero, 0, (0,) * len(steps), 0, (0,) * r
     seen = {x: None}            # K-perp in walk order
     for j, _t in _odometer(orders):
         x = tuple(map(mod, map(add, x, steps[j]), group))
@@ -368,7 +398,8 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.  No engine map is called and
     no q is evaluated from scratch per element; the brute q is an integer
     at the scale d of form, compared cross-multiplied."""
-    return len(_kperp_walk(form, kernel_gens, sq, cutoff))
+    return len(_kperp_walk(form.orders, _scaled_gram(form), kernel_gens, sq,
+                           cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +559,6 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     form = pf.form
     if form.order * cand.a2 > cutoff:       # the order of the glued group
         return "skipped_cutoff"
-    big = ambient_with_a_block(form, cand.a2)
     # phi keeps q on the generators and b on their pairs, with the oracle's
     # own q and b, hence everywhere, and is its own inverse.
     g, r = _scaled_gram(form), form.rank
@@ -544,15 +574,16 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
                  "witness phi is not an involution")
     _require(_apply(form, phi.matrix, cand.kappa) == form.neg(cand.kappa),
              "witness phi does not negate kappa")
-    theta = big.reduce(theta_vector(form, cand.kappa, cand.n))
-    _require(big.order_of(theta) == cand.a2 // cand.n,
+    group = (*form.orders, cand.a2)
+    theta = _reduce(group, theta_vector(form, cand.kappa, cand.n))
+    _require(_order_of(group, theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 
     # phi (+) -1 on the glued group, row by row from phi's columns, checked
     # on every element of K-perp by the walk that proves sq.
     glued = [tuple(y[i] for y in images) + (0,) for i in range(r)]
     glued.append((0,) * r + (-1,))
-    _kperp_walk(big, [theta], sq, cutoff, glued)
+    _kperp_walk(group, _glued_gram(g, cand.a2), [theta], sq, cutoff, glued)
     ok, _ = embeds_into_big_L(2, pf.rank_S, sq.form)
     _require(ok, "witness glue does not embed")
     return True
@@ -570,6 +601,7 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
     from .detector import KernelCandidate, check_candidate, kernel_candidates
 
     form = pf.form
+    g = _scaled_gram(form)
     partial = False
     seen_pairs = {}
     for row in trace:
@@ -586,16 +618,16 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
         brute = brute_kernel_candidates(pf, a2, n, cutoff)   # sorted
         engine = [c.kappa for c in kernel_candidates(pf, a2, n)]
         _require(brute == engine, f"candidate lists differ at {where}")
-        big = ambient_with_a_block(form, a2)
+        group, glued = (*form.orders, a2), _glued_gram(g, a2)
         for row in rows:
             if row["kappa"] is None:
                 _require(brute == [], f"row without kappa at {where}")
                 continue
             kappa = tuple(row["kappa"])
-            theta = big.reduce(theta_vector(form, kappa, n))
+            theta = _reduce(group, theta_vector(form, kappa, n))
             status, _phi, sq = check_candidate(
                 pf, KernelCandidate(a2, n, kappa))
-            verify_subquotient_presentation(big, [theta], sq, cutoff)
+            _kperp_walk(group, glued, [theta], sq, cutoff)
             _require(status == row["reason"],
                      f"status {status!r} differs from trace row {row}")
     return "partial" if partial else True

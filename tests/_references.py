@@ -1,6 +1,7 @@
 """Reference constructions the package no longer carries: the Cartan
 matrices of the ADE diagrams, from which the tests derive the root
-discriminants that lattices.disc_root reads off closed forms, and a solve
+discriminants that lattices.disc_root reads off closed forms, the earlier
+route of disc_root through a cyclic form and its restriction, and a solve
 of linear congruences modulo coordinate orders."""
 
 from __future__ import annotations
@@ -8,6 +9,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from realstrata import _intmat
+from realstrata.fqf import (Element, FiniteQuadraticForm, cyclic_form,
+                            trivial_form)
 from realstrata.lattices import _ADE_VALID
 
 
@@ -28,6 +31,31 @@ def cartan_matrix(fam: str, n: int) -> List[List[int]]:
     for i, j in edges:
         mat[i][j] = mat[j][i] = -1
     return mat
+
+
+def disc_root_by_restriction(fam: str, n: int) -> FiniteQuadraticForm:
+    """The root discriminant as disc_root built it before it read the
+    prime-power pieces off in one constructor call: the cyclic form
+    [m/den] of the closed form, restricted to the generators of its
+    p-parts, descending prime (even D_n and E8 as in disc_root)."""
+    if not _ADE_VALID[fam](n):
+        raise ValueError(f"invalid component {fam}{n}")
+    if fam == "D" and n % 2 == 0:
+        return FiniteQuadraticForm([2, 2], [-n, -n], {(0, 1): n - 2},
+                                   scale=4)
+    if fam == "E":
+        if n == 8:
+            return trivial_form()
+        base = cyclic_form(-4, 3) if n == 6 else cyclic_form(-3, 2)
+    else:
+        base = cyclic_form(-n, n + 1) if fam == "A" else cyclic_form(-n, 4)
+    orders: List[int] = []
+    gens: List[Element] = []
+    for p in reversed(base.primes()):
+        p_orders, p_gens = base._p_generators(p)
+        orders += p_orders
+        gens += p_gens
+    return base.restricted_form(orders, gens)
 
 
 def solve_mod_orders(gens: Sequence[Sequence[int]], orders: Sequence[int],

@@ -18,8 +18,8 @@ from realstrata import _intmat, detector, fqf, lattices
 from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
-from realstrata.lattices import (DiscAutomorphism, RootSpec,
-                                 _component_swap_isos, polarized_disc)
+from realstrata.lattices import (RootSpec, _component_swap_isos,
+                                 polarized_disc)
 from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import OracleMismatch, brute_kernel_candidates
 
@@ -566,26 +566,26 @@ def test_report_trace_rows_use_reason_vocabulary():
 def test_detect_builds_each_slot_option_once(monkeypatch):
     # 8*A1 @ 16: 8 fixed A1 slots and 28 swapped pairs with one option each
     # (+1 and -1 agree mod 2), and the h slot with +-1.  Each distinct
-    # block is checked once, on its component's own form of rank 1: the A1
+    # block is checked once, on its component's slice of rank 1: the A1
     # block, its own inverse, for fixed and swapped slots alike, and the
     # two h signs.  Each option is placed once from them; only the witness
-    # is built as a whole matrix.
+    # is checked as a whole matrix.
     # Revalidation is skipped (the glued group exceeds the oracle cutoff),
     # so it builds none.  Materialising all 1,528 involutions would build
     # at least that many.
     built, placed = [], []
-    real_init, real_slot = DiscAutomorphism.__init__, lattices._checked_slot
+    real_check, real_slot = lattices._check_isometry, lattices._checked_slot
 
-    def counting_init(self, form, matrix):
-        built.append(form.rank)
-        real_init(self, form, matrix)
+    def counting_check(form, matrix, lo=0):
+        built.append(len(matrix))
+        real_check(form, matrix, lo)
 
     def counting_slot(src, dst, blocks):
         options = real_slot(src, dst, blocks)
         placed.extend(options)
         return options
 
-    monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
+    monkeypatch.setattr(lattices, "_check_isometry", counting_check)
     monkeypatch.setattr(lattices, "_checked_slot", counting_slot)
     rep = detect(16, "8*A1")
     assert (rep.verdict, rep.witness_revalidated) == ("witness_found",

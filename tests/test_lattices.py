@@ -30,7 +30,8 @@ from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
 from realstrata.oracle import _apply, brute_involutions
 
 from _fractions import canon_mod2, display_rep
-from _references import cartan_matrix, solve_mod_orders
+from _references import (cartan_matrix, disc_root_by_restriction,
+                         solve_mod_orders)
 
 
 # ------------------------------------------------------------------ RootSpec
@@ -219,6 +220,23 @@ def test_disc_root_closed_forms_equal_the_cartan_derivation():
     for fam, n in (("A", 0), ("D", 3), ("E", 9)):
         with pytest.raises(ValueError, match=f"invalid component {fam}{n}"):
             disc_root(fam, n)
+
+
+def test_disc_root_equals_the_restricted_cyclic_route():
+    # disc_root builds each cyclic component's prime-power pieces in one
+    # constructor call; the earlier route, a cyclic form restricted to its
+    # p-parts, gives the same form, JSON and display on every component
+    # of rank <= 19, and refuses the same invalid ones.
+    for fam, n in ADE_COMPONENTS:
+        new, old = disc_root(fam, n), disc_root_by_restriction(fam, n)
+        assert (new.orders, new.Qn, new.Bn, new.N) == \
+            (old.orders, old.Qn, old.Bn, old.N), (fam, n)
+        assert new.to_json_dict() == old.to_json_dict(), (fam, n)
+        assert new.display() == old.display(), (fam, n)
+    for fam, n in (("A", 0), ("D", 3), ("E", 9)):
+        for build in (disc_root, disc_root_by_restriction):
+            with pytest.raises(ValueError, match="invalid component"):
+                build(fam, n)
 
 
 # ------------------------------------------------------------- disc_of_gram
@@ -682,8 +700,8 @@ def _inverse_by_search(block, orders):
 def test_local_slot_check_equals_the_whole_matrix_check():
     # Every diagram automorphism of every component (the D4 3-cycles are
     # isometries but no involutions), the signs on h, and their mutations:
-    # _checked_blocks checks each on the component's own form, read off
-    # pf.form.  Alone, a block is refused with the exception and message
+    # _checked_blocks checks each on the component's slice of pf.form.
+    # Alone, a block is refused with the exception and message
     # that checked_involution gives on the whole matrix placing the block
     # on its component and the identity elsewhere, and accepted, as its
     # own inverse, exactly when that matrix is accepted.  Passed with its
@@ -707,27 +725,27 @@ def test_local_slot_check_equals_the_whole_matrix_check():
         items.append(([(r - 1, r)], [[[1]], [[-1]]]))
         for cuts, bases in items:
             lo, hi = cuts[0]
-            own = form.restricted_form(
-                form.orders[lo:hi],
-                [[int(i == j) for i in range(r)] for j in range(lo, hi)])
-            for block in _mutated_blocks(rng, own.orders, bases):
-                got = _outcome(lattices._checked_blocks, own, [block])
+            orders = form.orders[lo:hi]
+            for block in _mutated_blocks(rng, orders, bases):
+                got = _outcome(lattices._checked_blocks, form, lo, hi, [block])
                 fixed = _outcome(checked_involution, form,
                                  _placed(r, [(lo, lo, block)]))
                 seen.update((got, fixed))
                 assert got == fixed, (spec, h2, lo, block)
                 reduced = [[v % o for v in row]
-                           for row, o in zip(block, own.orders)]
+                           for row, o in zip(block, orders)]
                 if got is None:
-                    [(kept, inv)] = lattices._checked_blocks(own, [block])
+                    [(kept, inv)] = lattices._checked_blocks(
+                        form, lo, hi, [block])
                     assert kept == reduced and inv is kept, (spec, block)
-                inv = _inverse_by_search(reduced, own.orders)
+                inv = _inverse_by_search(reduced, orders)
                 if inv is None:
                     continue
-                paired = _outcome(lattices._checked_blocks, own, [block, inv])
+                paired = _outcome(lattices._checked_blocks, form, lo, hi,
+                                  [block, inv])
                 if paired is None:
                     (kept, kept_inv), *_ = lattices._checked_blocks(
-                        own, [block, inv])
+                        form, lo, hi, [block, inv])
                     assert (kept, kept_inv) == (reduced, inv), (spec, block)
                     assert (kept_inv is kept) == (got is None), (spec, block)
                 else:
@@ -745,22 +763,57 @@ def test_local_slot_check_equals_the_whole_matrix_check():
                     ("AssertionError", lattices._NOT_AN_INVOLUTION)}
 
 
+@pytest.mark.parametrize("h2", [2, 4])
+def test_slice_check_equals_the_component_form_check(h2):
+    # _check_isometry on a component's slice of pf.form, at pf's scale,
+    # accepts and refuses each block as DiscAutomorphism does on the
+    # component's own form, with the same message: every component of
+    # rank <= 19, alone and behind an A1 (a slice that starts past 0),
+    # on each of its diagram automorphisms, and on x -> 2x on A8 and a
+    # D4 3-cycle with one entry changed, whose two columns are then equal.
+    mutated = {("A", 8): [[[2]]], ("D", 4): [[[1, 1], [0, 0]]]}
+    seen = set()
+    for fam, n in ADE_COMPONENTS:
+        comp = disc_root(fam, n)
+        if comp.rank == 0:
+            continue
+        blocks = _component_swap_isos(fam, n, comp.rank) + \
+            mutated.get((fam, n), [])
+        for spec in [f"{fam}{n}"] + ([f"A1+{fam}{n}"] if n < 19 else []):
+            pf = polarized_disc(RootSpec.parse(spec), h2)
+            lo, hi = pf.comp_slices[-1]
+            assert pf.form.orders[lo:hi] == comp.orders, spec
+            for block in blocks:
+                got = _outcome(lattices._check_isometry, pf.form, block, lo)
+                want = _outcome(DiscAutomorphism, comp, block)
+                seen.add(got)
+                assert got == want, (spec, h2, block)
+    assert seen == {None, ("ValueError", "map does not preserve q"),
+                    ("ValueError", "map does not preserve b")}
+
+
 def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
     # The census walks every rank-18 spec, 18*A1 among them: its symmetry
-    # table checks 3 distinct blocks, each once on its component's own
-    # form of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs),
-    # not 18 + 153 + 2 options on the rank-19 form.  It builds no rank-19
-    # DiscAutomorphism.  Counted, not timed.
-    built = []
-    real_init = DiscAutomorphism.__init__
+    # table checks 3 distinct blocks, each once on its component's slice
+    # of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs), not
+    # 18 + 153 + 2 options on the rank-19 form.  It builds no
+    # DiscAutomorphism at all.  Counted, not timed.
+    built, checked = [], []
+    real_init, real_check = DiscAutomorphism.__init__, lattices._check_isometry
 
     def counting_init(self, form, matrix):
-        built.append((form.rank, tuple(map(tuple, matrix))))
+        built.append(form.rank)
         real_init(self, form, matrix)
 
+    def counting_check(form, matrix, lo=0):
+        checked.append((len(matrix), tuple(map(tuple, matrix))))
+        real_check(form, matrix, lo)
+
     monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
+    monkeypatch.setattr(lattices, "_check_isometry", counting_check)
     table = _symmetry_table(polarized_disc(RootSpec.parse("18*A1"), 4))
-    assert built == [(1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
+    assert built == []
+    assert checked == [(1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
     assert sum(len(options) for _, _, choices, _ in table
                for options in choices.values()) == 18 + 153 + 2
 

@@ -28,6 +28,7 @@ from realstrata.oracle import (ORACLE_CUTOFF, OracleMismatch,
 
 from _brute_quotient import brute_subquotient
 from _corpus import corpus
+from test_acceptance import GOLDEN_A7, GOLDEN_D7, GOLDEN_SEXTIC
 
 # ------------------------------------------------------------- Gauss sums
 
@@ -301,7 +302,8 @@ def _cosets_by_walk(form, theta, sq):
     """K-perp as the certificate walk lists it: |K| elements per coset, the
     cosets in lexicographic order of their coordinates c, each with the
     engine's quotient q at c."""
-    kperp = oracle._kperp_walk(form, [theta], sq, ORACLE_CUTOFF)
+    kperp = oracle._kperp_walk(form.orders, oracle._scaled_gram(form),
+                               [theta], sq, ORACLE_CUTOFF)
     m = len(kperp) // sq.form.order
     return {frozenset(kperp[i * m:(i + 1) * m]): sq.form.eval_q(c)
             for i, c in enumerate(sq.form.iter_elements())}
@@ -409,7 +411,7 @@ def test_revalidate_witness_skips_before_building_the_ambient(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("the glued group was built")
 
-    monkeypatch.setattr(oracle, "ambient_with_a_block", unbuilt)
+    monkeypatch.setattr(oracle, "_glued_gram", unbuilt)
     pf = polarized_disc(RootSpec.parse("6*A1"), 4)
     cand = KernelCandidate(32, 1, (0,) * pf.form.rank)
     assert revalidate_witness(pf, cand, None, None) == "skipped_cutoff"
@@ -697,3 +699,56 @@ def test_scaled_gram_is_the_fraction_values_times_d():
         assert g.q == tuple(int(v * g.d) for v in item.form.q)
         assert g.b == tuple(tuple(int(v * g.d) for v in row)
                             for row in item.form.b)
+
+
+# ------------------------------------------------------- the glued group
+
+
+GOLDEN = [(GOLDEN_D7, 4), (GOLDEN_A7, 4), (GOLDEN_SEXTIC, 2)]
+
+
+def test_glued_gram_is_the_scaled_gram_of_the_engine_ambient(monkeypatch):
+    # Every (pf, a2) that detect visits on the golden and positive strata,
+    # and the criterion-7 corpus forms glued to [1/a2] for a2 in 2, 4, 6,
+    # 8: the oracle's own glued Gram is the one read off the engine's
+    # form (+) [1/a2].
+    visited = {}
+    real = detector.kernel_candidates
+
+    def recording(pf, a2, n):
+        visited[pf.form, a2] = None
+        return real(pf, a2, n)
+
+    monkeypatch.setattr(detector, "kernel_candidates", recording)
+    for spec, h2 in GOLDEN + [(spec, 4) for spec in POSITIVE]:
+        detect(h2, spec)
+    assert len({form for form, _ in visited}) == len(GOLDEN) + len(POSITIVE)
+    cases = list(visited) + [(item.form, a2) for item in corpus()
+                             for a2 in (2, 4, 6, 8)]
+    bad = [(form.orders, a2) for form, a2 in cases
+           if oracle._glued_gram(oracle._scaled_gram(form), a2)
+           != oracle._scaled_gram(ambient_with_a_block(form, a2))]
+    assert bad == []
+
+
+def test_revalidation_builds_no_form(monkeypatch):
+    # The 14 positive-revalidation witnesses: the oracle proves each from
+    # the engine's pf, phi and K-perp/K and constructs no form of its own.
+    witnesses = []
+    for spec in POSITIVE:
+        w = detect(4, spec).witness
+        pf = polarized_disc(RootSpec.parse(spec), 4)
+        cand = KernelCandidate(w["a2"], w["n"], tuple(w["kappa"]))
+        _status, phi, sq = check_candidate(pf, cand)
+        witnesses.append((pf, cand, phi, sq))
+    built = []
+    real_init = FiniteQuadraticForm.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteQuadraticForm, "__init__", counting_init)
+    assert [revalidate_witness(*w) for w in witnesses] == \
+        [True] * len(POSITIVE)
+    assert built == []

@@ -202,6 +202,15 @@ def test_the_oracle_reads_no_engine_integer_form_data():
     assert _read(tree) & engine == set()
 
 
+def test_the_oracle_builds_no_glued_form_of_its_own():
+    # The oracle assembles the scaled Gram of form (+) [1/a2] itself
+    # (_glued_gram): it names none of the engine's form constructors.
+    builders = {"ambient_with_a_block", "cyclic_form", "direct_sum",
+                "direct_sum_all"}
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    assert _read(tree) & builders == set()
+
+
 def test_the_package_has_no_bare_assert():
     # python -O strips assert statements, so a check the package relies on
     # is an explicit raise.
