@@ -14,7 +14,11 @@ configuration contain a real surface?  The pipeline it runs:
 
 check_candidate runs stages 3 and 4 for one candidate and names the first
 stage that excludes it; it also returns the K-perp/K it built, which is
-what the oracle re-verifies for a witness.
+what the oracle re-verifies for a witness.  An involution phi is its
+reduced integer matrix, a tuple of rows whose j-th column is the image of
+the j-th generator, row i read mod the i-th order.  That matrix is what
+disc_involutions lists, what check_candidate returns, and what the report
+writes as the witness's phi.
 
 The first candidate passing all stages is a witness; it is then
 re-verified by the brute-force oracle before being reported.
@@ -55,7 +59,7 @@ def main() -> None:
             print(f"    stages 3-4: {outcome}   (K-perp/K has prime-power"
                   f" pieces {list(sq.form.orders)})")
             if phi is not None:
-                print(f"    phi matrix rows: {[list(r) for r in phi.matrix]}")
+                print(f"    phi matrix rows: {[list(r) for r in phi]}")
     print()
 
     report = detect(4, "D4+A2")

@@ -35,9 +35,10 @@ def main() -> None:
     print()
 
     print("check 2 - involutive isometries, engine vs enumerating every")
-    print("          order-<=2 matrix that preserves q:")
-    engine_set = {phi.matrix for phi in disc_involutions(pf)}
-    brute_set = {phi.matrix for phi in brute_involutions(pf.form)}
+    print("          order-<=2 matrix that preserves q (both sides reduced")
+    print("          integer matrices; the oracle's pass no engine check):")
+    engine_set = set(disc_involutions(pf))
+    brute_set = set(brute_involutions(pf.form))
     assert engine_set <= brute_set
     print(f"  engine found {len(engine_set)}, brute force confirms each one"
           f" (brute total {len(brute_set)})")

@@ -41,8 +41,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .detector import (VERDICTS, detect, model_name, parse_model,
-                       require_tgram_rank)
+from .detector import (BASES, REASONS, VERDICTS, detect, model_name,
+                       parse_model, require_tgram_rank)
 from .fqf import factorint
 from .lattices import (PolarizedForm, RootSpec, binary_autos,
                        disc_involutions, polarized_disc, require_stratum_rank)
@@ -129,12 +129,14 @@ _WITNESS_KEYS = frozenset(("a2", "n", "kappa", "phi"))
 def _is_report(doc: object) -> bool:
     """Whether a parsed cache entry can be served as a report: an object
     with exactly a report's keys, each holding a value of a type the
-    schema allows, a known verdict, a disc whose display is a string, a
-    witness that is null or has a witness's keys with integer a2 and n
-    and array kappa and phi, and trace rows that are objects with a
-    string reason.  These are the fields the human output reads.  Cheap
-    enough for every hit: the schema is not read, and each trace row is
-    looked at once."""
+    schema allows, a known verdict, basis, revalidation and oracle
+    outcome (each one of the schema's values), a disc whose display is a
+    string, a witness that is null or has a witness's keys with integer
+    a2 and n and array kappa and phi, and trace rows that are objects
+    with a known reason.  These are the fields the human output reads.
+    Cheap enough for every hit: the schema is not read, and each trace
+    row is looked at once.  Values are compared against tuples, so an
+    unhashable one is refused, not raised on."""
     if not (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS):
         return False
     for key, types in _REPORT_TYPES.items():
@@ -142,6 +144,9 @@ def _is_report(doc: object) -> bool:
             return False
     witness, trace = doc["witness"], doc["trace"]
     return (doc["verdict"] in VERDICTS
+            and doc["conclusiveness_basis"] in (*BASES, None)
+            and doc["witness_revalidated"] in (True, "skipped_cutoff", None)
+            and doc["oracle_checked"] in (True, False, "partial")
             and type(doc["disc"].get("display")) is str
             and (witness is None
                  or (witness.keys() == _WITNESS_KEYS
@@ -149,7 +154,7 @@ def _is_report(doc: object) -> bool:
                           type(witness["kappa"]), type(witness["phi"]))
                      == (int, int, list, list)))
             and (not trace      # a witness report usually has no rows
-                 or all(type(row) is dict and type(row.get("reason")) is str
+                 or all(type(row) is dict and row.get("reason") in REASONS
                         for row in trace)))
 
 
@@ -334,12 +339,12 @@ def cmd_autos(args) -> int:
     if args.json:
         _emit_json(json.dumps({
             "count": len(autos),
-            "matrices": [[list(row) for row in a.matrix] for a in autos],
+            "matrices": [[list(row) for row in a] for a in autos],
         }, sort_keys=True, indent=2), args.json)
     else:
         print(f"{len(autos)} involutions")
         for a in autos:
-            print(" ", a.matrix)
+            print(" ", a)
     return 0
 
 

@@ -24,8 +24,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import __version__
 from .fqf import Element, FiniteQuadraticForm, factorint
 from .isotropy import Subquotient, subquotient
-from .lattices import (DiscAutomorphism, PolarizedForm, RootSpec,
-                       _first_involution, _symmetry_table, checked_involution,
+from .lattices import (Block, PolarizedForm, RootSpec, _first_involution,
+                       _symmetry_table, checked_involution,
                        maximizing_has_skew, polarized_disc,
                        require_stratum_rank)
 from .nikulin import (ambient_with_a_block, embeds_into_big_L, length_bound,
@@ -88,7 +88,7 @@ def kernel_candidates(pf: PolarizedForm, a2: int, n: int
 
 
 def check_candidate(pf: PolarizedForm, cand: KernelCandidate
-                    ) -> Tuple[str, Optional[DiscAutomorphism], Subquotient]:
+                    ) -> Tuple[str, Optional[Block], Subquotient]:
     """Decide one candidate: the glued genus, then one involution question.
 
     K = <kappa (+) n alpha> and K-perp/K are built once, as the
@@ -109,8 +109,9 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     question asked, since phi (+) -1 preserves K only if phi(kappa) =
     -kappa: _first_involution takes the first phi, in sorted matrix order,
     that negates kappa and sends each of sq.reps where it must go, and
-    lists no other.  That phi is the witness, rebuilt as a whole
-    matrix and checked again.
+    lists no other.  That phi, a reduced matrix whose j-th column is the
+    image of the j-th generator, is the witness, checked again on the
+    whole matrix by lattices.checked_involution.
     """
     form = pf.form
     big = pf._cache.get(("ambient", cand.a2))
@@ -149,8 +150,7 @@ def _orbit_key(pf: PolarizedForm, kappa: Element) -> tuple:
 
 
 def _search(pf: PolarizedForm, trace: List[dict]
-            ) -> Optional[Tuple[KernelCandidate, DiscAutomorphism,
-                                Subquotient]]:
+            ) -> Optional[Tuple[KernelCandidate, Block, Subquotient]]:
     """Walk the gluing data in engine order, appending one trace row per
     excluded candidate (or empty (a2, n) pair); return the first witness
     with the K-perp/K it was decided from.  Each (a2, n) reads only its
@@ -354,7 +354,7 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
             cand, phi, sq = found
             witness = {"a2": cand.a2, "n": cand.n,
                        "kappa": list(cand.kappa),
-                       "phi": [list(row) for row in phi.matrix]}
+                       "phi": [list(row) for row in phi]}
             verdict = "witness_found"
             basis = "corlem1"
             from . import oracle as oracle_mod

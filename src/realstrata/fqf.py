@@ -285,9 +285,6 @@ class FiniteQuadraticForm:
     def add(self, x: Sequence[int], y: Sequence[int]) -> Element:
         return tuple((a + c) % o for a, c, o in zip(x, y, self.orders))
 
-    def sub(self, x: Sequence[int], y: Sequence[int]) -> Element:
-        return tuple((a - c) % o for a, c, o in zip(x, y, self.orders))
-
     def neg(self, x: Sequence[int]) -> Element:
         return tuple((-a) % o for a, o in zip(x, self.orders))
 

@@ -275,35 +275,6 @@ def _is_inverse(orders: Sequence[int], b: Sequence[Sequence[int]],
                for j, col in enumerate(cols))
 
 
-class DiscAutomorphism:
-    """An automorphism of a finite quadratic form, stored as an integer
-    matrix whose j-th column gives the image of the j-th generator.  The
-    constructor checks, on the whole matrix, that it is a homomorphism
-    keeping q and b (_check_isometry); is_involution checks M*M = I."""
-
-    def __init__(self, form: FiniteQuadraticForm,
-                 matrix: Sequence[Sequence[int]]):
-        r = form.rank
-        self.form = form
-        self.matrix = tuple(tuple(matrix[i][j] % form.orders[i]
-                                  for j in range(r)) for i in range(r))
-        _check_isometry(form, self.matrix)
-
-    def is_involution(self) -> bool:
-        """M*M = I on the group."""
-        return _is_inverse(self.form.orders, self.matrix, self.matrix)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DiscAutomorphism)
-                and self.form == other.form and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"DiscAutomorphism({self.matrix})"
-
-
 _D4_S3 = [
     [[1, 0], [0, 1]],
     [[0, 1], [1, 0]],
@@ -328,6 +299,8 @@ def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
     return [ident, [[-v for v in row] for row in ident]]
 
 
+# An automorphism of a form is its reduced matrix: column j is the image
+# of the j-th generator, row i read mod the i-th order.
 Block = Tuple[Tuple[int, ...], ...]
 # A slot option as sparse rows: for every coordinate the slot owns, its
 # nonzero (column, value) entries.
@@ -350,14 +323,18 @@ _NOT_AN_INVOLUTION = "a symmetry-induced map is not an involution"
 
 
 def checked_involution(form: FiniteQuadraticForm,
-                       matrix: Sequence[Sequence[int]]) -> DiscAutomorphism:
-    """The matrix as a DiscAutomorphism, checked on every generator to be
-    a homomorphism keeping q and b (by the constructor) and an involution.
-    Both checks raise explicitly, so they also run under python -O."""
-    auto = DiscAutomorphism(form, matrix)
-    if not auto.is_involution():
+                       matrix: Sequence[Sequence[int]]) -> Block:
+    """The matrix reduced, row i mod form.orders[i], checked on every
+    generator to be a homomorphism keeping q and b (_check_isometry) and
+    an involution (_is_inverse).  Both checks raise explicitly, so they
+    also run under python -O."""
+    r = form.rank
+    mat = tuple(tuple(matrix[i][j] % o for j in range(r))
+                for i, o in enumerate(form.orders))
+    _check_isometry(form, mat)
+    if not _is_inverse(form.orders, mat, mat):
         raise AssertionError(_NOT_AN_INVOLUTION)
-    return auto
+    return mat
 
 
 def _checked_blocks(form: FiniteQuadraticForm, lo: int, hi: int,
@@ -580,11 +557,12 @@ def _first_involution(pf: PolarizedForm, pairs: Pairs) -> Optional[Block]:
 _INVOLUTION_CAP = 2_000_000
 
 
-def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
+def disc_involutions(pf: PolarizedForm) -> List[Block]:
     """All involutions of the polarized discriminant induced by diagram
     symmetries, label-preserving component permutations, and the sign on the
-    polarization block, as validated DiscAutomorphisms sorted by matrix
-    entries.
+    polarization block, as reduced matrices (column j the image of the j-th
+    generator), sorted by their entries, each checked on the whole matrix
+    to be a homomorphism keeping q and b (_check_isometry).
 
     Each involution is a product of slot maps (a diagram symmetry of a
     fixed component, an identification of a swapped pair of equal
@@ -604,7 +582,9 @@ def disc_involutions(pf: PolarizedForm) -> List[DiscAutomorphism]:
     mats = sorted(_join(r, matchings)
                   for matchings in product(*(_matchings(*cls)
                                              for cls in classes)))
-    return [DiscAutomorphism(pf.form, m) for m in mats]
+    for mat in mats:
+        _check_isometry(pf.form, mat)
+    return mats
 
 
 # ----------------------------------------------------- rank-2 positive autos

@@ -11,7 +11,8 @@ evaluators or its integer Gram.  The glued group form (+) [1/a2] is no
 form here: its orders are form's and a2, and its scaled Gram is form's,
 rescaled to lcm(d, a2), with one orthogonal generator of q = 1/a2 added
 (_glued_gram), so the oracle imports no engine gluing and builds no
-form.  Every listing of a group is one
+form; the glue vector theta = kappa (+) n*alpha is (*kappa, n), reduced
+into the glued group here too.  Every listing of a group is one
 lexicographic odometer over sum_j t_j g_j for given generators g_j: the
 step that raises t_j adds a fixed s_j, and q(x + s_j) = q(x) + q(s_j) +
 2 b(x, s_j), so a walk carries x, q(x)*d and b(x, .)*d by one addition
@@ -28,10 +29,14 @@ with a brute q equal to the engine's quotient q at its coset.  That proves
 an isometry, so the presentation's orders d_j (prime powers) are those
 of cyclic factors of K-perp/K, and K with the reps generates K-perp.
 The oracle never calls the engine's subquotient construction, and lists
-K by its own additions.  A witness phi is re-checked from its matrix
-with the oracle's q and b, and phi (+) -1 on every element of K-perp, in
-the same walk.  A failed check raises OracleMismatch explicitly, so the
-checks also run under ``python -O``.
+K by its own additions.  An automorphism is a plain integer matrix
+here, its j-th column the image of the j-th generator.  A witness phi is
+re-checked from its matrix with the oracle's q and b, and phi (+) -1 on
+every element of K-perp, in the same walk.  brute_involutions returns
+brute_aut_group's own matrices, which it proved to keep the oracle's q
+and b and to be bijective: no engine check runs on them.  A failed
+check raises OracleMismatch explicitly, so the checks also run under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 
 from .fqf import Element, FiniteQuadraticForm
 from .isotropy import Subquotient
-from .lattices import DiscAutomorphism, PolarizedForm
-from .nikulin import embeds_into_big_L, theta_vector
+from .lattices import PolarizedForm
+from .nikulin import embeds_into_big_L
 
 ORACLE_CUTOFF = 4096
 
@@ -231,7 +236,7 @@ def brute_kernel_candidates(pf: PolarizedForm, a2: int, n: int,
     r = form.rank
     out = []
     for kappa in form.iter_elements():
-        theta = _reduce(group, theta_vector(form, kappa, n))
+        theta = _reduce(group, (*kappa, n))
         mult = theta
         size = 1
         graph = True
@@ -290,20 +295,20 @@ def brute_aut_group(form: FiniteQuadraticForm,
     return sorted(results)
 
 
-def brute_involutions(form: FiniteQuadraticForm,
-                      cutoff: int = ORACLE_CUTOFF) -> List[DiscAutomorphism]:
-    """Order-(1 or 2) isometries, from the brute automorphism group.
+def brute_involutions(form: FiniteQuadraticForm
+                      ) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Order-(1 or 2) isometries, as brute_aut_group's own sorted matrices,
+    which it proved to keep the oracle's q and b and to be bijective.
     phi o phi = id is decided with the oracle's own _apply on every
     generator, not with the engine's involution test, which picks the
-    engine's fixed slot options."""
-    return [DiscAutomorphism(form, mat)
-            for mat in brute_aut_group(form, cutoff)
+    engine's fixed slot options; no engine check runs on them."""
+    return [mat for mat in brute_aut_group(form)
             if all(_apply(form, mat, _apply(form, mat, e)) == e
                    for e in _units(form.rank))]
 
 
 def _kperp_walk(group: Sequence[int], g: _ScaledGram,
-                kernel_gens: Sequence[Element], sq: Subquotient, cutoff: int,
+                kernel_gens: Sequence[Element], sq: Subquotient,
                 involution: Optional[Sequence[Sequence[int]]] = None
                 ) -> List[Element]:
     """Prove that sq presents K-perp/K, K = <theta> the kernel_gens
@@ -314,7 +319,7 @@ def _kperp_walk(group: Sequence[int], g: _ScaledGram,
     sends every element into its own coset.  Raises OracleMismatch on any
     disagreement; see verify_subquotient_presentation."""
     size, rank = prod(group), len(group)
-    _within_cutoff(size, cutoff)
+    _within_cutoff(size, ORACLE_CUTOFF)
     if len(kernel_gens) > 1:
         raise ValueError("K must be cyclic: give at most one generator")
     qform = sq.form
@@ -372,8 +377,7 @@ def _kperp_walk(group: Sequence[int], g: _ScaledGram,
 
 def verify_subquotient_presentation(form: FiniteQuadraticForm,
                                     kernel_gens: Sequence[Element],
-                                    sq: Subquotient,
-                                    cutoff: int = ORACLE_CUTOFF) -> int:
+                                    sq: Subquotient) -> int:
     """Prove the engine's K-perp/K presentation sq, for the cyclic K =
     <theta> the kernel_gens (at most one) generate in form, by one walk of
     K-perp, and return |K-perp|.  Raises OracleMismatch on any
@@ -398,8 +402,7 @@ def verify_subquotient_presentation(form: FiniteQuadraticForm,
     2 b(x, y) = q(x + y) - q(x) - q(y) mod 2.  No engine map is called and
     no q is evaluated from scratch per element; the brute q is an integer
     at the scale d of form, compared cross-multiplied."""
-    return len(_kperp_walk(form.orders, _scaled_gram(form), kernel_gens, sq,
-                           cutoff))
+    return len(_kperp_walk(form.orders, _scaled_gram(form), kernel_gens, sq))
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +479,13 @@ def _squarefree_split(n: int) -> Tuple[int, int]:
     return s, m
 
 
-def gauss_sum_signature(form: FiniteQuadraticForm,
-                        cutoff: int = ORACLE_CUTOFF) -> int:
+def gauss_sum_signature(form: FiniteQuadraticForm) -> int:
     """Signature mod 8 via the exact identity
     sum_x exp(pi*i*q(x)) = sqrt(|F|) * zeta_8^sigma,
     evaluated symbolically in Z[x]/(x^M - 1): sqrt(2) = zeta_8 + zeta_8^-1,
     sqrt(p) from the quadratic Gauss sum of p, equality tested modulo the
     M-th cyclotomic polynomial.  Diagnostic; raises if no sigma matches."""
-    _within_cutoff(form.order, cutoff)
+    _within_cutoff(form.order, ORACLE_CUTOFF)
     e2 = 2 * form.exponent()
     s, m_free = _squarefree_split(form.order)
     odd_primes = []
@@ -549,33 +551,34 @@ def _apply(form: FiniteQuadraticForm, matrix: Sequence[Sequence[int]],
                  for row, o in zip(matrix, form.orders))
 
 
-def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
-                       sq: Subquotient, cutoff: int = ORACLE_CUTOFF):
+def revalidate_witness(pf: PolarizedForm, cand,
+                       phi: Sequence[Sequence[int]], sq: Subquotient):
     """Re-verify a reported witness by brute force, against sq, the
-    K-perp/K the engine decided it from.  Returns True, or the string
-    "skipped_cutoff" when the glued group is too large to enumerate.
-    Raises OracleMismatch when a check fails.
+    K-perp/K the engine decided it from; phi is the witness's matrix, its
+    j-th column the image of the j-th generator.  Returns True, or the
+    string "skipped_cutoff" when the glued group is too large to
+    enumerate.  Raises OracleMismatch when a check fails.
     """
     form = pf.form
-    if form.order * cand.a2 > cutoff:       # the order of the glued group
+    if form.order * cand.a2 > ORACLE_CUTOFF:    # the order of the glued group
         return "skipped_cutoff"
     # phi keeps q on the generators and b on their pairs, with the oracle's
     # own q and b, hence everywhere, and is its own inverse.
     g, r = _scaled_gram(form), form.rank
     units = _units(r)
-    images = [_apply(form, phi.matrix, e) for e in units]
+    images = [_apply(form, phi, e) for e in units]
     for j, (e, y) in enumerate(zip(units, images)):
         _require(not any(form.smul(form.orders[j], y)),
                  "witness phi is not a homomorphism")
         _require(_qd(g, y) == _qd(g, e) and all(
             _bd(g, images[i], y) == _bd(g, units[i], e) for i in range(j)),
             "witness phi is not an isometry")
-        _require(_apply(form, phi.matrix, y) == e,
+        _require(_apply(form, phi, y) == e,
                  "witness phi is not an involution")
-    _require(_apply(form, phi.matrix, cand.kappa) == form.neg(cand.kappa),
+    _require(_apply(form, phi, cand.kappa) == form.neg(cand.kappa),
              "witness phi does not negate kappa")
     group = (*form.orders, cand.a2)
-    theta = _reduce(group, theta_vector(form, cand.kappa, cand.n))
+    theta = _reduce(group, (*cand.kappa, cand.n))
     _require(_order_of(group, theta) == cand.a2 // cand.n,
              "glue vector has the wrong order")
 
@@ -583,15 +586,14 @@ def revalidate_witness(pf: PolarizedForm, cand, phi: DiscAutomorphism,
     # on every element of K-perp by the walk that proves sq.
     glued = [tuple(y[i] for y in images) + (0,) for i in range(r)]
     glued.append((0,) * r + (-1,))
-    _kperp_walk(group, _glued_gram(g, cand.a2), [theta], sq, cutoff, glued)
+    _kperp_walk(group, _glued_gram(g, cand.a2), [theta], sq, glued)
     ok, _ = embeds_into_big_L(2, pf.rank_S, sq.form)
     _require(ok, "witness glue does not embed")
     return True
 
 
 def cross_check_trace(pf: PolarizedForm, trace: List[dict],
-                      witness: Optional[dict],
-                      cutoff: int = ORACLE_CUTOFF):
+                      witness: Optional[dict]):
     """Re-derive every trace row by brute force where sizes permit.
 
     Returns True when every row was re-checked, "partial" when some rows
@@ -611,11 +613,11 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
 
     for (a2, n), rows in sorted(seen_pairs.items()):
         big_order = form.order * a2
-        if big_order > cutoff:
+        if big_order > ORACLE_CUTOFF:
             partial = True
             continue
         where = f"a2={a2} n={n}"
-        brute = brute_kernel_candidates(pf, a2, n, cutoff)   # sorted
+        brute = brute_kernel_candidates(pf, a2, n)   # sorted
         engine = [c.kappa for c in kernel_candidates(pf, a2, n)]
         _require(brute == engine, f"candidate lists differ at {where}")
         group, glued = (*form.orders, a2), _glued_gram(g, a2)
@@ -624,10 +626,10 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
                 _require(brute == [], f"row without kappa at {where}")
                 continue
             kappa = tuple(row["kappa"])
-            theta = _reduce(group, theta_vector(form, kappa, n))
+            theta = _reduce(group, (*kappa, n))
             status, _phi, sq = check_candidate(
                 pf, KernelCandidate(a2, n, kappa))
-            _kperp_walk(group, glued, [theta], sq, cutoff)
+            _kperp_walk(group, glued, [theta], sq)
             _require(status == row["reason"],
                      f"status {status!r} differs from trace row {row}")
     return "partial" if partial else True

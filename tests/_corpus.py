@@ -212,9 +212,8 @@ def oracle_agreement_report() -> dict:
         key = (spec_text, h2)
         pf = polarized_disc(RootSpec.parse(spec_text), h2)
         counts["strata"] += 1
-        engine = {tuple(map(tuple, a.matrix)) for a in disc_involutions(pf)}
-        brute = {tuple(map(tuple, a.matrix))
-                 for a in brute_involutions(pf.form)}
+        engine = set(disc_involutions(pf))
+        brute = set(brute_involutions(pf.form))
         counts["involution_sets"] += 1
         if not engine <= brute:
             failures.append((key, "engine involution not confirmed by brute"))

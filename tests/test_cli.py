@@ -8,6 +8,7 @@ at a temporary directory so the repository is never polluted.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -455,7 +456,9 @@ def test_cache_key_depends_on_oracle(capsys, tmp_path):
 # parses to something else.
 NOT_A_REPORT = [None, "{}", "null", "[1]", '{"verdict": "witness_found"}']
 # Entries with every report key but a value the schema does not allow, as
-# replacements in the real entry; printing one used to crash detect.
+# replacements in the real entry; printing one used to crash detect, or
+# print a basis, revalidation, oracle outcome or trace reason that the
+# schema refuses.
 MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
                     {"witness": {"a2": 2}}, {"rank_S": "1"}, {"rank_T": True},
                     {"disc": {"display": None}},
@@ -464,7 +467,12 @@ MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
                     {"trace": [{"reason": 5}]},
                     {"witness": {"a2": 2, "n": 2, "kappa": 5, "phi": None}},
                     {"witness": {"a2": "2", "n": 2, "kappa": [0, 0],
-                                 "phi": [[1, 0], [0, 1]]}}]
+                                 "phi": [[1, 0], [0, 1]]}},
+                    {"witness_revalidated": False},
+                    {"oracle_checked": "bogus"},
+                    {"conclusiveness_basis": "nonsense"},
+                    {"trace": [{"a2": 2, "n": 2, "kappa": None,
+                                "reason": "bogus"}]}]
 
 
 def _untimed(text):
@@ -770,6 +778,42 @@ def test_autos_disc_json(capsys):
     assert len(doc["matrices"]) == 2
     for mat in doc["matrices"]:
         assert len(mat) == 2 and len(mat[0]) == 2
+
+
+# sha256 of `autos --spec S` output, human then --json: every matrix line
+# is pinned, on components with a D4 triality, swapped pairs (2*D4,
+# 3*A2, 2*A3+2*A1), a spinor swap beside an A1 (D12+A1) and mixed
+# classes (D4+D4+A2).
+AUTOS_SHA256 = {
+    "D4": (
+        "a70caab9a14f5588b918d65e9f636b83f8599d06dc3897fef64b6db6130ea2c6",
+        "9f11f01b0bc188dc5c4ab57d8077417e185c9b56534b2d4e602dc69ed0c8b13b"),
+    "2*D4": (
+        "4505bbb33b1a8595ef34065d5e00479de90063b8768a6507cf095426532c2f38",
+        "063a5ad9b27374d1ba4d644c6a2feab0e6615185142cf86725d91a4337d9262a"),
+    "D4+D4+A2": (
+        "e500023651056252fec134088a132b2e99f2b4b22f81350bef9fdb38541fc4d7",
+        "a24d3195b69c2e92e5ee19e9d6e22422952779df741a6a3b8bd0e7c237a24393"),
+    "3*A2": (
+        "45019f43b48210f213dbce07a828ca438da16f5d87fbe6d859599baf7acfe197",
+        "4b062b1dcbef6030be6948189c157a9ee2582925aff5afcea4fafd416e296f77"),
+    "D12+A1": (
+        "fed2154c6b3423b706549984ef070bfd27119f9da5b11ceace4e557ed31bac89",
+        "b0200bee06151662f1527327fc801be09e9737f3996a4a207da7db03b31727e1"),
+    "2*A3+2*A1": (
+        "7b5ebaee529794fae6fe19389aad8f7cca631f4426cad84184ad433351ebbef5",
+        "28f125f5cfe2a56757c138b3b2cd619484c3f7939f764092b35299275b323a0c"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(AUTOS_SHA256))
+def test_autos_output_bytes_are_pinned(capsys, spec):
+    digests = []
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "autos", "--spec", spec, *extra)
+        assert (code, err) == (0, ""), extra
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == AUTOS_SHA256[spec]
 
 
 def test_autos_tgram_rectangular(capsys):

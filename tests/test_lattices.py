@@ -18,8 +18,8 @@ from realstrata.detector import (check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
 from realstrata.isotropy import subquotient
 from realstrata import lattices
-from realstrata.lattices import (DiscAutomorphism, RootSpec,
-                                 _anti_isometries, _component_swap_isos,
+from realstrata.lattices import (RootSpec, _anti_isometries,
+                                 _component_swap_isos,
                                  _count, _first_involution, _induced_on_disc,
                                  _live_classes, _symmetry_table, binary_autos,
                                  checked_involution, disc_involutions,
@@ -429,30 +429,29 @@ def test_disc_involutions_are_involutions():
     assert autos, "never empty: identity and h-negation at least"
     seen = set()
     for a in autos:
-        assert a.is_involution()
-        key = a.matrix
-        assert key not in seen, "deduplicated"
-        seen.add(key)
+        assert lattices._is_inverse(pf.form.orders, a, a)
+        assert a not in seen, "deduplicated"
+        seen.add(a)
 
 
 def test_disc_involutions_2a1_contains_swap():
     pf = polarized_disc(RootSpec.parse("2*A1"), 4)
-    mats = {a.matrix for a in disc_involutions(pf)}
+    mats = set(disc_involutions(pf))
     swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     assert swap in mats
 
 
 def test_disc_involutions_e8_only_h():
     pf = polarized_disc(RootSpec.parse("E8"), 4)
-    mats = {a.matrix for a in disc_involutions(pf)}
+    mats = set(disc_involutions(pf))
     assert mats == {((1,),), ((3,),)}   # +-id on the h generator
 
 
 def test_disc_involutions_subset_of_brute():
     for spec, h2 in (("A3", 4), ("A1+A2", 4), ("D4", 4)):
         pf = polarized_disc(RootSpec.parse(spec), h2)
-        eng = {a.matrix for a in disc_involutions(pf)}
-        brute = {a.matrix for a in brute_involutions(pf.form)}
+        eng = set(disc_involutions(pf))
+        brute = set(brute_involutions(pf.form))
         assert eng <= brute
 
 
@@ -481,8 +480,8 @@ def test_kappa_filter_equals_filtering_the_full_list():
         full = disc_involutions(pf)
         for kappa in form.iter_elements():
             pairs = [(kappa, form.neg(kappa))]
-            want = [a.matrix for a in full
-                    if _apply(form, a.matrix, kappa) == form.neg(kappa)]
+            want = [a for a in full
+                    if _apply(form, a, kappa) == form.neg(kappa)]
             _assert_filter_matches(pf, pairs, want, (spec, kappa))
 
 
@@ -520,7 +519,7 @@ def test_pair_filter_equals_filtering_the_full_list():
         pf = polarized_disc(RootSpec.parse(spec), h2)
         form = pf.form
         full = disc_involutions(pf)
-        assert len({a.matrix for a in full}) == len(full) == prod(
+        assert len(set(full)) == len(full) == prod(
             _count(idxs, choices)
             for idxs, _, choices, _ in _symmetry_table(pf)), spec
         elems = sorted(form.iter_elements())
@@ -531,8 +530,8 @@ def test_pair_filter_equals_filtering_the_full_list():
                        [(kappa, form.neg(kappa)), (x + (1,), shifted)],
                        [(x, x), (kappa, form.neg(kappa)), (x, shifted)]]
             for pairs in queries:
-                want = [a.matrix for a in full
-                        if all(_apply(form, a.matrix, u[:form.rank]) == v
+                want = [a for a in full
+                        if all(_apply(form, a, u[:form.rank]) == v
                                for u, v in pairs)]
                 _assert_filter_matches(pf, pairs, want, (spec, pairs))
 
@@ -551,12 +550,12 @@ def _reference_check(pf, cand):
     if not embeds_into_big_L(2, pf.rank_S, sq.form)[0]:
         return "genus_empty", None
     cond2 = [phi for phi in disc_involutions(pf)
-             if _apply(form, phi.matrix, cand.kappa) == form.neg(cand.kappa)]
+             if _apply(form, phi, cand.kappa) == form.neg(cand.kappa)]
     if not cond2:
         return "no_involution_cond2", None
     for phi in cond2:
-        if all(big.sub(big.reduce(list(_apply(form, phi.matrix, g[:r]))
-                                  + [-g[r]]), g) in kernel
+        if all(big.add(big.reduce(list(_apply(form, phi, g[:r])) + [-g[r]]),
+                       big.neg(g)) in kernel
                for g in kperp):
             return "witness", phi
     return "no_involution_cond3", None
@@ -582,33 +581,41 @@ def test_smoke_set_statuses_and_witnesses_match_the_full_list():
                     assert got == _reference_check(pf, cand), (spec, cand)
                     if got[0] == "witness" and first is None:
                         first = {"a2": a2, "n": n, "kappa": list(cand.kappa),
-                                 "phi": [list(row) for row in got[1].matrix]}
+                                 "phi": [list(row) for row in got[1]]}
         assert detect(4, spec).witness == first, spec
 
 
-def test_is_involution_agrees_with_applying_twice():
+def test_checked_involution_agrees_with_applying_twice():
     # 3*A1 @ 4: orders (2, 2, 2, 4); the A1 generators all have q = 3/2,
-    # so every permutation of them is an isometry.
+    # so every permutation of them is an isometry.  checked_involution
+    # returns the reduced matrix of the swap and refuses the 3-cycle, an
+    # isometry that is no involution, as applying each twice tells.
     pf = polarized_disc(RootSpec.parse("3*A1"), 4)
     form = pf.form
     swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
     cycle = [[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     expected = {"swap": True, "cycle": False}
     for name, mat in (("swap", swap), ("cycle", cycle)):
-        auto = DiscAutomorphism(form, mat)
-        twice = all(_apply(form, auto.matrix,
-                           _apply(form, auto.matrix, x)) == x
+        twice = all(_apply(form, mat, _apply(form, mat, x)) == x
                     for x in form.iter_elements())
-        assert auto.is_involution() is twice is expected[name], name
+        outcome = _outcome(checked_involution, form, mat)
+        assert (outcome is None) is twice is expected[name], name
+        if outcome is None:
+            assert checked_involution(form, mat) == tuple(
+                tuple(v % o for v in row)
+                for row, o in zip(mat, form.orders)), name
+        else:
+            assert outcome == ("AssertionError",
+                               lattices._NOT_AN_INVOLUTION), name
     for auto in disc_involutions(pf):
-        assert all(_apply(form, auto.matrix,
-                          _apply(form, auto.matrix, x)) == x
+        assert all(_apply(form, auto, _apply(form, auto, x)) == x
                    for x in form.iter_elements())
 
 
-def test_disc_automorphism_accepts_exactly_the_brute_isometries():
-    # Every integer matrix reduced mod the orders: the constructor must
-    # accept exactly the maps that are bijective on the group and keep q.
+def test_check_isometry_accepts_exactly_the_brute_isometries():
+    # Every integer matrix reduced mod the orders: the whole-matrix check
+    # that checked_involution and disc_involutions run must accept exactly
+    # the maps that are bijective on the group and keep q.
     forms = [u_block(2), v_block(2),
              cyclic_form(1, 4).direct_sum(cyclic_form(-1, 4))]
     for form in forms:
@@ -625,7 +632,7 @@ def test_disc_automorphism_accepts_exactly_the_brute_isometries():
                      and all(form.eval_q(y) == form.eval_q(x)
                              for x, y in zip(elems, images)))
             try:
-                DiscAutomorphism(form, mat)
+                lattices._check_isometry(form, mat)
                 engine = True
             except ValueError:
                 engine = False
@@ -766,8 +773,8 @@ def test_local_slot_check_equals_the_whole_matrix_check():
 @pytest.mark.parametrize("h2", [2, 4])
 def test_slice_check_equals_the_component_form_check(h2):
     # _check_isometry on a component's slice of pf.form, at pf's scale,
-    # accepts and refuses each block as DiscAutomorphism does on the
-    # component's own form, with the same message: every component of
+    # accepts and refuses each block as it does on the block reduced mod
+    # the component's own form, with the same message: every component of
     # rank <= 19, alone and behind an A1 (a slice that starts past 0),
     # on each of its diagram automorphisms, and on x -> 2x on A8 and a
     # D4 3-cycle with one entry changed, whose two columns are then equal.
@@ -785,7 +792,9 @@ def test_slice_check_equals_the_component_form_check(h2):
             assert pf.form.orders[lo:hi] == comp.orders, spec
             for block in blocks:
                 got = _outcome(lattices._check_isometry, pf.form, block, lo)
-                want = _outcome(DiscAutomorphism, comp, block)
+                reduced = [[v % o for v in row]
+                           for row, o in zip(block, comp.orders)]
+                want = _outcome(lattices._check_isometry, comp, reduced)
                 seen.add(got)
                 assert got == want, (spec, h2, block)
     assert seen == {None, ("ValueError", "map does not preserve q"),
@@ -796,20 +805,22 @@ def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
     # The census walks every rank-18 spec, 18*A1 among them: its symmetry
     # table checks 3 distinct blocks, each once on its component's slice
     # of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs), not
-    # 18 + 153 + 2 options on the rank-19 form.  It builds no
-    # DiscAutomorphism at all.  Counted, not timed.
+    # 18 + 153 + 2 options on the rank-19 form.  It checks no whole
+    # matrix at all: every _check_isometry call is on a rank-1 block, and
+    # checked_involution is never called.  Counted, not timed.
     built, checked = [], []
-    real_init, real_check = DiscAutomorphism.__init__, lattices._check_isometry
+    real_involution = lattices.checked_involution
+    real_check = lattices._check_isometry
 
-    def counting_init(self, form, matrix):
+    def counting_involution(form, matrix):
         built.append(form.rank)
-        real_init(self, form, matrix)
+        return real_involution(form, matrix)
 
     def counting_check(form, matrix, lo=0):
         checked.append((len(matrix), tuple(map(tuple, matrix))))
         real_check(form, matrix, lo)
 
-    monkeypatch.setattr(DiscAutomorphism, "__init__", counting_init)
+    monkeypatch.setattr(lattices, "checked_involution", counting_involution)
     monkeypatch.setattr(lattices, "_check_isometry", counting_check)
     table = _symmetry_table(polarized_disc(RootSpec.parse("18*A1"), 4))
     assert built == []
@@ -1137,7 +1148,7 @@ def _reference_has_skew(tgram, pf):
     polarized discriminant, and look it up in the full involution list."""
     gd = disc_of_gram([list(row) for row in tgram])
     disc_t, disc_s = gd.form, pf.form
-    invol_set = {auto.matrix for auto in disc_involutions(pf)}
+    invol_set = set(disc_involutions(pf))
     for refl in binary_autos(tgram):
         if refl[0][0] * refl[1][1] - refl[0][1] * refl[1][0] != -1:
             continue

@@ -17,12 +17,12 @@ from realstrata.detector import (KernelCandidate, check_candidate, detect,
 from realstrata.fqf import (FiniteQuadraticForm, cyclic_form,
                             direct_sum_all, trivial_form, u_block, v_block)
 from realstrata.isotropy import subquotient
-from realstrata.lattices import (DiscAutomorphism, RootSpec, disc_involutions,
-                                 disc_root, polarized_disc)
+from realstrata.lattices import (RootSpec, disc_involutions, disc_root,
+                                 polarized_disc)
 from realstrata.nikulin import ambient_with_a_block, theta_vector
-from realstrata.oracle import (ORACLE_CUTOFF, OracleMismatch,
-                               OracleSizeError, brute_aut_group,
-                               brute_involutions, brute_kernel_candidates,
+from realstrata.oracle import (OracleMismatch, OracleSizeError,
+                               brute_aut_group, brute_involutions,
+                               brute_kernel_candidates,
                                gauss_sum_signature, revalidate_witness,
                                verify_subquotient_presentation)
 
@@ -90,15 +90,22 @@ def test_brute_involutions_are_involutions():
     assert len(invs) == 4
     assert len(brute_aut_group(d4)) == 6
     for auto in invs:
-        assert auto.is_involution()
+        assert lattices._is_inverse(d4.orders, auto, auto)
 
 
 def test_brute_involutions_use_no_engine_involution_test(monkeypatch):
     # Criterion 7 checks the engine's involutions against these, and the
     # engine's involution test picks its fixed slot options: the oracle
     # must not share it.  Told that every block is an involution, the
-    # engine would take the two D4 3-cycles too.
+    # engine would take the two D4 3-cycles too.  Nor does the oracle run
+    # the engine's isometry check on brute_aut_group's matrices, which
+    # its own q and b already proved.
+    def refused(*args):
+        raise AssertionError("the engine's check ran on the oracle's output")
+
     monkeypatch.setattr(lattices, "_is_inverse", lambda orders, b, c: True)
+    monkeypatch.setattr(lattices, "_check_isometry", refused)
+    monkeypatch.setattr(lattices, "checked_involution", refused)
     assert len(brute_involutions(disc_root("D", 4))) == 4
 
 
@@ -128,8 +135,8 @@ EXPECT_EQUAL = {
 def test_involution_concordance_equal_cases():
     for (spec, h2), count in EXPECT_EQUAL.items():
         pf = polarized_disc(RootSpec.parse(spec), h2)
-        eng = {a.matrix for a in disc_involutions(pf)}
-        brute = {a.matrix for a in brute_involutions(pf.form)}
+        eng = set(disc_involutions(pf))
+        brute = set(brute_involutions(pf.form))
         assert eng == brute, (spec, h2)
         assert len(eng) == count, (spec, h2)
 
@@ -140,8 +147,8 @@ def test_involution_concordance_strict_inclusions():
     for (spec, h2), (n_eng, n_brute) in {("A3", 4): (4, 6),
                                          ("A5", 2): (2, 4)}.items():
         pf = polarized_disc(RootSpec.parse(spec), h2)
-        eng = {a.matrix for a in disc_involutions(pf)}
-        brute = {a.matrix for a in brute_involutions(pf.form)}
+        eng = set(disc_involutions(pf))
+        brute = set(brute_involutions(pf.form))
         assert eng < brute, (spec, h2)
         assert (len(eng), len(brute)) == (n_eng, n_brute), (spec, h2)
 
@@ -303,7 +310,7 @@ def _cosets_by_walk(form, theta, sq):
     cosets in lexicographic order of their coordinates c, each with the
     engine's quotient q at c."""
     kperp = oracle._kperp_walk(form.orders, oracle._scaled_gram(form),
-                               [theta], sq, ORACLE_CUTOFF)
+                               [theta], sq)
     m = len(kperp) // sq.form.order
     return {frozenset(kperp[i * m:(i + 1) * m]): sq.form.eval_q(c)
             for i, c in enumerate(sq.form.iter_elements())}
@@ -394,7 +401,7 @@ def test_brute_kernel_candidates_matches_engine_small():
 
 def test_revalidate_witness_full_chain():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
-    phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    phi = ((1, 0), (0, 1))
     cand = KernelCandidate(2, 2, (0, 0))
     sq = check_candidate(pf, cand)[2]
     assert revalidate_witness(pf, cand, phi, sq) is True
@@ -421,7 +428,7 @@ def test_revalidate_witness_rejects_wrong_phi():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     cand = KernelCandidate(4, 1, (1, 1))
     # identity does not negate kappa = (1,1) (order 4): must trip the checks
-    phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    phi = ((1, 0), (0, 1))
     sq = check_candidate(pf, cand)[2]
     with pytest.raises(AssertionError):
         revalidate_witness(pf, cand, phi, sq)
@@ -430,13 +437,12 @@ def test_revalidate_witness_rejects_wrong_phi():
 def test_revalidate_witness_rederives_the_isometry_itself():
     # On A1@4, phi = [[1, 0], [2, 1]] sends e_0 to e_0 + 2h: a homomorphism
     # and an involution that negates kappa = 0, but q(e_0 + 2h) = 1/2 is
-    # not q(e_0) = 3/2.  Built with object.__new__, phi never passes the
+    # not q(e_0) = 3/2.  Handed in as a bare matrix, phi never passes the
     # engine's checks, so only the oracle's own q can refuse it.
     pf = polarized_disc(RootSpec.parse("A1"), 4)
     cand = KernelCandidate(2, 2, (0, 0))
     sq = check_candidate(pf, cand)[2]
-    phi = object.__new__(DiscAutomorphism)
-    phi.form, phi.matrix = pf.form, ((1, 0), (2, 1))
+    phi = ((1, 0), (2, 1))
     with pytest.raises(OracleMismatch, match="witness phi is not an isometry"):
         revalidate_witness(pf, cand, phi, sq)
 
@@ -448,7 +454,7 @@ def test_revalidate_witness_rejects_an_involution_wrong_on_the_z3_part():
     cand = KernelCandidate(2, 2, (0, 0))
     assert pf.form.orders == (3, 4)
     sq = check_candidate(pf, cand)[2]
-    phi = DiscAutomorphism(pf.form, [[-1, 0], [0, -1]])
+    phi = ((2, 0), (0, 3))      # -1, reduced mod the orders
     with pytest.raises(OracleMismatch,
                        match="witness involution fails on K-perp"):
         revalidate_witness(pf, cand, phi, sq)
@@ -481,11 +487,10 @@ def test_revalidate_witness_checks_run_under_optimize():
     script = textwrap.dedent("""
         from realstrata import oracle
         from realstrata.detector import KernelCandidate, check_candidate
-        from realstrata.lattices import (DiscAutomorphism, RootSpec,
-                                         polarized_disc)
+        from realstrata.lattices import RootSpec, polarized_disc
         oracle.embeds_into_big_L = lambda *args: (False, "clause1")
         pf = polarized_disc(RootSpec.parse("A1"), 4)
-        phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+        phi = ((1, 0), (0, 1))
         cand = KernelCandidate(2, 2, (0, 0))
         sq = check_candidate(pf, cand)[2]
         print("debug:", __debug__)
@@ -524,7 +529,7 @@ def test_oracle_catches_wrong_integer_q_in_revalidation(monkeypatch):
     # The first generator rep gets a wrong q in the engine's quotient form;
     # the oracle, which evaluates q from form.q and form.b, must notice.
     pf = polarized_disc(RootSpec.parse("A1"), 4)
-    phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    phi = ((1, 0), (0, 1))
     cand = KernelCandidate(2, 2, (0, 0))
     big = ambient_with_a_block(pf.form, cand.a2)
     theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
@@ -541,7 +546,7 @@ def test_oracle_catches_a_consistent_wrong_integer_q(monkeypatch):
     # that agrees with q' everywhere, so an oracle sharing the engine's
     # evaluator would agree too; the oracle reads form.q and form.b instead.
     pf = polarized_disc(RootSpec.parse("A1"), 4)
-    phi = DiscAutomorphism(pf.form, [[1, 0], [0, 1]])
+    phi = ((1, 0), (0, 1))
     cand = KernelCandidate(2, 2, (0, 0))
     orders = ambient_with_a_block(pf.form, cand.a2).orders
     assert orders[0] == 2

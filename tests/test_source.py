@@ -204,9 +204,13 @@ def test_the_oracle_reads_no_engine_integer_form_data():
 
 def test_the_oracle_builds_no_glued_form_of_its_own():
     # The oracle assembles the scaled Gram of form (+) [1/a2] itself
-    # (_glued_gram): it names none of the engine's form constructors.
+    # (_glued_gram), and theta = kappa (+) n in it, and takes a witness phi
+    # as a bare integer matrix: it names none of the engine's form
+    # constructors, nor its glue vector, the automorphism class it once
+    # had, or its isometry and involution checks.
     builders = {"ambient_with_a_block", "cyclic_form", "direct_sum",
-                "direct_sum_all"}
+                "direct_sum_all", "theta_vector", "DiscAutomorphism",
+                "checked_involution", "_check_isometry", "_is_inverse"}
     tree = ast.parse((PACKAGE / "oracle.py").read_text())
     assert _read(tree) & builders == set()
 
