@@ -8,10 +8,9 @@ form of the pairing rows stacked on an identity (Cohen 1993, section 2.4)
 in fqf.orthogonal_complement, which is off detect's path.  The K-perp of
 a cyclic kernel is one congruence s . x = 0 mod p^mu per prime p dividing
 its order, each Hermite form one gcd sweep.  Triangular solves read only
-the nonzero entries of the basis.  Smith forms over Z serve disc_of_gram,
-which only the rank-19 --tgram dispatch calls (the ADE discriminants are
-closed forms), and smith_presentation, which only the tests call;
-K-perp/K takes sweeps mod p^k; determinants are Bareiss eliminations.
+the nonzero entries of the basis.  Smith forms over Z serve only
+fqf.smith_presentation, which only the tests call; K-perp/K takes sweeps
+mod p^k; determinants are Bareiss eliminations.
 """
 
 from __future__ import annotations
@@ -160,7 +159,8 @@ def det_lower_triangular(h: Sequence[Sequence[int]]) -> int:
 
 def snf(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (d, u, v) with u @ a @ v = d, u and v
-    unimodular, d diagonal with d[i][i] | d[i+1][i+1] and nonnegative."""
+    unimodular, d diagonal with d[i][i] | d[i+1][i+1] and nonnegative.
+    Only fqf.smith_presentation, which only the tests call, takes one."""
     d = [list(row) for row in a]
     rows = len(d)
     cols = len(d[0]) if rows else 0

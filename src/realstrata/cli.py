@@ -126,33 +126,43 @@ _REPORT_KEYS = frozenset(_REPORT_TYPES)
 _WITNESS_KEYS = frozenset(("a2", "n", "kappa", "phi"))
 
 
+def _naturals(values: object) -> bool:
+    """Whether values is a list of integers >= 0, a bool being none."""
+    return type(values) is list and all(type(v) is int and v >= 0
+                                        for v in values)
+
+
 def _is_report(doc: object) -> bool:
     """Whether a parsed cache entry can be served as a report: an object
-    with exactly a report's keys, each holding a value of a type the
-    schema allows, a known verdict, basis, revalidation and oracle
-    outcome (each one of the schema's values), a disc whose display is a
-    string, a witness that is null or has a witness's keys with integer
-    a2 and n and array kappa and phi, and trace rows that are objects
-    with a known reason.  These are the fields the human output reads.
-    Cheap enough for every hit: the schema is not read, and each trace
-    row is looked at once.  Values are compared against tuples, so an
-    unhashable one is refused, not raised on."""
+    with exactly a report's keys whose values keep report_schema.json's
+    rules on what the human output reads: each key's types (exact: a bool
+    is not an integer here), the bounds on rank_S, rank_T and
+    wall_time_ms, a known verdict, basis, revalidation and oracle outcome,
+    a disc whose display is a string, a witness that is null or has a
+    witness's keys and values, and trace rows that are objects with a
+    known reason.  Cheap enough for every hit: the schema is not read, and
+    each trace row is looked at once.  Values are compared against
+    tuples, so an unhashable one is refused, not raised on."""
     if not (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS):
         return False
     for key, types in _REPORT_TYPES.items():
         if type(doc[key]) not in types:
             return False
     witness, trace = doc["witness"], doc["trace"]
-    return (doc["verdict"] in VERDICTS
+    return (0 <= doc["rank_S"] <= 19 and 2 <= doc["rank_T"] <= 21
+            and doc["wall_time_ms"] >= 0
+            and doc["verdict"] in VERDICTS
             and doc["conclusiveness_basis"] in (*BASES, None)
             and doc["witness_revalidated"] in (True, "skipped_cutoff", None)
             and doc["oracle_checked"] in (True, False, "partial")
             and type(doc["disc"].get("display")) is str
             and (witness is None
                  or (witness.keys() == _WITNESS_KEYS
-                     and (type(witness["a2"]), type(witness["n"]),
-                          type(witness["kappa"]), type(witness["phi"]))
-                     == (int, int, list, list)))
+                     and type(witness["a2"]) is type(witness["n"]) is int
+                     and witness["a2"] >= 2 and witness["n"] in (1, 2)
+                     and _naturals(witness["kappa"])
+                     and type(witness["phi"]) is list
+                     and all(map(_naturals, witness["phi"]))))
             and (not trace      # a witness report usually has no rows
                  or all(type(row) is dict and row.get("reason") in REASONS
                         for row in trace)))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from itertools import product
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from operator import mul
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
@@ -97,58 +97,7 @@ def _require_root_rank(rank: int) -> None:
         raise ValueError("root rank exceeds 19; no such stratum")
 
 
-# --------------------------------------------- discriminants of Gram lattices
-
-
-class GramDisc:
-    """Discriminant form of an integral nondegenerate Gram matrix, with the
-    coordinate bridge: elements of the quotient Z^n / G Z^n are addressed by
-    integer vectors in dual coordinates."""
-    __slots__ = ("form", "gen_duals", "to_coords")
-
-    def __init__(self, form: FiniteQuadraticForm,
-                 gen_duals: List[List[int]],   # dual coordinates of the gens
-                 to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
-                 ) -> None:
-        self.form = form
-        self.gen_duals = gen_duals
-        self.to_coords = to_coords
-
-
-def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
-    """Discriminant form of an even integral lattice with the given Gram
-    matrix: the group Z^n/G Z^n with q(v) = v^T G^{-1} v mod 2.
-
-    Everything is read from one Smith form u G v = D: the generators are
-    the columns w_i = u^{-1} e_i = G v e_i / d_i, and G^{-1} w_i =
-    v e_i / d_i, so q and b are integers at the scale d_last (the
-    exponent)."""
-    n = len(gram)
-    if n == 0:
-        return GramDisc(trivial_form(), [], lambda v: ())
-    d, u, v = _intmat.snf([list(row) for row in gram])
-    dd = [d[i][i] for i in range(n)]
-    if any(x == 0 for x in dd):
-        raise ValueError("Gram matrix is singular")
-    kept = [i for i in range(n) if dd[i] > 1]
-    scale = dd[-1]
-    v_cols = [[v[r][i] for r in range(n)] for i in kept]
-    gen_duals = [[x // dd[i] for x in _intmat.matvec(gram, col)]
-                 for i, col in zip(kept, v_cols)]
-    # w_s^T G^{-1} w_t = w_s . v_t / d_t, at the scale d_last.
-    pair = [[sum(map(mul, w, col)) * (scale // dd[i])
-             for i, col in zip(kept, v_cols)] for w in gen_duals]
-    k = len(kept)
-    b = {(s, t): pair[s][t] for s in range(k) for t in range(s + 1, k)}
-    form = FiniteQuadraticForm([dd[i] for i in kept],
-                               [pair[s][s] for s in range(k)], b,
-                               scale=scale)
-
-    def to_coords(vec: Sequence[int]) -> Tuple[int, ...]:
-        w = _intmat.matvec(u, list(vec))
-        return tuple(w[i] % dd[i] for i in kept)
-
-    return GramDisc(form, gen_duals, to_coords)
+# ------------------------------------------------------- root discriminants
 
 
 def disc_root(fam: str, n: int) -> FiniteQuadraticForm:
@@ -657,94 +606,74 @@ def maximizing_has_skew(tgram: Sequence[Sequence[int]],
                         pf: PolarizedForm) -> bool:
     """Rank-19 dispatch: does some determinant -1 isometry of the rank-2
     positive lattice T act, through an anti-isometry of discriminants, as a
-    symmetry-induced involution of the polarized discriminant?
+    symmetry-induced involution of the polarized discriminant?  (Nikulin
+    1979, Prop. 1.6.1.)
 
-    For a reflection rho and an anti-isometry psi, sigma = psi rho psi^-1
-    sends psi(t_i) to psi(rho t_i) for the generators t_i of disc T.  These
-    images determine sigma, since the psi(t_i) generate the polarized
-    discriminant, so sigma is symmetry-induced iff some symmetry-induced
-    involution sends each psi(t_i) there.
+    binary_autos checks T and gives its reflections.  A reflection M is
+    its own inverse, so it acts on T's dual basis by M^-T = M^T: for an
+    anti-isometry psi with f_i = psi(t_i*) (_anti_isometries), sigma =
+    psi M psi^-1 sends f_i to sum_k M_ik f_k.  The f_i generate the
+    polarized discriminant, so sigma is symmetry-induced iff some
+    symmetry-induced involution sends each f_i there.
 
-    Raises ValueError when disc T is not anti-isometric to the polarized
-    discriminant.
+    Raises ValueError when T is not a positive definite even lattice, or
+    when disc T is not anti-isometric to the polarized discriminant.
     """
-    gd = disc_of_gram([list(row) for row in tgram])
-    disc_t = gd.form
-    disc_s = pf.form
-    if disc_t.order != disc_s.order:
+    reflections = [m for m in binary_autos(tgram)
+                   if m[0][0] * m[1][1] - m[0][1] * m[1][0] == -1]
+    (a, b), (_, c) = tgram
+    form = pf.form
+    if a * c - b * b != form.order:
         raise ValueError("discriminant group sizes differ")
-    if disc_s.order > 4096:
+    if form.order > 4096:
         raise ValueError("discriminant too large for the rank-19 dispatch")
-    psis = _anti_isometries(disc_t, disc_s)
+    psis = _anti_isometries(tgram, form)
     if not psis:
         raise ValueError(
             "discriminant of T is not anti-isometric to the polarized "
             "discriminant")
-    reflections = [m for m in binary_autos(tgram)
-                   if m[0][0] * m[1][1] - m[0][1] * m[1][0] == -1]
     for refl in reflections:
         if refl[0][0] + refl[1][1]:
             raise AssertionError("det -1 must be a reflection")
-        rho = _induced_on_disc(gd, refl)
-        for psi in psis:
-            # Column i of rho is rho(t_i) in disc T coordinates.
-            pairs = [(img, tuple(sum(map(mul, col, row)) % o
-                                 for row, o in zip(zip(*psi), disc_s.orders)))
-                     for img, col in zip(psi, zip(*rho))]
+        for f in psis:
+            pairs = [(f[i], form.add(form.smul(refl[i][0], f[0]),
+                                     form.smul(refl[i][1], f[1])))
+                     for i in range(2)]
             if _first_involution(pf, pairs) is not None:
                 return True
     return False
 
 
-def _induced_on_disc(gd: GramDisc, iso: Sequence[Sequence[int]]
-                     ) -> List[List[int]]:
-    """Matrix induced on the discriminant generators by a 2x2 lattice
-    isometry (dual-coordinate action is by the inverse transpose, the
-    adjugate's transpose divided by the determinant +-1)."""
-    (a, b), (c, d) = iso
-    det = a * d - b * c
-    if det not in (1, -1):
-        raise ValueError("isometry is not unimodular")
-    inv_t = [[d * det, -c * det], [-b * det, a * det]]
-    cols = [gd.to_coords(_intmat.matvec(inv_t, w)) for w in gd.gen_duals]
-    return [list(row) for row in zip(*cols)]
+def _anti_isometries(tgram: Sequence[Sequence[int]],
+                     form: FiniteQuadraticForm
+                     ) -> List[Tuple[Element, Element]]:
+    """Every anti-isometry psi of disc T onto form, as the images
+    (psi(t_1*), psi(t_2*)) of T's dual basis, for the positive definite
+    even Gram G = [[a, b], [b, c]] of determinant D = |form|.
 
-
-def _anti_isometries(src: FiniteQuadraticForm, dst: FiniteQuadraticForm
-                     ) -> List[List[Element]]:
-    """All group isomorphisms psi: src -> dst with q(psi x) = -q(x),
-    as lists of generator images."""
-    if src.order != dst.order:
+    The dual basis t_i* = G^-1 e_i generates disc T, with q(t_1*) = c/D,
+    q(t_2*) = a/D, b(t_1*, t_2*) = -b/D, orders D / gcd(D, c, b) and
+    D / gcd(D, a, b), and the relations e_1 = a t_1* + b t_2* = 0 and
+    e_2 = b t_1* + c t_2* = 0, which present it.  So a pair (f_1, f_2) is
+    psi's images iff each f_i has t_i*'s order and q(f_i) = -q(t_i*),
+    b(f_1, f_2) = b/D, and the pair meets both relations: then psi is a
+    homomorphism carrying q to -q, injective as disc T is nondegenerate,
+    and onto as both groups have D elements.  The f_2 are keyed by
+    (b f_2, c f_2), so each f_1 finds its partners in one lookup."""
+    (a, b), (_, c) = tgram
+    d, n = a * c - b * b, form.N
+    pairing, rem = divmod(b * n, d)
+    if rem:             # no element of form pairs to b/D
         return []
-    # The images of e_i, listed once: q(y) = -q_src(e_i) mod 2 with both
-    # sides at their own scale is qn(y) = -Qn_src[i]*dN/sN mod 2dN, with
-    # no y when that is not an integer, and y of exact order o_i.
-    #
-    # Every full list of images is an anti-isometry, with no check that
-    # they generate dst: each y_i has order o_i, so e_i -> y_i is a
-    # homomorphism psi; psi carries q to -q on each generator and b to -b
-    # on each pair of them, so b(psi x, psi y) = -b(x, y) for all x, y,
-    # and q(psi x) = -q(x); a kernel element of psi then pairs to 0 with
-    # all of src, which is nondegenerate, so psi is injective, and onto
-    # since |src| = |dst|.
-    s_n, d_n = src.N, dst.N
-    images_of = []
-    for o, qn in zip(src.orders, src.Qn):
-        target, rem = divmod(-qn * d_n, s_n)
-        images_of.append([] if rem else dst.elements_of_order(o, target))
-    results: List[List[Element]] = []
-
-    def extend(images: List[Element]) -> None:
-        i = len(images)
-        if i == src.rank:
-            results.append(list(images))
-            return
-        for y in images_of[i]:
-            # b(y, psi e_t) = -b_src(e_i, e_t) mod 1, at both scales.
-            if all((dst.eval_bn(y, images[t]) * s_n
-                    + src.Bn[i][t] * d_n) % (s_n * d_n) == 0
-                   for t in range(i)):
-                extend(images + [y])
-
-    extend([])
-    return results
+    # -diag*N/D is exact whenever f_i can exist: o_i q(t_i*) is an
+    # integer, and an element of order o_i means o_i divides N.
+    f1s, f2s = [form.elements_of_order(d // gcd(d, diag, b), -diag * n // d)
+                for diag in (c, a)]
+    partners: Dict[Tuple[Element, Element], List[Element]] = {}
+    for f2 in f2s:
+        partners.setdefault((form.smul(b, f2), form.smul(c, f2)),
+                            []).append(f2)
+    pairing %= n
+    return [(f1, f2) for f1 in f1s
+            for f2 in partners.get((form.smul(-a, f1), form.smul(-b, f1)), ())
+            if form.eval_bn(f1, f2) == pairing]

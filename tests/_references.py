@@ -1,12 +1,15 @@
 """Reference constructions the package no longer carries: the Cartan
-matrices of the ADE diagrams, from which the tests derive the root
-discriminants that lattices.disc_root reads off closed forms, the earlier
-route of disc_root through a cyclic form and its restriction, and a solve
-of linear congruences modulo coordinate orders."""
+matrices of the ADE diagrams, and the discriminant form of any Gram
+matrix by one Smith form over Z, from which the tests derive the root
+discriminants that lattices.disc_root reads off closed forms and the
+anti-isometries that the rank-19 dispatch lists off T's dual basis; the
+earlier route of disc_root through a cyclic form and its restriction; and
+a solve of linear congruences modulo coordinate orders."""
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from operator import mul
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from realstrata import _intmat
 from realstrata.fqf import (Element, FiniteQuadraticForm, cyclic_form,
@@ -31,6 +34,51 @@ def cartan_matrix(fam: str, n: int) -> List[List[int]]:
     for i, j in edges:
         mat[i][j] = mat[j][i] = -1
     return mat
+
+
+class GramDisc(NamedTuple):
+    """Discriminant form of an integral nondegenerate Gram matrix, with the
+    coordinate bridge: elements of the quotient Z^n / G Z^n are addressed
+    by integer vectors in dual coordinates."""
+    form: FiniteQuadraticForm
+    gen_duals: List[List[int]]      # dual coordinates of the generators
+    to_coords: Callable[[Sequence[int]], Tuple[int, ...]]
+
+
+def disc_of_gram(gram: Sequence[Sequence[int]]) -> GramDisc:
+    """Discriminant form of an even integral lattice with the given Gram
+    matrix: the group Z^n/G Z^n with q(v) = v^T G^{-1} v mod 2.
+
+    Everything is read from one Smith form u G v = D: the generators are
+    the columns w_i = u^{-1} e_i = G v e_i / d_i, and G^{-1} w_i =
+    v e_i / d_i, so q and b are integers at the scale d_last (the
+    exponent)."""
+    n = len(gram)
+    if n == 0:
+        return GramDisc(trivial_form(), [], lambda v: ())
+    d, u, v = _intmat.snf([list(row) for row in gram])
+    dd = [d[i][i] for i in range(n)]
+    if any(x == 0 for x in dd):
+        raise ValueError("Gram matrix is singular")
+    kept = [i for i in range(n) if dd[i] > 1]
+    scale = dd[-1]
+    v_cols = [[v[r][i] for r in range(n)] for i in kept]
+    gen_duals = [[x // dd[i] for x in _intmat.matvec(gram, col)]
+                 for i, col in zip(kept, v_cols)]
+    # w_s^T G^{-1} w_t = w_s . v_t / d_t, at the scale d_last.
+    pair = [[sum(map(mul, w, col)) * (scale // dd[i])
+             for i, col in zip(kept, v_cols)] for w in gen_duals]
+    k = len(kept)
+    b = {(s, t): pair[s][t] for s in range(k) for t in range(s + 1, k)}
+    form = FiniteQuadraticForm([dd[i] for i in kept],
+                               [pair[s][s] for s in range(k)], b,
+                               scale=scale)
+
+    def to_coords(vec: Sequence[int]) -> Tuple[int, ...]:
+        w = _intmat.matvec(u, list(vec))
+        return tuple(w[i] % dd[i] for i in kept)
+
+    return GramDisc(form, gen_duals, to_coords)
 
 
 def disc_root_by_restriction(fam: str, n: int) -> FiniteQuadraticForm:

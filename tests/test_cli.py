@@ -372,6 +372,16 @@ def test_detect_rank19_with_tgram(capsys, tmp_path):
     assert "verdict: witness_found  (basis: rankT2)" in out
 
 
+@pytest.mark.parametrize("tgram, message", [
+    ("3,0,3", "lattice must be even"),
+    ("2,2,2", "Gram matrix must be positive definite")])
+def test_detect_rank19_refuses_a_bad_tgram_with_its_own_error(
+        capsys, tmp_path, tgram, message):
+    # T is checked before its discriminant is compared with the stratum's.
+    assert run(capsys, "detect", "--spec", "A18+A1", "--tgram", tgram,
+               "--cache-dir", str(tmp_path)) == (2, "", f"error: {message}\n")
+
+
 def test_detect_refuses_a_tgram_below_rank_19(capsys, tmp_path):
     # Below rank 19 nothing reads T's Gram matrix: it is refused, not
     # ignored, and keys no second cache entry.
@@ -472,7 +482,18 @@ MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
                     {"oracle_checked": "bogus"},
                     {"conclusiveness_basis": "nonsense"},
                     {"trace": [{"a2": 2, "n": 2, "kappa": None,
-                                "reason": "bogus"}]}]
+                                "reason": "bogus"}]},
+                    {"rank_S": -3}, {"rank_T": 22}, {"wall_time_ms": -1},
+                    {"witness": {"a2": -5, "n": 2, "kappa": [0, 0],
+                                 "phi": [[1, 0], [0, 1]]}},
+                    {"witness": {"a2": 2, "n": 3, "kappa": [0, 0],
+                                 "phi": [[1, 0], [0, 1]]}},
+                    {"witness": {"a2": 2, "n": 2, "kappa": ["x"],
+                                 "phi": [[1, 0], [0, 1]]}},
+                    {"witness": {"a2": 2, "n": 2, "kappa": [0, 0],
+                                 "phi": [["a"]]}},
+                    {"witness": {"a2": 2, "n": 2, "kappa": [0, 0],
+                                 "phi": [[-1]]}}]
 
 
 def _untimed(text):

@@ -19,7 +19,7 @@ from realstrata.detector import (BASES, REASONS, VERDICTS, KernelCandidate,
                                  check_candidate, detect, enumerate_a_squares,
                                  kernel_candidates, model_name, parse_model)
 from realstrata.lattices import (RootSpec, _component_swap_isos,
-                                 polarized_disc)
+                                 maximizing_has_skew, polarized_disc)
 from realstrata.nikulin import ambient_with_a_block, theta_vector
 from realstrata.oracle import OracleMismatch, brute_kernel_candidates
 
@@ -300,8 +300,9 @@ def test_detect_factors_a_large_h2_once(monkeypatch):
 
 
 def test_detect_takes_no_smith_form_over_z(monkeypatch):
-    # K-perp/K is built prime by prime, and the root discriminants are
-    # read off closed forms, so detect takes no Smith form over Z.
+    # K-perp/K is built prime by prime, the root discriminants are read off
+    # closed forms, and the rank-19 dispatch reads disc T off T's dual
+    # basis, so detect takes no Smith form over Z.
     callers = []
     real = _intmat.snf
 
@@ -311,6 +312,10 @@ def test_detect_takes_no_smith_form_over_z(monkeypatch):
 
     monkeypatch.setattr(_intmat, "snf", counting)
     detect(4, "D7+A6+A3+A2")
+    assert detect(4, "2*E8+A2+A1", tgram=[[4, 0], [0, 6]]).verdict \
+        == "witness_found"
+    pf = polarized_disc(RootSpec.parse("A10+D9"), 2)
+    assert maximizing_has_skew(((4, 0), (0, 22)), pf) is True
     assert callers == []
 
 

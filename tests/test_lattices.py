@@ -1,5 +1,6 @@
 """Root specs, Cartan matrices, discriminants of ADE lattices, polarized
 forms, symmetry-induced involutions, and rank-2 isometry groups."""
+import hashlib
 import os
 import random
 import subprocess
@@ -20,18 +21,18 @@ from realstrata.isotropy import subquotient
 from realstrata import lattices
 from realstrata.lattices import (RootSpec, _anti_isometries,
                                  _component_swap_isos,
-                                 _count, _first_involution, _induced_on_disc,
+                                 _count, _first_involution,
                                  _live_classes, _symmetry_table, binary_autos,
                                  checked_involution, disc_involutions,
-                                 disc_of_gram, disc_root, maximizing_has_skew,
+                                 disc_root, maximizing_has_skew,
                                  polarized_disc)
 from realstrata.nikulin import (ambient_with_a_block, embeds_into_big_L,
                                 theta_vector)
 from realstrata.oracle import _apply, brute_involutions
 
 from _fractions import canon_mod2, display_rep
-from _references import (cartan_matrix, disc_root_by_restriction,
-                         solve_mod_orders)
+from _references import (cartan_matrix, disc_of_gram,
+                         disc_root_by_restriction, solve_mod_orders)
 
 
 # ------------------------------------------------------------------ RootSpec
@@ -240,6 +241,8 @@ def test_disc_root_equals_the_restricted_cyclic_route():
 
 
 # ------------------------------------------------------------- disc_of_gram
+# The reference in _references.py that the disc_root and rank-19 tests
+# compare against.
 
 
 def test_disc_of_gram_examples():
@@ -1091,6 +1094,61 @@ def _reduced_tgrams(det):
     return out
 
 
+def _ade_sums(rank, start=0):
+    """Every multiset of ADE_COMPONENTS of the given total rank, as a list
+    of components in ADE_COMPONENTS order."""
+    if rank == 0:
+        yield []
+        return
+    for i in range(start, len(ADE_COMPONENTS)):
+        fam, n = ADE_COMPONENTS[i]
+        if n <= rank:
+            for rest in _ade_sums(rank - n, i):
+                yield [(fam, n)] + rest
+
+
+def _rank19_answers(h2s, cap):
+    """(spec, h2, a, b, d, answer) for every rank-19 spec, in canonical
+    spelling, at each h2 with |disc| <= cap, and every reduced T of that
+    determinant: answer is maximizing_has_skew's bool, or the message of
+    the ValueError it raises."""
+    specs = sorted(RootSpec.parse("+".join(f"{fam}{n}" for fam, n in comps))
+                   .canonical_text() for comps in _ade_sums(19))
+    rows = []
+    for spec in specs:
+        for h2 in h2s:
+            pf = polarized_disc(RootSpec.parse(spec), h2)
+            if pf.form.order > cap:
+                continue
+            for tgram in _reduced_tgrams(pf.form.order):
+                try:
+                    answer = str(maximizing_has_skew(tgram, pf))
+                except ValueError as exc:
+                    answer = str(exc)
+                (a, b), (_, d) = tgram
+                rows.append((spec, h2, a, b, d, answer))
+    return sorted(rows)
+
+
+# The rows of _rank19_answers((2, 4), 400), as the dispatch answered them
+# when it built disc T by a Smith form over Z and searched anti-isometries
+# generator by generator: their sha256, one tab-separated row per line.
+RANK19_ANSWERS_SHA256 = (
+    "24fac22acd849754e87e42174fe9fe54c58760aee846a32ae970ebbde04ae17b")
+
+
+def test_the_rank_19_answers_are_pinned():
+    rows = _rank19_answers((2, 4), 400)
+    counts = {}
+    for row in rows:
+        counts[row[-1]] = counts.get(row[-1], 0) + 1
+    assert counts == {"True": 78, "False": 64,
+                      "discriminant of T is not anti-isometric to the "
+                      "polarized discriminant": 6926}
+    text = "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == RANK19_ANSWERS_SHA256
+
+
 def _scanned_anti_isometries(src, dst):
     """_anti_isometries as it was before the listing: at every node, scan
     every element of dst for the images of the next generator."""
@@ -1117,43 +1175,56 @@ def _scanned_anti_isometries(src, dst):
     return results
 
 
+def _dual_basis_images(gd, psi, dst):
+    """The images (psi(t_1*), psi(t_2*)) of T's dual basis under an
+    anti-isometry psi of gd.form = disc_of_gram(T).form onto dst, given as
+    the images of gd.form's generators.  In dual coordinates t_i* =
+    G^-1 e_i is e_i itself."""
+    images = []
+    for i in range(2):
+        image = dst.zero()
+        for c, img in zip(gd.to_coords([int(j == i) for j in range(2)]), psi):
+            image = dst.add(image, dst.smul(c, img))
+        images.append(image)
+    return tuple(images)
+
+
 def test_anti_isometries_equal_the_full_scan_on_rank_19_forms():
+    # Each anti-isometry the full scan finds on the Smith form of disc T,
+    # read as the images of T's dual basis, is one pair of the listing,
+    # and the listing holds no other.
     found = 0
     for spec, h2 in RANK19:
         pf = polarized_disc(RootSpec.parse(spec), h2)
         for tgram in _reduced_tgrams(pf.form.order):
-            disc_t = disc_of_gram(tgram).form
-            got = _anti_isometries(disc_t, pf.form)
-            assert got == _scanned_anti_isometries(disc_t, pf.form), \
+            gd = disc_of_gram(tgram)
+            got = _anti_isometries(tgram, pf.form)
+            assert len(set(got)) == len(got), (spec, h2, tgram)
+            assert set(got) == {
+                _dual_basis_images(gd, psi, pf.form)
+                for psi in _scanned_anti_isometries(gd.form, pf.form)}, \
                 (spec, h2, tgram)
             found += bool(got)
     assert found == 35
 
 
-def test_induced_on_disc_refuses_a_non_unimodular_matrix():
-    # The inverse transpose of a 2x2 isometry is its adjugate's transpose
-    # times the determinant, so the determinant must be +-1.
-    gd = disc_of_gram([[2, 0], [0, 4]])
-    assert gd.form.orders == (2, 4)
-    assert _induced_on_disc(gd, [[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
-    assert _induced_on_disc(gd, [[-1, 0], [0, -1]]) == [[1, 0], [0, 3]]
-    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
-        with pytest.raises(ValueError, match="not unimodular"):
-            _induced_on_disc(gd, bad)
-
-
 def _reference_has_skew(tgram, pf):
-    """maximizing_has_skew as it was before the pair filter: conjugate each
-    reflection of T through each anti-isometry psi into a matrix on the
-    polarized discriminant, and look it up in the full involution list."""
+    """maximizing_has_skew as it was before the pair filter, on the Smith
+    form of disc T: conjugate each reflection of T through each
+    anti-isometry psi of the full scan into a matrix on the polarized
+    discriminant, and look it up in the full involution list.  A
+    reflection M is its own inverse, so it acts on dual coordinates by
+    M^-T = M^T."""
     gd = disc_of_gram([list(row) for row in tgram])
     disc_t, disc_s = gd.form, pf.form
     invol_set = set(disc_involutions(pf))
     for refl in binary_autos(tgram):
         if refl[0][0] * refl[1][1] - refl[0][1] * refl[1][0] != -1:
             continue
-        rho = _induced_on_disc(gd, refl)
-        for psi in _anti_isometries(disc_t, disc_s):
+        cols = [gd.to_coords([refl[0][i] * w[0] + refl[1][i] * w[1]
+                              for i in range(2)]) for w in gd.gen_duals]
+        rho = [list(row) for row in zip(*cols)]
+        for psi in _scanned_anti_isometries(disc_t, disc_s):
             sigma = _conjugate(disc_t, disc_s, psi, rho)
             if sigma is not None and sigma in invol_set:
                 return True
