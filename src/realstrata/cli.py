@@ -20,25 +20,33 @@ it a path (--json out.json) to write the document to a file instead.
 
 Reports are cached under --cache-dir (or $REALSTRATA_CACHE, default
 .realstrata-cache): a cache hit returns the stored report byte for byte,
-including its original timestamp.  An entry that does not parse (nested
-too deeply included), or parses to something other than a report, counts
-as a miss and is overwritten.  batch factors h2 once before it reads a
-line, so an h2 it cannot factor ends the run with one error; it then
-parses, keys and reads or decides each distinct line once per run and
-prints its repeats from that one outcome; nothing is remembered from one
-run to the next.
+including its original timestamp.  A miss streams the report into a
+temporary file beside its entry (DetectionReport.write_json) and renames
+it into place, so no text of a whole report is held; --json then copies
+the entry out of that file.  A write or rename that fails leaves no
+temporary file behind.  An entry that does not parse (nested too deeply
+included), or parses to something other than a report, counts as a miss
+and is overwritten.  batch factors h2 once before it reads a line, so an
+h2 it cannot factor ends the run with one error; it then keeps one
+outcome (the line it prints and the verdict it counts) per raw line and
+per stripped line: a repeated raw line costs one lookup and one write,
+and only a new stripped line is parsed, keyed, and read or decided.
+Nothing is remembered from one run to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .detector import (BASES, REASONS, VERDICTS, detect, model_name,
@@ -83,12 +91,20 @@ def _parse_tgram(text: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     return ((a, b), (b, d))
 
 
-def _emit_json(text: str, dest: str) -> None:
-    """dest '-' prints to stdout; anything else is a file path."""
+def _copy_json(src: TextIO, dest: str) -> None:
+    """Copies src's text, then a newline, to dest a chunk at a time: dest
+    '-' is stdout; anything else is a file path."""
     if dest == "-":
-        print(text)
-    else:
-        Path(dest).write_text(text + "\n")
+        shutil.copyfileobj(src, sys.stdout)
+        sys.stdout.write("\n")
+        return
+    with open(dest, "w") as out:
+        shutil.copyfileobj(src, out)
+        out.write("\n")
+
+
+def _emit_json(text: str, dest: str) -> None:
+    _copy_json(io.StringIO(text), dest)
 
 
 def _cache_dir(arg: Optional[str]) -> Path:
@@ -169,8 +185,9 @@ def _is_report(doc: object) -> bool:
 
 
 def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
-                   cache_dir: Path) -> Tuple[str, dict]:
-    """Returns (report_json_text, report_dict), via the cache."""
+                   cache_dir: Path, json_dest: Optional[str] = None) -> dict:
+    """Returns the report's dict, via the cache; given json_dest (as
+    --json takes it), also copies the entry's text there."""
     spec = RootSpec.parse(spec_text)
     # Before the lookup: an entry an older version wrote under this key
     # must not be served.
@@ -186,15 +203,28 @@ def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
         except (ValueError, RecursionError):   # RecursionError: too deep
             doc = None
         if _is_report(doc):
-            return text, doc
+            if json_dest:
+                _emit_json(text, json_dest)
+            return doc
     report = detect(h2, spec, tgram=tgram, oracle=oracle)
-    text = report.to_json()
     cache_dir.mkdir(parents=True, exist_ok=True)
-    # Write beside the entry, then rename: readers never see a partial file.
+    # Stream the entry beside its place, then rename: readers never see a
+    # partial file, and no text of the whole entry is held.  json_dest
+    # copies from the file written, which is still open.  A failed write,
+    # rename or copy leaves no temporary file behind.
     tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-    return text, report.to_json_dict()
+    try:
+        with open(tmp, "w+") as fp:
+            doc = report.write_json(fp)
+            fp.flush()
+            os.replace(tmp, path)
+            if json_dest:
+                fp.seek(0)
+                _copy_json(fp, json_dest)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return doc
 
 
 def _print_human(rep: dict) -> None:
@@ -246,11 +276,9 @@ def cmd_disc(args) -> int:
 
 def cmd_detect(args) -> int:
     h2 = parse_model(args.model)
-    text, rep = _cached_detect(h2, args.spec, args.tgram, args.oracle,
-                               _cache_dir(args.cache_dir))
-    if args.json:
-        _emit_json(text, args.json)
-    else:
+    rep = _cached_detect(h2, args.spec, args.tgram, args.oracle,
+                         _cache_dir(args.cache_dir), args.json)
+    if not args.json:
         _print_human(rep)
     code = _VERDICT_EXIT[rep["verdict"]]
     if code == EXIT_USAGE:
@@ -267,32 +295,40 @@ def cmd_batch(args) -> int:
     # cannot split fails every line alike, and ends the run here, once.
     factorint(h2)
     cache = _cache_dir(args.cache_dir)
-    counts: dict = {}
-    errors = 0
-    # line -> (verdict, None) or (None, error message), for this run only:
-    # a repeated line is printed from here, not parsed, keyed or read again.
-    outcomes: dict = {}
+    out, err = sys.stdout.write, sys.stderr.write
+    # An outcome is (write, text, verdict): the stream and the text a line
+    # prints and the verdict it counts, None for an error and "" for a
+    # blank or comment-only line, which prints "".  Outcomes are kept by
+    # raw line and by stripped line, for this run only: a repeated raw
+    # line costs one lookup and one write, a new spelling of a known line
+    # reuses its outcome, and only a new stripped line is parsed, keyed
+    # and read from the cache or decided.
+    raw_outcomes: dict = {}
+    stripped: dict = {"": (out, "", "")}
     # Lines end at "\n" only (read_text maps "\r\n" and "\r" to it), and
     # ASCII whitespace only is stripped: splitlines() would also end a
     # line at U+2028, and str.strip() would also take U+2003.
-    for raw in Path(args.file).read_text().split("\n"):
-        line = raw.split("#", 1)[0].strip(" \t\n\r\f\v")
-        if not line:
-            continue
-        if line not in outcomes:
-            try:
-                _text, rep = _cached_detect(h2, line, None, args.oracle,
-                                            cache)
-                outcomes[line] = (rep["verdict"], None)
-            except (ValueError, AssertionError, RuntimeError) as exc:
-                outcomes[line] = (None, str(exc))
-        verdict, error = outcomes[line]
-        if verdict is None:
-            print(f"{line}: error: {error}", file=sys.stderr)
-            errors += 1
-            continue
-        counts[verdict] = counts.get(verdict, 0) + 1
-        print(f"{line}: {verdict}")
+    lines = Path(args.file).read_text().split("\n")
+    for raw in lines:
+        outcome = raw_outcomes.get(raw)
+        if outcome is None:
+            line = raw.split("#", 1)[0].strip(" \t\n\r\f\v")
+            outcome = stripped.get(line)
+            if outcome is None:
+                try:
+                    verdict = _cached_detect(h2, line, None, args.oracle,
+                                             cache)["verdict"]
+                    outcome = (out, f"{line}: {verdict}\n", verdict)
+                except (ValueError, AssertionError, RuntimeError) as exc:
+                    outcome = (err, f"{line}: error: {exc}\n", None)
+                stripped[line] = outcome
+            raw_outcomes[raw] = outcome
+        outcome[0](outcome[1])
+    counts: Counter = Counter()
+    for raw, times in Counter(lines).items():
+        counts[raw_outcomes[raw][2]] += times
+    errors = counts.pop(None, 0)
+    counts.pop("", None)
     total = sum(counts.values())
     summary = "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"batch: {total} strata  {summary}" +

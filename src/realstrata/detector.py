@@ -17,9 +17,10 @@ to reflections of the rank-2 transcendental-side lattice T.
 
 from __future__ import annotations
 
+import io
 import json
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 from . import __version__
 from .fqf import Element, FiniteQuadraticForm, factorint
@@ -276,8 +277,60 @@ class DetectionReport:
             "generated_at": self.generated_at,
         }
 
+    def write_json(self, fp: TextIO) -> dict:
+        """Write to fp exactly the text of json.dumps(to_json_dict(),
+        sort_keys=True, indent=2), and return that dict, so a caller that
+        reads it too builds it once.  The keys around the trace go through
+        json.dumps; each trace row goes through one formatter, and the rows
+        reach fp a chunk at a time, so a census-size report is never held
+        as one text.  A row is {a2, n, kappa, reason} as _search writes it:
+        a2 and n ints, kappa null or a list of ints, reason one of
+        REASONS, which json.dumps writes as it is."""
+        doc = self.to_json_dict()
+        trace = doc["trace"]
+        if not trace:
+            fp.write(json.dumps(doc, sort_keys=True, indent=2))
+            return doc
+        # Only top-level keys sit at indent 2, and json.dumps escapes the
+        # newlines inside strings, so the split finds the trace key's line.
+        head, tail = json.dumps({**doc, "trace": []}, sort_keys=True,
+                                indent=2).split('\n  "trace": []')
+        fp.write(head + '\n  "trace": [')
+        sep = ""
+        for start in range(0, len(trace), _ROWS_PER_WRITE):
+            fp.write(sep + ",".join(
+                map(_trace_row_json, trace[start:start + _ROWS_PER_WRITE])))
+            sep = ","
+        fp.write("\n  ]" + tail)
+        return doc
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        """The report's JSON document: write_json's text."""
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
+
+
+# Trace rows write_json formats before one write: a few hundred kB of text.
+_ROWS_PER_WRITE = 2048
+
+
+def _trace_row_json(row: dict) -> str:
+    """One trace row as json.dumps(..., sort_keys=True, indent=2) writes it
+    inside the report: the row at indent 4, its keys at 6, kappa's entries
+    at 8."""
+    kappa = row["kappa"]
+    if kappa is None:
+        kappa_text = "null"
+    elif kappa:
+        kappa_text = ("[\n        " + ",\n        ".join(map(str, kappa))
+                      + "\n      ]")
+    else:
+        kappa_text = "[]"
+    return (f'\n    {{\n      "a2": {row["a2"]},'
+            f'\n      "kappa": {kappa_text},'
+            f'\n      "n": {row["n"]},'
+            f'\n      "reason": "{row["reason"]}"\n    }}')
 
 
 def model_name(h2: int) -> str:

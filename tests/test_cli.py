@@ -8,6 +8,7 @@ at a temporary directory so the repository is never polluted.
 """
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ import realstrata
 from realstrata import cli
 from realstrata.cli import (_REPORT_KEYS, _REPORT_TYPES, _is_report,
                             build_parser, main)
-from realstrata.detector import detect
+from realstrata.detector import DetectionReport, detect
 from realstrata.lattices import RootSpec, polarized_disc
 
 SCHEMA = json.loads(
@@ -462,6 +463,72 @@ def test_cache_key_depends_on_oracle(capsys, tmp_path):
     assert len(list(tmp_path.glob("*.json"))) == 2
 
 
+@pytest.mark.parametrize("dest", ["stdout", "path"])
+def test_detect_json_is_the_cache_entry_on_a_miss_and_a_hit(capsys, tmp_path,
+                                                           dest):
+    # A miss streams the report into the entry and copies the entry out;
+    # a hit copies the stored entry.  Either way --json gives the entry's
+    # bytes and a newline.
+    cache = tmp_path / "cache"
+    out_file = tmp_path / "report.json"
+    argv = ["detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache),
+            "--json"] + ([str(out_file)] if dest == "path" else [])
+    for _ in ("miss", "hit"):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (3, "")
+        (entry,) = cache.iterdir()
+        got = out if dest == "stdout" else out_file.read_text()
+        assert got == entry.read_text() + "\n"
+        assert json.loads(got)["trace"]
+        if dest == "path":
+            assert out == ""
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path,
+                                                       monkeypatch):
+    # The entry is streamed into a temporary file and renamed into place;
+    # when the rename or the stream fails, the run exits 2 with one error
+    # line and the temporary file is gone, so a rerun starts clean.
+    cache = tmp_path / "cache"
+    entry = cache / (cli._cache_key(4, RootSpec.parse("A1"), None, False)
+                     + ".json")
+    entry.mkdir(parents=True)       # the rename onto it fails
+    code, out, err = run(capsys, "detect", "--spec", "A1",
+                         "--cache-dir", str(cache))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert err.count("\n") == 1
+    assert list(cache.iterdir()) == [entry]
+    entry.rmdir()
+    assert run(capsys, "detect", "--spec", "A1",
+               "--cache-dir", str(cache))[0] == 0
+    assert json.loads(entry.read_text())["verdict"] == "witness_found"
+
+    class FullAfterOneWrite:
+        def __init__(self, fp):
+            self.fp, self.writes = fp, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fp.write(text)
+
+    write_json = DetectionReport.write_json
+    monkeypatch.setattr(DetectionReport, "write_json",
+                        lambda rep, fp: write_json(rep, FullAfterOneWrite(fp)))
+    cache = tmp_path / "full"
+    argv = ["detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache)]
+    assert run(capsys, *argv) == (
+        2, "", "error: [Errno 28] No space left on device\n")
+    assert list(cache.iterdir()) == []
+    monkeypatch.undo()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "") and "verdict: none_exists" in out
+    (entry,) = cache.iterdir()
+    assert json.loads(entry.read_text())["verdict"] == "none_exists"
+
+
 # Cache entries that are not a report: truncated JSON, then JSON that
 # parses to something else.
 NOT_A_REPORT = [None, "{}", "null", "[1]", '{"verdict": "witness_found"}']
@@ -742,6 +809,50 @@ def test_batch_remembers_lines_for_one_invocation_only(capsys, tmp_path):
                    "--cache-dir", str(cache)) == (
             0, f"A7+A6+A5: {verdict}\n" * 2
             + f"batch: 2 strata  {verdict}=2\n", "")
+
+
+# Raw spellings of one stratum, another stratum, an unparseable line
+# twice, and blank and comment-only lines.
+REPEATS = ("# raw spellings of one stratum, a bad line twice\n"
+           "A1\n"
+           "A1 \n"
+           "A1  # note\n"
+           "\tA1\n"
+           "\n"
+           "Q9\n"
+           "   \n"
+           "# a comment only\n"
+           "A2\n"
+           "Q9\n"
+           "A1\n"
+           "\tA1\n")
+# Taken from the batch that printed each line as it read it.
+REPEATS_OUT = "A1: witness_found\n" * 4 + "A2: witness_found\n" + (
+    "A1: witness_found\n" * 2
+    + "batch: 7 strata  witness_found=7  errors=2\n")
+REPEATS_ERR = "Q9: error: cannot parse root-spec term 'Q9'\n" * 2
+
+
+def test_batch_serves_raw_repeats_from_one_outcome(capsys, tmp_path,
+                                                   monkeypatch):
+    listing = tmp_path / "strata.txt"
+    listing.write_text(REPEATS)
+    cache = tmp_path / "cache"
+    seen = []
+    inner = cli._cached_detect
+
+    def counting(h2, spec_text, *rest):
+        seen.append(spec_text)
+        return inner(h2, spec_text, *rest)
+
+    monkeypatch.setattr(cli, "_cached_detect", counting)
+    for _ in range(2):      # cold cache, then warm
+        seen.clear()
+        assert run(capsys, "batch", str(listing), "--cache-dir",
+                   str(cache)) == (1, REPEATS_OUT, REPEATS_ERR)
+        assert seen == ["A1", "Q9", "A2"]
+        assert sorted(json.loads(e.read_text())["spec"]
+                      for e in cache.iterdir()) == ["A1", "A2"]
 
 
 # ---------------------------------------------------------------- embed

@@ -1,6 +1,7 @@
 """End-to-end decision engine: candidate enumeration, witness search,
 verdicts, conclusiveness bases, and report shape."""
 import hashlib
+import io
 import json
 import math
 import random
@@ -400,6 +401,56 @@ def test_report_json_matches_schema_keys():
     assert doc["disc"]["tags"] == [0, "h"]
     round_trip = json.loads(rep.to_json())
     assert round_trip == json.loads(json.dumps(doc))
+
+
+def _json_dumps_text(rep) -> str:
+    """The report's JSON as to_json wrote it before write_json: the
+    reference for write_json's bytes."""
+    return json.dumps(rep.to_json_dict(), sort_keys=True, indent=2)
+
+
+def _assert_same_text(got: str, want: str, label) -> None:
+    """got == want, failing with the first difference: pytest's own diff
+    of two texts of megabytes would take minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"{label}: first difference at {at}: "
+                    f"{got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+def test_write_json_writes_the_bytes_of_json_dumps():
+    # write_json formats trace rows itself and splices them between the
+    # json.dumps text of the other keys; the bytes must be json.dumps's.
+    # Strata: the golden three with and without the oracle, the smoke set
+    # with 4*A1 and 5*A1, the multiplicity ladder, A18, A18+A1 with no T
+    # (needs_T_gram) and 2*E8+A2+A1 with one, the empty stratum, 14*A1+A4 (57,479 rows, several
+    # writes' worth) and every 7th ADE sum of rank 1-13.
+    small = [s for rank in range(1, 14) for s in _ade_sums(rank)]
+    assert len(small) == 842
+    runs = ([(spec, h2, {"oracle": oracle})
+             for spec, h2 in ((GOLDEN_D7, 4), (GOLDEN_A7, 4),
+                              (GOLDEN_SEXTIC, 2))
+             for oracle in (False, True)]
+            + [(s, 4, {}) for s in SMOKE + ["4*A1", "5*A1"]]
+            + [("6*A1", 64, {}), ("7*A1", 32, {}), ("8*A1", 16, {}),
+               ("A18", 4, {}), ("A18+A1", 4, {}),
+               ("2*E8+A2+A1", 4, {"tgram": ((4, 0), (0, 6))}),
+               ("0", 4, {}), ("14*A1+A4", 4, {})]
+            + [(s, 4, {}) for s in small[::7]])
+    verdicts, reasons, null_kappa = set(), set(), False
+    for spec, h2, kwargs in runs:
+        rep = detect(h2, spec, **kwargs)
+        want = _json_dumps_text(rep)
+        buf = io.StringIO()
+        assert rep.write_json(buf) == rep.to_json_dict(), (spec, h2)
+        _assert_same_text(buf.getvalue(), want, (spec, h2, kwargs))
+        _assert_same_text(rep.to_json(), want, (spec, h2, kwargs))
+        verdicts.add(rep.verdict)
+        reasons.update(row["reason"] for row in rep.trace)
+        null_kappa |= any(row["kappa"] is None for row in rep.trace)
+    assert verdicts == set(VERDICTS)
+    assert reasons == set(REASONS) and null_kappa
 
 
 def test_report_timestamp_is_utc_to_the_second():
