@@ -24,14 +24,20 @@ including its original timestamp.  A miss streams the report into a
 temporary file beside its entry (DetectionReport.write_json) and renames
 it into place, so no text of a whole report is held; --json then copies
 the entry out of that file.  A write or rename that fails leaves no
-temporary file behind.  An entry that does not parse (nested too deeply
-included), or parses to something other than a report, counts as a miss
-and is overwritten.  batch factors h2 once before it reads a line, so an
-h2 it cannot factor ends the run with one error; it then keeps one
+temporary file behind.  A hit reads and checks what its output prints,
+in write_json's layout: the head up to the trace and the tail after it,
+parsed as one report with no rows, for every output; batch, which prints
+the verdict alone, reads no row, while detect matches the rows against
+the writer's row shape under the schema's rules and counts their
+reasons, and --json then copies the entry.  An entry in another layout
+(compact, truncated, nested too deeply) or that breaks those rules is a
+miss and is overwritten.  batch factors h2 once before it reads a line,
+so an h2 it cannot factor ends the run with one error; it then keeps one
 outcome (the line it prints and the verdict it counts) per raw line and
-per stripped line: a repeated raw line costs one lookup and one write,
-and only a new stripped line is parsed, keyed, and read or decided.
-Nothing is remembered from one run to the next.
+one verdict per canonical stratum: a repeated raw line costs one lookup
+and one write, a new spelling one parse, and only a new stratum is read
+or decided; a line that does not parse reaches no cache.  Nothing is
+remembered from one run to the next.
 """
 
 from __future__ import annotations
@@ -45,12 +51,13 @@ import re
 import shutil
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .detector import (BASES, REASONS, VERDICTS, detect, model_name,
-                       parse_model, require_tgram_rank)
+                       parse_model, require_tgram_rank, trace_rows_pattern)
 from .fqf import factorint
 from .lattices import (PolarizedForm, RootSpec, binary_autos,
                        disc_involutions, polarized_disc, require_stratum_rank)
@@ -154,17 +161,16 @@ def _is_report(doc: object) -> bool:
     rules on what the human output reads: each key's types (exact: a bool
     is not an integer here), the bounds on rank_S, rank_T and
     wall_time_ms, a known verdict, basis, revalidation and oracle outcome,
-    a disc whose display is a string, a witness that is null or has a
-    witness's keys and values, and trace rows that are objects with a
-    known reason.  Cheap enough for every hit: the schema is not read, and
-    each trace row is looked at once.  Values are compared against
-    tuples, so an unhashable one is refused, not raised on."""
+    a disc whose display is a string, and a witness that is null or has a
+    witness's keys and values.  The reader hands it the entry with its
+    trace rows cut out; _rows_counted checks those.  Values are compared
+    against tuples, so an unhashable one is refused, not raised on."""
     if not (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS):
         return False
     for key, types in _REPORT_TYPES.items():
         if type(doc[key]) not in types:
             return False
-    witness, trace = doc["witness"], doc["trace"]
+    witness = doc["witness"]
     return (0 <= doc["rank_S"] <= 19 and 2 <= doc["rank_T"] <= 21
             and doc["wall_time_ms"] >= 0
             and doc["verdict"] in VERDICTS
@@ -178,17 +184,117 @@ def _is_report(doc: object) -> bool:
                      and witness["a2"] >= 2 and witness["n"] in (1, 2)
                      and _naturals(witness["kappa"])
                      and type(witness["phi"]) is list
-                     and all(map(_naturals, witness["phi"]))))
-            and (not trace      # a witness report usually has no rows
-                 or all(type(row) is dict and row.get("reason") in REASONS
-                        for row in trace)))
+                     and all(map(_naturals, witness["phi"])))))
 
 
-def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
-                   cache_dir: Path, json_dest: Optional[str] = None) -> dict:
-    """Returns the report's dict, via the cache; given json_dest (as
-    --json takes it), also copies the entry's text there."""
-    spec = RootSpec.parse(spec_text)
+# DetectionReport.write_json's layout: the trace is the only top-level
+# list, and only top-level keys sit at indent 2, so its rows lie between
+# the first _TRACE_OPEN and the last _TRACE_CLOSE of an entry.
+_TRACE_OPEN = b'\n  "trace": ['
+_TRACE_CLOSE = b'\n  ],\n  "verdict": '
+# Where a whole row ends and the next begins.
+_ROW_CUT = b"\n    },\n    {"
+# Bytes read at a time: the whole entry of a small stratum, or the rows
+# of one match (larger chunks match no faster).
+_READ = 1 << 16
+
+
+def _read_entry(path: Path, rows: bool, json_dest: Optional[str]
+                ) -> Optional[Tuple[dict, Counter]]:
+    """The report cached at path as (its dict with no trace rows, the
+    count of each reason in its rows), or None for an entry to rewrite.
+    The entry is read as write_json lays it out: the head up to the trace
+    key and, unless the trace is [], the tail from the last line that
+    closes it; the two are parsed as one report with an empty trace.  Each
+    marker is searched for in a window that grows until it is found, so a
+    large disc or witness still hits, and an entry in no such layout
+    (compact, truncated, nested too deeply) is None.  rows also checks and
+    counts the rows, a chunk at a time (_rows_counted); without it none is
+    read and the counts are empty.  Given json_dest (as --json takes it,
+    with rows), the entry's text is then copied there as it stands."""
+    with open(path, "rb") as fp:
+        head = bytearray()
+        at = -1
+        while at < 0:
+            chunk = fp.read(_READ)
+            if not chunk:
+                return None
+            seen = max(0, len(head) - len(_TRACE_OPEN) + 1)
+            head += chunk
+            at = head.find(_TRACE_OPEN, seen)
+        start = end = at + len(_TRACE_OPEN)    # the rows, or "]" for none
+        if len(head) == start:
+            head += fp.read(1)
+        if head[start:start + 1] == b"]":
+            text = head + fp.read()
+        else:
+            size, width = os.fstat(fp.fileno()).st_size, _READ
+            while True:
+                first = max(start, size - width)
+                fp.seek(first)
+                tail = fp.read()
+                end = first + tail.rfind(_TRACE_CLOSE)
+                if end >= first or first == start:
+                    break
+                width *= 8
+            if end <= start:            # no closing line, or no rows
+                return None
+            text = head[:at] + b'\n  "trace": []' + tail[end - first + 4:]
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError):   # RecursionError: too deep
+            return None
+        if not _is_report(doc):
+            return None
+        counts = (_rows_counted(fp, start, end) if rows and end > start
+                  else Counter())
+        if counts is None:
+            return None
+        if json_dest:
+            fp.seek(0)
+            with io.TextIOWrapper(fp, encoding="utf-8", newline="") as src:
+                _copy_json(src, json_dest)
+        return doc, counts
+
+
+def _rows_counted(fp, start: int, end: int) -> Optional[Counter]:
+    """The count of each reason in the rows at [start, end) of fp, or None
+    unless they fullmatch detector.trace_rows_pattern.  They are matched a
+    chunk at a time, each cut after a whole row: one match over a census
+    entry's rows takes three times as long."""
+    pattern = trace_rows_pattern()
+    counts: Counter = Counter()
+    fp.seek(start)
+    left, pending = end - start, b""
+    while True:
+        block = fp.read(min(left, _READ))
+        if left and not block:
+            return None
+        left -= len(block)
+        pending += block
+        chunk = pending
+        if left:
+            cut = pending.rfind(_ROW_CUT) + 6
+            if cut < 6:
+                continue
+            chunk, pending = pending[:cut], pending[cut + 1:]
+        if not pattern.fullmatch(chunk):
+            return None
+        for reason in REASONS:
+            found = chunk.count(b'"reason": "%s"' % reason.encode())
+            if found:
+                counts[reason] += found
+        if not left:
+            return counts
+
+
+def _cached_detect(h2: int, spec: RootSpec, tgram, oracle: bool,
+                   cache_dir: Path, json_dest: Optional[str] = None,
+                   rows: bool = True) -> Tuple[dict, Counter]:
+    """The report's dict and the count of each reason in its trace, via
+    the cache; given json_dest (as --json takes it), also copies the
+    entry's text there.  rows=False reads no trace row of a hit and counts
+    none: batch prints the verdict alone."""
     # Before the lookup: an entry an older version wrote under this key
     # must not be served.
     require_tgram_rank(spec, tgram)
@@ -197,15 +303,9 @@ def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
     if path.is_file():
         # A truncated, corrupt or foreign entry is a miss: recompute and
         # overwrite it.
-        try:
-            text = path.read_text()
-            doc = json.loads(text)
-        except (ValueError, RecursionError):   # RecursionError: too deep
-            doc = None
-        if _is_report(doc):
-            if json_dest:
-                _emit_json(text, json_dest)
-            return doc
+        hit = _read_entry(path, rows, json_dest)
+        if hit:
+            return hit
     report = detect(h2, spec, tgram=tgram, oracle=oracle)
     cache_dir.mkdir(parents=True, exist_ok=True)
     # Stream the entry beside its place, then rename: readers never see a
@@ -224,10 +324,11 @@ def _cached_detect(h2: int, spec_text: str, tgram, oracle: bool,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return doc
+    return doc, (Counter(row["reason"] for row in doc["trace"]) if rows
+                 else Counter())
 
 
-def _print_human(rep: dict) -> None:
+def _print_human(rep: dict, counts: Counter) -> None:
     print(f"model: {rep['model']}  spec: {rep['spec'] or '(empty)'}  "
           f"rank_S: {rep['rank_S']}  rank_T: {rep['rank_T']}")
     print(f"disc: {rep['disc']['display']}")
@@ -238,12 +339,9 @@ def _print_human(rep: dict) -> None:
         w = rep["witness"]
         print(f"witness: a2={w['a2']} n={w['n']} kappa={w['kappa']} "
               f"phi={w['phi']} revalidated={rep['witness_revalidated']}")
-    if rep["trace"]:
-        counts: dict = {}
-        for row in rep["trace"]:
-            counts[row["reason"]] = counts.get(row["reason"], 0) + 1
+    if counts:
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"trace: {len(rep['trace'])} rows ({summary})")
+        print(f"trace: {sum(counts.values())} rows ({summary})")
     if rep["oracle_checked"]:
         print(f"oracle_checked: {rep['oracle_checked']}")
 
@@ -276,10 +374,11 @@ def cmd_disc(args) -> int:
 
 def cmd_detect(args) -> int:
     h2 = parse_model(args.model)
-    rep = _cached_detect(h2, args.spec, args.tgram, args.oracle,
-                         _cache_dir(args.cache_dir), args.json)
+    rep, counts = _cached_detect(h2, RootSpec.parse(args.spec), args.tgram,
+                                 args.oracle, _cache_dir(args.cache_dir),
+                                 args.json)
     if not args.json:
-        _print_human(rep)
+        _print_human(rep, counts)
     code = _VERDICT_EXIT[rep["verdict"]]
     if code == EXIT_USAGE:
         print("error: stratum has rank_S = 19; pass --tgram a,b,d with the "
@@ -299,12 +398,13 @@ def cmd_batch(args) -> int:
     # An outcome is (write, text, verdict): the stream and the text a line
     # prints and the verdict it counts, None for an error and "" for a
     # blank or comment-only line, which prints "".  Outcomes are kept by
-    # raw line and by stripped line, for this run only: a repeated raw
-    # line costs one lookup and one write, a new spelling of a known line
-    # reuses its outcome, and only a new stripped line is parsed, keyed
-    # and read from the cache or decided.
+    # raw line and verdicts by canonical stratum, for this run only: a
+    # repeated raw line costs one lookup and one write, a new spelling of
+    # a known stratum one parse, and only a new stratum is read from the
+    # cache (its verdict alone) or decided.  A line that does not parse
+    # reaches no cache.
     raw_outcomes: dict = {}
-    stripped: dict = {"": (out, "", "")}
+    verdicts: dict = {}
     # Lines end at "\n" only (read_text maps "\r\n" and "\r" to it), and
     # ASCII whitespace only is stripped: splitlines() would also end a
     # line at U+2028, and str.strip() would also take U+2003.
@@ -313,15 +413,20 @@ def cmd_batch(args) -> int:
         outcome = raw_outcomes.get(raw)
         if outcome is None:
             line = raw.split("#", 1)[0].strip(" \t\n\r\f\v")
-            outcome = stripped.get(line)
-            if outcome is None:
+            if not line:
+                outcome = (out, "", "")
+            else:
                 try:
-                    verdict = _cached_detect(h2, line, None, args.oracle,
-                                             cache)["verdict"]
+                    spec = RootSpec.parse(line)
+                    canon = spec.canonical_text()
+                    if canon not in verdicts:
+                        verdicts[canon] = _cached_detect(
+                            h2, spec, None, args.oracle, cache,
+                            rows=False)[0]["verdict"]
+                    verdict = verdicts[canon]
                     outcome = (out, f"{line}: {verdict}\n", verdict)
                 except (ValueError, AssertionError, RuntimeError) as exc:
                     outcome = (err, f"{line}: error: {exc}\n", None)
-                stripped[line] = outcome
             raw_outcomes[raw] = outcome
         outcome[0](outcome[1])
     counts: Counter = Counter()
@@ -459,9 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: a caller of main
+    that runs many commands in one process (the tests, a census script)
+    builds it once."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import time
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 from . import __version__
@@ -331,6 +333,23 @@ def _trace_row_json(row: dict) -> str:
             f'\n      "kappa": {kappa_text},'
             f'\n      "n": {row["n"]},'
             f'\n      "reason": "{row["reason"]}"\n    }}')
+
+
+@lru_cache(maxsize=None)
+def trace_rows_pattern() -> "re.Pattern[bytes]":
+    """The bytes pattern that fullmatches one or more trace rows, joined by
+    ",", exactly as _trace_row_json writes them and under
+    report_schema.json's row rules: a2 an int >= 2, kappa null or a list
+    of ints >= 0, n 1 or 2, reason one of REASONS.  Compiled on first use,
+    so importing the module compiles nothing."""
+    nat = rb"(?:0|[1-9][0-9]*)"
+    row = (rb'\n    \{\n      "a2": (?:[2-9]|[1-9][0-9]+),'
+           rb'\n      "kappa": (?:null|\[\]|\[\n        ' + nat
+           + rb'(?:,\n        ' + nat + rb')*\n      \]),'
+           rb'\n      "n": [12],'
+           rb'\n      "reason": "(?:'
+           + "|".join(REASONS).encode() + rb')"\n    \}')
+    return re.compile(row + rb"(?:," + row + rb")*")
 
 
 def model_name(h2: int) -> str:

@@ -17,6 +17,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -640,6 +641,211 @@ def test_too_deeply_nested_entry_is_a_miss(capsys, tmp_path):
     assert list(cache.iterdir()) == [entry]
 
 
+OUTPUTS = ("batch", "detect", "--json")
+
+
+def _output(capsys, cache, spec, which, model="quartic", tgram=()):
+    """(exit code, stdout, stderr) of one of OUTPUTS on spec and model,
+    against cache; tgram, as ("--tgram", "a,b,d"), goes to detect."""
+    argv = ["--model", model, "--cache-dir", str(cache)]
+    if which == "batch":
+        listing = cache.parent / "listing.txt"
+        listing.write_text(f"{spec}\n")
+        return run(capsys, "batch", str(listing), *argv)
+    return run(capsys, "detect", "--spec", spec, *tgram, *argv,
+               *(["--json"] if which == "--json" else []))
+
+
+def _assert_each_output_refuses(capsys, tmp_path, spec, bad_entries):
+    """For each (label, entry text, whether batch reads what was changed):
+    written over spec's cache entry, the entry is a miss for every output
+    that reads it, which prints what a fresh run prints and rewrites the
+    entry whole; batch, where it reads nothing changed, prints the verdict
+    and leaves the entry as it is."""
+    cache = tmp_path / "cache"
+    fresh = {which: _output(capsys, cache, spec, which) for which in OUTPUTS}
+    (entry,) = cache.glob("*.json")
+    report = _untimed(entry.read_text())
+    for label, bad, batch_reads_it in bad_entries:
+        for which in OUTPUTS:
+            entry.write_text(bad)
+            got = _output(capsys, cache, spec, which)
+            if which == "batch" and not batch_reads_it:
+                assert got == fresh[which], label
+                assert entry.read_text() == bad, label
+                continue
+            assert got[0] == fresh[which][0], (label, which)
+            if which == "--json":
+                assert _untimed(got[1]) == report, label
+                assert entry.read_text() + "\n" == got[1], label
+            else:
+                assert got == fresh[which], (label, which)
+                assert _untimed(entry.read_text()) == report, label
+            assert list(cache.iterdir()) == [entry], label
+
+
+def test_entries_in_the_writers_layout_with_a_bad_value_are_misses(
+        capsys, tmp_path):
+    # NOT_A_REPORT and MALFORMED_VALUES again, each written as the writer
+    # lays an entry out (sorted keys, indent 2), which the reader parses
+    # head and tail of.  A changed trace that is still a list is in the
+    # rows, which batch does not read: batch prints the verdict and leaves
+    # the entry; detect and --json refuse it.
+    cache = tmp_path / "first"
+    run(capsys, "detect", "--spec", "A2", "--cache-dir", str(cache))
+    (entry,) = cache.glob("*.json")
+    real = json.loads(entry.read_text())
+    bad_entries = []
+    for content in NOT_A_REPORT[1:] + MALFORMED_VALUES:
+        doc = ({**real, **content} if isinstance(content, dict)
+               else json.loads(content))
+        rows_only = (isinstance(content, dict) and list(content) == ["trace"]
+                     and isinstance(content["trace"], list))
+        bad_entries.append((content, json.dumps(doc, sort_keys=True,
+                                                indent=2), not rows_only))
+    _assert_each_output_refuses(capsys, tmp_path, "A2", bad_entries)
+
+
+def test_a_row_the_schema_refuses_is_a_miss_where_rows_are_printed(
+        capsys, tmp_path):
+    # One row edited in place, in the writer's layout, to values that
+    # report_schema.json refuses: detect counts the rows and --json prints
+    # them, so both refuse the entry and rewrite it; batch prints only the
+    # verdict, reads no row, and leaves the entry as it is.
+    cache = tmp_path / "first"
+    run(capsys, "detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache))
+    (entry,) = cache.glob("*.json")
+    real = json.loads(entry.read_text())
+    bad_entries = []
+    for change in ({"a2": -1, "n": 7, "kappa": ["x"]}, {"a2": 1},
+                   {"a2": True}, {"n": 0}, {"n": 7}, {"kappa": [-1]},
+                   {"kappa": [1.5]}, {"kappa": 3}, {"reason": "bogus"},
+                   {"extra": 1}):
+        doc = json.loads(json.dumps(real))
+        doc["trace"][5].update(change)
+        bad_entries.append((change, json.dumps(doc, sort_keys=True,
+                                               indent=2), False))
+    _assert_each_output_refuses(capsys, tmp_path, "D7+A6+A3+A2",
+                                bad_entries)
+
+
+def test_a_truncated_entry_is_a_miss_for_every_output(capsys, tmp_path):
+    # Cut in the head, in the rows, in the tail, and one byte short, and
+    # with every row cut out.
+    cache = tmp_path / "first"
+    run(capsys, "detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache))
+    (entry,) = cache.glob("*.json")
+    real = entry.read_text()
+    rows_from = real.index('\n  "trace": [') + len('\n  "trace": [')
+    rows_to = real.rindex('\n  ],\n  "verdict": ')
+    cuts = sorted({*range(0, rows_from + 1, rows_from // 12),
+                   *range(rows_from, rows_to + 1, (rows_to - rows_from) // 14),
+                   *range(rows_to, len(real), (len(real) - rows_to) // 12),
+                   rows_from - 1, rows_to + 4, len(real) - 1})
+    assert len(cuts) >= 40
+    # With its rows cut out, the trace still parses, as an empty list that
+    # the writer would have written as "[]": no entry it writes.
+    _assert_each_output_refuses(
+        capsys, tmp_path, "D7+A6+A3+A2",
+        [(cut, real[:cut], True) for cut in cuts]
+        + [("no rows", real[:rows_from] + real[rows_to:], True)])
+
+
+def _ade_sums(max_rank):
+    """Every sum of A_n, D_n (n >= 4), E6, E7 and E8 of rank 1..max_rank,
+    as a '+'-joined spelling, each multiset once."""
+    parts = ([f"A{n}" for n in range(1, max_rank + 1)]
+             + [f"D{n}" for n in range(4, max_rank + 1)] + ["E6", "E7", "E8"])
+    sums = []
+
+    def extend(first, left, chosen):
+        if chosen:
+            sums.append("+".join(chosen))
+        for i in range(first, len(parts)):
+            rank = int(parts[i][1:])
+            if rank <= left:
+                extend(i, left - rank, chosen + [parts[i]])
+
+    extend(0, max_rank, [])
+    return sums
+
+
+def test_every_entry_the_writer_writes_hits(capsys, tmp_path, monkeypatch):
+    # No perpetual miss: once an output has written a stratum's entry,
+    # every output is served from it, so none reaches detect (patched to
+    # raise), and each prints what it printed on the miss.
+    from test_acceptance import GOLDEN_A7, GOLDEN_D7, GOLDEN_SEXTIC
+    from test_lattices import SMOKE
+    sums = _ade_sums(13)
+    assert len(sums) == 842
+    strata = ([(spec, "quartic", ()) for spec in SMOKE + sums[::7]
+               + [GOLDEN_D7, GOLDEN_A7, "A18", "A18+A1", "0"]]
+              + [(GOLDEN_SEXTIC, "sextic", ()),
+                 ("2*E8+A2+A1", "quartic", ("--tgram", "4,0,6"))])
+    cache = tmp_path / "cache"
+
+    def every_output():
+        # batch takes no --tgram.
+        return [_output(capsys, cache, spec, which, model, tgram)
+                for spec, model, tgram in strata for which in OUTPUTS
+                if not (tgram and which == "batch")]
+
+    first = every_output()
+    assert len(list(cache.glob("*.json"))) == len({
+        (RootSpec.parse(spec).canonical_text(), model, tgram)
+        for spec, model, tgram in strata})
+
+    def no_detect(*args, **kwargs):
+        raise AssertionError("a hit must not decide")
+
+    monkeypatch.setattr(cli, "detect", no_detect)
+    entries = {e: e.read_bytes() for e in cache.glob("*.json")}
+    assert every_output() == first
+    assert {e: e.read_bytes() for e in cache.glob("*.json")} == entries
+
+
+def test_a_batch_hit_reads_no_row_of_a_large_entry(capsys, tmp_path,
+                                                  monkeypatch):
+    # An entry of 10^5 rows, the golden report's rows repeated (a census
+    # entry, without deciding one): batch parses only the head and tail
+    # around the rows, a few kB, and matches no row; detect counts every
+    # row, and --json copies the entry.
+    report = detect(4, "D7+A6+A3+A2")
+    report.trace = report.trace * (10 ** 5 // len(report.trace) + 1)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    entry = cache / (cli._cache_key(4, RootSpec.parse("D7+A6+A3+A2"), None,
+                                    False) + ".json")
+    with open(entry, "w") as fp:
+        report.write_json(fp)
+    parsed = []
+    loads = json.loads
+
+    def measured_loads(text, *args, **kwargs):
+        parsed.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("not on a batch hit")
+
+    monkeypatch.setattr(cli, "detect", refused)
+    monkeypatch.setattr(cli.json, "loads", measured_loads)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "trace_rows_pattern", refused)
+        assert _output(capsys, cache, "D7+A6+A3+A2", "batch") == (
+            0, "D7+A6+A3+A2: none_exists\n"
+               "batch: 1 strata  none_exists=1\n", "")
+    assert len(parsed) == 1 and parsed[0] < 4096
+    code, out, err = _output(capsys, cache, "D7+A6+A3+A2", "detect")
+    counts = Counter(row["reason"] for row in report.trace)
+    assert (code, err) == (3, "")
+    assert f"trace: {len(report.trace)} rows (" + ", ".join(
+        f"{k}={v}" for k, v in sorted(counts.items())) + ")\n" in out
+    assert _output(capsys, cache, "D7+A6+A3+A2", "--json") == (
+        3, entry.read_text() + "\n", "")
+    assert len(parsed) == 3 and max(parsed) < 4096
+
+
 # ---------------------------------------------------- errors from the engine
 
 
@@ -762,25 +968,34 @@ DUPLICATES_OUT = ("3*A1: witness_found\n"
 DUPLICATES_ERR = "Q9: error: cannot parse root-spec term 'Q9'\n" * 2
 
 
-def test_batch_decides_each_distinct_line_once(capsys, tmp_path,
-                                               monkeypatch):
-    listing = tmp_path / "strata.txt"
-    listing.write_text(DUPLICATES)
-    cache = tmp_path / "cache"
+def _counting_cache_reads(monkeypatch):
+    """The canonical text of each stratum that reaches _cached_detect, in
+    order, as a list that the patched function appends to."""
     seen = []
     inner = cli._cached_detect
 
-    def counting(h2, spec_text, *rest):
-        seen.append(spec_text)
-        return inner(h2, spec_text, *rest)
+    def counting(h2, spec, *rest, **options):
+        seen.append(spec.canonical_text())
+        return inner(h2, spec, *rest, **options)
 
     monkeypatch.setattr(cli, "_cached_detect", counting)
+    return seen
+
+
+def test_batch_decides_each_distinct_line_once(capsys, tmp_path,
+                                               monkeypatch):
+    # One read or decision per canonical stratum, cold and warm: the three
+    # spellings of 3*A1 reach the cache once, as do the empty stratum's
+    # "none" and "0", and Q9, which does not parse, never does.
+    listing = tmp_path / "strata.txt"
+    listing.write_text(DUPLICATES)
+    cache = tmp_path / "cache"
+    seen = _counting_cache_reads(monkeypatch)
     for _ in range(2):      # cold cache, then warm
         seen.clear()
         assert run(capsys, "batch", str(listing), "--cache-dir",
                    str(cache)) == (1, DUPLICATES_OUT, DUPLICATES_ERR)
-        assert seen == ["3*A1", "A1+A1+A1", "A1+2*A1", "Q9", "A2", "none",
-                        "0"]
+        assert seen == ["3*A1", "A2", "0"]
         # one entry per canonical stratum: 3*A1, A2 and the empty one, "0"
         entries = [json.loads(e.read_text()) for e in cache.glob("*.json")]
         assert sorted(e["spec"] for e in entries) == ["0", "3*A1", "A2"]
@@ -835,22 +1050,28 @@ REPEATS_ERR = "Q9: error: cannot parse root-spec term 'Q9'\n" * 2
 
 def test_batch_serves_raw_repeats_from_one_outcome(capsys, tmp_path,
                                                    monkeypatch):
+    # A repeated raw line is neither parsed again nor looked up again:
+    # each distinct raw line that is not blank or a comment is parsed
+    # once, Q9 included, and only A1 and A2 reach the cache, once each.
     listing = tmp_path / "strata.txt"
     listing.write_text(REPEATS)
     cache = tmp_path / "cache"
-    seen = []
-    inner = cli._cached_detect
+    seen = _counting_cache_reads(monkeypatch)
+    parsed = []
+    parse = RootSpec.parse
 
-    def counting(h2, spec_text, *rest):
-        seen.append(spec_text)
-        return inner(h2, spec_text, *rest)
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
 
-    monkeypatch.setattr(cli, "_cached_detect", counting)
+    monkeypatch.setattr(RootSpec, "parse", counting_parse)
     for _ in range(2):      # cold cache, then warm
         seen.clear()
+        parsed.clear()
         assert run(capsys, "batch", str(listing), "--cache-dir",
                    str(cache)) == (1, REPEATS_OUT, REPEATS_ERR)
-        assert seen == ["A1", "Q9", "A2"]
+        assert seen == ["A1", "A2"]
+        assert parsed == ["A1", "A1", "A1", "A1", "Q9", "A2"]
         assert sorted(json.loads(e.read_text())["spec"]
                       for e in cache.iterdir()) == ["A1", "A2"]
 
