@@ -25,8 +25,9 @@ re-verified by the brute-force oracle before being reported.
 
 Run:  python3 demos/02_detect_walkthrough.py
 """
-from realstrata.detector import (detect, enumerate_a_squares,
-                                 kernel_candidates, check_candidate)
+from realstrata.detector import (KernelCandidate, detect,
+                                 enumerate_a_squares, kernel_candidates,
+                                 check_candidate)
 from realstrata.lattices import RootSpec, polarized_disc, disc_involutions
 
 
@@ -52,7 +53,7 @@ def main() -> None:
             if not cands or shown >= 4:
                 continue
             shown += 1
-            cand = cands[0]
+            cand = KernelCandidate(a2, n, cands[0])
             print(f"  a^2 = {a2}, n = {n}: {len(cands)} kernel candidate(s);"
                   f" first kappa = {list(cand.kappa)}")
             outcome, phi, sq = check_candidate(pf, cand)

@@ -13,6 +13,7 @@ no_kappa row when a pair has no candidates at all):
 
 Run:  python3 demos/03_golden_negatives.py
 """
+import json
 from collections import Counter
 
 from realstrata.detector import detect
@@ -38,7 +39,7 @@ def main() -> None:
               f" all excluded: {pairs}")
         print("sample rows:")
         for row in report.trace[:3]:
-            print("   ", row)
+            print("   ", json.dumps(row))
         print()
     print("Every pair of every stratum above is excluded, so none of these")
     print("singularity configurations is realized by a real surface.")

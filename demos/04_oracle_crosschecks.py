@@ -24,7 +24,7 @@ def main() -> None:
     pairs = agreeing = 0
     for a2 in enumerate_a_squares(pf):
         for n in (1, 2):
-            engine = sorted(tuple(c.kappa) for c in kernel_candidates(pf, a2, n))
+            engine = sorted(kernel_candidates(pf, a2, n))
             brute = [tuple(k) for k in
                      brute_kernel_candidates(pf, a2, n, cutoff=10**6)]
             assert engine == brute, (a2, n)
@@ -51,9 +51,9 @@ def main() -> None:
     checked = 0
     for a2 in enumerate_a_squares(pf):
         for n in (1, 2):
-            for cand in kernel_candidates(pf, a2, n):
+            for kappa in kernel_candidates(pf, a2, n):
                 big = ambient_with_a_block(pf.form, a2)
-                theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
+                theta = big.reduce(theta_vector(pf.form, kappa, n))
                 verify_subquotient_presentation(
                     big, [theta], subquotient(big, theta))
                 checked += 1

@@ -435,9 +435,9 @@ def cmd_batch(args) -> int:
     errors = counts.pop(None, 0)
     counts.pop("", None)
     total = sum(counts.values())
-    summary = "  ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"batch: {total} strata  {summary}" +
-          (f"  errors={errors}" if errors else ""))
+    print("  ".join([f"batch: {total} strata",
+                     *(f"{k}={v}" for k, v in sorted(counts.items())),
+                     *([f"errors={errors}"] if errors else [])]))
     return EXIT_BATCH_ERRORS if errors else 0
 
 

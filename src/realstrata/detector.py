@@ -22,7 +22,8 @@ import json
 import re
 import time
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, TextIO, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, TextIO,
+                    Tuple)
 
 from . import __version__
 from .fqf import Element, FiniteQuadraticForm, factorint
@@ -72,22 +73,35 @@ def enumerate_a_squares(pf: PolarizedForm) -> List[int]:
     return sorted(d for d in divs if d % 2 == 0)
 
 
-def kernel_candidates(pf: PolarizedForm, a2: int, n: int
-                      ) -> List[KernelCandidate]:
-    """All kappa with order a2/n and q(kappa) = -n^2/a2 mod 2, in
-    lexicographic coordinate order: FiniteQuadraticForm.elements_of_order,
-    cached on pf once read (the oracle reads the same lists)."""
+def _kernel_target(pf: PolarizedForm, a2: int, n: int) -> Optional[int]:
+    """The q*N, mod 2N, of a kappa of the pair (a2, n): -n^2 N / a2, or
+    None when n does not divide a2 or that is not an integer, since q*N of
+    every element is one."""
     if a2 % n:
-        return []
-    # q*N of every element is an integer, so a target -n^2 N / a2 that is
-    # not one has no candidates.
+        return None
     target, rem = divmod(-n * n * pf.form.N, a2)
-    if rem:
+    return None if rem else target % (2 * pf.form.N)
+
+
+def kernel_candidates(pf: PolarizedForm, a2: int, n: int) -> List[Element]:
+    """All kappa with order a2/n and q(kappa) = -n^2/a2 mod 2, in
+    lexicographic coordinate order: the tuples
+    FiniteQuadraticForm.elements_of_order lists, in the list cached on pf,
+    which callers read and never change (_search's trace rows hold these
+    very tuples, and the oracle reads the same lists).  The walk asks an
+    order m at (2m, 2), and at (m, 1) when m is even, so the first call
+    for an order lists all of them, from one pair of halves."""
+    target = _kernel_target(pf, a2, n)
+    if target is None:
         return []
-    key = ("order", a2 // n, target % (2 * pf.form.N))
-    if key not in pf._cache:
-        pf._cache[key] = pf.form.elements_of_order(*key[1:])
-    return [KernelCandidate(a2, n, x) for x in pf._cache[key]]
+    m = a2 // n
+    if ("order", m, target) not in pf._cache:
+        pairs = {(a2, n), (2 * m, 2)} | ({(m, 1)} if m % 2 == 0 else set())
+        targets = sorted({t for t in (_kernel_target(pf, *pair)
+                                      for pair in pairs) if t is not None})
+        for t, kappas in zip(targets, pf.form.elements_of_order(m, targets)):
+            pf._cache["order", m, t] = kappas
+    return pf._cache["order", m, target]
 
 
 def check_candidate(pf: PolarizedForm, cand: KernelCandidate
@@ -141,25 +155,39 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     return "no_involution_cond3", None, sq
 
 
-def _orbit_key(pf: PolarizedForm, kappa: Element) -> tuple:
-    """The same for kappa and g*kappa, for every g in the symmetry group G,
-    and different for kappas in different G-orbits: per class of equal
-    components the sorted block minima read off the symmetry table, then
-    min(h, -h) on the h coordinate (the table's last entry)."""
-    h = kappa[-1]
-    return (tuple(tuple(sorted(minima[kappa[lo:hi]] for lo, hi in cuts))
-                  for _, cuts, _, minima in _symmetry_table(pf)[:-1]),
-            min(h, -h % pf.form.orders[-1]))
+def _orbit_key(pf: PolarizedForm) -> Callable[[Element], tuple]:
+    """pf's orbit key: a function of kappa that is the same for kappa and
+    g*kappa, for every g in the symmetry group G, and different for kappas
+    in different G-orbits: per class of equal components the sorted block
+    minima read off the symmetry table, then min(h, -h) on the h
+    coordinate (the table's last entry).  The table's class slices are
+    read once, here, not once per kappa."""
+    classes = [(cuts, minima)
+               for _, cuts, _, minima in _symmetry_table(pf)[:-1]]
+    h_order = pf.form.orders[-1]
+
+    def key(kappa: Element) -> tuple:
+        h = kappa[-1]
+        return (tuple(tuple(sorted(minima[kappa[lo:hi]] for lo, hi in cuts))
+                      for cuts, minima in classes),
+                min(h, -h % h_order))
+
+    return key
 
 
 def _search(pf: PolarizedForm, trace: List[dict]
             ) -> Optional[Tuple[KernelCandidate, Block, Subquotient]]:
     """Walk the gluing data in engine order, appending one trace row per
     excluded candidate (or empty (a2, n) pair); return the first witness
-    with the K-perp/K it was decided from.  Each (a2, n) reads only its
-    own candidates, listed in lexicographic order by the form's own
+    with the K-perp/K it was decided from.  A row holds its kappa as the
+    tuple kernel_candidates listed, so no row holds a container of its
+    own, and the cyclic GC can leave the rows untracked; JSON writes the
+    tuple as it writes a list.  Each (a2, n) reads only its own
+    candidates, listed in lexicographic order by the form's own
     FiniteQuadraticForm.elements_of_order, a meet in the middle at one of
-    its orthogonal cuts; no other q*N is listed.
+    its orthogonal cuts, built once per order for both of its pairs; no
+    q*N that no pair asks is listed.  A KernelCandidate is built only for
+    a kappa that is decided.
 
     A pair (a2, n) is settled whole, every kappa a genus_empty row, when
     clause 1 of the embedding criterion fails on every K-perp/K it can
@@ -178,10 +206,10 @@ def _search(pf: PolarizedForm, trace: List[dict]
     permutations of equal components and the sign on h.  It is one table
     per form (lattices._symmetry_table), built before the walk: every
     block of G is checked there, once, as an isometry of its component's
-    slice of pf.form, before any candidate is decided.  The same table gives the
-    orbit minima that _orbit_key names the orbits by and the slot options
-    that the involution question asks.  This is sound because, for every
-    g in G:
+    slice of pf.form, before any candidate is decided.  The same table
+    gives the orbit minima that _orbit_key names the orbits by and the
+    slot options that the involution question asks.  This is sound
+    because, for every g in G:
 
     * g is an isometry of the polarized discriminant, so g (+) id sends
       K = <kappa (+) n alpha> to <g kappa (+) n alpha> with an isometric
@@ -197,35 +225,42 @@ def _search(pf: PolarizedForm, trace: List[dict]
     one a kappa-by-kappa walk finds.
     """
     _symmetry_table(pf)     # checks pf.form and every block of G
+    orbit_key = _orbit_key(pf)
     bound = length_bound(2, pf.rank_S)
     lengths = {p: pf.form.length_p(p) for p in _factors_of_2n(pf)}
     for a2 in enumerate_a_squares(pf):
         for n in (2, 1):
-            cands = kernel_candidates(pf, a2, n)
-            if not cands:
+            kappas = kernel_candidates(pf, a2, n)
+            if not kappas:
                 trace.append({"a2": a2, "n": n, "kappa": None,
                               "reason": "no_kappa"})
             m = a2 // n
             if any(ell + (a2 % p == 0) > bound + 2 * (m % p == 0)
                    for p, ell in lengths.items()):
-                trace.extend({"a2": a2, "n": n, "kappa": list(cand.kappa),
-                              "reason": "genus_empty"} for cand in cands)
+                trace += [{"a2": a2, "n": n, "kappa": kappa,
+                           "reason": "genus_empty"} for kappa in kappas]
                 continue
             decided: Dict[tuple, str] = {}
-            for cand in cands:
-                key = _orbit_key(pf, cand.kappa)
+            for kappa in kappas:
+                key = orbit_key(kappa)
                 status = decided.get(key)
                 if status is None:
+                    cand = KernelCandidate(a2, n, kappa)
                     status, phi, sq = check_candidate(pf, cand)
                     if status == "witness":
                         return cand, phi, sq
                     decided[key] = status
-                trace.append({"a2": a2, "n": n, "kappa": list(cand.kappa),
+                trace.append({"a2": a2, "n": n, "kappa": kappa,
                               "reason": status})
     return None
 
 
 class DetectionReport:
+    """One stratum's decision, as detect returns it.  Each trace row is a
+    dict {a2, n, kappa, reason}, with kappa None or the tuple of ints that
+    kernel_candidates listed, shared with pf's cache and never copied;
+    to_json_dict, write_json and json.dumps write it as a list, so the
+    JSON is that of a list."""
     __slots__ = ("model", "spec_text", "rank_S", "rank_T", "disc_display",
                  "disc_form", "tags", "verdict", "conclusiveness_basis",
                  "witness", "witness_revalidated", "trace", "wall_time_ms",
@@ -283,11 +318,13 @@ class DetectionReport:
         """Write to fp exactly the text of json.dumps(to_json_dict(),
         sort_keys=True, indent=2), and return that dict, so a caller that
         reads it too builds it once.  The keys around the trace go through
-        json.dumps; each trace row goes through one formatter, and the rows
-        reach fp a chunk at a time, so a census-size report is never held
-        as one text.  A row is {a2, n, kappa, reason} as _search writes it:
-        a2 and n ints, kappa null or a list of ints, reason one of
-        REASONS, which json.dumps writes as it is."""
+        json.dumps; each trace row goes through the %-template of its
+        kappa's width (_row_template), and the rows reach fp a chunk at a
+        time, so a census-size report is never held as one text.  A row is
+        {a2, n, kappa, reason} as _search writes it: a2 and n ints, kappa
+        null or the tuple of ints kernel_candidates listed (json.dumps
+        writes a tuple as a list), reason one of REASONS, which json.dumps
+        writes as it is."""
         doc = self.to_json_dict()
         trace = doc["trace"]
         if not trace:
@@ -300,8 +337,8 @@ class DetectionReport:
         fp.write(head + '\n  "trace": [')
         sep = ""
         for start in range(0, len(trace), _ROWS_PER_WRITE):
-            fp.write(sep + ",".join(
-                map(_trace_row_json, trace[start:start + _ROWS_PER_WRITE])))
+            fp.write(sep + _trace_rows_json(
+                trace[start:start + _ROWS_PER_WRITE]))
             sep = ","
         fp.write("\n  ]" + tail)
         return doc
@@ -317,28 +354,37 @@ class DetectionReport:
 _ROWS_PER_WRITE = 2048
 
 
-def _trace_row_json(row: dict) -> str:
-    """One trace row as json.dumps(..., sort_keys=True, indent=2) writes it
-    inside the report: the row at indent 4, its keys at 6, kappa's entries
-    at 8."""
-    kappa = row["kappa"]
-    if kappa is None:
-        kappa_text = "null"
-    elif kappa:
-        kappa_text = ("[\n        " + ",\n        ".join(map(str, kappa))
-                      + "\n      ]")
+@lru_cache(maxsize=None)
+def _row_template(width: Optional[int]) -> str:
+    """The %-template of one trace row whose kappa has `width` entries
+    (None: kappa is null), as json.dumps(..., sort_keys=True, indent=2)
+    writes the row inside the report: the row at indent 4, its keys at 6,
+    kappa's entries at 8.  It takes a2, kappa's entries, n and reason, in
+    that order, the integers as %d.  Built once per width."""
+    if width is None:
+        kappa = "null"
+    elif width:
+        kappa = ("[\n        " + ",\n        ".join(["%d"] * width)
+                 + "\n      ]")
     else:
-        kappa_text = "[]"
-    return (f'\n    {{\n      "a2": {row["a2"]},'
-            f'\n      "kappa": {kappa_text},'
-            f'\n      "n": {row["n"]},'
-            f'\n      "reason": "{row["reason"]}"\n    }}')
+        kappa = "[]"
+    return ('\n    {\n      "a2": %d,\n      "kappa": ' + kappa
+            + ',\n      "n": %d,\n      "reason": "%s"\n    }')
+
+
+def _trace_rows_json(rows: List[dict]) -> str:
+    """Trace rows as write_json writes them, joined by ",": each row
+    through the template of its kappa's width."""
+    return ",".join([
+        _row_template(None if (kappa := row["kappa"]) is None else len(kappa))
+        % (row["a2"], *(kappa or ()), row["n"], row["reason"])
+        for row in rows])
 
 
 @lru_cache(maxsize=None)
 def trace_rows_pattern() -> "re.Pattern[bytes]":
     """The bytes pattern that fullmatches one or more trace rows, joined by
-    ",", exactly as _trace_row_json writes them and under
+    ",", exactly as _trace_rows_json writes them and under
     report_schema.json's row rules: a2 an int >= 2, kappa null or a list
     of ints >= 0, n 1 or 2, reason one of REASONS.  Compiled on first use,
     so importing the module compiles nothing."""
@@ -397,6 +443,9 @@ def detect(h2: int, spec: RootSpec | str, tgram=None,
            required for conclusiveness at rank_S = 19 and refused (with
            ValueError) at any other rank, where nothing reads it;
     oracle: re-check decisions by brute force where group sizes permit.
+
+    The report's trace rows hold each kappa as the tuple kernel_candidates
+    listed (see DetectionReport); the JSON writes it as a list.
     """
     t0 = time.monotonic()
     if isinstance(spec, str):

@@ -345,20 +345,24 @@ class FiniteQuadraticForm:
         """All group elements in lexicographic coordinate order."""
         return iter(product(*(range(o) for o in self.orders)))
 
-    def elements_of_order(self, order: int, target: int) -> List[Element]:
-        """The elements of exact order `order` with q*N = target mod 2N, in
-        lexicographic order.
+    def elements_of_order(self, order: int, targets: Sequence[int]
+                          ) -> List[List[Element]]:
+        """For each target t, the elements of exact order `order` with q*N =
+        t mod 2N, in lexicographic order: one list per target, in the order
+        of `targets`.
 
         Meets in the middle at the orthogonal cut that makes the two halves
         smallest: since q(u + w) = q(u) + q(w) there, each prefix u, in
         lexicographic order, reads the one bucket of suffixes w with
-        q(w)*N = target - q(u)*N, in lexicographic order too, and keeps
-        those that lift its order to `order`.  Each half runs x_i over the
-        multiples of o_i / gcd(o_i, order) with q(x + v e_i) = q(x) +
-        v^2 q(e_i) + 2 v b(x, e_i), x zero from i on; a prefix is dropped
-        once the coordinates left cannot lift its order to `order`.
-        Prefixes start from eval_qn at the zero element, so every list
-        rests on the form's own evaluator."""
+        q(w)*N = t - q(u)*N, in lexicographic order too, and keeps those
+        that lift its order to `order`.  The halves depend on the order
+        alone, so they are built once for all targets, and the suffixes are
+        bucketed once, keeping the buckets some (prefix, target) reads.
+        Each half runs x_i over the multiples of o_i / gcd(o_i, order) with
+        q(x + v e_i) = q(x) + v^2 q(e_i) + 2 v b(x, e_i), x zero from i on;
+        a prefix is dropped once the coordinates left cannot lift its order
+        to `order`.  Prefixes start from eval_qn at the zero element, so
+        every list rests on the form's own evaluator."""
         r, two_n = self.rank, 2 * self.N
         values = [[(v, o // math.gcd(v, o))
                    for v in range(0, o, o // math.gcd(o, order))]
@@ -388,14 +392,18 @@ class FiniteQuadraticForm:
             return level
 
         prefix = half(0, cut, self.eval_qn(self.zero()), reach)
-        # Only the buckets some prefix reads are kept.
-        buckets = {(target - qn) % two_n: [] for _, _, qn in prefix}
+        # Only the buckets some prefix reads, for some target, are kept.
+        buckets = {(t - qn) % two_n: []
+                   for t in targets for _, _, qn in prefix}
         for w, w_order, qn in half(cut, r, 0, None) if buckets else ():
             if qn in buckets:
                 buckets[qn].append((w, w_order))
-        return [u + w for u, u_order, qn in prefix
-                for w, w_order in buckets[(target - qn) % two_n]
-                if math.lcm(u_order, w_order) == order]
+        # Every suffix's order divides `order`, so a prefix of that order
+        # keeps its whole bucket.
+        return [[u + w for u, u_order, qn in prefix
+                 for w, w_order in buckets[(t - qn) % two_n]
+                 if u_order == order or math.lcm(u_order, w_order) == order]
+                for t in targets]
 
     # ------------------------------------------------------------ invariants
 

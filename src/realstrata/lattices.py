@@ -667,7 +667,8 @@ def _anti_isometries(tgram: Sequence[Sequence[int]],
         return []
     # -diag*N/D is exact whenever f_i can exist: o_i q(t_i*) is an
     # integer, and an element of order o_i means o_i divides N.
-    f1s, f2s = [form.elements_of_order(d // gcd(d, diag, b), -diag * n // d)
+    f1s, f2s = [form.elements_of_order(d // gcd(d, diag, b),
+                                       [-diag * n // d])[0]
                 for diag in (c, a)]
     partners: Dict[Tuple[Element, Element], List[Element]] = {}
     for f2 in f2s:

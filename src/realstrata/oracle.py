@@ -618,7 +618,7 @@ def cross_check_trace(pf: PolarizedForm, trace: List[dict],
             continue
         where = f"a2={a2} n={n}"
         brute = brute_kernel_candidates(pf, a2, n)   # sorted
-        engine = [c.kappa for c in kernel_candidates(pf, a2, n)]
+        engine = kernel_candidates(pf, a2, n)
         _require(brute == engine, f"candidate lists differ at {where}")
         group, glued = (*form.orders, a2), _glued_gram(g, a2)
         for row in rows:

@@ -918,7 +918,7 @@ def test_batch_lines_end_at_newline_and_strip_ascii_whitespace(
     code, out, err = run(capsys, "batch", str(listing),
                          "--cache-dir", str(tmp_path / "cache"))
     assert code == 1
-    assert out == "batch: 0 strata    errors=1\n"
+    assert out == "batch: 0 strata  errors=1\n"
     assert err.startswith(f"{line}: error: cannot parse root-spec term ")
     assert err.count("\n") == 1
 
@@ -930,6 +930,18 @@ def test_batch_clean_file_exits_0(capsys, tmp_path):
                        "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
     assert out.splitlines()[-1] == "batch: 2 strata  witness_found=2"
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_batch_summary_of_no_strata_has_no_trailing_separator(
+        capsys, tmp_path, text):
+    # With no verdict counted the summary is the count alone: the parts
+    # are joined only when they are there.
+    listing = tmp_path / "strata.txt"
+    listing.write_text(text)
+    code, out, err = run(capsys, "batch", str(listing),
+                         "--cache-dir", str(tmp_path / "cache"))
+    assert (code, out, err) == (0, "batch: 0 strata\n", "")
 
 
 def test_batch_exit_code_ignores_verdicts(capsys, tmp_path):

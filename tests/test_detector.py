@@ -1,5 +1,6 @@
 """End-to-end decision engine: candidate enumeration, witness search,
 verdicts, conclusiveness bases, and report shape."""
+import gc
 import hashlib
 import io
 import json
@@ -65,18 +66,18 @@ def test_enumerate_a_squares_matches_the_divisor_scan(spec):
 
 def test_kernel_candidates_frozen_a4_n1():
     pf = polarized_disc(RootSpec.parse("D7+A6+A3+A2"), 4)
-    got = sorted(c.kappa for c in kernel_candidates(pf, 4, 1))
+    got = kernel_candidates(pf, 4, 1)
     assert got == [(1, 0, 1, 0, 1), (1, 0, 1, 0, 3),
                    (1, 0, 3, 0, 1), (1, 0, 3, 0, 3),
                    (3, 0, 1, 0, 1), (3, 0, 1, 0, 3),
                    (3, 0, 3, 0, 1), (3, 0, 3, 0, 3)]
-    assert all(c.a2 == 4 and c.n == 1 for c in kernel_candidates(pf, 4, 1))
+    # The cached list itself, not a copy.
+    assert kernel_candidates(pf, 4, 1) is got
 
 
 def test_kernel_candidates_trivial_pair():
     pf = polarized_disc(RootSpec.parse("A1"), 4)
-    cands = kernel_candidates(pf, 2, 2)
-    assert [c.kappa for c in cands] == [(0, 0)]
+    assert kernel_candidates(pf, 2, 2) == [(0, 0)]
 
 
 def test_kernel_candidates_empty_when_no_order():
@@ -94,7 +95,7 @@ def test_kernel_candidates_closed_under_negation():
         pf = polarized_disc(RootSpec.parse(spec), h2)
         for a2 in enumerate_a_squares(pf):
             for n in (1, 2):
-                kappas = {c.kappa for c in kernel_candidates(pf, a2, n)}
+                kappas = set(kernel_candidates(pf, a2, n))
                 assert {pf.form.neg(k) for k in kappas} == kappas
 
 
@@ -141,8 +142,71 @@ def test_kernel_candidates_equal_the_full_bucket_walk(spec, h2):
             target, rem = divmod(-n * n * pf.form.N, a2)
             want = ([] if a2 % n or rem else
                     _bucket_walk(pf, a2 // n).get(target % two_n, []))
-            got = [c.kappa for c in kernel_candidates(pf, a2, n)]
+            got = kernel_candidates(pf, a2, n)
             assert got == want, (spec, h2, a2, n)
+
+
+LISTING_STRATA = ([(GOLDEN_D7, 4), (GOLDEN_A7, 4), (GOLDEN_SEXTIC, 2)]
+                  + [(s, 4) for s in SMOKE]
+                  + [("6*A1", 64), ("7*A1", 32), ("8*A1", 16), ("18*A1", 4)])
+
+
+@pytest.mark.parametrize("spec,h2", LISTING_STRATA)
+def test_one_listing_of_an_order_is_one_listing_per_target(spec, h2):
+    # For every order the walk asks, the listing of all its targets at
+    # once is, target by target, the single-target listing, element for
+    # element and in order; so is one target no pair asks.
+    pf = polarized_disc(RootSpec.parse(spec), h2)
+    form, two_n = pf.form, 2 * pf.form.N
+    orders = {a2 // n for a2 in enumerate_a_squares(pf) for n in (2, 1)}
+    for m in sorted(orders):
+        targets = sorted({-n * n * form.N // a2 % two_n
+                          for a2, n in ((m, 1), (2 * m, 2))
+                          if (n * n * form.N) % a2 == 0} | {1})
+        assert form.elements_of_order(m, targets) == [
+            form.elements_of_order(m, [t])[0] for t in targets], (spec, m)
+
+
+def test_detect_lists_each_order_of_a_form_once(monkeypatch):
+    # The walk asks an order m at (2m, 2) and, when m is even, at (m, 1);
+    # both pairs are listed by one call, from one pair of halves.
+    listed = []
+    real = fqf.FiniteQuadraticForm.elements_of_order
+
+    def counting(self, order, targets):
+        listed.append((self, order))
+        return real(self, order, targets)
+
+    monkeypatch.setattr(fqf.FiniteQuadraticForm, "elements_of_order",
+                        counting)
+    for spec, h2 in LISTING_STRATA[:3]:
+        start = len(listed)
+        assert detect(h2, spec).verdict == "none_exists"
+        orders = [order for _, order in listed[start:]]
+        assert len({form for form, _ in listed[start:]}) == 1, spec
+        assert sorted(orders) == sorted(set(orders)), spec
+
+
+def test_the_18_a1_trace_rows_hold_the_listed_tuples():
+    # 393,731 rows with the per-pair reason counts read off the trace
+    # before rows held their kappa as a tuple.  Each row holds an
+    # untracked tuple and ints, so once a full collection has seen a row
+    # the cyclic GC never walks it again.
+    rep = detect(4, "18*A1")
+    counts = {}
+    for row in rep.trace:
+        key = (row["a2"], row["n"], row["reason"])
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == {(2, 2, "genus_empty"): 1,
+                      (2, 1, "genus_empty"): 131072,
+                      (4, 2, "genus_empty"): 131072,
+                      (4, 1, "genus_empty"): 131584,
+                      (8, 2, "no_kappa"): 1, (8, 1, "no_kappa"): 1}
+    assert len(rep.trace) == 393731
+    assert all(type(row["kappa"]) is tuple for row in rep.trace
+               if row["reason"] != "no_kappa")
+    gc.collect()
+    assert not any(map(gc.is_tracked, rep.trace))
 
 
 _COMPONENTS = ["A1", "A2", "A3", "A5", "D4", "D5", "D6", "D8", "E6", "E7"]
@@ -164,7 +228,7 @@ def test_kernel_candidates_equal_brute_force_on_block_combinations(
     for a2 in enumerate_a_squares(pf):
         for n in (2, 1):
             want = brute_kernel_candidates(pf, a2, n, cap)
-            got = [c.kappa for c in kernel_candidates(pf, a2, n)]
+            got = kernel_candidates(pf, a2, n)
             assert got == want, (comps, h2, a2, n)
 
 
@@ -356,8 +420,9 @@ def test_theta_and_the_reps_generate_kperp():
         for a2 in enumerate_a_squares(pf):
             big = ambient_with_a_block(pf.form, a2)
             for n in (2, 1):
-                for cand in kernel_candidates(pf, a2, n):
-                    theta = big.reduce(theta_vector(pf.form, cand.kappa, n))
+                for kappa in kernel_candidates(pf, a2, n):
+                    cand = KernelCandidate(a2, n, kappa)
+                    theta = big.reduce(theta_vector(pf.form, kappa, n))
                     sq = check_candidate(pf, cand)[2]
                     want = big.orthogonal_complement(big.subgroup([theta]))
                     got = big.subgroup([theta] + sq.reps)
@@ -730,21 +795,23 @@ def test_status_is_constant_on_each_orbit_key():
     for spec, h2 in ORBIT_STRATA:
         pf = polarized_disc(RootSpec.parse(spec), h2)
         parts = _symmetry_group_action(pf)
+        orbit_key = detector._orbit_key(pf)
         for a2 in enumerate_a_squares(pf):
             for n in (2, 1):
                 cands = kernel_candidates(pf, a2, n)
-                kappas = {c.kappa for c in cands}
+                kappas = set(cands)
                 status = {}
-                for cand in cands:
-                    key = detector._orbit_key(pf, cand.kappa)
-                    got, _phi, _sq = check_candidate(pf, cand)
+                for kappa in cands:
+                    key = orbit_key(kappa)
+                    got, _phi, _sq = check_candidate(
+                        pf, KernelCandidate(a2, n, kappa))
                     assert status.setdefault(key, got) == got, \
-                        (spec, h2, a2, n, cand.kappa)
+                        (spec, h2, a2, n, kappa)
                     for _ in range(3):
                         moved = _act(pf, parts, *_random_move(rng, parts),
-                                     cand.kappa)
-                        assert moved in kappas, (spec, cand.kappa, moved)
-                        assert detector._orbit_key(pf, moved) == key
+                                     kappa)
+                        assert moved in kappas, (spec, kappa, moved)
+                        assert orbit_key(moved) == key
 
 
 def test_equal_orbit_keys_mean_one_orbit():
@@ -772,8 +839,9 @@ def test_equal_orbit_keys_mean_one_orbit():
                         orbit_of[y] = start
                         todo.append(y)
         by_key, by_orbit = {}, {}
+        orbit_key = detector._orbit_key(pf)
         for x, start in orbit_of.items():
-            key = detector._orbit_key(pf, x)
+            key = orbit_key(x)
             assert by_orbit.setdefault(start, key) == key, (spec, x)
             assert by_key.setdefault(key, start) == start, (spec, x)
     assert checked == 8
@@ -831,7 +899,8 @@ def test_a_coarser_orbit_key_is_caught(monkeypatch):
     # One orbit per (a2, n) copies the first status to every row.  The
     # oracle re-derives each row kappa by kappa and must notice, as must
     # the frozen reason tables wherever a pair mixes two reasons.
-    monkeypatch.setattr(detector, "_orbit_key", lambda pf, kappa: None)
+    monkeypatch.setattr(detector, "_orbit_key",
+                        lambda pf: lambda kappa: None)
     with pytest.raises(OracleMismatch, match="differs from trace row"):
         detect(2, GOLDEN_SEXTIC, oracle=True)
     for spec, h2, table in ((GOLDEN_A7, 4, REASONS_A7),
@@ -963,15 +1032,18 @@ def test_length_bound_settles_only_genus_empty_pairs(monkeypatch):
                 settled_pairs += 1
                 assert (a2, n) not in decided, (spec, h2, a2, n)
                 orbits = {}
-                for cand in cands:
-                    orbits.setdefault(detector._orbit_key(pf, cand.kappa),
-                                      cand)
+                orbit_key = detector._orbit_key(pf)
+                for kappa in cands:
+                    orbits.setdefault(orbit_key(kappa),
+                                      KernelCandidate(a2, n, kappa))
                 for cand in orbits.values():
                     assert check_candidate(pf, cand)[0] == "genus_empty", (
                         spec, h2, cand)
-                want = [{"a2": a2, "n": n, "kappa": list(c.kappa),
-                         "reason": "genus_empty"} for c in cands]
-                assert rows.get((a2, n), []) in ([], want), (spec, h2, a2, n)
+                want = [{"a2": a2, "n": n, "kappa": kappa,
+                         "reason": "genus_empty"} for kappa in cands]
+                got = [{**row, "kappa": tuple(row["kappa"])}
+                       for row in rows.get((a2, n), [])]
+                assert got in ([], want), (spec, h2, a2, n)
         assert set(decided) <= open_pairs, (spec, h2)
         if rep.witness is None:
             assert set(decided) == open_pairs, (spec, h2)

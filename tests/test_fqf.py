@@ -414,9 +414,9 @@ def test_elements_of_order_is_the_filter_of_every_element(idx, data):
         seen = sorted(t for order, t in want if order == m)
         unseen = [t for t in range(two_n) if t not in seen][:2]
         drawn = data.draw(st.integers(-2 * two_n, 2 * two_n))
-        for t in seen + unseen + [drawn]:
-            assert form.elements_of_order(m, t) == \
-                want.get((m, t % two_n), []), (form, m, t)
+        targets = seen + unseen + [drawn]
+        assert form.elements_of_order(m, targets) == \
+            [want.get((m, t % two_n), []) for t in targets], (form, m)
 
 
 # ------------------------------------------------- homogeneous decomposition

@@ -25,9 +25,9 @@ def test_is_isotropic_examples():
     assert is_isotropic(half, half.subgroup([(1,)])) is False
     # a valid kernel generator of a full gluing datum is isotropic
     pf = polarized_disc(RootSpec.parse("A7+A6+A3+A2"), 4)
-    cand = kernel_candidates(pf, 4, 1)[0]
-    big = ambient_with_a_block(pf.form, cand.a2)
-    theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
+    kappa = kernel_candidates(pf, 4, 1)[0]
+    big = ambient_with_a_block(pf.form, 4)
+    theta = big.reduce(theta_vector(pf.form, kappa, 1))
     assert is_isotropic(big, big.subgroup([theta])) is True
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from realstrata.fqf import cyclic_form, trivial_form, u_block, v_block
-from realstrata.detector import (check_candidate, detect,
+from realstrata.detector import (KernelCandidate, check_candidate, detect,
                                  enumerate_a_squares, kernel_candidates)
 from realstrata.isotropy import subquotient
 from realstrata import lattices
@@ -164,7 +164,7 @@ def test_disc_root_d_even_is_the_form_on_the_spinor_classes():
         unit = [[int(i == j) for i in range(n)] for j in range(n)]
         spinors = sorted(gd.to_coords(unit[j]) for j in (n - 2, n - 1))
         assert disc_root("D", n) == base.restricted_form([2, 2], spinors), n
-        found = base.elements_of_order(2, -n * base.N // 4)
+        found, = base.elements_of_order(2, [-n * base.N // 4])
         if n % 8 == 4:
             assert found == sorted(spinors + [gd.to_coords(unit[0])]), n
         else:
@@ -579,7 +579,8 @@ def test_smoke_set_statuses_and_witnesses_match_the_full_list():
         first = None
         for a2 in enumerate_a_squares(pf):
             for n in (2, 1):
-                for cand in kernel_candidates(pf, a2, n):
+                for kappa in kernel_candidates(pf, a2, n):
+                    cand = KernelCandidate(a2, n, kappa)
                     got = check_candidate(pf, cand)[:2]
                     assert got == _reference_check(pf, cand), (spec, cand)
                     if got[0] == "witness" and first is None:

@@ -237,5 +237,6 @@ def test_genus_tilde_rejects_all_a4_n2_candidates_on_golden():
     pf = polarized_disc(RootSpec.parse("D7+A6+A3+A2"), 4)
     cands = kernel_candidates(pf, 4, 2)
     assert cands
-    for cand in cands:
-        assert check_candidate(pf, cand)[:2] == ("genus_empty", None)
+    for kappa in cands:
+        assert check_candidate(pf, KernelCandidate(4, 2, kappa))[:2] == (
+            "genus_empty", None)

@@ -176,11 +176,12 @@ def test_brute_subquotient_rejects_anisotropic_kernel():
 def test_verify_subquotient_presentation_on_candidates():
     pf = polarized_disc(RootSpec.parse("A3"), 4)
     for a2, n in ((4, 1), (2, 2), (8, 2), (2, 1)):
-        for cand in kernel_candidates(pf, a2, n):
-            big = ambient_with_a_block(pf.form, cand.a2)
-            theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
+        for kappa in kernel_candidates(pf, a2, n):
+            big = ambient_with_a_block(pf.form, a2)
+            theta = big.reduce(theta_vector(pf.form, kappa, n))
             assert verify_subquotient_presentation(
-                big, [theta], check_candidate(pf, cand)[2])
+                big, [theta],
+                check_candidate(pf, KernelCandidate(a2, n, kappa))[2])
 
 
 def _trivial_quotient(form):
@@ -334,10 +335,11 @@ def test_certificate_walk_partitions_kperp_as_the_whole_group_walk():
              for item in corpus()]
     pf = polarized_disc(RootSpec.parse("A3"), 4)
     for a2, n in ((4, 1), (2, 2), (8, 2), (2, 1)):
-        for cand in kernel_candidates(pf, a2, n):
-            big = ambient_with_a_block(pf.form, cand.a2)
-            theta = big.reduce(theta_vector(pf.form, cand.kappa, cand.n))
-            cases.append((big, theta, check_candidate(pf, cand)[2]))
+        for kappa in kernel_candidates(pf, a2, n):
+            big = ambient_with_a_block(pf.form, a2)
+            theta = big.reduce(theta_vector(pf.form, kappa, n))
+            cases.append((big, theta, check_candidate(
+                pf, KernelCandidate(a2, n, kappa))[2]))
     assert len(cases) > len(corpus())
     bad = [(form.orders, theta) for form, theta, sq in cases
            if _cosets_by_walk(form, theta, sq) != _cosets_by_brute(form, theta)]
@@ -391,8 +393,7 @@ def test_brute_kernel_candidates_matches_engine_small():
         for a2 in (2, 4, 8):
             for n in (1, 2):
                 brute = brute_kernel_candidates(pf, a2, n)
-                engine = sorted(c.kappa
-                                for c in kernel_candidates(pf, a2, n))
+                engine = sorted(kernel_candidates(pf, a2, n))
                 assert brute == engine, (spec, a2, n)
 
 
