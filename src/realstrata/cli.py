@@ -27,9 +27,12 @@ the entry out of that file.  A write or rename that fails leaves no
 temporary file behind.  A hit reads and checks what its output prints,
 in write_json's layout: the head up to the trace and the tail after it,
 parsed as one report with no rows, for every output; batch, which prints
-the verdict alone, reads no row, while detect matches the rows against
-the writer's row shape under the schema's rules and counts their
-reasons, and --json then copies the entry.  An entry in another layout
+the verdict alone, reads no row and takes the entry of any spelling of
+the stratum, while detect serves only an entry written for its own
+spelling (the trace and witness follow the spelling's generator order),
+matches the rows against the writer's row shape under the schema's rules
+and counts their reasons, and --json then copies the entry.  An entry
+written for another spelling, or in another layout
 (compact, truncated, nested too deeply) or that breaks those rules is a
 miss and is overwritten.  batch factors h2 once before it reads a line,
 so an h2 it cannot factor ends the run with one error; it then keeps one
@@ -52,6 +55,7 @@ import shutil
 import sys
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Tuple
 
@@ -199,8 +203,8 @@ _ROW_CUT = b"\n    },\n    {"
 _READ = 1 << 16
 
 
-def _read_entry(path: Path, rows: bool, json_dest: Optional[str]
-                ) -> Optional[Tuple[dict, Counter]]:
+def _read_entry(path: Path, spelling: Optional[str],
+                json_dest: Optional[str]) -> Optional[Tuple[dict, Counter]]:
     """The report cached at path as (its dict with no trace rows, the
     count of each reason in its rows), or None for an entry to rewrite.
     The entry is read as write_json lays it out: the head up to the trace
@@ -208,10 +212,16 @@ def _read_entry(path: Path, rows: bool, json_dest: Optional[str]
     closes it; the two are parsed as one report with an empty trace.  Each
     marker is searched for in a window that grows until it is found, so a
     large disc or witness still hits, and an entry in no such layout
-    (compact, truncated, nested too deeply) is None.  rows also checks and
-    counts the rows, a chunk at a time (_rows_counted); without it none is
-    read and the counts are empty.  Given json_dest (as --json takes it,
-    with rows), the entry's text is then copied there as it stands."""
+    (compact, truncated, nested too deeply) is None.  Given the spelling
+    that a detect output prints, the entry serves only if its "spec" is
+    that spelling, since its trace and witness follow the spelling's
+    generator order; that is checked before any row is read, and then the
+    rows are checked and counted, a chunk at a time (_rows_counted).
+    With spelling None (batch, which prints the verdict alone, and a
+    verdict does not depend on the spelling) any spelling's entry serves,
+    no row is read and the counts are empty.  Given json_dest (as --json
+    takes it, with a spelling), the entry's text is then copied there as
+    it stands."""
     with open(path, "rb") as fp:
         head = bytearray()
         at = -1
@@ -244,10 +254,10 @@ def _read_entry(path: Path, rows: bool, json_dest: Optional[str]
             doc = json.loads(text)
         except (ValueError, RecursionError):   # RecursionError: too deep
             return None
-        if not _is_report(doc):
+        if not _is_report(doc) or spelling not in (None, doc["spec"]):
             return None
-        counts = (_rows_counted(fp, start, end) if rows and end > start
-                  else Counter())
+        counts = (_rows_counted(fp, start, end)
+                  if spelling is not None and end > start else Counter())
         if counts is None:
             return None
         if json_dest:
@@ -293,8 +303,9 @@ def _cached_detect(h2: int, spec: RootSpec, tgram, oracle: bool,
                    rows: bool = True) -> Tuple[dict, Counter]:
     """The report's dict and the count of each reason in its trace, via
     the cache; given json_dest (as --json takes it), also copies the
-    entry's text there.  rows=False reads no trace row of a hit and counts
-    none: batch prints the verdict alone."""
+    entry's text there.  rows=False reads no trace row of a hit, counts
+    none, and takes another spelling's entry: batch prints the verdict
+    alone.  Otherwise a hit must carry this spelling (_read_entry)."""
     # Before the lookup: an entry an older version wrote under this key
     # must not be served.
     require_tgram_rank(spec, tgram)
@@ -303,7 +314,8 @@ def _cached_detect(h2: int, spec: RootSpec, tgram, oracle: bool,
     if path.is_file():
         # A truncated, corrupt or foreign entry is a miss: recompute and
         # overwrite it.
-        hit = _read_entry(path, rows, json_dest)
+        hit = _read_entry(path, spec.display_text() if rows else None,
+                          json_dest)
         if hit:
             return hit
     report = detect(h2, spec, tgram=tgram, oracle=oracle)
@@ -324,7 +336,7 @@ def _cached_detect(h2: int, spec: RootSpec, tgram, oracle: bool,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return doc, (Counter(row["reason"] for row in doc["trace"]) if rows
+    return doc, (Counter(map(itemgetter("reason"), doc["trace"])) if rows
                  else Counter())
 
 

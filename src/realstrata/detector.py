@@ -119,16 +119,18 @@ def check_candidate(pf: PolarizedForm, cand: KernelCandidate
     None, sq).
 
     Condition (2) alone, some phi with phi(kappa) = -kappa, always holds:
-    -1 is a symmetry-induced involution (every slot keeps -I mod its
-    orders as a fixed option: A_n, D_odd, E6 and E7 have +-I, -I = I mod 2
-    on D_even, E8 owns no rows, and h has [[-1]]), and it negates every
-    kappa.  So it is not asked on its own.  It still rides in the one
-    question asked, since phi (+) -1 preserves K only if phi(kappa) =
-    -kappa: _first_involution takes the first phi, in sorted matrix order,
-    that negates kappa and sends each of sq.reps where it must go, and
-    lists no other.  That phi, a reduced matrix whose j-th column is the
-    image of the j-th generator, is the witness, checked again on the
-    whole matrix by lattices.checked_involution.
+    -1 is a symmetry-induced involution (the checked blocks of every
+    component hold -I mod its orders as a fixed block: A_n, D_odd, E6 and
+    E7 have +-I, -I = I mod 2 on D_even, E8 owns no rows, and h has
+    [[-1]]), and it negates every kappa.  So it is not asked on its own.
+    It still rides in the one question asked, since phi (+) -1 preserves
+    K only if phi(kappa) = -kappa: _first_involution takes the first phi,
+    in sorted matrix order, that negates kappa and sends each of sq.reps
+    where it must go, asking G's checked blocks on the slices of those
+    elements, and places the slots of no other matching.  That phi, a
+    reduced matrix whose j-th column is the image of the j-th generator,
+    is the witness, checked again on the whole matrix by
+    lattices.checked_involution.
     """
     form = pf.form
     big = pf._cache.get(("ambient", cand.a2))
@@ -163,7 +165,7 @@ def _orbit_key(pf: PolarizedForm) -> Callable[[Element], tuple]:
     coordinate (the table's last entry).  The table's class slices are
     read once, here, not once per kappa."""
     classes = [(cuts, minima)
-               for _, cuts, _, minima in _symmetry_table(pf)[:-1]]
+               for cuts, _, minima in _symmetry_table(pf)[:-1]]
     h_order = pf.form.orders[-1]
 
     def key(kappa: Element) -> tuple:
@@ -206,10 +208,11 @@ def _search(pf: PolarizedForm, trace: List[dict]
     permutations of equal components and the sign on h.  It is one table
     per form (lattices._symmetry_table), built before the walk: every
     block of G is checked there, once, as an isometry of its component's
-    slice of pf.form, before any candidate is decided.  The same table
-    gives the orbit minima that _orbit_key names the orbits by and the
-    slot options that the involution question asks.  This is sound
-    because, for every g in G:
+    slice of pf.form, before any candidate is decided, and G is kept as
+    those blocks.  The same table gives the orbit minima that _orbit_key
+    names the orbits by and the blocks that the involution question is
+    asked of, each slot option read off them in matrix order, none placed
+    up front.  This is sound because, for every g in G:
 
     * g is an isometry of the polarized discriminant, so g (+) id sends
       K = <kappa (+) n alpha> to <g kappa (+) n alpha> with an isometric
@@ -318,13 +321,13 @@ class DetectionReport:
         """Write to fp exactly the text of json.dumps(to_json_dict(),
         sort_keys=True, indent=2), and return that dict, so a caller that
         reads it too builds it once.  The keys around the trace go through
-        json.dumps; each trace row goes through the %-template of its
-        kappa's width (_row_template), and the rows reach fp a chunk at a
-        time, so a census-size report is never held as one text.  A row is
-        {a2, n, kappa, reason} as _search writes it: a2 and n ints, kappa
-        null or the tuple of ints kernel_candidates listed (json.dumps
-        writes a tuple as a list), reason one of REASONS, which json.dumps
-        writes as it is."""
+        json.dumps; each trace row goes through the %-template of its a2,
+        n, reason and kappa's width (_row_template), and the rows reach fp
+        a chunk at a time, so a census-size report is never held as one
+        text.  A row is {a2, n, kappa, reason} as _search writes it: a2
+        and n ints, kappa null or the tuple of ints kernel_candidates
+        listed (json.dumps writes a tuple as a list), reason one of
+        REASONS, which json.dumps writes as it is."""
         doc = self.to_json_dict()
         trace = doc["trace"]
         if not trace:
@@ -354,13 +357,15 @@ class DetectionReport:
 _ROWS_PER_WRITE = 2048
 
 
-@lru_cache(maxsize=None)
-def _row_template(width: Optional[int]) -> str:
-    """The %-template of one trace row whose kappa has `width` entries
-    (None: kappa is null), as json.dumps(..., sort_keys=True, indent=2)
-    writes the row inside the report: the row at indent 4, its keys at 6,
-    kappa's entries at 8.  It takes a2, kappa's entries, n and reason, in
-    that order, the integers as %d.  Built once per width."""
+@lru_cache(maxsize=1024)
+def _row_template(a2: int, n: int, reason: str, width: Optional[int]
+                  ) -> str:
+    """The %-template of one trace row with this a2, n and reason whose
+    kappa has `width` entries (None: kappa is null), as json.dumps(...,
+    sort_keys=True, indent=2) writes the row inside the report: the row at
+    indent 4, its keys at 6, kappa's entries at 8.  a2, n and reason are
+    written in; it takes kappa's entries alone, as %d.  Built once per
+    (a2, n, reason, width)."""
     if width is None:
         kappa = "null"
     elif width:
@@ -368,17 +373,27 @@ def _row_template(width: Optional[int]) -> str:
                  + "\n      ]")
     else:
         kappa = "[]"
-    return ('\n    {\n      "a2": %d,\n      "kappa": ' + kappa
-            + ',\n      "n": %d,\n      "reason": "%s"\n    }')
+    return ('\n    {\n      "a2": %d,\n      "kappa": ' % a2 + kappa
+            + ',\n      "n": %d,\n      "reason": "%s"\n    }' % (n, reason))
 
 
 def _trace_rows_json(rows: List[dict]) -> str:
-    """Trace rows as write_json writes them, joined by ",": each row
-    through the template of its kappa's width."""
-    return ",".join([
-        _row_template(None if (kappa := row["kappa"]) is None else len(kappa))
-        % (row["a2"], *(kappa or ()), row["n"], row["reason"])
-        for row in rows])
+    """Trace rows as write_json writes them, joined by ",".  Each run of
+    rows that share a2, n, reason and kappa's width goes through one
+    template (_row_template), applied as template % kappa: the row's own
+    kappa tuple is the whole argument, so none is built per row.  The
+    rows of a pair share a2 and n, and a pair settled by the length bound
+    is one run of genus_empty rows."""
+    texts: List[str] = []
+    run = None
+    for row in rows:
+        kappa = row["kappa"]
+        key = (row["a2"], row["n"], row["reason"],
+               None if kappa is None else len(kappa))
+        if key != run:
+            run, template = key, _row_template(*key)
+        texts.append(template if kappa is None else template % kappa)
+    return ",".join(texts)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from itertools import product
 from math import gcd, isqrt, prod
-from operator import mul
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from operator import itemgetter, mod, mul
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from . import _intmat
 from .fqf import (Element, FiniteQuadraticForm, cyclic_form, direct_sum_all,
@@ -224,14 +224,8 @@ def _is_inverse(orders: Sequence[int], b: Sequence[Sequence[int]],
                for j, col in enumerate(cols))
 
 
-_D4_S3 = [
-    [[1, 0], [0, 1]],
-    [[0, 1], [1, 0]],
-    [[1, 0], [1, 1]],
-    [[1, 1], [0, 1]],
-    [[0, 1], [1, 1]],
-    [[1, 1], [1, 0]],
-]
+_D4_S3 = [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 1]],
+          [[1, 1], [0, 1]], [[0, 1], [1, 1]], [[1, 1], [1, 0]]]
 
 
 def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
@@ -251,21 +245,21 @@ def _component_swap_isos(fam: str, n: int, k: int) -> List[List[List[int]]]:
 # An automorphism of a form is its reduced matrix: column j is the image
 # of the j-th generator, row i read mod the i-th order.
 Block = Tuple[Tuple[int, ...], ...]
-# A slot option as sparse rows: for every coordinate the slot owns, its
-# nonzero (column, value) entries.
-Rows = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
-Options = Tuple[Rows, ...]
-# The options of one index: (partner, rows), the partner None when fixed.
-Choices = List[Tuple[object, Rows]]
 # Checked blocks of one class: (block, its inverse), an involutive block
 # stored as its own inverse.
 Checked = List[Tuple[List[List[int]], List[List[int]]]]
-# One class of the symmetry table: its component indices (("h",) for h),
-# their coordinate slices, each index's slot choices, and the orbit
-# minimum of every element of one component's discriminant (None for h).
-Symmetry = Tuple[Tuple[object, ...], List[Tuple[int, int]],
-                 Dict[object, Choices], Optional[Dict[Element, Element]]]
+# A slot (src, dst, block, inverse): the block maps the generators from src
+# onto those from dst, the inverse back; src == dst when fixed.
+Slot = Tuple[int, int, List[List[int]], List[List[int]]]
 Pairs = Sequence[Tuple[Sequence[int], Sequence[int]]]
+
+
+class Symmetry(NamedTuple):
+    """A class of equal components (or h): their slices, ascending, its
+    blocks by (inverse, block), one component's orbit minima (None: h)."""
+    cuts: List[Tuple[int, int]]
+    blocks: Checked
+    minima: Optional[Dict[Element, Element]]
 
 
 _NOT_AN_INVOLUTION = "a symmetry-induced map is not an involution"
@@ -314,21 +308,10 @@ def _checked_blocks(form: FiniteQuadraticForm, lo: int, hi: int,
     return out
 
 
-def _checked_slot(src: int, dst: int, blocks: Checked) -> Options:
-    """The options of one slot of a symmetry-induced involution: a fixed
-    component (src == dst), a swapped pair of equal components, or the h
-    generator, placed from blocks that _checked_blocks checked.  Each
-    block maps the generators starting at src onto those starting at dst;
-    for a pair its inverse maps them back."""
-    options: List[Rows] = []
-    for block, inv in blocks:
-        parts = [(dst, src, block)]
-        if src != dst:
-            parts.append((src, dst, inv))
-        options.append(tuple(
-            (to + i, tuple((fro + j, v) for j, v in enumerate(row) if v))
-            for to, fro, part in parts for i, row in enumerate(part)))
-    return tuple(options)
+def _image(block: List[List[int]], x: Sequence[int], orders: Sequence[int]
+           ) -> Tuple[int, ...]:
+    """block * x, row i reduced mod orders[i]."""
+    return tuple(sum(map(mul, row, x)) % o for row, o in zip(block, orders))
 
 
 def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
@@ -344,19 +327,13 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
     So each distinct block of a class is checked once, on its first
     component's slice of pf.form (_checked_blocks): that slice is the
     component's own form at pf's scale N, where each congruence is the one
-    at the component's exponent, scaled.  Everything else is read off the
-    checked blocks: for each index c the slot options of c, fixed (the
-    involutive blocks) or paired with a later index of the class, and the
-    orbit minimum of every element of the component's discriminant.  The
-    h generator's options are its signs; its orbit key, min(h, -h), is
-    closed-form.  Components with a trivial discriminant (E8) own no rows
-    and are left out, so distinct matchings make distinct matrices.
-
-    Each choice list is sorted by its options' rows written out densely,
-    in row order, so c's rows come first.  Two options of c differ there
-    (an inverse block fixes its block, and a different partner means a
-    different column support), so _matchings walks the matchings of a
-    class in sorted order of the matrices they make."""
+    at the component's exponent, scaled.  G is kept as those blocks, each
+    beside its inverse, with the orbit minimum of every element of the
+    component's discriminant; no slot option is placed here (_options
+    reads them off the blocks).  The h generator's blocks are its signs;
+    its orbit key, min(h, -h), is closed-form.  Components with a trivial
+    discriminant (E8) own no rows and are left out, so distinct matchings
+    make distinct matrices."""
     table = pf._cache.get("symmetry")
     if table is not None:
         return table
@@ -371,11 +348,6 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
     classes: Dict[Tuple[str, int], List[int]] = {}
     for idx, comp in enumerate(pf.spec.components):
         classes.setdefault(comp, []).append(idx)
-
-    def dense(option: Tuple[object, Rows]) -> List[List[int]]:
-        return [[entries.get(j, 0) for j in range(r)]
-                for entries in (dict(row) for _, row in sorted(option[1]))]
-
     table = []
     for (fam, n), idxs in sorted(classes.items()):
         cuts = [pf.comp_slices[c] for c in idxs]
@@ -389,114 +361,142 @@ def _symmetry_table(pf: PolarizedForm) -> List[Symmetry]:
         orders = form.orders[lo:hi]
         blocks = _checked_blocks(form, lo, hi,
                                  _component_swap_isos(fam, n, hi - lo))
-        fixed = [(block, inv) for block, inv in blocks if inv is block]
-        choices = {}
-        for pos, (c, (src, _)) in enumerate(zip(idxs, cuts)):
-            options = [(d, rows)
-                       for d, (dst, _) in zip(idxs[pos + 1:], cuts[pos + 1:])
-                       for rows in _checked_slot(src, dst, blocks)]
-            options += [(None, rows)
-                        for rows in _checked_slot(src, src, fixed)]
-            choices[c] = sorted(options, key=dense)
-        minima = {x: min(tuple(sum(map(mul, row, x)) % o
-                               for row, o in zip(block, orders))
-                         for block, _ in blocks)
+        minima = {x: min(_image(block, x, orders) for block, _ in blocks)
                   for x in product(*map(range, orders))}
-        table.append((tuple(idxs), cuts, choices, minima))
+        table.append(Symmetry(cuts, sorted(blocks, key=itemgetter(1, 0)),
+                              minima))
     h = r - 1
     signs = _checked_blocks(form, h, r, [[[1]], [[-1]]])
-    table.append((("h",), [(h, r)],
-                  {"h": [(None, rows) for rows in _checked_slot(h, h, signs)]},
-                  None))
+    table.append(Symmetry([(h, r)], sorted(signs, key=itemgetter(1, 0)),
+                          None))
     pf._cache["symmetry"] = table
     return table
 
 
-def _matchings(items: Tuple[object, ...], choices: Dict[object, Choices]
-               ) -> Iterator[Tuple[Rows, ...]]:
-    """Every matching of items into fixed points and pairs, as one option
-    per slot, in the order of the choice lists: taking each remaining
-    index's options in turn, backtracking at a dead end.  A partner that
-    led to a dead end is not tried again with another option."""
+def _options(src: int, rest: Tuple[int, ...], blocks: Checked
+             ) -> Iterator[Tuple[int, List[List[int]], List[List[int]]]]:
+    """The options (dst, block, inverse) of the slot at src (dst == src:
+    fixed), rest the starts of its class's later unmatched components, in
+    the order of the dense matrices they make: partners from the last back
+    to the nearest, each with every block, then the involutive blocks
+    fixed.  src's rows come first: a pair's hold the inverse in dst's
+    columns, so a farther partner sorts first and a fixed block, in src's
+    own, last; then the inverse's rows decide, then the block's."""
+    for dst in reversed(rest):
+        for block, inv in blocks:
+            yield dst, block, inv
+    for block, inv in blocks:
+        if inv is block:
+            yield src, block, inv
+
+
+def _matchings(items: Tuple[int, ...], blocks: Checked,
+               live: Optional[Callable[..., bool]] = None
+               ) -> Iterator[Tuple[Slot, ...]]:
+    """Every matching of items (a class's component starts, ascending)
+    into fixed points and pairs, one Slot each, in matrix order: each
+    remaining component's options (_options) in turn, less those live
+    refuses, backtracking; a partner found dead is not tried again."""
     if not items:
         yield ()
         return
     first, rest = items[0], items[1:]
     dead = set()
-    for partner, rows in choices[first]:
-        if partner in dead or (partner is not None and partner not in rest):
+    for dst, block, inv in _options(first, rest, blocks):
+        if dst in dead or (live and not live(first, dst, block, inv)):
             continue
-        left = rest if partner is None else tuple(c for c in rest
-                                                  if c != partner)
+        left = tuple(c for c in rest if c != dst)
         found = False
-        for sub in _matchings(left, choices):
+        for sub in _matchings(left, blocks, live):
             found = True
-            yield (rows,) + sub
+            yield ((first, dst, block, inv),) + sub
         if not found:
-            dead.add(partner)
+            dead.add(dst)
 
 
-def _count(items: Tuple[object, ...], choices: Dict[object, Choices]) -> int:
-    """The number of matchings _matchings(items, choices) yields, by a
+def _count(items: Tuple[int, ...], blocks: Checked) -> int:
+    """The number of matchings _matchings(items, blocks) yields, by a
     recursion over the tuple of remaining items, memoised, that builds
     none of them."""
-    memo: Dict[Tuple[object, ...], int] = {(): 1}
+    memo: Dict[Tuple[int, ...], int] = {(): 1}
 
-    def count(items: Tuple[object, ...]) -> int:
+    def count(items: Tuple[int, ...]) -> int:
         if items not in memo:
             first, rest = items[0], items[1:]
-            memo[items] = sum(
-                count(rest if partner is None
-                      else tuple(c for c in rest if c != partner))
-                for partner, _ in choices[first]
-                if partner is None or partner in rest)
+            memo[items] = sum(count(tuple(c for c in rest if c != dst))
+                              for dst, _, _ in _options(first, rest, blocks))
         return memo[items]
 
     return count(items)
 
 
-def _live_classes(pf: PolarizedForm, pairs: Pairs) -> list:
-    """The slot choices of the symmetry table with only the options that
-    send x to y for every (x, y) in pairs.  x may be longer than the
-    form's rank; only its first rank coordinates are read.
+def _sends(pairs: Pairs, orders: Sequence[int], starts: Tuple[int, ...]
+           ) -> Callable[..., bool]:
+    """live(src, dst, block, inverse) for _matchings: whether block * x = y
+    from src to dst (inverse * x = y back, for a pair) for every reduced
+    (x, y) in pairs.  Each (slice, block) image is computed once."""
+    k = len(orders)
+    ident = _intmat.identity(k)
+    ys = {lo: [y[lo:lo + k] for _, y in pairs] for lo in starts}
+    images: Dict[Tuple[int, int], list] = {}
 
-    A slot map acts on its own coordinates only, so phi(x) = y iff every
-    chosen option sends x's part on its source coordinates to y's part on
-    its destination coordinates (and back again, for a swapped pair).
-    Classes act on disjoint coordinates, so a matching in each class
-    combines with any matching in the others."""
-    orders = pf.form.orders
+    def sent(src: int, block: List[List[int]]) -> list:
+        key = src, id(block)        # the table keeps every block alive
+        if key not in images:
+            xs = [x[src:src + k] for x, _ in pairs]
+            images[key] = (xs if block == ident
+                           else [_image(block, x, orders) for x in xs])
+        return images[key]
 
-    def live(options: Choices) -> Choices:
-        return [(partner, rows) for partner, rows in options
-                if all((sum(v * x[j] for j, v in row) - y[i]) % orders[i] == 0
-                       for x, y in pairs for i, row in rows)]
-
-    return [(idxs, {c: live(options) for c, options in choices.items()})
-            for idxs, _, choices, _ in _symmetry_table(pf)]
+    return lambda src, dst, block, inv: (
+        sent(src, block) == ys[dst]
+        and (dst == src or sent(dst, inv) == ys[src]))
 
 
-def _join(r: int, matchings: Iterable[Tuple[Rows, ...]]) -> Block:
-    """The r x r matrix made of the rows of one matching per class."""
+def _join(r: int, matchings: Iterable[Tuple[Slot, ...]]) -> Block:
+    """The r x r matrix of the slots of one matching per class: a block
+    in dst's rows and src's columns, its inverse the other way round."""
     mat = [[0] * r for _ in range(r)]
     for matching in matchings:
-        for rows in matching:
-            for i, row in rows:
-                for j, v in row:
-                    mat[i][j] = v
+        for src, dst, block, inv in matching:
+            for to, fro, part in ((dst, src, block), (src, dst, inv)):
+                for i, row in enumerate(part):
+                    mat[to + i][fro:fro + len(row)] = row
     return tuple(map(tuple, mat))
 
 
 def _first_involution(pf: PolarizedForm, pairs: Pairs) -> Optional[Block]:
     """The least symmetry-induced involution phi, in sorted matrix order,
     with phi(x) = y for every (x, y) in pairs, as a reduced matrix, or
-    None.  Classes own disjoint rows and _matchings walks each class in
-    sorted matrix order, so this joins the first matching of each class
-    left by _live_classes and builds no other matrix; a class with no
-    matching left means there is no such phi."""
-    firsts = []
-    for cls in _live_classes(pf, pairs):
-        first = next(_matchings(*cls), None)
+    None.  x may be longer than the form's rank; only its first rank
+    coordinates are read.
+
+    A slot map acts on its own coordinates only, so phi(x) = y iff every
+    chosen slot sends x's part on its source coordinates to y's part on
+    its destination coordinates (and back, for a pair): the question is
+    asked of the checked blocks on the slices of x and y as _matchings
+    walks each class (_sends), or, in a class of one component, of each
+    fixed block pair by pair.  Classes act on disjoint coordinates, so
+    this joins the first (least) matching of each, and places no other
+    option; a class with no matching left means there is no such phi."""
+    orders, firsts, reduced = pf.form.orders, [], None
+    for cuts, blocks, _ in _symmetry_table(pf):
+        lo, hi = cuts[0]
+        mods = orders[lo:hi]
+        if len(cuts) == 1:
+            first = next((((lo, lo, block, block),) for block, inv in blocks
+                          if inv is block and all(
+                              _image(block, x[lo:hi], mods)
+                              == tuple(map(mod, y[lo:hi], mods))
+                              for x, y in pairs)), None)
+        else:
+            # Reduced once: that changes no image (blocks are homomorphisms).
+            reduced = reduced or [(tuple(map(mod, x, orders)),
+                                   tuple(map(mod, y, orders)))
+                                  for x, y in pairs]
+            starts = tuple(lo for lo, _ in cuts)
+            first = next(_matchings(starts, blocks,
+                                    _sends(reduced, mods, starts)), None)
         if first is None:
             return None
         firsts.append(first)
@@ -524,11 +524,11 @@ def disc_involutions(pf: PolarizedForm) -> List[Block]:
     RuntimeError, before building any matrix, when the list would hold
     more than ~2e6 matrices.
     """
-    classes = [(idxs, choices) for idxs, _, choices, _ in _symmetry_table(pf)]
+    classes = [(tuple(lo for lo, _ in cuts), blocks)
+               for cuts, blocks, _ in _symmetry_table(pf)]
     if prod(_count(*cls) for cls in classes) > _INVOLUTION_CAP:
         raise RuntimeError("involution enumeration exceeds the generation cap")
-    r = pf.form.rank
-    mats = sorted(_join(r, matchings)
+    mats = sorted(_join(pf.form.rank, matchings)
                   for matchings in product(*(_matchings(*cls)
                                              for cls in classes)))
     for mat in mats:

@@ -3,18 +3,22 @@ matrices of the ADE diagrams, and the discriminant form of any Gram
 matrix by one Smith form over Z, from which the tests derive the root
 discriminants that lattices.disc_root reads off closed forms and the
 anti-isometries that the rank-19 dispatch lists off T's dual basis; the
-earlier route of disc_root through a cyclic form and its restriction; and
-a solve of linear congruences modulo coordinate orders."""
+earlier route of disc_root through a cyclic form and its restriction; a
+solve of linear congruences modulo coordinate orders; and the slot options
+of the symmetry-induced involutions as the symmetry table once placed and
+sorted them, with the involution question asked by filtering them."""
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from realstrata import _intmat
 from realstrata.fqf import (Element, FiniteQuadraticForm, cyclic_form,
                             trivial_form)
-from realstrata.lattices import _ADE_VALID
+from realstrata.lattices import (_ADE_VALID, PolarizedForm, _checked_blocks,
+                                 _component_swap_isos)
 
 
 def cartan_matrix(fam: str, n: int) -> List[List[int]]:
@@ -126,3 +130,126 @@ def solve_mod_orders(gens: Sequence[Sequence[int]], orders: Sequence[int],
     if z is None:
         return None
     return [sum(x * y for x, y in zip(row, z)) for row in h[r:]]
+
+
+# A slot option as sparse rows: for every coordinate the slot owns, its
+# nonzero (column, value) entries.
+Rows = Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
+# The options of one slot: (partner's first generator, rows), the partner
+# None when the slot is fixed.
+Choices = List[Tuple[Optional[int], Rows]]
+
+
+def placed_slot(src: int, dst: int, blocks) -> Tuple[Rows, ...]:
+    """The options of one slot, placed from (block, inverse) pairs: the
+    block maps the generators starting at src onto those starting at dst
+    and, for a pair (src != dst), its inverse maps them back."""
+    options = []
+    for block, inv in blocks:
+        parts = [(dst, src, block)]
+        if src != dst:
+            parts.append((src, dst, inv))
+        options.append(tuple(
+            (to + i, tuple((fro + j, v) for j, v in enumerate(row) if v))
+            for to, fro, part in parts for i, row in enumerate(part)))
+    return tuple(options)
+
+
+# Per class: the first generators of its components, and each one's
+# options.
+Classes = List[Tuple[Tuple[int, ...], Dict[int, Choices]]]
+
+
+def slot_choices_by_dense(pf: PolarizedForm) -> Classes:
+    """Per class of equal components (by label, then h), the first
+    generators of its components and each one's slot options, built as the
+    symmetry table built them before it kept only the checked blocks: every
+    pair option with each later component of the class and every fixed
+    involutive block placed (placed_slot), sorted by the options' rows
+    written out densely in row order; h's options in the order of its
+    signs."""
+    form, r = pf.form, pf.form.rank
+    classes: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+    for comp, cut in zip(pf.spec.components, pf.comp_slices):
+        classes.setdefault(comp, []).append(cut)
+
+    def dense(option):
+        return [[entries.get(j, 0) for j in range(r)]
+                for entries in (dict(row) for _, row in sorted(option[1]))]
+
+    out = []
+    for (fam, n), cuts in sorted(classes.items()):
+        lo, hi = cuts[0]
+        if lo == hi:
+            continue
+        blocks = _checked_blocks(form, lo, hi,
+                                 _component_swap_isos(fam, n, hi - lo))
+        fixed = [(block, inv) for block, inv in blocks if inv is block]
+        starts = tuple(start for start, _ in cuts)
+        choices = {}
+        for pos, src in enumerate(starts):
+            options = [(dst, rows) for dst in starts[pos + 1:]
+                       for rows in placed_slot(src, dst, blocks)]
+            options += [(None, rows) for rows in placed_slot(src, src, fixed)]
+            choices[src] = sorted(options, key=dense)
+        out.append((starts, choices))
+    h = r - 1
+    signs = _checked_blocks(form, h, r, [[[1]], [[-1]]])
+    out.append(((h,), {h: [(None, rows)
+                           for rows in placed_slot(h, h, signs)]}))
+    return out
+
+
+def live_choices(pf: PolarizedForm, pairs) -> Classes:
+    """slot_choices_by_dense with only the options that send x to y for
+    every (x, y) in pairs, on the coordinates they own; x may be longer
+    than the form's rank."""
+    orders = pf.form.orders
+
+    def live(options: Choices) -> Choices:
+        return [(partner, rows) for partner, rows in options
+                if all((sum(v * x[j] for j, v in row) - y[i]) % orders[i] == 0
+                       for x, y in pairs for i, row in rows)]
+
+    return [(starts, {c: live(options) for c, options in choices.items()})
+            for starts, choices in slot_choices_by_dense(pf)]
+
+
+def matchings(items: Tuple[int, ...], choices: Dict[int, Choices]
+              ) -> Iterator[Tuple[Rows, ...]]:
+    """Every matching of items into fixed points and pairs, one option per
+    slot, in the order of the choice lists, backtracking at a dead end; a
+    partner that led to a dead end is not tried again."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    dead = set()
+    for partner, rows in choices[first]:
+        if partner in dead or (partner is not None and partner not in rest):
+            continue
+        left = rest if partner is None else tuple(c for c in rest
+                                                  if c != partner)
+        found = False
+        for sub in matchings(left, choices):
+            found = True
+            yield (rows,) + sub
+        if not found:
+            dead.add(partner)
+
+
+def first_involution_by_filtering(pf: PolarizedForm, pairs):
+    """The involution question asked by filtering every placed option
+    (live_choices), then joining the first matching of each class into
+    one reduced matrix, or None when some class has none left."""
+    r = pf.form.rank
+    mat = [[0] * r for _ in range(r)]
+    for cls in live_choices(pf, pairs):
+        first = next(matchings(*cls), None)
+        if first is None:
+            return None
+        for rows in first:
+            for i, row in rows:
+                for j, v in row:
+                    mat[i][j] = v
+    return tuple(map(tuple, mat))

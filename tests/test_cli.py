@@ -420,14 +420,42 @@ def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
     assert list(tmp_path.glob("*.json")) == files
 
 
-def test_cache_key_uses_canonical_spec(capsys, tmp_path):
-    _, out1, _ = run(capsys, "detect", "--spec", "A1+A3", "--json",
-                     "--cache-dir", str(tmp_path))
-    _, out2, _ = run(capsys, "detect", "--spec", "A3+A1", "--json",
-                     "--cache-dir", str(tmp_path))
-    # same canonical configuration -> same cache entry, byte for byte
-    assert out1 == out2
-    assert len(list(tmp_path.glob("*.json"))) == 1
+def test_cache_key_uses_canonical_spec(capsys, tmp_path, monkeypatch):
+    # Two spellings of one stratum share one entry, but each prints its
+    # own report: the spec line, and the disc, trace and witness, which
+    # follow the spelling's generator order (A11+A6+A1 finds
+    # kappa=[0, 0, 0, 1, 1] after 5 rows, A1+A6+A11 kappa=[1, 0, 0, 0, 1]
+    # after 7).  So each spelling's warm output is its own cold output, in
+    # a cache that the other spelling wrote first: that entry is a miss for
+    # detect and --json and is rewritten, then served to a repeat.
+    def doc(out, extra):
+        if not extra:
+            return out
+        rep = json.loads(out)
+        del rep["wall_time_ms"], rep["generated_at"]
+        return rep
+
+    calls = []
+    real_detect = cli.detect
+    monkeypatch.setattr(cli, "detect", lambda *args, **kwargs: (
+        calls.append(args) or real_detect(*args, **kwargs)))
+    for spellings in (("A1+A3", "A3+A1"), ("A1+A6+A11", "A11+A6+A1")):
+        for extra in ([], ["--json"]):
+            cold = {spec: doc(run(capsys, "detect", "--spec", spec, *extra,
+                                  "--cache-dir", str(tmp_path / spec))[1],
+                              extra)
+                    for spec in spellings}
+            assert cold[spellings[0]] != cold[spellings[1]]
+            shared = tmp_path / f"shared-{spellings[0]}-{len(extra)}"
+            del calls[:]
+            for spec in spellings + spellings[::-1]:
+                for _ in range(2):
+                    _, out, _ = run(capsys, "detect", "--spec", spec, *extra,
+                                    "--cache-dir", str(shared))
+                    assert doc(out, extra) == cold[spec], (spec, extra)
+            # One miss per change of spelling, and one entry throughout.
+            assert len(calls) == 3, (spellings, extra)
+            assert len(list(shared.glob("*.json"))) == 1
 
 
 def test_cache_env_var_fallback(capsys, tmp_path, monkeypatch):

@@ -686,38 +686,41 @@ def test_report_trace_rows_use_reason_vocabulary():
 
 
 def test_detect_builds_each_slot_option_once(monkeypatch):
-    # 8*A1 @ 16: 8 fixed A1 slots and 28 swapped pairs with one option each
-    # (+1 and -1 agree mod 2), and the h slot with +-1.  Each distinct
-    # block is checked once, on its component's slice of rank 1: the A1
-    # block, its own inverse, for fixed and swapped slots alike, and the
-    # two h signs.  Each option is placed once from them; only the witness
-    # is checked as a whole matrix.
-    # Revalidation is skipped (the glued group exceeds the oracle cutoff),
-    # so it builds none.  Materialising all 1,528 involutions would build
-    # at least that many.
-    built, placed = [], []
-    real_check, real_slot = lattices._check_isometry, lattices._checked_slot
+    # 8*A1 @ 16: one class of 8 A1 components, whose single block (+1 and
+    # -1 agree mod 2) gives each component 7 pair options and one fixed,
+    # and the h slot with +-1.  Each distinct block is checked once, on
+    # its component's slice of rank 1: the A1 block, its own inverse, for
+    # fixed and swapped slots alike, and the two h signs.  No option is
+    # placed up front: the question is asked of the blocks, and only the
+    # witness's slots are placed, in one matrix, which alone is checked
+    # as a whole.  Revalidation is skipped (the glued group exceeds the
+    # oracle cutoff), so it builds none.  Materialising all 1,528
+    # involutions would build at least that many.
+    built, joined = [], []
+    real_check, real_join = lattices._check_isometry, lattices._join
 
     def counting_check(form, matrix, lo=0):
         built.append(len(matrix))
         real_check(form, matrix, lo)
 
-    def counting_slot(src, dst, blocks):
-        options = real_slot(src, dst, blocks)
-        placed.extend(options)
-        return options
+    def counting_join(r, matchings):
+        matchings = list(matchings)
+        joined.append(matchings)
+        return real_join(r, matchings)
 
     monkeypatch.setattr(lattices, "_check_isometry", counting_check)
-    monkeypatch.setattr(lattices, "_checked_slot", counting_slot)
+    monkeypatch.setattr(lattices, "_join", counting_join)
     rep = detect(16, "8*A1")
     assert (rep.verdict, rep.witness_revalidated) == ("witness_found",
                                                      "skipped_cutoff")
     assert built == [1, 1, 1, 9]
+    [(a1_slots, h_slots)] = joined
     h = 8
-    kinds = ["pair" if len(rows) == 2 else "h" if rows[0][0] == h
-             else "fixed" for rows in placed]
-    assert len(set(placed)) == len(placed)
-    assert sorted(kinds) == ["fixed"] * 8 + ["h"] * 2 + ["pair"] * 28
+    assert sorted(c for src, dst, _, _ in a1_slots for c in {src, dst}) \
+        == list(range(8))
+    assert [(src, dst) for src, dst, _, _ in h_slots] == [(h, h)]
+    witness = tuple(map(tuple, rep.witness["phi"]))
+    assert real_join(h + 1, [a1_slots, h_slots]) == witness
 
 
 # ------------------------------------------------------------ kappa orbits

@@ -21,8 +21,8 @@ from realstrata.isotropy import subquotient
 from realstrata import lattices
 from realstrata.lattices import (RootSpec, _anti_isometries,
                                  _component_swap_isos,
-                                 _count, _first_involution,
-                                 _live_classes, _symmetry_table, binary_autos,
+                                 _count, _first_involution, _options,
+                                 _symmetry_table, binary_autos,
                                  checked_involution, disc_involutions,
                                  disc_root, maximizing_has_skew,
                                  polarized_disc)
@@ -32,7 +32,10 @@ from realstrata.oracle import _apply, brute_involutions
 
 from _fractions import canon_mod2, display_rep
 from _references import (cartan_matrix, disc_of_gram,
-                         disc_root_by_restriction, solve_mod_orders)
+                         disc_root_by_restriction,
+                         first_involution_by_filtering, live_choices,
+                         matchings, placed_slot, slot_choices_by_dense,
+                         solve_mod_orders)
 
 
 # ------------------------------------------------------------------ RootSpec
@@ -469,10 +472,11 @@ INTERLEAVED = ["A1+A2+A1", "A2+D4+A2", "A1+D4+A1+D4"]
 
 
 def _assert_filter_matches(pf, pairs, want, label):
-    """The slot filter keeps exactly len(want) matchings, and its first
-    involution is the head of want: the brute-filtered full list."""
-    assert prod(_count(*cls) for cls in _live_classes(pf, pairs)) \
-        == len(want), label
+    """The reference slot filter keeps exactly len(want) matchings, and
+    the first involution is the head of want: the brute-filtered full
+    list."""
+    assert prod(sum(1 for _ in matchings(*cls))
+                for cls in live_choices(pf, pairs)) == len(want), label
     assert _first_involution(pf, pairs) == (want or [None])[0], label
 
 
@@ -523,8 +527,8 @@ def test_pair_filter_equals_filtering_the_full_list():
         form = pf.form
         full = disc_involutions(pf)
         assert len(set(full)) == len(full) == prod(
-            _count(idxs, choices)
-            for idxs, _, choices, _ in _symmetry_table(pf)), spec
+            _count(tuple(lo for lo, _ in cuts), blocks)
+            for cuts, blocks, _ in _symmetry_table(pf)), spec
         elems = sorted(form.iter_elements())
         for _ in range(12):
             x, kappa = rng.choice(elems), rng.choice(elems)
@@ -808,13 +812,15 @@ def test_slice_check_equals_the_component_form_check(h2):
 def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
     # The census walks every rank-18 spec, 18*A1 among them: its symmetry
     # table checks 3 distinct blocks, each once on its component's slice
-    # of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs), not
-    # 18 + 153 + 2 options on the rank-19 form.  It checks no whole
-    # matrix at all: every _check_isometry call is on a rank-1 block, and
-    # checked_involution is never called.  Counted, not timed.
-    built, checked = [], []
+    # of rank 1 (the A1 block, +1 = -1 mod 2, and the two h signs).  It
+    # keeps G as those blocks and places no slot option: the 18 + 153 + 2
+    # options the table once placed are read off the blocks only when a
+    # question walks them, and no whole matrix is checked or joined.
+    # Counted, not timed.
+    built, checked, joined = [], [], []
     real_involution = lattices.checked_involution
     real_check = lattices._check_isometry
+    real_join = lattices._join
 
     def counting_involution(form, matrix):
         built.append(form.rank)
@@ -824,13 +830,91 @@ def test_slot_table_at_census_size_builds_no_whole_matrix(monkeypatch):
         checked.append((len(matrix), tuple(map(tuple, matrix))))
         real_check(form, matrix, lo)
 
+    def counting_join(r, matchings):
+        joined.append(r)
+        return real_join(r, matchings)
+
     monkeypatch.setattr(lattices, "checked_involution", counting_involution)
     monkeypatch.setattr(lattices, "_check_isometry", counting_check)
+    monkeypatch.setattr(lattices, "_join", counting_join)
     table = _symmetry_table(polarized_disc(RootSpec.parse("18*A1"), 4))
-    assert built == []
+    assert built == [] and joined == []
     assert checked == [(1, ((1,),)), (1, ((1,),)), (1, ((3,),))]
-    assert sum(len(options) for _, _, choices, _ in table
-               for options in choices.values()) == 18 + 153 + 2
+    assert [len(cls.cuts) for cls in table] == [18, 1]
+    assert [cls.blocks for cls in table] == [[([[1]], [[1]])],
+                                             [([[1]], [[1]]),
+                                              ([[3]], [[3]])]]
+    options = [len(list(_options(lo, tuple(s for s, _ in cls.cuts[pos + 1:]),
+                                 cls.blocks)))
+               for cls in table for pos, (lo, _) in enumerate(cls.cuts)]
+    assert sum(options) == 18 + 153 + 2
+
+
+# The forms whose slot options the closed-form order must list as the
+# dense sort did: the filter forms, interleaved classes, k*A1 up to 8 at
+# three polarizations, D4 triality and spinor swaps in wide classes,
+# mixed classes, and the census's widest class.
+ORDER_FORMS = (FILTER_FORMS + [(s, 4) for s in INTERLEAVED]
+               + [(f"{k}*A1", h2) for k in range(1, 9) for h2 in (2, 4, 16)]
+               + [(s, 4) for s in ("4*D4", "2*D6", "3*D4+2*A3", "9*A2",
+                                   "2*E6+2*A2", "18*A1")])
+
+
+def test_closed_form_option_order_is_the_dense_sort():
+    # For each component the options come as the partners from the last
+    # of its class back to the nearest, each with its blocks by (inverse,
+    # block), then the involutive blocks fixed, by rows.  Placed, that is
+    # exactly the list the table once built and sorted by dense rows
+    # (tests/_references.py), h's signs included.
+    for spec, h2 in ORDER_FORMS:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        table = _symmetry_table(pf)
+        want = slot_choices_by_dense(pf)
+        assert [tuple(lo for lo, _ in cls.cuts) for cls in table] \
+            == [starts for starts, _ in want], spec
+        for cls, (starts, choices) in zip(table, want):
+            for pos, src in enumerate(starts):
+                got = [(None if dst == src else dst,
+                        placed_slot(src, dst, [(block, inv)])[0])
+                       for dst, block, inv in _options(src, starts[pos + 1:],
+                                                       cls.blocks)]
+                assert got == choices[src], (spec, h2, src)
+
+
+def test_involution_question_equals_filtering_the_placed_options():
+    # 10,000 seeded questions over forms with fixed, swapped, interleaved
+    # and D4 classes: the first involution read off the checked blocks is
+    # the one the reference finds by placing every option, filtering each
+    # with every pair and joining the first matching of each class.  The
+    # pairs are x with -x, x + kappa and g x for a symmetry-induced g (so a
+    # phi other than +-1 exists), one at a time and together, x sometimes
+    # unreduced and carrying a trailing coordinate past the rank.
+    rng = random.Random(40)
+    forms = (FILTER_FORMS + [(s, 4) for s in INTERLEAVED]
+             + [("3*A1", 4), ("4*A2", 4), ("8*A1", 16), ("2*D4+2*A1", 4),
+                ("3*D4", 4), ("2*A3+2*D5", 8)])
+    asked, found = 0, 0
+    for spec, h2 in forms:
+        pf = polarized_disc(RootSpec.parse(spec), h2)
+        form = pf.form
+        autos = disc_involutions(pf)
+        for _ in range(10_000 // (5 * len(forms)) + 1):
+            x, y, kappa = (tuple(rng.randrange(o) for o in form.orders)
+                           for _ in range(3))
+            g = rng.choice(autos)
+            lifted = tuple(v + o for v, o in zip(x, form.orders)) + (1,)
+            queries = [[(x, form.neg(x))], [(x, form.add(x, kappa))],
+                       [(x, _apply(form, g, x))],
+                       [(lifted, _apply(form, g, x)),
+                        (y, _apply(form, g, y))],
+                       [(kappa, form.neg(kappa)), (x, _apply(form, g, x)),
+                        (y, y)]]
+            for pairs in queries:
+                want = first_involution_by_filtering(pf, pairs)
+                assert _first_involution(pf, pairs) == want, (spec, pairs)
+                asked += 1
+                found += want is not None
+    assert asked >= 10_000 and 0 < found < asked
 
 
 def test_decision_checks_run_under_optimize():
