@@ -70,8 +70,9 @@ def main() -> None:
     print(f"witness: a2={w['a2']} n={w['n']} kappa={w['kappa']}")
     print("independently revalidated by the brute-force oracle:",
           report.witness_revalidated)
-    # to_json is the text `realstrata detect --json` prints and the cache
-    # stores (write_json streams the same text to a file).
+    # to_json is the text `realstrata detect --json` prints, which a cache
+    # entry holds after its summary line (write_json streams the same text
+    # to a file).
     head = report.to_json().splitlines()[:3]
     print("report JSON begins:", " ".join(line.strip() for line in head))
 

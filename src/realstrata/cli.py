@@ -17,51 +17,48 @@ the shell's code for a writer cut off by its pipe, with nothing on stderr.
 
 The --json flag prints the full JSON document instead of a summary; give
 it a path (--json out.json) to write the document to a file instead.
+--json decides the stratum and streams the document out
+(DetectionReport.write_json); it neither reads nor writes the cache.
 
-Reports are cached under --cache-dir (or $REALSTRATA_CACHE, default
-.realstrata-cache): a cache hit returns the stored report byte for byte,
-including its original timestamp.  A miss streams the report into a
-temporary file beside its entry (DetectionReport.write_json) and renames
-it into place, so no text of a whole report is held; --json then copies
-the entry out of that file.  A write or rename that fails leaves no
-temporary file behind.  A hit reads and checks what its output prints,
-in write_json's layout: the head up to the trace and the tail after it,
-parsed as one report with no rows, for every output; batch, which prints
-the verdict alone, reads no row and takes the entry of any spelling of
-the stratum, while detect serves only an entry written for its own
-spelling (the trace and witness follow the spelling's generator order),
-matches the rows against the writer's row shape under the schema's rules
-and counts their reasons, and --json then copies the entry.  An entry
-written for another spelling, or in another layout
-(compact, truncated, nested too deeply) or that breaks those rules is a
-miss and is overwritten.  batch factors h2 once before it reads a line,
-so an h2 it cannot factor ends the run with one error; it then keeps one
-outcome (the line it prints and the verdict it counts) per raw line and
-one verdict per canonical stratum: a repeated raw line costs one lookup
-and one write, a new spelling one parse, and only a new stratum is read
-or decided; a line that does not parse reaches no cache.  Nothing is
-remembered from one run to the next.
+Human detect and batch cache what they print under --cache-dir (or
+$REALSTRATA_CACHE, default .realstrata-cache), one entry per canonical
+stratum.  An entry's first line is its summary, the report with its trace
+replaced by the count of each reason; the whole report follows, so the
+file is one JSON object.  A miss writes the entry to a temporary file
+beside it and renames it into place; a write or rename that fails leaves
+no temporary file.  A hit reads the first line alone, up to a fixed bound,
+and parses it once: it must keep report_schema.json's rules on what the
+human output reads, with counts of known reasons in place of rows.  Human
+detect serves only an entry written for its own spelling (the trace and
+witness follow the spelling's generator order); batch, which prints the
+verdict alone, takes any spelling's.  Anything else is a miss and is
+overwritten.  batch factors h2 once before it reads a line, so an h2 it
+cannot factor ends the run with one error; it then keeps one outcome (the
+line it prints and the verdict it counts) per raw line and one verdict per
+canonical stratum: a repeated raw line costs one lookup and one write, a
+new spelling one parse, and only a new stratum is read or decided; a line
+that does not parse reaches no cache.  Nothing is remembered from one run
+to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import re
-import shutil
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, TextIO, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .detector import (BASES, REASONS, VERDICTS, detect, model_name,
-                       parse_model, require_tgram_rank, trace_rows_pattern)
+from .detector import (BASES, REASONS, VERDICTS, DetectionReport, detect,
+                       model_name, parse_model, require_tgram_rank)
 from .fqf import factorint
 from .lattices import (PolarizedForm, RootSpec, binary_autos,
                        disc_involutions, polarized_disc, require_stratum_rank)
@@ -102,20 +99,16 @@ def _parse_tgram(text: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     return ((a, b), (b, d))
 
 
-def _copy_json(src: TextIO, dest: str) -> None:
-    """Copies src's text, then a newline, to dest a chunk at a time: dest
-    '-' is stdout; anything else is a file path."""
-    if dest == "-":
-        shutil.copyfileobj(src, sys.stdout)
-        sys.stdout.write("\n")
-        return
-    with open(dest, "w") as out:
-        shutil.copyfileobj(src, out)
+def _emit_json(doc: str | DetectionReport, dest: str) -> None:
+    """Writes doc, a JSON text or a report (which write_json streams, a
+    chunk at a time), then a newline, to dest: '-' is stdout; anything
+    else is a file path."""
+    with nullcontext(sys.stdout) if dest == "-" else open(dest, "w") as out:
+        if isinstance(doc, str):
+            out.write(doc)
+        else:
+            doc.write_json(out)
         out.write("\n")
-
-
-def _emit_json(text: str, dest: str) -> None:
-    _copy_json(io.StringIO(text), dest)
 
 
 def _cache_dir(arg: Optional[str]) -> Path:
@@ -160,15 +153,16 @@ def _naturals(values: object) -> bool:
 
 
 def _is_report(doc: object) -> bool:
-    """Whether a parsed cache entry can be served as a report: an object
-    with exactly a report's keys whose values keep report_schema.json's
-    rules on what the human output reads: each key's types (exact: a bool
-    is not an integer here), the bounds on rank_S, rank_T and
-    wall_time_ms, a known verdict, basis, revalidation and oracle outcome,
-    a disc whose display is a string, and a witness that is null or has a
-    witness's keys and values.  The reader hands it the entry with its
-    trace rows cut out; _rows_counted checks those.  Values are compared
-    against tuples, so an unhashable one is refused, not raised on."""
+    """Whether a parsed summary can be served as a report: an object with
+    exactly a report's keys whose values keep report_schema.json's rules
+    on what the human output reads: each key's types (exact: a bool is
+    not an integer here), the bounds on rank_S, rank_T and wall_time_ms, a
+    known verdict, basis, revalidation and oracle outcome, a disc whose
+    display is a string, and a witness that is null or has a witness's
+    keys and values.  The reader hands it the summary with an empty trace
+    in place of the reason counts, which it checks itself.  Values are
+    compared against tuples, so an unhashable one is refused, not raised
+    on."""
     if not (isinstance(doc, dict) and doc.keys() == _REPORT_KEYS):
         return False
     for key, types in _REPORT_TYPES.items():
@@ -191,121 +185,47 @@ def _is_report(doc: object) -> bool:
                      and all(map(_naturals, witness["phi"])))))
 
 
-# DetectionReport.write_json's layout: the trace is the only top-level
-# list, and only top-level keys sit at indent 2, so its rows lie between
-# the first _TRACE_OPEN and the last _TRACE_CLOSE of an entry.
-_TRACE_OPEN = b'\n  "trace": ['
-_TRACE_CLOSE = b'\n  ],\n  "verdict": '
-# Where a whole row ends and the next begins.
-_ROW_CUT = b"\n    },\n    {"
-# Bytes read at a time: the whole entry of a small stratum, or the rows
-# of one match (larger chunks match no faster).
-_READ = 1 << 16
+# An entry's first line: this, its summary (json.dumps of the report with
+# the reason counts as its trace, sorted keys, on one line) and ",\n".
+_SUMMARY = '{"summary": '
+# The most bytes a hit reads: far more than the longest summary (~3 kB).
+_SUMMARY_BOUND = 1 << 16
 
 
-def _read_entry(path: Path, spelling: Optional[str],
-                json_dest: Optional[str]) -> Optional[Tuple[dict, Counter]]:
-    """The report cached at path as (its dict with no trace rows, the
-    count of each reason in its rows), or None for an entry to rewrite.
-    The entry is read as write_json lays it out: the head up to the trace
-    key and, unless the trace is [], the tail from the last line that
-    closes it; the two are parsed as one report with an empty trace.  Each
-    marker is searched for in a window that grows until it is found, so a
-    large disc or witness still hits, and an entry in no such layout
-    (compact, truncated, nested too deeply) is None.  Given the spelling
-    that a detect output prints, the entry serves only if its "spec" is
-    that spelling, since its trace and witness follow the spelling's
-    generator order; that is checked before any row is read, and then the
-    rows are checked and counted, a chunk at a time (_rows_counted).
-    With spelling None (batch, which prints the verdict alone, and a
-    verdict does not depend on the spelling) any spelling's entry serves,
-    no row is read and the counts are empty.  Given json_dest (as --json
-    takes it, with a spelling), the entry's text is then copied there as
-    it stands."""
+def _read_entry(path: Path, spelling: Optional[str]
+                ) -> Optional[Tuple[dict, dict]]:
+    """The summary cached at path as (the report's dict, the count of each
+    reason in its trace, which is the dict's "trace"), or None for an
+    entry to rewrite.  Only the first line is read, up to _SUMMARY_BOUND
+    bytes, and it is parsed once.  Given the spelling that detect prints,
+    the entry serves only if its "spec" is that spelling, since its trace
+    and witness follow the spelling's generator order; with spelling None
+    (batch, which prints the verdict alone, and a verdict does not depend
+    on the spelling) any spelling's entry serves."""
     with open(path, "rb") as fp:
-        head = bytearray()
-        at = -1
-        while at < 0:
-            chunk = fp.read(_READ)
-            if not chunk:
-                return None
-            seen = max(0, len(head) - len(_TRACE_OPEN) + 1)
-            head += chunk
-            at = head.find(_TRACE_OPEN, seen)
-        start = end = at + len(_TRACE_OPEN)    # the rows, or "]" for none
-        if len(head) == start:
-            head += fp.read(1)
-        if head[start:start + 1] == b"]":
-            text = head + fp.read()
-        else:
-            size, width = os.fstat(fp.fileno()).st_size, _READ
-            while True:
-                first = max(start, size - width)
-                fp.seek(first)
-                tail = fp.read()
-                end = first + tail.rfind(_TRACE_CLOSE)
-                if end >= first or first == start:
-                    break
-                width *= 8
-            if end <= start:            # no closing line, or no rows
-                return None
-            text = head[:at] + b'\n  "trace": []' + tail[end - first + 4:]
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError):   # RecursionError: too deep
-            return None
-        if not _is_report(doc) or spelling not in (None, doc["spec"]):
-            return None
-        counts = (_rows_counted(fp, start, end)
-                  if spelling is not None and end > start else Counter())
-        if counts is None:
-            return None
-        if json_dest:
-            fp.seek(0)
-            with io.TextIOWrapper(fp, encoding="utf-8", newline="") as src:
-                _copy_json(src, json_dest)
-        return doc, counts
-
-
-def _rows_counted(fp, start: int, end: int) -> Optional[Counter]:
-    """The count of each reason in the rows at [start, end) of fp, or None
-    unless they fullmatch detector.trace_rows_pattern.  They are matched a
-    chunk at a time, each cut after a whole row: one match over a census
-    entry's rows takes three times as long."""
-    pattern = trace_rows_pattern()
-    counts: Counter = Counter()
-    fp.seek(start)
-    left, pending = end - start, b""
-    while True:
-        block = fp.read(min(left, _READ))
-        if left and not block:
-            return None
-        left -= len(block)
-        pending += block
-        chunk = pending
-        if left:
-            cut = pending.rfind(_ROW_CUT) + 6
-            if cut < 6:
-                continue
-            chunk, pending = pending[:cut], pending[cut + 1:]
-        if not pattern.fullmatch(chunk):
-            return None
-        for reason in REASONS:
-            found = chunk.count(b'"reason": "%s"' % reason.encode())
-            if found:
-                counts[reason] += found
-        if not left:
-            return counts
+        line = fp.readline(_SUMMARY_BOUND)
+    if not (line.startswith(_SUMMARY.encode()) and line.endswith(b",\n")):
+        return None
+    try:
+        doc = json.loads(line[len(_SUMMARY):-2])
+    except (ValueError, RecursionError):   # RecursionError: too deep
+        return None
+    counts = doc.get("trace") if type(doc) is dict else None
+    if not (type(counts) is dict
+            and all(reason in REASONS and type(n) is int and n >= 1
+                    for reason, n in counts.items())
+            and _is_report({**doc, "trace": []})
+            and spelling in (None, doc["spec"])):
+        return None
+    return doc, counts
 
 
 def _cached_detect(h2: int, spec: RootSpec, tgram, oracle: bool,
-                   cache_dir: Path, json_dest: Optional[str] = None,
-                   rows: bool = True) -> Tuple[dict, Counter]:
+                   cache_dir: Path, any_spelling: bool = False
+                   ) -> Tuple[dict, dict]:
     """The report's dict and the count of each reason in its trace, via
-    the cache; given json_dest (as --json takes it), also copies the
-    entry's text there.  rows=False reads no trace row of a hit, counts
-    none, and takes another spelling's entry: batch prints the verdict
-    alone.  Otherwise a hit must carry this spelling (_read_entry)."""
+    the cache.  A hit must carry this spelling unless any_spelling (batch
+    prints the verdict alone)."""
     # Before the lookup: an entry an older version wrote under this key
     # must not be served.
     require_tgram_rank(spec, tgram)
@@ -314,33 +234,30 @@ def _cached_detect(h2: int, spec: RootSpec, tgram, oracle: bool,
     if path.is_file():
         # A truncated, corrupt or foreign entry is a miss: recompute and
         # overwrite it.
-        hit = _read_entry(path, spec.display_text() if rows else None,
-                          json_dest)
+        hit = _read_entry(path,
+                          None if any_spelling else spec.display_text())
         if hit:
             return hit
     report = detect(h2, spec, tgram=tgram, oracle=oracle)
+    doc = report.to_json_dict()
+    counts = Counter(map(itemgetter("reason"), doc["trace"]))
     cache_dir.mkdir(parents=True, exist_ok=True)
     # Stream the entry beside its place, then rename: readers never see a
-    # partial file, and no text of the whole entry is held.  json_dest
-    # copies from the file written, which is still open.  A failed write,
-    # rename or copy leaves no temporary file behind.
+    # partial file, and no text of the whole entry is held.  A failed
+    # write or rename leaves no temporary file behind.
     tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w+") as fp:
-            doc = report.write_json(fp)
-            fp.flush()
-            os.replace(tmp, path)
-            if json_dest:
-                fp.seek(0)
-                _copy_json(fp, json_dest)
+        with open(tmp, "w") as fp:
+            report.write_json(fp, doc, _SUMMARY + json.dumps(
+                {**doc, "trace": counts}, sort_keys=True) + ",")
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return doc, (Counter(map(itemgetter("reason"), doc["trace"])) if rows
-                 else Counter())
+    return doc, counts
 
 
-def _print_human(rep: dict, counts: Counter) -> None:
+def _print_human(rep: dict, counts: dict) -> None:
     print(f"model: {rep['model']}  spec: {rep['spec'] or '(empty)'}  "
           f"rank_S: {rep['rank_S']}  rank_T: {rep['rank_T']}")
     print(f"disc: {rep['disc']['display']}")
@@ -386,12 +303,17 @@ def cmd_disc(args) -> int:
 
 def cmd_detect(args) -> int:
     h2 = parse_model(args.model)
-    rep, counts = _cached_detect(h2, RootSpec.parse(args.spec), args.tgram,
-                                 args.oracle, _cache_dir(args.cache_dir),
-                                 args.json)
-    if not args.json:
+    spec = RootSpec.parse(args.spec)
+    if args.json:
+        report = detect(h2, spec, tgram=args.tgram, oracle=args.oracle)
+        _emit_json(report, args.json)
+        verdict = report.verdict
+    else:
+        rep, counts = _cached_detect(h2, spec, args.tgram, args.oracle,
+                                     _cache_dir(args.cache_dir))
         _print_human(rep, counts)
-    code = _VERDICT_EXIT[rep["verdict"]]
+        verdict = rep["verdict"]
+    code = _VERDICT_EXIT[verdict]
     if code == EXIT_USAGE:
         print("error: stratum has rank_S = 19; pass --tgram a,b,d with the "
               "Gram matrix of the rank-2 transcendental lattice",
@@ -434,7 +356,7 @@ def cmd_batch(args) -> int:
                     if canon not in verdicts:
                         verdicts[canon] = _cached_detect(
                             h2, spec, None, args.oracle, cache,
-                            rows=False)[0]["verdict"]
+                            any_spelling=True)[0]["verdict"]
                     verdict = verdicts[canon]
                     outcome = (out, f"{line}: {verdict}\n", verdict)
                 except (ValueError, AssertionError, RuntimeError) as exc:
@@ -545,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-check every decision by brute force where "
                         "group sizes permit")
     p.add_argument("--cache-dir", default=None,
-                   help="report cache directory (default $REALSTRATA_CACHE "
-                        "or .realstrata-cache)")
+                   help="report cache directory, which --json does not use "
+                        "(default $REALSTRATA_CACHE or .realstrata-cache)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("batch", help="detect every stratum listed in a file")

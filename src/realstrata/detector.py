@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import io
 import json
-import re
 import time
 from functools import lru_cache
 from typing import (Callable, Dict, List, NamedTuple, Optional, TextIO,
@@ -317,27 +316,33 @@ class DetectionReport:
             "generated_at": self.generated_at,
         }
 
-    def write_json(self, fp: TextIO) -> dict:
-        """Write to fp exactly the text of json.dumps(to_json_dict(),
-        sort_keys=True, indent=2), and return that dict, so a caller that
-        reads it too builds it once.  The keys around the trace go through
-        json.dumps; each trace row goes through the %-template of its a2,
-        n, reason and kappa's width (_row_template), and the rows reach fp
-        a chunk at a time, so a census-size report is never held as one
-        text.  A row is {a2, n, kappa, reason} as _search writes it: a2
-        and n ints, kappa null or the tuple of ints kernel_candidates
-        listed (json.dumps writes a tuple as a list), reason one of
-        REASONS, which json.dumps writes as it is."""
-        doc = self.to_json_dict()
+    def write_json(self, fp: TextIO, doc: Optional[dict] = None,
+                   opening: str = "{") -> dict:
+        """Write to fp exactly the text of json.dumps(doc, sort_keys=True,
+        indent=2), with opening in place of its opening brace, and return
+        doc: to_json_dict() unless the caller passes the dict it built
+        from it.  --json and to_json write the document as it is.  The
+        cache builds doc itself, since its summary line, the opening it
+        passes, counts the reasons in doc's trace before the first write;
+        so it reads no return value.  The keys around the trace
+        go through json.dumps; each trace row goes through the %-template
+        of its a2, n, reason and kappa's width (_row_template), and the
+        rows reach fp a chunk at a time, so a census-size report is never
+        held as one text.  A row is {a2, n, kappa, reason} as _search
+        writes it: a2 and n ints, kappa null or the tuple of ints
+        kernel_candidates listed (json.dumps writes a tuple as a list),
+        reason one of REASONS, which json.dumps writes as it is."""
+        if doc is None:
+            doc = self.to_json_dict()
         trace = doc["trace"]
         if not trace:
-            fp.write(json.dumps(doc, sort_keys=True, indent=2))
+            fp.write(opening + json.dumps(doc, sort_keys=True, indent=2)[1:])
             return doc
         # Only top-level keys sit at indent 2, and json.dumps escapes the
         # newlines inside strings, so the split finds the trace key's line.
         head, tail = json.dumps({**doc, "trace": []}, sort_keys=True,
                                 indent=2).split('\n  "trace": []')
-        fp.write(head + '\n  "trace": [')
+        fp.write(opening + head[1:] + '\n  "trace": [')
         sep = ""
         for start in range(0, len(trace), _ROWS_PER_WRITE):
             fp.write(sep + _trace_rows_json(
@@ -394,23 +399,6 @@ def _trace_rows_json(rows: List[dict]) -> str:
             run, template = key, _row_template(*key)
         texts.append(template if kappa is None else template % kappa)
     return ",".join(texts)
-
-
-@lru_cache(maxsize=None)
-def trace_rows_pattern() -> "re.Pattern[bytes]":
-    """The bytes pattern that fullmatches one or more trace rows, joined by
-    ",", exactly as _trace_rows_json writes them and under
-    report_schema.json's row rules: a2 an int >= 2, kappa null or a list
-    of ints >= 0, n 1 or 2, reason one of REASONS.  Compiled on first use,
-    so importing the module compiles nothing."""
-    nat = rb"(?:0|[1-9][0-9]*)"
-    row = (rb'\n    \{\n      "a2": (?:[2-9]|[1-9][0-9]+),'
-           rb'\n      "kappa": (?:null|\[\]|\[\n        ' + nat
-           + rb'(?:,\n        ' + nat + rb')*\n      \]),'
-           rb'\n      "n": [12],'
-           rb'\n      "reason": "(?:'
-           + "|".join(REASONS).encode() + rb')"\n    \}')
-    return re.compile(row + rb"(?:," + row + rb")*")
 
 
 def model_name(h2: int) -> str:

@@ -10,6 +10,7 @@ at a temporary directory so the repository is never polluted.
 import argparse
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -397,7 +398,9 @@ def test_detect_refuses_a_tgram_below_rank_19(capsys, tmp_path):
     # served either.
     tgram = ((2, 1), (1, 10))
     key = cli._cache_key(4, RootSpec.parse("A18"), tgram, False)
-    (tmp_path / f"{key}.json").write_text(detect(4, "A18").to_json())
+    run(capsys, "detect", "--spec", "A18", "--cache-dir", str(tmp_path / "0"))
+    (entry,) = (tmp_path / "0").glob("*.json")
+    (tmp_path / f"{key}.json").write_bytes(entry.read_bytes())
     assert run(capsys, "detect", "--spec", "A18", "--tgram", "2,1,10",
                "--cache-dir", str(tmp_path))[0] == 2
 
@@ -405,19 +408,34 @@ def test_detect_refuses_a_tgram_below_rank_19(capsys, tmp_path):
 # -------------------------------------------------------------- caching
 
 
-def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
-    code1, out1, _ = run(capsys, "detect", "--spec", "A2", "--json",
-                         "--cache-dir", str(tmp_path))
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    # the stored document is exactly what was printed
-    assert files[0].read_text() + "\n" == out1
+def _entry_of(cache):
+    """The one cache entry in cache, and its first line."""
+    (entry,) = cache.glob("*.json")
+    return entry, entry.read_text().split("\n", 1)[0]
 
-    code2, out2, _ = run(capsys, "detect", "--spec", "A2", "--json",
+
+def test_cache_round_trip_is_byte_identical(capsys, tmp_path):
+    # A hit prints what the miss printed and leaves its entry as it is.
+    # The entry is one JSON object: its first line is the summary, the
+    # report with its trace replaced by the count of each reason, and the
+    # report as write_json writes it follows that line.
+    code1, out1, _ = run(capsys, "detect", "--spec", "D7+A6+A3+A2",
                          "--cache-dir", str(tmp_path))
-    assert (code1, code2) == (0, 0)
-    assert out2 == out1  # including generated_at: served from cache
-    assert list(tmp_path.glob("*.json")) == files
+    entry, _ = _entry_of(tmp_path)
+    stored = entry.read_text()
+    code2, out2, _ = run(capsys, "detect", "--spec", "D7+A6+A3+A2",
+                         "--cache-dir", str(tmp_path))
+    assert (code1, code2) == (3, 3)
+    assert out2 == out1
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_text() == stored
+    report = json.loads(stored)
+    summary = report.pop("summary")
+    counts = Counter(row["reason"] for row in report["trace"])
+    assert summary == {**report, "trace": counts}
+    assert stored == ('{"summary": ' + json.dumps(summary, sort_keys=True)
+                      + "," + json.dumps(report, sort_keys=True,
+                                         indent=2)[1:])
 
 
 def test_cache_key_uses_canonical_spec(capsys, tmp_path, monkeypatch):
@@ -427,35 +445,26 @@ def test_cache_key_uses_canonical_spec(capsys, tmp_path, monkeypatch):
     # kappa=[0, 0, 0, 1, 1] after 5 rows, A1+A6+A11 kappa=[1, 0, 0, 0, 1]
     # after 7).  So each spelling's warm output is its own cold output, in
     # a cache that the other spelling wrote first: that entry is a miss for
-    # detect and --json and is rewritten, then served to a repeat.
-    def doc(out, extra):
-        if not extra:
-            return out
-        rep = json.loads(out)
-        del rep["wall_time_ms"], rep["generated_at"]
-        return rep
-
+    # detect and is rewritten, then served to a repeat.
     calls = []
     real_detect = cli.detect
     monkeypatch.setattr(cli, "detect", lambda *args, **kwargs: (
         calls.append(args) or real_detect(*args, **kwargs)))
     for spellings in (("A1+A3", "A3+A1"), ("A1+A6+A11", "A11+A6+A1")):
-        for extra in ([], ["--json"]):
-            cold = {spec: doc(run(capsys, "detect", "--spec", spec, *extra,
-                                  "--cache-dir", str(tmp_path / spec))[1],
-                              extra)
-                    for spec in spellings}
-            assert cold[spellings[0]] != cold[spellings[1]]
-            shared = tmp_path / f"shared-{spellings[0]}-{len(extra)}"
-            del calls[:]
-            for spec in spellings + spellings[::-1]:
-                for _ in range(2):
-                    _, out, _ = run(capsys, "detect", "--spec", spec, *extra,
-                                    "--cache-dir", str(shared))
-                    assert doc(out, extra) == cold[spec], (spec, extra)
-            # One miss per change of spelling, and one entry throughout.
-            assert len(calls) == 3, (spellings, extra)
-            assert len(list(shared.glob("*.json"))) == 1
+        cold = {spec: run(capsys, "detect", "--spec", spec,
+                          "--cache-dir", str(tmp_path / spec))[1]
+                for spec in spellings}
+        assert cold[spellings[0]] != cold[spellings[1]]
+        shared = tmp_path / f"shared-{spellings[0]}"
+        del calls[:]
+        for spec in spellings + spellings[::-1]:
+            for _ in range(2):
+                _, out, _ = run(capsys, "detect", "--spec", spec,
+                                "--cache-dir", str(shared))
+                assert out == cold[spec], spec
+        # One miss per change of spelling, and one entry throughout.
+        assert len(calls) == 3, spellings
+        assert len(list(shared.glob("*.json"))) == 1
 
 
 def test_cache_env_var_fallback(capsys, tmp_path, monkeypatch):
@@ -483,34 +492,56 @@ def test_cache_key_depends_on_tgram(capsys, tmp_path):
 
 
 def test_cache_key_depends_on_oracle(capsys, tmp_path):
-    _, out1, _ = run(capsys, "detect", "--spec", "A1", "--json",
-                     "--cache-dir", str(tmp_path))
-    _, out2, _ = run(capsys, "detect", "--spec", "A1", "--json", "--oracle",
-                     "--cache-dir", str(tmp_path))
-    assert json.loads(out1)["oracle_checked"] is False
-    assert json.loads(out2)["oracle_checked"] is True
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    # Each flag reads its own entry: a warm run prints its own cold output.
+    outputs = []
+    for _ in ("cold", "warm"):
+        outputs.append([run(capsys, "detect", "--spec", "A1", *oracle,
+                            "--cache-dir", str(tmp_path))[1]
+                        for oracle in ([], ["--oracle"])])
+    assert outputs[0] == outputs[1]
+    assert "oracle_checked" not in outputs[0][0]
+    assert "oracle_checked: True\n" in outputs[0][1]
+    entries = [json.loads(e.read_text()) for e in tmp_path.glob("*.json")]
+    assert sorted(e["summary"]["oracle_checked"] for e in entries) == [
+        False, True]
 
 
 @pytest.mark.parametrize("dest", ["stdout", "path"])
-def test_detect_json_is_the_cache_entry_on_a_miss_and_a_hit(capsys, tmp_path,
-                                                           dest):
-    # A miss streams the report into the entry and copies the entry out;
-    # a hit copies the stored entry.  Either way --json gives the entry's
-    # bytes and a newline.
+def test_detect_json_leaves_the_cache_as_it_found_it(capsys, tmp_path,
+                                                     monkeypatch, dest):
+    # --json decides the stratum and streams the report out: it reads no
+    # entry and writes none, so an empty cache stays empty and a warm one
+    # keeps its bytes.  Its document, without the timestamps, is the
+    # report of the entry that human detect writes.
     cache = tmp_path / "cache"
     out_file = tmp_path / "report.json"
     argv = ["detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache),
             "--json"] + ([str(out_file)] if dest == "path" else [])
-    for _ in ("miss", "hit"):
+    calls = []
+    real_detect = cli.detect
+    monkeypatch.setattr(cli, "detect", lambda *args, **kwargs: (
+        calls.append(args) or real_detect(*args, **kwargs)))
+    documents = []
+    for warm in (False, True):
+        if warm:
+            run(capsys, "detect", "--spec", "D7+A6+A3+A2",
+                "--cache-dir", str(cache))
+        entries = {e: e.read_bytes() for e in cache.glob("*")}
+        calls.clear()
         code, out, err = run(capsys, *argv)
         assert (code, err) == (3, "")
-        (entry,) = cache.iterdir()
+        assert len(calls) == 1
         got = out if dest == "stdout" else out_file.read_text()
-        assert got == entry.read_text() + "\n"
-        assert json.loads(got)["trace"]
-        if dest == "path":
-            assert out == ""
+        assert out == ("" if dest == "path" else got)
+        assert got == json.dumps(json.loads(got), sort_keys=True,
+                                 indent=2) + "\n"
+        assert {e: e.read_bytes() for e in cache.glob("*")} == entries
+        assert cache.exists() == warm
+        documents.append(_untimed(got))
+    entry, _ = _entry_of(cache)
+    report = _untimed(entry.read_text())
+    del report["summary"]
+    assert documents == [report, report]
 
 
 def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path,
@@ -545,7 +576,8 @@ def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path,
 
     write_json = DetectionReport.write_json
     monkeypatch.setattr(DetectionReport, "write_json",
-                        lambda rep, fp: write_json(rep, FullAfterOneWrite(fp)))
+                        lambda rep, fp, *args: write_json(
+                            rep, FullAfterOneWrite(fp), *args))
     cache = tmp_path / "full"
     argv = ["detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache)]
     assert run(capsys, *argv) == (
@@ -562,23 +594,27 @@ def test_a_failed_cache_write_leaves_no_temporary_file(capsys, tmp_path,
 # parses to something else.
 NOT_A_REPORT = [None, "{}", "null", "[1]", '{"verdict": "witness_found"}']
 # Entries with every report key but a value the schema does not allow, as
-# replacements in the real entry; printing one used to crash detect, or
+# replacements in the real summary; printing one used to crash detect, or
 # print a basis, revalidation, oracle outcome or trace reason that the
-# schema refuses.
+# schema refuses.  The summary's trace is the count of each reason, so bad
+# counts stand in for bad rows: a list, an unknown reason, a count that is
+# not an integer >= 1.
 MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
                     {"witness": {"a2": 2}}, {"rank_S": "1"}, {"rank_T": True},
                     {"disc": {"display": None}},
                     {"verdict": ["witness_found"]}, {"oracle_checked": None},
-                    {"trace": [5]}, {"trace": [{"a2": 2}]},
-                    {"trace": [{"reason": 5}]},
+                    {"trace": []}, {"trace": [5]}, {"trace": {"a2": 2}},
+                    {"trace": {"no_kappa": "5"}},
+                    {"trace": {"no_kappa": True}},
+                    {"trace": {"no_kappa": 1.0}},
+                    {"trace": {"no_kappa": 0}}, {"trace": {"no_kappa": -1}},
+                    {"trace": {"genus_empty": 3, "bogus": 1}},
                     {"witness": {"a2": 2, "n": 2, "kappa": 5, "phi": None}},
                     {"witness": {"a2": "2", "n": 2, "kappa": [0, 0],
                                  "phi": [[1, 0], [0, 1]]}},
                     {"witness_revalidated": False},
                     {"oracle_checked": "bogus"},
                     {"conclusiveness_basis": "nonsense"},
-                    {"trace": [{"a2": 2, "n": 2, "kappa": None,
-                                "reason": "bogus"}]},
                     {"rank_S": -3}, {"rank_T": 22}, {"wall_time_ms": -1},
                     {"witness": {"a2": -5, "n": 2, "kappa": [0, 0],
                                  "phi": [[1, 0], [0, 1]]}},
@@ -593,40 +629,60 @@ MALFORMED_VALUES = [{"disc": None}, {"trace": 5}, {"witness": 3},
 
 
 def _untimed(text):
+    """A report, or a cache entry, parsed without its timestamps: an
+    entry's summary carries them too."""
     doc = json.loads(text)
-    del doc["wall_time_ms"], doc["generated_at"]
+    for part in (doc, doc.get("summary", {})):
+        part.pop("wall_time_ms", None)
+        part.pop("generated_at", None)
     return doc
 
 
+OUTPUTS = ("batch", "detect")
+
+
+def _output(capsys, cache, spec, which, model="quartic", tgram=()):
+    """(exit code, stdout, stderr) of one of OUTPUTS on spec and model,
+    against cache; tgram, as ("--tgram", "a,b,d"), goes to detect."""
+    argv = ["--model", model, "--cache-dir", str(cache)]
+    if which == "batch":
+        listing = cache.parent / "listing.txt"
+        listing.write_text(f"{spec}\n")
+        return run(capsys, "batch", str(listing), *argv)
+    return run(capsys, "detect", "--spec", spec, *tgram, *argv)
+
+
+def _assert_each_output_refuses(capsys, tmp_path, spec, bad_entries):
+    """For each (label, entry text): written over spec's cache entry, the
+    entry is a miss for every output, which prints what a fresh run prints
+    and rewrites the entry whole."""
+    cache = tmp_path / "cache"
+    fresh = {which: _output(capsys, cache, spec, which) for which in OUTPUTS}
+    entry, _ = _entry_of(cache)
+    report = _untimed(entry.read_text())
+    for label, bad in bad_entries:
+        for which in OUTPUTS:
+            entry.write_text(bad)
+            assert _output(capsys, cache, spec, which) == fresh[which], (
+                label, which)
+            assert _untimed(entry.read_text()) == report, (label, which)
+            assert list(cache.iterdir()) == [entry], (label, which)
+
+
 def test_truncated_cache_entry_is_a_miss(capsys, tmp_path):
-    # One loop, not a parametrization, so the test keeps its name; None
-    # stands for the first 40 characters of the real entry, a dict for the
-    # real entry with those values replaced.  The JSON output and the
-    # human output are both checked against a fresh run.
-    _, human, _ = run(capsys, "detect", "--spec", "A2",
-                      "--cache-dir", str(tmp_path / "fresh"))
-    for i, content in enumerate(NOT_A_REPORT + MALFORMED_VALUES):
-        cache = tmp_path / str(i)
-        code1, out1, _ = run(capsys, "detect", "--spec", "A2", "--json",
-                             "--cache-dir", str(cache))
-        (entry,) = cache.glob("*.json")
-        real = entry.read_text()
-        bad = (real[:40] if content is None
-               else json.dumps({**json.loads(real), **content})
-               if isinstance(content, dict) else content)
-        entry.write_text(bad)
-        code2, out2, err2 = run(capsys, "detect", "--spec", "A2", "--json",
-                                "--cache-dir", str(cache))
-        assert (code1, code2, err2) == (0, 0, ""), content
-        assert json.loads(out2)["verdict"] == json.loads(out1)["verdict"]
-        assert _untimed(out2) == _untimed(out1), content
-        # the entry was rewritten whole, and no temporary file is left
-        # behind
-        assert entry.read_text() + "\n" == out2, content
-        assert list(cache.iterdir()) == [entry], content
-        entry.write_text(bad)
-        assert run(capsys, "detect", "--spec", "A2", "--cache-dir",
-                   str(cache)) == (0, human, ""), content
+    # NOT_A_REPORT and MALFORMED_VALUES, each as compact JSON on one line:
+    # None stands for the first 40 characters of the real entry, a dict
+    # for the real entry with those values replaced.  No line of these
+    # opens with a summary and ends at its comma.
+    cache = tmp_path / "first"
+    run(capsys, "detect", "--spec", "A2", "--cache-dir", str(cache))
+    real = _entry_of(cache)[0].read_text()
+    _assert_each_output_refuses(
+        capsys, tmp_path, "A2",
+        [(content, real[:40] if content is None
+          else json.dumps({**json.loads(real), **content})
+          if isinstance(content, dict) else content)
+         for content in NOT_A_REPORT + MALFORMED_VALUES])
 
 
 def test_batch_treats_an_entry_that_is_not_a_report_as_a_miss(capsys,
@@ -646,137 +702,162 @@ def test_batch_treats_an_entry_that_is_not_a_report_as_a_miss(capsys,
 
 
 def test_too_deeply_nested_entry_is_a_miss(capsys, tmp_path):
-    # json.loads raises RecursionError, not ValueError, on this entry.
-    nested = "[" * 100000 + "]" * 100000
-    listing = tmp_path / "strata.txt"
-    listing.write_text("A1\n")
-    cache = tmp_path / "cache"
-    code, fresh, _ = run(capsys, "detect", "--spec", "A1", "--json",
-                         "--cache-dir", str(cache))
-    assert code == 0
-    (entry,) = cache.glob("*.json")
-    entry.write_text(nested)
-    code, out, err = run(capsys, "detect", "--spec", "A1", "--json",
-                         "--cache-dir", str(cache))
-    assert (code, err) == (0, "")
-    assert _untimed(out) == _untimed(fresh)
-    assert entry.read_text() + "\n" == out
-    assert list(cache.iterdir()) == [entry]
-    entry.write_text(nested)
-    assert run(capsys, "batch", str(listing), "--cache-dir", str(cache)) \
-        == (0, "A1: witness_found\nbatch: 1 strata  witness_found=1\n", "")
-    assert _untimed(entry.read_text()) == _untimed(fresh)
-    assert list(cache.iterdir()) == [entry]
-
-
-OUTPUTS = ("batch", "detect", "--json")
-
-
-def _output(capsys, cache, spec, which, model="quartic", tgram=()):
-    """(exit code, stdout, stderr) of one of OUTPUTS on spec and model,
-    against cache; tgram, as ("--tgram", "a,b,d"), goes to detect."""
-    argv = ["--model", model, "--cache-dir", str(cache)]
-    if which == "batch":
-        listing = cache.parent / "listing.txt"
-        listing.write_text(f"{spec}\n")
-        return run(capsys, "batch", str(listing), *argv)
-    return run(capsys, "detect", "--spec", spec, *tgram, *argv,
-               *(["--json"] if which == "--json" else []))
-
-
-def _assert_each_output_refuses(capsys, tmp_path, spec, bad_entries):
-    """For each (label, entry text, whether batch reads what was changed):
-    written over spec's cache entry, the entry is a miss for every output
-    that reads it, which prints what a fresh run prints and rewrites the
-    entry whole; batch, where it reads nothing changed, prints the verdict
-    and leaves the entry as it is."""
-    cache = tmp_path / "cache"
-    fresh = {which: _output(capsys, cache, spec, which) for which in OUTPUTS}
-    (entry,) = cache.glob("*.json")
-    report = _untimed(entry.read_text())
-    for label, bad, batch_reads_it in bad_entries:
-        for which in OUTPUTS:
-            entry.write_text(bad)
-            got = _output(capsys, cache, spec, which)
-            if which == "batch" and not batch_reads_it:
-                assert got == fresh[which], label
-                assert entry.read_text() == bad, label
-                continue
-            assert got[0] == fresh[which][0], (label, which)
-            if which == "--json":
-                assert _untimed(got[1]) == report, label
-                assert entry.read_text() + "\n" == got[1], label
-            else:
-                assert got == fresh[which], (label, which)
-                assert _untimed(entry.read_text()) == report, label
-            assert list(cache.iterdir()) == [entry], label
+    # json.loads raises RecursionError, not ValueError, on the summary of
+    # the second entry; the first has no summary line.
+    cache = tmp_path / "first"
+    run(capsys, "detect", "--spec", "A1", "--cache-dir", str(cache))
+    rest = _entry_of(cache)[0].read_text().split("\n", 1)[1]
+    nested = "[" * 20000 + "]" * 20000
+    _assert_each_output_refuses(
+        capsys, tmp_path, "A1",
+        [("bare", "[" * 100000 + "]" * 100000),
+         ("summary", '{"summary": ' + nested + ",\n" + rest)])
 
 
 def test_entries_in_the_writers_layout_with_a_bad_value_are_misses(
         capsys, tmp_path):
-    # NOT_A_REPORT and MALFORMED_VALUES again, each written as the writer
-    # lays an entry out (sorted keys, indent 2), which the reader parses
-    # head and tail of.  A changed trace that is still a list is in the
-    # rows, which batch does not read: batch prints the verdict and leaves
-    # the entry; detect and --json refuse it.
+    # NOT_A_REPORT and MALFORMED_VALUES again, each written as the
+    # summary line that the writer writes (sorted keys, one line, then a
+    # comma) before the real report: the reader parses that line alone.
     cache = tmp_path / "first"
     run(capsys, "detect", "--spec", "A2", "--cache-dir", str(cache))
-    (entry,) = cache.glob("*.json")
-    real = json.loads(entry.read_text())
-    bad_entries = []
-    for content in NOT_A_REPORT[1:] + MALFORMED_VALUES:
-        doc = ({**real, **content} if isinstance(content, dict)
-               else json.loads(content))
-        rows_only = (isinstance(content, dict) and list(content) == ["trace"]
-                     and isinstance(content["trace"], list))
-        bad_entries.append((content, json.dumps(doc, sort_keys=True,
-                                                indent=2), not rows_only))
-    _assert_each_output_refuses(capsys, tmp_path, "A2", bad_entries)
+    entry, line = _entry_of(cache)
+    rest = entry.read_text()[len(line):]
+    summary = json.loads(line[len('{"summary": '):-1])
+    _assert_each_output_refuses(capsys, tmp_path, "A2", [
+        (content, '{"summary": ' + json.dumps(
+            {**summary, **content} if isinstance(content, dict)
+            else json.loads(content), sort_keys=True) + "," + rest)
+        for content in NOT_A_REPORT[1:] + MALFORMED_VALUES])
 
 
 def test_a_row_the_schema_refuses_is_a_miss_where_rows_are_printed(
         capsys, tmp_path):
-    # One row edited in place, in the writer's layout, to values that
-    # report_schema.json refuses: detect counts the rows and --json prints
-    # them, so both refuse the entry and rewrite it; batch prints only the
-    # verdict, reads no row, and leaves the entry as it is.
+    # The summary counts the rows that human detect prints, one count per
+    # reason: counts edited in place, in the writer's layout, to values
+    # that no trace gives (an unknown reason, a count of 0, a count that
+    # is not an integer, a reason's count dropped to give no rows) make a
+    # miss for detect and for batch, which rewrite the entry.
     cache = tmp_path / "first"
     run(capsys, "detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache))
-    (entry,) = cache.glob("*.json")
-    real = json.loads(entry.read_text())
-    bad_entries = []
-    for change in ({"a2": -1, "n": 7, "kappa": ["x"]}, {"a2": 1},
-                   {"a2": True}, {"n": 0}, {"n": 7}, {"kappa": [-1]},
-                   {"kappa": [1.5]}, {"kappa": 3}, {"reason": "bogus"},
-                   {"extra": 1}):
-        doc = json.loads(json.dumps(real))
-        doc["trace"][5].update(change)
-        bad_entries.append((change, json.dumps(doc, sort_keys=True,
-                                               indent=2), False))
+    entry, line = _entry_of(cache)
+    assert '"trace": {"genus_empty": 11, "no_involution_cond3": 92, ' \
+        '"no_kappa": 16}' in line
+    text = entry.read_text()
+    bad_entries = [
+        (new, text.replace('"no_kappa": 16}', new, 1))
+        for new in ('"no_kappa": 0}', '"no_kappa": 16.0}', '"no_kappa": -16}',
+                    '"no_kappa": "16"}', '"no_kappa": true}',
+                    '"no_kappa": 16, "bogus": 1}', '"no_kappa": [16]}',
+                    '"no_kappa": null}', '"no_kappa": 16, "a2": 2}')]
+    assert all(bad != text for _, bad in bad_entries)
     _assert_each_output_refuses(capsys, tmp_path, "D7+A6+A3+A2",
                                 bad_entries)
 
 
 def test_a_truncated_entry_is_a_miss_for_every_output(capsys, tmp_path):
-    # Cut in the head, in the rows, in the tail, and one byte short, and
-    # with every row cut out.
+    # Cut anywhere in its summary line, newline included: the line no
+    # longer ends at the summary's comma and newline, or does not parse.
     cache = tmp_path / "first"
     run(capsys, "detect", "--spec", "D7+A6+A3+A2", "--cache-dir", str(cache))
-    (entry,) = cache.glob("*.json")
+    entry, line = _entry_of(cache)
     real = entry.read_text()
-    rows_from = real.index('\n  "trace": [') + len('\n  "trace": [')
-    rows_to = real.rindex('\n  ],\n  "verdict": ')
-    cuts = sorted({*range(0, rows_from + 1, rows_from // 12),
-                   *range(rows_from, rows_to + 1, (rows_to - rows_from) // 14),
-                   *range(rows_to, len(real), (len(real) - rows_to) // 12),
-                   rows_from - 1, rows_to + 4, len(real) - 1})
-    assert len(cuts) >= 40
-    # With its rows cut out, the trace still parses, as an empty list that
-    # the writer would have written as "[]": no entry it writes.
-    _assert_each_output_refuses(
-        capsys, tmp_path, "D7+A6+A3+A2",
-        [(cut, real[:cut], True) for cut in cuts]
-        + [("no rows", real[:rows_from] + real[rows_to:], True)])
+    cuts = sorted({*range(0, len(line) + 1, len(line) // 24),
+                   len(line) - 1, len(line)})
+    assert len(cuts) >= 25
+    _assert_each_output_refuses(capsys, tmp_path, "D7+A6+A3+A2",
+                                [(cut, real[:cut]) for cut in cuts])
+
+
+def test_a_cut_after_the_summary_line_still_serves(capsys, tmp_path,
+                                                   monkeypatch):
+    # No reader reads past the first line, so an entry cut anywhere after
+    # it still gives every output what the miss printed, and is left as
+    # it is.
+    cache = tmp_path / "cache"
+    fresh = {which: _output(capsys, cache, "D7+A6+A3+A2", which)
+             for which in OUTPUTS}
+    entry, line = _entry_of(cache)
+    real = entry.read_text()
+    start = len(line) + 1
+    cuts = sorted({*range(start, len(real), (len(real) - start) // 20),
+                   len(real) - 1})
+
+    def no_detect(*args, **kwargs):
+        raise AssertionError("a hit must not decide")
+
+    monkeypatch.setattr(cli, "detect", no_detect)
+    for cut in cuts:
+        for which in OUTPUTS:
+            entry.write_text(real[:cut])
+            assert _output(capsys, cache, "D7+A6+A3+A2", which) \
+                == fresh[which], (cut, which)
+            assert entry.read_text() == real[:cut]
+
+
+def test_a_foreign_entry_is_read_only_up_to_the_bound(capsys, tmp_path,
+                                                      monkeypatch):
+    # 8 MB with no newline where the entry goes: every output reads at
+    # most the bound (plus the one buffer that ends in it) from the file,
+    # takes it for a miss and rewrites the entry.
+    fetched = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            size = super().readinto(buffer)
+            fetched.append(size or 0)
+            return size
+
+        def readall(self):
+            data = super().readall()
+            fetched.append(len(data))
+            return data
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if mode == "rb":
+            return io.BufferedReader(CountingFile(path))
+        return open(path, mode, *args, **kwargs)
+
+    foreign = "x" * (8 << 20)
+    cache = tmp_path / "cache"
+    fresh = {which: _output(capsys, cache, "A2", which) for which in OUTPUTS}
+    entry, _ = _entry_of(cache)
+    report = _untimed(entry.read_text())
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for which in OUTPUTS:
+        entry.write_text(foreign)
+        fetched.clear()
+        assert _output(capsys, cache, "A2", which) == fresh[which], which
+        assert 0 < sum(fetched) <= (cli._SUMMARY_BOUND
+                                    + io.DEFAULT_BUFFER_SIZE), which
+        assert _untimed(entry.read_text()) == report, which
+
+
+def test_the_benchmark_reads_each_entry_as_a_whole_report(capsys, tmp_path):
+    # perfbench/run.py's cli-batch gate reads the entries that batch
+    # leaves: one file per canonical stratum, each one JSON object whose
+    # report keys hold the whole report, trace rows included, of the
+    # spelling that wrote it.  Dropping the rows, or keying entries by
+    # spelling, must first move that gate.
+    listing = tmp_path / "strata.txt"
+    listing.write_text("A1+A1\n2*A1\nA3+A1\nA1+A3\n3*A1\nA1+2*A1\n"
+                       "D7+A6+A3+A2\nA2+A3+A6+D7\nA1+A1\n")
+    cache = tmp_path / "cache"
+    assert run(capsys, "batch", str(listing), "--cache-dir", str(cache))[0] \
+        == 0
+    entries = [json.loads(e.read_text()) for e in sorted(cache.iterdir())]
+    assert sorted(RootSpec.parse(e["spec"]).canonical_text()
+                  for e in entries) == sorted(
+        RootSpec.parse(spec).canonical_text()
+        for spec in ("2*A1", "A3+A1", "3*A1", "D7+A6+A3+A2"))
+    for entry in entries:
+        assert isinstance(entry, dict)
+        del entry["summary"]
+        want = json.loads(detect(4, entry["spec"]).to_json())
+        for doc in (entry, want):
+            del doc["wall_time_ms"], doc["generated_at"]
+        assert entry == want, entry["spec"]
+        assert entry["trace"] or entry["verdict"] == "witness_found"
 
 
 def _ade_sums(max_rank):
@@ -835,17 +916,19 @@ def test_every_entry_the_writer_writes_hits(capsys, tmp_path, monkeypatch):
 def test_a_batch_hit_reads_no_row_of_a_large_entry(capsys, tmp_path,
                                                   monkeypatch):
     # An entry of 10^5 rows, the golden report's rows repeated (a census
-    # entry, without deciding one): batch parses only the head and tail
-    # around the rows, a few kB, and matches no row; detect counts every
-    # row, and --json copies the entry.
+    # entry, without deciding one): a hit, for batch and for human detect,
+    # parses the summary line alone, a few kB, with one json.loads, and
+    # reads no row.
     report = detect(4, "D7+A6+A3+A2")
     report.trace = report.trace * (10 ** 5 // len(report.trace) + 1)
+    counts = Counter(row["reason"] for row in report.trace)
     cache = tmp_path / "cache"
-    cache.mkdir()
-    entry = cache / (cli._cache_key(4, RootSpec.parse("D7+A6+A3+A2"), None,
-                                    False) + ".json")
-    with open(entry, "w") as fp:
-        report.write_json(fp)
+    monkeypatch.setattr(cli, "detect", lambda *args, **kwargs: report)
+    fresh = {which: _output(capsys, cache, "D7+A6+A3+A2", which)
+             for which in OUTPUTS}
+    assert f"trace: {len(report.trace)} rows (" + ", ".join(
+        f"{k}={v}" for k, v in sorted(counts.items())) + ")\n" \
+        in fresh["detect"][1]
     parsed = []
     loads = json.loads
 
@@ -854,24 +937,14 @@ def test_a_batch_hit_reads_no_row_of_a_large_entry(capsys, tmp_path,
         return loads(text, *args, **kwargs)
 
     def refused(*args, **kwargs):
-        raise AssertionError("not on a batch hit")
+        raise AssertionError("not on a hit")
 
     monkeypatch.setattr(cli, "detect", refused)
     monkeypatch.setattr(cli.json, "loads", measured_loads)
-    with monkeypatch.context() as patched:
-        patched.setattr(cli, "trace_rows_pattern", refused)
-        assert _output(capsys, cache, "D7+A6+A3+A2", "batch") == (
-            0, "D7+A6+A3+A2: none_exists\n"
-               "batch: 1 strata  none_exists=1\n", "")
-    assert len(parsed) == 1 and parsed[0] < 4096
-    code, out, err = _output(capsys, cache, "D7+A6+A3+A2", "detect")
-    counts = Counter(row["reason"] for row in report.trace)
-    assert (code, err) == (3, "")
-    assert f"trace: {len(report.trace)} rows (" + ", ".join(
-        f"{k}={v}" for k, v in sorted(counts.items())) + ")\n" in out
-    assert _output(capsys, cache, "D7+A6+A3+A2", "--json") == (
-        3, entry.read_text() + "\n", "")
-    assert len(parsed) == 3 and max(parsed) < 4096
+    for which in OUTPUTS:
+        parsed.clear()
+        assert _output(capsys, cache, "D7+A6+A3+A2", which) == fresh[which]
+        assert len(parsed) == 1 and parsed[0] < 4096, which
 
 
 # ---------------------------------------------------- errors from the engine
